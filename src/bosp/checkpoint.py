@@ -54,8 +54,8 @@ def _coeff_bytes(coeffs: np.ndarray) -> bytes:
 
 
 def _coeffs_from(buf: bytes, n: int) -> np.ndarray:
-    flat = np.frombuffer(buf, dtype="<f8")
-    return flat[0::2] + 1j * flat[1::2]
+    # a direct view keeps every bit, including the sign of zero imaginary parts
+    return np.frombuffer(buf, dtype="<c16", count=n).astype(np.complex128)
 
 
 def _check_finite(*arrays):

@@ -16,6 +16,17 @@ Kassam-Trefethen contour trick (SIAM J. Sci. Comput. 26 (2005), 1214).
 Nonlinear terms are written in conservative form d_x(u^{k+1})/(k+1) so the
 mean mode is conserved to round-off, and products are dealiased either by
 the two-thirds rule or by forming them on a 4x zero-padded grid.
+
+Solver state is the rfft half spectrum: modes m = 0, 1, ..., n/2 of a real
+field, the negative modes being their conjugates.  Values are synthesized
+with ``irfft`` (zero-padding to the 4n grid through its length argument)
+and fluxes analyzed with ``rfft``, so the data stay real by construction.
+The imaginary parts of the mean and Nyquist slots are zeroed once on entry.
+The odd symbols (iq, the bo group symbol) vanish on the Nyquist slot, so it
+is constant in time; on the padded grid its value is split half-half
+between +n/2 and -n/2, which for irfft means halving slot n/2 before
+synthesis.  Stored snapshots are expanded back to the full transform-order
+SpectralField, exactly conjugate symmetric.
 """
 
 from __future__ import annotations
@@ -26,14 +37,7 @@ import numpy as np
 
 from .errors import BlowUpError
 from .lingroup import group_symbol
-from .spectral import (
-    ZERO_MEAN_TOL,
-    PeriodicGrid,
-    SpectralField,
-    Trajectory,
-    _pad_coeffs,
-    _truncate_coeffs,
-)
+from .spectral import ZERO_MEAN_TOL, PeriodicGrid, SpectralField, Trajectory
 
 __all__ = ["SolverConfig", "solve", "convergence_order", "ConvergenceResult"]
 
@@ -88,54 +92,57 @@ class SolverConfig:
 
 
 class _Nonlinearity:
-    """Dealiased evaluation of the conservative nonlinear flux."""
+    """Dealiased conservative flux on the half spectrum (modes 0..n/2)."""
 
     def __init__(self, grid: PeriodicGrid, cfg: SolverConfig):
-        self.grid = grid
+        half = grid.n // 2
         self.cfg = cfg
-        self.iq = 1j * grid.freqs
-        self.iq[grid.n // 2] = 0.0
-        self.pad = 4 if cfg.dealias == "pad4" else 1
-        if cfg.dealias == "two_thirds":
-            self.mask = (np.abs(grid.modes) <= grid.n // 3).astype(float)
+        self.half = half
+        self.iq = 1j * grid.freqs[: half + 1]
+        self.iq[half] = 0.0
+        self.nbig = 4 * grid.n if cfg.dealias == "pad4" else grid.n
+        # pad4 splits the self-conjugate slot between +n/2 and -n/2 of the
+        # big grid; irfft mirrors slot n/2, so it is halved before synthesis
+        if self.nbig > grid.n:
+            self.split = np.ones(half + 1)
+            self.split[half] = 0.5
         else:
-            self.mask = None
+            self.split = None
+        self.cut = grid.n // 3 + 1 if cfg.dealias == "two_thirds" else None
 
     def _to_values(self, uhat: np.ndarray) -> np.ndarray:
-        n = self.grid.n
-        if self.pad == 1:
-            return np.fft.ifft(uhat * n)
-        big = _pad_coeffs(uhat, n, self.pad, real_split=True)
-        return np.fft.ifft(big * (self.pad * n))
+        if self.split is not None:
+            uhat = uhat * self.split
+        return np.fft.irfft(uhat, self.nbig, norm="forward")
 
     def _to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        n = self.grid.n
-        if self.pad == 1:
-            chat = np.fft.fft(values) / n
-        else:
-            chat = _truncate_coeffs(np.fft.fft(values) / values.size, n)
-        if self.mask is not None:
-            chat = chat * self.mask
+        # slot n/2 is left unfolded: the odd iq multiplier zeroes it anyway
+        chat = np.fft.rfft(values, norm="forward")[: self.half + 1]
+        if self.cut is not None:
+            chat[self.cut:] = 0.0
         return chat
 
     def __call__(self, uhat: np.ndarray) -> np.ndarray:
         eq, k = self.cfg.equation, self.cfg.k
         if eq == "linear":
             return np.zeros_like(uhat)
-        vals = self._to_values(uhat).real
+        vals = self._to_values(uhat)
         if eq == "gbo":
             flux = self._to_coeffs(vals ** (k + 1)) / (k + 1)
         elif eq == "bo2":
             flux = self._to_coeffs(vals * vals)
         else:  # renormalized_gbo: 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
-            mbar = np.mean(vals ** k).real
+            mbar = np.mean(vals ** k)
             flux = 2.0 * self._to_coeffs(vals ** (k + 1)) / (k + 1) - 2.0 * mbar * uhat
         return self.iq * flux
 
 
-def _symmetrize(uhat: np.ndarray) -> np.ndarray:
-    """Project onto conjugate-symmetric arrays (keeps real data real)."""
-    return 0.5 * (uhat + np.conj(np.roll(uhat[::-1], 1)))
+def _full_spectrum(half_coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Half spectrum (modes 0..n/2) -> conjugate-symmetric transform order."""
+    full = np.empty(n, dtype=np.complex128)
+    full[: n // 2 + 1] = half_coeffs
+    full[n // 2 + 1:] = np.conj(half_coeffs[n // 2 - 1: 0: -1])
+    return full
 
 
 def _etdrk4_weights(z: np.ndarray, dt: float):
@@ -151,12 +158,14 @@ def _etdrk4_weights(z: np.ndarray, dt: float):
             dt * f2.mean(axis=1), dt * f3.mean(axis=1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     """Integrate u0 under cfg and return the sampled trajectory.
 
     The initial field must be real-flagged; the renormalized equation
     additionally requires zero-mean data.  Non-finite or exploding modes
-    raise BlowUpError carrying the last good time.
+    raise BlowUpError carrying the last good time (the state is checked
+    after every step, so numpy's overflow warnings are silenced).
     """
     if not u0.is_real:
         raise ValueError("initial data must be real-flagged")
@@ -165,9 +174,10 @@ def solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
             f"renormalized equation needs zero-mean data: |C_0| = {abs(u0.coeffs[0]):.3e}"
         )
     grid = u0.grid
+    n = grid.n
     steps = cfg.n_steps()
     nonlin = _Nonlinearity(grid, cfg)
-    group_sym = group_symbol(grid, "bo_group")
+    group_sym = group_symbol(grid, "bo_group")[: n // 2 + 1]
     dt = cfg.dt
 
     ehalf = np.exp(group_sym * (dt / 2.0))
@@ -175,9 +185,11 @@ def solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     if cfg.scheme == "etd_rk4":
         q2, f1, f2, f3 = _etdrk4_weights(group_sym * dt, dt)
 
-    uhat = u0.coeffs.copy()
+    uhat = u0.coeffs[: n // 2 + 1].copy()
+    uhat[0] = uhat[0].real
+    uhat[n // 2] = uhat[n // 2].real
     times = [0.0]
-    snaps = [SpectralField(grid, uhat, is_real=True)]
+    snaps = [SpectralField(grid, u0.coeffs, is_real=True)]
     t_good = 0.0
 
     for step in range(1, steps + 1):
@@ -199,13 +211,12 @@ def solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
             sc = ehalf * sa + q2 * (2.0 * nb - n0)
             nc = nonlin(sc)
             uhat = efull * uhat + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-        uhat = _symmetrize(uhat)
-        if not np.all(np.isfinite(uhat)) or np.max(np.abs(uhat)) > _BLOWUP_GUARD:
+        if not np.max(np.abs(uhat)) <= _BLOWUP_GUARD:  # NaN propagates and fails
             raise BlowUpError(t_good)
         t_good = step * dt
         if step % cfg.sample_stride == 0:
             times.append(t_good)
-            snaps.append(SpectralField(grid, uhat, is_real=True))
+            snaps.append(SpectralField(grid, _full_spectrum(uhat, n), is_real=True))
 
     return Trajectory(
         grid, np.asarray(times), snaps, cfg.equation, cfg.k,

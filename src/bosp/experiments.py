@@ -134,6 +134,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment {self.name!r}")
+        if self.n_samples < 1:
+            raise ConfigError(f"n_samples must be at least 1, got {self.n_samples}")
 
     def solver(self, **overrides) -> SolverConfig:
         kw = dict(equation=self.equation, dt=self.dt, t_final=self.t_final,
@@ -346,45 +348,62 @@ def _run_simulate(cfg: ExperimentConfig, rng):
     return [rec], summary, artifacts
 
 
+def _blow_up_record(rec: dict, exc: BlowUpError) -> dict:
+    rec.update({"blew_up": True, "last_good_time": exc.last_good_time})
+    return rec
+
+
 def _run_conservation(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
     records = []
+    series = {}
 
     u0 = _cosine_data(cfg, grid)
-    traj = solve(u0, cfg.solver(equation="gbo", k=1))
-    rep = drift_report(traj)
-    wrong_f = np.array([invariant(f, "F_bo", sign=-1.0) for f in traj])
-    wrong_e = np.array([invariant(f, "E_gbo", k=1, sign=-1.0) for f in traj])
-    rec = {
-        "run": "reference", "sample_index": 0, "inputs_hash": _hash_field(u0),
-        "drift_I": rep.drifts["I"], "drift_M": rep.drifts["M"],
-        "drift_F": rep.drifts["F_bo"], "drift_E": rep.drifts["E_gbo"],
-        "drift_F_opposite": float(np.max(np.abs(wrong_f - wrong_f[0])) / abs(wrong_f[0])),
-        "drift_E_opposite": float(np.max(np.abs(wrong_e - wrong_e[0])) / abs(wrong_e[0])),
-    }
-    records.append(rec)
-    f_series = rep.values["F_bo"]
-    series = {
-        "time_vs_f_drift": [
-            [float(t), float(abs(v - f_series[0]) / abs(f_series[0]))]
-            for t, v in zip(rep.times, f_series)
-        ]
-    }
+    rec = {"run": "reference", "sample_index": 0, "inputs_hash": _hash_field(u0)}
+    try:
+        traj = solve(u0, cfg.solver(equation="gbo", k=1))
+    except BlowUpError as exc:
+        records.append(_blow_up_record(rec, exc))
+    else:
+        rep = drift_report(traj)
+        wrong_f = np.array([invariant(f, "F_bo", sign=-1.0) for f in traj])
+        wrong_e = np.array([invariant(f, "E_gbo", k=1, sign=-1.0) for f in traj])
+        rec.update({
+            "drift_I": rep.drifts["I"], "drift_M": rep.drifts["M"],
+            "drift_F": rep.drifts["F_bo"], "drift_E": rep.drifts["E_gbo"],
+        })
+        if wrong_f[0] == 0.0 or wrong_e[0] == 0.0:
+            # zero data: the relative opposite-sign drifts are 0/0
+            rec["degenerate"] = True
+        else:
+            rec["drift_F_opposite"] = float(
+                np.max(np.abs(wrong_f - wrong_f[0])) / abs(wrong_f[0]))
+            rec["drift_E_opposite"] = float(
+                np.max(np.abs(wrong_e - wrong_e[0])) / abs(wrong_e[0]))
+            f_series = rep.values["F_bo"]
+            series["time_vs_f_drift"] = [
+                [float(t), float(abs(v - f_series[0]) / abs(f_series[0]))]
+                for t, v in zip(rep.times, f_series)
+            ]
+        records.append(rec)
 
     e_steps = int(round(cfg.e_t_final / cfg.e_dt))
     e_stride = _dividing_stride(e_steps, 25)
     for idx, kk in enumerate(cfg.e_ks):
         u0k = _cosine_data(cfg, grid)
-        trajk = solve(u0k, cfg.solver(equation="gbo", k=int(kk), dt=cfg.e_dt,
-                                      t_final=cfg.e_t_final,
-                                      sample_stride=e_stride))
+        reck = {"run": f"energy_k{int(kk)}", "sample_index": idx + 1,
+                "inputs_hash": _hash_field(u0k)}
+        try:
+            trajk = solve(u0k, cfg.solver(equation="gbo", k=int(kk), dt=cfg.e_dt,
+                                          t_final=cfg.e_t_final,
+                                          sample_stride=e_stride))
+        except BlowUpError as exc:
+            records.append(_blow_up_record(reck, exc))
+            continue
         repk = drift_report(trajk)
-        records.append({
-            "run": f"energy_k{int(kk)}", "sample_index": idx + 1,
-            "inputs_hash": _hash_field(u0k),
-            "drift_I": repk.drifts["I"], "drift_M": repk.drifts["M"],
-            "drift_E": repk.drifts["E_gbo"],
-        })
+        reck.update({"drift_I": repk.drifts["I"], "drift_M": repk.drifts["M"],
+                     "drift_E": repk.drifts["E_gbo"]})
+        records.append(reck)
     return records, {"series": series}, {}
 
 
@@ -503,19 +522,20 @@ def _run_scaling(cfg: ExperimentConfig, rng):
     k = 1 if cfg.variant == "bo" else cfg.k
     steps = int(round(cfg.t_final / cfg.dt))
     u0 = 0.1 * SpectralField.from_function(grid, np.cos)
-
-    direct = solve(u0, cfg.solver(equation=equation, k=k, sample_stride=steps))[-1]
-    then_dilated = dilate(direct, lam, cfg.variant, k=k)
-
-    u0_dilated = dilate(u0, lam, cfg.variant, k=k)
-    dilated_then = solve(
-        u0_dilated,
-        cfg.solver(equation=equation, k=k, dt=lam * lam * cfg.dt,
-                   t_final=lam * lam * cfg.t_final, sample_stride=steps),
-    )[-1]
-    disc = norm(then_dilated - dilated_then, "hs", s=1.0)
     rec = {"sample_index": 0, "variant": cfg.variant, "k": k,
-           "inputs_hash": _hash_field(u0), "h1_discrepancy": disc}
+           "inputs_hash": _hash_field(u0)}
+    try:
+        direct = solve(u0, cfg.solver(equation=equation, k=k, sample_stride=steps))[-1]
+        u0_dilated = dilate(u0, lam, cfg.variant, k=k)
+        dilated_then = solve(
+            u0_dilated,
+            cfg.solver(equation=equation, k=k, dt=lam * lam * cfg.dt,
+                       t_final=lam * lam * cfg.t_final, sample_stride=steps),
+        )[-1]
+    except BlowUpError as exc:
+        return [_blow_up_record(rec, exc)], {"series": {}}, {}
+    then_dilated = dilate(direct, lam, cfg.variant, k=k)
+    rec["h1_discrepancy"] = norm(then_dilated - dilated_then, "hs", s=1.0)
     return [rec], {"series": {}}, {}
 
 
@@ -529,13 +549,16 @@ def _run_convergence(cfg: ExperimentConfig, rng):
     records = []
     series = {}
     for idx, (label, k, u0) in enumerate(fixtures):
-        res = convergence_order(
-            u0, cfg.solver(equation="gbo", k=k, sample_stride=1), cfg.n_levels)
-        records.append({
-            "sample_index": idx, "fixture": label, "inputs_hash": _hash_field(u0),
-            "order": res.order, "exact": res.exact,
-            "errors": list(res.errors), "dts": list(res.dts),
-        })
+        rec = {"sample_index": idx, "fixture": label, "inputs_hash": _hash_field(u0)}
+        try:
+            res = convergence_order(
+                u0, cfg.solver(equation="gbo", k=k, sample_stride=1), cfg.n_levels)
+        except BlowUpError as exc:
+            records.append(_blow_up_record(rec, exc))
+            continue
+        rec.update({"order": res.order, "exact": res.exact,
+                    "errors": list(res.errors), "dts": list(res.dts)})
+        records.append(rec)
         series[f"dt_vs_error_{label}"] = [[d, e] for d, e in zip(res.dts, res.errors)]
     return records, {"series": series}, {}
 
@@ -606,61 +629,85 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
+def _blown(records) -> list:
+    fails = []
+    for r in records:
+        if r.get("blew_up"):
+            label = r["run"] if "run" in r else f"sample {r['sample_index']}"
+            fails.append(f"{label} blew up at t = {r['last_good_time']}")
+    return fails
+
+
+def _all_finite(values) -> bool:
+    return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
+
+
+# Every numeric gate below is written as "fail unless <pass condition>" and
+# checks finiteness first, so a NaN or infinite value can never pass.
+
+
 def _pass_simulate(cfg, records):
-    fails = [f"sample {r['sample_index']} blew up at t = {r.get('last_good_time')}"
-             for r in records if r.get("blew_up")]
+    fails = _blown(records)
+    drifts = [v for r in records for key, v in r.items() if key.startswith("drift_")]
+    if not _all_finite(drifts):
+        fails.append("non-finite invariant drift")
     return fails
 
 
 def _pass_conservation(cfg, records):
-    fails = []
+    fails = _blown(records)
     for r in records:
+        if r.get("blew_up"):
+            continue
+        if r.get("degenerate"):
+            fails.append(f"{r['run']}: zero initial data, relative drifts undefined")
+            continue
         if r["run"] == "reference":
-            if r["drift_I"] >= cfg.im_tol:
-                fails.append(f"I drift {r['drift_I']:.3e} >= {cfg.im_tol:.0e}")
-            if r["drift_M"] >= cfg.im_tol:
-                fails.append(f"M drift {r['drift_M']:.3e} >= {cfg.im_tol:.0e}")
-            if r["drift_F"] >= cfg.f_tol:
-                fails.append(f"F drift {r['drift_F']:.3e} >= {cfg.f_tol:.0e}")
-            if r["drift_F_opposite"] < cfg.separation_min:
+            for key, tol in (("I", cfg.im_tol), ("M", cfg.im_tol), ("F", cfg.f_tol)):
+                val = r[f"drift_{key}"]
+                if not (np.isfinite(val) and val < tol):
+                    fails.append(f"{key} drift {val:.3e} >= {tol:.0e}")
+            opposite = r["drift_F_opposite"]
+            if not (np.isfinite(opposite) and opposite >= cfg.separation_min):
                 fails.append(
-                    f"opposite-sign F drift {r['drift_F_opposite']:.3e} "
+                    f"opposite-sign F drift {opposite:.3e} "
                     f"< separation floor {cfg.separation_min:.0e}")
-        else:
-            if r["drift_E"] >= cfg.e_tol:
-                fails.append(f"{r['run']}: E drift {r['drift_E']:.3e} >= {cfg.e_tol:.0e}")
+        elif not (np.isfinite(r["drift_E"]) and r["drift_E"] < cfg.e_tol):
+            fails.append(f"{r['run']}: E drift {r['drift_E']:.3e} >= {cfg.e_tol:.0e}")
     return fails
 
 
 def _pass_gauge_residual(cfg, records):
     fails = []
-    worst = max(r["residual_l2"] for r in records)
+    residuals = [r["residual_l2"] for r in records]
+    if not _all_finite(residuals):
+        return ["non-finite residual"]
+    worst = max(residuals)
     if worst > cfg.residual_tol:
         fails.append(f"max residual {worst:.3e} > {cfg.residual_tol:.0e}")
     halves = [r for r in records if "residual_l2_half" in r]
     if halves:
         ratio = max(r["residual_l2_half"] for r in halves) / max(
             max(r["residual_l2"] for r in halves), 1e-300)
-        if ratio < cfg.shrink_min:
+        if not (np.isfinite(ratio) and ratio >= cfg.shrink_min):
             fails.append(f"doubling n only shrank the residual {ratio:.1f}x "
                          f"(< {cfg.shrink_min:.0f}x)")
     return fails
 
 
 def _pass_strichartz(cfg, records):
+    if not _all_finite([r["ratio"] for r in records]):
+        return ["non-finite ratio"]
     per_lam = _per_lambda_max(records, "ratio")
     maxes = np.array([m for _, m in per_lam])
     lams = np.array([l for l, _ in per_lam])
     fails = []
-    if not np.all(np.isfinite(maxes)):
-        fails.append("non-finite ratio")
-        return fails
     variation = maxes.max() / maxes.min()
-    if variation >= cfg.variation_max:
+    if not (np.isfinite(variation) and variation < cfg.variation_max):
         fails.append(f"max ratio varies {variation:.2f}x across lambda "
                      f"(>= {cfg.variation_max}x)")
     slope = float(np.polyfit(np.log(lams), np.log(maxes), 1)[0])
-    if slope >= cfg.slope_max:
+    if not (np.isfinite(slope) and slope < cfg.slope_max):
         fails.append(f"log-log slope {slope:.3f} >= {cfg.slope_max}")
     return fails
 
@@ -673,6 +720,9 @@ def _pass_flowmap(cfg, records):
     usable = [r for r in records if not r.get("degenerate") and not r.get("blew_up")]
     if not usable:
         return fails  # nothing asserted; the report notes 0 usable pairs
+    if not _all_finite([r["ratio"] for r in usable]):
+        fails.append("non-finite ratio")
+        return fails
     bad = [r for r in usable if r["ratio"] > cfg.ratio_bound]
     if bad:
         fails.append(f"{len(bad)} ratios exceed {cfg.ratio_bound}")
@@ -688,16 +738,18 @@ def _pass_flowmap(cfg, records):
 
 
 def _pass_scaling(cfg, records):
-    return [
-        f"H1 discrepancy {r['h1_discrepancy']:.3e} > {cfg.scaling_tol:.0e}"
-        for r in records if r["h1_discrepancy"] > cfg.scaling_tol
-    ]
+    fails = _blown(records)
+    for r in records:
+        disc = r.get("h1_discrepancy")
+        if disc is not None and not (np.isfinite(disc) and disc <= cfg.scaling_tol):
+            fails.append(f"H1 discrepancy {disc:.3e} > {cfg.scaling_tol:.0e}")
+    return fails
 
 
 def _pass_convergence(cfg, records):
-    fails = []
+    fails = _blown(records)
     for r in records:
-        if r["exact"]:
+        if r.get("blew_up") or r["exact"]:
             continue
         if not (cfg.order_min <= r["order"] <= cfg.order_max):
             fails.append(f"{r['fixture']}: order {r['order']:.3f} outside "
@@ -713,7 +765,7 @@ def _pass_estimate_monitor(cfg, records):
     ratios = [r["ratio"] for r in records if not r.get("blew_up")]
     if not ratios:
         return fails
-    if not all(np.isfinite(ratios)):
+    if not _all_finite(ratios):
         fails.append("non-finite ratio")
     elif max(ratios) > cfg.monitor_bound:
         fails.append(f"max ratio {max(ratios):.2f} > {cfg.monitor_bound}")
@@ -721,14 +773,13 @@ def _pass_estimate_monitor(cfg, records):
 
 
 def _pass_bernstein(cfg, records):
+    if not _all_finite([r["ratio"] for r in records]):
+        return ["non-finite ratio"]
     per_lam = _per_lambda_max(records, "ratio")
     maxes = np.array([m for _, m in per_lam])
     fails = []
-    if not np.all(np.isfinite(maxes)):
-        fails.append("non-finite ratio")
-        return fails
     stability = maxes.max() / maxes.min()
-    if stability >= cfg.stability_max:
+    if not (np.isfinite(stability) and stability < cfg.stability_max):
         fails.append(f"per-lambda maxima vary {stability:.2f}x (>= {cfg.stability_max}x)")
     return fails
 

@@ -82,9 +82,9 @@ def strichartz_norm(f: SpectralField, horizon: float, n_t: int | None = None,
     """Mixed norm (integral_0^T ||V(t) f||_{L^4}^4 dt)^(1/4).
 
     With ``n_t`` given, one composite trapezoid rule on n_t subintervals
-    (n_t >= 16).  Otherwise the rule starts at 256 subintervals and doubles,
-    reusing previous evaluations, until two refinements agree to 1e-6
-    relative (capped at 2^14).
+    (n_t >= 16).  Otherwise the rule starts at 256 subintervals and doubles
+    until two refinements agree to 1e-6 relative (capped at 2^14); each
+    level evaluates all of its points afresh, none are reused.
     """
     if not horizon > 0:
         raise ValueError(f"time horizon must be positive, got {horizon!r}")

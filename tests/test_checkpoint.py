@@ -62,6 +62,21 @@ class TestRoundTrip:
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_negative_zero_imaginary_parts_survive(self, tmp_path):
+        grid = PeriodicGrid(1.0, 8)
+        coeffs = np.zeros(8, dtype=complex)
+        coeffs[[0, 1, 7]] = 0.5, 0.25, 0.25
+        coeffs.imag = -0.0
+        field = SpectralField(grid, coeffs, is_real=True)
+        assert np.signbit(field.coeffs.imag).all()
+        p1, p2 = tmp_path / "a.bosp", tmp_path / "b.bosp"
+        save_checkpoint(field, p1)
+        loaded = load_checkpoint(p1)
+        assert np.array_equal(np.signbit(loaded.coeffs.imag),
+                              np.signbit(field.coeffs.imag))
+        save_checkpoint(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_renormalized_tag_round_trip(self, rng, tmp_path):
         grid = PeriodicGrid(1.0, 32)
         u0 = random_field(grid, rng, n_modes=8, amplitude=0.1, normalize="h1")

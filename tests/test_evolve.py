@@ -11,9 +11,12 @@ from bosp import (
     convergence_order,
     norm,
     propagate,
+    random_field,
     solve,
     symmetry_defect,
 )
+from bosp.evolve import _etdrk4_weights
+from bosp.lingroup import group_symbol
 
 from conftest import coeff_distance
 
@@ -174,3 +177,117 @@ class TestBlowUp:
         with pytest.raises(BlowUpError) as err:
             solve(u0, SolverConfig("gbo", k=3, dt=0.05, t_final=5.0))
         assert 0.0 <= err.value.last_good_time < 5.0
+
+
+def reference_solve(u0, cfg):
+    """Full complex-spectrum stepper, projected onto real data every step.
+
+    Final-state coefficient arrays at each stored sample; the half-spectrum
+    solver must reproduce them to round-off.
+    """
+    grid, dt, k = u0.grid, cfg.dt, cfg.k
+    n, half = grid.n, grid.n // 2
+    nbig = 4 * n if cfg.dealias == "pad4" else n
+    idx = grid.modes % nbig  # slot of each mode on the (padded) grid
+    iq = 1j * grid.freqs
+    iq[half] = 0.0
+    keep = np.abs(grid.modes) <= (n // 3 if cfg.dealias == "two_thirds" else half)
+
+    def coeffs(vals):
+        big = np.fft.fft(vals) / nbig
+        out = big[idx]
+        if nbig > n:
+            out[half] += big[nbig - half]
+        return out * keep
+
+    def nonlin(u):
+        if cfg.equation == "linear":
+            return np.zeros_like(u)
+        big = np.zeros(nbig, dtype=complex)
+        big[idx] = u
+        if nbig > n:  # split the self-conjugate slot between +-n/2
+            big[half] *= 0.5
+            big[nbig - half] = np.conj(big[half])
+        vals = np.fft.ifft(big * nbig).real
+        if cfg.equation == "gbo":
+            flux = coeffs(vals ** (k + 1)) / (k + 1)
+        elif cfg.equation == "bo2":
+            flux = coeffs(vals * vals)
+        else:
+            flux = 2.0 * coeffs(vals ** (k + 1)) / (k + 1) - 2.0 * np.mean(vals ** k) * u
+        return iq * flux
+
+    sym = group_symbol(grid, "bo_group")
+    ehalf = np.exp(sym * (dt / 2.0))
+    efull = ehalf * ehalf
+    q2, f1, f2, f3 = _etdrk4_weights(sym * dt, dt)
+    u, t_good, out = u0.coeffs.copy(), 0.0, [u0.coeffs.copy()]
+    for step in range(1, cfg.n_steps() + 1):
+        if cfg.scheme == "if_rk4":
+            a = nonlin(u)
+            b = nonlin(ehalf * (u + (dt / 2.0) * a))
+            c = nonlin(ehalf * u + (dt / 2.0) * b)
+            d = nonlin(efull * u + dt * ehalf * c)
+            u = efull * u + (dt / 6.0) * (efull * a + 2.0 * ehalf * (b + c) + d)
+        else:
+            n0 = nonlin(u)
+            sa = ehalf * u + q2 * n0
+            na = nonlin(sa)
+            nb = nonlin(ehalf * u + q2 * na)
+            nc = nonlin(ehalf * sa + q2 * (2.0 * nb - n0))
+            u = efull * u + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+        u = 0.5 * (u + np.conj(u[-grid.modes % n]))
+        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e8:
+            raise BlowUpError(t_good)
+        t_good = step * dt
+        if step % cfg.sample_stride == 0:
+            out.append(u)
+    return out
+
+
+EQUATIONS = [("linear", 1), ("gbo", 1), ("gbo", 3), ("bo2", 1), ("renormalized_gbo", 2)]
+
+
+def _random_data(equation, seed=7):
+    """Full-band random data with a nonzero (real) Nyquist coefficient."""
+    grid = PeriodicGrid(1.0, 32)
+    mean = 0.0 if equation == "renormalized_gbo" else 0.2
+    f = random_field(grid, np.random.default_rng(seed), n_modes=15,
+                     amplitude=0.3, normalize="h1", mean=mean)
+    coeffs = f.coeffs.copy()
+    coeffs[grid.n // 2] = 0.01
+    return SpectralField(grid, coeffs, is_real=True)
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("equation,k", EQUATIONS)
+    @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds", "none"])
+    def test_matches_full_spectrum_reference(self, equation, k, scheme, dealias):
+        u0 = _random_data(equation)
+        cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme,
+                           dealias=dealias, sample_stride=5)
+        traj = solve(u0, cfg)
+        ref = reference_solve(u0, cfg)
+        assert len(traj) == len(ref)
+        for f, c in zip(traj, ref):
+            assert np.max(np.abs(f.coeffs - c)) <= 1e-14 * np.max(np.abs(c))
+
+    @pytest.mark.parametrize("equation,k", EQUATIONS)
+    def test_snapshots_exactly_conjugate_symmetric(self, equation, k):
+        cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, dealias="pad4",
+                           sample_stride=2)
+        for f in solve(_random_data(equation), cfg):
+            assert f.is_real and symmetry_defect(f.coeffs) == 0.0
+
+    def test_blow_up_time_matches_reference(self):
+        grid = PeriodicGrid(1.0, 64)
+        u0 = 2.0 * SpectralField.from_function(grid, np.cos)
+        cfg = SolverConfig("gbo", k=3, dt=0.01, t_final=5.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as ref:
+                reference_solve(u0, cfg)
+            with pytest.raises(BlowUpError) as err:
+                solve(u0, cfg)
+        assert ref.value.last_good_time > 0.1
+        assert err.value.last_good_time == ref.value.last_good_time

@@ -52,6 +52,13 @@ class TestConfig:
         assert cfg.lambdas == (1.0, 2.0, 4.0)
         assert cfg.n_samples == 7 and cfg.amplitude == 0.5
 
+    @pytest.mark.parametrize("name", ["flowmap", "strichartz-scan"])
+    def test_empty_ensemble_rejected(self, name, capsys):
+        with pytest.raises(ConfigError, match="n_samples"):
+            config_from_mapping(name, {"n_samples": 0})
+        assert main([name, "--n-samples", "0"]) == 2
+        assert "n_samples" in capsys.readouterr().err
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[flowmap]\ngamma = 0.5\nn_samples = 3\n")
@@ -103,6 +110,43 @@ class TestDeterminismAndVerdicts:
         assert ok == rep.passed
         assert fails == rep.failures
         assert rep.passed, rep.failures
+
+    @pytest.mark.parametrize("name", sorted(FAST))
+    def test_nan_never_passes(self, name):
+        rep = run_experiment(config_from_mapping(name, FAST[name]))
+        for rec in rep.records:
+            for key, val in rec.items():
+                if isinstance(val, float) and key not in ("lam", "scale"):
+                    rec[key] = float("nan")
+        ok, fails = recompute_passed(rep)
+        assert not ok and fails
+
+    def test_zero_data_conservation_is_degenerate_fail(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[conservation]\n" + "".join(
+            f"{key} = {val}\n" for key, val in FAST["conservation"].items()))
+        code = main(["conservation", "--amplitude", "0", "--config", cfg,
+                     "--out", str(tmp_path), "--stem", "c"])
+        assert code == 1
+        assert "[FAIL]" in capsys.readouterr().out
+        records = (tmp_path / "c.records.jsonl").read_text()
+        assert '"degenerate":true' in records and "null" not in records
+
+    def test_blow_up_is_a_failing_record(self, tmp_path, capsys):
+        code = main(["conservation", "--amplitude", "20", "--dt", "1e-3",
+                     "--t-final", "0.2", "--out", str(tmp_path), "--stem", "b"])
+        out = capsys.readouterr()
+        assert code == 1
+        assert "[FAIL]" in out.out and "Traceback" not in out.err
+        records = [json.loads(line) for line in
+                   (tmp_path / "b.records.jsonl").read_text().splitlines()]
+        assert all(r["blew_up"] and "last_good_time" in r for r in records)
+
+    @pytest.mark.parametrize("name", ["scaling", "convergence"])
+    def test_blow_up_caught(self, name):
+        rep = run_experiment(config_from_mapping(name, {"dt": 2.0, "t_final": 40.0}))
+        assert not rep.passed
+        assert any(r.get("blew_up") for r in rep.records)
+        assert recompute_passed(rep) == (rep.passed, rep.failures)
 
     def test_failing_threshold_flips_verdict(self):
         over = dict(FAST["bernstein"], stability_max=1.0)

@@ -27,7 +27,6 @@ from .spectral import (
     mean_remove,
     norm,
     multiply,
-    field_power,
     integrate,
     symmetry_defect,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "mean_remove",
     "norm",
     "multiply",
-    "field_power",
     "integrate",
     "symmetry_defect",
     "propagate",

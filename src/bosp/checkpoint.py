@@ -110,7 +110,10 @@ def load_checkpoint(path):
         raise CheckpointError(f"unknown equation tag byte {tag}")
     if not np.isfinite(lam) or lam <= 0:
         raise NonFinitePayloadError(f"invalid lambda {lam!r} in header")
-    grid = PeriodicGrid(lam, n)
+    try:
+        grid = PeriodicGrid(lam, n)
+    except ValueError as exc:
+        raise CheckpointError(f"invalid header: {exc}") from exc
     rest = raw[_HEADER.size:]
     rec = 16 * n
 
@@ -138,7 +141,10 @@ def load_checkpoint(path):
             equation = _TAG_NAMES[tag]
             if equation == "none":
                 raise CheckpointError("trajectory checkpoint carries no equation tag")
-            return Trajectory(grid, times, snaps, equation, k)
+            try:
+                return Trajectory(grid, times, snaps, equation, k)
+            except ValueError as exc:
+                raise CheckpointError(f"invalid trajectory: {exc}") from exc
 
     raise TruncatedFileError(
         f"payload of {len(rest)} bytes matches neither a field ({field_size}) "

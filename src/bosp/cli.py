@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .experiments import (
     EXPERIMENT_NAMES,
     config_from_mapping,
+    default_config,
     load_config_file,
     run_experiment,
     save_report,
@@ -26,7 +27,8 @@ from .experiments import (
 _SCHEMES = {"ifrk4": "if_rk4", "etdrk4": "etd_rk4"}
 _DEALIAS = {"two-thirds": "two_thirds", "pad4": "pad4", "none": "none"}
 
-# (flag, config key, type, help)
+# (flag, config key, type, help); a subcommand has the flag only when its
+# experiment reads the key
 _COMMON_OVERRIDES = [
     ("--lambda", "lam", float, "circle size parameter"),
     ("--n", "n", int, "collocation points"),
@@ -37,9 +39,9 @@ _COMMON_OVERRIDES = [
     ("--amplitude", "amplitude", float, "ensemble normalization"),
     ("--n-modes", "n_modes", int, "modes per random draw"),
     ("--gamma", "gamma", float, "mean value of the initial data"),
-    ("--perturbation", "perturbation", float, "flowmap pair gap (H^1)"),
-    ("--equation", "equation", str, "equation tag (simulate)"),
-    ("--variant", "variant", str, "bo or gbo (scaling, gauge-residual)"),
+    ("--perturbation", "perturbation", float, "pair gap (H^1)"),
+    ("--equation", "equation", str, "equation tag"),
+    ("--variant", "variant", str, "bo or gbo"),
 ]
 
 
@@ -48,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bosp", description="run named experiments and write reports")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENT_NAMES:
+        keys = default_config(name).as_dict()
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", metavar="PATH", help="key=value config file")
         p.add_argument("--out", metavar="DIR", default="runs",
@@ -55,12 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, metavar="U64", help="ensemble seed")
         p.add_argument("--quiet", action="store_true", help="suppress output")
         p.add_argument("--stem", help="output file stem (default: name-timestamp-seed)")
-        p.add_argument("--scheme", choices=sorted(_SCHEMES),
-                       help="time integrator")
-        p.add_argument("--dealias", choices=sorted(_DEALIAS),
-                       help="dealiasing rule")
+        if "scheme" in keys:
+            p.add_argument("--scheme", choices=sorted(_SCHEMES),
+                           help="time integrator")
+        if "dealias" in keys:
+            p.add_argument("--dealias", choices=sorted(_DEALIAS),
+                           help="dealiasing rule")
         for flag, key, typ, helptext in _COMMON_OVERRIDES:
-            p.add_argument(flag, dest=f"cfg_{key}", type=typ, help=helptext)
+            if key in keys:
+                p.add_argument(flag, dest=f"cfg_{key}", type=typ, help=helptext)
     return parser
 
 
@@ -72,9 +78,9 @@ def _collect_overrides(args) -> dict:
         val = getattr(args, f"cfg_{key}", None)
         if val is not None:
             overrides[key] = val
-    if args.scheme is not None:
+    if getattr(args, "scheme", None) is not None:
         overrides["scheme"] = _SCHEMES[args.scheme]
-    if args.dealias is not None:
+    if getattr(args, "dealias", None) is not None:
         overrides["dealias"] = _DEALIAS[args.dealias]
     if args.seed is not None:
         overrides["seed"] = args.seed

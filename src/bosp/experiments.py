@@ -1,5 +1,14 @@
 """Named, config-driven experiments with machine-readable reports.
 
+One registry holds every experiment.  Its entry declares the config keys
+the experiment reads, each with its default, the ``run`` that turns a
+config and a seeded generator into records, and the ``verdict`` that
+derives the failures from config and records.  An
+:class:`ExperimentConfig` holds ``name``, ``seed`` and exactly its entry's
+keys: any other key is a :class:`ConfigError`, so a report's config echo
+lists only what the run used, and the command line offers only the flags
+of keys the experiment reads.
+
 Each experiment is a pure function of (config, seed): it draws its ensemble
 from a seeded generator, produces one record per sample, and derives its
 pass/fail verdict *from the records alone* (``recompute_passed`` re-derives
@@ -33,6 +42,7 @@ import hashlib
 import json
 import time as _time
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,155 +74,71 @@ __all__ = [
     "save_report",
 ]
 
-EXPERIMENT_NAMES = (
-    "simulate",
-    "conservation",
-    "gauge-residual",
-    "strichartz-scan",
-    "flowmap",
-    "scaling",
-    "convergence",
-    "estimate-monitor",
-    "bernstein",
-)
+_SOLVER_KEYS = frozenset(f.name for f in dataclasses.fields(SolverConfig))
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Superset of experiment parameters; every field has a default.
+    """Immutable parameters of one experiment, read as attributes.
 
-    Per-experiment defaults are applied by :func:`default_config`; unknown
-    keys are rejected by :func:`config_from_mapping`.
+    Holds ``name``, ``seed`` and exactly the keys its registry entry
+    declares, each defaulting to the entry's value.  A string value is
+    parsed into the type of the key's default; a key the experiment does
+    not read is a :class:`ConfigError`.
     """
 
-    name: str
-    # grid / solver
-    lam: float = 1.0
-    n: int = 256
-    k: int = 1
-    equation: str = "gbo"
-    dt: float = 1e-3
-    t_final: float = 1.0
-    scheme: str = "if_rk4"
-    dealias: str = "pad4"
-    sample_stride: int = 1
-    # ensemble
-    seed: int = 0
-    n_samples: int = 20
-    amplitude: float = 0.1
-    n_modes: int = 32                   # 0 means "fill the whole band"
-    decay: float = 0.7
-    gamma: float = 0.0
-    # experiment-specific knobs (documented defaults)
-    perturbation: float = 1e-2          # flowmap: H^1 size of the pair gap
-    shrink_factor: float = 100.0        # flowmap: second-scale divisor
-    ratio_bound: float = 10.0           # flowmap: admissible Lipschitz ratio
-    insensitivity_max: float = 2.0      # flowmap: max ratio change across scales
-    lambdas: tuple = (1.0, 2.0, 4.0, 8.0, 16.0)   # scans: circle sizes
-    horizon: float = 1.0                # strichartz: time horizon
-    variation_max: float = 2.0          # strichartz: max/min bound on maxima
-    slope_max: float = 0.1              # strichartz: log-log slope bound
-    residual_tol: float = 1e-9          # gauge-residual: L^2 tolerance
-    shrink_min: float = 100.0           # gauge-residual: min decay on doubling
-    shrink_samples: int = 5             # gauge-residual: ensemble for doubling
-    variant: str = "gbo"                # gauge-residual / scaling: bo or gbo
-    im_tol: float = 1e-10               # conservation: I and M drift
-    f_tol: float = 1e-6                 # conservation: calibrated F drift
-    e_tol: float = 1e-6                 # conservation: energy drift
-    separation_min: float = 1e-2        # conservation: wrong-sign drift floor
-    e_ks: tuple = (2, 3)                # conservation: energy-run degrees
-    e_dt: float = 2e-4                  # conservation: energy-run step
-    e_t_final: float = 0.5              # conservation: energy-run horizon
-    dilation: float = 2.0               # scaling: circle enlargement
-    scaling_tol: float = 1e-8           # scaling: H^1 discrepancy bound
-    n_levels: int = 4                   # convergence: refinement levels
-    order_min: float = 3.8              # convergence: slope band
-    order_max: float = 4.2
-    monitor_bound: float = 20.0         # estimate-monitor: admissible ratio
-    stability_max: float = 3.0          # bernstein: per-lambda maxima spread
+    def __init__(self, name: str, **overrides):
+        if name not in _EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {name!r}")
+        values = dict(name=name, seed=0, **_EXPERIMENTS[name].keys)
+        for key, value in overrides.items():
+            if key not in values:
+                raise ConfigError(f"unknown config key {key!r} for experiment {name!r}")
+            try:
+                values[key] = _coerce(value, values[key])
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+        if values.get("n_samples", 1) < 1:
+            raise ConfigError(f"n_samples must be at least 1, got {values['n_samples']}")
+        self.__dict__.update(values)
 
-    def __post_init__(self):
-        if self.name not in EXPERIMENT_NAMES:
-            raise ConfigError(f"unknown experiment {self.name!r}")
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be at least 1, got {self.n_samples}")
+    def __setattr__(self, key, value):
+        raise AttributeError("ExperimentConfig is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, ExperimentConfig) and vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"ExperimentConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def solver(self, **overrides) -> SolverConfig:
-        kw = dict(equation=self.equation, dt=self.dt, t_final=self.t_final,
-                  k=self.k, scheme=self.scheme, dealias=self.dealias,
-                  sample_stride=self.sample_stride)
+        """Solver settings from the experiment's solver keys, then ``overrides``."""
+        kw = {key: val for key, val in vars(self).items() if key in _SOLVER_KEYS}
         kw.update(overrides)
         return SolverConfig(**kw)
 
     def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["lambdas"] = list(self.lambdas)
-        d["e_ks"] = list(self.e_ks)
-        return d
+        return {key: list(val) if isinstance(val, tuple) else val
+                for key, val in vars(self).items()}
 
 
-_DEFAULTS = {
-    "simulate": dict(n=256, dt=1e-3, t_final=1.0, sample_stride=50, amplitude=0.2),
-    "conservation": dict(n=256, k=1, equation="gbo", dt=1e-4, t_final=1.0,
-                         sample_stride=200, amplitude=0.2),
-    "gauge-residual": dict(n=256, n_samples=20, amplitude=0.1, decay=0.8, n_modes=0),
-    "strichartz-scan": dict(n=128, n_samples=50, n_modes=24, decay=0.8),
-    "flowmap": dict(n=128, dt=2e-3, t_final=0.5, sample_stride=25,
-                    n_samples=25, amplitude=0.25, n_modes=16),
-    "scaling": dict(n=128, dt=1e-3, t_final=0.25, variant="bo", k=2),
-    "convergence": dict(n=128, dt=0.04, t_final=0.4),
-    "estimate-monitor": dict(n=128, k=2, dt=1e-3, t_final=0.25, sample_stride=25,
-                             n_samples=10, amplitude=0.1),
-    "bernstein": dict(n=256, n_samples=50, lambdas=(1.0, 4.0, 16.0), n_modes=8),
-}
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+def _coerce(value, default):
+    """Parse a string value into the type of the key's default."""
+    if isinstance(value, list):
+        return tuple(value)
+    if not isinstance(value, str):
+        return value
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(part) for part in value.replace(",", " ").split())
+    return type(default)(value.strip())
 
 
 def default_config(name: str) -> ExperimentConfig:
-    if name not in EXPERIMENT_NAMES:
-        raise ConfigError(f"unknown experiment {name!r}")
-    return ExperimentConfig(name=name, **_DEFAULTS.get(name, {}))
-
-
-def _coerce(key: str, value):
-    """Parse a string config value into the field's type."""
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key {key!r}")
-    if not isinstance(value, str):
-        return value
-    ann = _FIELD_TYPES[key]
-    text = value.strip()
-    if ann == "tuple":
-        parts = [p for chunk in text.split(",") for p in chunk.split()] if text else []
-        nums = [float(p) for p in parts]
-        if key == "e_ks":
-            return tuple(int(v) for v in nums)
-        return tuple(nums)
-    if ann == "int":
-        return int(text)
-    if ann == "float":
-        return float(text)
-    return text
+    return ExperimentConfig(name)
 
 
 def config_from_mapping(name: str, mapping: dict) -> ExperimentConfig:
-    """Build a config from per-key overrides; unknown keys are errors."""
-    base = dataclasses.asdict(default_config(name))
-    for key, value in mapping.items():
-        if key == "name":
-            continue
-        if key not in base:
-            raise ConfigError(f"unknown config key {key!r} for experiment {name!r}")
-        try:
-            base[key] = _coerce(key, value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    base["name"] = name
-    try:
-        return ExperimentConfig(**base)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """Build a config from per-key overrides; keys the experiment does not read are errors."""
+    return ExperimentConfig(name, **{key: val for key, val in mapping.items() if key != "name"})
 
 
 def load_config_file(path, name: str) -> dict:
@@ -611,19 +537,6 @@ def _run_bernstein(cfg: ExperimentConfig, rng):
     return records, {"series": series}, {}
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "conservation": _run_conservation,
-    "gauge-residual": _run_gauge_residual,
-    "strichartz-scan": _run_strichartz,
-    "flowmap": _run_flowmap,
-    "scaling": _run_scaling,
-    "convergence": _run_convergence,
-    "estimate-monitor": _run_estimate_monitor,
-    "bernstein": _run_bernstein,
-}
-
-
 # ---------------------------------------------------------------------------
 # pass rules (pure functions of config + records)
 # ---------------------------------------------------------------------------
@@ -719,7 +632,8 @@ def _pass_flowmap(cfg, records):
         fails.append(f"{len(blown)} samples blew up")
     usable = [r for r in records if not r.get("degenerate") and not r.get("blew_up")]
     if not usable:
-        return fails  # nothing asserted; the report notes 0 usable pairs
+        fails.append("no usable pair: every pair had a zero gap or blew up")
+        return fails
     if not _all_finite([r["ratio"] for r in usable]):
         fails.append("non-finite ratio")
         return fails
@@ -784,23 +698,88 @@ def _pass_bernstein(cfg, records):
     return fails
 
 
-_PASS_RULES = {
-    "simulate": _pass_simulate,
-    "conservation": _pass_conservation,
-    "gauge-residual": _pass_gauge_residual,
-    "strichartz-scan": _pass_strichartz,
-    "flowmap": _pass_flowmap,
-    "scaling": _pass_scaling,
-    "convergence": _pass_convergence,
-    "estimate-monitor": _pass_estimate_monitor,
-    "bernstein": _pass_bernstein,
+class _Experiment(NamedTuple):
+    keys: dict          # config key -> default
+    run: Callable       # (cfg, rng) -> (records, summary, artifacts)
+    verdict: Callable   # (cfg, records) -> failure messages
+
+
+# Defaults shared by the experiments that integrate in time ...
+_SOLVER = dict(lam=1.0, n=128, dt=1e-3, t_final=0.25, scheme="if_rk4", dealias="pad4")
+# ... and by those that draw a random ensemble (n_modes = 0 fills the band).
+_ENSEMBLE = dict(n_samples=50, n_modes=32, decay=0.7)
+
+_EXPERIMENTS = {
+    "simulate": _Experiment(
+        dict(_SOLVER, n=256, t_final=1.0, equation="gbo", k=1,
+             sample_stride=50,          # steps per stored snapshot
+             amplitude=0.2,             # initial data amplitude * cos(x)
+             gamma=0.0),                # mean value of the initial data
+        _run_simulate, _pass_simulate),
+    "conservation": _Experiment(
+        dict(_SOLVER, n=256, dt=1e-4, t_final=1.0, sample_stride=200,
+             amplitude=0.2, gamma=0.0,
+             e_ks=(2, 3),               # energy-run degrees
+             e_dt=2e-4,                 # energy-run step
+             e_t_final=0.5,             # energy-run horizon
+             im_tol=1e-10,              # I and M drift
+             f_tol=1e-6,                # calibrated F drift
+             e_tol=1e-6,                # energy drift
+             separation_min=1e-2),      # wrong-sign drift floor
+        _run_conservation, _pass_conservation),
+    "gauge-residual": _Experiment(
+        dict(lam=1.0, n=256, k=1, n_samples=20, amplitude=0.1,
+             n_modes=0, decay=0.8,
+             variant="gbo",             # bo or gbo
+             shrink_samples=5,          # ensemble for the doubling check
+             residual_tol=1e-9,         # L^2 tolerance
+             shrink_min=100.0),         # min decay on doubling n
+        _run_gauge_residual, _pass_gauge_residual),
+    "strichartz-scan": _Experiment(
+        dict(_ENSEMBLE, n=128, n_modes=24, decay=0.8,
+             lambdas=(1.0, 2.0, 4.0, 8.0, 16.0),    # circle sizes
+             horizon=1.0,               # time horizon
+             variation_max=2.0,         # max/min bound on the maxima
+             slope_max=0.1),            # log-log slope bound
+        _run_strichartz, _pass_strichartz),
+    "flowmap": _Experiment(
+        dict(_SOLVER | _ENSEMBLE, dt=2e-3, t_final=0.5, sample_stride=25,
+             n_samples=25, amplitude=0.25, n_modes=16, gamma=0.0,
+             perturbation=1e-2,         # H^1 size of the pair gap
+             shrink_factor=100.0,       # second-scale divisor
+             ratio_bound=10.0,          # admissible Lipschitz ratio
+             insensitivity_max=2.0),    # max ratio change across scales
+        _run_flowmap, _pass_flowmap),
+    "scaling": _Experiment(
+        dict(_SOLVER, k=2,
+             variant="bo",              # bo or gbo
+             dilation=2.0,              # circle enlargement
+             scaling_tol=1e-8),         # H^1 discrepancy bound
+        _run_scaling, _pass_scaling),
+    "convergence": _Experiment(
+        dict(_SOLVER, dt=0.04, t_final=0.4,
+             n_levels=4,                # refinement levels
+             order_min=3.8,             # measured-order band
+             order_max=4.2),
+        _run_convergence, _pass_convergence),
+    "estimate-monitor": _Experiment(
+        dict(_SOLVER | _ENSEMBLE, k=2, sample_stride=25, n_samples=10, amplitude=0.1,
+             monitor_bound=20.0),       # admissible ratio
+        _run_estimate_monitor, _pass_estimate_monitor),
+    "bernstein": _Experiment(
+        dict(_ENSEMBLE, n=256, n_modes=8,
+             lambdas=(1.0, 4.0, 16.0),  # circle sizes
+             stability_max=3.0),        # per-lambda maxima spread
+        _run_bernstein, _pass_bernstein),
 }
+
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def recompute_passed(report: ExperimentReport):
     """Re-derive the verdict of a report from its records alone."""
     cfg = config_from_mapping(report.name, report.config)
-    failures = _PASS_RULES[report.name](cfg, report.records)
+    failures = _EXPERIMENTS[report.name].verdict(cfg, report.records)
     return (not failures), failures
 
 
@@ -822,10 +801,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one named experiment; deterministic given (config, seed)."""
     rng = np.random.default_rng(cfg.seed)
     start = _time.perf_counter()
-    records, summary, artifacts = _RUNNERS[cfg.name](cfg, rng)
+    experiment = _EXPERIMENTS[cfg.name]
+    records, summary, artifacts = experiment.run(cfg, rng)
     records = sorted(records, key=lambda r: (r.get("lam", 0.0), r["sample_index"],
                                              r.get("scale", 0.0), r.get("run", "")))
-    failures = _PASS_RULES[cfg.name](cfg, records)
+    failures = experiment.verdict(cfg, records)
     summary = dict(summary)
     summary["stats"] = _summary_stats(records)
     report = ExperimentReport(

@@ -211,20 +211,6 @@ def rhs_gbo_terms(v: SpectralField, k: int) -> GboTerms:
     return GboTerms(a=a, b=b, c=c, d=d)
 
 
-def _ut_bo2(u: SpectralField) -> SpectralField:
-    """u_t = -H u_xx + 2 u u_x, the conservative form d_x(u^2)."""
-    u2 = _field(_vals(u) ** 2, u.grid)
-    return -1.0 * hilbert(differentiate(u, "d_dx", 2)) + differentiate(u2, "d_dx", 1)
-
-
-def _vt_gbo(v: SpectralField, k: int) -> SpectralField:
-    """v_t = -H v_xx + 2 M(v^k) v_x."""
-    v_vals = _vals(v)
-    mvk = v_vals ** k - np.mean(v_vals ** k)
-    nl = _field(2.0 * mvk * _vals(differentiate(v, "d_dx", 1)), v.grid)
-    return -1.0 * hilbert(differentiate(v, "d_dx", 2)) + nl
-
-
 @dataclass(frozen=True)
 class ResidualNorms:
     """L^2 and H^1 norms of a gauge-equation residual."""
@@ -238,7 +224,7 @@ class ResidualNorms:
 def _instantaneous_residual(v: SpectralField, variant: str, k: int) -> ResidualNorms:
     grid = v.grid
     if variant == "bo":
-        ut = _ut_bo2(v)
+        ut = _equation_rhs(v, "bo2", 1)
         F = antiderivative(v)
         Ft = antiderivative(ut)
         E = np.exp(-1j * synthesize(F, _PAD))
@@ -246,7 +232,7 @@ def _instantaneous_residual(v: SpectralField, variant: str, k: int) -> ResidualN
         w = (-1j) * _plus(E * _vals(v), grid)
         rhs = rhs_bo(v, F).total
     elif variant == "gbo":
-        vt = _vt_gbo(v, k)
+        vt = _equation_rhs(v, "renormalized_gbo", k)
         F = _phase(v, "gbo", k)
         vt_vals = _vals(vt)
         _, m_kvt = mean_remove(_field(k * _vals(v) ** (k - 1) * vt_vals, grid))
@@ -418,7 +404,10 @@ def _equation_rhs(f: SpectralField, equation: str, k: int) -> SpectralField:
         flux = _field(_vals(f) ** (k + 1), f.grid)
         return lin + (1.0 / (k + 1)) * differentiate(flux, "d_dx", 1)
     if equation == "renormalized_gbo":
-        return _vt_gbo(f, k)
+        # v_t = -H v_xx + 2 M(v^k) v_x
+        f_vals = _vals(f)
+        mfk = f_vals ** k - np.mean(f_vals ** k)
+        return lin + _field(2.0 * mfk * _vals(differentiate(f, "d_dx", 1)), f.grid)
     raise ValueError(f"unknown equation tag {equation!r}")
 
 

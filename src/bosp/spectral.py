@@ -49,7 +49,6 @@ __all__ = [
     "mean_remove",
     "norm",
     "multiply",
-    "field_power",
     "integrate",
     "symmetry_defect",
 ]
@@ -272,14 +271,6 @@ def multiply(f: SpectralField, g: SpectralField, oversample: int = _DEFAULT_PAD)
     """Pointwise product via oversampled synthesis (alias-safe for 4x)."""
     f._check_same_grid(g)
     vals = synthesize(f, oversample) * synthesize(g, oversample)
-    return analyze_values_padded(vals, f.grid)
-
-
-def field_power(f: SpectralField, k: int, oversample: int = _DEFAULT_PAD) -> SpectralField:
-    """f**k computed pointwise on the oversampled grid."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    vals = synthesize(f, oversample) ** k
     return analyze_values_padded(vals, f.grid)
 
 

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bosp import (
     PeriodicGrid,
@@ -99,6 +100,16 @@ class TestRoundTrip:
         assert t == 0.75
 
 
+_HEADER = struct.calcsize("<4sIdIIB")
+
+
+def _small_trajectory_bytes(path):
+    grid = PeriodicGrid(1.0, 8)
+    u0 = SpectralField.from_function(grid, lambda x: 0.1 * np.cos(x))
+    save_checkpoint(solve(u0, SolverConfig("gbo", dt=0.01, t_final=0.03)), path)
+    return path.read_bytes()
+
+
 class TestCorruption:
     def test_truncated_file(self, field, tmp_path):
         p = tmp_path / "t.bosp"
@@ -156,3 +167,45 @@ class TestCorruption:
     def test_unsupported_object(self, tmp_path):
         with pytest.raises(TypeError):
             save_checkpoint([1, 2, 3], tmp_path / "x.bosp")
+
+    def test_single_snapshot_trajectory(self, trajectory, tmp_path):
+        p = tmp_path / "one.bosp"
+        save_checkpoint(trajectory, p)
+        raw = bytearray(p.read_bytes())
+        raw[_HEADER: _HEADER + 4] = struct.pack("<I", 1)
+        p.write_bytes(bytes(raw[: _HEADER + 4 + 8 + 16 * trajectory.grid.n]))
+        with pytest.raises(CheckpointError, match="at least 2 snapshots"):
+            load_checkpoint(p)
+
+    def test_non_uniform_times(self, trajectory, tmp_path):
+        p = tmp_path / "times.bosp"
+        save_checkpoint(trajectory, p)
+        raw = bytearray(p.read_bytes())
+        off = _HEADER + 4 + 2 * (8 + 16 * trajectory.grid.n)  # third sample time
+        raw[off: off + 8] = struct.pack("<d", 0.5)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="uniformly increasing"):
+            load_checkpoint(p)
+
+    def test_odd_n_in_header(self, tmp_path):
+        p = tmp_path / "odd.bosp"
+        header = struct.pack("<4sIdIIB", b"BOSP", 1, 1.0, 33, 0, 0)
+        p.write_bytes(header + bytes(8 + 16 * 33))
+        with pytest.raises(CheckpointError, match="even integer"):
+            load_checkpoint(p)
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_loads_or_raises_named_error(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("fuzz") / "t.bosp"
+        raw = bytearray(_small_trajectory_bytes(p))
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+        p.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(p)
+        except CheckpointError:
+            pass

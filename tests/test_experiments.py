@@ -6,6 +6,7 @@ import pytest
 
 from bosp import (
     ConfigError,
+    ExperimentConfig,
     config_from_mapping,
     default_config,
     recompute_passed,
@@ -13,7 +14,7 @@ from bosp import (
     save_report,
 )
 from bosp.cli import main
-from bosp.experiments import EXPERIMENT_NAMES, load_config_file
+from bosp.experiments import _EXPERIMENTS, EXPERIMENT_NAMES, load_config_file
 
 
 FAST = {
@@ -29,6 +30,27 @@ FAST = {
                          e_dt=1e-3, e_t_final=0.1,
                          im_tol=1e-9, separation_min=1e-4),
 }
+
+# The config keys each experiment reads, besides name and seed.
+KEYS_READ = {name: set(keys.split()) for name, keys in {
+    "simulate": "lam n equation k dt t_final scheme dealias sample_stride "
+                "amplitude gamma",
+    "conservation": "lam n dt t_final scheme dealias sample_stride amplitude gamma "
+                    "e_ks e_dt e_t_final im_tol f_tol e_tol separation_min",
+    "gauge-residual": "lam n k variant n_samples amplitude n_modes decay "
+                      "shrink_samples residual_tol shrink_min",
+    "strichartz-scan": "n lambdas n_samples n_modes decay horizon variation_max "
+                       "slope_max",
+    "flowmap": "lam n dt t_final scheme dealias sample_stride n_samples amplitude "
+               "n_modes decay gamma perturbation shrink_factor ratio_bound "
+               "insensitivity_max",
+    "scaling": "lam n k variant dt t_final scheme dealias dilation scaling_tol",
+    "convergence": "lam n dt t_final scheme dealias n_levels order_min order_max",
+    "estimate-monitor": "lam n k dt t_final scheme dealias sample_stride n_samples "
+                        "amplitude n_modes decay monitor_bound",
+    "bernstein": "n lambdas n_samples n_modes decay stability_max",
+}.items()}
+SOLVER_KEYS = {"equation", "dt", "t_final", "k", "scheme", "dealias", "sample_stride"}
 
 
 class TestConfig:
@@ -48,9 +70,71 @@ class TestConfig:
     def test_string_coercion(self):
         cfg = config_from_mapping("strichartz-scan",
                                   {"lambdas": "1 2 4", "n_samples": "7",
-                                   "amplitude": "0.5"})
+                                   "horizon": "0.5"})
         assert cfg.lambdas == (1.0, 2.0, 4.0)
-        assert cfg.n_samples == 7 and cfg.amplitude == 0.5
+        assert cfg.n_samples == 7 and cfg.horizon == 0.5
+        assert config_from_mapping("conservation", {"e_ks": "2, 4"}).e_ks == (2, 4)
+
+    def test_config_holds_exactly_the_keys_read(self):
+        for name in EXPERIMENT_NAMES:
+            keys = set(default_config(name).as_dict())
+            assert keys == KEYS_READ[name] | {"name", "seed"}, name
+            assert set(_EXPERIMENTS[name].keys) == KEYS_READ[name], name
+
+    def test_every_declared_key_is_read(self, monkeypatch):
+        """The runs and verdicts read exactly the declared keys, name and seed.
+
+        A solver key counts as read when ``solver()`` does not override it.
+        """
+        read = set()
+        get = ExperimentConfig.__getattribute__
+        solver = ExperimentConfig.solver
+
+        def tracked_get(cfg, key):
+            if not key.startswith("_"):
+                read.add((get(cfg, "name"), key))
+            return get(cfg, key)
+
+        def tracked_solver(cfg, **overrides):
+            read.update((cfg.name, key) for key in SOLVER_KEYS - set(overrides))
+            return solver(cfg, **overrides)
+
+        monkeypatch.setattr(ExperimentConfig, "__getattribute__", tracked_get)
+        monkeypatch.setattr(ExperimentConfig, "solver", tracked_solver)
+        runs = [(name, FAST[name]) for name in EXPERIMENT_NAMES]
+        runs.append(("scaling", {"variant": "gbo"}))
+        for name, over in runs:
+            run_experiment(config_from_mapping(name, over))
+        monkeypatch.undo()
+        for name in EXPERIMENT_NAMES:
+            keys = {k for n, k in read if n == name} & set(default_config(name).as_dict())
+            assert keys == KEYS_READ[name] | {"name", "seed"}, name
+
+    def test_config_is_immutable(self):
+        cfg = default_config("flowmap")
+        with pytest.raises(AttributeError):
+            cfg.gamma = 1.0
+        assert cfg == config_from_mapping("flowmap", {"gamma": "0"})
+
+    @pytest.mark.parametrize("argv", [["scaling", "--amplitude", "1"],
+                                      ["convergence", "--equation", "linear"],
+                                      ["bernstein", "--dt", "7"]])
+    def test_flag_of_unread_key_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert "Traceback" not in err
+
+    def test_config_file_key_of_other_experiment(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[strichartz-scan]\namplitude = 2\n")
+        code = main(["strichartz-scan", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("error: unknown config key 'amplitude' for experiment "
+                "'strichartz-scan'") in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["flowmap", "strichartz-scan"])
     def test_empty_ensemble_rejected(self, name, capsys):
@@ -159,7 +243,8 @@ class TestFlowmapConstruction:
         over = dict(FAST["flowmap"], perturbation=0.0)
         rep = run_experiment(config_from_mapping("flowmap", over))
         assert all(r["degenerate"] for r in rep.records)
-        assert rep.passed  # nothing asserted, report notes zero usable pairs
+        assert not rep.passed  # zero usable pairs bound nothing
+        assert rep.failures == ["no usable pair: every pair had a zero gap or blew up"]
 
     def test_means_pinned_to_gamma(self):
         over = dict(FAST["flowmap"], gamma=0.5)

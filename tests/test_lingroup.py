@@ -147,3 +147,17 @@ class TestStrichartzNorm:
             ]
             maxima.append(max(vals))
         assert max(maxima) / min(maxima) < 2.0
+
+    @pytest.mark.parametrize("real_rows", [True, False])
+    def test_block_padding_matches_row_padding(self, rng, real_rows):
+        from bosp.lingroup import _QUAD_PAD, _l4_norms_batch
+        from bosp.spectral import _pad_coeffs
+
+        grid = PeriodicGrid(2.0, 32)
+        rows = rng.standard_normal((9, grid.n)) + 1j * rng.standard_normal((9, grid.n))
+        big_n = _QUAD_PAD * grid.n
+        big = np.array([_pad_coeffs(row, grid.n, _QUAD_PAD, real_split=real_rows)
+                        for row in rows])
+        vals = np.fft.ifft(big * big_n, axis=1)
+        expected = (grid.circumference / big_n * np.sum(np.abs(vals) ** 4, axis=1)) ** 0.25
+        assert np.array_equal(_l4_norms_batch(rows, grid, real_rows), expected)

@@ -18,14 +18,12 @@ mean mode is conserved to round-off, and products are dealiased either by
 the two-thirds rule or by forming them on a 4x zero-padded grid.
 
 Solver state is the rfft half spectrum: modes m = 0, 1, ..., n/2 of a real
-field, the negative modes being their conjugates.  Values are synthesized
-with ``irfft`` (zero-padding to the 4n grid through its length argument)
-and fluxes analyzed with ``rfft``, so the data stay real by construction.
-The imaginary parts of the mean and Nyquist slots are zeroed once on entry.
-The odd symbols (iq, the bo group symbol) vanish on the Nyquist slot, so it
-is constant in time; on the padded grid its value is split half-half
-between +n/2 and -n/2, which for irfft means halving slot n/2 before
-synthesis.  Stored snapshots are expanded back to the full transform-order
+field, the negative modes being their conjugates.  Values and fluxes go
+through the real-field transforms of ``spectral``, which own the
+zero-padding and the Nyquist split/fold convention.  The imaginary parts of
+the mean and Nyquist slots are zeroed once on entry; the odd symbols (iq,
+the bo group symbol) vanish on the Nyquist slot, so it is constant in time.
+Stored snapshots are expanded back to the full transform-order
 SpectralField, exactly conjugate symmetric.
 """
 
@@ -37,7 +35,8 @@ import numpy as np
 
 from .errors import BlowUpError
 from .lingroup import group_symbol
-from .spectral import ZERO_MEAN_TOL, PeriodicGrid, SpectralField, Trajectory
+from .spectral import (ZERO_MEAN_TOL, PeriodicGrid, SpectralField, Trajectory,
+                       _full_spectrum, _real_coeffs, _real_values)
 
 __all__ = ["SolverConfig", "solve", "convergence_order", "ConvergenceResult"]
 
@@ -96,53 +95,26 @@ class _Nonlinearity:
 
     def __init__(self, grid: PeriodicGrid, cfg: SolverConfig):
         half = grid.n // 2
-        self.cfg = cfg
-        self.half = half
+        self.eq, self.k, self.n = cfg.equation, cfg.k, grid.n
         self.iq = 1j * grid.freqs[: half + 1]
         self.iq[half] = 0.0
         self.nbig = 4 * grid.n if cfg.dealias == "pad4" else grid.n
-        # pad4 splits the self-conjugate slot between +n/2 and -n/2 of the
-        # big grid; irfft mirrors slot n/2, so it is halved before synthesis
-        if self.nbig > grid.n:
-            self.split = np.ones(half + 1)
-            self.split[half] = 0.5
-        else:
-            self.split = None
         self.cut = grid.n // 3 + 1 if cfg.dealias == "two_thirds" else None
 
-    def _to_values(self, uhat: np.ndarray) -> np.ndarray:
-        if self.split is not None:
-            uhat = uhat * self.split
-        return np.fft.irfft(uhat, self.nbig, norm="forward")
-
-    def _to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        # slot n/2 is left unfolded: the odd iq multiplier zeroes it anyway
-        chat = np.fft.rfft(values, norm="forward")[: self.half + 1]
-        if self.cut is not None:
-            chat[self.cut:] = 0.0
-        return chat
-
     def __call__(self, uhat: np.ndarray) -> np.ndarray:
-        eq, k = self.cfg.equation, self.cfg.k
+        eq, k = self.eq, self.k
         if eq == "linear":
             return np.zeros_like(uhat)
-        vals = self._to_values(uhat)
+        vals = _real_values(uhat, self.nbig)
+        flux = _real_coeffs(vals * vals if eq == "bo2" else vals ** (k + 1), self.n)
+        if self.cut is not None:
+            flux[self.cut:] = 0.0
         if eq == "gbo":
-            flux = self._to_coeffs(vals ** (k + 1)) / (k + 1)
-        elif eq == "bo2":
-            flux = self._to_coeffs(vals * vals)
-        else:  # renormalized_gbo: 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
-            mbar = np.mean(vals ** k)
-            flux = 2.0 * self._to_coeffs(vals ** (k + 1)) / (k + 1) - 2.0 * mbar * uhat
+            flux = flux / (k + 1)
+        elif eq == "renormalized_gbo":
+            # 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
+            flux = 2.0 * flux / (k + 1) - 2.0 * np.mean(vals ** k) * uhat
         return self.iq * flux
-
-
-def _full_spectrum(half_coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Half spectrum (modes 0..n/2) -> conjugate-symmetric transform order."""
-    full = np.empty(n, dtype=np.complex128)
-    full[: n // 2 + 1] = half_coeffs
-    full[n // 2 + 1:] = np.conj(half_coeffs[n // 2 - 1: 0: -1])
-    return full
 
 
 def _etdrk4_weights(z: np.ndarray, dt: float):

@@ -56,10 +56,11 @@ from .spectral import (
     PeriodicGrid,
     SpectralField,
     Trajectory,
-    _truncate_coeffs,
+    analyze_values_padded,
     norm,
     project,
     differentiate,
+    synthesize,
 )
 
 __all__ = [
@@ -97,8 +98,12 @@ class ExperimentConfig:
                 values[key] = _coerce(value, values[key])
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-        if values.get("n_samples", 1) < 1:
-            raise ConfigError(f"n_samples must be at least 1, got {values['n_samples']}")
+        for key in ("n_samples", "shrink_samples"):
+            if values.get(key, 1) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {values[key]}")
+        for key in ("e_ks", "lambdas"):
+            if values.get(key) == ():
+                raise ConfigError(f"{key} must not be empty")
         self.__dict__.update(values)
 
     def __setattr__(self, key, value):
@@ -333,11 +338,6 @@ def _run_conservation(cfg: ExperimentConfig, rng):
     return records, {"series": series}, {}
 
 
-def _restrict_field(f: SpectralField, n_small: int) -> SpectralField:
-    small = PeriodicGrid(f.grid.lam, n_small)
-    return SpectralField(small, _truncate_coeffs(f.coeffs, n_small), is_real=f.is_real)
-
-
 def _run_gauge_residual(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
     n_modes = cfg.n_modes if cfg.n_modes else grid.n // 2 - 1
@@ -350,7 +350,7 @@ def _run_gauge_residual(cfg: ExperimentConfig, rng):
         rec = {"sample_index": i, "inputs_hash": _hash_field(v), "kind": "residual",
                "residual_l2": res.l2, "residual_h1": res.h1}
         if i < cfg.shrink_samples:
-            v_half = _restrict_field(v, grid.n // 2)
+            v_half = analyze_values_padded(synthesize(v), PeriodicGrid(cfg.lam, grid.n // 2))
             res_half = gauge_residual(v_half, variant, k=cfg.k, mode="instantaneous")
             rec["kind"] = "residual+shrink"
             rec["residual_l2_half"] = res_half.l2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import PeriodicGrid, SpectralField
+from .spectral import PeriodicGrid, SpectralField, _complex_values, _real_values
 
 __all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm"]
 
@@ -57,20 +57,15 @@ _BATCH_ROWS = 2048  # bounds the transient padded-transform buffer
 def _l4_norms_batch(coeffs_rows: np.ndarray, grid: PeriodicGrid, real_rows: bool) -> np.ndarray:
     """L^4 norms of many coefficient rows at once (4x padded quadrature)."""
     n = grid.n
-    half = n // 2
     nbig = _QUAD_PAD * n
     w = grid.circumference / nbig
     out = np.empty(coeffs_rows.shape[0])
     for start in range(0, coeffs_rows.shape[0], _BATCH_ROWS):
         block = coeffs_rows[start: start + _BATCH_ROWS]
-        big = np.zeros((block.shape[0], nbig), dtype=np.complex128)
-        big[:, : half + 1] = block[:, : half + 1]
-        big[:, nbig - (half - 1):] = block[:, half + 1:]
         if real_rows:
-            # split the self-conjugate Nyquist slot between +n/2 and -n/2
-            big[:, half] *= 0.5
-            big[:, nbig - half] = np.conj(big[:, half])
-        vals = np.fft.ifft(big * nbig, axis=1)
+            vals = _real_values(block[:, : n // 2 + 1], nbig)
+        else:
+            vals = _complex_values(block, nbig)
         out[start: start + _BATCH_ROWS] = (w * np.sum(np.abs(vals) ** 4, axis=1)) ** 0.25
     return out
 

@@ -15,6 +15,14 @@ Odd multipliers (sgn q, odd powers of iq, 1/(iq)) zero that Nyquist slot so
 that real fields map to real fields exactly; see
 http://math.mit.edu/~stevenj/fft-deriv.pdf for the standard argument.
 
+Products and quadratures are formed on a zero-padded grid of nbig >= n
+points (Boyd, *Chebyshev and Fourier Spectral Methods*, 2001, ch. 11).
+When nbig > n, synthesis splits the slot n/2 half-half between +n/2 and
+-n/2, and analysis folds -n/2 back into +n/2.  Real fields: rfft half
+spectrum (modes 0..n/2); complex: padded fft.  This module's private
+transforms are the one place that layout lives; the solver and the L^4
+quadrature call them on stacks of shape (..., n/2+1) or (..., n).
+
 Norm conventions follow the coefficient-space definitions used throughout:
 
 * ``||f||_{L^2}^2 = 2*pi*lam * sum |C_q|^2``  (Parseval with the circle
@@ -30,6 +38,7 @@ polynomials up to the padded degree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,45 +208,70 @@ class SpectralField:
 
 
 def analyze(samples, grid: PeriodicGrid) -> SpectralField:
-    """Point values -> coefficients, with the 1/(2*pi*lam) normalization.
-
-    C_0 of the result equals the mean of the samples.
-    """
+    """Point values on ``grid`` -> coefficients; C_0 is the sample mean."""
     samples = np.asarray(samples)
     if samples.shape != (grid.n,):
         raise ValueError(
             f"sample array has shape {samples.shape}, expected ({grid.n},)"
         )
-    coeffs = np.fft.fft(samples) / grid.n
-    return SpectralField(grid, coeffs, is_real=np.isrealobj(samples))
+    return analyze_values_padded(samples, grid)
 
 
-def _pad_coeffs(coeffs: np.ndarray, n: int, factor: int, real_split: bool) -> np.ndarray:
-    """Zero-pad an n-coefficient array to factor*n modes.
-
-    For real-flagged fields the self-conjugate Nyquist slot is split
-    half-half between +n/2 and -n/2 so oversampled values stay real.
-    """
-    half = n // 2
-    big = np.zeros(factor * n, dtype=np.complex128)
-    big[: half + 1] = coeffs[: half + 1]
-    big[factor * n - (half - 1):] = coeffs[half + 1:]
-    if real_split and coeffs[half] != 0:
-        v = coeffs[half]
-        big[half] = 0.5 * v
-        big[factor * n - half] = 0.5 * np.conj(v)
-    return big
+@functools.cache
+def _nyquist_split(n: int) -> np.ndarray:
+    split = np.ones(n // 2 + 1)
+    split[n // 2] = 0.5
+    split.flags.writeable = False
+    return split
 
 
-def _truncate_coeffs(big: np.ndarray, n: int) -> np.ndarray:
-    """Keep modes |m| <= n/2 of a padded array, folding -n/2 into +n/2."""
-    nbig = big.size
-    half = n // 2
-    out = np.empty(n, dtype=np.complex128)
-    out[: half + 1] = big[: half + 1]
-    out[half + 1:] = big[nbig - (half - 1):]
-    out[half] += big[nbig - half]
+def _real_values(half: np.ndarray, nbig: int) -> np.ndarray:
+    """Half spectra (..., n/2+1) -> real values (..., nbig), nbig >= n."""
+    n = 2 * (half.shape[-1] - 1)
+    if nbig > n:
+        half = half * _nyquist_split(n)
+    return np.fft.irfft(half, nbig, norm="forward")
+
+
+def _real_coeffs(values: np.ndarray, n: int) -> np.ndarray:
+    """Real values (..., nbig) -> half spectra (..., n/2+1) of n modes."""
+    half = np.fft.rfft(values, norm="forward")[..., : n // 2 + 1]
+    if values.shape[-1] > n:
+        if half.ndim == 1:  # one field: Python complex beats numpy scalar ops
+            z = half.item(n // 2)
+            half[n // 2] = z + z.conjugate()
+        else:
+            half[..., n // 2] = 2.0 * half[..., n // 2].real
+    return half
+
+
+def _complex_values(coeffs: np.ndarray, nbig: int) -> np.ndarray:
+    """Coefficients (..., n) in transform order -> values (..., nbig)."""
+    n = coeffs.shape[-1]
+    if nbig > n:
+        big = np.zeros(coeffs.shape[:-1] + (nbig,), dtype=np.complex128)
+        big[..., : n // 2 + 1] = coeffs[..., : n // 2 + 1]
+        big[..., nbig - n // 2 + 1:] = coeffs[..., n // 2 + 1:]
+        coeffs = big
+    return np.fft.ifft(coeffs, norm="forward")
+
+
+def _complex_coeffs(values: np.ndarray, n: int) -> np.ndarray:
+    """Values (..., nbig) -> coefficients (..., n) in transform order."""
+    big = np.fft.fft(values, norm="forward")
+    nbig = big.shape[-1]
+    out = np.concatenate((big[..., : n // 2 + 1], big[..., nbig - n // 2 + 1:]), axis=-1)
+    if nbig > n:
+        out[..., n // 2] += big[..., nbig - n // 2]
     return out
+
+
+def _full_spectrum(half_coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Half spectrum (modes 0..n/2) -> conjugate-symmetric transform order."""
+    full = np.empty(n, dtype=np.complex128)
+    full[: n // 2 + 1] = half_coeffs
+    full[n // 2 + 1:] = np.conj(half_coeffs[n // 2 - 1: 0: -1])
+    return full
 
 
 def synthesize(f: SpectralField, oversample: int = 1) -> np.ndarray:
@@ -246,25 +280,26 @@ def synthesize(f: SpectralField, oversample: int = 1) -> np.ndarray:
     Returns a real array for real-flagged fields.
     """
     n = f.grid.n
-    if oversample == 1:
-        vals = np.fft.ifft(f.coeffs * n)
-    else:
-        big = _pad_coeffs(f.coeffs, n, oversample, real_split=f.is_real)
-        vals = np.fft.ifft(big * (oversample * n))
-    return vals.real if f.is_real else vals
+    if f.is_real:
+        return _real_values(f.coeffs[: n // 2 + 1], oversample * n)
+    return _complex_values(f.coeffs, oversample * n)
 
 
 def analyze_values_padded(values, grid: PeriodicGrid, is_real=None) -> SpectralField:
-    """Values on an oversampled grid -> field truncated to grid.n modes."""
+    """Values on an oversampled grid -> field truncated to grid.n modes.
+
+    Real values give an exactly conjugate-symmetric field.
+    """
     values = np.asarray(values)
     nbig = values.size
     if nbig % grid.n != 0 or nbig < grid.n:
         raise ValueError("padded value array length must be a multiple of grid.n")
-    big = np.fft.fft(values) / nbig
-    coeffs = _truncate_coeffs(big, grid.n)
-    if is_real is None:
-        is_real = np.isrealobj(values)
-    return SpectralField(grid, coeffs, is_real=is_real)
+    real = np.isrealobj(values)
+    if real:
+        coeffs = _full_spectrum(_real_coeffs(values, grid.n), grid.n)
+    else:
+        coeffs = _complex_coeffs(values, grid.n)
+    return SpectralField(grid, coeffs, is_real=real if is_real is None else is_real)
 
 
 def multiply(f: SpectralField, g: SpectralField, oversample: int = _DEFAULT_PAD) -> SpectralField:

@@ -143,6 +143,25 @@ class TestConfig:
         assert main([name, "--n-samples", "0"]) == 2
         assert "n_samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("gauge-residual", "shrink_samples", 0),
+        ("conservation", "e_ks", ()),
+        ("strichartz-scan", "lambdas", ()),
+        ("bernstein", "lambdas", ""),
+    ])
+    def test_value_that_switches_a_check_off_rejected(self, name, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping(name, {key: value})
+
+    @pytest.mark.parametrize("name, line", [("strichartz-scan", "lambdas ="),
+                                            ("conservation", "e_ks =")])
+    def test_empty_list_in_config_file(self, tmp_path, capsys, name, line):
+        cfg = _write_cfg(tmp_path, f"[{name}]\n{line}\n")
+        assert main([name, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {line.split()[0]} must not be empty" in err
+        assert "Traceback" not in err
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[flowmap]\ngamma = 0.5\nn_samples = 3\n")

@@ -8,6 +8,7 @@ from bosp import (
     PeriodicGrid,
     SolverConfig,
     SpectralField,
+    analyze_values_padded,
     build_gauge,
     differentiate,
     gauge_lipschitz_gap,
@@ -252,13 +253,12 @@ class TestInstantaneousResidual:
 
     def test_resolution_doubling_collapses_residual(self, rng):
         g256 = PeriodicGrid(1.0, 256)
-        from bosp.spectral import _truncate_coeffs
+        g128 = PeriodicGrid(1.0, 128)
 
         worst_128, worst_256 = 0.0, 0.0
         for _ in range(3):
             v = h2_normalized(g256, rng, amp=0.1, n_modes=127, decay=0.8)
-            v128 = SpectralField(PeriodicGrid(1.0, 128),
-                                 _truncate_coeffs(v.coeffs, 128), is_real=True)
+            v128 = analyze_values_padded(synthesize(v), g128)
             worst_256 = max(worst_256, gauge_residual(v, "gbo", k=2).l2)
             worst_128 = max(worst_128, gauge_residual(v128, "gbo", k=2).l2)
         assert worst_128 / max(worst_256, 1e-300) >= 1e2
@@ -433,3 +433,40 @@ class TestRenormalization:
                      SolverConfig("bo2", dt=0.05, t_final=0.2))
         with pytest.raises(ValueError):
             renormalize_gbo(traj)
+
+
+class TestRightHandSides:
+    """The solver's pad4 right-hand side against gauge's ``_equation_rhs``.
+
+    At slot n/2 the renormalized forms differ on purpose: gauge's
+    non-conservative 2 M(v^k) v_x keeps the folded Nyquist value, while the
+    solver's conservative d_x(...) zeroes it through the odd iq multiplier.
+    """
+
+    @pytest.mark.parametrize("equation, k", [
+        ("linear", 1), ("gbo", 1), ("gbo", 3), ("bo2", 1),
+        ("renormalized_gbo", 2), ("renormalized_gbo", 3),
+    ])
+    def test_solver_rhs_matches_gauge_rhs(self, rng, equation, k):
+        from bosp.evolve import _Nonlinearity
+        from bosp.gauge import _equation_rhs
+        from bosp.lingroup import group_symbol
+        from bosp.spectral import _full_spectrum
+
+        grid = PeriodicGrid(1.0, 64)
+        half = grid.n // 2
+        v = h2_normalized(grid, rng, amp=0.5, decay=0.9)
+        uhat = v.coeffs[: half + 1]
+        nonlin = _Nonlinearity(grid, SolverConfig(equation, k=k, dt=1.0, t_final=1.0,
+                                                  dealias="pad4"))
+        solver = _full_spectrum(group_symbol(grid, "bo_group")[: half + 1] * uhat
+                                + nonlin(uhat), grid.n)
+        gauge = _equation_rhs(v, equation, k).coeffs
+        others = np.arange(grid.n) != half
+        scale = np.max(np.abs(gauge))
+        assert np.max(np.abs(solver - gauge)[others]) <= 1e-14 * scale
+        assert solver[half] == 0.0
+        if equation == "renormalized_gbo":
+            assert abs(gauge[half]) > 1e-12 * scale  # far above round-off
+        else:
+            assert gauge[half] == 0.0

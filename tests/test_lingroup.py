@@ -12,6 +12,7 @@ from bosp import (
     propagate,
     random_field,
     strichartz_norm,
+    synthesize,
 )
 
 from conftest import coeff_distance
@@ -151,13 +152,13 @@ class TestStrichartzNorm:
     @pytest.mark.parametrize("real_rows", [True, False])
     def test_block_padding_matches_row_padding(self, rng, real_rows):
         from bosp.lingroup import _QUAD_PAD, _l4_norms_batch
-        from bosp.spectral import _pad_coeffs
 
         grid = PeriodicGrid(2.0, 32)
         rows = rng.standard_normal((9, grid.n)) + 1j * rng.standard_normal((9, grid.n))
-        big_n = _QUAD_PAD * grid.n
-        big = np.array([_pad_coeffs(row, grid.n, _QUAD_PAD, real_split=real_rows)
-                        for row in rows])
-        vals = np.fft.ifft(big * big_n, axis=1)
-        expected = (grid.circumference / big_n * np.sum(np.abs(vals) ** 4, axis=1)) ** 0.25
+        # per-row public synthesis; the root is taken on the stacked sums
+        # because numpy's vectorized pow may differ from the scalar one by 1 ulp
+        w = grid.circumference / (_QUAD_PAD * grid.n)
+        sums = [np.sum(np.abs(synthesize(SpectralField(grid, row, is_real=real_rows),
+                                         _QUAD_PAD)) ** 4) for row in rows]
+        expected = (w * np.array(sums)) ** 0.25
         assert np.array_equal(_l4_norms_batch(rows, grid, real_rows), expected)

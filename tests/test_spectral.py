@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bosp import (
     PeriodicGrid,
     SpectralField,
     Trajectory,
     analyze,
+    analyze_values_padded,
     antiderivative,
     differentiate,
     hilbert,
@@ -20,6 +22,8 @@ from bosp import (
     symmetry_defect,
     synthesize,
 )
+
+from bosp.spectral import _complex_coeffs, _complex_values, _real_coeffs, _real_values
 
 from conftest import coeff_distance, dense_lp, dft_direct
 
@@ -352,3 +356,95 @@ class TestTrajectoryType:
         f = SpectralField.zero(grid)
         with pytest.raises(ValueError):
             Trajectory(grid, [0.0, 0.1], [f, f], "kdv")
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+PADS = st.sampled_from([1, 2, 4])
+
+
+@st.composite
+def fields(draw, real=None):
+    """Full-band random field with a nonzero Nyquist coefficient."""
+    grid = PeriodicGrid(draw(st.sampled_from([0.5, 1.0, 3.0])),
+                        draw(st.sampled_from([8, 16, 32, 64])))
+    real = draw(st.booleans()) if real is None else real
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = grid.n
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if real:
+        c[0], c[n // 2] = c[0].real, c[n // 2].real
+        c[n // 2 + 1:] = np.conj(c[n // 2 - 1: 0: -1])
+    return SpectralField(grid, c, is_real=real)
+
+
+def zero_mean_zero_nyquist(f):
+    c = f.coeffs.copy()
+    c[0] = c[f.grid.n // 2] = 0.0
+    return SpectralField(f.grid, c, is_real=f.is_real)
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestPaddedTransformProperties:
+    @PROPERTY
+    @given(f=fields(), pad=PADS)
+    def test_padded_round_trip(self, f, pad):
+        back = analyze_values_padded(synthesize(f, pad), f.grid)
+        assert back.is_real == f.is_real
+        assert max_rel(back.coeffs, f.coeffs) <= 1e-14
+
+    @PROPERTY
+    @given(f=fields(real=True), pad=PADS)
+    def test_real_path_is_exactly_symmetric(self, f, pad):
+        vals = synthesize(f, pad)
+        for values in (vals, vals * vals):
+            assert symmetry_defect(analyze_values_padded(values, f.grid).coeffs) == 0.0
+
+    @PROPERTY
+    @given(f=fields(real=True), pad=PADS)
+    def test_complex_path_agrees_with_real_path(self, f, pad):
+        a = synthesize(f, pad)
+        b = a * a  # a product: modes beyond n/2 reach the fold
+        whole = analyze_values_padded(a + 1j * b, f.grid).coeffs
+        parts = (analyze_values_padded(a, f.grid).coeffs
+                 + 1j * analyze_values_padded(b, f.grid).coeffs)
+        assert max_rel(whole, parts) <= 1e-14
+
+    @PROPERTY
+    @given(n=st.sampled_from([8, 16, 64]), pad=PADS, rows=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kernels_on_a_stack_equal_row_by_row(self, n, pad, rows, seed):
+        rng = np.random.default_rng(seed)
+        nbig = pad * n
+        coeffs = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        values = rng.standard_normal((rows, nbig))
+        cases = [(_real_values, coeffs[:, : n // 2 + 1], nbig),
+                 (_complex_values, coeffs, nbig),
+                 (_real_coeffs, values, n),
+                 (_complex_coeffs, values + 1j * values[::-1], n)]
+        for kernel, stack, size in cases:
+            expected = np.array([kernel(row, size) for row in stack])
+            assert np.array_equal(kernel(stack, size), expected), kernel.__name__
+
+    @PROPERTY
+    @given(f=fields())
+    def test_hilbert_squares_to_minus_identity(self, f):
+        g = zero_mean_zero_nyquist(f)
+        assert np.array_equal(hilbert(hilbert(g)).coeffs, -g.coeffs)
+
+    @PROPERTY
+    @given(f=fields(), cut=st.floats(0.0, 70.0))
+    def test_band_partition_with_mirror_reassembles(self, f, cut):
+        mirror = np.where(f.grid.freqs < -cut, f.coeffs, 0.0)
+        total = (project(f, "leq", cut).coeffs + project(f, "gt", cut).coeffs
+                 + mirror + project(f, "zero").coeffs)
+        assert np.array_equal(total, f.coeffs)
+
+    @PROPERTY
+    @given(f=fields())
+    def test_antiderivative_left_inverse_of_d_dx(self, f):
+        g = zero_mean_zero_nyquist(f)
+        back = antiderivative(differentiate(g, "d_dx", 1))
+        assert max_rel(back.coeffs, g.coeffs) <= 1e-14

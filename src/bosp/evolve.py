@@ -13,9 +13,11 @@ integrating-factor variable exp(+i*q|q|*t) * u_hat; ``etd_rk4`` is the
 Cox-Matthews exponential scheme with coefficients evaluated by the
 Kassam-Trefethen contour trick (SIAM J. Sci. Comput. 26 (2005), 1214).
 
-Nonlinear terms are written in conservative form d_x(u^{k+1})/(k+1) so the
-mean mode is conserved to round-off, and products are dealiased either by
-the two-thirds rule or by forming them on a 4x zero-padded grid.
+``Equation`` is the one definition of each right-hand side: ``solve``
+integrates it and the residuals of ``gauge`` substitute it.  Its nonlinear
+terms are in conservative form d_x(u^{k+1})/(k+1) so the mean mode is
+conserved to round-off, and products are dealiased either by the
+two-thirds rule or by forming them on a 4x zero-padded grid.
 
 Solver state is the rfft half spectrum: modes m = 0, 1, ..., n/2 of a real
 field, the negative modes being their conjugates.  Values and fluxes go
@@ -29,7 +31,7 @@ SpectralField, exactly conjugate symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .lingroup import group_symbol
 from .spectral import (ZERO_MEAN_TOL, PeriodicGrid, SpectralField, Trajectory,
                        _full_spectrum, _real_coeffs, _real_values)
 
-__all__ = ["SolverConfig", "solve", "convergence_order", "ConvergenceResult"]
+__all__ = ["Equation", "SolverConfig", "solve", "convergence_order", "ConvergenceResult"]
 
 _BLOWUP_GUARD = 1e8
 _CONTOUR_POINTS = 64
@@ -70,6 +72,9 @@ class SolverConfig:
             raise ValueError(f"unknown dealias rule {self.dealias!r}")
         if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        if self.k != 1 and self.equation in ("linear", "bo2"):
+            raise ValueError(f"k applies to gbo and renormalized_gbo only, "
+                             f"got k = {self.k} for {self.equation}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.t_final >= self.dt:
@@ -90,18 +95,27 @@ class SolverConfig:
         return steps
 
 
-class _Nonlinearity:
-    """Dealiased conservative flux on the half spectrum (modes 0..n/2)."""
+class Equation:
+    """Right-hand side u_t = symbol * u_hat + N(u_hat) of one tagged equation.
 
-    def __init__(self, grid: PeriodicGrid, cfg: SolverConfig):
+    ``symbol`` is the bo group symbol and ``nonlinear`` the dealiased
+    conservative flux, both on the half spectrum (modes 0..n/2); the odd
+    symbols zero the Nyquist slot.  ``rhs`` expands the sum for a real
+    field to the full transform order.
+    """
+
+    def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1, dealias: str = "pad4"):
+        if equation not in Trajectory.EQUATIONS:
+            raise ValueError(f"unknown equation tag {equation!r}")
         half = grid.n // 2
-        self.eq, self.k, self.n = cfg.equation, cfg.k, grid.n
+        self.grid, self.eq, self.k, self.n = grid, equation, k, grid.n
+        self.symbol = group_symbol(grid, "bo_group")[: half + 1]
         self.iq = 1j * grid.freqs[: half + 1]
         self.iq[half] = 0.0
-        self.nbig = 4 * grid.n if cfg.dealias == "pad4" else grid.n
-        self.cut = grid.n // 3 + 1 if cfg.dealias == "two_thirds" else None
+        self.nbig = 4 * grid.n if dealias == "pad4" else grid.n
+        self.cut = grid.n // 3 + 1 if dealias == "two_thirds" else None
 
-    def __call__(self, uhat: np.ndarray) -> np.ndarray:
+    def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         eq, k = self.eq, self.k
         if eq == "linear":
             return np.zeros_like(uhat)
@@ -115,6 +129,12 @@ class _Nonlinearity:
             # 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
             flux = 2.0 * flux / (k + 1) - 2.0 * np.mean(vals ** k) * uhat
         return self.iq * flux
+
+    def rhs(self, f: SpectralField) -> SpectralField:
+        """u_t of the real field f, in full transform order."""
+        uhat = f.coeffs[: self.n // 2 + 1]
+        full = _full_spectrum(self.symbol * uhat + self.nonlinear(uhat), self.n)
+        return SpectralField(self.grid, full, is_real=True)
 
 
 def _etdrk4_weights(z: np.ndarray, dt: float):
@@ -148,8 +168,8 @@ def solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     grid = u0.grid
     n = grid.n
     steps = cfg.n_steps()
-    nonlin = _Nonlinearity(grid, cfg)
-    group_sym = group_symbol(grid, "bo_group")[: n // 2 + 1]
+    equation = Equation(grid, cfg.equation, cfg.k, cfg.dealias)
+    nonlin, group_sym = equation.nonlinear, equation.symbol
     dt = cfg.dt
 
     ehalf = np.exp(group_sym * (dt / 2.0))
@@ -224,16 +244,11 @@ def convergence_order(u0: SpectralField, cfg: SolverConfig, n_levels: int = 4) -
         raise ValueError("need at least 3 refinement levels")
     finals = []
     dts = []
-    base_steps = SolverConfig(cfg.equation, cfg.dt, cfg.t_final, k=cfg.k,
-                              scheme=cfg.scheme, dealias=cfg.dealias).n_steps()
+    base_steps = replace(cfg, sample_stride=1).n_steps()
     for lvl in range(n_levels):
         dt = cfg.dt / (2 ** lvl)
         # only the final state matters; sample just the endpoints
-        cfg_lvl = SolverConfig(
-            equation=cfg.equation, dt=dt, t_final=cfg.t_final, k=cfg.k,
-            scheme=cfg.scheme, dealias=cfg.dealias,
-            sample_stride=base_steps * 2 ** lvl,
-        )
+        cfg_lvl = replace(cfg, dt=dt, sample_stride=base_steps * 2 ** lvl)
         traj = solve(u0, cfg_lvl)
         finals.append(traj[-1])
         dts.append(dt)

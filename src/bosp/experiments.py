@@ -593,15 +593,18 @@ def _pass_conservation(cfg, records):
 def _pass_gauge_residual(cfg, records):
     fails = []
     residuals = [r["residual_l2"] for r in records]
-    if not _all_finite(residuals):
+    halves = [r for r in records if "residual_l2_half" in r]
+    coarse = [r["residual_l2_half"] for r in halves]
+    if not _all_finite(residuals + coarse):
         return ["non-finite residual"]
     worst = max(residuals)
     if worst > cfg.residual_tol:
         fails.append(f"max residual {worst:.3e} > {cfg.residual_tol:.0e}")
-    halves = [r for r in records if "residual_l2_half" in r]
-    if halves:
-        ratio = max(r["residual_l2_half"] for r in halves) / max(
-            max(r["residual_l2"] for r in halves), 1e-300)
+    if worst == 0.0 and not any(coarse):
+        fails.append("every residual is exactly 0: the data are zero and test nothing")
+    # A coarse grid already within tolerance leaves nothing for doubling to shrink.
+    if coarse and max(coarse) > cfg.residual_tol:
+        ratio = max(coarse) / max(max(r["residual_l2"] for r in halves), 1e-300)
         if not (np.isfinite(ratio) and ratio >= cfg.shrink_min):
             fails.append(f"doubling n only shrank the residual {ratio:.1f}x "
                          f"(< {cfg.shrink_min:.0f}x)")

@@ -32,7 +32,11 @@ derivative term via d_x P_+(e^{-iF} P_-(u_x)) = P_+(e^{-iF} P_-(u_xx))
 ``gauge_residual`` turns these identities into numbers: instantaneous mode
 substitutes the evolution equation for the time derivative (no time
 stepping at all), trajectory mode uses fourth-order centered differences
-on uniformly sampled snapshots.
+on uniformly sampled snapshots.  Instantaneous mode takes u_t and v_t from
+``evolve.Equation``, except the gbo nonlinear term: that stays in the
+non-conservative form 2 M(v^k) v_x, which keeps the folded n/2 value the
+solver's conservative flux zeroes, because the identity needs that slot at
+finite n.  ``pde_residual`` substitutes ``Equation`` unchanged.
 
 All products involving e^{-iF} are formed pointwise on a 4x zero-padded
 grid and truncated back, so the only error left is the spectral tail of
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolve import Equation
 from .spectral import (
     ZERO_MEAN_TOL,
     SpectralField,
@@ -223,26 +228,27 @@ class ResidualNorms:
 
 def _instantaneous_residual(v: SpectralField, variant: str, k: int) -> ResidualNorms:
     grid = v.grid
+    F = _phase(v, variant, k)
+    v_vals = _vals(v)
     if variant == "bo":
-        ut = _equation_rhs(v, "bo2", 1)
-        F = antiderivative(v)
-        Ft = antiderivative(ut)
-        E = np.exp(-1j * synthesize(F, _PAD))
-        wt = (-1j) * _plus(E * (-1j * _vals(Ft) * _vals(v) + _vals(ut)), grid)
-        w = (-1j) * _plus(E * _vals(v), grid)
-        rhs = rhs_bo(v, F).total
-    elif variant == "gbo":
-        vt = _equation_rhs(v, "renormalized_gbo", k)
-        F = _phase(v, "gbo", k)
+        vt = Equation(grid, "bo2").rhs(v)
         vt_vals = _vals(vt)
-        _, m_kvt = mean_remove(_field(k * _vals(v) ** (k - 1) * vt_vals, grid))
-        Ft = antiderivative(m_kvt)
-        E = np.exp(-1j * synthesize(F, _PAD))
-        wt = _plus(E * (-1j * _vals(Ft) * _vals(v) + vt_vals), grid)
-        w = _plus(E * _vals(v), grid)
-        rhs = rhs_gbo_terms(v, k).total
+        Ft = antiderivative(vt)
+        rhs = rhs_bo(v, F).total
     else:
-        raise ValueError(f"unknown gauge variant {variant!r}")
+        # non-conservative: keeps the folded n/2 value, which the identity needs
+        mvk = v_vals ** k - np.mean(v_vals ** k)
+        vt = Equation(grid, "linear").rhs(v) + _field(
+            2.0 * mvk * _vals(differentiate(v, "d_dx", 1)), grid)
+        vt_vals = _vals(vt)
+        _, m_kvt = mean_remove(_field(k * v_vals ** (k - 1) * vt_vals, grid))
+        Ft = antiderivative(m_kvt)
+        rhs = rhs_gbo_terms(v, k).total
+    E = np.exp(-1j * synthesize(F, _PAD))
+    wt = _plus(E * (-1j * _vals(Ft) * v_vals + vt_vals), grid)
+    w = _plus(E * v_vals, grid)
+    if variant == "bo":
+        wt, w = (-1j) * wt, (-1j) * w
     resid = wt - 1j * differentiate(w, "d_dx", 2) - rhs
     return ResidualNorms(l2=norm(resid, "lp", p=2), h1=norm(resid, "hs", s=1.0))
 
@@ -250,21 +256,17 @@ def _instantaneous_residual(v: SpectralField, variant: str, k: int) -> ResidualN
 _STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
-def _trajectory_residual(traj: Trajectory, variant: str, k: int) -> ResidualNorms:
+def _stencil_residual(traj: Trajectory, series, residual) -> ResidualNorms:
+    """Norms of residual(i, d/dt series[i]), d/dt the 4th-order centered stencil."""
     if len(traj) < 5:
-        raise ValueError("trajectory mode needs at least 5 uniformly spaced snapshots")
+        raise ValueError("need at least 5 uniformly spaced snapshots")
     h = traj.sample_dt
-    states = [build_gauge(f, variant, k) for f in traj]
     l2s, h1s, times = [], [], []
     for i in range(2, len(traj) - 2):
-        wt_coeffs = sum(
-            c * states[i + off].w.coeffs
-            for off, c in zip((-2, -1, 0, 1, 2), _STENCIL)
+        dt_coeffs = sum(
+            c * series[i + off] for off, c in zip((-2, -1, 0, 1, 2), _STENCIL)
         ) / h
-        wt = SpectralField(traj.grid, wt_coeffs, is_real=False)
-        v = traj[i]
-        rhs = rhs_bo(v, states[i].F).total if variant == "bo" else rhs_gbo_terms(v, k).total
-        resid = wt - 1j * differentiate(states[i].w, "d_dx", 2) - rhs
+        resid = residual(i, SpectralField(traj.grid, dt_coeffs, is_real=False))
         l2s.append(norm(resid, "lp", p=2))
         h1s.append(norm(resid, "hs", s=1.0))
         times.append(float(traj.times[i]))
@@ -272,6 +274,17 @@ def _trajectory_residual(traj: Trajectory, variant: str, k: int) -> ResidualNorm
         l2=float(np.max(l2s)), h1=float(np.max(h1s)),
         per_sample_l2=tuple(l2s), per_sample_times=tuple(times),
     )
+
+
+def _trajectory_residual(traj: Trajectory, variant: str, k: int) -> ResidualNorms:
+    states = [build_gauge(f, variant, k) for f in traj]
+
+    def residual(i, wt):
+        v, st = traj[i], states[i]
+        rhs = rhs_bo(v, st.F).total if variant == "bo" else rhs_gbo_terms(v, k).total
+        return wt - 1j * differentiate(st.w, "d_dx", 2) - rhs
+
+    return _stencil_residual(traj, [st.w.coeffs for st in states], residual)
 
 
 def gauge_residual(target, variant: str = "bo", k: int = 1,
@@ -393,24 +406,6 @@ def renormalize_gbo(traj: Trajectory) -> Trajectory:
     return traj.with_snapshots(out, equation="renormalized_gbo", k=k)
 
 
-def _equation_rhs(f: SpectralField, equation: str, k: int) -> SpectralField:
-    """Right-hand side -H u_xx + N(u) of the tagged equation."""
-    lin = -1.0 * hilbert(differentiate(f, "d_dx", 2))
-    if equation == "linear":
-        return lin
-    if equation == "bo2":
-        return lin + differentiate(_field(_vals(f) ** 2, f.grid), "d_dx", 1)
-    if equation == "gbo":
-        flux = _field(_vals(f) ** (k + 1), f.grid)
-        return lin + (1.0 / (k + 1)) * differentiate(flux, "d_dx", 1)
-    if equation == "renormalized_gbo":
-        # v_t = -H v_xx + 2 M(v^k) v_x
-        f_vals = _vals(f)
-        mfk = f_vals ** k - np.mean(f_vals ** k)
-        return lin + _field(2.0 * mfk * _vals(differentiate(f, "d_dx", 1)), f.grid)
-    raise ValueError(f"unknown equation tag {equation!r}")
-
-
 def pde_residual(traj: Trajectory) -> ResidualNorms:
     """Residual of the trajectory's own evolution equation.
 
@@ -419,20 +414,6 @@ def pde_residual(traj: Trajectory) -> ResidualNorms:
     tagged equation (used to validate the mean-removal and renormalization
     maps, and as a sampling-rate diagnostic).
     """
-    if len(traj) < 5:
-        raise ValueError("need at least 5 uniformly spaced snapshots")
-    h = traj.sample_dt
-    l2s, h1s, times = [], [], []
-    for i in range(2, len(traj) - 2):
-        ut_coeffs = sum(
-            c * traj[i + off].coeffs for off, c in zip((-2, -1, 0, 1, 2), _STENCIL)
-        ) / h
-        rhs = _equation_rhs(traj[i], traj.equation, traj.k)
-        resid = SpectralField(traj.grid, ut_coeffs - rhs.coeffs, is_real=False)
-        l2s.append(norm(resid, "lp", p=2))
-        h1s.append(norm(resid, "hs", s=1.0))
-        times.append(float(traj.times[i]))
-    return ResidualNorms(
-        l2=float(np.max(l2s)), h1=float(np.max(h1s)),
-        per_sample_l2=tuple(l2s), per_sample_times=tuple(times),
-    )
+    equation = Equation(traj.grid, traj.equation, traj.k)
+    return _stencil_residual(traj, [f.coeffs for f in traj],
+                             lambda i, ut: ut - equation.rhs(traj[i]))

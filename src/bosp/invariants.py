@@ -13,12 +13,13 @@ integral u_t * (dF/du) along the flow and solving the resulting linear
 system over random fields leaves exactly one coefficient choice with an
 identically vanishing derivative (a = 3/4, b = -1/8 in
 F = int u_x^2 - a u^2 H u_x - b u^4 for the u u_x right-hand side, matching
-the classical integrable normalization after u -> -u/2).  The ``sign``
-argument flips the odd term, which is the convention conserved by the
-mirror equation u_t + H u_xx = -u^k u_x; the drift separation test in the
-suite re-checks the selection on a reference run.  Quadratic pieces use
-Parseval exactly; higher powers use 4x padded quadrature, which is exact
-for the polynomial degrees involved.
+the classical integrable normalization after u -> -u/2).  For bo2,
+u_t + H u_xx = 2 u u_x, ``drift_report`` evaluates F at 2u, which solves
+the u u_x equation.  The ``sign`` argument flips the odd term, which is the
+convention conserved by the mirror equation u_t + H u_xx = -u^k u_x; the
+drift separation test in the suite re-checks the selection on a reference
+run.  Quadratic pieces use Parseval exactly; higher powers use 4x padded
+quadrature, which is exact for the polynomial degrees involved.
 """
 
 from __future__ import annotations
@@ -122,8 +123,12 @@ def _invariant_set(equation: str, k: int):
 def drift_report(traj: Trajectory) -> InvariantReport:
     """Evaluate the invariants of the trajectory's equation at every sample."""
     names = _invariant_set(traj.equation, traj.k)
+    # 2u solves u_t + H u_xx = u u_x when u solves bo2, so F_bo is taken at 2u
+    doubled = traj.equation == "bo2"
     values = {
-        name: np.array([invariant(f, name, k=traj.k) for f in traj]) for name in names
+        name: np.array([invariant(2.0 * f if doubled and name == "F_bo" else f, name, k=traj.k)
+                        for f in traj])
+        for name in names
     }
     drifts = {}
     for name, series in values.items():

@@ -54,8 +54,8 @@ def propagate(f: SpectralField, t: float, kind: str = "bo_group") -> SpectralFie
 _BATCH_ROWS = 2048  # bounds the transient padded-transform buffer
 
 
-def _l4_norms_batch(coeffs_rows: np.ndarray, grid: PeriodicGrid, real_rows: bool) -> np.ndarray:
-    """L^4 norms of many coefficient rows at once (4x padded quadrature)."""
+def _l4_sums_batch(coeffs_rows: np.ndarray, grid: PeriodicGrid, real_rows: bool) -> np.ndarray:
+    """Quadrature sums w * sum |v|^4 (= ||v||_L4^4) of many rows (4x padded)."""
     n = grid.n
     nbig = _QUAD_PAD * n
     w = grid.circumference / nbig
@@ -66,7 +66,7 @@ def _l4_norms_batch(coeffs_rows: np.ndarray, grid: PeriodicGrid, real_rows: bool
             vals = _real_values(block[:, : n // 2 + 1], nbig)
         else:
             vals = _complex_values(block, nbig)
-        out[start: start + _BATCH_ROWS] = (w * np.sum(np.abs(vals) ** 4, axis=1)) ** 0.25
+        out[start: start + _BATCH_ROWS] = w * np.sum(np.abs(vals) ** 4, axis=1)
     return out
 
 
@@ -75,7 +75,7 @@ def _time_integrand(f: SpectralField, times: np.ndarray, kind: str) -> np.ndarra
     sym = group_symbol(f.grid, kind)
     rows = np.exp(np.outer(times, sym)) * f.coeffs[None, :]
     real_rows = f.is_real and kind == "bo_group"
-    return _l4_norms_batch(rows, f.grid, real_rows) ** 4
+    return _l4_sums_batch(rows, f.grid, real_rows)
 
 
 def strichartz_norm(f: SpectralField, horizon: float, n_t: int | None = None,

@@ -43,6 +43,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig("gbo", dt=0.1, t_final=1.0, k=0)
 
+    @pytest.mark.parametrize("equation", ["linear", "bo2"])
+    def test_k_rejected_where_equation_has_none(self, equation):
+        with pytest.raises(ValueError, match="k applies"):
+            SolverConfig(equation, dt=0.1, t_final=1.0, k=3)
+
     def test_step_count_must_divide(self):
         cfg = SolverConfig("gbo", dt=0.3, t_final=1.0)
         with pytest.raises(ValueError):

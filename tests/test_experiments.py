@@ -356,6 +356,39 @@ class TestCli:
         assert summary["config"]["scheme"] == "etd_rk4"
         assert summary["config"]["dealias"] == "two_thirds"
 
+    @pytest.mark.parametrize("equation", ["linear", "bo2"])
+    def test_k_for_equation_without_k_is_usage_error(self, tmp_path, capsys, equation):
+        code = main(["simulate", "--equation", equation, "--k", "3", "--dt", "1e-3",
+                     "--t-final", "0.05", "--out", str(tmp_path), "--stem", "s"])
+        assert code == 2
+        assert "k applies" in capsys.readouterr().err
+        assert not (tmp_path / "s.bosp").exists()
+
+    def test_gauge_residual_at_round_off_resolution_passes(self, tmp_path):
+        # at n = 1024 the coarse n = 512 residual is already at round-off
+        code = main(["gauge-residual", "--n", "1024", "--n-samples", "5", "--seed", "0",
+                     "--out", str(tmp_path), "--stem", "g", "--quiet"])
+        assert code == 0
+
+    def test_doubling_check_applies_above_tolerance(self):
+        cfg = default_config("gauge-residual")
+        fails = _EXPERIMENTS["gauge-residual"].verdict(cfg, [
+            {"residual_l2": 1e-7, "residual_l2_half": 1e-6}])
+        assert any("doubling n only shrank" in f for f in fails)
+
+    def test_default_run_exercises_doubling_check(self):
+        cfg = default_config("gauge-residual")
+        rep = run_experiment(cfg)
+        coarse = [r["residual_l2_half"] for r in rep.records if "residual_l2_half" in r]
+        assert max(coarse) > cfg.residual_tol
+        assert rep.passed, rep.failures
+
+    def test_zero_data_residual_fails(self):
+        rep = run_experiment(config_from_mapping(
+            "gauge-residual", {"amplitude": 0.0, "n_samples": 2}))
+        assert not rep.passed
+        assert any("exactly 0" in f for f in rep.failures)
+
     def test_bo_variant_residual_experiment(self):
         rep = run_experiment(config_from_mapping(
             "gauge-residual", {"variant": "bo", "n_samples": 3,

@@ -13,6 +13,7 @@ from bosp import (
     differentiate,
     gauge_lipschitz_gap,
     gauge_residual,
+    hilbert,
     norm,
     pde_residual,
     project,
@@ -25,6 +26,7 @@ from bosp import (
     solve,
     synthesize,
 )
+from bosp.evolve import Equation
 
 from conftest import (
     coeff_distance,
@@ -435,10 +437,26 @@ class TestRenormalization:
             renormalize_gbo(traj)
 
 
-class TestRightHandSides:
-    """The solver's pad4 right-hand side against gauge's ``_equation_rhs``.
+def reference_rhs(f, equation, k):
+    """Non-conservative -H u_xx + N(u) built from public operators."""
+    lin = -1.0 * hilbert(differentiate(f, "d_dx", 2))
+    vals = synthesize(f, 4)
+    if equation == "linear":
+        return lin
+    if equation == "bo2":
+        return lin + differentiate(analyze_values_padded(vals ** 2, f.grid), "d_dx", 1)
+    if equation == "gbo":
+        flux = analyze_values_padded(vals ** (k + 1), f.grid)
+        return lin + (1.0 / (k + 1)) * differentiate(flux, "d_dx", 1)
+    mfk = vals ** k - np.mean(vals ** k)  # renormalized_gbo: 2 M(v^k) v_x
+    vx = synthesize(differentiate(f, "d_dx", 1), 4)
+    return lin + analyze_values_padded(2.0 * mfk * vx, f.grid)
 
-    At slot n/2 the renormalized forms differ on purpose: gauge's
+
+class TestRightHandSides:
+    """``Equation.rhs`` at pad4 against a non-conservative reference.
+
+    At slot n/2 the renormalized forms differ on purpose: the reference's
     non-conservative 2 M(v^k) v_x keeps the folded Nyquist value, while the
     solver's conservative d_x(...) zeroes it through the odd iq multiplier.
     """
@@ -448,25 +466,20 @@ class TestRightHandSides:
         ("renormalized_gbo", 2), ("renormalized_gbo", 3),
     ])
     def test_solver_rhs_matches_gauge_rhs(self, rng, equation, k):
-        from bosp.evolve import _Nonlinearity
-        from bosp.gauge import _equation_rhs
-        from bosp.lingroup import group_symbol
-        from bosp.spectral import _full_spectrum
-
         grid = PeriodicGrid(1.0, 64)
         half = grid.n // 2
         v = h2_normalized(grid, rng, amp=0.5, decay=0.9)
-        uhat = v.coeffs[: half + 1]
-        nonlin = _Nonlinearity(grid, SolverConfig(equation, k=k, dt=1.0, t_final=1.0,
-                                                  dealias="pad4"))
-        solver = _full_spectrum(group_symbol(grid, "bo_group")[: half + 1] * uhat
-                                + nonlin(uhat), grid.n)
-        gauge = _equation_rhs(v, equation, k).coeffs
+        solver = Equation(grid, equation, k).rhs(v).coeffs
+        ref = reference_rhs(v, equation, k).coeffs
         others = np.arange(grid.n) != half
-        scale = np.max(np.abs(gauge))
-        assert np.max(np.abs(solver - gauge)[others]) <= 1e-14 * scale
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(solver - ref)[others]) <= 1e-14 * scale
         assert solver[half] == 0.0
         if equation == "renormalized_gbo":
-            assert abs(gauge[half]) > 1e-12 * scale  # far above round-off
+            assert abs(ref[half]) > 1e-12 * scale  # far above round-off
         else:
-            assert gauge[half] == 0.0
+            assert ref[half] == 0.0
+
+    def test_unknown_equation_rejected(self):
+        with pytest.raises(ValueError, match="unknown equation"):
+            Equation(PeriodicGrid(1.0, 16), "kdv")

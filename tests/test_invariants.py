@@ -107,6 +107,12 @@ class TestDriftReport:
         assert rep.drifts["F_bo"] < 1e-9
         assert rep.drifts["E_gbo"] < 1e-9
 
+    def test_bo2_run_conserves_f_bo_at_2u(self):
+        grid = PeriodicGrid(1.0, 128)
+        traj = solve(cos_field(grid, 0.2), SolverConfig("bo2", dt=5e-4, t_final=0.2,
+                                                        dealias="pad4", sample_stride=40))
+        assert drift_report(traj).drifts["F_bo"] < 1e-10
+
     def test_sign_separation_on_short_run(self):
         # the mirror-convention functional must drift visibly
         grid = PeriodicGrid(1.0, 128)

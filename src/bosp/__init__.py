@@ -31,7 +31,7 @@ from .spectral import (
     symmetry_defect,
 )
 from .lingroup import propagate, strichartz_norm, group_symbol
-from .evolve import SolverConfig, solve, convergence_order, ConvergenceResult
+from .evolve import SolverConfig, solve, solve_batch, convergence_order, ConvergenceResult
 from .gauge import (
     GaugeState,
     build_gauge,
@@ -88,6 +88,7 @@ __all__ = [
     "group_symbol",
     "SolverConfig",
     "solve",
+    "solve_batch",
     "convergence_order",
     "ConvergenceResult",
     "GaugeState",

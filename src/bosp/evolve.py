@@ -27,6 +27,15 @@ the mean and Nyquist slots are zeroed once on entry; the odd symbols (iq,
 the bo group symbol) vanish on the Nyquist slot, so it is constant in time.
 Stored snapshots are expanded back to the full transform-order
 SpectralField, exactly conjugate symmetric.
+
+The state is a ``(..., n/2+1)`` stack: ``solve_batch`` advances B fields
+on one grid under one SolverConfig as a ``(B, n/2+1)`` array, and ``solve``
+is its one-field case with a 1-D ``(n/2+1,)`` state.  Rows never mix (every
+transform and product acts along the last axis), so each row is bit-for-bit
+the single-field solution.  A row blows up when, after a step, one of its
+modes is non-finite or exceeds the magnitude guard: that row is dropped
+from the stack and reports ``BlowUpError`` with the time before the step,
+and the other rows go on.
 """
 
 from __future__ import annotations
@@ -40,10 +49,15 @@ from .lingroup import group_symbol
 from .spectral import (ZERO_MEAN_TOL, PeriodicGrid, SpectralField, Trajectory,
                        _full_spectrum, _real_coeffs, _real_values)
 
-__all__ = ["Equation", "SolverConfig", "solve", "convergence_order", "ConvergenceResult"]
+__all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
+           "ConvergenceResult"]
 
 _BLOWUP_GUARD = 1e8
 _CONTOUR_POINTS = 64
+# Padded points per stepped stack.  A work array of 2^14 doubles (128 KB)
+# stays in a core's cache: 75 rows at n = 128 with pad4 stepped 1.5x faster
+# in stacks of 32 rows than in one stack of 75.
+_STACK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,9 +113,9 @@ class Equation:
     """Right-hand side u_t = symbol * u_hat + N(u_hat) of one tagged equation.
 
     ``symbol`` is the bo group symbol and ``nonlinear`` the dealiased
-    conservative flux, both on the half spectrum (modes 0..n/2); the odd
-    symbols zero the Nyquist slot.  ``rhs`` expands the sum for a real
-    field to the full transform order.
+    conservative flux, both on the half spectrum (modes 0..n/2 along the
+    last axis of a stack); the odd symbols zero the Nyquist slot.  ``rhs``
+    expands the sum for a real field to the full transform order.
     """
 
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1, dealias: str = "pad4"):
@@ -122,12 +136,13 @@ class Equation:
         vals = _real_values(uhat, self.nbig)
         flux = _real_coeffs(vals * vals if eq == "bo2" else vals ** (k + 1), self.n)
         if self.cut is not None:
-            flux[self.cut:] = 0.0
+            flux[..., self.cut:] = 0.0
         if eq == "gbo":
             flux = flux / (k + 1)
         elif eq == "renormalized_gbo":
             # 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
-            flux = 2.0 * flux / (k + 1) - 2.0 * np.mean(vals ** k) * uhat
+            mean = np.mean(vals ** k, axis=-1, keepdims=True)
+            flux = 2.0 * flux / (k + 1) - 2.0 * mean * uhat
         return self.iq * flux
 
     def rhs(self, f: SpectralField) -> SpectralField:
@@ -150,25 +165,57 @@ def _etdrk4_weights(z: np.ndarray, dt: float):
             dt * f2.mean(axis=1), dt * f3.mean(axis=1))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     """Integrate u0 under cfg and return the sampled trajectory.
 
     The initial field must be real-flagged; the renormalized equation
     additionally requires zero-mean data.  Non-finite or exploding modes
-    raise BlowUpError carrying the last good time (the state is checked
-    after every step, so numpy's overflow warnings are silenced).
+    raise BlowUpError carrying the last good time.
     """
-    if not u0.is_real:
-        raise ValueError("initial data must be real-flagged")
-    if cfg.equation == "renormalized_gbo" and abs(u0.coeffs[0]) >= ZERO_MEAN_TOL:
-        raise ValueError(
-            f"renormalized equation needs zero-mean data: |C_0| = {abs(u0.coeffs[0]):.3e}"
-        )
-    grid = u0.grid
-    n = grid.n
-    steps = cfg.n_steps()
+    (result,) = solve_batch([u0], cfg)
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
+
+
+def solve_batch(u0s, cfg: SolverConfig) -> list:
+    """Integrate every field of u0s under cfg, stacked.
+
+    Returns one entry per field, in order: its Trajectory, or the
+    BlowUpError (carrying the last good time) of a row that blew up; the
+    other rows are unaffected.  The fields must share one grid and meet
+    ``solve``'s conditions, all checked before any step.  The rows are
+    stepped in stacks of at most ``_STACK_POINTS`` padded points, which
+    keeps a stack's work arrays in cache and its memory bounded.
+    """
+    u0s = list(u0s)
+    if not u0s:
+        return []
+    grid = u0s[0].grid
+    for u0 in u0s:
+        if u0.grid != grid:
+            raise ValueError("every field of a batch must share one grid")
+        if not u0.is_real:
+            raise ValueError("initial data must be real-flagged")
+        if cfg.equation == "renormalized_gbo" and abs(u0.coeffs[0]) >= ZERO_MEAN_TOL:
+            raise ValueError(
+                f"renormalized equation needs zero-mean data: |C_0| = {abs(u0.coeffs[0]):.3e}"
+            )
     equation = Equation(grid, cfg.equation, cfg.k, cfg.dealias)
+    per_stack = max(1, _STACK_POINTS // equation.nbig)
+    return [result for start in range(0, len(u0s), per_stack)
+            for result in _advance(u0s[start: start + per_stack], cfg, equation)]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
+    """The stepping loop of ``solve_batch`` over one stack of checked fields.
+
+    The state is checked after every step, so numpy's overflow warnings
+    are silenced.
+    """
+    grid, n = equation.grid, equation.n
+    steps = cfg.n_steps()
     nonlin, group_sym = equation.nonlinear, equation.symbol
     dt = cfg.dt
 
@@ -177,11 +224,16 @@ def solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     if cfg.scheme == "etd_rk4":
         q2, f1, f2, f3 = _etdrk4_weights(group_sym * dt, dt)
 
-    uhat = u0.coeffs[: n // 2 + 1].copy()
-    uhat[0] = uhat[0].real
-    uhat[n // 2] = uhat[n // 2].real
+    # one field keeps a 1-D state: the kernels' fast path for a single row
+    uhat = np.array([u0.coeffs[: n // 2 + 1] for u0 in u0s])
+    if len(u0s) == 1:
+        uhat = uhat[0]
+    uhat[..., 0] = uhat[..., 0].real
+    uhat[..., n // 2] = uhat[..., n // 2].real
+    rows = list(range(len(u0s)))  # input index of each row of the stack
+    results = [None] * len(u0s)
     times = [0.0]
-    snaps = [SpectralField(grid, u0.coeffs, is_real=True)]
+    snaps = [[SpectralField(grid, u0.coeffs, is_real=True)] for u0 in u0s]
     t_good = 0.0
 
     for step in range(1, steps + 1):
@@ -204,16 +256,26 @@ def solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
             nc = nonlin(sc)
             uhat = efull * uhat + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
         if not np.max(np.abs(uhat)) <= _BLOWUP_GUARD:  # NaN propagates and fails
-            raise BlowUpError(t_good)
+            good = np.atleast_1d(np.max(np.abs(uhat), axis=-1) <= _BLOWUP_GUARD)
+            for row in np.flatnonzero(~good):
+                results[rows[row]] = BlowUpError(t_good)
+            if not good.any():
+                return results
+            uhat = uhat[good]
+            rows = [r for r, ok in zip(rows, good) if ok]
         t_good = step * dt
         if step % cfg.sample_stride == 0:
             times.append(t_good)
-            snaps.append(SpectralField(grid, _full_spectrum(uhat, n), is_real=True))
+            full = _full_spectrum(uhat, n).reshape(len(rows), n)
+            for r, coeffs in zip(rows, full):
+                snaps[r].append(SpectralField(grid, coeffs, is_real=True))
 
-    return Trajectory(
-        grid, np.asarray(times), snaps, cfg.equation, cfg.k,
-        scheme=cfg.scheme, dt=cfg.dt, dealias=cfg.dealias,
-    )
+    for r in rows:
+        results[r] = Trajectory(
+            grid, np.asarray(times), snaps[r], cfg.equation, cfg.k,
+            scheme=cfg.scheme, dt=cfg.dt, dealias=cfg.dealias,
+        )
+    return results
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ the data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ import numpy as np
 from .evolve import Equation
 from .spectral import (
     ZERO_MEAN_TOL,
+    PeriodicGrid,
     SpectralField,
     Trajectory,
     analyze_values_padded,
@@ -226,19 +228,25 @@ class ResidualNorms:
     per_sample_times: tuple = ()
 
 
+@functools.lru_cache(maxsize=16)
+def _equation(grid: PeriodicGrid, equation: str) -> Equation:
+    """One ``Equation`` per grid and tag, shared (read-only) by every residual on that grid."""
+    return Equation(grid, equation)
+
+
 def _instantaneous_residual(v: SpectralField, variant: str, k: int) -> ResidualNorms:
     grid = v.grid
     F = _phase(v, variant, k)
     v_vals = _vals(v)
     if variant == "bo":
-        vt = Equation(grid, "bo2").rhs(v)
+        vt = _equation(grid, "bo2").rhs(v)
         vt_vals = _vals(vt)
         Ft = antiderivative(vt)
         rhs = rhs_bo(v, F).total
     else:
         # non-conservative: keeps the folded n/2 value, which the identity needs
         mvk = v_vals ** k - np.mean(v_vals ** k)
-        vt = Equation(grid, "linear").rhs(v) + _field(
+        vt = _equation(grid, "linear").rhs(v) + _field(
             2.0 * mvk * _vals(differentiate(v, "d_dx", 1)), grid)
         vt_vals = _vals(vt)
         _, m_kvt = mean_remove(_field(k * v_vals ** (k - 1) * vt_vals, grid))

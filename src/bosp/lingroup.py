@@ -6,8 +6,9 @@ evolves w_t = i w_xx, multiplier exp(-i*q^2*t).  Both satisfy the exact
 group law and are unitary on every H^s.
 
 The mixed space-time L^4 norm of a free wave, (integral_0^T ||u(t)||_L4^4
-dt)^(1/4), is evaluated by composite trapezoid quadrature in time with
-optional Richardson doubling until two refinements agree.
+dt)^(1/4), is evaluated by composite trapezoid quadrature in time, either on
+a given number of subintervals or by doubling them (no extrapolation) until
+two refinements agree.
 """
 
 from __future__ import annotations

@@ -267,10 +267,10 @@ def _complex_coeffs(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _full_spectrum(half_coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Half spectrum (modes 0..n/2) -> conjugate-symmetric transform order."""
-    full = np.empty(n, dtype=np.complex128)
-    full[: n // 2 + 1] = half_coeffs
-    full[n // 2 + 1:] = np.conj(half_coeffs[n // 2 - 1: 0: -1])
+    """Half spectra (..., n/2+1) -> conjugate-symmetric transform order (..., n)."""
+    full = np.empty(half_coeffs.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., : n // 2 + 1] = half_coeffs
+    full[..., n // 2 + 1:] = np.conj(half_coeffs[..., n // 2 - 1: 0: -1])
     return full
 
 

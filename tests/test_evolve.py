@@ -13,8 +13,10 @@ from bosp import (
     propagate,
     random_field,
     solve,
+    solve_batch,
     symmetry_defect,
 )
+from bosp import evolve
 from bosp.evolve import _etdrk4_weights
 from bosp.lingroup import group_symbol
 
@@ -296,3 +298,60 @@ class TestHalfSpectrum:
                 solve(u0, cfg)
         assert ref.value.last_good_time > 0.1
         assert err.value.last_good_time == ref.value.last_good_time
+
+
+def _assert_same_trajectory(traj, ref):
+    assert type(traj) is type(ref) and len(traj) == len(ref)
+    assert np.array_equal(traj.times, ref.times)
+    assert (traj.equation, traj.k, traj.scheme, traj.dealias) == \
+        (ref.equation, ref.k, ref.scheme, ref.dealias)
+    for f, g in zip(traj, ref):
+        assert f.is_real and np.max(np.abs(f.coeffs - g.coeffs)) == 0.0
+
+
+class TestSolveBatch:
+    @pytest.mark.parametrize("equation,k", EQUATIONS)
+    @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds", "none"])
+    def test_rows_equal_solo_solves(self, equation, k, scheme, dealias):
+        u0s = [_random_data(equation, seed) for seed in (7, 8, 9)]
+        cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme,
+                           dealias=dealias, sample_stride=5)
+        for traj, u0 in zip(solve_batch(u0s, cfg), u0s):
+            _assert_same_trajectory(traj, solve(u0, cfg))
+
+    @pytest.mark.parametrize("stack_points", [64, 128, 1 << 14])
+    def test_blown_row_leaves_the_others_alone(self, monkeypatch, stack_points):
+        # two-thirds rule at n = 64: stacks of 1, 2 and all 4 rows
+        monkeypatch.setattr(evolve, "_STACK_POINTS", stack_points)
+        grid = PeriodicGrid(1.0, 64)
+        cos = SpectralField.from_function(grid, np.cos)
+        u0s = [0.1 * cos, 2.0 * cos, random_field(grid, np.random.default_rng(3), n_modes=8,
+                                                  amplitude=0.1), 0.05 * cos]
+        cfg = SolverConfig("gbo", k=3, dt=0.01, t_final=5.0, sample_stride=10)
+        results = solve_batch(u0s, cfg)
+        with pytest.raises(BlowUpError) as solo:
+            solve(u0s[1], cfg)
+        assert isinstance(results[1], BlowUpError)
+        assert 0.1 < results[1].last_good_time == solo.value.last_good_time < 5.0
+        for i in (0, 2, 3):
+            _assert_same_trajectory(results[i], solve(u0s[i], cfg))
+
+    def test_every_row_checked_before_stepping(self, grid, monkeypatch):
+        def no_stepping(*args):
+            raise AssertionError("stepped before checking every row")
+
+        monkeypatch.setattr(evolve, "_advance", no_stepping)
+        monkeypatch.setattr(evolve, "_STACK_POINTS", 4 * grid.n)  # one row per stack
+        cfg = SolverConfig("renormalized_gbo", dt=0.1, t_final=0.2, dealias="pad4")
+        good = cos_data(grid)
+        with pytest.raises(ValueError, match="zero-mean"):
+            solve_batch([good, good, cos_data(grid, mean=0.5)], cfg)
+        with pytest.raises(ValueError, match="one grid"):
+            solve_batch([good, cos_data(PeriodicGrid(2.0, grid.n))], cfg)
+        complex_field = SpectralField.from_function(grid, lambda x: np.exp(1j * x))
+        with pytest.raises(ValueError, match="real-flagged"):
+            solve_batch([good, complex_field], cfg)
+
+    def test_empty_batch(self):
+        assert solve_batch([], SolverConfig("gbo", dt=0.1, t_final=0.2)) == []

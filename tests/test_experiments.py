@@ -2,19 +2,29 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from bosp import (
+    BlowUpError,
     ConfigError,
     ExperimentConfig,
+    PeriodicGrid,
+    build_gauge,
     config_from_mapping,
     default_config,
+    norm,
+    random_field,
     recompute_passed,
     run_experiment,
     save_report,
+    solve,
+    xnorm,
+    xnorm_series,
 )
 from bosp.cli import main
-from bosp.experiments import _EXPERIMENTS, EXPERIMENT_NAMES, load_config_file
+from bosp.experiments import (_EXPERIMENTS, EXPERIMENT_NAMES, _hash_field, _run_estimate_monitor,
+                              _run_flowmap, load_config_file)
 
 
 FAST = {
@@ -142,6 +152,18 @@ class TestConfig:
             config_from_mapping(name, {"n_samples": 0})
         assert main([name, "--n-samples", "0"]) == 2
         assert "n_samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["gauge-residual", "strichartz-scan", "flowmap",
+                                      "estimate-monitor", "bernstein"])
+    def test_n_modes_above_band_limit_rejected(self, name, capsys):
+        n = default_config(name).n
+        config_from_mapping(name, {"n_modes": n // 2 - 1})
+        with pytest.raises(ConfigError, match="n_modes"):
+            config_from_mapping(name, {"n_modes": n // 2})
+        assert main([name, "--n-modes", "500"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: n_modes must be at most n/2 - 1 = {n // 2 - 1}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name, key, value", [
         ("gauge-residual", "shrink_samples", 0),
@@ -290,6 +312,108 @@ class TestFlowmapConstruction:
         assert not rep.passed
         ok, fails = recompute_passed(rep)
         assert ok == rep.passed and fails == rep.failures
+
+
+def _flowmap_unbatched(cfg, rng):
+    """Flowmap records and summary from one ``solve`` call per field."""
+    grid = PeriodicGrid(cfg.lam, cfg.n)
+    solver = cfg.solver(equation="gbo", k=1)
+    scales = [cfg.perturbation, cfg.perturbation / cfg.shrink_factor]
+    records = []
+    for i in range(cfg.n_samples):
+        phi1 = random_field(grid, rng, n_modes=cfg.n_modes, decay=cfg.decay,
+                            amplitude=cfg.amplitude, normalize="h1", mean=cfg.gamma)
+        direction = random_field(grid, rng, n_modes=cfg.n_modes, decay=cfg.decay,
+                                 amplitude=1.0, normalize="h1")
+        base = {"sample_index": i, "inputs_hash": _hash_field(phi1)}
+        try:
+            traj1 = solve(phi1, solver)
+        except BlowUpError as exc:
+            records += [dict(base, scale=scale, degenerate=False, blew_up=True,
+                             last_good_time=exc.last_good_time) for scale in scales]
+            continue
+        for scale in scales:
+            rec = dict(base, scale=scale, blew_up=False, degenerate=False)
+            phi2 = phi1 + scale * direction
+            gap = norm(scale * direction, "hs", s=1.0)
+            if gap == 0.0:
+                records.append(dict(rec, degenerate=True))
+                continue
+            try:
+                traj2 = solve(phi2, solver)
+            except BlowUpError as exc:
+                records.append(dict(rec, blew_up=True, last_good_time=exc.last_good_time))
+                continue
+            dists = [norm(a - b, "hs", s=1.0) for a, b in zip(traj1, traj2)]
+            records.append(dict(rec, mean1=phi1.coeffs[0].real, mean2=phi2.coeffs[0].real,
+                                gap_h1=gap, ratio=max(dists) / gap))
+    usable = [r for r in records if not r["degenerate"] and not r["blew_up"]]
+    per_scale = {}
+    for r in usable:
+        per_scale[r["scale"]] = max(per_scale.get(r["scale"], 0.0), r["ratio"])
+    series = {"perturbation_vs_max_ratio": sorted(per_scale.items())} if usable else {}
+    return records, {"usable_pairs": len(usable) // 2, "series": series}
+
+
+def _estimate_monitor_unbatched(cfg, rng):
+    """Estimate-monitor records from one ``solve`` call per field."""
+    grid = PeriodicGrid(cfg.lam, cfg.n)
+    records = []
+    for i in range(cfg.n_samples):
+        v0 = random_field(grid, rng, n_modes=cfg.n_modes, decay=cfg.decay,
+                          amplitude=cfg.amplitude, normalize="h1")
+        rec = {"sample_index": i, "inputs_hash": _hash_field(v0)}
+        try:
+            vtraj = solve(v0, cfg.solver(equation="renormalized_gbo", k=cfg.k))
+        except BlowUpError as exc:
+            records.append(dict(rec, blew_up=True, last_good_time=exc.last_good_time))
+            continue
+        wfields = [build_gauge(f, "gbo", cfg.k).w for f in vtraj]
+        w_x1, v_x1 = xnorm_series(vtraj.times, wfields, 1), xnorm(vtraj, 1)
+        w0_h1 = norm(wfields[0], "hs", s=1.0)
+        k = cfg.k
+        denom = w0_h1 + cfg.t_final ** 0.25 * (
+            v_x1 ** (k + 1) + v_x1 ** (2 * k + 1) + v_x1 ** (3 * k + 1))
+        records.append(dict(rec, w_x1=w_x1, v_x1=v_x1, w0_h1=w0_h1, ratio=w_x1 / denom))
+    return records, {"series": {}}
+
+
+# Over-amplified, coarse-step ensembles in which some rows blow up.  In the
+# flowmap one, pair 0's phi1 blows up at t = 0.8, its larger-gap phi2
+# earlier (t = 0.4) and its smaller-gap phi2 not at all; pair 1 survives.
+BLOWING = {
+    "flowmap": dict(n_samples=4, amplitude=2.5, perturbation=2.5, shrink_factor=2.0,
+                    dt=0.05, t_final=1.0, sample_stride=1),
+    "estimate-monitor": dict(n_samples=4, amplitude=1.5, dt=0.05, t_final=1.0,
+                             sample_stride=1),
+}
+
+
+class TestBatchedEnsembles:
+    """The batched flowmap and estimate-monitor match per-field solves exactly."""
+
+    RUNS = {"flowmap": (_run_flowmap, _flowmap_unbatched),
+            "estimate-monitor": (_run_estimate_monitor, _estimate_monitor_unbatched)}
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.parametrize("overrides", ["fast", "blowing"])
+    def test_records_match_unbatched_loop(self, name, overrides):
+        cfg = config_from_mapping(name, (FAST if overrides == "fast" else BLOWING)[name])
+        batched, unbatched = self.RUNS[name]
+        records, summary, _ = batched(cfg, np.random.default_rng(cfg.seed))
+        want_records, want_summary = unbatched(cfg, np.random.default_rng(cfg.seed))
+        assert records == want_records
+        assert summary == want_summary
+        blown = [r for r in records if r.get("blew_up")]
+        assert bool(blown) == (overrides == "blowing")
+        assert len(blown) < len(records)
+
+    def test_blown_phi1_keeps_its_own_record(self):
+        cfg = config_from_mapping("flowmap", BLOWING["flowmap"])
+        records, _, _ = _run_flowmap(cfg, np.random.default_rng(cfg.seed))
+        pair0 = [r for r in records if r["sample_index"] == 0]
+        assert [(r["blew_up"], r["last_good_time"]) for r in pair0] == [(True, 0.8)] * 2
+        assert not any(r["blew_up"] for r in records if r["sample_index"] == 1)
 
 
 class TestCli:

@@ -265,6 +265,27 @@ class TestInstantaneousResidual:
             worst_128 = max(worst_128, gauge_residual(v128, "gbo", k=2).l2)
         assert worst_128 / max(worst_256, 1e-300) >= 1e2
 
+    @pytest.mark.parametrize("variant", ["bo", "gbo"])
+    def test_equation_built_once_per_grid(self, rng, monkeypatch, variant):
+        from bosp import gauge
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return Equation(*args, **kwargs)
+
+        gauge._equation.cache_clear()
+        monkeypatch.setattr(gauge, "Equation", counting)
+        grid = PeriodicGrid(1.0, 64)
+        fields = [h2_normalized(grid, rng, amp=0.1) for _ in range(3)]
+        first = [gauge_residual(v, variant, k=2 if variant == "gbo" else 1) for v in fields]
+        second = [gauge_residual(v, variant, k=2 if variant == "gbo" else 1)
+                  for v in fields + [h2_normalized(PeriodicGrid(1.0, 64), rng, amp=0.1)]]
+        gauge._equation.cache_clear()
+        assert len(built) == 1
+        assert first == second[:3]
+
     def test_w_never_exceeds_v_in_l2(self, rng):
         grid = PeriodicGrid(1.0, 128)
         u0 = h2_normalized(grid, rng, amp=0.3)

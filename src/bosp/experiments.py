@@ -40,6 +40,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import time as _time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
@@ -104,11 +105,17 @@ class ExperimentConfig:
         for key in ("e_ks", "lambdas"):
             if values.get(key) == ():
                 raise ConfigError(f"{key} must not be empty")
-        # random_field caps a draw at n/2 - 1 modes; a larger n_modes would
-        # run capped while the config echo claims more
-        if "n_modes" in values and values["n_modes"] > values["n"] // 2 - 1:
-            raise ConfigError(f"n_modes must be at most n/2 - 1 = {values['n'] // 2 - 1} "
-                              f"at n = {values['n']}, got {values['n_modes']}")
+        if "n_modes" in values:
+            # gauge-residual reads 0 as "fill the band"; every other draw needs a mode
+            least = 0 if name == "gauge-residual" else 1
+            if values["n_modes"] < least:
+                raise ConfigError(f"n_modes must be at least {least}, got {values['n_modes']}")
+            # random_field caps a draw at n/2 - 1 modes; a larger n_modes would
+            # run capped while the config echo claims more
+            if values["n_modes"] > values["n"] // 2 - 1:
+                raise ConfigError(f"n_modes must be at most n/2 - 1 = {values['n'] // 2 - 1} "
+                                  f"at n = {values['n']}, got {values['n_modes']}")
+        _check_ranges(values)
         self.__dict__.update(values)
 
     def __setattr__(self, key, value):
@@ -129,6 +136,23 @@ class ExperimentConfig:
     def as_dict(self) -> dict:
         return {key: list(val) if isinstance(val, tuple) else val
                 for key, val in vars(self).items()}
+
+
+def _is_gate(key: str) -> bool:
+    """A verdict threshold; ``slope_max`` bounds a slope, which may be negative."""
+    return key.endswith(("_tol", "_max", "_min", "_bound")) and key != "slope_max"
+
+
+def _check_ranges(values: dict) -> None:
+    """Reject float values that would turn a check into nonsense."""
+    for key, value in values.items():
+        if (key == "horizon" or _is_gate(key)) and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{key} must be finite and positive, got {value!r}")
+    if "decay" in values and not 0 < values["decay"] <= 1:
+        raise ConfigError(f"decay must lie in (0, 1], got {values['decay']!r}")
+    if "order_min" in values and not values["order_min"] < values["order_max"]:
+        raise ConfigError(f"order_min must be below order_max, got "
+                          f"{values['order_min']!r} >= {values['order_max']!r}")
 
 
 def _coerce(value, default):
@@ -710,7 +734,7 @@ class _Experiment(NamedTuple):
 
 # Defaults shared by the experiments that integrate in time ...
 _SOLVER = dict(lam=1.0, n=128, dt=1e-3, t_final=0.25, scheme="if_rk4", dealias="pad4")
-# ... and by those that draw a random ensemble (n_modes = 0 fills the band).
+# ... and by those that draw a random ensemble.
 _ENSEMBLE = dict(n_samples=50, n_modes=32, decay=0.7)
 
 _EXPERIMENTS = {
@@ -733,7 +757,8 @@ _EXPERIMENTS = {
         _run_conservation, _pass_conservation),
     "gauge-residual": _Experiment(
         dict(lam=1.0, n=256, k=1, n_samples=20, amplitude=0.1,
-             n_modes=0, decay=0.8,
+             n_modes=0,                 # 0 fills the band
+             decay=0.8,
              variant="gbo",             # bo or gbo
              shrink_samples=5,          # ensemble for the doubling check
              residual_tol=1e-9,         # L^2 tolerance

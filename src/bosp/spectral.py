@@ -17,11 +17,14 @@ http://math.mit.edu/~stevenj/fft-deriv.pdf for the standard argument.
 
 Products and quadratures are formed on a zero-padded grid of nbig >= n
 points (Boyd, *Chebyshev and Fourier Spectral Methods*, 2001, ch. 11).
-When nbig > n, synthesis splits the slot n/2 half-half between +n/2 and
--n/2, and analysis folds -n/2 back into +n/2.  Real fields: rfft half
-spectrum (modes 0..n/2); complex: padded fft.  This module's private
-transforms are the one place that layout lives; the solver and the L^4
-quadrature call them on stacks of shape (..., n/2+1) or (..., n).
+When nbig > n, real synthesis (``_real_values``) splits the slot n/2
+half-half between +n/2 and -n/2, while complex synthesis
+(``_complex_values``) keeps the whole slot at +n/2; analysis on either path
+folds -n/2 back into +n/2.  Real fields: rfft half spectrum (modes
+0..n/2); complex: padded fft.  This module's private transforms are the
+one place that layout lives; the solver and the L^4 time quadrature call
+them on stacks of shape (..., n/2+1) or (..., n), and the exact L^4
+resonance sum in ``lingroup`` places the slot n/2 the same way.
 
 Norm conventions follow the coefficient-space definitions used throughout:
 

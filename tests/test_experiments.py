@@ -61,6 +61,17 @@ KEYS_READ = {name: set(keys.split()) for name, keys in {
     "bernstein": "n lambdas n_samples n_modes decay stability_max",
 }.items()}
 SOLVER_KEYS = {"equation", "dt", "t_final", "k", "scheme", "dealias", "sample_stride"}
+# The verdict thresholds; each must be finite and positive.
+GATES = [(name, key) for name, keys in {
+    "conservation": "im_tol f_tol e_tol separation_min",
+    "gauge-residual": "residual_tol shrink_min",
+    "strichartz-scan": "variation_max",
+    "flowmap": "ratio_bound insensitivity_max",
+    "scaling": "scaling_tol",
+    "convergence": "order_min order_max",
+    "estimate-monitor": "monitor_bound",
+    "bernstein": "stability_max",
+}.items() for key in keys.split()]
 
 
 class TestConfig:
@@ -163,6 +174,53 @@ class TestConfig:
         assert main([name, "--n-modes", "500"]) == 2
         err = capsys.readouterr().err
         assert f"error: n_modes must be at most n/2 - 1 = {n // 2 - 1}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, value", [("strichartz-scan", -3), ("bernstein", 0),
+                                             ("flowmap", 0), ("estimate-monitor", -1),
+                                             ("gauge-residual", -2)])
+    def test_n_modes_below_one_rejected(self, name, value, capsys):
+        # gauge-residual reads 0 as "fill the band", so only it accepts 0
+        least = 0 if name == "gauge-residual" else 1
+        config_from_mapping(name, {"n_modes": least})
+        with pytest.raises(ConfigError, match="n_modes"):
+            config_from_mapping(name, {"n_modes": value})
+        assert main([name, "--n-modes", str(value)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: n_modes must be at least {least}, got {value}" in err
+        assert "Traceback" not in err
+
+    def test_gate_table_covers_every_threshold(self):
+        suffixed = {(name, key) for name in EXPERIMENT_NAMES for key in _EXPERIMENTS[name].keys
+                    if key.endswith(("_tol", "_max", "_min", "_bound"))}
+        assert suffixed - {("strichartz-scan", "slope_max")} == set(GATES)
+
+    @pytest.mark.parametrize("name, key", GATES + [("strichartz-scan", "horizon")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gate_and_horizon_must_be_finite_positive(self, name, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite and positive"):
+            config_from_mapping(name, {key: value})
+
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5, float("nan")])
+    @pytest.mark.parametrize("name", ["gauge-residual", "strichartz-scan", "flowmap",
+                                      "estimate-monitor", "bernstein"])
+    def test_decay_outside_unit_interval_rejected(self, name, value):
+        config_from_mapping(name, {"decay": 1.0})
+        with pytest.raises(ConfigError, match=r"decay must lie in \(0, 1\]"):
+            config_from_mapping(name, {"decay": value})
+
+    @pytest.mark.parametrize("order_min, order_max", [(4.0, 4.0), (4.2, 3.8)])
+    def test_order_band_must_be_ordered(self, order_min, order_max):
+        with pytest.raises(ConfigError, match="order_min must be below order_max"):
+            config_from_mapping("convergence", {"order_min": order_min,
+                                                "order_max": order_max})
+
+    @pytest.mark.parametrize("line", ["variation_max = -1", "horizon = nan", "decay = 0"])
+    def test_nonsense_float_in_config_file_is_usage_error(self, tmp_path, capsys, line):
+        cfg = _write_cfg(tmp_path, f"[strichartz-scan]\n{line}\n")
+        assert main(["strichartz-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {line.split()[0]} must" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name, key, value", [

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bosp import (
     PeriodicGrid,
@@ -14,6 +15,8 @@ from bosp import (
     strichartz_norm,
     synthesize,
 )
+
+from bosp.lingroup import GROUP_KINDS
 
 from conftest import coeff_distance
 
@@ -129,6 +132,8 @@ class TestStrichartzNorm:
             strichartz_norm(f, 0.0)
         with pytest.raises(ValueError):
             strichartz_norm(f, 1.0, n_t=8)
+        with pytest.raises(ValueError):
+            strichartz_norm(f, 1.0, kind="airy_group")
 
     def test_schrodinger_kind(self):
         grid = PeriodicGrid(1.0, 32)
@@ -159,3 +164,88 @@ class TestStrichartzNorm:
         sums = [w * np.sum(np.abs(synthesize(SpectralField(grid, row, is_real=real_rows),
                                              _QUAD_PAD)) ** 4) for row in rows]
         assert np.array_equal(_l4_sums_batch(rows, grid, real_rows), sums)
+
+
+def _complex_field(grid, rng, n_modes):
+    c = np.zeros(grid.n, dtype=complex)
+    c[: n_modes + 1] = rng.standard_normal(n_modes + 1) + 1j * rng.standard_normal(n_modes + 1)
+    c[-n_modes:] = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+    return SpectralField(grid, c)
+
+
+class TestExactStrichartzNorm:
+    """The resonance sum (n_t=None) against the trapezoid cross-check."""
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    @pytest.mark.parametrize("lam", [1.0, 4.0, 16.0])
+    def test_matches_fine_quadrature(self, rng, kind, lam):
+        grid = PeriodicGrid(lam, 64)
+        for f in (random_field(grid, rng, n_modes=12, decay=0.8, normalize="l2"),
+                  _complex_field(grid, rng, 6)):
+            exact = strichartz_norm(f, 1.0, kind=kind)
+            assert exact == pytest.approx(strichartz_norm(f, 1.0, n_t=16384, kind=kind),
+                                          rel=1e-9)
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    @pytest.mark.parametrize("real", [True, False])
+    def test_populated_nyquist_slot(self, rng, kind, real):
+        # real bo rows split the slot n/2 into +-n/2 halves, complex rows keep
+        # it whole at +n/2: the exact sum must follow the quadrature either way
+        grid = PeriodicGrid(2.0, 16)
+        f = random_field(grid, rng, n_modes=7, decay=0.9, normalize="l2")
+        c = f.coeffs.copy()
+        c[grid.n // 2] = 0.6 if real else 0.6 - 0.4j
+        if not real:
+            c[1] += 0.3j
+        f = SpectralField(grid, c, is_real=real)
+        exact = strichartz_norm(f, 0.5, kind=kind)
+        assert exact == pytest.approx(strichartz_norm(f, 0.5, n_t=16384, kind=kind),
+                                      rel=1e-9)
+
+    def test_nyquist_convention_changes_the_value(self):
+        # a lone Nyquist mode: whole at +n/2 it has |u| = |C|, split into
+        # cos halves it does not, and the exact sum tells the two apart
+        grid = PeriodicGrid(1.0, 16)
+        c = np.zeros(grid.n, dtype=complex)
+        c[grid.n // 2] = 1.0
+        whole = strichartz_norm(SpectralField(grid, c, is_real=False), 1.0) ** 4
+        split = strichartz_norm(SpectralField(grid, c, is_real=True), 1.0) ** 4
+        assert whole == pytest.approx(2 * np.pi, rel=1e-13)
+        assert split == pytest.approx(2 * np.pi * 3 / 8, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    def test_trapezoid_error_is_second_order(self, rng, kind):
+        grid = PeriodicGrid(1.0, 64)
+        f = random_field(grid, rng, n_modes=12, decay=0.8, normalize="l2")
+        exact = strichartz_norm(f, 1.0, kind=kind)
+        n_ts = np.array([256, 512, 1024, 2048, 4096])
+        errs = [abs(strichartz_norm(f, 1.0, n_t=int(m), kind=kind) - exact) for m in n_ts]
+        slope = np.polyfit(np.log(n_ts), np.log(errs), 1)[0]
+        assert -2.2 <= slope <= -1.8
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), lam=st.sampled_from([0.5, 1.0, 3.0, 16.0]),
+           n_modes=st.integers(1, 8), kind=st.sampled_from(GROUP_KINDS))
+    def test_small_horizon_limit(self, seed, lam, n_modes, kind):
+        grid = PeriodicGrid(lam, 32)
+        f = random_field(grid, np.random.default_rng(seed), n_modes=n_modes,
+                         decay=0.9, normalize="l2")
+        horizon = 1e-7 * lam ** 2  # the same time in units of the phase speed
+        integral = strichartz_norm(f, horizon, kind=kind) ** 4
+        assert integral == pytest.approx(horizon * norm(f, "lp", p=4) ** 4, rel=1e-4)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.5, 4.0),
+           dilation=st.floats(0.25, 8.0), horizon=st.floats(0.05, 2.0),
+           complex_rows=st.booleans(), kind=st.sampled_from(GROUP_KINDS))
+    def test_dilation_law(self, seed, lam, dilation, horizon, complex_rows, kind):
+        # f_d(x) = f(x/d) on the circle d times larger: same coefficients, and
+        # its integral over d^2 T is d^3 times that of f over T
+        rng = np.random.default_rng(seed)
+        grid = PeriodicGrid(lam, 32)
+        f = (_complex_field(grid, rng, 5) if complex_rows
+             else random_field(grid, rng, n_modes=10, decay=0.85, normalize="l2"))
+        f_d = SpectralField(PeriodicGrid(lam * dilation, grid.n), f.coeffs, is_real=f.is_real)
+        big = strichartz_norm(f_d, dilation ** 2 * horizon, kind=kind) ** 4
+        small = strichartz_norm(f, horizon, kind=kind) ** 4
+        assert big == pytest.approx(dilation ** 3 * small, rel=1e-9)

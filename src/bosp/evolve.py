@@ -47,7 +47,7 @@ import numpy as np
 from .errors import BlowUpError
 from .lingroup import group_symbol
 from .spectral import (ZERO_MEAN_TOL, PeriodicGrid, SpectralField, Trajectory,
-                       _full_spectrum, _real_coeffs, _real_values)
+                       _full_spectrum, _power, _real_coeffs, _real_values)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
@@ -134,14 +134,14 @@ class Equation:
         if eq == "linear":
             return np.zeros_like(uhat)
         vals = _real_values(uhat, self.nbig)
-        flux = _real_coeffs(vals * vals if eq == "bo2" else vals ** (k + 1), self.n)
+        flux = _real_coeffs(_power(vals, 2 if eq == "bo2" else k + 1), self.n)
         if self.cut is not None:
             flux[..., self.cut:] = 0.0
         if eq == "gbo":
             flux = flux / (k + 1)
         elif eq == "renormalized_gbo":
             # 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
-            mean = np.mean(vals ** k, axis=-1, keepdims=True)
+            mean = np.mean(_power(vals, k), axis=-1, keepdims=True)
             flux = 2.0 * flux / (k + 1) - 2.0 * mean * uhat
         return self.iq * flux
 

@@ -153,6 +153,13 @@ def _check_ranges(values: dict) -> None:
     if "order_min" in values and not values["order_min"] < values["order_max"]:
         raise ConfigError(f"order_min must be below order_max, got "
                           f"{values['order_min']!r} >= {values['order_max']!r}")
+    for lam in values.get("lambdas", ()):
+        if not (math.isfinite(lam) and lam > 0):
+            raise ConfigError(f"lambdas entries must be finite and positive, got {lam!r}")
+        # bernstein draws int(n_modes * lam) modes on the lam circle
+        if values["name"] == "bernstein" and int(values["n_modes"] * lam) < 1:
+            raise ConfigError(f"lambdas entry {lam!r} draws int(n_modes * lam) = 0 modes "
+                              f"at n_modes = {values['n_modes']}; need n_modes * lam >= 1")
 
 
 def _coerce(value, default):

@@ -56,6 +56,7 @@ from .spectral import (
     PeriodicGrid,
     SpectralField,
     Trajectory,
+    _power,
     analyze_values_padded,
     antiderivative,
     differentiate,
@@ -118,7 +119,7 @@ def _phase(v: SpectralField, variant: str, k: int) -> SpectralField:
     if variant == "bo":
         return antiderivative(v)
     if variant == "gbo":
-        _, mvk = mean_remove(_field(_vals(v) ** k, v.grid))
+        _, mvk = mean_remove(_field(_power(_vals(v), k), v.grid))
         return antiderivative(mvk)
     raise ValueError(f"unknown gauge variant {variant!r}")
 
@@ -182,8 +183,11 @@ class GboTerms:
         return self.a + self.b + self.c + self.d
 
 
-def rhs_gbo_terms(v: SpectralField, k: int) -> GboTerms:
-    """The a + b + c + d right-hand side for zero-mean real v; d = 0 at k = 1."""
+def rhs_gbo_terms(v: SpectralField, k: int, F: SpectralField | None = None) -> GboTerms:
+    """The a + b + c + d right-hand side for zero-mean real v; d = 0 at k = 1.
+
+    ``F`` is the gauge phase of v, built here when not given.
+    """
     if abs(v.coeffs[0]) >= ZERO_MEAN_TOL:
         raise ValueError(
             f"gbo gauge right-hand side needs zero-mean input: |C_0| = {abs(v.coeffs[0]):.3e}"
@@ -191,13 +195,15 @@ def rhs_gbo_terms(v: SpectralField, k: int) -> GboTerms:
     if k < 1:
         raise ValueError("k must be at least 1")
     grid = v.grid
-    F = _phase(v, "gbo", k)
+    if F is None:
+        F = _phase(v, "gbo", k)
     E = np.exp(-1j * synthesize(F, _PAD))
     v_vals = _vals(v)
     vx = differentiate(v, "d_dx", 1)
     vx_vals = _vals(vx)
 
-    mvk_vals = v_vals ** k - np.mean(v_vals ** k)
+    vk = _power(v_vals, k)
+    mvk_vals = vk - np.mean(vk)
     p0_m2 = float(np.mean(mvk_vals ** 2))
     a = 1j * p0_m2 * _plus(E * v_vals, grid)
 
@@ -205,11 +211,11 @@ def rhs_gbo_terms(v: SpectralField, k: int) -> GboTerms:
     b = -2j * _plus(E * vxx_minus, grid)
 
     vx_minus = synthesize(project(vx, "minus"), _PAD)
-    g = v_vals ** (k - 1) * vx_minus
+    g = _power(v_vals, k - 1) * vx_minus
     c = (-2.0 * k) * _plus(E * v_vals * (g - np.mean(g)), grid)
 
     if k >= 2:
-        base = v_vals ** (k - 2) * vx_vals * _vals(hilbert(vx))
+        base = _power(v_vals, k - 2) * vx_vals * _vals(hilbert(vx))
         _, m_base = mean_remove(_field(base, grid))
         h = antiderivative(m_base)
         d = (-1j * k * (k - 1)) * _plus(E * v_vals * _vals(h), grid)
@@ -245,13 +251,14 @@ def _instantaneous_residual(v: SpectralField, variant: str, k: int) -> ResidualN
         rhs = rhs_bo(v, F).total
     else:
         # non-conservative: keeps the folded n/2 value, which the identity needs
-        mvk = v_vals ** k - np.mean(v_vals ** k)
+        vk = _power(v_vals, k)
+        mvk = vk - np.mean(vk)
         vt = _equation(grid, "linear").rhs(v) + _field(
             2.0 * mvk * _vals(differentiate(v, "d_dx", 1)), grid)
         vt_vals = _vals(vt)
-        _, m_kvt = mean_remove(_field(k * v_vals ** (k - 1) * vt_vals, grid))
+        _, m_kvt = mean_remove(_field(k * _power(v_vals, k - 1) * vt_vals, grid))
         Ft = antiderivative(m_kvt)
-        rhs = rhs_gbo_terms(v, k).total
+        rhs = rhs_gbo_terms(v, k, F).total
     E = np.exp(-1j * synthesize(F, _PAD))
     wt = _plus(E * (-1j * _vals(Ft) * v_vals + vt_vals), grid)
     w = _plus(E * v_vals, grid)
@@ -289,7 +296,7 @@ def _trajectory_residual(traj: Trajectory, variant: str, k: int) -> ResidualNorm
 
     def residual(i, wt):
         v, st = traj[i], states[i]
-        rhs = rhs_bo(v, st.F).total if variant == "bo" else rhs_gbo_terms(v, k).total
+        rhs = rhs_bo(v, st.F).total if variant == "bo" else rhs_gbo_terms(v, k, st.F).total
         return wt - 1j * differentiate(st.w, "d_dx", 2) - rhs
 
     return _stencil_residual(traj, [st.w.coeffs for st in states], residual)
@@ -402,7 +409,7 @@ def renormalize_gbo(traj: Trajectory) -> Trajectory:
     k = traj.k
     amp = 2.0 ** (-1.0 / k)
     means = np.array([
-        float(np.mean(synthesize(f, _PAD) ** k).real) for f in traj
+        float(np.mean(_power(synthesize(f, _PAD), k)).real) for f in traj
     ])
     dt = traj.sample_dt
     shifts = np.concatenate(([0.0], np.cumsum(0.5 * dt * (means[1:] + means[:-1]))))

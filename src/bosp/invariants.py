@@ -32,6 +32,7 @@ from .spectral import (
     SpectralField,
     Trajectory,
     PeriodicGrid,
+    _power,
     differentiate,
     hilbert,
     norm,
@@ -50,12 +51,6 @@ __all__ = [
 ]
 
 _DRIFT_FLOOR = 1e-8
-
-
-def _power_integral(f: SpectralField, p: int) -> float:
-    """integral f^p dx via 4x padded rectangle rule (exact for p <= 7)."""
-    vals = synthesize(f, 4)
-    return float(f.grid.circumference * np.mean(vals ** p))
 
 
 def invariant(f: SpectralField, which: str, k: int = 1, sign: float = 1.0) -> float:
@@ -87,11 +82,11 @@ def invariant(f: SpectralField, which: str, k: int = 1, sign: float = 1.0) -> fl
         hux_vals = synthesize(hilbert(ux), 4)
         u_vals = synthesize(f, 4)
         cubic = float(circ * np.mean(u_vals * u_vals * hux_vals))
-        quartic = _power_integral(f, 4)
+        quartic = float(circ * np.mean(_power(u_vals, 4)))
         return grad_sq - sign * 0.75 * cubic + 0.125 * quartic
     if which == "E_gbo":
         half_deriv = 0.5 * float(circ * np.sum(np.abs(q) * np.abs(c) ** 2))
-        power = _power_integral(f, k + 2) / ((k + 1) * (k + 2))
+        power = float(circ * np.mean(_power(synthesize(f, 4), k + 2))) / ((k + 1) * (k + 2))
         return half_deriv - sign * power
     raise ValueError(f"unknown invariant {which!r}")
 

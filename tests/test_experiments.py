@@ -242,6 +242,27 @@ class TestConfig:
         assert f"error: {line.split()[0]} must not be empty" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, line, message", [
+        ("strichartz-scan", "lambdas = 0 1", "lambdas entries must be finite and positive, got 0.0"),
+        ("strichartz-scan", "lambdas = 1 -2", "lambdas entries must be finite and positive, got -2.0"),
+        ("bernstein", "lambdas = 1 nan", "lambdas entries must be finite and positive, got nan"),
+        ("bernstein", "lambdas = 1 inf", "lambdas entries must be finite and positive, got inf"),
+        ("bernstein", "lambdas = 0.1 1",
+         "lambdas entry 0.1 draws int(n_modes * lam) = 0 modes at n_modes = 8"),
+    ])
+    def test_bad_lambdas_entry_in_config_file(self, tmp_path, capsys, name, line, message):
+        cfg = _write_cfg(tmp_path, f"[{name}]\n{line}\n")
+        assert main([name, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_bernstein_lambdas_floor_follows_n_modes(self):
+        # 0.125 * 8 is one mode; 0.125 * 7 rounds down to none
+        config_from_mapping("bernstein", {"lambdas": "0.125 1"})
+        with pytest.raises(ConfigError, match="n_modes = 7"):
+            config_from_mapping("bernstein", {"lambdas": "0.125 1", "n_modes": 7})
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[flowmap]\ngamma = 0.5\nn_samples = 3\n")

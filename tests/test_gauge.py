@@ -193,6 +193,13 @@ class TestRhsGbo:
             expected = dense_analyze(dense_term, grid)
             assert np.max(np.abs(lib_term.coeffs - expected)) < 1e-11, name
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_given_phase_gives_the_same_terms(self, grid, rng, k):
+        v = h2_normalized(grid, rng)
+        own, given = rhs_gbo_terms(v, k), rhs_gbo_terms(v, k, build_gauge(v, "gbo", k).F)
+        for name in "abcd":
+            assert np.array_equal(getattr(own, name).coeffs, getattr(given, name).coeffs), name
+
     def test_parameter_validation(self, grid, rng):
         with pytest.raises(ValueError):
             rhs_gbo_terms(h2_normalized(grid, rng), 0)

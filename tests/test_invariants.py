@@ -15,8 +15,10 @@ from bosp import (
     norm,
     random_field,
     solve,
+    synthesize,
     xnorm,
 )
+from bosp import invariants
 
 from conftest import dense_hilbert, dense_points, dense_values
 
@@ -80,6 +82,49 @@ class TestInvariantValues:
             invariant(f, "M")
         with pytest.raises(ValueError):
             invariant(cos_field(grid), "Q")
+
+
+class TestIntegerPowers:
+    """The u^p integrals equal a ``**`` reference at round-off."""
+
+    @staticmethod
+    def signed_field(seed=3):
+        grid = PeriodicGrid(1.5, 64)
+        return random_field(grid, np.random.default_rng(seed), n_modes=20,
+                            amplitude=0.8, normalize="h1")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_energy_matches_pow_reference(self, k):
+        u = self.signed_field()
+        grid, c = u.grid, u.coeffs
+        vals = synthesize(u, 4)
+        assert vals.min() < 0 < vals.max()
+        half = 0.5 * grid.circumference * np.sum(np.abs(grid.freqs) * np.abs(c) ** 2)
+        power = grid.circumference * np.mean(vals ** (k + 2)) / ((k + 1) * (k + 2))
+        assert invariant(u, "E_gbo", k=k) == pytest.approx(half - power, rel=1e-14)
+
+    def test_weighted_functional_matches_pow_reference(self):
+        u = self.signed_field()
+        grid, circ = u.grid, u.grid.circumference
+        vals = synthesize(u, 4)
+        hux = synthesize(SpectralField(
+            grid, np.abs(grid.freqs) * u.coeffs * (np.arange(grid.n) != grid.n // 2),
+            is_real=True), 4)
+        grad_sq = circ * np.sum((grid.freqs * np.abs(u.coeffs)) ** 2)
+        expected = (grad_sq - 0.75 * circ * np.mean(vals * vals * hux)
+                    + 0.125 * circ * np.mean(vals ** 4))
+        assert invariant(u, "F_bo") == pytest.approx(expected, rel=1e-14)
+
+    def test_weighted_functional_synthesizes_u_once(self, monkeypatch):
+        calls = []
+
+        def counting(f, oversample=1):
+            calls.append(oversample)
+            return synthesize(f, oversample)
+
+        monkeypatch.setattr(invariants, "synthesize", counting)
+        invariant(self.signed_field(), "F_bo")
+        assert calls == [4, 4]  # H(u_x) and u
 
 
 class TestDriftReport:

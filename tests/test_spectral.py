@@ -23,7 +23,8 @@ from bosp import (
     synthesize,
 )
 
-from bosp.spectral import _complex_coeffs, _complex_values, _real_coeffs, _real_values
+from bosp.spectral import (_complex_coeffs, _complex_values, _power, _real_coeffs,
+                           _real_values)
 
 from conftest import coeff_distance, dense_lp, dft_direct
 
@@ -448,3 +449,48 @@ class TestPaddedTransformProperties:
         g = zero_mean_zero_nyquist(f)
         back = antiderivative(differentiate(g, "d_dx", 1))
         assert max_rel(back.coeffs, g.coeffs) <= 1e-14
+
+
+class TestPower:
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def signed_values(seed=0):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3, 512)
+        return np.concatenate((rng.standard_normal(512) * scale,
+                               [0.0, -0.0, np.inf, -np.inf, np.nan]))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_low_powers_equal_numpy_exactly(self, p):
+        v = self.signed_values()
+        assert np.array_equal(_power(v, p), v ** p, equal_nan=True)
+
+    @pytest.mark.parametrize("p", range(3, 9))
+    def test_higher_powers_agree_with_pow_to_round_off(self, p):
+        v = self.signed_values()
+        got, ref = _power(v, p), v ** p
+        finite = np.isfinite(ref)
+        assert finite.sum() >= 500
+        assert np.all(np.abs(got[finite] - ref[finite]) <= (p - 1) * self.EPS * np.abs(ref[finite]))
+        assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
+        assert np.isnan(got[-1])
+        assert np.array_equal(np.signbit(got[:-1]), np.signbit(ref[:-1]))
+
+    @pytest.mark.parametrize("p", range(0, 9))
+    def test_input_untouched_and_result_a_new_array(self, p):
+        v = self.signed_values()
+        before = v.copy()
+        out = _power(v, p)
+        assert not np.shares_memory(out, v)
+        out[...] = 7.0
+        assert np.array_equal(v, before, equal_nan=True)
+
+    def test_stack_equals_row_by_row(self):
+        stack = self.signed_values()[:500].reshape(5, 100)
+        expected = np.array([_power(row, 5) for row in stack])
+        assert np.array_equal(_power(stack, 5), expected)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="p >= 0"):
+            _power(np.ones(4), -1)

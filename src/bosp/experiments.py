@@ -2,22 +2,24 @@
 
 One registry holds every experiment.  Its entry declares the config keys
 the experiment reads, each with its default, the ``run`` that turns a
-config and a seeded generator into records, and the ``verdict`` that
-derives the failures from config and records.  An
-:class:`ExperimentConfig` holds ``name``, ``seed`` and exactly its entry's
-keys: any other key is a :class:`ConfigError`, so a report's config echo
-lists only what the run used, and the command line offers only the flags
-of keys the experiment reads.
+config and a seeded generator into records, the ``verdict`` that derives
+the failures from config and records, and the ``summarize`` that derives
+the summary from the records.  An :class:`ExperimentConfig` holds
+``name``, ``seed`` and exactly its entry's keys: any other key is a
+:class:`ConfigError`, so a report's config echo lists only what the run
+used, and the command line offers only the flags of keys the experiment
+reads.
 
 Each experiment is a pure function of (config, seed): it draws its ensemble
 from a seeded generator, produces one record per sample, and derives its
-pass/fail verdict *from the records alone* (``recompute_passed`` re-derives
-the verdict of any report from its stored records, and the suite asserts
-the two agree).  Reports serialize deterministically: the wall time is kept
-on the in-memory object only, never written, so identical (config, seed)
-runs produce byte-identical files.  Records are sorted by sample index
-before summarization, so the reduction is order-independent and samples
-could safely be evaluated concurrently.
+pass/fail verdict and its summary *from the records alone*, so a report's
+``summary.json`` is a function of its ``records.jsonl`` and config
+(``recompute_passed`` re-derives the verdict).  Reports serialize
+deterministically: the wall time is kept on the in-memory object only, never
+written, so identical (config, seed) runs produce byte-identical files.
+Records are sorted by ``(lam, sample_index, scale, run)`` first, so the
+reduction is order-independent and samples could safely be evaluated
+concurrently.
 
 Experiments
 -----------
@@ -56,7 +58,6 @@ from .lingroup import strichartz_norm
 from .spectral import (
     PeriodicGrid,
     SpectralField,
-    Trajectory,
     analyze_values_padded,
     norm,
     project,
@@ -265,7 +266,7 @@ def _hash_field(f: SpectralField) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns (records, summary, artifacts)
+# experiment bodies: each returns (records, artifacts)
 # ---------------------------------------------------------------------------
 
 
@@ -287,15 +288,6 @@ def _cosine_data(cfg: ExperimentConfig, grid: PeriodicGrid) -> SpectralField:
     return u
 
 
-def _drift_records(traj: Trajectory, label: str, extra=None) -> dict:
-    rep = drift_report(traj)
-    rec = {"run": label, "blew_up": False}
-    rec.update({f"drift_{name}": val for name, val in rep.drifts.items()})
-    if extra:
-        rec.update(extra)
-    return rec
-
-
 def _run_simulate(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
     u0 = _cosine_data(cfg, grid)
@@ -311,8 +303,7 @@ def _run_simulate(cfg: ExperimentConfig, rng):
     except BlowUpError as exc:
         rec["blew_up"] = True
         rec["last_good_time"] = exc.last_good_time
-    summary = {"series": {}}
-    return [rec], summary, artifacts
+    return [rec], artifacts
 
 
 def _blow_up_record(rec: dict, exc: BlowUpError) -> dict:
@@ -323,7 +314,6 @@ def _blow_up_record(rec: dict, exc: BlowUpError) -> dict:
 def _run_conservation(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
     records = []
-    series = {}
 
     u0 = _cosine_data(cfg, grid)
     rec = {"run": "reference", "sample_index": 0, "inputs_hash": _hash_field(u0)}
@@ -348,7 +338,7 @@ def _run_conservation(cfg: ExperimentConfig, rng):
             rec["drift_E_opposite"] = float(
                 np.max(np.abs(wrong_e - wrong_e[0])) / abs(wrong_e[0]))
             f_series = rep.values["F_bo"]
-            series["time_vs_f_drift"] = [
+            rec["time_vs_f_drift"] = [
                 [float(t), float(abs(v - f_series[0]) / abs(f_series[0]))]
                 for t, v in zip(rep.times, f_series)
             ]
@@ -371,7 +361,7 @@ def _run_conservation(cfg: ExperimentConfig, rng):
         reck.update({"drift_I": repk.drifts["I"], "drift_M": repk.drifts["M"],
                      "drift_E": repk.drifts["E_gbo"]})
         records.append(reck)
-    return records, {"series": series}, {}
+    return records, {}
 
 
 def _run_gauge_residual(cfg: ExperimentConfig, rng):
@@ -391,7 +381,7 @@ def _run_gauge_residual(cfg: ExperimentConfig, rng):
             rec["kind"] = "residual+shrink"
             rec["residual_l2_half"] = res_half.l2
         records.append(rec)
-    return records, {"series": {}}, {}
+    return records, {}
 
 
 def _run_strichartz(cfg: ExperimentConfig, rng):
@@ -406,17 +396,7 @@ def _run_strichartz(cfg: ExperimentConfig, rng):
                 "lam": float(lam), "sample_index": i,
                 "inputs_hash": _hash_field(phi), "ratio": val,
             })
-    per_lam = _per_lambda_max(records, "ratio")
-    series = {"lambda_vs_max_ratio": [[lam, mx] for lam, mx in per_lam]}
-    return records, {"series": series}, {}
-
-
-def _per_lambda_max(records, key):
-    out = {}
-    for rec in records:
-        lam = rec["lam"]
-        out[lam] = max(out.get(lam, 0.0), rec[key])
-    return sorted(out.items())
+    return records, {}
 
 
 def _run_flowmap(cfg: ExperimentConfig, rng):
@@ -461,17 +441,7 @@ def _run_flowmap(cfg: ExperimentConfig, rng):
                 "ratio": float(max(dists) / gap),
             })
             records.append(rec)
-    usable = [r for r in records
-              if not r.get("degenerate") and not r.get("blew_up")]
-    series = {}
-    summary = {"usable_pairs": len(usable) // max(len(scales), 1)}
-    if usable:
-        per_scale = {}
-        for rec in usable:
-            per_scale[rec["scale"]] = max(per_scale.get(rec["scale"], 0.0), rec["ratio"])
-        series["perturbation_vs_max_ratio"] = sorted(per_scale.items())
-    summary["series"] = series
-    return records, summary, {}
+    return records, {}
 
 
 def _run_scaling(cfg: ExperimentConfig, rng):
@@ -492,10 +462,10 @@ def _run_scaling(cfg: ExperimentConfig, rng):
                        t_final=lam * lam * cfg.t_final, sample_stride=steps),
         )[-1]
     except BlowUpError as exc:
-        return [_blow_up_record(rec, exc)], {"series": {}}, {}
+        return [_blow_up_record(rec, exc)], {}
     then_dilated = dilate(direct, lam, cfg.variant, k=k)
     rec["h1_discrepancy"] = norm(then_dilated - dilated_then, "hs", s=1.0)
-    return [rec], {"series": {}}, {}
+    return [rec], {}
 
 
 def _run_convergence(cfg: ExperimentConfig, rng):
@@ -506,7 +476,6 @@ def _run_convergence(cfg: ExperimentConfig, rng):
             grid, lambda x: 0.05 * (np.cos(x) + np.sin(2 * x)))),
     ]
     records = []
-    series = {}
     for idx, (label, k, u0) in enumerate(fixtures):
         rec = {"sample_index": idx, "fixture": label, "inputs_hash": _hash_field(u0)}
         try:
@@ -518,8 +487,7 @@ def _run_convergence(cfg: ExperimentConfig, rng):
         rec.update({"order": res.order, "exact": res.exact,
                     "errors": list(res.errors), "dts": list(res.dts)})
         records.append(rec)
-        series[f"dt_vs_error_{label}"] = [[d, e] for d, e in zip(res.dts, res.errors)]
-    return records, {"series": series}, {}
+    return records, {}
 
 
 def _run_estimate_monitor(cfg: ExperimentConfig, rng):
@@ -544,7 +512,7 @@ def _run_estimate_monitor(cfg: ExperimentConfig, rng):
         rec.update({"w_x1": w_x1, "v_x1": v_x1, "w0_h1": w0_h1,
                     "ratio": float(w_x1 / denom)})
         records.append(rec)
-    return records, {"series": {}}, {}
+    return records, {}
 
 
 def _run_bernstein(cfg: ExperimentConfig, rng):
@@ -564,14 +532,18 @@ def _run_bernstein(cfg: ExperimentConfig, rng):
                 "lam": float(lam), "sample_index": i,
                 "inputs_hash": _hash_field(g), "ratio": float(num / den),
             })
-    per_lam = _per_lambda_max(records, "ratio")
-    series = {"lambda_vs_max_ratio": [[lam, mx] for lam, mx in per_lam]}
-    return records, {"series": series}, {}
+    return records, {}
 
 
 # ---------------------------------------------------------------------------
-# pass rules (pure functions of config + records)
+# pass rules (pure functions of config + records) and summaries (of records)
 # ---------------------------------------------------------------------------
+
+
+def _max_by(records, group: str, key: str) -> list:
+    """Sorted ``(group value, max of key)`` pairs over the records."""
+    return [(value, max(r[key] for r in records if r[group] == value))
+            for value in sorted({r[group] for r in records})]
 
 
 def _blown(records) -> list:
@@ -646,9 +618,7 @@ def _pass_gauge_residual(cfg, records):
 def _pass_strichartz(cfg, records):
     if not _all_finite([r["ratio"] for r in records]):
         return ["non-finite ratio"]
-    per_lam = _per_lambda_max(records, "ratio")
-    maxes = np.array([m for _, m in per_lam])
-    lams = np.array([l for l, _ in per_lam])
+    lams, maxes = np.array(_max_by(records, "lam", "ratio")).T
     fails = []
     variation = maxes.max() / maxes.min()
     if not (np.isfinite(variation) and variation < cfg.variation_max):
@@ -662,7 +632,7 @@ def _pass_strichartz(cfg, records):
 
 def _pass_flowmap(cfg, records):
     fails = []
-    blown = [r for r in records if r.get("blew_up")]
+    blown = {r["sample_index"] for r in records if r.get("blew_up")}
     if blown:
         fails.append(f"{len(blown)} samples blew up")
     usable = [r for r in records if not r.get("degenerate") and not r.get("blew_up")]
@@ -675,11 +645,9 @@ def _pass_flowmap(cfg, records):
     bad = [r for r in usable if r["ratio"] > cfg.ratio_bound]
     if bad:
         fails.append(f"{len(bad)} ratios exceed {cfg.ratio_bound}")
-    per_scale = {}
-    for r in usable:
-        per_scale[r["scale"]] = max(per_scale.get(r["scale"], 0.0), r["ratio"])
+    per_scale = _max_by(usable, "scale", "ratio")
     if len(per_scale) >= 2:
-        vals = sorted(per_scale.values())
+        vals = sorted(mx for _, mx in per_scale)
         change = vals[-1] / max(vals[0], 1e-300)
         if change >= cfg.insensitivity_max:
             fails.append(f"max ratio changed {change:.2f}x across perturbation scales")
@@ -724,8 +692,7 @@ def _pass_estimate_monitor(cfg, records):
 def _pass_bernstein(cfg, records):
     if not _all_finite([r["ratio"] for r in records]):
         return ["non-finite ratio"]
-    per_lam = _per_lambda_max(records, "ratio")
-    maxes = np.array([m for _, m in per_lam])
+    maxes = np.array([mx for _, mx in _max_by(records, "lam", "ratio")])
     fails = []
     stability = maxes.max() / maxes.min()
     if not (np.isfinite(stability) and stability < cfg.stability_max):
@@ -733,10 +700,37 @@ def _pass_bernstein(cfg, records):
     return fails
 
 
+def _no_series(records):
+    return {"series": {}}
+
+
+def _summarize_conservation(records):
+    return {"series": {"time_vs_f_drift": r["time_vs_f_drift"]
+                       for r in records if "time_vs_f_drift" in r}}
+
+
+def _summarize_max_ratio(records):
+    return {"series": {"lambda_vs_max_ratio": _max_by(records, "lam", "ratio")}}
+
+
+def _summarize_flowmap(records):
+    usable = [r for r in records if not r.get("degenerate") and not r.get("blew_up")]
+    series = ({"perturbation_vs_max_ratio": _max_by(usable, "scale", "ratio")}
+              if usable else {})
+    # each sample contributes a pair at each of the two scales
+    return {"usable_pairs": len(usable) // 2, "series": series}
+
+
+def _summarize_convergence(records):
+    return {"series": {f"dt_vs_error_{r['fixture']}": list(zip(r["dts"], r["errors"]))
+                       for r in records if not r.get("blew_up")}}
+
+
 class _Experiment(NamedTuple):
-    keys: dict          # config key -> default
-    run: Callable       # (cfg, rng) -> (records, summary, artifacts)
-    verdict: Callable   # (cfg, records) -> failure messages
+    keys: dict            # config key -> default
+    run: Callable         # (cfg, rng) -> (records, artifacts)
+    verdict: Callable     # (cfg, records) -> failure messages
+    summarize: Callable   # records -> summary without its stats
 
 
 # Defaults shared by the experiments that integrate in time ...
@@ -750,7 +744,7 @@ _EXPERIMENTS = {
              sample_stride=50,          # steps per stored snapshot
              amplitude=0.2,             # initial data amplitude * cos(x)
              gamma=0.0),                # mean value of the initial data
-        _run_simulate, _pass_simulate),
+        _run_simulate, _pass_simulate, _no_series),
     "conservation": _Experiment(
         dict(_SOLVER, n=256, dt=1e-4, t_final=1.0, sample_stride=200,
              amplitude=0.2, gamma=0.0,
@@ -761,7 +755,7 @@ _EXPERIMENTS = {
              f_tol=1e-6,                # calibrated F drift
              e_tol=1e-6,                # energy drift
              separation_min=1e-2),      # wrong-sign drift floor
-        _run_conservation, _pass_conservation),
+        _run_conservation, _pass_conservation, _summarize_conservation),
     "gauge-residual": _Experiment(
         dict(lam=1.0, n=256, k=1, n_samples=20, amplitude=0.1,
              n_modes=0,                 # 0 fills the band
@@ -770,14 +764,14 @@ _EXPERIMENTS = {
              shrink_samples=5,          # ensemble for the doubling check
              residual_tol=1e-9,         # L^2 tolerance
              shrink_min=100.0),         # min decay on doubling n
-        _run_gauge_residual, _pass_gauge_residual),
+        _run_gauge_residual, _pass_gauge_residual, _no_series),
     "strichartz-scan": _Experiment(
         dict(_ENSEMBLE, n=128, n_modes=24, decay=0.8,
              lambdas=(1.0, 2.0, 4.0, 8.0, 16.0),    # circle sizes
              horizon=1.0,               # time horizon
              variation_max=2.0,         # max/min bound on the maxima
              slope_max=0.1),            # log-log slope bound
-        _run_strichartz, _pass_strichartz),
+        _run_strichartz, _pass_strichartz, _summarize_max_ratio),
     "flowmap": _Experiment(
         dict(_SOLVER | _ENSEMBLE, dt=2e-3, t_final=0.5, sample_stride=25,
              n_samples=25, amplitude=0.25, n_modes=16, gamma=0.0,
@@ -785,28 +779,28 @@ _EXPERIMENTS = {
              shrink_factor=100.0,       # second-scale divisor
              ratio_bound=10.0,          # admissible Lipschitz ratio
              insensitivity_max=2.0),    # max ratio change across scales
-        _run_flowmap, _pass_flowmap),
+        _run_flowmap, _pass_flowmap, _summarize_flowmap),
     "scaling": _Experiment(
         dict(_SOLVER, k=2,
              variant="bo",              # bo or gbo
              dilation=2.0,              # circle enlargement
              scaling_tol=1e-8),         # H^1 discrepancy bound
-        _run_scaling, _pass_scaling),
+        _run_scaling, _pass_scaling, _no_series),
     "convergence": _Experiment(
         dict(_SOLVER, dt=0.04, t_final=0.4,
              n_levels=4,                # refinement levels
              order_min=3.8,             # measured-order band
              order_max=4.2),
-        _run_convergence, _pass_convergence),
+        _run_convergence, _pass_convergence, _summarize_convergence),
     "estimate-monitor": _Experiment(
         dict(_SOLVER | _ENSEMBLE, k=2, sample_stride=25, n_samples=10, amplitude=0.1,
              monitor_bound=20.0),       # admissible ratio
-        _run_estimate_monitor, _pass_estimate_monitor),
+        _run_estimate_monitor, _pass_estimate_monitor, _no_series),
     "bernstein": _Experiment(
         dict(_ENSEMBLE, n=256, n_modes=8,
              lambdas=(1.0, 4.0, 16.0),  # circle sizes
              stability_max=3.0),        # per-lambda maxima spread
-        _run_bernstein, _pass_bernstein),
+        _run_bernstein, _pass_bernstein, _summarize_max_ratio),
 }
 
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
@@ -821,34 +815,33 @@ def recompute_passed(report: ExperimentReport):
 
 def _summary_stats(records):
     """Order-independent aggregates over the numeric record fields."""
-    stats = {}
-    keys = sorted({k for r in records for k, v in r.items()
-                   if isinstance(v, (int, float)) and not isinstance(v, bool)})
-    for key in keys:
-        vals = [r[key] for r in records if isinstance(r.get(key), (int, float))
-                and not isinstance(r.get(key), bool)]
-        if vals:
-            stats[key] = {"min": float(min(vals)), "max": float(max(vals)),
-                          "mean": float(np.mean(vals))}
-    return stats
+    numeric = {}
+    for r in records:
+        for key, val in r.items():
+            if isinstance(val, (int, float)) and not isinstance(val, bool):
+                numeric.setdefault(key, []).append(val)
+    return {key: {"min": float(min(vals)), "max": float(max(vals)),
+                  "mean": float(np.mean(vals))} for key, vals in sorted(numeric.items())}
+
+
+def _build_report(cfg: ExperimentConfig, records, artifacts=None) -> ExperimentReport:
+    """Sort ``records`` and derive the verdict and summary: of a run or a read-back file."""
+    experiment = _EXPERIMENTS[cfg.name]
+    records = sorted(records, key=lambda r: (r.get("lam", 0.0), r["sample_index"],
+                                             r.get("scale", 0.0), r.get("run", "")))
+    failures = experiment.verdict(cfg, records)
+    summary = dict(experiment.summarize(records), stats=_summary_stats(records))
+    return ExperimentReport(name=cfg.name, config=cfg.as_dict(), records=records,
+                            summary=summary, passed=not failures, failures=failures,
+                            artifacts=artifacts or {})
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one named experiment; deterministic given (config, seed)."""
-    rng = np.random.default_rng(cfg.seed)
     start = _time.perf_counter()
-    experiment = _EXPERIMENTS[cfg.name]
-    records, summary, artifacts = experiment.run(cfg, rng)
-    records = sorted(records, key=lambda r: (r.get("lam", 0.0), r["sample_index"],
-                                             r.get("scale", 0.0), r.get("run", "")))
-    failures = experiment.verdict(cfg, records)
-    summary = dict(summary)
-    summary["stats"] = _summary_stats(records)
-    report = ExperimentReport(
-        name=cfg.name, config=cfg.as_dict(), records=records, summary=summary,
-        passed=not failures, failures=failures,
-        wall_time_s=_time.perf_counter() - start, artifacts=artifacts,
-    )
+    records, artifacts = _EXPERIMENTS[cfg.name].run(cfg, np.random.default_rng(cfg.seed))
+    report = _build_report(cfg, records, artifacts)
+    report.wall_time_s = _time.perf_counter() - start
     return report
 
 

@@ -113,16 +113,20 @@ class PeriodicGrid:
     def x(self) -> np.ndarray:
         return self.dx * np.arange(self.n)
 
-    @property
+    @functools.cached_property
     def modes(self) -> np.ndarray:
-        """Integer mode labels in transform order, Nyquist labelled +n/2."""
+        """Integer mode labels in transform order, Nyquist labelled +n/2 (read-only)."""
         m = np.arange(self.n)
-        return np.where(m <= self.n // 2, m, m - self.n)
+        modes = np.where(m <= self.n // 2, m, m - self.n)
+        modes.flags.writeable = False
+        return modes
 
-    @property
+    @functools.cached_property
     def freqs(self) -> np.ndarray:
-        """Physical frequencies q = m / lam."""
-        return self.modes / self.lam
+        """Physical frequencies q = m / lam (read-only)."""
+        q = self.modes / self.lam
+        q.flags.writeable = False
+        return q
 
 
 def symmetry_defect(coeffs: np.ndarray) -> float:

@@ -23,8 +23,8 @@ from bosp import (
     xnorm_series,
 )
 from bosp.cli import main
-from bosp.experiments import (_EXPERIMENTS, EXPERIMENT_NAMES, _hash_field, _run_estimate_monitor,
-                              _run_flowmap, load_config_file)
+from bosp.experiments import (_EXPERIMENTS, EXPERIMENT_NAMES, _build_report, _hash_field,
+                              _run_estimate_monitor, _run_flowmap, load_config_file)
 
 
 FAST = {
@@ -315,6 +315,16 @@ class TestDeterminismAndVerdicts:
         assert fails == rep.failures
         assert rep.passed, rep.failures
 
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_summary_rebuilt_from_records_file(self, name, tmp_path):
+        rep = run_experiment(config_from_mapping(name, FAST[name]))
+        paths = save_report(rep, tmp_path, "run")
+        records = [json.loads(line) for line in paths["records"].read_text().splitlines()]
+        config = json.loads(paths["summary"].read_text())["config"]
+        rebuilt = _build_report(config_from_mapping(name, config), records)
+        assert rebuilt.summary_json().encode() == paths["summary"].read_bytes()
+        assert rebuilt.records_jsonl().encode() == paths["records"].read_bytes()
+
     @pytest.mark.parametrize("name", sorted(FAST))
     def test_nan_never_passes(self, name):
         rep = run_experiment(config_from_mapping(name, FAST[name]))
@@ -394,7 +404,11 @@ class TestFlowmapConstruction:
 
 
 def _flowmap_unbatched(cfg, rng):
-    """Flowmap records and summary from one ``solve`` call per field."""
+    """Flowmap records and summary from one ``solve`` call per field.
+
+    The summary is computed here independently of the registry's
+    ``summarize``, so the test compares two derivations of it.
+    """
     grid = PeriodicGrid(cfg.lam, cfg.n)
     solver = cfg.solver(equation="gbo", k=1)
     scales = [cfg.perturbation, cfg.perturbation / cfg.shrink_factor]
@@ -479,20 +493,26 @@ class TestBatchedEnsembles:
     def test_records_match_unbatched_loop(self, name, overrides):
         cfg = config_from_mapping(name, (FAST if overrides == "fast" else BLOWING)[name])
         batched, unbatched = self.RUNS[name]
-        records, summary, _ = batched(cfg, np.random.default_rng(cfg.seed))
+        records, _ = batched(cfg, np.random.default_rng(cfg.seed))
         want_records, want_summary = unbatched(cfg, np.random.default_rng(cfg.seed))
         assert records == want_records
-        assert summary == want_summary
+        assert _EXPERIMENTS[name].summarize(records) == want_summary
         blown = [r for r in records if r.get("blew_up")]
         assert bool(blown) == (overrides == "blowing")
         assert len(blown) < len(records)
 
     def test_blown_phi1_keeps_its_own_record(self):
         cfg = config_from_mapping("flowmap", BLOWING["flowmap"])
-        records, _, _ = _run_flowmap(cfg, np.random.default_rng(cfg.seed))
+        records, _ = _run_flowmap(cfg, np.random.default_rng(cfg.seed))
         pair0 = [r for r in records if r["sample_index"] == 0]
         assert [(r["blew_up"], r["last_good_time"]) for r in pair0] == [(True, 0.8)] * 2
         assert not any(r["blew_up"] for r in records if r["sample_index"] == 1)
+
+    def test_blow_up_failure_counts_samples_not_pairs(self):
+        rep = run_experiment(config_from_mapping("flowmap", BLOWING["flowmap"]))
+        blown = [r["sample_index"] for r in rep.records if r["blew_up"]]
+        assert len(blown) == 6 and sorted(set(blown)) == [0, 2, 3]
+        assert rep.failures[0] == "3 samples blew up"
 
 
 class TestCli:

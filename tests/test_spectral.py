@@ -46,6 +46,21 @@ class TestGridAndField:
         m = grid.modes
         assert m[0] == 0 and m[grid.n // 2] == grid.n // 2 and m[-1] == -1
 
+    @pytest.mark.parametrize("lam, n", [(1.0, 8), (2.5, 256)])
+    def test_modes_and_freqs_are_one_read_only_array_per_grid(self, lam, n):
+        g = PeriodicGrid(lam, n)
+        m = np.arange(n)
+        want = np.where(m <= n // 2, m, m - n)
+        np.testing.assert_array_equal(g.modes, want)
+        np.testing.assert_array_equal(g.freqs, want / lam)
+        assert g.modes is g.modes and g.freqs is g.freqs
+        for arr in (g.modes, g.freqs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        # the cached arrays leave equality and hashing to (lam, n)
+        assert g == PeriodicGrid(lam, n) and hash(g) == hash(PeriodicGrid(lam, n))
+
     def test_spacing(self):
         g = PeriodicGrid(2.5, 32)
         assert g.dx == 2 * np.pi * 2.5 / 32

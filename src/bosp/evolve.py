@@ -271,10 +271,7 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
                 snaps[r].append(SpectralField(grid, coeffs, is_real=True))
 
     for r in rows:
-        results[r] = Trajectory(
-            grid, np.asarray(times), snaps[r], cfg.equation, cfg.k,
-            scheme=cfg.scheme, dt=cfg.dt, dealias=cfg.dealias,
-        )
+        results[r] = Trajectory(grid, np.asarray(times), snaps[r], cfg.equation, cfg.k)
     return results
 
 

@@ -17,9 +17,9 @@ pass/fail verdict and its summary *from the records alone*, so a report's
 (``recompute_passed`` re-derives the verdict).  Reports serialize
 deterministically: the wall time is kept on the in-memory object only, never
 written, so identical (config, seed) runs produce byte-identical files.
-Records are sorted by ``(lam, sample_index, scale, run)`` first, so the
-reduction is order-independent and samples could safely be evaluated
-concurrently.
+Records are sorted by their key ``(lam, sample_index, scale, run)`` first,
+so the reduction is order-independent and samples could safely be evaluated
+concurrently; the summary's ``stats`` skip those identifying fields.
 
 Experiments
 -----------
@@ -116,6 +116,8 @@ class ExperimentConfig:
             if values["n_modes"] > values["n"] // 2 - 1:
                 raise ConfigError(f"n_modes must be at most n/2 - 1 = {values['n'] // 2 - 1} "
                                   f"at n = {values['n']}, got {values['n_modes']}")
+        if name == "gauge-residual" and values["variant"] == "bo" and values["k"] != 1:
+            raise ConfigError(f"the bo gauge has k = 1, got k = {values['k']}")
         _check_ranges(values)
         self.__dict__.update(values)
 
@@ -813,12 +815,18 @@ def recompute_passed(report: ExperimentReport):
     return (not failures), failures
 
 
+# the fields that identify a record, each with the value a record without it
+# sorts as: reports sort their records by them, the summary stats skip them
+_RECORD_KEY = {"lam": 0.0, "sample_index": 0, "scale": 0.0, "run": ""}
+
+
 def _summary_stats(records):
-    """Order-independent aggregates over the numeric record fields."""
+    """Order-independent aggregates over the numeric record fields but the record key."""
     numeric = {}
     for r in records:
         for key, val in r.items():
-            if isinstance(val, (int, float)) and not isinstance(val, bool):
+            numeric_val = isinstance(val, (int, float)) and not isinstance(val, bool)
+            if numeric_val and key not in _RECORD_KEY:
                 numeric.setdefault(key, []).append(val)
     return {key: {"min": float(min(vals)), "max": float(max(vals)),
                   "mean": float(np.mean(vals))} for key, vals in sorted(numeric.items())}
@@ -827,8 +835,8 @@ def _summary_stats(records):
 def _build_report(cfg: ExperimentConfig, records, artifacts=None) -> ExperimentReport:
     """Sort ``records`` and derive the verdict and summary: of a run or a read-back file."""
     experiment = _EXPERIMENTS[cfg.name]
-    records = sorted(records, key=lambda r: (r.get("lam", 0.0), r["sample_index"],
-                                             r.get("scale", 0.0), r.get("run", "")))
+    records = sorted(records, key=lambda r: tuple(r.get(key, default)
+                                                  for key, default in _RECORD_KEY.items()))
     failures = experiment.verdict(cfg, records)
     summary = dict(experiment.summarize(records), stats=_summary_stats(records))
     return ExperimentReport(name=cfg.name, config=cfg.as_dict(), records=records,

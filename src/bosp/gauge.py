@@ -40,12 +40,17 @@ finite n.  ``pde_residual`` substitutes ``Equation`` unchanged.
 
 All products involving e^{-iF} are formed pointwise on a 4x zero-padded
 grid and truncated back, so the only error left is the spectral tail of
-the data.
+the data.  A private frame computes a field's gauge data once: the padded
+values of v and of M(v^k), the phase F, the padded e^{-iF} and
+P_+(e^{-iF} v).  ``build_gauge``, both right-hand sides, both residual
+modes and ``gauge_lipschitz_gap`` read it from there; the right-hand sides
+take the field alone, no phase.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,14 +119,37 @@ class GaugeState:
     k: int = 1
 
 
-def _phase(v: SpectralField, variant: str, k: int) -> SpectralField:
-    """The gauge phase F: primitive of v (bo) or of M(v^k) (gbo)."""
-    if variant == "bo":
-        return antiderivative(v)
-    if variant == "gbo":
-        _, mvk = mean_remove(_field(_power(_vals(v), k), v.grid))
-        return antiderivative(mvk)
-    raise ValueError(f"unknown gauge variant {variant!r}")
+class _Frame:
+    """The gauge data of one real field v, each piece computed once.
+
+    ``v_vals`` and ``mvk_vals`` are the padded values of v and of M(v^k)
+    (``None`` for bo), ``F`` is the phase, the primitive of v (bo) or of
+    M(v^k) (gbo), ``E`` the padded values of e^{-iF}, ``plus_Ev`` is
+    P_+(e^{-iF} v) and ``w`` the filtered variable.
+    """
+
+    def __init__(self, v: SpectralField, variant: str, k: int):
+        if variant == "bo":
+            if k != 1:
+                raise ValueError(f"the bo gauge has k = 1, got k = {k!r}")
+        elif variant == "gbo":
+            if not isinstance(k, numbers.Integral) or k < 1:
+                raise ValueError(f"the gbo gauge needs an integer k >= 1, got k = {k!r}")
+        else:
+            raise ValueError(f"unknown gauge variant {variant!r}")
+        if not v.is_real:
+            raise ValueError("gauge transform is defined for real fields")
+        self.v, self.variant, self.k = v, variant, k
+        self.v_vals = _vals(v)
+        if variant == "bo":
+            self.mvk_vals, self.F = None, antiderivative(v)
+        else:
+            vk = _power(self.v_vals, k)
+            self.mvk_vals = vk - np.mean(vk)
+            self.F = antiderivative(mean_remove(_field(vk, v.grid))[1])
+        self.E = np.exp(-1j * synthesize(self.F, _PAD))
+        self.plus_Ev = _plus(self.E * self.v_vals, v.grid)
+        self.w = (-1j) * self.plus_Ev if variant == "bo" else self.plus_Ev
 
 
 def build_gauge(v: SpectralField, variant: str = "bo", k: int = 1) -> GaugeState:
@@ -130,14 +158,8 @@ def build_gauge(v: SpectralField, variant: str = "bo", k: int = 1) -> GaugeState
     ``bo`` requires zero-mean input (the primitive must be periodic); the
     ``gbo`` phase uses M(v^k), which removes the mean itself.
     """
-    if not v.is_real:
-        raise ValueError("gauge transform is defined for real fields")
-    F = _phase(v, variant, k)
-    E = np.exp(-1j * synthesize(F, _PAD))
-    W = _plus(E, v.grid)
-    wv = _plus(E * _vals(v), v.grid)
-    w = (-1j) * wv if variant == "bo" else wv
-    return GaugeState(F=F, W=W, w=w, variant=variant, k=k)
+    fr = _Frame(v, variant, k)
+    return GaugeState(F=fr.F, W=_plus(fr.E, v.grid), w=fr.w, variant=variant, k=k)
 
 
 @dataclass(frozen=True)
@@ -152,21 +174,17 @@ class RhsBo:
         return self.dx_term + self.mean_term
 
 
-def rhs_bo(u: SpectralField, F: SpectralField | None = None) -> RhsBo:
-    """-2 d_x P_+(P_-(u_x) e^{-iF}) + P_0(u^2) P_+(u e^{-iF}) for zero-mean u."""
-    if abs(u.coeffs[0]) >= ZERO_MEAN_TOL:
-        raise ValueError(
-            f"bo gauge right-hand side needs zero-mean input: |C_0| = {abs(u.coeffs[0]):.3e}"
-        )
-    if F is None:
-        F = antiderivative(u)
-    E = np.exp(-1j * synthesize(F, _PAD))
-    u_vals = _vals(u)
+def rhs_bo(u: SpectralField) -> RhsBo:
+    """-2 d_x P_+(P_-(u_x) e^{-iF}) + P_0(u^2) P_+(u e^{-iF}) for zero-mean real u."""
+    return _rhs(_Frame(u, "bo", 1))
+
+
+def _rhs_bo(fr: _Frame) -> RhsBo:
+    u = fr.v
     ux_minus = synthesize(project(differentiate(u, "d_dx", 1), "minus"), _PAD)
-    dx_term = (-2.0) * differentiate(_plus(ux_minus * E, u.grid), "d_dx", 1)
-    p0_u2 = float(np.mean(u_vals * u_vals))
-    mean_term = p0_u2 * _plus(u_vals * E, u.grid)
-    return RhsBo(dx_term=dx_term, mean_term=mean_term)
+    dx_term = (-2.0) * differentiate(_plus(ux_minus * fr.E, u.grid), "d_dx", 1)
+    p0_u2 = float(np.mean(fr.v_vals * fr.v_vals))
+    return RhsBo(dx_term=dx_term, mean_term=p0_u2 * fr.plus_Ev)
 
 
 @dataclass(frozen=True)
@@ -183,29 +201,16 @@ class GboTerms:
         return self.a + self.b + self.c + self.d
 
 
-def rhs_gbo_terms(v: SpectralField, k: int, F: SpectralField | None = None) -> GboTerms:
-    """The a + b + c + d right-hand side for zero-mean real v; d = 0 at k = 1.
+def rhs_gbo_terms(v: SpectralField, k: int) -> GboTerms:
+    """The a + b + c + d right-hand side for zero-mean real v; d = 0 at k = 1."""
+    return _rhs(_Frame(v, "gbo", k))
 
-    ``F`` is the gauge phase of v, built here when not given.
-    """
-    if abs(v.coeffs[0]) >= ZERO_MEAN_TOL:
-        raise ValueError(
-            f"gbo gauge right-hand side needs zero-mean input: |C_0| = {abs(v.coeffs[0]):.3e}"
-        )
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    grid = v.grid
-    if F is None:
-        F = _phase(v, "gbo", k)
-    E = np.exp(-1j * synthesize(F, _PAD))
-    v_vals = _vals(v)
+
+def _rhs_gbo(fr: _Frame) -> GboTerms:
+    v, k, grid, E, v_vals = fr.v, fr.k, fr.v.grid, fr.E, fr.v_vals
     vx = differentiate(v, "d_dx", 1)
-    vx_vals = _vals(vx)
-
-    vk = _power(v_vals, k)
-    mvk_vals = vk - np.mean(vk)
-    p0_m2 = float(np.mean(mvk_vals ** 2))
-    a = 1j * p0_m2 * _plus(E * v_vals, grid)
+    p0_m2 = float(np.mean(fr.mvk_vals ** 2))
+    a = 1j * p0_m2 * fr.plus_Ev
 
     vxx_minus = synthesize(project(differentiate(v, "d_dx", 2), "minus"), _PAD)
     b = -2j * _plus(E * vxx_minus, grid)
@@ -215,13 +220,27 @@ def rhs_gbo_terms(v: SpectralField, k: int, F: SpectralField | None = None) -> G
     c = (-2.0 * k) * _plus(E * v_vals * (g - np.mean(g)), grid)
 
     if k >= 2:
-        base = _power(v_vals, k - 2) * vx_vals * _vals(hilbert(vx))
+        base = _power(v_vals, k - 2) * _vals(vx) * _vals(hilbert(vx))
         _, m_base = mean_remove(_field(base, grid))
         h = antiderivative(m_base)
         d = (-1j * k * (k - 1)) * _plus(E * v_vals * _vals(h), grid)
     else:
         d = SpectralField.zero(grid)
     return GboTerms(a=a, b=b, c=c, d=d)
+
+
+def _rhs(fr: _Frame) -> RhsBo | GboTerms:
+    """The right-hand side of the frame's gauge equation; v must have zero mean."""
+    c0 = abs(fr.v.coeffs[0])
+    if c0 >= ZERO_MEAN_TOL:
+        raise ValueError(
+            f"{fr.variant} gauge right-hand side needs zero-mean input: |C_0| = {c0:.3e}")
+    return _rhs_bo(fr) if fr.variant == "bo" else _rhs_gbo(fr)
+
+
+def _residual(fr: _Frame, wt: SpectralField) -> SpectralField:
+    """w_t - i w_xx - RHS, given the time derivative of the frame's w."""
+    return wt - 1j * differentiate(fr.w, "d_dx", 2) - _rhs(fr).total
 
 
 @dataclass(frozen=True)
@@ -240,32 +259,22 @@ def _equation(grid: PeriodicGrid, equation: str) -> Equation:
     return Equation(grid, equation)
 
 
-def _instantaneous_residual(v: SpectralField, variant: str, k: int) -> ResidualNorms:
-    grid = v.grid
-    F = _phase(v, variant, k)
-    v_vals = _vals(v)
-    if variant == "bo":
+def _instantaneous_wt(fr: _Frame) -> SpectralField:
+    """w_t with the evolution equation substituted for v_t."""
+    v, k, grid = fr.v, fr.k, fr.v.grid
+    if fr.variant == "bo":
         vt = _equation(grid, "bo2").rhs(v)
         vt_vals = _vals(vt)
         Ft = antiderivative(vt)
-        rhs = rhs_bo(v, F).total
     else:
         # non-conservative: keeps the folded n/2 value, which the identity needs
-        vk = _power(v_vals, k)
-        mvk = vk - np.mean(vk)
         vt = _equation(grid, "linear").rhs(v) + _field(
-            2.0 * mvk * _vals(differentiate(v, "d_dx", 1)), grid)
+            2.0 * fr.mvk_vals * _vals(differentiate(v, "d_dx", 1)), grid)
         vt_vals = _vals(vt)
-        _, m_kvt = mean_remove(_field(k * _power(v_vals, k - 1) * vt_vals, grid))
+        _, m_kvt = mean_remove(_field(k * _power(fr.v_vals, k - 1) * vt_vals, grid))
         Ft = antiderivative(m_kvt)
-        rhs = rhs_gbo_terms(v, k, F).total
-    E = np.exp(-1j * synthesize(F, _PAD))
-    wt = _plus(E * (-1j * _vals(Ft) * v_vals + vt_vals), grid)
-    w = _plus(E * v_vals, grid)
-    if variant == "bo":
-        wt, w = (-1j) * wt, (-1j) * w
-    resid = wt - 1j * differentiate(w, "d_dx", 2) - rhs
-    return ResidualNorms(l2=norm(resid, "lp", p=2), h1=norm(resid, "hs", s=1.0))
+    wt = _plus(fr.E * (-1j * _vals(Ft) * fr.v_vals + vt_vals), grid)
+    return (-1j) * wt if fr.variant == "bo" else wt
 
 
 _STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -291,17 +300,6 @@ def _stencil_residual(traj: Trajectory, series, residual) -> ResidualNorms:
     )
 
 
-def _trajectory_residual(traj: Trajectory, variant: str, k: int) -> ResidualNorms:
-    states = [build_gauge(f, variant, k) for f in traj]
-
-    def residual(i, wt):
-        v, st = traj[i], states[i]
-        rhs = rhs_bo(v, st.F).total if variant == "bo" else rhs_gbo_terms(v, k, st.F).total
-        return wt - 1j * differentiate(st.w, "d_dx", 2) - rhs
-
-    return _stencil_residual(traj, [st.w.coeffs for st in states], residual)
-
-
 def gauge_residual(target, variant: str = "bo", k: int = 1,
                    mode: str = "instantaneous") -> ResidualNorms:
     """Residual of the derived gauge equation, ||w_t - i w_xx - RHS||.
@@ -315,11 +313,15 @@ def gauge_residual(target, variant: str = "bo", k: int = 1,
     if mode == "instantaneous":
         if not isinstance(target, SpectralField):
             raise TypeError("instantaneous mode expects a SpectralField")
-        return _instantaneous_residual(target, variant, k)
+        fr = _Frame(target, variant, k)
+        resid = _residual(fr, _instantaneous_wt(fr))
+        return ResidualNorms(l2=norm(resid, "lp", p=2), h1=norm(resid, "hs", s=1.0))
     if mode == "trajectory":
         if not isinstance(target, Trajectory):
             raise TypeError("trajectory mode expects a Trajectory")
-        return _trajectory_residual(target, variant, k)
+        frames = [_Frame(f, variant, k) for f in target]
+        return _stencil_residual(target, [fr.w.coeffs for fr in frames],
+                                 lambda i, wt: _residual(frames[i], wt))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -359,11 +361,9 @@ def gauge_lipschitz_gap(phi1: SpectralField, phi2: SpectralField,
     Equal inputs report a zero ratio with the degenerate flag set.
     """
     phi1._check_same_grid(phi2)
+    gap = float(np.max(np.abs(_Frame(phi1, variant, k).E - _Frame(phi2, variant, k).E)))
     if np.array_equal(phi1.coeffs, phi2.coeffs):
         return LipschitzGap(gap=0.0, bound_ratio=0.0, degenerate=True)
-    E1 = np.exp(-1j * synthesize(_phase(phi1, variant, k), _PAD))
-    E2 = np.exp(-1j * synthesize(_phase(phi2, variant, k), _PAD))
-    gap = float(np.max(np.abs(E1 - E2)))
     dist = norm(phi1 - phi2, "lp", p=2)
     ratio = gap / (np.sqrt(phi1.grid.lam) * dist)
     return LipschitzGap(gap=gap, bound_ratio=float(ratio), degenerate=False)

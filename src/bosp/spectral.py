@@ -510,14 +510,13 @@ class Trajectory:
     ``equation`` tags which right-hand side produced the data: one of
     ``linear``, ``bo2`` (u_t + H u_xx = 2 u u_x), ``gbo``
     (u_t + H u_xx = u^k u_x) or ``renormalized_gbo``
-    (v_t + H v_xx = 2 (v^k - mean v^k) v_x).  Solver metadata is optional
-    (checkpointed trajectories do not carry it).
+    (v_t + H v_xx = 2 (v^k - mean v^k) v_x), with the degree ``k``.  The
+    solver settings that produced the data are not kept.
     """
 
     EQUATIONS = ("linear", "bo2", "gbo", "renormalized_gbo")
 
-    def __init__(self, grid, times, snapshots, equation, k=1,
-                 scheme=None, dt=None, dealias=None):
+    def __init__(self, grid, times, snapshots, equation, k=1):
         times = np.asarray(times, dtype=float)
         snapshots = list(snapshots)
         if len(snapshots) < 2:
@@ -538,9 +537,6 @@ class Trajectory:
         self.snapshots = snapshots
         self.equation = equation
         self.k = int(k)
-        self.scheme = scheme
-        self.dt = dt
-        self.dealias = dealias
 
     @property
     def sample_dt(self) -> float:
@@ -556,13 +552,9 @@ class Trajectory:
         return iter(self.snapshots)
 
     def with_snapshots(self, snapshots, equation=None, k=None) -> "Trajectory":
-        """Copy with replaced snapshots (same times and metadata)."""
-        return Trajectory(
-            self.grid, self.times, snapshots,
-            equation or self.equation,
-            self.k if k is None else k,
-            scheme=self.scheme, dt=self.dt, dealias=self.dealias,
-        )
+        """Copy with replaced snapshots (same times, equation and k unless given)."""
+        return Trajectory(self.grid, self.times, snapshots, equation or self.equation,
+                          self.k if k is None else k)
 
     def __repr__(self):
         return (

@@ -257,6 +257,17 @@ class TestConfig:
         assert f"error: {message}" in err
         assert "Traceback" not in err
 
+    def test_bo_gauge_residual_needs_k_one(self, tmp_path, capsys):
+        config_from_mapping("gauge-residual", {"variant": "bo", "k": 1})
+        with pytest.raises(ConfigError, match="bo gauge has k = 1"):
+            config_from_mapping("gauge-residual", {"variant": "bo", "k": 3})
+        assert main(["gauge-residual", "--variant", "bo", "--k", "3",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: the bo gauge has k = 1, got k = 3" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_bernstein_lambdas_floor_follows_n_modes(self):
         # 0.125 * 8 is one mode; 0.125 * 7 rounds down to none
         config_from_mapping("bernstein", {"lambdas": "0.125 1"})
@@ -324,6 +335,12 @@ class TestDeterminismAndVerdicts:
         rebuilt = _build_report(config_from_mapping(name, config), records)
         assert rebuilt.summary_json().encode() == paths["summary"].read_bytes()
         assert rebuilt.records_jsonl().encode() == paths["records"].read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(FAST))
+    def test_stats_skip_record_key(self, name):
+        rep = run_experiment(config_from_mapping(name, FAST[name]))
+        assert rep.summary["stats"]
+        assert not set(rep.summary["stats"]) & {"lam", "sample_index", "scale", "run"}
 
     @pytest.mark.parametrize("name", sorted(FAST))
     def test_nan_never_passes(self, name):

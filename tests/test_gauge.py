@@ -193,13 +193,6 @@ class TestRhsGbo:
             expected = dense_analyze(dense_term, grid)
             assert np.max(np.abs(lib_term.coeffs - expected)) < 1e-11, name
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_given_phase_gives_the_same_terms(self, grid, rng, k):
-        v = h2_normalized(grid, rng)
-        own, given = rhs_gbo_terms(v, k), rhs_gbo_terms(v, k, build_gauge(v, "gbo", k).F)
-        for name in "abcd":
-            assert np.array_equal(getattr(own, name).coeffs, getattr(given, name).coeffs), name
-
     def test_parameter_validation(self, grid, rng):
         with pytest.raises(ValueError):
             rhs_gbo_terms(h2_normalized(grid, rng), 0)
@@ -302,6 +295,69 @@ class TestInstantaneousResidual:
         for f in traj:
             w = build_gauge(f, "gbo", 2).w
             assert norm(w, "lp", p=2) <= norm(f, "lp", p=2) + 1e-12
+
+
+class TestFrame:
+    @pytest.mark.parametrize("variant, k, match", [
+        ("gbo", 0, "integer k >= 1"), ("gbo", -2, "integer k >= 1"),
+        ("gbo", 1.5, "integer k >= 1"), ("bo", 3, "bo gauge has k = 1"),
+        ("bo", 0, "bo gauge has k = 1"), ("kdv", 1, "unknown gauge variant"),
+    ])
+    def test_bad_variant_or_k_named(self, grid, rng, variant, k, match):
+        v = h2_normalized(grid, rng)
+        traj = solve(v, SolverConfig("linear", dt=0.01, t_final=0.05))
+        calls = [lambda: build_gauge(v, variant, k),
+                 lambda: gauge_residual(v, variant, k=k),
+                 lambda: gauge_residual(traj, variant, k=k, mode="trajectory"),
+                 lambda: gauge_lipschitz_gap(v, 2.0 * v, variant, k),
+                 lambda: gauge_lipschitz_gap(v, v, variant, k)]
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    @pytest.mark.parametrize("variant, k", [("bo", 1), ("gbo", 3)])
+    def test_one_frame_per_field(self, rng, monkeypatch, variant, k):
+        from bosp import gauge
+
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return frame(*args)
+
+        frame = gauge._Frame
+        monkeypatch.setattr(gauge, "_Frame", counting)
+        grid = PeriodicGrid(1.0, 64)
+        for _ in range(3):
+            gauge_residual(h2_normalized(grid, rng), variant, k=k)
+        assert len(built) == 3
+        equation = "bo2" if variant == "bo" else "renormalized_gbo"
+        traj = solve(h2_normalized(grid, rng),
+                     SolverConfig(equation, k=k, dt=1e-3, t_final=0.04, sample_stride=5))
+        gauge_residual(traj, variant, k=k, mode="trajectory")
+        assert len(built) == 3 + len(traj) == 12
+
+    def test_fft_calls_per_residual(self, rng, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        grid = PeriodicGrid(1.0, 256)
+        v = h2_normalized(grid, rng, amp=0.1, n_modes=127, decay=0.8)
+        traj = solve(cos_field(PeriodicGrid(1.0, 128), 0.05),
+                     SolverConfig("bo2", dt=1e-3, t_final=0.1, sample_stride=10))
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        gauge_residual(v, "gbo", k=3)
+        assert len(calls) <= 19  # frame 4, w_t 6, the b, c and d terms 9
+        calls.clear()
+        gauge_residual(traj, "bo", mode="trajectory")
+        # three per snapshot frame, two per interior right-hand side
+        assert len(traj) == 11 and len(calls) <= 3 * 11 + 2 * 7
 
 
 class TestTrajectoryResidual:

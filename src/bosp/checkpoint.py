@@ -33,7 +33,7 @@ from .errors import (
     TruncatedFileError,
     VersionError,
 )
-from .spectral import PeriodicGrid, SpectralField, Trajectory
+from .spectral import PeriodicGrid, SpectralField, Trajectory, _full_spectrum
 
 __all__ = ["save_checkpoint", "load_checkpoint", "MAGIC", "VERSION", "EQUATION_TAGS"]
 
@@ -46,16 +46,9 @@ _TAG_NAMES = {v: k for k, v in EQUATION_TAGS.items()}
 _HEADER = struct.Struct("<4sIdIIB")
 
 
-def _coeff_bytes(coeffs: np.ndarray) -> bytes:
-    flat = np.empty(2 * coeffs.size, dtype="<f8")
-    flat[0::2] = coeffs.real
-    flat[1::2] = coeffs.imag
-    return flat.tobytes()
-
-
-def _coeffs_from(buf: bytes, n: int) -> np.ndarray:
-    # a direct view keeps every bit, including the sign of zero imaginary parts
-    return np.frombuffer(buf, dtype="<c16", count=n).astype(np.complex128)
+def _records(n: int) -> np.dtype:
+    """One stored sample: its time and n coefficients in transform mode order."""
+    return np.dtype([("time", "<f8"), ("coeffs", "<c16", (n,))])
 
 
 def _check_finite(*arrays):
@@ -75,28 +68,29 @@ def save_checkpoint(obj, path, time: float = 0.0, equation: str = "none", k: int
         if equation not in EQUATION_TAGS:
             raise CheckpointError(f"unknown equation tag {equation!r}")
         _check_finite(obj.coeffs, [time, obj.grid.lam])
-        header = _HEADER.pack(MAGIC, VERSION, obj.grid.lam, obj.grid.n,
-                              int(k), EQUATION_TAGS[equation])
-        body = struct.pack("<d", float(time)) + _coeff_bytes(obj.coeffs)
+        k, tag, count = int(k), EQUATION_TAGS[equation], b""
+        records = np.empty(1, dtype=_records(obj.grid.n))
+        records["time"], records["coeffs"] = time, obj.coeffs
     elif isinstance(obj, Trajectory):
-        _check_finite(obj.times, [obj.grid.lam])
-        for f in obj:
-            _check_finite(f.coeffs)
-        header = _HEADER.pack(MAGIC, VERSION, obj.grid.lam, obj.grid.n,
-                              obj.k, EQUATION_TAGS[obj.equation])
-        parts = [header, struct.pack("<I", len(obj))]
-        for t, f in zip(obj.times, obj):
-            parts.append(struct.pack("<d", float(t)))
-            parts.append(_coeff_bytes(f.coeffs))
-        body = b"".join(parts[1:])
+        _check_finite(obj.times, [obj.grid.lam], obj.half_coeffs)
+        k, tag, count = obj.k, EQUATION_TAGS[obj.equation], struct.pack("<I", len(obj))
+        records = np.empty(len(obj), dtype=_records(obj.grid.n))
+        records["time"] = obj.times
+        _full_spectrum(obj.half_coeffs, obj.grid.n, out=records["coeffs"])
     else:
         raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
+    header = _HEADER.pack(MAGIC, VERSION, obj.grid.lam, obj.grid.n, k, tag)
     with open(path, "wb") as fh:
-        fh.write(header + body)
+        fh.write(header + count)
+        fh.write(records)
 
 
 def load_checkpoint(path):
-    """Load a checkpoint; returns a SpectralField or a Trajectory."""
+    """Load a checkpoint; returns a SpectralField or a Trajectory.
+
+    Trajectory snapshots must be exactly conjugate symmetric (real slots 0
+    and n/2), as ``save_checkpoint`` writes them.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -115,38 +109,32 @@ def load_checkpoint(path):
     except ValueError as exc:
         raise CheckpointError(f"invalid header: {exc}") from exc
     rest = raw[_HEADER.size:]
-    rec = 16 * n
+    size = 8 + 16 * n  # bytes per stored sample; n may be huge until a size matches
 
-    field_size = 8 + rec
-    if len(rest) == field_size:
-        (time,) = struct.unpack_from("<d", rest)
-        coeffs = _coeffs_from(rest[8:], n)
-        _check_finite(coeffs, [time])
-        return SpectralField(grid, coeffs)
+    if len(rest) == size:
+        (record,) = np.frombuffer(rest, dtype=_records(n))
+        _check_finite(record["time"], record["coeffs"])
+        return SpectralField(grid, record["coeffs"])
 
     if len(rest) >= 4:
         (count,) = struct.unpack_from("<I", rest)
-        if len(rest) == 4 + count * (8 + rec):
-            times = np.empty(count)
-            snaps = []
-            off = 4
-            for i in range(count):
-                (times[i],) = struct.unpack_from("<d", rest, off)
-                off += 8
-                coeffs = _coeffs_from(rest[off: off + rec], n)
-                off += rec
-                _check_finite(coeffs)
-                snaps.append(SpectralField(grid, coeffs))
-            _check_finite(times)
+        if len(rest) == 4 + count * size:
+            records = np.frombuffer(rest, dtype=_records(n), offset=4)
+            coeffs = records["coeffs"]
+            _check_finite(records["time"], coeffs)
+            half = coeffs[:, : n // 2 + 1]
+            if (half[:, [0, -1]].imag.any()
+                    or not np.array_equal(coeffs, _full_spectrum(half, n))):
+                raise CheckpointError("trajectory snapshots are not conjugate symmetric")
             equation = _TAG_NAMES[tag]
             if equation == "none":
                 raise CheckpointError("trajectory checkpoint carries no equation tag")
             try:
-                return Trajectory(grid, times, snaps, equation, k)
+                return Trajectory(grid, records["time"], half, equation, k)
             except ValueError as exc:
                 raise CheckpointError(f"invalid trajectory: {exc}") from exc
 
     raise TruncatedFileError(
-        f"payload of {len(rest)} bytes matches neither a field ({field_size}) "
+        f"payload of {len(rest)} bytes matches neither a field ({size}) "
         f"nor a whole number of snapshots"
     )

@@ -25,7 +25,8 @@ through the real-field transforms of ``spectral``, which own the
 zero-padding and the Nyquist split/fold convention.  The imaginary parts of
 the mean and Nyquist slots are zeroed once on entry; the odd symbols (iq,
 the bo group symbol) vanish on the Nyquist slot, so it is constant in time.
-Stored snapshots are expanded back to the full transform-order
+The stored states are the rows of the trajectory's half-spectrum stack as
+they are; indexing the Trajectory expands a row to the full transform-order
 SpectralField, exactly conjugate symmetric.
 
 The state is a ``(..., n/2+1)`` stack: ``solve_batch`` advances B fields
@@ -47,17 +48,13 @@ import numpy as np
 from .errors import BlowUpError
 from .lingroup import group_symbol
 from .spectral import (ZERO_MEAN_TOL, PeriodicGrid, SpectralField, Trajectory,
-                       _full_spectrum, _power, _real_coeffs, _real_values)
+                       _full_spectrum, _power, _real_coeffs, _real_values, _row_chunks)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
 
 _BLOWUP_GUARD = 1e8
 _CONTOUR_POINTS = 64
-# Padded points per stepped stack.  A work array of 2^14 doubles (128 KB)
-# stays in a core's cache: 75 rows at n = 128 with pad4 stepped 1.5x faster
-# in stacks of 32 rows than in one stack of 75.
-_STACK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -185,8 +182,8 @@ def solve_batch(u0s, cfg: SolverConfig) -> list:
     BlowUpError (carrying the last good time) of a row that blew up; the
     other rows are unaffected.  The fields must share one grid and meet
     ``solve``'s conditions, all checked before any step.  The rows are
-    stepped in stacks of at most ``_STACK_POINTS`` padded points, which
-    keeps a stack's work arrays in cache and its memory bounded.
+    stepped in stacks of at most ``spectral._STACK_POINTS`` padded points,
+    which keeps a stack's work arrays in cache and its memory bounded.
     """
     u0s = list(u0s)
     if not u0s:
@@ -202,20 +199,21 @@ def solve_batch(u0s, cfg: SolverConfig) -> list:
                 f"renormalized equation needs zero-mean data: |C_0| = {abs(u0.coeffs[0]):.3e}"
             )
     equation = Equation(grid, cfg.equation, cfg.k, cfg.dealias)
-    per_stack = max(1, _STACK_POINTS // equation.nbig)
-    return [result for start in range(0, len(u0s), per_stack)
-            for result in _advance(u0s[start: start + per_stack], cfg, equation)]
+    return [result for rows in _row_chunks(len(u0s), equation.nbig)
+            for result in _advance(u0s[rows], cfg, equation)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
     """The stepping loop of ``solve_batch`` over one stack of checked fields.
 
-    The state is checked after every step, so numpy's overflow warnings
-    are silenced.
+    Every stored step writes the state into one preallocated
+    ``(B, S, n/2+1)`` history, whose rows become the trajectories.  The
+    state is checked after every step, so numpy's overflow warnings are
+    silenced.
     """
     grid, n = equation.grid, equation.n
-    steps = cfg.n_steps()
+    steps, stride = cfg.n_steps(), cfg.sample_stride
     nonlin, group_sym = equation.nonlinear, equation.symbol
     dt = cfg.dt
 
@@ -232,8 +230,9 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
     uhat[..., n // 2] = uhat[..., n // 2].real
     rows = list(range(len(u0s)))  # input index of each row of the stack
     results = [None] * len(u0s)
-    times = [0.0]
-    snaps = [[SpectralField(grid, u0.coeffs, is_real=True)] for u0 in u0s]
+    times = dt * np.arange(0, steps + 1, stride)
+    history = np.empty((len(u0s), len(times), n // 2 + 1), dtype=np.complex128)
+    history[:, 0] = uhat
     t_good = 0.0
 
     for step in range(1, steps + 1):
@@ -264,14 +263,11 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
             uhat = uhat[good]
             rows = [r for r, ok in zip(rows, good) if ok]
         t_good = step * dt
-        if step % cfg.sample_stride == 0:
-            times.append(t_good)
-            full = _full_spectrum(uhat, n).reshape(len(rows), n)
-            for r, coeffs in zip(rows, full):
-                snaps[r].append(SpectralField(grid, coeffs, is_real=True))
+        if step % stride == 0:
+            history[rows, step // stride] = uhat
 
     for r in rows:
-        results[r] = Trajectory(grid, np.asarray(times), snaps[r], cfg.equation, cfg.k)
+        results[r] = Trajectory(grid, times, history[r], cfg.equation, cfg.k)
     return results
 
 

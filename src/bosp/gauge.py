@@ -40,11 +40,13 @@ finite n.  ``pde_residual`` substitutes ``Equation`` unchanged.
 
 All products involving e^{-iF} are formed pointwise on a 4x zero-padded
 grid and truncated back, so the only error left is the spectral tail of
-the data.  A private frame computes a field's gauge data once: the padded
-values of v and of M(v^k), the phase F, the padded e^{-iF} and
+the data.  A private frame computes a field's gauge data at most once:
+the padded values of v and of M(v^k), the phase F, the padded e^{-iF} and
 P_+(e^{-iF} v).  ``build_gauge``, both right-hand sides, both residual
 modes and ``gauge_lipschitz_gap`` read it from there; the right-hand sides
 take the field alone, no phase.
+The mean-removal and renormalization maps translate a whole trajectory
+stack by the odd generator iq of ``Equation``, which keeps the slot n/2.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ from .spectral import (
     PeriodicGrid,
     SpectralField,
     Trajectory,
+    _full_spectrum,
     _power,
+    _real_values,
+    _row_chunks,
     analyze_values_padded,
     antiderivative,
     differentiate,
@@ -120,12 +125,14 @@ class GaugeState:
 
 
 class _Frame:
-    """The gauge data of one real field v, each piece computed once.
+    """The gauge data of one real field v, each piece computed at most once.
 
     ``v_vals`` and ``mvk_vals`` are the padded values of v and of M(v^k)
     (``None`` for bo), ``F`` is the phase, the primitive of v (bo) or of
     M(v^k) (gbo), ``E`` the padded values of e^{-iF}, ``plus_Ev`` is
-    P_+(e^{-iF} v) and ``w`` the filtered variable.
+    P_+(e^{-iF} v) and ``w`` the filtered variable.  ``v_vals``,
+    ``plus_Ev`` and ``w`` are computed on first use: ``gauge_lipschitz_gap``
+    reads only ``E``.
     """
 
     def __init__(self, v: SpectralField, variant: str, k: int):
@@ -140,7 +147,6 @@ class _Frame:
         if not v.is_real:
             raise ValueError("gauge transform is defined for real fields")
         self.v, self.variant, self.k = v, variant, k
-        self.v_vals = _vals(v)
         if variant == "bo":
             self.mvk_vals, self.F = None, antiderivative(v)
         else:
@@ -148,8 +154,18 @@ class _Frame:
             self.mvk_vals = vk - np.mean(vk)
             self.F = antiderivative(mean_remove(_field(vk, v.grid))[1])
         self.E = np.exp(-1j * synthesize(self.F, _PAD))
-        self.plus_Ev = _plus(self.E * self.v_vals, v.grid)
-        self.w = (-1j) * self.plus_Ev if variant == "bo" else self.plus_Ev
+
+    @functools.cached_property
+    def v_vals(self) -> np.ndarray:
+        return _vals(self.v)
+
+    @functools.cached_property
+    def plus_Ev(self) -> SpectralField:
+        return _plus(self.E * self.v_vals, self.v.grid)
+
+    @functools.cached_property
+    def w(self) -> SpectralField:
+        return (-1j) * self.plus_Ev if self.variant == "bo" else self.plus_Ev
 
 
 def build_gauge(v: SpectralField, variant: str = "bo", k: int = 1) -> GaugeState:
@@ -255,7 +271,7 @@ class ResidualNorms:
 
 @functools.lru_cache(maxsize=16)
 def _equation(grid: PeriodicGrid, equation: str) -> Equation:
-    """One ``Equation`` per grid and tag, shared (read-only) by every residual on that grid."""
+    """One ``Equation`` per grid and tag, shared (read-only) by the residuals and maps."""
     return Equation(grid, equation)
 
 
@@ -384,15 +400,12 @@ def remove_mean_bo(traj: Trajectory) -> Trajectory:
     """
     if not (traj.equation == "bo2" or (traj.equation == "gbo" and traj.k == 1)):
         raise ValueError("mean removal applies to the k = 1 equations only")
-    gamma = float(traj[0].coeffs[0].real)
+    gamma = float(traj.half_coeffs[0, 0].real)
     rate = (2.0 if traj.equation == "bo2" else 1.0) * gamma
-    q = traj.grid.freqs
-    out = []
-    for t, f in zip(traj.times, traj):
-        shifted = f.coeffs * np.exp(-1j * q * rate * t)
-        shifted[0] -= gamma
-        out.append(SpectralField(traj.grid, shifted, is_real=f.is_real))
-    return traj.with_snapshots(out)
+    iq = _equation(traj.grid, "linear").iq
+    shifted = traj.half_coeffs * np.exp(-iq * rate * traj.times[:, None])
+    shifted[:, 0] -= gamma
+    return Trajectory(traj.grid, traj.times, shifted, traj.equation, traj.k)
 
 
 def renormalize_gbo(traj: Trajectory) -> Trajectory:
@@ -406,19 +419,16 @@ def renormalize_gbo(traj: Trajectory) -> Trajectory:
     """
     if traj.equation != "gbo":
         raise ValueError("renormalization applies to gbo trajectories only")
-    k = traj.k
+    k, half = traj.k, traj.half_coeffs
     amp = 2.0 ** (-1.0 / k)
-    means = np.array([
-        float(np.mean(_power(synthesize(f, _PAD), k)).real) for f in traj
+    means = np.concatenate([
+        np.mean(_power(_real_values(half[rows], _PAD * traj.grid.n), k), axis=-1)
+        for rows in _row_chunks(len(half), _PAD * traj.grid.n)
     ])
     dt = traj.sample_dt
     shifts = np.concatenate(([0.0], np.cumsum(0.5 * dt * (means[1:] + means[:-1]))))
-    q = traj.grid.freqs
-    out = []
-    for s, f in zip(shifts, traj):
-        coeffs = amp * f.coeffs * np.exp(-1j * q * s)
-        out.append(SpectralField(traj.grid, coeffs, is_real=f.is_real))
-    return traj.with_snapshots(out, equation="renormalized_gbo", k=k)
+    coeffs = amp * half * np.exp(-_equation(traj.grid, "linear").iq * shifts[:, None])
+    return Trajectory(traj.grid, traj.times, coeffs, "renormalized_gbo", k)
 
 
 def pde_residual(traj: Trajectory) -> ResidualNorms:
@@ -430,5 +440,5 @@ def pde_residual(traj: Trajectory) -> ResidualNorms:
     maps, and as a sampling-rate diagnostic).
     """
     equation = Equation(traj.grid, traj.equation, traj.k)
-    return _stencil_residual(traj, [f.coeffs for f in traj],
+    return _stencil_residual(traj, _full_spectrum(traj.half_coeffs, traj.grid.n),
                              lambda i, ut: ut - equation.rhs(traj[i]))

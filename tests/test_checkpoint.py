@@ -187,6 +187,22 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="uniformly increasing"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("mode, part, value", [
+        (-3, 0, 12.5),      # a negative mode that is not the conjugate of +3
+        (0, 8, 1e-20),      # an imaginary part on the mean slot
+        (16, 8, -1e-20),    # an imaginary part on the slot n/2
+    ])
+    def test_non_symmetric_trajectory(self, trajectory, tmp_path, mode, part, value):
+        p = tmp_path / "asym.bosp"
+        save_checkpoint(trajectory, p)
+        raw = bytearray(p.read_bytes())
+        n = trajectory.grid.n
+        off = _HEADER + 4 + (8 + 16 * n) + 8 + 16 * (mode % n) + part  # second sample
+        raw[off: off + 8] = struct.pack("<d", value)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="not conjugate symmetric"):
+            load_checkpoint(p)
+
     def test_odd_n_in_header(self, tmp_path):
         p = tmp_path / "odd.bosp"
         header = struct.pack("<4sIdIIB", b"BOSP", 1, 1.0, 33, 0, 0)

@@ -16,7 +16,7 @@ from bosp import (
     solve_batch,
     symmetry_defect,
 )
-from bosp import evolve
+from bosp import evolve, spectral
 from bosp.evolve import _etdrk4_weights
 from bosp.lingroup import group_symbol
 from bosp.spectral import _real_coeffs, _real_values
@@ -323,7 +323,7 @@ class TestSolveBatch:
     @pytest.mark.parametrize("stack_points", [64, 128, 1 << 14])
     def test_blown_row_leaves_the_others_alone(self, monkeypatch, stack_points):
         # two-thirds rule at n = 64: stacks of 1, 2 and all 4 rows
-        monkeypatch.setattr(evolve, "_STACK_POINTS", stack_points)
+        monkeypatch.setattr(spectral, "_STACK_POINTS", stack_points)
         grid = PeriodicGrid(1.0, 64)
         cos = SpectralField.from_function(grid, np.cos)
         u0s = [0.1 * cos, 2.0 * cos, random_field(grid, np.random.default_rng(3), n_modes=8,
@@ -342,7 +342,7 @@ class TestSolveBatch:
             raise AssertionError("stepped before checking every row")
 
         monkeypatch.setattr(evolve, "_advance", no_stepping)
-        monkeypatch.setattr(evolve, "_STACK_POINTS", 4 * grid.n)  # one row per stack
+        monkeypatch.setattr(spectral, "_STACK_POINTS", 4 * grid.n)  # one row per stack
         cfg = SolverConfig("renormalized_gbo", dt=0.1, t_final=0.2, dealias="pad4")
         good = cos_data(grid)
         with pytest.raises(ValueError, match="zero-mean"):

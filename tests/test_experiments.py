@@ -123,7 +123,7 @@ class TestConfig:
         monkeypatch.setattr(ExperimentConfig, "__getattribute__", tracked_get)
         monkeypatch.setattr(ExperimentConfig, "solver", tracked_solver)
         runs = [(name, FAST[name]) for name in EXPERIMENT_NAMES]
-        runs.append(("scaling", {"variant": "gbo"}))
+        runs.append(("scaling", {"variant": "gbo", "k": 2}))
         for name, over in runs:
             run_experiment(config_from_mapping(name, over))
         monkeypatch.undo()
@@ -259,14 +259,20 @@ class TestConfig:
 
     def test_bo_gauge_residual_needs_k_one(self, tmp_path, capsys):
         config_from_mapping("gauge-residual", {"variant": "bo", "k": 1})
-        with pytest.raises(ConfigError, match="bo gauge has k = 1"):
+        with pytest.raises(ConfigError, match="bo variant has k = 1"):
             config_from_mapping("gauge-residual", {"variant": "bo", "k": 3})
         assert main(["gauge-residual", "--variant", "bo", "--k", "3",
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "error: the bo gauge has k = 1, got k = 3" in err
+        assert "error: the bo variant has k = 1, got k = 3" in err
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_bo_scaling_needs_k_one(self):
+        assert default_config("scaling").k == 1
+        config_from_mapping("scaling", {"variant": "gbo", "k": 2})
+        with pytest.raises(ConfigError, match="bo variant has k = 1, got k = 2"):
+            config_from_mapping("scaling", {"k": 2})
 
     def test_bernstein_lambdas_floor_follows_n_modes(self):
         # 0.125 * 8 is one mode; 0.125 * 7 rounds down to none

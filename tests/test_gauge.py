@@ -8,6 +8,7 @@ from bosp import (
     PeriodicGrid,
     SolverConfig,
     SpectralField,
+    Trajectory,
     analyze_values_padded,
     build_gauge,
     differentiate,
@@ -24,6 +25,7 @@ from bosp import (
     rhs_bo,
     rhs_gbo_terms,
     solve,
+    symmetry_defect,
     synthesize,
 )
 from bosp.evolve import Equation
@@ -383,7 +385,7 @@ class TestTrajectoryResidual:
 
         traj = self._make_traj(50)  # 5 snapshots: ok
         gauge_residual(traj, "bo", mode="trajectory")
-        short = Trajectory(traj.grid, traj.times[:4], traj.snapshots[:4],
+        short = Trajectory(traj.grid, traj.times[:4], traj.half_coeffs[:4],
                            traj.equation, traj.k)
         with pytest.raises(ValueError):
             gauge_residual(short, "bo", mode="trajectory")
@@ -449,6 +451,82 @@ class TestLipschitzGap:
             maxima.append(max(vals))
         assert all(np.isfinite(maxima))
         assert max(maxima) / min(maxima) < 3.0
+
+
+def _counting_ffts(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    return calls
+
+
+class TestLipschitzGapCost:
+    @pytest.mark.parametrize("variant, k, most", [("bo", 1, 2), ("gbo", 2, 6)])
+    def test_fft_calls_per_gap(self, rng, monkeypatch, variant, k, most):
+        # one phase per field: bo needs e^{-iF} alone, gbo also M(v^k)
+        grid = PeriodicGrid(1.0, 128)
+        p1, p2 = h2_normalized(grid, rng), h2_normalized(grid, rng)
+        expected = gauge_lipschitz_gap(p1, p2, variant, k)
+        calls = _counting_ffts(monkeypatch)
+        assert gauge_lipschitz_gap(p1, p2, variant, k) == expected
+        assert len(calls) <= most
+
+
+def _nyquist_trajectory(equation, k, nyquist):
+    """Five snapshots at n = 16 with mean 0.3 and the given slot-n/2 value."""
+    grid = PeriodicGrid(1.0, 16)
+    rng = np.random.default_rng(4)
+    half = 0.1 * (rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9)))
+    half[:, 0] = 0.3
+    half[:, -1] = nyquist
+    return Trajectory(grid, np.linspace(0.0, 0.4, 5), half, equation, k)
+
+
+def _shifted_per_snapshot(traj):
+    """The translation maps as full-order per-snapshot expressions."""
+    q = traj.grid.freqs
+    if traj.equation == "gbo" and traj.k != 1:
+        k = traj.k
+        means = np.array([np.mean(synthesize(f, 4) ** k) for f in traj])
+        dt = traj.sample_dt
+        shifts = np.concatenate(([0.0], np.cumsum(0.5 * dt * (means[1:] + means[:-1]))))
+        return [2.0 ** (-1.0 / k) * f.coeffs * np.exp(-1j * q * s)
+                for s, f in zip(shifts, traj)]
+    gamma = float(traj[0].coeffs[0].real)
+    rate = (2.0 if traj.equation == "bo2" else 1.0) * gamma
+    out = []
+    for t, f in zip(traj.times, traj):
+        shifted = f.coeffs * np.exp(-1j * q * rate * t)
+        shifted[0] -= gamma
+        out.append(shifted)
+    return out
+
+
+class TestTranslationKeepsNyquist:
+    MAPS = [(remove_mean_bo, "gbo", 1), (remove_mean_bo, "bo2", 1), (renormalize_gbo, "gbo", 2)]
+
+    @pytest.mark.parametrize("remap, equation, k", MAPS)
+    def test_nyquist_content_stays_real(self, remap, equation, k):
+        traj = _nyquist_trajectory(equation, k, 0.01)
+        out = remap(traj)
+        amp = 2.0 ** -0.5 if remap is renormalize_gbo else 1.0
+        assert np.array_equal(out.half_coeffs[:, -1], amp * traj.half_coeffs[:, -1])
+        for f in out:
+            assert symmetry_defect(f.coeffs) == 0.0
+
+    @pytest.mark.parametrize("remap, equation, k", MAPS)
+    def test_without_nyquist_content_unchanged(self, remap, equation, k):
+        traj = _nyquist_trajectory(equation, k, 0.0)
+        out = remap(traj)
+        for f, expected in zip(out, _shifted_per_snapshot(traj)):
+            assert np.array_equal(f.coeffs, expected)
 
 
 class TestMeanRemoval:

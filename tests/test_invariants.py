@@ -32,7 +32,7 @@ def cos_field(grid, amp=1.0, mean=0.0):
 
 def constant_trajectory(grid, f, n_snap=5, t_final=1.0):
     times = np.linspace(0.0, t_final, n_snap)
-    return Trajectory(grid, times, [f] * n_snap, "linear")
+    return Trajectory(grid, times, [f.coeffs[: grid.n // 2 + 1]] * n_snap, "linear")
 
 
 class TestInvariantValues:
@@ -117,14 +117,22 @@ class TestIntegerPowers:
 
     def test_weighted_functional_synthesizes_u_once(self, monkeypatch):
         calls = []
+        real_values = invariants._real_values
 
-        def counting(f, oversample=1):
-            calls.append(oversample)
-            return synthesize(f, oversample)
+        def counting(half, nbig):
+            calls.append((half.shape, nbig))
+            return real_values(half, nbig)
 
-        monkeypatch.setattr(invariants, "synthesize", counting)
-        invariant(self.signed_field(), "F_bo")
-        assert calls == [4, 4]  # H(u_x) and u
+        monkeypatch.setattr(invariants, "_real_values", counting)
+        u = self.signed_field()
+        n = u.grid.n
+        invariant(u, "F_bo")
+        assert calls == [((1, n // 2 + 1), 4 * n)] * 2  # u and H(u_x)
+        # a gbo k = 1 report synthesizes u once per chunk for both F_bo and E_gbo
+        calls.clear()
+        traj = Trajectory(u.grid, [0.0, 0.1, 0.2], [u.coeffs[: n // 2 + 1]] * 3, "gbo")
+        drift_report(traj)
+        assert calls == [((3, n // 2 + 1), 4 * n)] * 2
 
 
 class TestDriftReport:
@@ -167,6 +175,45 @@ class TestDriftReport:
         wrong = np.array([invariant(f, "F_bo", sign=-1.0) for f in traj])
         drift = np.max(np.abs(wrong - wrong[0])) / abs(wrong[0])
         assert drift > 1e-3
+
+
+def _tag_trajectory(equation, k):
+    """11 snapshots of a full-band solve: not a multiple of 3-row chunks."""
+    grid = PeriodicGrid(1.0, 32)
+    u0 = random_field(grid, np.random.default_rng(11), n_modes=15, amplitude=0.3)
+    if equation == "renormalized_gbo":
+        u0 = SpectralField(grid, np.where(grid.modes == 0, 0.0, u0.coeffs), is_real=True)
+    return solve(u0, SolverConfig(equation, k=k, dt=1e-3, t_final=0.01))
+
+
+class TestStackedSeries:
+    @pytest.fixture(autouse=True)
+    def three_row_chunks(self, monkeypatch):
+        from bosp import spectral
+
+        monkeypatch.setattr(spectral, "_STACK_POINTS", 3 * 4 * 32)
+
+    @pytest.mark.parametrize("equation, k", [("linear", 1), ("bo2", 1), ("gbo", 1),
+                                             ("gbo", 3), ("renormalized_gbo", 2)])
+    def test_series_equal_per_snapshot_values(self, equation, k):
+        traj = _tag_trajectory(equation, k)
+        assert len(traj) == 11
+        rep = drift_report(traj)
+        for name, series in rep.values.items():
+            # 2u solves the u u_x equation when u solves bo2
+            fields = [2.0 * f if equation == "bo2" and name == "F_bo" else f for f in traj]
+            solo = np.array([invariant(f, name, k=k) for f in fields])
+            assert np.array_equal(series, solo), name
+        for name in ("I", "M", "F_bo", "E_gbo"):
+            for sign in (1.0, -1.0):
+                series = invariant(traj, name, k=k, sign=sign)
+                assert series.shape == (len(traj),)
+                solo = [invariant(f, name, k=k, sign=sign) for f in traj]
+                assert np.array_equal(series, solo), (name, sign)
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown invariant"):
+            invariant(_tag_trajectory("linear", 1), "H")
 
 
 class TestXNorms:

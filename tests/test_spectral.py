@@ -353,25 +353,38 @@ class TestOperatorProperties:
 
 class TestTrajectoryType:
     def test_needs_two_snapshots(self, grid):
-        f = SpectralField.zero(grid)
         with pytest.raises(ValueError):
-            Trajectory(grid, [0.0], [f], "linear")
+            Trajectory(grid, [0.0], np.zeros((1, grid.n // 2 + 1)), "linear")
 
     def test_uniform_spacing_enforced(self, grid):
-        f = SpectralField.zero(grid)
         with pytest.raises(ValueError):
-            Trajectory(grid, [0.0, 0.1, 0.30001], [f, f, f], "linear")
+            Trajectory(grid, [0.0, 0.1, 0.30001], np.zeros((3, grid.n // 2 + 1)), "linear")
 
-    def test_grid_mismatch(self, grid):
-        f = SpectralField.zero(grid)
-        g = SpectralField.zero(PeriodicGrid(2.0, grid.n))
-        with pytest.raises(ValueError):
-            Trajectory(grid, [0.0, 0.1], [f, g], "linear")
+    @pytest.mark.parametrize("shape", [(2, 32), (2, 34), (66,), (2, 1, 33)])
+    def test_shape_mismatch(self, grid, shape):
+        # grid.n = 64: the stack must be (S, 33)
+        with pytest.raises(ValueError, match="half-spectrum stack"):
+            Trajectory(grid, [0.0, 0.1], np.zeros(shape), "linear")
 
     def test_unknown_tag(self, grid):
-        f = SpectralField.zero(grid)
         with pytest.raises(ValueError):
-            Trajectory(grid, [0.0, 0.1], [f, f], "kdv")
+            Trajectory(grid, [0.0, 0.1], np.zeros((2, grid.n // 2 + 1)), "kdv")
+
+    def test_rows_expand_to_real_fields(self, grid, rng):
+        half = rng.standard_normal((3, grid.n // 2 + 1)) + 1j * rng.standard_normal(
+            (3, grid.n // 2 + 1))
+        half[:, 0] = half[:, 0].real
+        half[:, -1] = half[:, -1].real
+        traj = Trajectory(grid, [0.0, 0.5, 1.0], half, "gbo")
+        half[:] = 0.0  # the trajectory keeps its own copy
+        assert not traj.half_coeffs.flags.writeable
+        fields = list(traj)
+        assert len(fields) == len(traj) == 3
+        for i, f in enumerate(fields):
+            assert f.is_real and f.grid == grid and symmetry_defect(f.coeffs) == 0.0
+            assert np.array_equal(f.coeffs, traj[i].coeffs)
+            assert np.array_equal(f.coeffs[: grid.n // 2 + 1], traj.half_coeffs[i])
+        assert np.array_equal(traj[-1].coeffs, fields[2].coeffs)
 
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)

@@ -38,6 +38,7 @@ from .gauge import (
     rhs_bo,
     rhs_gbo_terms,
     gauge_residual,
+    gauge_residual_batch,
     reconstruct_u,
     gauge_lipschitz_gap,
     remove_mean_bo,
@@ -96,6 +97,7 @@ __all__ = [
     "rhs_bo",
     "rhs_gbo_terms",
     "gauge_residual",
+    "gauge_residual_batch",
     "reconstruct_u",
     "gauge_lipschitz_gap",
     "remove_mean_bo",

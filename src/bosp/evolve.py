@@ -48,7 +48,8 @@ import numpy as np
 from .errors import BlowUpError
 from .lingroup import group_symbol
 from .spectral import (ZERO_MEAN_TOL, PeriodicGrid, SpectralField, Trajectory,
-                       _full_spectrum, _power, _real_coeffs, _real_values, _row_chunks)
+                       _full_spectrum, _power, _real_coeffs, _real_values, _row_chunks,
+                       _symbol)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
@@ -112,7 +113,7 @@ class Equation:
     ``symbol`` is the bo group symbol and ``nonlinear`` the dealiased
     conservative flux, both on the half spectrum (modes 0..n/2 along the
     last axis of a stack); the odd symbols zero the Nyquist slot.  ``rhs``
-    expands the sum for a real field to the full transform order.
+    expands their sum to the full transform order.
     """
 
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1, dealias: str = "pad4"):
@@ -121,8 +122,7 @@ class Equation:
         half = grid.n // 2
         self.grid, self.eq, self.k, self.n = grid, equation, k, grid.n
         self.symbol = group_symbol(grid, "bo_group")[: half + 1]
-        self.iq = 1j * grid.freqs[: half + 1]
-        self.iq[half] = 0.0
+        self.iq = _symbol(grid, "d_dx")[: half + 1]
         self.nbig = 4 * grid.n if dealias == "pad4" else grid.n
         self.cut = grid.n // 3 + 1 if dealias == "two_thirds" else None
 
@@ -142,11 +142,9 @@ class Equation:
             flux = 2.0 * flux / (k + 1) - 2.0 * mean * uhat
         return self.iq * flux
 
-    def rhs(self, f: SpectralField) -> SpectralField:
-        """u_t of the real field f, in full transform order."""
-        uhat = f.coeffs[: self.n // 2 + 1]
-        full = _full_spectrum(self.symbol * uhat + self.nonlinear(uhat), self.n)
-        return SpectralField(self.grid, full, is_real=True)
+    def rhs(self, uhat: np.ndarray) -> np.ndarray:
+        """u_t of a half-spectrum stack (..., n/2+1), in full transform order (..., n)."""
+        return _full_spectrum(self.symbol * uhat + self.nonlinear(uhat), self.n)
 
 
 def _etdrk4_weights(z: np.ndarray, dt: float):

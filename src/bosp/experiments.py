@@ -52,7 +52,7 @@ import numpy as np
 from .errors import BlowUpError, ConfigError
 from .ensembles import random_field
 from .evolve import SolverConfig, convergence_order, solve, solve_batch
-from .gauge import build_gauge, gauge_residual
+from .gauge import build_gauge, gauge_residual_batch
 from .invariants import dilate, drift_report, invariant, xnorm, xnorm_series
 from .lingroup import strichartz_norm
 from .spectral import (
@@ -116,6 +116,10 @@ class ExperimentConfig:
             if values["n_modes"] > values["n"] // 2 - 1:
                 raise ConfigError(f"n_modes must be at most n/2 - 1 = {values['n'] // 2 - 1} "
                                   f"at n = {values['n']}, got {values['n_modes']}")
+        if "shrink_samples" in values and (values["n"] % 4 or values["n"] < 16):
+            # the doubling check evaluates every field again on a grid of n/2 points
+            raise ConfigError(f"n must be a multiple of 4 and at least 16 for the doubling "
+                              f"check at n/2, got n = {values['n']}")
         if values.get("variant") == "bo" and values["k"] != 1:
             raise ConfigError(f"the bo variant has k = 1, got k = {values['k']}")
         _check_ranges(values)
@@ -369,19 +373,21 @@ def _run_conservation(cfg: ExperimentConfig, rng):
 def _run_gauge_residual(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
     n_modes = cfg.n_modes if cfg.n_modes else grid.n // 2 - 1
-    variant = cfg.variant
+    fields = [random_field(grid, rng, n_modes=n_modes, decay=cfg.decay,
+                           amplitude=cfg.amplitude, normalize="h2")
+              for _ in range(cfg.n_samples)]
+    half_grid = PeriodicGrid(cfg.lam, grid.n // 2)
+    halves = [analyze_values_padded(synthesize(v), half_grid)
+              for v in fields[: cfg.shrink_samples]]
+    results = gauge_residual_batch(fields, cfg.variant, cfg.k)
+    results_half = gauge_residual_batch(halves, cfg.variant, cfg.k)
     records = []
-    for i in range(cfg.n_samples):
-        v = random_field(grid, rng, n_modes=n_modes, decay=cfg.decay,
-                         amplitude=cfg.amplitude, normalize="h2")
-        res = gauge_residual(v, variant, k=cfg.k, mode="instantaneous")
+    for i, (v, res) in enumerate(zip(fields, results)):
         rec = {"sample_index": i, "inputs_hash": _hash_field(v), "kind": "residual",
                "residual_l2": res.l2, "residual_h1": res.h1}
-        if i < cfg.shrink_samples:
-            v_half = analyze_values_padded(synthesize(v), PeriodicGrid(cfg.lam, grid.n // 2))
-            res_half = gauge_residual(v_half, variant, k=cfg.k, mode="instantaneous")
+        if i < len(results_half):
             rec["kind"] = "residual+shrink"
-            rec["residual_l2_half"] = res_half.l2
+            rec["residual_l2_half"] = results_half[i].l2
         records.append(rec)
     return records, {}
 

@@ -40,11 +40,16 @@ finite n.  ``pde_residual`` substitutes ``Equation`` unchanged.
 
 All products involving e^{-iF} are formed pointwise on a 4x zero-padded
 grid and truncated back, so the only error left is the spectral tail of
-the data.  A private frame computes a field's gauge data at most once:
-the padded values of v and of M(v^k), the phase F, the padded e^{-iF} and
-P_+(e^{-iF} v).  ``build_gauge``, both right-hand sides, both residual
-modes and ``gauge_lipschitz_gap`` read it from there; the right-hand sides
-take the field alone, no phase.
+the data.  A private frame computes the gauge data of a (B, n) stack of
+coefficient rows of real fields on one grid, each piece at most once: the
+padded values of v and of M(v^k), the phase F, the padded e^{-iF} and
+P_+(e^{-iF} v).  The right-hand sides and the residuals act on the frame's
+arrays with the multipliers ``spectral._symbol`` caches per grid, and rows
+never mix.  ``gauge_residual_batch`` evaluates an ensemble in stacks of at
+most ``spectral._STACK_POINTS`` padded points; an instantaneous
+``gauge_residual`` is its stack of one, a trajectory residual builds one
+frame per stack of snapshots, and ``build_gauge``, ``rhs_bo``,
+``rhs_gbo_terms`` and ``gauge_lipschitz_gap`` read rows of a small stack.
 The mean-removal and renormalization maps translate a whole trajectory
 stack by the odd generator iq of ``Equation``, which keeps the slot n/2.
 """
@@ -63,17 +68,17 @@ from .spectral import (
     PeriodicGrid,
     SpectralField,
     Trajectory,
+    _complex_coeffs,
+    _complex_values,
     _full_spectrum,
+    _parseval_norms,
     _power,
+    _primitive,
+    _real_coeffs,
     _real_values,
     _row_chunks,
-    analyze_values_padded,
-    antiderivative,
-    differentiate,
-    hilbert,
-    mean_remove,
+    _symbol,
     norm,
-    project,
     synthesize,
 )
 
@@ -86,6 +91,7 @@ __all__ = [
     "rhs_gbo_terms",
     "ResidualNorms",
     "gauge_residual",
+    "gauge_residual_batch",
     "reconstruct_u",
     "LipschitzGap",
     "gauge_lipschitz_gap",
@@ -97,16 +103,29 @@ __all__ = [
 _PAD = 4
 
 
-def _vals(f: SpectralField) -> np.ndarray:
-    return synthesize(f, _PAD)
+def _real_vals(coeffs: np.ndarray) -> np.ndarray:
+    """Padded values of real fields given as coefficient rows (..., n)."""
+    n = coeffs.shape[-1]
+    return _real_values(coeffs[..., : n // 2 + 1], _PAD * n)
 
 
-def _field(values, grid, is_real=None) -> SpectralField:
-    return analyze_values_padded(values, grid, is_real=is_real)
+def _real_rows(values: np.ndarray, n: int) -> np.ndarray:
+    """Real padded values (..., 4n) -> conjugate-symmetric coefficient rows (..., n)."""
+    return _full_spectrum(_real_coeffs(values, n), n)
 
 
-def _plus(values, grid) -> SpectralField:
-    return project(_field(values, grid), "plus")
+def _minus_vals(coeffs: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Padded values of P_- of coefficient rows (..., n)."""
+    return _complex_values(np.where(_symbol(grid, "minus"), coeffs, 0.0), _PAD * grid.n)
+
+
+def _plus(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Coefficient rows (..., n) of P_+ of padded complex values (..., 4n)."""
+    return np.where(_symbol(grid, "plus"), _complex_coeffs(values, grid.n), 0.0)
+
+
+def _row0(grid: PeriodicGrid, rows: np.ndarray, is_real: bool = False) -> SpectralField:
+    return SpectralField(grid, rows[0], is_real=is_real)
 
 
 @dataclass(frozen=True)
@@ -124,47 +143,69 @@ class GaugeState:
     k: int = 1
 
 
-class _Frame:
-    """The gauge data of one real field v, each piece computed at most once.
+def _checked(coeffs: np.ndarray, variant: str, k, zero_mean: bool = True) -> np.ndarray:
+    """A (B, n) stack of real fields' coefficient rows, once every row is checked.
 
-    ``v_vals`` and ``mvk_vals`` are the padded values of v and of M(v^k)
-    (``None`` for bo), ``F`` is the phase, the primitive of v (bo) or of
-    M(v^k) (gbo), ``E`` the padded values of e^{-iF}, ``plus_Ev`` is
-    P_+(e^{-iF} v) and ``w`` the filtered variable.  ``v_vals``,
-    ``plus_Ev`` and ``w`` are computed on first use: ``gauge_lipschitz_gap``
-    reads only ``E``.
+    Zero mean is required by the bo phase and by both right-hand sides.
+    """
+    if variant == "bo":
+        if k != 1:
+            raise ValueError(f"the bo gauge has k = 1, got k = {k!r}")
+    elif variant == "gbo":
+        if not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"the gbo gauge needs an integer k >= 1, got k = {k!r}")
+    else:
+        raise ValueError(f"unknown gauge variant {variant!r}")
+    c0 = np.abs(coeffs[:, 0])
+    bad = np.flatnonzero(c0 >= ZERO_MEAN_TOL) if zero_mean or variant == "bo" else []
+    if len(bad):
+        raise ValueError(f"the {variant} gauge needs zero-mean input: field {bad[0]} has "
+                         f"|C_0| = {c0[bad[0]]:.3e} >= {ZERO_MEAN_TOL:.0e}")
+    return coeffs
+
+
+def _stack(fields: list, variant: str, k, zero_mean: bool = True):
+    """The checked coefficient rows of real fields on one grid, and the grid."""
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("every field of a batch must share one grid")
+    if not all(f.is_real for f in fields):
+        raise ValueError("gauge transform is defined for real fields")
+    return _checked(np.array([f.coeffs for f in fields]), variant, k, zero_mean), grid
+
+
+class _Frame:
+    """The gauge data of a (B, n) stack of real fields, each piece computed at most once.
+
+    ``coeffs`` holds the coefficient rows of the fields, checked by the
+    caller.  ``v_vals`` and ``mvk_vals`` are the (B, 4n) padded values of v
+    and of M(v^k) (``None`` for bo), ``F`` the phase rows, the primitive of
+    v (bo) or of M(v^k) (gbo), ``E`` the padded values of e^{-iF},
+    ``plus_Ev`` the rows of P_+(e^{-iF} v) and ``w`` those of the filtered
+    variable.  ``v_vals``, ``plus_Ev`` and ``w`` are computed on first use:
+    ``gauge_lipschitz_gap`` reads only ``E``.
     """
 
-    def __init__(self, v: SpectralField, variant: str, k: int):
+    def __init__(self, coeffs: np.ndarray, grid: PeriodicGrid, variant: str, k: int):
+        self.coeffs, self.grid, self.variant, self.k = coeffs, grid, variant, k
         if variant == "bo":
-            if k != 1:
-                raise ValueError(f"the bo gauge has k = 1, got k = {k!r}")
-        elif variant == "gbo":
-            if not isinstance(k, numbers.Integral) or k < 1:
-                raise ValueError(f"the gbo gauge needs an integer k >= 1, got k = {k!r}")
-        else:
-            raise ValueError(f"unknown gauge variant {variant!r}")
-        if not v.is_real:
-            raise ValueError("gauge transform is defined for real fields")
-        self.v, self.variant, self.k = v, variant, k
-        if variant == "bo":
-            self.mvk_vals, self.F = None, antiderivative(v)
+            self.mvk_vals, self.F = None, _primitive(coeffs, grid)
         else:
             vk = _power(self.v_vals, k)
-            self.mvk_vals = vk - np.mean(vk)
-            self.F = antiderivative(mean_remove(_field(vk, v.grid))[1])
-        self.E = np.exp(-1j * synthesize(self.F, _PAD))
+            self.mvk_vals = vk - np.mean(vk, axis=-1, keepdims=True)
+            self.F = _primitive(_real_rows(vk, grid.n), grid)
+        self.E = np.exp(-1j * _real_vals(self.F))
 
     @functools.cached_property
     def v_vals(self) -> np.ndarray:
-        return _vals(self.v)
+        return _real_vals(self.coeffs)
 
     @functools.cached_property
-    def plus_Ev(self) -> SpectralField:
-        return _plus(self.E * self.v_vals, self.v.grid)
+    def plus_Ev(self) -> np.ndarray:
+        return _plus(self.E * self.v_vals, self.grid)
 
     @functools.cached_property
-    def w(self) -> SpectralField:
+    def w(self) -> np.ndarray:
         return (-1j) * self.plus_Ev if self.variant == "bo" else self.plus_Ev
 
 
@@ -174,8 +215,10 @@ def build_gauge(v: SpectralField, variant: str = "bo", k: int = 1) -> GaugeState
     ``bo`` requires zero-mean input (the primitive must be periodic); the
     ``gbo`` phase uses M(v^k), which removes the mean itself.
     """
-    fr = _Frame(v, variant, k)
-    return GaugeState(F=fr.F, W=_plus(fr.E, v.grid), w=fr.w, variant=variant, k=k)
+    fr = _Frame(*_stack([v], variant, k, zero_mean=False), variant, k)
+    grid = fr.grid
+    return GaugeState(F=_row0(grid, fr.F, is_real=True), W=_row0(grid, _plus(fr.E, grid)),
+                      w=_row0(grid, fr.w), variant=variant, k=k)
 
 
 @dataclass(frozen=True)
@@ -192,15 +235,16 @@ class RhsBo:
 
 def rhs_bo(u: SpectralField) -> RhsBo:
     """-2 d_x P_+(P_-(u_x) e^{-iF}) + P_0(u^2) P_+(u e^{-iF}) for zero-mean real u."""
-    return _rhs(_Frame(u, "bo", 1))
+    fr = _Frame(*_stack([u], "bo", 1), "bo", 1)
+    return RhsBo(*(_row0(fr.grid, term) for term in _rhs_bo(fr)))
 
 
-def _rhs_bo(fr: _Frame) -> RhsBo:
-    u = fr.v
-    ux_minus = synthesize(project(differentiate(u, "d_dx", 1), "minus"), _PAD)
-    dx_term = (-2.0) * differentiate(_plus(ux_minus * fr.E, u.grid), "d_dx", 1)
-    p0_u2 = float(np.mean(fr.v_vals * fr.v_vals))
-    return RhsBo(dx_term=dx_term, mean_term=p0_u2 * fr.plus_Ev)
+def _rhs_bo(fr: _Frame) -> tuple:
+    grid, dx = fr.grid, _symbol(fr.grid, "d_dx")
+    ux_minus = _minus_vals(dx * fr.coeffs, grid)
+    dx_term = (-2.0) * (dx * _plus(ux_minus * fr.E, grid))
+    p0_u2 = np.mean(fr.v_vals * fr.v_vals, axis=-1, keepdims=True)
+    return dx_term, p0_u2 * fr.plus_Ev
 
 
 @dataclass(frozen=True)
@@ -219,44 +263,38 @@ class GboTerms:
 
 def rhs_gbo_terms(v: SpectralField, k: int) -> GboTerms:
     """The a + b + c + d right-hand side for zero-mean real v; d = 0 at k = 1."""
-    return _rhs(_Frame(v, "gbo", k))
+    fr = _Frame(*_stack([v], "gbo", k), "gbo", k)
+    return GboTerms(*(_row0(fr.grid, term) for term in _rhs_gbo(fr)))
 
 
-def _rhs_gbo(fr: _Frame) -> GboTerms:
-    v, k, grid, E, v_vals = fr.v, fr.k, fr.v.grid, fr.E, fr.v_vals
-    vx = differentiate(v, "d_dx", 1)
-    p0_m2 = float(np.mean(fr.mvk_vals ** 2))
+def _rhs_gbo(fr: _Frame) -> tuple:
+    k, grid, E, v_vals = fr.k, fr.grid, fr.E, fr.v_vals
+    vx = _symbol(grid, "d_dx") * fr.coeffs
+    p0_m2 = np.mean(fr.mvk_vals ** 2, axis=-1, keepdims=True)
     a = 1j * p0_m2 * fr.plus_Ev
 
-    vxx_minus = synthesize(project(differentiate(v, "d_dx", 2), "minus"), _PAD)
+    # Named, not inline: numpy would multiply E into a large temporary in
+    # place, with the complex operands swapped, which rounds differently.
+    vxx_minus = _minus_vals(_symbol(grid, "d_dx", 2) * fr.coeffs, grid)
     b = -2j * _plus(E * vxx_minus, grid)
 
-    vx_minus = synthesize(project(vx, "minus"), _PAD)
+    vx_minus = _minus_vals(vx, grid)
     g = _power(v_vals, k - 1) * vx_minus
-    c = (-2.0 * k) * _plus(E * v_vals * (g - np.mean(g)), grid)
+    c = (-2.0 * k) * _plus(E * v_vals * (g - np.mean(g, axis=-1, keepdims=True)), grid)
 
     if k >= 2:
-        base = _power(v_vals, k - 2) * _vals(vx) * _vals(hilbert(vx))
-        _, m_base = mean_remove(_field(base, grid))
-        h = antiderivative(m_base)
-        d = (-1j * k * (k - 1)) * _plus(E * v_vals * _vals(h), grid)
+        base = _power(v_vals, k - 2) * _real_vals(vx) * _real_vals(_symbol(grid, "hilbert") * vx)
+        h = _primitive(_real_rows(base, grid.n), grid)
+        d = (-1j * k * (k - 1)) * _plus(E * v_vals * _real_vals(h), grid)
     else:
-        d = SpectralField.zero(grid)
-    return GboTerms(a=a, b=b, c=c, d=d)
+        d = np.zeros_like(a)
+    return a, b, c, d
 
 
-def _rhs(fr: _Frame) -> RhsBo | GboTerms:
-    """The right-hand side of the frame's gauge equation; v must have zero mean."""
-    c0 = abs(fr.v.coeffs[0])
-    if c0 >= ZERO_MEAN_TOL:
-        raise ValueError(
-            f"{fr.variant} gauge right-hand side needs zero-mean input: |C_0| = {c0:.3e}")
-    return _rhs_bo(fr) if fr.variant == "bo" else _rhs_gbo(fr)
-
-
-def _residual(fr: _Frame, wt: SpectralField) -> SpectralField:
-    """w_t - i w_xx - RHS, given the time derivative of the frame's w."""
-    return wt - 1j * differentiate(fr.w, "d_dx", 2) - _rhs(fr).total
+def _subtracted(fr: _Frame) -> tuple:
+    """The rows of i w_xx and of the right-hand side, subtracted in turn from w_t."""
+    rhs = _rhs_bo(fr) if fr.variant == "bo" else _rhs_gbo(fr)
+    return 1j * (_symbol(fr.grid, "d_dx", 2) * fr.w), sum(rhs[1:], rhs[0])
 
 
 @dataclass(frozen=True)
@@ -275,45 +313,73 @@ def _equation(grid: PeriodicGrid, equation: str) -> Equation:
     return Equation(grid, equation)
 
 
-def _instantaneous_wt(fr: _Frame) -> SpectralField:
-    """w_t with the evolution equation substituted for v_t."""
-    v, k, grid = fr.v, fr.k, fr.v.grid
+def _instantaneous_wt(fr: _Frame) -> np.ndarray:
+    """Rows of w_t with the evolution equation substituted for v_t."""
+    k, grid = fr.k, fr.grid
+    half = fr.coeffs[:, : grid.n // 2 + 1]
     if fr.variant == "bo":
-        vt = _equation(grid, "bo2").rhs(v)
-        vt_vals = _vals(vt)
-        Ft = antiderivative(vt)
+        vt = _equation(grid, "bo2").rhs(half)
+        vt_vals = _real_vals(vt)
+        Ft = _primitive(vt, grid)
     else:
         # non-conservative: keeps the folded n/2 value, which the identity needs
-        vt = _equation(grid, "linear").rhs(v) + _field(
-            2.0 * fr.mvk_vals * _vals(differentiate(v, "d_dx", 1)), grid)
-        vt_vals = _vals(vt)
-        _, m_kvt = mean_remove(_field(k * _power(fr.v_vals, k - 1) * vt_vals, grid))
-        Ft = antiderivative(m_kvt)
-    wt = _plus(fr.E * (-1j * _vals(Ft) * fr.v_vals + vt_vals), grid)
+        vx_vals = _real_vals(_symbol(grid, "d_dx") * fr.coeffs)
+        vt = _equation(grid, "linear").rhs(half) + _real_rows(2.0 * fr.mvk_vals * vx_vals, grid.n)
+        vt_vals = _real_vals(vt)
+        Ft = _primitive(_real_rows(k * _power(fr.v_vals, k - 1) * vt_vals, grid.n), grid)
+    # e^{iF} d_t(e^{-iF} v), named for the reason given at vxx_minus in _rhs_gbo
+    Ev_t = -1j * _real_vals(Ft) * fr.v_vals + vt_vals
+    wt = _plus(fr.E * Ev_t, grid)
     return (-1j) * wt if fr.variant == "bo" else wt
 
 
 _STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
-def _stencil_residual(traj: Trajectory, series, residual) -> ResidualNorms:
-    """Norms of residual(i, d/dt series[i]), d/dt the 4th-order centered stencil."""
-    if len(traj) < 5:
+def _stencil_residual(traj: Trajectory, series: np.ndarray, *terms) -> ResidualNorms:
+    """Norms of d/dt series - terms on the interior snapshots.
+
+    ``series`` and each term are (S, n) stacks of coefficient rows, one row
+    per snapshot; d/dt is the 4th-order centered stencil and the terms are
+    subtracted in order.
+    """
+    S = len(traj)
+    if S < 5:
         raise ValueError("need at least 5 uniformly spaced snapshots")
-    h = traj.sample_dt
-    l2s, h1s, times = [], [], []
-    for i in range(2, len(traj) - 2):
-        dt_coeffs = sum(
-            c * series[i + off] for off, c in zip((-2, -1, 0, 1, 2), _STENCIL)
-        ) / h
-        resid = residual(i, SpectralField(traj.grid, dt_coeffs, is_real=False))
-        l2s.append(norm(resid, "lp", p=2))
-        h1s.append(norm(resid, "hs", s=1.0))
-        times.append(float(traj.times[i]))
+    resid = sum(c * series[2 + off: S - 2 + off]
+                for off, c in zip((-2, -1, 0, 1, 2), _STENCIL)) / traj.sample_dt
+    for term in terms:
+        resid = resid - term[2: S - 2]
+    l2s = _parseval_norms(resid, traj.grid)
+    h1s = _parseval_norms(resid, traj.grid, 1.0)
     return ResidualNorms(
         l2=float(np.max(l2s)), h1=float(np.max(h1s)),
-        per_sample_l2=tuple(l2s), per_sample_times=tuple(times),
+        per_sample_l2=tuple(l2s.tolist()), per_sample_times=tuple(traj.times[2: S - 2].tolist()),
     )
+
+
+def gauge_residual_batch(fields, variant: str = "bo", k: int = 1) -> list:
+    """Instantaneous gauge-equation residual norms of every field, stacked.
+
+    Returns one ``ResidualNorms`` per field, in order.  The fields must be
+    real, zero-mean and share one grid, all checked before any work.  They
+    are evaluated in stacks of at most ``spectral._STACK_POINTS`` padded
+    points; rows never mix, so a row's norms are those of a stack of one up
+    to round-off in the pointwise products.
+    """
+    fields = list(fields)
+    if not fields:
+        return []
+    coeffs, grid = _stack(fields, variant, k)
+    results = []
+    for rows in _row_chunks(len(coeffs), _PAD * grid.n):
+        fr = _Frame(coeffs[rows], grid, variant, k)
+        iwxx, rhs = _subtracted(fr)
+        resid = _instantaneous_wt(fr) - iwxx - rhs
+        results += [ResidualNorms(l2=l2, h1=h1) for l2, h1 in
+                    zip(_parseval_norms(resid, grid).tolist(),
+                        _parseval_norms(resid, grid, 1.0).tolist())]
+    return results
 
 
 def gauge_residual(target, variant: str = "bo", k: int = 1,
@@ -321,23 +387,27 @@ def gauge_residual(target, variant: str = "bo", k: int = 1,
     """Residual of the derived gauge equation, ||w_t - i w_xx - RHS||.
 
     ``instantaneous`` takes a single field, substitutes the evolution
-    equation for the time derivative, and must vanish to spectral accuracy;
-    ``trajectory`` takes a uniformly sampled Trajectory (>= 5 snapshots) and
-    differentiates w in time with a fourth-order centered stencil, so the
-    residual decays like the fourth power of the sampling interval.
+    equation for the time derivative, and must vanish to spectral accuracy
+    (the one-field case of ``gauge_residual_batch``); ``trajectory`` takes a
+    uniformly sampled Trajectory (>= 5 snapshots) and differentiates w in
+    time with a fourth-order centered stencil, so the residual decays like
+    the fourth power of the sampling interval.
     """
     if mode == "instantaneous":
         if not isinstance(target, SpectralField):
             raise TypeError("instantaneous mode expects a SpectralField")
-        fr = _Frame(target, variant, k)
-        resid = _residual(fr, _instantaneous_wt(fr))
-        return ResidualNorms(l2=norm(resid, "lp", p=2), h1=norm(resid, "hs", s=1.0))
+        return gauge_residual_batch([target], variant, k)[0]
     if mode == "trajectory":
         if not isinstance(target, Trajectory):
             raise TypeError("trajectory mode expects a Trajectory")
-        frames = [_Frame(f, variant, k) for f in target]
-        return _stencil_residual(target, [fr.w.coeffs for fr in frames],
-                                 lambda i, wt: _residual(frames[i], wt))
+        grid = target.grid
+        coeffs = _checked(_full_spectrum(target.half_coeffs, grid.n), variant, k)
+        w, iwxx, rhs = (np.empty_like(coeffs) for _ in range(3))
+        for rows in _row_chunks(len(coeffs), _PAD * grid.n):
+            fr = _Frame(coeffs[rows], grid, variant, k)
+            w[rows] = fr.w
+            iwxx[rows], rhs[rows] = _subtracted(fr)
+        return _stencil_residual(target, w, iwxx, rhs)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -356,9 +426,9 @@ def reconstruct_u(gauge: GaugeState, v: SpectralField) -> SpectralField:
     E = np.exp(-1j * F_vals)
     Ebar = np.exp(1j * F_vals)
     iw_vals = synthesize(1j * gauge.w, _PAD)
-    minus_vals = synthesize(project(_field(E * _vals(v), grid), "minus"), _PAD)
-    rec = _field(Ebar * (iw_vals + minus_vals), grid)
-    return SpectralField(grid, rec.coeffs, is_real=v.is_real)
+    minus_vals = _minus_vals(_complex_coeffs(E * synthesize(v, _PAD), grid.n), grid)
+    rec = _complex_coeffs(Ebar * (iw_vals + minus_vals), grid.n)
+    return SpectralField(grid, rec, is_real=v.is_real)
 
 
 @dataclass(frozen=True)
@@ -377,7 +447,8 @@ def gauge_lipschitz_gap(phi1: SpectralField, phi2: SpectralField,
     Equal inputs report a zero ratio with the degenerate flag set.
     """
     phi1._check_same_grid(phi2)
-    gap = float(np.max(np.abs(_Frame(phi1, variant, k).E - _Frame(phi2, variant, k).E)))
+    E = _Frame(*_stack([phi1, phi2], variant, k, zero_mean=False), variant, k).E
+    gap = float(np.max(np.abs(E[0] - E[1])))
     if np.array_equal(phi1.coeffs, phi2.coeffs):
         return LipschitzGap(gap=0.0, bound_ratio=0.0, degenerate=True)
     dist = norm(phi1 - phi2, "lp", p=2)
@@ -440,5 +511,7 @@ def pde_residual(traj: Trajectory) -> ResidualNorms:
     maps, and as a sampling-rate diagnostic).
     """
     equation = Equation(traj.grid, traj.equation, traj.k)
-    return _stencil_residual(traj, _full_spectrum(traj.half_coeffs, traj.grid.n),
-                             lambda i, ut: ut - equation.rhs(traj[i]))
+    half = traj.half_coeffs
+    ut = np.concatenate([equation.rhs(half[rows])
+                         for rows in _row_chunks(len(half), equation.nbig)])
+    return _stencil_residual(traj, _full_spectrum(half, traj.grid.n), ut)

@@ -17,24 +17,18 @@ integral_0^T exp(-i Omega t) dt with Omega = phi_a + phi_b - phi_c - phi_d:
 T on the resonance set Omega = 0, (1 - exp(-i Omega T)) / (i Omega)
 elsewhere (the counting behind Bourgain's periodic L^4 estimate, GAFA 3
 (1993) 107-156).  Resonances are classified on integer keys lam^2 * phi_a,
-so Omega = 0 is detected exactly.  A composite trapezoid rule in time on a
-given number of subintervals, on 4x padded transforms, stays available as
-the independent cross-check; it converges to the exact value at second
-order.
+so Omega = 0 is detected exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spectral import (PeriodicGrid, SpectralField, _complex_values, _nyquist_split,
-                       _real_values)
+from .spectral import PeriodicGrid, SpectralField, _nyquist_split
 
 __all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm"]
 
 GROUP_KINDS = ("bo_group", "schrodinger_group")
-
-_QUAD_PAD = 4
 
 
 def group_symbol(grid: PeriodicGrid, kind: str) -> np.ndarray:
@@ -60,33 +54,6 @@ def propagate(f: SpectralField, t: float, kind: str = "bo_group") -> SpectralFie
     # Hermitian multiplier (bo) preserves realness; Schroedinger does not.
     real_out = f.is_real and kind == "bo_group"
     return SpectralField(f.grid, mult * f.coeffs, is_real=real_out)
-
-
-_BATCH_ROWS = 2048  # bounds the transient padded-transform buffer
-
-
-def _l4_sums_batch(coeffs_rows: np.ndarray, grid: PeriodicGrid, real_rows: bool) -> np.ndarray:
-    """Quadrature sums w * sum |v|^4 (= ||v||_L4^4) of many rows (4x padded)."""
-    n = grid.n
-    nbig = _QUAD_PAD * n
-    w = grid.circumference / nbig
-    out = np.empty(coeffs_rows.shape[0])
-    for start in range(0, coeffs_rows.shape[0], _BATCH_ROWS):
-        block = coeffs_rows[start: start + _BATCH_ROWS]
-        if real_rows:
-            vals = _real_values(block[:, : n // 2 + 1], nbig)
-        else:
-            vals = _complex_values(block, nbig)
-        out[start: start + _BATCH_ROWS] = w * np.sum(np.abs(vals) ** 4, axis=1)
-    return out
-
-
-def _time_integrand(f: SpectralField, times: np.ndarray, kind: str) -> np.ndarray:
-    """||V(t) f||_{L^4}^4 at the given times."""
-    sym = group_symbol(f.grid, kind)
-    rows = np.exp(np.outer(times, sym)) * f.coeffs[None, :]
-    real_rows = f.is_real and kind == "bo_group"
-    return _l4_sums_batch(rows, f.grid, real_rows)
 
 
 _EXACT_ENTRIES = 1 << 18  # bounds the padded (m, psi, psi') kernel of one chunk
@@ -181,22 +148,12 @@ def _resonance_integral(f: SpectralField, horizon: float, kind: str) -> float:
     return f.grid.circumference * total
 
 
-def strichartz_norm(f: SpectralField, horizon: float, n_t: int | None = None,
-                    kind: str = "bo_group") -> float:
+def strichartz_norm(f: SpectralField, horizon: float, kind: str = "bo_group") -> float:
     """Mixed norm (integral_0^T ||V(t) f||_{L^4}^4 dt)^(1/4).
 
-    Without ``n_t``, the exact resonance sum (module docstring), with the
-    same Nyquist convention as the padded transforms.  With ``n_t`` given,
-    one composite trapezoid rule on n_t subintervals (n_t >= 16) over 4x
-    padded values, the independent cross-check; its error falls as n_t^-2.
+    Evaluated exactly by the resonance sum (module docstring), with the
+    same Nyquist convention as the padded transforms.
     """
     if not horizon > 0:
         raise ValueError(f"time horizon must be positive, got {horizon!r}")
-    if n_t is None:
-        return float(_resonance_integral(f, horizon, kind) ** 0.25)
-    if n_t < 16:
-        raise ValueError(f"n_t must be at least 16, got {n_t}")
-    n_t = int(n_t)
-    times = np.linspace(0.0, horizon, n_t + 1)
-    integral = np.trapezoid(_time_integrand(f, times, kind), dx=horizon / n_t)
-    return float(integral ** 0.25)
+    return float(_resonance_integral(f, horizon, kind) ** 0.25)

@@ -14,6 +14,11 @@ frequency); for real fields it must be real.
 Odd multipliers (sgn q, odd powers of iq, 1/(iq)) zero that Nyquist slot so
 that real fields map to real fields exactly; see
 http://math.mit.edu/~stevenj/fft-deriv.pdf for the standard argument.
+Each multiplier (the powers of iq, 1/(iq), -i sgn q) and the masks of P_+
+and P_- are defined once, in ``_symbol``, which builds a read-only array
+per grid: ``differentiate``, ``antiderivative``, ``hilbert`` and
+``project`` multiply by it, and so do the solver's iq and the stacked gauge
+kernels, which act on coefficient rows (..., n) without SpectralFields.
 
 Products and quadratures are formed on a zero-padded grid of nbig >= n
 points (Boyd, *Chebyshev and Fourier Spectral Methods*, 2001, ch. 11).
@@ -22,8 +27,8 @@ half-half between +n/2 and -n/2, while complex synthesis
 (``_complex_values``) keeps the whole slot at +n/2; analysis on either path
 folds -n/2 back into +n/2.  Real fields: rfft half spectrum (modes
 0..n/2); complex: padded fft.  This module's private transforms are the
-one place that layout lives; the solver, the invariants and the L^4 time
-quadrature call them on stacks of shape (..., n/2+1) or (..., n), and the
+one place that layout lives; the solver, the invariants and the gauge
+frames call them on stacks of shape (..., n/2+1) or (..., n), and the
 exact L^4 resonance sum in ``lingroup`` places the slot n/2 the same way.
 A ``Trajectory`` is one half-spectrum stack, expanded a snapshot at a time
 on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
@@ -369,12 +374,44 @@ def integrate(f: SpectralField):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _symbol(grid: PeriodicGrid, kind: str, order: int = 1) -> np.ndarray:
+    """The read-only multiplier or mask ``kind`` in transform order, built once per grid.
+
+    ``d_dx`` is (iq)^order, ``antiderivative`` 1/(iq) away from q = 0 and
+    ``hilbert`` -i sgn q; the odd ones zero the slot n/2.  ``plus`` and
+    ``minus`` are the masks q > 0 and q < 0 of P_+ and P_-.
+    """
+    q, nyq = grid.freqs, grid.n // 2
+    if kind == "d_dx":
+        mult = (1j * q) ** order
+    elif kind == "antiderivative":
+        mult = np.zeros(grid.n, dtype=np.complex128)
+        nz = q != 0
+        mult[nz] = 1.0 / (1j * q[nz])
+    elif kind == "hilbert":
+        mult = -1j * np.sign(grid.modes).astype(np.complex128)
+    elif kind in ("plus", "minus"):
+        mult = q > 0 if kind == "plus" else q < 0
+    else:
+        raise ValueError(f"unknown symbol {kind!r}")
+    if kind in ("antiderivative", "hilbert") or (kind == "d_dx" and order % 2 == 1):
+        mult = mult.copy()
+        mult[nyq] = 0.0
+    mult.flags.writeable = False
+    return mult
+
+
+def _primitive(coeffs: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Zero-mean primitive of coefficient rows (..., n): 1/(iq), mean slot set to 0."""
+    out = _symbol(grid, "antiderivative") * coeffs
+    out[..., 0] = 0.0
+    return out
+
+
 def hilbert(f: SpectralField) -> SpectralField:
     """Hilbert transform: multiplier -i*sgn(q), zero on the mean mode."""
-    m = f.grid.modes
-    mult = -1j * np.sign(m).astype(np.complex128)
-    mult[f.grid.n // 2] = 0.0  # odd symbol: drop the self-conjugate slot
-    return f._with(mult * f.coeffs, f.is_real)
+    return f._with(_symbol(f.grid, "hilbert") * f.coeffs, f.is_real)
 
 
 def project(f: SpectralField, kind: str, cutoff: float | None = None) -> SpectralField:
@@ -391,10 +428,8 @@ def project(f: SpectralField, kind: str, cutoff: float | None = None) -> Spectra
     the identity exactly.
     """
     q = f.grid.freqs
-    if kind == "plus":
-        mask, real_out = q > 0, False
-    elif kind == "minus":
-        mask, real_out = q < 0, False
+    if kind in ("plus", "minus"):
+        mask, real_out = _symbol(f.grid, kind), False
     elif kind == "zero":
         mask, real_out = q == 0, f.is_real
     elif kind == "leq":
@@ -423,15 +458,10 @@ def differentiate(f: SpectralField, kind: str = "d_dx", order: float = 1) -> Spe
     All three map real fields to real fields.
     """
     q = f.grid.freqs
-    nyq = f.grid.n // 2
     if kind == "d_dx":
         if order != int(order) or order < 0:
             raise ValueError("d_dx order must be a nonnegative integer")
-        order = int(order)
-        mult = (1j * q) ** order
-        if order % 2 == 1:
-            mult = mult.copy()
-            mult[nyq] = 0.0
+        mult = _symbol(f.grid, "d_dx", int(order))
     elif kind == "abs_d":
         if order < 0:
             raise ValueError("abs_d exponent must be nonnegative")
@@ -456,14 +486,7 @@ def antiderivative(f: SpectralField) -> SpectralField:
             f"antiderivative needs a zero-mean field: |C_0| = {c0:.3e} "
             f">= {ZERO_MEAN_TOL:.0e}"
         )
-    q = f.grid.freqs
-    mult = np.zeros(f.grid.n, dtype=np.complex128)
-    nz = q != 0
-    mult[nz] = 1.0 / (1j * q[nz])
-    mult[f.grid.n // 2] = 0.0
-    out = mult * f.coeffs
-    out[0] = 0.0
-    return f._with(out, f.is_real)
+    return f._with(_primitive(f.coeffs, f.grid), f.is_real)
 
 
 def mean_remove(f: SpectralField):
@@ -479,6 +502,15 @@ def mean_remove(f: SpectralField):
 # ---------------------------------------------------------------------------
 
 
+def _parseval_norms(coeffs: np.ndarray, grid: PeriodicGrid, s: float | None = None):
+    """Per-row L^2 norms of coefficient rows (..., n), or their H^s norms given s."""
+    sq = np.abs(coeffs) ** 2
+    if s is None:
+        return np.sqrt(grid.circumference * np.sum(sq, axis=-1))
+    q = grid.freqs
+    return np.sqrt(np.sum((1.0 + q * q) ** s * sq, axis=-1))
+
+
 def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = None) -> float:
     """Norms on the circle.
 
@@ -491,7 +523,7 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
     """
     if kind == "lp":
         if p == 2:
-            return float(np.sqrt(f.grid.circumference * np.sum(np.abs(f.coeffs) ** 2)))
+            return float(_parseval_norms(f.coeffs, f.grid))
         if p in (1, 4):
             vals = synthesize(f, _DEFAULT_PAD)
             w = f.grid.circumference / vals.size
@@ -500,8 +532,7 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
     if kind == "hs":
         if s is None:
             raise ValueError("hs norm needs the smoothness parameter s")
-        q = f.grid.freqs
-        return float(np.sqrt(np.sum((1.0 + q * q) ** s * np.abs(f.coeffs) ** 2)))
+        return float(_parseval_norms(f.coeffs, f.grid, s))
     if kind == "hs_dot":
         if s is None:
             raise ValueError("hs_dot norm needs the smoothness parameter s")

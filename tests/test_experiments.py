@@ -268,6 +268,20 @@ class TestConfig:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n", [8, 10, 12, 14])
+    def test_gauge_residual_n_allows_the_doubling_grid(self, tmp_path, capsys, n):
+        # the doubling check evaluates every field again on n/2 points
+        config_from_mapping("gauge-residual", {"n": 16, "n_modes": 0})
+        message = (f"n must be a multiple of 4 and at least 16 for the doubling check "
+                   f"at n/2, got n = {n}")
+        with pytest.raises(ConfigError, match=message):
+            config_from_mapping("gauge-residual", {"n": n, "n_modes": 0})
+        assert main(["gauge-residual", "--n", str(n), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_bo_scaling_needs_k_one(self):
         assert default_config("scaling").k == 1
         config_from_mapping("scaling", {"variant": "gbo", "k": 2})

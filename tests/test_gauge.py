@@ -14,6 +14,7 @@ from bosp import (
     differentiate,
     gauge_lipschitz_gap,
     gauge_residual,
+    gauge_residual_batch,
     hilbert,
     norm,
     pde_residual,
@@ -318,17 +319,8 @@ class TestFrame:
                 call()
 
     @pytest.mark.parametrize("variant, k", [("bo", 1), ("gbo", 3)])
-    def test_one_frame_per_field(self, rng, monkeypatch, variant, k):
-        from bosp import gauge
-
-        built = []
-
-        def counting(*args):
-            built.append(args)
-            return frame(*args)
-
-        frame = gauge._Frame
-        monkeypatch.setattr(gauge, "_Frame", counting)
+    def test_one_frame_per_stack(self, rng, monkeypatch, variant, k):
+        built = _counting_frames(monkeypatch)
         grid = PeriodicGrid(1.0, 64)
         for _ in range(3):
             gauge_residual(h2_normalized(grid, rng), variant, k=k)
@@ -337,29 +329,101 @@ class TestFrame:
         traj = solve(h2_normalized(grid, rng),
                      SolverConfig(equation, k=k, dt=1e-3, t_final=0.04, sample_stride=5))
         gauge_residual(traj, variant, k=k, mode="trajectory")
-        assert len(built) == 3 + len(traj) == 12
+        assert len(traj) == 9 and len(built) == 3 + 1
+        assert built[-1][0].shape == (9, grid.n)
 
     def test_fft_calls_per_residual(self, rng, monkeypatch):
-        calls = []
-
-        def counting(fn):
-            def wrapped(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapped
-
         grid = PeriodicGrid(1.0, 256)
         v = h2_normalized(grid, rng, amp=0.1, n_modes=127, decay=0.8)
-        traj = solve(cos_field(PeriodicGrid(1.0, 128), 0.05),
-                     SolverConfig("bo2", dt=1e-3, t_final=0.1, sample_stride=10))
-        for name in ("fft", "ifft", "rfft", "irfft"):
-            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        trajs = [solve(cos_field(PeriodicGrid(1.0, 128), 0.05),
+                       SolverConfig("bo2", dt=1e-3, t_final=t_final, sample_stride=10))
+                 for t_final in (0.1, 0.3)]
+        calls = _counting_ffts(monkeypatch)
         gauge_residual(v, "gbo", k=3)
         assert len(calls) <= 19  # frame 4, w_t 6, the b, c and d terms 9
-        calls.clear()
-        gauge_residual(traj, "bo", mode="trajectory")
-        # three per snapshot frame, two per interior right-hand side
-        assert len(traj) == 11 and len(calls) <= 3 * 11 + 2 * 7
+        for traj in trajs:
+            calls.clear()
+            gauge_residual(traj, "bo", mode="trajectory")
+            # one frame 3, its right-hand side 2, however many snapshots
+            assert len(calls) <= 5
+        assert [len(traj) for traj in trajs] == [11, 31]
+
+
+def _counting_frames(monkeypatch):
+    """Record the arguments of every gauge frame built."""
+    from bosp import gauge
+
+    built = []
+    frame = gauge._Frame
+
+    def counting(*args):
+        built.append(args)
+        return frame(*args)
+
+    monkeypatch.setattr(gauge, "_Frame", counting)
+    return built
+
+
+# Round-off bound for a row of a stack against its stack of one, relative to
+# the norm of the right-hand side: swapping the operands of the complex
+# product E * P_-(v_xx) in the b term (numpy rounds a * b and b * a apart)
+# moved b by at most 3.7e-8 ||RHS||_L2 and 2.6e-7 ||RHS||_H1 over 20 fields
+# at n = 64 and 256, gbo k = 1..4 (k = 3 the largest).  The bound leaves a
+# margin of 27x and 3.8x over those; with numpy 2.4 on x86-64 the rows are
+# bit-identical.
+STACK_ROUNDOFF = 1e-6
+
+
+class TestResidualBatch:
+    @pytest.mark.parametrize("variant, k", [("bo", 1), ("gbo", 1), ("gbo", 2),
+                                            ("gbo", 3), ("gbo", 4)])
+    def test_rows_match_stack_of_one(self, rng, monkeypatch, variant, k):
+        from bosp import gauge, spectral
+
+        grid = PeriodicGrid(1.0, 64)
+        fields = [h2_normalized(grid, rng, amp=0.1, n_modes=31, decay=0.8) for _ in range(7)]
+        singles = [gauge_residual(v, variant, k=k) for v in fields]
+        monkeypatch.setattr(spectral, "_STACK_POINTS", 3 * 4 * grid.n)  # 3 rows a stack
+        built = _counting_frames(monkeypatch)
+        batch = gauge_residual_batch(fields, variant, k)
+        assert [len(args[0]) for args in built] == [3, 3, 1]
+
+        stack = gauge._Frame(np.array([v.coeffs for v in fields]), grid, variant, k)
+        terms = gauge._rhs_bo(stack) if variant == "bo" else gauge._rhs_gbo(stack)
+        for i, v in enumerate(fields):
+            one = rhs_bo(v) if variant == "bo" else rhs_gbo_terms(v, k)
+            one_terms = [one.dx_term, one.mean_term] if variant == "bo" else [
+                one.a, one.b, one.c, one.d]
+            rhs_l2, rhs_h1 = norm(one.total, "lp", p=2), norm(one.total, "hs", s=1.0)
+            assert rhs_l2 > 0.0
+            tol_l2, tol_h1 = STACK_ROUNDOFF * rhs_l2, STACK_ROUNDOFF * rhs_h1
+            w = SpectralField(grid, stack.w[i], is_real=False)
+            assert norm(w - build_gauge(v, variant, k).w, "lp", p=2) <= tol_l2
+            for term, one_term in zip(terms, one_terms):
+                diff = SpectralField(grid, term[i], is_real=False) - one_term
+                assert norm(diff, "lp", p=2) <= tol_l2
+                assert norm(diff, "hs", s=1.0) <= tol_h1
+            assert abs(batch[i].l2 - singles[i].l2) <= tol_l2
+            assert abs(batch[i].h1 - singles[i].h1) <= tol_h1
+
+    @pytest.mark.parametrize("bad", ["mean", "complex", "grid"])
+    def test_bad_last_field_raises_before_any_frame(self, rng, monkeypatch, bad):
+        grid = PeriodicGrid(1.0, 64)
+        fields = [h2_normalized(grid, rng) for _ in range(5)]
+        if bad == "mean":
+            last = SpectralField.from_function(grid, lambda x: 1.0 + np.cos(x))
+        elif bad == "complex":
+            last = SpectralField.from_function(grid, lambda x: np.exp(1j * x))
+        else:
+            last = h2_normalized(PeriodicGrid(1.0, 32), rng)
+        built = _counting_frames(monkeypatch)
+        for variant, k in (("bo", 1), ("gbo", 2)):
+            with pytest.raises(ValueError, match="C_0|real|grid"):
+                gauge_residual_batch(fields + [last], variant, k)
+        assert built == []
+
+    def test_empty_batch(self):
+        assert gauge_residual_batch([], "gbo", 2) == []
 
 
 class TestTrajectoryResidual:
@@ -631,7 +695,7 @@ class TestRightHandSides:
         grid = PeriodicGrid(1.0, 64)
         half = grid.n // 2
         v = h2_normalized(grid, rng, amp=0.5, decay=0.9)
-        solver = Equation(grid, equation, k).rhs(v).coeffs
+        solver = Equation(grid, equation, k).rhs(v.coeffs[: half + 1])
         ref = reference_rhs(v, equation, k).coeffs
         others = np.arange(grid.n) != half
         scale = np.max(np.abs(ref))

@@ -18,7 +18,7 @@ from bosp import (
 
 from bosp.lingroup import GROUP_KINDS
 
-from conftest import coeff_distance
+from conftest import QUAD_PAD, coeff_distance, l4_sums, trapezoid_strichartz_norm
 
 
 def field_from(grid, fn):
@@ -94,13 +94,13 @@ class TestStrichartzNorm:
     def test_constant_field(self):
         grid = PeriodicGrid(1.0, 32)
         f = field_from(grid, lambda x: np.ones_like(x))
-        val = strichartz_norm(f, 1.0, n_t=64)
+        val = strichartz_norm(f, 1.0)
         assert val == pytest.approx((2 * np.pi) ** 0.25, rel=1e-12)
 
     def test_single_mode_has_unit_modulus(self):
         grid = PeriodicGrid(1.0, 32)
         f = field_from(grid, lambda x: np.exp(1j * x))
-        val = strichartz_norm(f, 1.0, n_t=64)
+        val = strichartz_norm(f, 1.0)
         assert val == pytest.approx((2 * np.pi) ** 0.25, rel=1e-12)
 
     def test_matches_dense_quadrature_oracle(self, rng):
@@ -131,14 +131,12 @@ class TestStrichartzNorm:
         with pytest.raises(ValueError):
             strichartz_norm(f, 0.0)
         with pytest.raises(ValueError):
-            strichartz_norm(f, 1.0, n_t=8)
-        with pytest.raises(ValueError):
             strichartz_norm(f, 1.0, kind="airy_group")
 
     def test_schrodinger_kind(self):
         grid = PeriodicGrid(1.0, 32)
         f = field_from(grid, lambda x: np.ones_like(x))
-        val = strichartz_norm(f, 1.0, n_t=64, kind="schrodinger_group")
+        val = strichartz_norm(f, 1.0, kind="schrodinger_group")
         assert val == pytest.approx((2 * np.pi) ** 0.25, rel=1e-12)
 
     def test_lambda_boundedness_small_scan(self, rng):
@@ -156,14 +154,12 @@ class TestStrichartzNorm:
 
     @pytest.mark.parametrize("real_rows", [True, False])
     def test_block_padding_matches_row_padding(self, rng, real_rows):
-        from bosp.lingroup import _QUAD_PAD, _l4_sums_batch
-
         grid = PeriodicGrid(2.0, 32)
         rows = rng.standard_normal((9, grid.n)) + 1j * rng.standard_normal((9, grid.n))
-        w = grid.circumference / (_QUAD_PAD * grid.n)
+        w = grid.circumference / (QUAD_PAD * grid.n)
         sums = [w * np.sum(np.abs(synthesize(SpectralField(grid, row, is_real=real_rows),
-                                             _QUAD_PAD)) ** 4) for row in rows]
-        assert np.array_equal(_l4_sums_batch(rows, grid, real_rows), sums)
+                                             QUAD_PAD)) ** 4) for row in rows]
+        assert np.array_equal(l4_sums(rows, grid, real_rows), sums)
 
 
 def _complex_field(grid, rng, n_modes):
@@ -174,7 +170,7 @@ def _complex_field(grid, rng, n_modes):
 
 
 class TestExactStrichartzNorm:
-    """The resonance sum (n_t=None) against the trapezoid cross-check."""
+    """The resonance sum against the trapezoid cross-check."""
 
     @pytest.mark.parametrize("kind", GROUP_KINDS)
     @pytest.mark.parametrize("lam", [1.0, 4.0, 16.0])
@@ -183,7 +179,7 @@ class TestExactStrichartzNorm:
         for f in (random_field(grid, rng, n_modes=12, decay=0.8, normalize="l2"),
                   _complex_field(grid, rng, 6)):
             exact = strichartz_norm(f, 1.0, kind=kind)
-            assert exact == pytest.approx(strichartz_norm(f, 1.0, n_t=16384, kind=kind),
+            assert exact == pytest.approx(trapezoid_strichartz_norm(f, 1.0, 16384, kind=kind),
                                           rel=1e-9)
 
     @pytest.mark.parametrize("kind", GROUP_KINDS)
@@ -199,7 +195,7 @@ class TestExactStrichartzNorm:
             c[1] += 0.3j
         f = SpectralField(grid, c, is_real=real)
         exact = strichartz_norm(f, 0.5, kind=kind)
-        assert exact == pytest.approx(strichartz_norm(f, 0.5, n_t=16384, kind=kind),
+        assert exact == pytest.approx(trapezoid_strichartz_norm(f, 0.5, 16384, kind=kind),
                                       rel=1e-9)
 
     def test_nyquist_convention_changes_the_value(self):
@@ -219,7 +215,7 @@ class TestExactStrichartzNorm:
         f = random_field(grid, rng, n_modes=12, decay=0.8, normalize="l2")
         exact = strichartz_norm(f, 1.0, kind=kind)
         n_ts = np.array([256, 512, 1024, 2048, 4096])
-        errs = [abs(strichartz_norm(f, 1.0, n_t=int(m), kind=kind) - exact) for m in n_ts]
+        errs = [abs(trapezoid_strichartz_norm(f, 1.0, int(m), kind=kind) - exact) for m in n_ts]
         slope = np.polyfit(np.log(n_ts), np.log(errs), 1)[0]
         assert -2.2 <= slope <= -1.8
 

@@ -123,8 +123,10 @@ def load_checkpoint(path):
             coeffs = records["coeffs"]
             _check_finite(records["time"], coeffs)
             half = coeffs[:, : n // 2 + 1]
+            # modes n/2+1 .. n-1 must mirror modes n/2-1 .. 1
             if (half[:, [0, -1]].imag.any()
-                    or not np.array_equal(coeffs, _full_spectrum(half, n))):
+                    or not np.array_equal(coeffs[:, n // 2 + 1:],
+                                          np.conj(half[:, n // 2 - 1: 0: -1]))):
                 raise CheckpointError("trajectory snapshots are not conjugate symmetric")
             equation = _TAG_NAMES[tag]
             if equation == "none":

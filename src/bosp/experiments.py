@@ -52,7 +52,7 @@ import numpy as np
 from .errors import BlowUpError, ConfigError
 from .ensembles import random_field
 from .evolve import SolverConfig, convergence_order, solve, solve_batch
-from .gauge import build_gauge, gauge_residual_batch
+from .gauge import _snapshot_stacks, gauge_residual_batch
 from .invariants import dilate, drift_report, invariant, xnorm, xnorm_series
 from .lingroup import strichartz_norm
 from .spectral import (
@@ -509,7 +509,8 @@ def _run_estimate_monitor(cfg: ExperimentConfig, rng):
         if isinstance(vtraj, BlowUpError):
             records.append(_blow_up_record(rec, vtraj))
             continue
-        wfields = [build_gauge(f, "gbo", cfg.k).w for f in vtraj]
+        (ws,) = _snapshot_stacks(vtraj, "gbo", cfg.k)
+        wfields = [SpectralField(grid, w, is_real=False) for w in ws]
         w_x1 = xnorm_series(vtraj.times, wfields, 1)
         v_x1 = xnorm(vtraj, 1)
         w0_h1 = norm(wfields[0], "hs", s=1.0)

@@ -47,9 +47,10 @@ P_+(e^{-iF} v).  The right-hand sides and the residuals act on the frame's
 arrays with the multipliers ``spectral._symbol`` caches per grid, and rows
 never mix.  ``gauge_residual_batch`` evaluates an ensemble in stacks of at
 most ``spectral._STACK_POINTS`` padded points; an instantaneous
-``gauge_residual`` is its stack of one, a trajectory residual builds one
-frame per stack of snapshots, and ``build_gauge``, ``rhs_bo``,
-``rhs_gbo_terms`` and ``gauge_lipschitz_gap`` read rows of a small stack.
+``gauge_residual`` is its stack of one, a trajectory residual and the
+estimate monitor's w series build one frame per stack of snapshots, and
+``build_gauge``, ``rhs_bo``, ``rhs_gbo_terms`` and ``gauge_lipschitz_gap``
+read rows of a small stack.
 The mean-removal and renormalization maps translate a whole trajectory
 stack by the odd generator iq of ``Equation``, which keeps the slot n/2.
 """
@@ -68,6 +69,7 @@ from .spectral import (
     PeriodicGrid,
     SpectralField,
     Trajectory,
+    _alias_free_points,
     _complex_coeffs,
     _complex_values,
     _full_spectrum,
@@ -382,6 +384,21 @@ def gauge_residual_batch(fields, variant: str = "bo", k: int = 1) -> list:
     return results
 
 
+def _snapshot_stacks(traj: Trajectory, variant: str, k: int,
+                     parts=lambda fr: (fr.w,)) -> tuple:
+    """The (S, n) stacks of the rows ``parts`` reads off the snapshots' frames.
+
+    The snapshots must be zero-mean.  One frame is built per stack of at
+    most ``spectral._STACK_POINTS`` padded points; by default the stacks are
+    just w, one row per snapshot, bit-identical to ``build_gauge`` on each.
+    """
+    grid = traj.grid
+    coeffs = _checked(_full_spectrum(traj.half_coeffs, grid.n), variant, k)
+    chunks = [parts(_Frame(coeffs[rows], grid, variant, k))
+              for rows in _row_chunks(len(coeffs), _PAD * grid.n)]
+    return tuple(np.concatenate(stack) for stack in zip(*chunks))
+
+
 def gauge_residual(target, variant: str = "bo", k: int = 1,
                    mode: str = "instantaneous") -> ResidualNorms:
     """Residual of the derived gauge equation, ||w_t - i w_xx - RHS||.
@@ -400,13 +417,8 @@ def gauge_residual(target, variant: str = "bo", k: int = 1,
     if mode == "trajectory":
         if not isinstance(target, Trajectory):
             raise TypeError("trajectory mode expects a Trajectory")
-        grid = target.grid
-        coeffs = _checked(_full_spectrum(target.half_coeffs, grid.n), variant, k)
-        w, iwxx, rhs = (np.empty_like(coeffs) for _ in range(3))
-        for rows in _row_chunks(len(coeffs), _PAD * grid.n):
-            fr = _Frame(coeffs[rows], grid, variant, k)
-            w[rows] = fr.w
-            iwxx[rows], rhs[rows] = _subtracted(fr)
+        w, iwxx, rhs = _snapshot_stacks(target, variant, k,
+                                        lambda fr: (fr.w, *_subtracted(fr)))
         return _stencil_residual(target, w, iwxx, rhs)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -486,16 +498,16 @@ def renormalize_gbo(traj: Trajectory) -> Trajectory:
     which solves v_t + H v_xx = 2 M(v^k) v_x.  The amplitude factor makes
     the coefficient of the renormalized nonlinearity exactly 2, and the
     drift S(t) (accumulated with the trapezoid rule on the sample times)
-    removes the mean transport.
+    removes the mean transport.  mean(u^k) is summed exactly, on the
+    alias-free grid of degree k.
     """
     if traj.equation != "gbo":
         raise ValueError("renormalization applies to gbo trajectories only")
     k, half = traj.k, traj.half_coeffs
     amp = 2.0 ** (-1.0 / k)
-    means = np.concatenate([
-        np.mean(_power(_real_values(half[rows], _PAD * traj.grid.n), k), axis=-1)
-        for rows in _row_chunks(len(half), _PAD * traj.grid.n)
-    ])
+    nbig = _alias_free_points(traj.grid.n, k)
+    means = np.concatenate([np.mean(_power(_real_values(half[rows], nbig), k), axis=-1)
+                            for rows in _row_chunks(len(half), nbig)])
     dt = traj.sample_dt
     shifts = np.concatenate(([0.0], np.cumsum(0.5 * dt * (means[1:] + means[:-1]))))
     coeffs = amp * half * np.exp(-_equation(traj.grid, "linear").iq * shifts[:, None])

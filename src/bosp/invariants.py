@@ -18,10 +18,11 @@ u_t + H u_xx = 2 u u_x, ``drift_report`` evaluates F at 2u, which solves
 the u u_x equation.  The ``sign`` argument flips the odd term, which is the
 convention conserved by the mirror equation u_t + H u_xx = -u^k u_x; the
 drift separation test in the suite re-checks the selection on a reference
-run.  Quadratic pieces use Parseval exactly; higher powers use 4x padded
-quadrature, exact while the integrand's top mode (k+2)*n/2 stays below 4n:
-for F always, for E_k only at k <= 5 (at k = 7 and 8 a full-band n = 64
-field is off by 3.4e-9 and 4.0e-7 relative).  Along a trajectory they are
+run.  Quadratic pieces use Parseval exactly.  The quartic terms of F and
+the u^{k+2} term of E_k are summed on ``spectral._alias_free_points(n,
+max(4, k + 2))`` points, more than the integrand's top mode max(4, k+2)*n/2,
+so the quadrature is exact for every k (n = 2048 at k <= 2 takes 4320
+points).  F and E_k share that grid, and along a trajectory they are
 evaluated on the half-spectrum stack, bit-identical to each snapshot alone.
 """
 
@@ -35,6 +36,7 @@ from .spectral import (
     SpectralField,
     Trajectory,
     PeriodicGrid,
+    _alias_free_points,
     _full_spectrum,
     _power,
     _real_values,
@@ -55,7 +57,6 @@ __all__ = [
 ]
 
 _DRIFT_FLOOR = 1e-8
-_PAD = 4
 
 
 def invariant(f, which: str, k: int = 1, sign: float = 1.0):
@@ -86,10 +87,12 @@ def _series(grid: PeriodicGrid, half: np.ndarray, names, k: int = 1,
     """The named invariants of the real fields with half spectra ``half`` (S, n/2+1).
 
     Rows go in chunks of at most ``_STACK_POINTS`` padded points.  Parseval
-    sums run over the full rows, and the padded values of u are synthesized
-    once per chunk, for both F_bo and E_gbo.
+    sums run over the full rows, and the values of u are synthesized once
+    per chunk, for both F_bo and E_gbo, on the alias-free grid of degree
+    max(4, k + 2).
     """
-    circ, q, h, nbig = grid.circumference, grid.freqs, grid.n // 2 + 1, _PAD * grid.n
+    circ, q, h = grid.circumference, grid.freqs, grid.n // 2 + 1
+    nbig = _alias_free_points(grid.n, max(4, k + 2))
     # H d_x has the symbol |q|, zero on the slot n/2 like both its odd factors
     hdx = np.append(np.abs(q[: h - 1]), 0.0)
     out = {name: [] for name in names}

@@ -41,9 +41,15 @@ Norm conventions follow the coefficient-space definitions used throughout:
   measure factor) -- note the deliberate mismatch between the two, which is
   documented here once and respected everywhere.
 
-L^p norms for p not equal to 2 are evaluated by the rectangle rule on a
-4x zero-padded synthesis grid, which is exact for trigonometric
-polynomials up to the padded degree.
+Polynomial quadratures are exact: a product of ``degree`` fields of n
+modes has its top mode at degree * n/2, so its rectangle-rule mean on N
+points is exact once N > degree * n/2 (Orszag, J. Atmos. Sci. 28 (1971)
+1074).  ``_alias_free_points(n, degree)`` is the one rule for that N, the
+smallest such size >= n with no prime factor above 5.  The L^4 norm sums
+on it with degree 4, the invariants with degree max(4, k + 2) and the gbo
+renormalization with degree k.  The L^1 and sup norms, whose integrands
+are no polynomials, sample a 4x zero-padded grid; so do the solver's
+``pad4`` products and the gauge's e^{-iF} products.
 
 Integer powers of signed value arrays (the u^{k+1} flux of the solver, the
 u^{k+2} energy density, the M(v^k) gauge phase) go through ``_power``,
@@ -302,6 +308,26 @@ def _row_chunks(rows: int, points: int) -> list:
     return [slice(start, start + per_stack) for start in range(0, rows, per_stack)]
 
 
+@functools.cache
+def _alias_free_points(n: int, degree: int) -> int:
+    """Points of a trapezoid sum exact for a degree-``degree`` product of n-mode fields.
+
+    The product's top mode is degree * n/2, so a sum on N points is exact
+    once N > degree * n/2 (Orszag 1971; Boyd 2001, sec. 11.5).  Returns the
+    smallest such N >= n with no prime factor above 5, which pocketfft
+    transforms on its fast radices.
+    """
+    points = max(n, degree * n // 2 + 1)
+    while True:
+        rest = points
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return points
+        points += 1
+
+
 def _full_spectrum(half_coeffs: np.ndarray, n: int, out=None) -> np.ndarray:
     """Half spectra (..., n/2+1) -> conjugate-symmetric transform order (..., n)."""
     full = np.empty(half_coeffs.shape[:-1] + (n,), dtype=np.complex128) if out is None else out
@@ -315,10 +341,14 @@ def synthesize(f: SpectralField, oversample: int = 1) -> np.ndarray:
 
     Returns a real array for real-flagged fields.
     """
-    n = f.grid.n
+    return _values(f, oversample * f.grid.n)
+
+
+def _values(f: SpectralField, nbig: int) -> np.ndarray:
+    """Point values of a field on nbig >= n points, real for real-flagged fields."""
     if f.is_real:
-        return _real_values(f.coeffs[: n // 2 + 1], oversample * n)
-    return _complex_values(f.coeffs, oversample * n)
+        return _real_values(f.coeffs[: f.grid.n // 2 + 1], nbig)
+    return _complex_values(f.coeffs, nbig)
 
 
 def analyze_values_padded(values, grid: PeriodicGrid, is_real=None) -> SpectralField:
@@ -516,7 +546,9 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
 
     kind:
       ``lp``     -- L^p over [0, 2*pi*lam]; p in {1, 2, 4}.  p = 2 uses
-                    Parseval; p in {1, 4} use 4x oversampled quadrature.
+                    Parseval, p = 4 the rectangle rule on the alias-free
+                    grid of degree 4 (exact), and p = 1 the rectangle rule
+                    on the 4x oversampled grid.
       ``hs``     -- (sum (1+q^2)^s |C_q|^2)^(1/2); pass s.
       ``hs_dot`` -- (sum |q|^(2s) |C_q|^2)^(1/2); pass s.
       ``linf``   -- max |f| on the 4x oversampled grid.
@@ -524,11 +556,13 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
     if kind == "lp":
         if p == 2:
             return float(_parseval_norms(f.coeffs, f.grid))
-        if p in (1, 4):
-            vals = synthesize(f, _DEFAULT_PAD)
-            w = f.grid.circumference / vals.size
-            return float((w * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
-        raise ValueError(f"unsupported Lp exponent p = {p!r} (use 1, 2 or 4)")
+        if p not in (1, 4):
+            raise ValueError(f"unsupported Lp exponent p = {p!r} (use 1, 2 or 4)")
+        # |f|^4 is a degree-4 polynomial in f and conj f; |f| is none
+        n = f.grid.n
+        vals = _values(f, _alias_free_points(n, 4) if p == 4 else _DEFAULT_PAD * n)
+        w = f.grid.circumference / vals.size
+        return float((w * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
     if kind == "hs":
         if s is None:
             raise ValueError("hs norm needs the smoothness parameter s")

@@ -1,0 +1,92 @@
+"""The alias-free quadrature rule and the exact polynomial integrals it sizes.
+
+A degree-d product of fields with modes up to n/2 has its top mode at
+d * n/2, so its rectangle-rule mean is exact on N > d * n/2 points.  The
+references below sum on 16n points, exact for every degree tested; the
+full-band fields carry the slot n/2, so a grid one size too small shows.
+"""
+
+import numpy as np
+import pytest
+
+from bosp import (PeriodicGrid, SpectralField, Trajectory, invariant, norm, renormalize_gbo,
+                  synthesize)
+from bosp.spectral import _alias_free_points
+
+REF_PAD = 16
+
+
+def _five_smooth(m):
+    primes = {p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))}
+    return primes <= {2, 3, 5}
+
+
+def full_band(grid, seed, real=True):
+    """A flat-spectrum field with every mode set, the slot n/2 included."""
+    rng = np.random.default_rng(seed)
+    n = grid.n
+    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(n)
+    if not real:
+        return SpectralField(grid, c, is_real=False)
+    half = c[: n // 2 + 1].copy()
+    half[[0, -1]] = half[[0, -1]].real
+    return SpectralField(grid, np.concatenate([half, np.conj(half[-2:0:-1])]), is_real=True)
+
+
+@pytest.fixture
+def grid():
+    return PeriodicGrid(1.3, 64)
+
+
+class TestRule:
+    @pytest.mark.parametrize("degree", range(2, 11))
+    def test_matches_brute_force(self, degree):
+        for n in range(1, 65):
+            points = _alias_free_points(n, degree)
+            assert points >= n and 2 * points > degree * n and _five_smooth(points)
+            smaller = [m for m in range(n, points) if 2 * m > degree * n and _five_smooth(m)]
+            assert smaller == [], (n, degree)
+
+    def test_sizes(self):
+        assert _alias_free_points(2048, 4) == 4320
+        assert _alias_free_points(64, 4) == 135
+        assert _alias_free_points(64, 1) == 64  # never below n
+
+
+class TestExactIntegrals:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_energy(self, grid, k):
+        u = full_band(grid, 1)
+        circ = grid.circumference
+        kinetic = 0.5 * circ * np.sum(np.abs(grid.freqs) * np.abs(u.coeffs) ** 2)
+        power = circ * np.mean(synthesize(u, REF_PAD) ** (k + 2)) / ((k + 1) * (k + 2))
+        assert invariant(u, "E_gbo", k=k) == pytest.approx(kinetic - power, rel=1e-13)
+
+    def test_weighted_functional(self, grid):
+        u = full_band(grid, 2)
+        circ = grid.circumference
+        vals = synthesize(u, REF_PAD)
+        hux = synthesize(SpectralField(
+            grid, np.abs(grid.freqs) * u.coeffs * (grid.modes != grid.n // 2), is_real=True),
+            REF_PAD)
+        expected = (circ * np.sum((grid.freqs * np.abs(u.coeffs)) ** 2)
+                    - 0.75 * circ * np.mean(vals * vals * hux) + 0.125 * circ * np.mean(vals ** 4))
+        assert invariant(u, "F_bo") == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_l4_norm(self, grid, real):
+        f = full_band(grid, 3, real)
+        expected = (grid.circumference * np.mean(np.abs(synthesize(f, REF_PAD)) ** 4)) ** 0.25
+        assert norm(f, "lp", p=4) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_renormalization_mean(self, grid, k):
+        # two equal snapshots dt apart: the second is translated by dt * mean(u^k),
+        # and dt is chosen so that the translation is one unit
+        u = full_band(grid, 4)
+        mean = np.mean(synthesize(u, REF_PAD) ** k)
+        half = u.coeffs[: grid.n // 2 + 1]
+        traj = Trajectory(grid, [0.0, 1.0 / abs(mean)], [half, half], "gbo", k)
+        out = renormalize_gbo(traj).half_coeffs
+        shift = -np.angle(out[1, 1] / (2.0 ** (-1.0 / k) * half[1])) / grid.freqs[1]
+        assert shift == pytest.approx(np.sign(mean), rel=1e-13)

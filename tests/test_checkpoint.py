@@ -203,6 +203,22 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="not conjugate symmetric"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("byte", [0, 6])  # lowest mantissa bit, lowest exponent bit
+    @pytest.mark.parametrize("mode, part", [
+        (-1, 0), (-1, 8), (-15, 0), (-15, 8),  # real and imaginary parts of negative modes
+        (0, 8), (16, 8),                       # imaginary parts of the real slots
+    ])
+    def test_flipped_byte_is_refused(self, trajectory, tmp_path, mode, part, byte):
+        p = tmp_path / "flip.bosp"
+        save_checkpoint(trajectory, p)
+        raw = bytearray(p.read_bytes())
+        n = trajectory.grid.n
+        last = _HEADER + 4 + (len(trajectory) - 1) * (8 + 16 * n) + 8  # last sample's coeffs
+        raw[last + 16 * (mode % n) + part + byte] ^= 0x01 if byte == 0 else 0x10
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="not conjugate symmetric"):
+            load_checkpoint(p)
+
     def test_odd_n_in_header(self, tmp_path):
         p = tmp_path / "odd.bosp"
         header = struct.pack("<4sIdIIB", b"BOSP", 1, 1.0, 33, 0, 0)

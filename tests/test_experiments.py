@@ -538,6 +538,17 @@ class TestBatchedEnsembles:
         assert bool(blown) == (overrides == "blowing")
         assert len(blown) < len(records)
 
+    def test_estimate_monitor_builds_one_gauge_frame_per_trajectory(self, monkeypatch):
+        from bosp import gauge
+
+        built, frame = [], gauge._Frame
+        monkeypatch.setattr(gauge, "_Frame", lambda *args: built.append(args) or frame(*args))
+        cfg = default_config("estimate-monitor")
+        records, _ = _run_estimate_monitor(cfg, np.random.default_rng(cfg.seed))
+        # 11 snapshots of 4n = 512 padded points fit one stack
+        assert [len(args[0]) for args in built] == [11] * cfg.n_samples
+        assert not any(r.get("blew_up") for r in records)
+
     def test_blown_phi1_keeps_its_own_record(self):
         cfg = config_from_mapping("flowmap", BLOWING["flowmap"])
         records, _ = _run_flowmap(cfg, np.random.default_rng(cfg.seed))

@@ -30,6 +30,7 @@ from bosp import (
     synthesize,
 )
 from bosp.evolve import Equation
+from bosp.spectral import _alias_free_points, _real_values
 
 from conftest import (
     coeff_distance,
@@ -454,6 +455,19 @@ class TestTrajectoryResidual:
         with pytest.raises(ValueError):
             gauge_residual(short, "bo", mode="trajectory")
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_snapshot_w_stack_equals_build_gauge(self, monkeypatch, k):
+        from bosp import gauge, spectral
+
+        grid = PeriodicGrid(1.0, 32)
+        v0 = random_field(grid, np.random.default_rng(8), n_modes=15, amplitude=0.3)
+        traj = solve(v0, SolverConfig("renormalized_gbo", k=k, dt=1e-3, t_final=0.01))
+        monkeypatch.setattr(spectral, "_STACK_POINTS", 3 * 4 * grid.n)  # 3 rows a stack
+        built = _counting_frames(monkeypatch)
+        (ws,) = gauge._snapshot_stacks(traj, "gbo", k)
+        assert [len(args[0]) for args in built] == [3, 3, 3, 2]
+        assert np.array_equal(ws, [build_gauge(f, "gbo", k).w.coeffs for f in traj])
+
     def test_mode_validation(self, grid, rng):
         with pytest.raises(TypeError):
             gauge_residual(h2_normalized(grid, rng), "bo", mode="trajectory")
@@ -557,8 +571,10 @@ def _shifted_per_snapshot(traj):
     """The translation maps as full-order per-snapshot expressions."""
     q = traj.grid.freqs
     if traj.equation == "gbo" and traj.k != 1:
-        k = traj.k
-        means = np.array([np.mean(synthesize(f, 4) ** k) for f in traj])
+        k, n = traj.k, traj.grid.n
+        nbig = _alias_free_points(n, k)
+        means = np.array([np.mean(_real_values(f.coeffs[: n // 2 + 1], nbig) ** k)
+                          for f in traj])
         dt = traj.sample_dt
         shifts = np.concatenate(([0.0], np.cumsum(0.5 * dt * (means[1:] + means[:-1]))))
         return [2.0 ** (-1.0 / k) * f.coeffs * np.exp(-1j * q * s)

@@ -126,13 +126,14 @@ class TestIntegerPowers:
         monkeypatch.setattr(invariants, "_real_values", counting)
         u = self.signed_field()
         n = u.grid.n
+        nbig = 135  # the alias-free size of degree 4 at n = 64: 5-smooth and > 2n
         invariant(u, "F_bo")
-        assert calls == [((1, n // 2 + 1), 4 * n)] * 2  # u and H(u_x)
+        assert calls == [((1, n // 2 + 1), nbig)] * 2  # u and H(u_x)
         # a gbo k = 1 report synthesizes u once per chunk for both F_bo and E_gbo
         calls.clear()
         traj = Trajectory(u.grid, [0.0, 0.1, 0.2], [u.coeffs[: n // 2 + 1]] * 3, "gbo")
         drift_report(traj)
-        assert calls == [((3, n // 2 + 1), 4 * n)] * 2
+        assert calls == [((3, n // 2 + 1), nbig)] * 2
 
 
 class TestDriftReport:
@@ -188,9 +189,11 @@ def _tag_trajectory(equation, k):
 
 class TestStackedSeries:
     @pytest.fixture(autouse=True)
-    def three_row_chunks(self, monkeypatch):
+    def small_chunks(self, monkeypatch):
         from bosp import spectral
 
+        # 3 rows a stack for the solver's 4n = 128 points, and 5 or 4 for the
+        # invariants' 72 or 81 alias-free points
         monkeypatch.setattr(spectral, "_STACK_POINTS", 3 * 4 * 32)
 
     @pytest.mark.parametrize("equation, k", [("linear", 1), ("bo2", 1), ("gbo", 1),

@@ -1,5 +1,12 @@
 """Command-line front end: one subcommand per experiment.
 
+Besides ``--config``, ``--out``, ``--quiet`` and ``--stem``, a subcommand
+has one flag per config key of its experiment, ``seed`` included, named
+after the key with ``-`` for ``_`` (``--t-final``, ``--lam``).  The flags
+lie over the config file's section, and ``config_from_mapping`` parses both
+alike, so a value is spelled as in a file (``--scheme etd_rk4``,
+``--lambdas 1,2,4``).  Abbreviated flags are refused.
+
 Exit codes: 0 all checks passed, 1 any check failed, 2 usage or
 configuration error.  Reports land in --out (default ./runs) as
 <name>-<timestamp>-seed<seed>.summary.json / .records.jsonl plus
@@ -17,6 +24,7 @@ from .checkpoint import save_checkpoint
 from .errors import ConfigError
 from .experiments import (
     EXPERIMENT_NAMES,
+    ExperimentConfig,
     config_from_mapping,
     default_config,
     load_config_file,
@@ -24,25 +32,11 @@ from .experiments import (
     save_report,
 )
 
-_SCHEMES = {"ifrk4": "if_rk4", "etdrk4": "etd_rk4"}
-_DEALIAS = {"two-thirds": "two_thirds", "pad4": "pad4", "none": "none"}
 
-# (flag, config key, type, help); a subcommand has the flag only when its
-# experiment reads the key
-_COMMON_OVERRIDES = [
-    ("--lambda", "lam", float, "circle size parameter"),
-    ("--n", "n", int, "collocation points"),
-    ("--k", "k", int, "nonlinearity degree"),
-    ("--dt", "dt", float, "time step"),
-    ("--t-final", "t_final", float, "integration horizon"),
-    ("--n-samples", "n_samples", int, "ensemble size"),
-    ("--amplitude", "amplitude", float, "ensemble normalization"),
-    ("--n-modes", "n_modes", int, "modes per random draw"),
-    ("--gamma", "gamma", float, "mean value of the initial data"),
-    ("--perturbation", "perturbation", float, "pair gap (H^1)"),
-    ("--equation", "equation", str, "equation tag"),
-    ("--variant", "variant", str, "bo or gbo"),
-]
+def _config_keys(name: str) -> dict:
+    """The keys a config of ``name`` may set, with their defaults as a file spells them."""
+    return {key: ",".join(map(str, val)) if isinstance(val, list) else str(val)
+            for key, val in default_config(name).as_dict().items() if key != "name"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,49 +44,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bosp", description="run named experiments and write reports")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENT_NAMES:
-        keys = default_config(name).as_dict()
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+        p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
         p.add_argument("--config", metavar="PATH", help="key=value config file")
         p.add_argument("--out", metavar="DIR", default="runs",
                        help="report directory (default: ./runs)")
-        p.add_argument("--seed", type=int, metavar="U64", help="ensemble seed")
         p.add_argument("--quiet", action="store_true", help="suppress output")
         p.add_argument("--stem", help="output file stem (default: name-timestamp-seed)")
-        if "scheme" in keys:
-            p.add_argument("--scheme", choices=sorted(_SCHEMES),
-                           help="time integrator")
-        if "dealias" in keys:
-            p.add_argument("--dealias", choices=sorted(_DEALIAS),
-                           help="dealiasing rule")
-        for flag, key, typ, helptext in _COMMON_OVERRIDES:
-            if key in keys:
-                p.add_argument(flag, dest=f"cfg_{key}", type=typ, help=helptext)
+        for key, default in _config_keys(name).items():
+            p.add_argument(f"--{key.replace('_', '-')}", metavar="VALUE",
+                           help=f"default: {default}")
     return parser
 
 
-def _collect_overrides(args) -> dict:
-    overrides = {}
-    if args.config:
-        overrides.update(load_config_file(args.config, args.experiment))
-    for _, key, _, _ in _COMMON_OVERRIDES:
-        val = getattr(args, f"cfg_{key}", None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "scheme", None) is not None:
-        overrides["scheme"] = _SCHEMES[args.scheme]
-    if getattr(args, "dealias", None) is not None:
-        overrides["dealias"] = _DEALIAS[args.dealias]
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return overrides
+def _config(args) -> ExperimentConfig:
+    """The config file's section with the flags that were given laid on top."""
+    mapping = load_config_file(args.config, args.experiment) if args.config else {}
+    mapping.update({key: getattr(args, key) for key in _config_keys(args.experiment)
+                    if getattr(args, key) is not None})
+    return config_from_mapping(args.experiment, mapping)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = _collect_overrides(args)
-        cfg = config_from_mapping(args.experiment, overrides)
+        cfg = _config(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

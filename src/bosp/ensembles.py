@@ -24,14 +24,14 @@ __all__ = ["random_field"]
 
 def random_field(grid: PeriodicGrid, rng: np.random.Generator,
                  n_modes: int | None = None, decay: float = 0.7,
-                 amplitude: float = 1.0, normalize: str | None = "h1",
+                 amplitude: float = 1.0, normalize: str = "h1",
                  mean: float = 0.0, physical_decay: bool = False) -> SpectralField:
     """Draw one real random field.
 
     ``normalize`` rescales the fluctuation (mean excluded) to ``amplitude``
-    in ``h1``, ``l2`` or ``h2``; ``None`` keeps the raw draw.  ``mean`` is
-    written into C_0 after normalization, so pinned-mean ensembles keep
-    their fluctuation size exactly.
+    in ``h1``, ``l2`` or ``h2``.  ``mean`` is written into C_0 after
+    normalization, so pinned-mean ensembles keep their fluctuation size
+    exactly.
     """
     cap = grid.n // 2 - 1
     n_modes = cap if n_modes is None else min(int(n_modes), cap)
@@ -44,18 +44,17 @@ def random_field(grid: PeriodicGrid, rng: np.random.Generator,
     coeffs[1: n_modes + 1] = g * envelope
     coeffs[-n_modes:] = np.conj(coeffs[1: n_modes + 1][::-1])
     f = SpectralField(grid, coeffs, is_real=True)
-    if normalize is not None:
-        if normalize == "l2":
-            cur = norm(f, "lp", p=2)
-        elif normalize == "h1":
-            cur = norm(f, "hs", s=1.0)
-        elif normalize == "h2":
-            cur = norm(f, "hs", s=2.0)
-        else:
-            raise ValueError(f"unknown normalization {normalize!r}")
-        if cur == 0.0:
-            raise ValueError("degenerate draw: zero field cannot be normalized")
-        f = (amplitude / cur) * f
+    if normalize == "l2":
+        cur = norm(f, "lp", p=2)
+    elif normalize == "h1":
+        cur = norm(f, "hs", s=1.0)
+    elif normalize == "h2":
+        cur = norm(f, "hs", s=2.0)
+    else:
+        raise ValueError(f"unknown normalization {normalize!r}")
+    if cur == 0.0:
+        raise ValueError("degenerate draw: zero field cannot be normalized")
+    f = (amplitude / cur) * f
     if mean != 0.0:
         c = f.coeffs.copy()
         c[0] = mean

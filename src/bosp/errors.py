@@ -8,11 +8,9 @@ class BlowUpError(RuntimeError):
     finite and below the magnitude guard.
     """
 
-    def __init__(self, last_good_time, message=None):
+    def __init__(self, last_good_time):
         self.last_good_time = float(last_good_time)
-        super().__init__(
-            message or f"solution blew up; last good time t = {self.last_good_time:.6g}"
-        )
+        super().__init__(f"solution blew up; last good time t = {self.last_good_time:.6g}")
 
 
 class CheckpointError(IOError):

@@ -153,7 +153,9 @@ def _is_gate(key: str) -> bool:
 def _check_ranges(values: dict) -> None:
     """Reject float values that would turn a check into nonsense."""
     for key, value in values.items():
-        if (key == "horizon" or _is_gate(key)) and not (math.isfinite(value) and value > 0):
+        # flowmap's second gap is perturbation / shrink_factor
+        if ((key in ("horizon", "shrink_factor") or _is_gate(key))
+                and not (math.isfinite(value) and value > 0)):
             raise ConfigError(f"{key} must be finite and positive, got {value!r}")
     if "decay" in values and not 0 < values["decay"] <= 1:
         raise ConfigError(f"decay must lie in (0, 1], got {values['decay']!r}")

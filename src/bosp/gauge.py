@@ -29,14 +29,14 @@ P_+(u e^{-iF}) = i w there, and the b and c terms collapse into the single
 derivative term via d_x P_+(e^{-iF} P_-(u_x)) = P_+(e^{-iF} P_-(u_xx))
 - i P_+(u e^{-iF} P_-(u_x)).)
 
-``gauge_residual`` turns these identities into numbers: instantaneous mode
+``gauge_residual`` turns these identities into numbers: on a field it
 substitutes the evolution equation for the time derivative (no time
-stepping at all), trajectory mode uses fourth-order centered differences
-on uniformly sampled snapshots.  Instantaneous mode takes u_t and v_t from
-``evolve.Equation``, except the gbo nonlinear term: that stays in the
-non-conservative form 2 M(v^k) v_x, which keeps the folded n/2 value the
-solver's conservative flux zeroes, because the identity needs that slot at
-finite n.  ``pde_residual`` substitutes ``Equation`` unchanged.
+stepping at all), on a trajectory it uses fourth-order centered differences
+on uniformly sampled snapshots.  The instantaneous residual takes u_t and
+v_t from ``evolve.Equation``, except the gbo nonlinear term: that stays in
+the non-conservative form 2 M(v^k) v_x, which keeps the folded n/2 value
+the solver's conservative flux zeroes, because the identity needs that
+slot at finite n.  ``pde_residual`` substitutes ``Equation`` unchanged.
 
 All products involving e^{-iF} are formed pointwise on a 4x zero-padded
 grid and truncated back, so the only error left is the spectral tail of
@@ -399,28 +399,25 @@ def _snapshot_stacks(traj: Trajectory, variant: str, k: int,
     return tuple(np.concatenate(stack) for stack in zip(*chunks))
 
 
-def gauge_residual(target, variant: str = "bo", k: int = 1,
-                   mode: str = "instantaneous") -> ResidualNorms:
+def gauge_residual(target, variant: str = "bo", k: int = 1) -> ResidualNorms:
     """Residual of the derived gauge equation, ||w_t - i w_xx - RHS||.
 
-    ``instantaneous`` takes a single field, substitutes the evolution
-    equation for the time derivative, and must vanish to spectral accuracy
-    (the one-field case of ``gauge_residual_batch``); ``trajectory`` takes a
-    uniformly sampled Trajectory (>= 5 snapshots) and differentiates w in
-    time with a fourth-order centered stencil, so the residual decays like
-    the fourth power of the sampling interval.
+    A SpectralField gives the instantaneous residual: the evolution equation
+    stands in for the time derivative, and the residual must vanish to
+    spectral accuracy (the one-field case of ``gauge_residual_batch``).  A
+    uniformly sampled Trajectory (>= 5 snapshots) gives the trajectory
+    residual: w is differentiated in time with a fourth-order centered
+    stencil, so the residual decays like the fourth power of the sampling
+    interval.  Anything else is a TypeError.
     """
-    if mode == "instantaneous":
-        if not isinstance(target, SpectralField):
-            raise TypeError("instantaneous mode expects a SpectralField")
+    if isinstance(target, SpectralField):
         return gauge_residual_batch([target], variant, k)[0]
-    if mode == "trajectory":
-        if not isinstance(target, Trajectory):
-            raise TypeError("trajectory mode expects a Trajectory")
+    if isinstance(target, Trajectory):
         w, iwxx, rhs = _snapshot_stacks(target, variant, k,
                                         lambda fr: (fr.w, *_subtracted(fr)))
         return _stencil_residual(target, w, iwxx, rhs)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise TypeError(f"gauge_residual expects a SpectralField or a Trajectory, "
+                    f"got {type(target).__name__}")
 
 
 def reconstruct_u(gauge: GaugeState, v: SpectralField) -> SpectralField:

@@ -203,9 +203,6 @@ class SpectralField:
         c0 = self.coeffs[0]
         return float(c0.real) if self.is_real else complex(c0)
 
-    def values(self, oversample: int = 1) -> np.ndarray:
-        return synthesize(self, oversample=oversample)
-
     def _with(self, coeffs, is_real) -> "SpectralField":
         return SpectralField(self.grid, coeffs, is_real=is_real)
 
@@ -351,7 +348,7 @@ def _values(f: SpectralField, nbig: int) -> np.ndarray:
     return _complex_values(f.coeffs, nbig)
 
 
-def analyze_values_padded(values, grid: PeriodicGrid, is_real=None) -> SpectralField:
+def analyze_values_padded(values, grid: PeriodicGrid) -> SpectralField:
     """Values on an oversampled grid -> field truncated to grid.n modes.
 
     Real values give an exactly conjugate-symmetric field.
@@ -365,7 +362,7 @@ def analyze_values_padded(values, grid: PeriodicGrid, is_real=None) -> SpectralF
         coeffs = _full_spectrum(_real_coeffs(values, grid.n), grid.n)
     else:
         coeffs = _complex_coeffs(values, grid.n)
-    return SpectralField(grid, coeffs, is_real=real if is_real is None else is_real)
+    return SpectralField(grid, coeffs, is_real=real)
 
 
 def _power(values: np.ndarray, p: int) -> np.ndarray:
@@ -386,10 +383,10 @@ def _power(values: np.ndarray, p: int) -> np.ndarray:
         base = base * base
 
 
-def multiply(f: SpectralField, g: SpectralField, oversample: int = _DEFAULT_PAD) -> SpectralField:
-    """Pointwise product via oversampled synthesis (alias-safe for 4x)."""
+def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
+    """Pointwise product on the 4x oversampled grid, where it is alias-free."""
     f._check_same_grid(g)
-    vals = synthesize(f, oversample) * synthesize(g, oversample)
+    vals = synthesize(f, _DEFAULT_PAD) * synthesize(g, _DEFAULT_PAD)
     return analyze_values_padded(vals, f.grid)
 
 

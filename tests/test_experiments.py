@@ -1,5 +1,6 @@
 """Experiment runner: config handling, determinism, verdicts, CLI."""
 
+import argparse
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from bosp import (
     ConfigError,
     ExperimentConfig,
     PeriodicGrid,
+    SpectralField,
     build_gauge,
     config_from_mapping,
     default_config,
@@ -22,7 +24,8 @@ from bosp import (
     xnorm,
     xnorm_series,
 )
-from bosp.cli import main
+from bosp import experiments
+from bosp.cli import build_parser, main
 from bosp.experiments import (_EXPERIMENTS, EXPERIMENT_NAMES, _build_report, _hash_field,
                               _run_estimate_monitor, _run_flowmap, load_config_file)
 
@@ -195,7 +198,8 @@ class TestConfig:
                     if key.endswith(("_tol", "_max", "_min", "_bound"))}
         assert suffixed - {("strichartz-scan", "slope_max")} == set(GATES)
 
-    @pytest.mark.parametrize("name, key", GATES + [("strichartz-scan", "horizon")])
+    @pytest.mark.parametrize("name, key", GATES + [("strichartz-scan", "horizon"),
+                                                   ("flowmap", "shrink_factor")])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_gate_and_horizon_must_be_finite_positive(self, name, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be finite and positive"):
@@ -331,6 +335,21 @@ class TestDeterminismAndVerdicts:
         r2 = run_experiment(config_from_mapping("bernstein",
                                                 dict(base, seed=1)))
         assert r1.records_jsonl() != r2.records_jsonl()
+
+    def test_bernstein_ratio_of_a_single_cosine(self, monkeypatch):
+        """cos(m x/lam) with lam < m < 2 lam: the high pass keeps half, ratio lam/(2m)."""
+        def cosine(grid, rng, **kwargs):
+            c = np.zeros(grid.n, dtype=np.complex128)
+            c[int(1.5 * grid.lam)] = c[-int(1.5 * grid.lam)] = 0.5
+            return SpectralField(grid, c, is_real=True)
+
+        monkeypatch.setattr(experiments, "random_field", cosine)
+        rep = run_experiment(config_from_mapping(
+            "bernstein", {"lambdas": (4.0, 16.0), "n_samples": 1}))
+        assert [r["lam"] for r in rep.records] == [4.0, 16.0]
+        for r in rep.records:
+            expected = r["lam"] / (2 * int(1.5 * r["lam"]))
+            assert r["ratio"] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_wall_time_not_serialized(self):
         cfg = config_from_mapping("bernstein", FAST["bernstein"])
@@ -620,12 +639,73 @@ class TestCli:
 
     def test_cli_scheme_and_dealias_spellings(self, tmp_path):
         code = main(["simulate", "--dt", "1e-3", "--t-final", "0.05",
-                     "--scheme", "etdrk4", "--dealias", "two-thirds",
+                     "--scheme", "etd_rk4", "--dealias", "two_thirds",
                      "--out", str(tmp_path), "--stem", "s", "--quiet"])
         assert code == 0
         summary = json.loads((tmp_path / "s.summary.json").read_text())
         assert summary["config"]["scheme"] == "etd_rk4"
         assert summary["config"]["dealias"] == "two_thirds"
+
+    @pytest.mark.parametrize("flag, value", [("--scheme", "ifrk4"), ("--scheme", "rk45"),
+                                             ("--dealias", "two-thirds"),
+                                             ("--dealias", "pad3")])
+    def test_unknown_scheme_or_dealias_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = main(["simulate", flag, value, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{value!r}" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_one_flag_per_config_key(self):
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        fixed = {"--config", "--out", "--quiet", "--stem", "-h", "--help"}
+        for name in EXPERIMENT_NAMES:
+            flags = [a for a in subparsers.choices[name]._actions
+                     if not fixed & set(a.option_strings)]
+            keys = KEYS_READ[name] | {"seed"}
+            assert sorted(a.dest for a in flags) == sorted(keys), name
+            for a in flags:
+                assert a.option_strings == [f"--{a.dest.replace('_', '-')}"]
+                assert a.type is None and a.choices is None and a.default is None
+
+    @pytest.mark.parametrize("name", sorted(FAST))
+    def test_flag_and_config_file_give_the_same_report(self, tmp_path, name):
+        """Every key set through its flag or through a config file, alike."""
+        values = default_config(name).as_dict()
+        values.update(FAST[name])
+        del values["name"]
+        spelled = {key: ",".join(map(str, val)) if isinstance(val, (list, tuple))
+                   else str(val) for key, val in values.items()}
+        flags = [arg for key, val in spelled.items()
+                 for arg in (f"--{key.replace('_', '-')}", val)]
+        cfg = _write_cfg(tmp_path, f"[{name}]\n" + "".join(
+            f"{key} = {val}\n" for key, val in spelled.items()))
+        main([name, *flags, "--out", str(tmp_path), "--stem", "flags", "--quiet"])
+        main([name, "--config", cfg, "--out", str(tmp_path), "--stem", "file", "--quiet"])
+        by_flags = (tmp_path / "flags.summary.json").read_bytes()
+        assert by_flags == (tmp_path / "file.summary.json").read_bytes()
+        assert json.loads(by_flags)["config"] == config_from_mapping(name, values).as_dict()
+
+    def test_flag_overrides_config_file(self, tmp_path):
+        cfg = _write_cfg(tmp_path, "[bernstein]\nn_samples = 3\nlambdas = 1 4\n")
+        main(["bernstein", "--config", cfg, "--lambdas", "1,2", "--out", str(tmp_path),
+              "--stem", "b", "--quiet"])
+        config = json.loads((tmp_path / "b.summary.json").read_text())["config"]
+        assert config["n_samples"] == 3 and config["lambdas"] == [1.0, 2.0]
+
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["strichartz-scan", "--lambda", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lambda 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_unparsable_flag_value_is_usage_error(self, tmp_path, capsys):
+        assert main(["simulate", "--n", "abc", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad value for 'n': 'abc'" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("equation", ["linear", "bo2"])
     def test_k_for_equation_without_k_is_usage_error(self, tmp_path, capsys, equation):

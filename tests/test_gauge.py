@@ -212,7 +212,7 @@ class TestInstantaneousResidual:
 
     def test_bo_cosine(self):
         grid = PeriodicGrid(1.0, 256)
-        res = gauge_residual(cos_field(grid, 0.01), "bo", mode="instantaneous")
+        res = gauge_residual(cos_field(grid, 0.01), "bo")
         assert res.l2 < 1e-9
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -220,7 +220,7 @@ class TestInstantaneousResidual:
         grid = PeriodicGrid(1.0, 256)
         v = SpectralField.from_function(
             grid, lambda x: 0.01 * (np.cos(x) + np.sin(2 * x)))
-        res = gauge_residual(v, "gbo", k=k, mode="instantaneous")
+        res = gauge_residual(v, "gbo", k=k)
         assert res.l2 < 1e-9
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -228,14 +228,14 @@ class TestInstantaneousResidual:
         grid = PeriodicGrid(1.0, 256)
         for _ in range(5):
             v = h2_normalized(grid, rng, amp=0.1, n_modes=127, decay=0.8)
-            res = gauge_residual(v, "gbo", k=k, mode="instantaneous")
+            res = gauge_residual(v, "gbo", k=k)
             assert res.l2 < 1e-9
 
     def test_bo_random_ensemble(self, rng):
         grid = PeriodicGrid(1.0, 256)
         for _ in range(5):
             v = h2_normalized(grid, rng, amp=0.1, n_modes=127, decay=0.8)
-            res = gauge_residual(v, "bo", mode="instantaneous")
+            res = gauge_residual(v, "bo")
             assert res.l2 < 1e-9
 
     def test_cross_projection_identity(self, rng):
@@ -312,7 +312,7 @@ class TestFrame:
         traj = solve(v, SolverConfig("linear", dt=0.01, t_final=0.05))
         calls = [lambda: build_gauge(v, variant, k),
                  lambda: gauge_residual(v, variant, k=k),
-                 lambda: gauge_residual(traj, variant, k=k, mode="trajectory"),
+                 lambda: gauge_residual(traj, variant, k=k),
                  lambda: gauge_lipschitz_gap(v, 2.0 * v, variant, k),
                  lambda: gauge_lipschitz_gap(v, v, variant, k)]
         for call in calls:
@@ -329,7 +329,7 @@ class TestFrame:
         equation = "bo2" if variant == "bo" else "renormalized_gbo"
         traj = solve(h2_normalized(grid, rng),
                      SolverConfig(equation, k=k, dt=1e-3, t_final=0.04, sample_stride=5))
-        gauge_residual(traj, variant, k=k, mode="trajectory")
+        gauge_residual(traj, variant, k=k)
         assert len(traj) == 9 and len(built) == 3 + 1
         assert built[-1][0].shape == (9, grid.n)
 
@@ -344,7 +344,7 @@ class TestFrame:
         assert len(calls) <= 19  # frame 4, w_t 6, the b, c and d terms 9
         for traj in trajs:
             calls.clear()
-            gauge_residual(traj, "bo", mode="trajectory")
+            gauge_residual(traj, "bo")
             # one frame 3, its right-hand side 2, however many snapshots
             assert len(calls) <= 5
         assert [len(traj) for traj in trajs] == [11, 31]
@@ -439,7 +439,7 @@ class TestTrajectoryResidual:
         errs, hs = [], []
         for stride in (20, 10, 5):
             traj = self._make_traj(stride)
-            res = gauge_residual(traj, "bo", mode="trajectory")
+            res = gauge_residual(traj, "bo")
             errs.append(res.l2)
             hs.append(traj.sample_dt)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -449,11 +449,11 @@ class TestTrajectoryResidual:
         from bosp import Trajectory
 
         traj = self._make_traj(50)  # 5 snapshots: ok
-        gauge_residual(traj, "bo", mode="trajectory")
+        gauge_residual(traj, "bo")
         short = Trajectory(traj.grid, traj.times[:4], traj.half_coeffs[:4],
                            traj.equation, traj.k)
         with pytest.raises(ValueError):
-            gauge_residual(short, "bo", mode="trajectory")
+            gauge_residual(short, "bo")
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_snapshot_w_stack_equals_build_gauge(self, monkeypatch, k):
@@ -469,10 +469,8 @@ class TestTrajectoryResidual:
         assert np.array_equal(ws, [build_gauge(f, "gbo", k).w.coeffs for f in traj])
 
     def test_mode_validation(self, grid, rng):
-        with pytest.raises(TypeError):
-            gauge_residual(h2_normalized(grid, rng), "bo", mode="trajectory")
-        with pytest.raises(ValueError):
-            gauge_residual(h2_normalized(grid, rng), "bo", mode="spacetime")
+        with pytest.raises(TypeError, match="SpectralField or a Trajectory"):
+            gauge_residual(h2_normalized(grid, rng).coeffs, "bo")
 
 
 class TestReconstruction:

@@ -33,7 +33,8 @@ from .errors import (
     TruncatedFileError,
     VersionError,
 )
-from .spectral import PeriodicGrid, SpectralField, Trajectory, _full_spectrum
+from .spectral import (PeriodicGrid, SpectralField, Trajectory, _conjugate_symmetric,
+                       _full_spectrum)
 
 __all__ = ["save_checkpoint", "load_checkpoint", "MAGIC", "VERSION", "EQUATION_TAGS"]
 
@@ -89,7 +90,8 @@ def load_checkpoint(path):
     """Load a checkpoint; returns a SpectralField or a Trajectory.
 
     Trajectory snapshots must be exactly conjugate symmetric (real slots 0
-    and n/2), as ``save_checkpoint`` writes them.
+    and n/2, mode -m the conjugate of mode m), as ``save_checkpoint`` writes
+    them; ``spectral._conjugate_symmetric`` tests the whole stack at once.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -122,17 +124,13 @@ def load_checkpoint(path):
             records = np.frombuffer(rest, dtype=_records(n), offset=4)
             coeffs = records["coeffs"]
             _check_finite(records["time"], coeffs)
-            half = coeffs[:, : n // 2 + 1]
-            # modes n/2+1 .. n-1 must mirror modes n/2-1 .. 1
-            if (half[:, [0, -1]].imag.any()
-                    or not np.array_equal(coeffs[:, n // 2 + 1:],
-                                          np.conj(half[:, n // 2 - 1: 0: -1]))):
+            if not _conjugate_symmetric(coeffs):
                 raise CheckpointError("trajectory snapshots are not conjugate symmetric")
             equation = _TAG_NAMES[tag]
             if equation == "none":
                 raise CheckpointError("trajectory checkpoint carries no equation tag")
             try:
-                return Trajectory(grid, records["time"], half, equation, k)
+                return Trajectory(grid, records["time"], coeffs[:, : n // 2 + 1], equation, k)
             except ValueError as exc:
                 raise CheckpointError(f"invalid trajectory: {exc}") from exc
 

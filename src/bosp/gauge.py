@@ -305,8 +305,6 @@ class ResidualNorms:
 
     l2: float
     h1: float
-    per_sample_l2: tuple = ()
-    per_sample_times: tuple = ()
 
 
 @functools.lru_cache(maxsize=16)
@@ -352,12 +350,8 @@ def _stencil_residual(traj: Trajectory, series: np.ndarray, *terms) -> ResidualN
                 for off, c in zip((-2, -1, 0, 1, 2), _STENCIL)) / traj.sample_dt
     for term in terms:
         resid = resid - term[2: S - 2]
-    l2s = _parseval_norms(resid, traj.grid)
-    h1s = _parseval_norms(resid, traj.grid, 1.0)
-    return ResidualNorms(
-        l2=float(np.max(l2s)), h1=float(np.max(h1s)),
-        per_sample_l2=tuple(l2s.tolist()), per_sample_times=tuple(traj.times[2: S - 2].tolist()),
-    )
+    return ResidualNorms(l2=float(np.max(_parseval_norms(resid, traj.grid))),
+                         h1=float(np.max(_parseval_norms(resid, traj.grid, 1.0))))
 
 
 def gauge_residual_batch(fields, variant: str = "bo", k: int = 1) -> list:

@@ -24,6 +24,8 @@ max(4, k + 2))`` points, more than the integrand's top mode max(4, k+2)*n/2,
 so the quadrature is exact for every k (n = 2048 at k <= 2 takes 4320
 points).  F and E_k share that grid, and along a trajectory they are
 evaluated on the half-spectrum stack, bit-identical to each snapshot alone.
+So are the mixed space-time norms and the H^1 check: each is one per-row
+reduction of the trajectory's stack, with no field built per snapshot.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ from .spectral import (
     Trajectory,
     PeriodicGrid,
     _alias_free_points,
+    _conjugate_symmetric,
     _full_spectrum,
+    _lp_norms,
+    _parseval_norms,
     _power,
     _real_values,
     _row_chunks,
-    differentiate,
-    norm,
+    _symbol,
 )
 
 __all__ = [
@@ -159,18 +163,25 @@ def drift_report(traj: Trajectory) -> InvariantReport:
     return InvariantReport(traj.equation, traj.k, traj.times.copy(), values, drifts)
 
 
-def xnorm_series(times, fields, level: int) -> float:
-    """Mixed space-time norm of an arbitrary sampled field sequence."""
+def xnorm_series(times, coeffs, grid: PeriodicGrid, level: int) -> float:
+    """Mixed space-time norm of a sampled field sequence, one coefficient row per time.
+
+    ``coeffs`` is an (S, n) stack in transform order on ``grid``; the norm is
+    the one of ``xnorm``, reduced over the whole stack.  Exactly conjugate-
+    symmetric stacks are synthesized as real fields, any other as complex.
+    """
     if level not in (0, 1, 2):
         raise ValueError(f"level must be 0, 1 or 2, got {level!r}")
-    times = np.asarray(times, dtype=float)
+    times, coeffs = np.asarray(times, dtype=float), np.asarray(coeffs, dtype=np.complex128)
+    if coeffs.shape != (len(times), grid.n):
+        raise ValueError(f"coefficient stack has shape {coeffs.shape}, "
+                         f"expected ({len(times)}, {grid.n})")
+    real = _conjugate_symmetric(coeffs)
     total = 0.0
     for j in range(level + 1):
-        derivs = [differentiate(f, "d_dx", j) if j else f for f in fields]
-        l2s = np.array([norm(f, "lp", p=2) for f in derivs])
-        l4s = np.array([norm(f, "lp", p=4) for f in derivs])
-        total += float(np.max(l2s))
-        total += float(np.trapezoid(l4s ** 4, times) ** 0.25)
+        derivs = _symbol(grid, "d_dx", j) * coeffs if j else coeffs
+        total += float(np.max(_parseval_norms(derivs, grid)))
+        total += float(np.trapezoid(_lp_norms(derivs, grid, 4, real) ** 4, times) ** 0.25)
     return total
 
 
@@ -178,9 +189,11 @@ def xnorm(traj: Trajectory, level: int) -> float:
     """Mixed space-time norm: sum over derivatives 0..level of
     sup_t ||d^j u||_{L^2} + (integral_0^T ||d^j u||_{L^4}^4 dt)^(1/4).
 
-    The time quadrature is the composite trapezoid rule on the sample times.
+    The time quadrature is the composite trapezoid rule on the sample times;
+    the whole half-spectrum stack goes to ``xnorm_series`` at once.
     """
-    return xnorm_series(traj.times, list(traj), level)
+    return xnorm_series(traj.times, _full_spectrum(traj.half_coeffs, traj.grid.n),
+                        traj.grid, level)
 
 
 @dataclass(frozen=True)
@@ -191,7 +204,7 @@ class H1Check:
 
 def h1_apriori_check(traj: Trajectory) -> H1Check:
     """max_t ||u(t)||_{H^1} / ||u(0)||_{H^1}; degenerate for zero data."""
-    h1s = np.array([norm(f, "hs", s=1.0) for f in traj])
+    h1s = _parseval_norms(_full_spectrum(traj.half_coeffs, traj.grid.n), traj.grid, 1.0)
     if h1s[0] == 0.0:
         return H1Check(float("nan"), True)
     return H1Check(float(np.max(h1s) / h1s[0]), False)

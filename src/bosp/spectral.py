@@ -32,6 +32,9 @@ frames call them on stacks of shape (..., n/2+1) or (..., n), and the
 exact L^4 resonance sum in ``lingroup`` places the slot n/2 the same way.
 A ``Trajectory`` is one half-spectrum stack, expanded a snapshot at a time
 on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
+``norm`` is the one-row case of the per-row ``_parseval_norms`` (L^2, H^s)
+and ``_lp_norms`` (L^1, L^4).  ``_conjugate_symmetric`` is the one exact
+test that coefficient rows are real fields.
 
 Norm conventions follow the coefficient-space definitions used throughout:
 
@@ -333,16 +336,22 @@ def _full_spectrum(half_coeffs: np.ndarray, n: int, out=None) -> np.ndarray:
     return full
 
 
+def _conjugate_symmetric(coeffs: np.ndarray) -> bool:
+    """Whether all coefficient rows (..., n) are exactly conjugate symmetric.
+
+    Slots 0 and n/2 must be real, and mode -m the exact conjugate of mode m.
+    """
+    n = coeffs.shape[-1]
+    return (not coeffs[..., [0, n // 2]].imag.any()
+            and np.array_equal(coeffs[..., n // 2 + 1:], np.conj(coeffs[..., n // 2 - 1: 0: -1])))
+
+
 def synthesize(f: SpectralField, oversample: int = 1) -> np.ndarray:
     """Coefficients -> point values, optionally on an oversampled grid.
 
     Returns a real array for real-flagged fields.
     """
-    return _values(f, oversample * f.grid.n)
-
-
-def _values(f: SpectralField, nbig: int) -> np.ndarray:
-    """Point values of a field on nbig >= n points, real for real-flagged fields."""
+    nbig = oversample * f.grid.n
     if f.is_real:
         return _real_values(f.coeffs[: f.grid.n // 2 + 1], nbig)
     return _complex_values(f.coeffs, nbig)
@@ -538,6 +547,26 @@ def _parseval_norms(coeffs: np.ndarray, grid: PeriodicGrid, s: float | None = No
     return np.sqrt(np.sum((1.0 + q * q) ** s * sq, axis=-1))
 
 
+def _lp_norms(rows: np.ndarray, grid: PeriodicGrid, p: int, real: bool) -> np.ndarray:
+    """Per-row L^p norms (p = 1 or 4) of coefficient rows (R, n) by the rectangle rule.
+
+    p = 4 sums on the alias-free grid of degree 4, exact since |f|^4 is a
+    polynomial in f and conj f; p = 1 on the 4x oversampled grid.  ``real``
+    rows are synthesized from their half spectra.  Rows go in stacks of at
+    most ``_STACK_POINTS`` points.
+    """
+    n = grid.n
+    nbig = _alias_free_points(n, 4) if p == 4 else _DEFAULT_PAD * n
+    out = np.empty(len(rows))
+    for chunk in _row_chunks(len(rows), nbig):
+        vals = (_real_values(rows[chunk, : n // 2 + 1], nbig) if real
+                else _complex_values(rows[chunk], nbig))
+        sums = grid.circumference / nbig * np.sum(np.abs(vals) ** p, axis=-1)
+        # roots as scalars: numpy's vectorized pow can differ from libm's by an ulp
+        out[chunk] = [total ** (1.0 / p) for total in sums.tolist()]
+    return out
+
+
 def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = None) -> float:
     """Norms on the circle.
 
@@ -555,11 +584,7 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
             return float(_parseval_norms(f.coeffs, f.grid))
         if p not in (1, 4):
             raise ValueError(f"unsupported Lp exponent p = {p!r} (use 1, 2 or 4)")
-        # |f|^4 is a degree-4 polynomial in f and conj f; |f| is none
-        n = f.grid.n
-        vals = _values(f, _alias_free_points(n, 4) if p == 4 else _DEFAULT_PAD * n)
-        w = f.grid.circumference / vals.size
-        return float((w * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
+        return float(_lp_norms(f.coeffs[None], f.grid, p, f.is_real)[0])
     if kind == "hs":
         if s is None:
             raise ValueError("hs norm needs the smoothness parameter s")

@@ -10,7 +10,7 @@ tautology.
 import numpy as np
 import pytest
 
-from bosp import PeriodicGrid, random_field
+from bosp import PeriodicGrid, differentiate, norm, random_field
 from bosp.lingroup import group_symbol
 from bosp.spectral import _complex_values, _real_values
 
@@ -139,6 +139,26 @@ def trapezoid_strichartz_norm(f, horizon, n_t, kind="bo_group"):
     rows = np.exp(np.outer(times, group_symbol(f.grid, kind))) * f.coeffs[None, :]
     integrand = l4_sums(rows, f.grid, f.is_real and kind == "bo_group")
     return float(np.trapezoid(integrand, dx=horizon / n_t) ** 0.25)
+
+
+# --- mixed space-time norm, one field at a time (reference of the stacked form) ---
+
+
+def xnorm_series_per_field(times, fields, level):
+    """sum_j<=level sup_t ||d^j f||_L2 + (trapezoid integral of ||d^j f||_L4^4)^(1/4).
+
+    The per-field loop that ``xnorm_series`` replaced by one reduction of a
+    coefficient stack: each SpectralField is differentiated and normed alone.
+    """
+    times = np.asarray(times, dtype=float)
+    total = 0.0
+    for j in range(level + 1):
+        derivs = [differentiate(f, "d_dx", j) if j else f for f in fields]
+        l2s = np.array([norm(f, "lp", p=2) for f in derivs])
+        l4s = np.array([norm(f, "lp", p=4) for f in derivs])
+        total += float(np.max(l2s))
+        total += float(np.trapezoid(l4s ** 4, times) ** 0.25)
+    return total
 
 
 @pytest.fixture

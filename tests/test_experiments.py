@@ -22,12 +22,13 @@ from bosp import (
     save_report,
     solve,
     xnorm,
-    xnorm_series,
 )
 from bosp import experiments
 from bosp.cli import build_parser, main
 from bosp.experiments import (_EXPERIMENTS, EXPERIMENT_NAMES, _build_report, _hash_field,
                               _run_estimate_monitor, _run_flowmap, load_config_file)
+
+from conftest import xnorm_series_per_field
 
 
 FAST = {
@@ -292,6 +293,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bo variant has k = 1, got k = 2"):
             config_from_mapping("scaling", {"k": 2})
 
+    @pytest.mark.parametrize("name, args", [
+        ("strichartz-scan", ["--lambdas", "2"]),
+        ("strichartz-scan", ["--lambdas", "2", "--n-samples", "2"]),
+        ("strichartz-scan", ["--lambdas", "1,1"]),
+        ("strichartz-scan", ["--n-samples", "1", "--lambdas", "1"]),
+        ("bernstein", ["--lambdas", "4,4"]),
+        ("bernstein", ["--lambdas", "16"]),
+    ])
+    def test_scan_over_one_circle_size_rejected(self, tmp_path, capsys, name, args):
+        # the verdicts compare per-lambda maxima, which one lambda cannot
+        lambdas = args[args.index("--lambdas") + 1]
+        with pytest.raises(ConfigError, match="at least 2 distinct circle sizes"):
+            config_from_mapping(name, {"lambdas": lambdas})
+        assert main([name, *args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: lambdas must hold at least 2 distinct circle sizes" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_bernstein_lambdas_floor_follows_n_modes(self):
         # 0.125 * 8 is one mode; 0.125 * 7 rounds down to none
         config_from_mapping("bernstein", {"lambdas": "0.125 1"})
@@ -518,7 +538,7 @@ def _estimate_monitor_unbatched(cfg, rng):
             records.append(dict(rec, blew_up=True, last_good_time=exc.last_good_time))
             continue
         wfields = [build_gauge(f, "gbo", cfg.k).w for f in vtraj]
-        w_x1, v_x1 = xnorm_series(vtraj.times, wfields, 1), xnorm(vtraj, 1)
+        w_x1, v_x1 = xnorm_series_per_field(vtraj.times, wfields, 1), xnorm(vtraj, 1)
         w0_h1 = norm(wfields[0], "hs", s=1.0)
         k = cfg.k
         denom = w0_h1 + cfg.t_final ** 0.25 * (
@@ -568,6 +588,19 @@ class TestBatchedEnsembles:
         assert [len(args[0]) for args in built] == [11] * cfg.n_samples
         assert not any(r.get("blew_up") for r in records)
 
+    def test_no_snapshot_is_expanded(self, monkeypatch):
+        from bosp import Trajectory
+
+        expanded, getitem = [], Trajectory.__getitem__
+        monkeypatch.setattr(Trajectory, "__getitem__",
+                            lambda traj, i: expanded.append(i) or getitem(traj, i))
+        for name, run in (("flowmap", _run_flowmap),
+                          ("estimate-monitor", _run_estimate_monitor)):
+            cfg = config_from_mapping(name, FAST[name])
+            records, _ = run(cfg, np.random.default_rng(cfg.seed))
+            assert records and not any(r.get("blew_up") for r in records)
+        assert expanded == []
+
     def test_blown_phi1_keeps_its_own_record(self):
         cfg = config_from_mapping("flowmap", BLOWING["flowmap"])
         records, _ = _run_flowmap(cfg, np.random.default_rng(cfg.seed))
@@ -612,6 +645,17 @@ class TestCli:
         code = main(["flowmap", "--config", bad, "--out", str(tmp_path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_zero_estimate_monitor_data_is_a_named_failure(self, tmp_path, capsys):
+        code = main(["estimate-monitor", "--amplitude", "0", "--n-samples", "2",
+                     "--out", str(tmp_path), "--stem", "z"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "2 samples have zero initial data, ratio undefined" in out
+        assert err == ""
+        records = [json.loads(line)
+                   for line in (tmp_path / "z.records.jsonl").read_text().splitlines()]
+        assert [(r["degenerate"], "ratio" in r) for r in records] == [(True, False)] * 2
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

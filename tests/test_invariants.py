@@ -17,10 +17,12 @@ from bosp import (
     solve,
     synthesize,
     xnorm,
+    xnorm_series,
 )
 from bosp import invariants
+from bosp.spectral import _full_spectrum
 
-from conftest import dense_hilbert, dense_points, dense_values
+from conftest import dense_hilbert, dense_points, dense_values, xnorm_series_per_field
 
 
 def cos_field(grid, amp=1.0, mean=0.0):
@@ -243,6 +245,31 @@ class TestXNorms:
         with pytest.raises(ValueError):
             xnorm(traj, 3)
 
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_stack_equals_per_field_reference(self, level, real):
+        traj = _tag_trajectory("gbo", 1)
+        grid, times = traj.grid, traj.times
+        if real:
+            fields = list(traj)
+            assert xnorm(traj, level) == xnorm_series_per_field(times, fields, level)
+        else:
+            rng = np.random.default_rng(level)
+            fields = [SpectralField(grid, c, is_real=False) for c in
+                      rng.standard_normal((len(traj), grid.n))
+                      + 1j * rng.standard_normal((len(traj), grid.n))]
+        stack = np.array([f.coeffs for f in fields])
+        assert xnorm_series(times, stack, grid, level) == xnorm_series_per_field(
+            times, fields, level)
+
+    def test_stack_shape_checked(self, grid):
+        traj = constant_trajectory(grid, cos_field(grid))
+        stack = _full_spectrum(traj.half_coeffs, grid.n)
+        with pytest.raises(ValueError, match="coefficient stack has shape"):
+            xnorm_series(traj.times[1:], stack, grid, 0)
+        with pytest.raises(ValueError, match="coefficient stack has shape"):
+            xnorm_series(traj.times, stack[:, :-2], grid, 0)
+
 
 class TestH1Check:
     def test_linear_flow_is_isometric(self, rng):
@@ -257,6 +284,14 @@ class TestH1Check:
     def test_zero_data_degenerate(self, grid):
         traj = constant_trajectory(grid, SpectralField.zero(grid))
         assert h1_apriori_check(traj).degenerate
+
+    @pytest.mark.parametrize("equation, k", [("gbo", 1), ("gbo", 3), ("bo2", 1)])
+    def test_ratio_equals_per_snapshot_norms(self, equation, k):
+        traj = _tag_trajectory(equation, k)
+        h1s = [norm(f, "hs", s=1.0) for f in traj]
+        out = h1_apriori_check(traj)
+        assert not out.degenerate
+        assert out.ratio == max(h1s) / h1s[0]
 
     def test_nonlinear_run_stays_bounded(self):
         grid = PeriodicGrid(1.0, 128)

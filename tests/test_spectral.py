@@ -23,7 +23,7 @@ from bosp import (
     synthesize,
 )
 
-from bosp.spectral import (_complex_coeffs, _complex_values, _power, _real_coeffs,
+from bosp.spectral import (_complex_coeffs, _complex_values, _lp_norms, _power, _real_coeffs,
                            _real_values)
 
 from conftest import coeff_distance, dense_lp, dft_direct
@@ -296,6 +296,17 @@ class TestNorms:
             norm(f, "hs_dot")
         with pytest.raises(ValueError):
             norm(f, "energy")
+
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_lp_rows_equal_norm_of_each_row(self, grid, rng, p, real):
+        # 130 rows span 2 stacks of 135 points at p = 4 and 3 of 256 at p = 1
+        if real:
+            rows = np.array([random_field(grid, rng, n_modes=31).coeffs for _ in range(130)])
+        else:
+            rows = rng.standard_normal((130, grid.n)) + 1j * rng.standard_normal((130, grid.n))
+        want = [norm(SpectralField(grid, row, is_real=real), "lp", p=p) for row in rows]
+        assert np.array_equal(_lp_norms(rows, grid, p, real), want)
 
     def test_parseval(self, rng):
         # coefficient-space L^2 equals dense quadrature, lambda factor included

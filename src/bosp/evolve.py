@@ -17,7 +17,9 @@ Kassam-Trefethen contour trick (SIAM J. Sci. Comput. 26 (2005), 1214).
 integrates it and the residuals of ``gauge`` substitute it.  Its nonlinear
 terms are in conservative form d_x(u^{k+1})/(k+1) so the mean mode is
 conserved to round-off, and products are dealiased either by the
-two-thirds rule or by forming them on a 4x zero-padded grid.
+two-thirds rule or by forming them on a 4x zero-padded grid.  The flux has
+one implementation, ``Equation._flux``, which writes into caller-owned
+arrays; ``nonlinear`` is its allocating one-stack case.
 
 Solver state is the rfft half spectrum: modes m = 0, 1, ..., n/2 of a real
 field, the negative modes being their conjugates.  Values and fluxes go
@@ -37,10 +39,20 @@ the single-field solution.  A row blows up when, after a step, one of its
 modes is non-finite or exceeds the magnitude guard: that row is dropped
 from the stack and reports ``BlowUpError`` with the time before the step,
 and the other rows go on.
+
+A step allocates no stack-sized array.  Each stack gets its stage arrays,
+a magnitude array for the blow-up test and the flux's transform work
+arrays once, and again only when a blown-up row is dropped; the stage
+arithmetic writes into them with ``out=`` in the operations and order of
+the schemes' plain expressions, so every intermediate, and every stored
+state, is bit-for-bit that of the allocating form.  The transforms are
+still the eight ``numpy.fft`` calls of a step, of ``Equation.nbig``
+points per row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,10 +99,10 @@ class SolverConfig:
         if self.k != 1 and self.equation in ("linear", "bo2"):
             raise ValueError(f"k applies to gbo and renormalized_gbo only, "
                              f"got k = {self.k} for {self.equation}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.t_final >= self.dt:
-            raise ValueError("t_final must be at least dt")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
+            raise ValueError(f"t_final must be finite and at least dt, got {self.t_final!r}")
         if not (isinstance(self.sample_stride, (int, np.integer)) and self.sample_stride >= 1):
             raise ValueError("sample_stride must be an integer >= 1")
 
@@ -113,7 +125,8 @@ class Equation:
     ``symbol`` is the bo group symbol and ``nonlinear`` the dealiased
     conservative flux, both on the half spectrum (modes 0..n/2 along the
     last axis of a stack); the odd symbols zero the Nyquist slot.  ``rhs``
-    expands their sum to the full transform order.
+    expands their sum to the full transform order.  The stepper calls the
+    flux through ``_flux`` with arrays of its own (``_work``).
     """
 
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1, dealias: str = "pad4"):
@@ -126,21 +139,45 @@ class Equation:
         self.nbig = 4 * grid.n if dealias == "pad4" else grid.n
         self.cut = grid.n // 3 + 1 if dealias == "two_thirds" else None
 
-    def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
+    def _work(self, lead: tuple) -> tuple:
+        """Flux work arrays of a stack with leading shape ``lead``: values,
+        Nyquist-split spectrum, power pair and padded spectrum (none for linear)."""
+        if self.eq == "linear":
+            return ()
+        vals = lead + (self.nbig,)
+        return (np.empty(vals), np.empty(lead + (self.n // 2 + 1,), dtype=np.complex128),
+                (np.empty(vals), np.empty(vals)),
+                np.empty(lead + (self.nbig // 2 + 1,), dtype=np.complex128))
+
+    def _flux(self, uhat: np.ndarray, out: np.ndarray, work: tuple) -> np.ndarray:
+        """The dealiased flux of the stack uhat, written into ``out``.
+
+        ``work`` comes from ``_work`` and is clobbered; ``out`` must not
+        share memory with uhat or work.
+        """
         eq, k = self.eq, self.k
         if eq == "linear":
-            return np.zeros_like(uhat)
-        vals = _real_values(uhat, self.nbig)
-        flux = _real_coeffs(_power(vals, 2 if eq == "bo2" else k + 1), self.n)
+            out.fill(0.0)
+            return out
+        vals, split, pair, spec = work
+        vals = _real_values(uhat, self.nbig, vals, split)
+        flux = _real_coeffs(_power(vals, 2 if eq == "bo2" else k + 1, pair), self.n, spec)
         if self.cut is not None:
             flux[..., self.cut:] = 0.0
         if eq == "gbo":
-            flux = flux / (k + 1)
+            np.divide(flux, k + 1, out=flux)
         elif eq == "renormalized_gbo":
             # 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
-            mean = np.mean(_power(vals, k), axis=-1, keepdims=True)
-            flux = 2.0 * flux / (k + 1) - 2.0 * mean * uhat
-        return self.iq * flux
+            mean = np.mean(_power(vals, k, pair), axis=-1, keepdims=True)
+            np.multiply(2.0, flux, out=flux)
+            np.divide(flux, k + 1, out=flux)
+            np.subtract(flux, np.multiply(2.0 * mean, uhat, out=out), out=flux)
+        return np.multiply(self.iq, flux, out=out)
+
+    def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
+        """The dealiased flux of a half-spectrum stack (..., n/2+1), as a new array."""
+        return self._flux(uhat, np.empty(uhat.shape, dtype=np.complex128),
+                          self._work(uhat.shape[:-1]))
 
     def rhs(self, uhat: np.ndarray) -> np.ndarray:
         """u_t of a half-spectrum stack (..., n/2+1), in full transform order (..., n)."""
@@ -205,20 +242,31 @@ def solve_batch(u0s, cfg: SolverConfig) -> list:
 def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
     """The stepping loop of ``solve_batch`` over one stack of checked fields.
 
-    Every stored step writes the state into one preallocated
+    The stack owns its arrays: four flux and four stage arrays, a magnitude
+    array for the blow-up test and the flux's transform work arrays are
+    allocated once, and again only when a blown-up row is dropped.  Each
+    step writes into them with ``out=``, in the operations and order of
+    the schemes' plain expressions (kept in the comments), so every
+    intermediate is bit-for-bit theirs; constants of the step are formed
+    once.  Every stored step writes the state into one preallocated
     ``(B, S, n/2+1)`` history, whose rows become the trajectories.  The
     state is checked after every step, so numpy's overflow warnings are
     silenced.
     """
     grid, n = equation.grid, equation.n
     steps, stride = cfg.n_steps(), cfg.sample_stride
-    nonlin, group_sym = equation.nonlinear, equation.symbol
+    flux, group_sym = equation._flux, equation.symbol
+    mul, add = np.multiply, np.add
     dt = cfg.dt
+    if_rk4 = cfg.scheme == "if_rk4"
 
     ehalf = np.exp(group_sym * (dt / 2.0))
     efull = ehalf * ehalf
-    if cfg.scheme == "etd_rk4":
+    if if_rk4:
+        half_dt, sixth_dt, dt_ehalf, two_ehalf = dt / 2.0, dt / 6.0, dt * ehalf, 2.0 * ehalf
+    else:
         q2, f1, f2, f3 = _etdrk4_weights(group_sym * dt, dt)
+        two_f2 = 2.0 * f2
 
     # one field keeps a 1-D state: the kernels' fast path for a single row
     uhat = np.array([u0.coeffs[: n // 2 + 1] for u0 in u0s])
@@ -233,33 +281,65 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
     history[:, 0] = uhat
     t_good = 0.0
 
+    def arrays(state):
+        return ([np.empty_like(state) for _ in range(8)], np.empty(state.shape),
+                equation._work(state.shape[:-1]))
+
+    (k1, k2, k3, k4, s1, s2, t, w), mag, work = arrays(uhat)
     for step in range(1, steps + 1):
-        if cfg.scheme == "if_rk4":
-            a = nonlin(uhat)
-            ua = ehalf * (uhat + (dt / 2.0) * a)
-            b = nonlin(ua)
-            ub = ehalf * uhat + (dt / 2.0) * b
-            c = nonlin(ub)
-            uc = efull * uhat + dt * ehalf * c
-            d = nonlin(uc)
-            uhat = efull * uhat + (dt / 6.0) * (efull * a + 2.0 * ehalf * (b + c) + d)
+        if if_rk4:
+            flux(uhat, k1, work)                       # a = N(uhat)
+            mul(half_dt, k1, out=t)                    # ua = ehalf * (uhat + dt/2 * a)
+            add(uhat, t, out=t)
+            mul(ehalf, t, out=s1)
+            flux(s1, k2, work)                         # b = N(ua)
+            mul(ehalf, uhat, out=t)                    # ub = ehalf * uhat + dt/2 * b
+            mul(half_dt, k2, out=s1)
+            add(t, s1, out=s1)
+            flux(s1, k3, work)                         # c = N(ub)
+            mul(efull, uhat, out=w)                    # uc = efull * uhat + dt * ehalf * c,
+            mul(dt_ehalf, k3, out=t)                   #   efull * uhat kept in w
+            add(w, t, out=s1)
+            flux(s1, k4, work)                         # d = N(uc)
+            mul(efull, k1, out=t)                      # uhat = efull * uhat + dt/6 *
+            add(k2, k3, out=s1)                        #   (efull * a + 2 ehalf * (b + c) + d)
+            mul(two_ehalf, s1, out=s1)
+            add(t, s1, out=t)
+            add(t, k4, out=t)
+            mul(sixth_dt, t, out=t)
+            add(w, t, out=uhat)
         else:
-            n0 = nonlin(uhat)
-            sa = ehalf * uhat + q2 * n0
-            na = nonlin(sa)
-            sb = ehalf * uhat + q2 * na
-            nb = nonlin(sb)
-            sc = ehalf * sa + q2 * (2.0 * nb - n0)
-            nc = nonlin(sc)
-            uhat = efull * uhat + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-        if not np.max(np.abs(uhat)) <= _BLOWUP_GUARD:  # NaN propagates and fails
-            good = np.atleast_1d(np.max(np.abs(uhat), axis=-1) <= _BLOWUP_GUARD)
+            flux(uhat, k1, work)                       # n0 = N(uhat)
+            mul(ehalf, uhat, out=w)                    # sa = ehalf * uhat + q2 * n0,
+            mul(q2, k1, out=t)                         #   ehalf * uhat kept in w
+            add(w, t, out=s1)
+            flux(s1, k2, work)                         # na = N(sa)
+            mul(q2, k2, out=t)                         # sb = ehalf * uhat + q2 * na
+            add(w, t, out=s2)
+            flux(s2, k3, work)                         # nb = N(sb)
+            mul(2.0, k3, out=t)                        # sc = ehalf * sa + q2 * (2 nb - n0)
+            np.subtract(t, k1, out=t)
+            mul(q2, t, out=t)
+            mul(ehalf, s1, out=s2)
+            add(s2, t, out=s2)
+            flux(s2, k4, work)                         # nc = N(sc)
+            mul(efull, uhat, out=t)                    # uhat = efull * uhat + f1 * n0
+            mul(f1, k1, out=s1)                        #   + 2 f2 * (na + nb) + f3 * nc
+            add(t, s1, out=t)
+            add(k2, k3, out=s1)
+            mul(two_f2, s1, out=s1)
+            add(t, s1, out=t)
+            mul(f3, k4, out=s1)
+            add(t, s1, out=uhat)
+        if not np.abs(uhat, out=mag).max() <= _BLOWUP_GUARD:  # NaN propagates and fails
+            good = np.atleast_1d(mag.max(axis=-1) <= _BLOWUP_GUARD)
             for row in np.flatnonzero(~good):
                 results[rows[row]] = BlowUpError(t_good)
             if not good.any():
                 return results
             uhat = uhat[good]
             rows = [r for r, ok in zip(rows, good) if ok]
+            (k1, k2, k3, k4, s1, s2, t, w), mag, work = arrays(uhat)
         t_good = step * dt
         if step % stride == 0:
             history[rows, step // stride] = uhat

@@ -157,7 +157,11 @@ def _is_gate(key: str) -> bool:
 
 
 def _check_ranges(values: dict) -> None:
-    """Reject float values that would turn a check into nonsense."""
+    """Reject float values that would turn a check into nonsense.
+
+    No float may be NaN or infinite: such a value would end in a fake
+    blow-up, an overflow or a gate that cannot fail, not in its own error.
+    """
     for key, value in values.items():
         # flowmap's second gap is perturbation / shrink_factor
         if ((key in ("horizon", "shrink_factor") or _is_gate(key))
@@ -175,6 +179,10 @@ def _check_ranges(values: dict) -> None:
         if values["name"] == "bernstein" and int(values["n_modes"] * lam) < 1:
             raise ConfigError(f"lambdas entry {lam!r} draws int(n_modes * lam) = 0 modes "
                               f"at n_modes = {values['n_modes']}; need n_modes * lam >= 1")
+    for key, value in values.items():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
 def _coerce(value, default):

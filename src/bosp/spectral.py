@@ -26,10 +26,14 @@ When nbig > n, real synthesis (``_real_values``) splits the slot n/2
 half-half between +n/2 and -n/2, while complex synthesis
 (``_complex_values``) keeps the whole slot at +n/2; analysis on either path
 folds -n/2 back into +n/2.  Real fields: rfft half spectrum (modes
-0..n/2); complex: padded fft.  This module's private transforms are the
-one place that layout lives; the solver, the invariants and the gauge
-frames call them on stacks of shape (..., n/2+1) or (..., n), and the
-exact L^4 resonance sum in ``lingroup`` places the slot n/2 the same way.
+0..n/2); complex: padded fft.  The two real kernels take an optional
+``out`` for the transform's output (and ``_real_values`` a ``split`` array
+for the Nyquist-split input), which lets the solver step with arrays it
+allocated once; the result is the same, bit for bit.  This module's
+private transforms are the one place that layout lives; the solver, the
+invariants and the gauge frames call them on stacks of shape (..., n/2+1)
+or (..., n), and the exact L^4 resonance sum in ``lingroup`` places the
+slot n/2 the same way.
 A ``Trajectory`` is one half-spectrum stack, expanded a snapshot at a time
 on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
 ``norm`` is the one-row case of the per-row ``_parseval_norms`` (L^2, H^s)
@@ -56,7 +60,8 @@ are no polynomials, sample a 4x zero-padded grid; so do the solver's
 
 Integer powers of signed value arrays (the u^{k+1} flux of the solver, the
 u^{k+2} energy density, the M(v^k) gauge phase) go through ``_power``,
-which multiplies by repeated squaring.  numpy's ``values ** p`` squares
+which multiplies by repeated squaring, into new arrays or into a
+caller-owned pair.  numpy's ``values ** p`` squares
 with one multiply at p = 2 but calls the vectorized ``pow`` for p >= 3,
 which drops to a slow path on negative bases: with numpy 2.4 on one Xeon
 core, ``v ** 3`` on 1024 signed doubles takes about 87 us against 1.5 us
@@ -261,17 +266,26 @@ def _nyquist_split(n: int) -> np.ndarray:
     return split
 
 
-def _real_values(half: np.ndarray, nbig: int) -> np.ndarray:
-    """Half spectra (..., n/2+1) -> real values (..., nbig), nbig >= n."""
+def _real_values(half: np.ndarray, nbig: int, out=None, split=None) -> np.ndarray:
+    """Half spectra (..., n/2+1) -> real values (..., nbig), nbig >= n.
+
+    ``out`` (..., nbig) receives the values and ``split`` (half's shape,
+    complex) the Nyquist-split spectrum that is transformed when nbig > n;
+    either is a new array when not given.
+    """
     n = 2 * (half.shape[-1] - 1)
     if nbig > n:
-        half = half * _nyquist_split(n)
-    return np.fft.irfft(half, nbig, norm="forward")
+        half = np.multiply(half, _nyquist_split(n), out=split)
+    return np.fft.irfft(half, nbig, norm="forward", out=out)
 
 
-def _real_coeffs(values: np.ndarray, n: int) -> np.ndarray:
-    """Real values (..., nbig) -> half spectra (..., n/2+1) of n modes."""
-    half = np.fft.rfft(values, norm="forward")[..., : n // 2 + 1]
+def _real_coeffs(values: np.ndarray, n: int, out=None) -> np.ndarray:
+    """Real values (..., nbig) -> half spectra (..., n/2+1) of n modes.
+
+    ``out`` (..., nbig/2+1), or a new array, receives the transform; the
+    result is a view of its first n/2+1 slots, with -n/2 folded into +n/2.
+    """
+    half = np.fft.rfft(values, norm="forward", out=out)[..., : n // 2 + 1]
     if values.shape[-1] > n:
         if half.ndim == 1:  # one field: Python complex beats numpy scalar ops
             z = half.item(n // 2)
@@ -374,22 +388,38 @@ def analyze_values_padded(values, grid: PeriodicGrid) -> SpectralField:
     return SpectralField(grid, coeffs, is_real=real)
 
 
-def _power(values: np.ndarray, p: int) -> np.ndarray:
-    """values ** p for an integer p >= 0 by repeated squaring, as a new array."""
+def _power(values: np.ndarray, p: int, work=None) -> np.ndarray:
+    """values ** p for an integer p >= 0 by repeated squaring.
+
+    The result is a new array or, given ``work`` (two arrays of values'
+    shape, not sharing its memory), one of those two, the other clobbered.
+    """
     if p < 0:
         raise ValueError(f"_power needs an integer p >= 0, got {p!r}")
     if p == 0:
         return np.ones_like(values)
     if p == 1:
-        return values.copy()
-    out, base = None, values
+        if work is None:
+            return values.copy()
+        np.copyto(work[0], values)
+        return work[0]
+    # slot 0 holds values (read only); slots 1 and 2 the running product and square
+    slots = [values, *(work if work is not None else (None, None))]
+    acc, base = None, 0
     while True:
         if p & 1:
-            out = base if out is None else out * base
+            if acc is None:
+                acc = base
+            else:  # into acc's own slot, or the one base is not in
+                dest = acc or 3 - base
+                slots[dest] = np.multiply(slots[acc], slots[base], out=slots[dest])
+                acc = dest
         p >>= 1
         if not p:
-            return out
-        base = base * base
+            return slots[acc]
+        dest = base if base and base != acc else (2 if acc == 1 else 1)
+        slots[dest] = np.multiply(slots[base], slots[base], out=slots[dest])
+        base = dest
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -608,7 +638,8 @@ class Trajectory:
     """Uniformly sampled time history of one real field.
 
     ``half_coeffs`` is one read-only (S, n/2+1) stack of rfft half spectra
-    (modes 0..n/2), S >= 2; every tagged equation is real.  ``traj[i]`` and
+    (modes 0..n/2), S >= 2, with real slots 0 and n/2; every tagged
+    equation is real.  ``traj[i]`` and
     iteration expand a row to the full, exactly conjugate-symmetric field.
 
     ``equation`` tags which right-hand side produced the data: one of
@@ -628,6 +659,9 @@ class Trajectory:
                              f"expected (S, {grid.n // 2 + 1})")
         if len(half) < 2:
             raise ValueError("a trajectory needs at least 2 snapshots")
+        if half[:, [0, grid.n // 2]].imag.any():
+            raise ValueError("slots 0 and n/2 (mean and Nyquist) of a real field's "
+                             "half spectrum must be real")
         if times.shape != (len(half),):
             raise ValueError("times and snapshots must have equal length")
         steps = np.diff(times)

@@ -10,9 +10,10 @@ tautology.
 import numpy as np
 import pytest
 
-from bosp import PeriodicGrid, differentiate, norm, random_field
+from bosp import BlowUpError, PeriodicGrid, Trajectory, differentiate, norm, random_field
+from bosp.evolve import _BLOWUP_GUARD, _etdrk4_weights
 from bosp.lingroup import group_symbol
-from bosp.spectral import _complex_values, _real_values
+from bosp.spectral import _complex_values, _real_values, _row_chunks
 
 DENSE = 1 << 16
 
@@ -159,6 +160,119 @@ def xnorm_series_per_field(times, fields, level):
         total += float(np.max(l2s))
         total += float(np.trapezoid(l4s ** 4, times) ** 0.25)
     return total
+
+
+# --- the allocating stepper, one new array per operation (reference of the in-place one) ---
+
+
+def _power_reference(values, p):
+    """values ** p by repeated squaring, every product a new array."""
+    out, base = None, values
+    while True:
+        if p & 1:
+            out = base if out is None else out * base
+        p >>= 1
+        if not p:
+            return out
+        base = base * base
+
+
+def nonlinear_reference(equation, uhat):
+    """The dealiased flux of ``equation`` on the half-spectrum stack uhat, allocating.
+
+    The padded transforms are spelled out: the slot n/2 is split half-half
+    before synthesis and -n/2 folded back into +n/2 after analysis.
+    """
+    eq, k, n, nbig = equation.eq, equation.k, equation.n, equation.nbig
+    if eq == "linear":
+        return np.zeros_like(uhat)
+    half = uhat
+    if nbig > n:
+        split = np.ones(n // 2 + 1)
+        split[n // 2] = 0.5
+        half = half * split
+    vals = np.fft.irfft(half, nbig, norm="forward")
+    flux = np.fft.rfft(_power_reference(vals, 2 if eq == "bo2" else k + 1),
+                       norm="forward")[..., : n // 2 + 1]
+    if nbig > n:
+        if flux.ndim == 1:
+            z = flux.item(n // 2)
+            flux[n // 2] = z + z.conjugate()
+        else:
+            flux[..., n // 2] = 2.0 * flux[..., n // 2].real
+    if equation.cut is not None:
+        flux[..., equation.cut:] = 0.0
+    if eq == "gbo":
+        flux = flux / (k + 1)
+    elif eq == "renormalized_gbo":
+        mean = np.mean(_power_reference(vals, k), axis=-1, keepdims=True)
+        flux = 2.0 * flux / (k + 1) - 2.0 * mean * uhat
+    return equation.iq * flux
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def advance_reference(u0s, cfg, equation):
+    """One stack of fields stepped with a new array for every operation.
+
+    The stepping loop as it was before the stage arrays were preallocated;
+    ``evolve._advance`` must reproduce it bit for bit, blow-ups included.
+    """
+    grid, n, dt = equation.grid, equation.n, cfg.dt
+    steps, stride = cfg.n_steps(), cfg.sample_stride
+    nonlin, group_sym = (lambda u: nonlinear_reference(equation, u)), equation.symbol
+    ehalf = np.exp(group_sym * (dt / 2.0))
+    efull = ehalf * ehalf
+    q2, f1, f2, f3 = _etdrk4_weights(group_sym * dt, dt)
+    uhat = np.array([u0.coeffs[: n // 2 + 1] for u0 in u0s])
+    if len(u0s) == 1:
+        uhat = uhat[0]
+    uhat[..., 0] = uhat[..., 0].real
+    uhat[..., n // 2] = uhat[..., n // 2].real
+    rows = list(range(len(u0s)))
+    results = [None] * len(u0s)
+    times = dt * np.arange(0, steps + 1, stride)
+    history = np.empty((len(u0s), len(times), n // 2 + 1), dtype=np.complex128)
+    history[:, 0] = uhat
+    t_good = 0.0
+    for step in range(1, steps + 1):
+        if cfg.scheme == "if_rk4":
+            a = nonlin(uhat)
+            ua = ehalf * (uhat + (dt / 2.0) * a)
+            b = nonlin(ua)
+            ub = ehalf * uhat + (dt / 2.0) * b
+            c = nonlin(ub)
+            uc = efull * uhat + dt * ehalf * c
+            d = nonlin(uc)
+            uhat = efull * uhat + (dt / 6.0) * (efull * a + 2.0 * ehalf * (b + c) + d)
+        else:
+            n0 = nonlin(uhat)
+            sa = ehalf * uhat + q2 * n0
+            na = nonlin(sa)
+            sb = ehalf * uhat + q2 * na
+            nb = nonlin(sb)
+            sc = ehalf * sa + q2 * (2.0 * nb - n0)
+            nc = nonlin(sc)
+            uhat = efull * uhat + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+        if not np.max(np.abs(uhat)) <= _BLOWUP_GUARD:
+            good = np.atleast_1d(np.max(np.abs(uhat), axis=-1) <= _BLOWUP_GUARD)
+            for row in np.flatnonzero(~good):
+                results[rows[row]] = BlowUpError(t_good)
+            if not good.any():
+                return results
+            uhat = uhat[good]
+            rows = [r for r, ok in zip(rows, good) if ok]
+        t_good = step * dt
+        if step % stride == 0:
+            history[rows, step // stride] = uhat
+    for r in rows:
+        results[r] = Trajectory(grid, times, history[r], cfg.equation, cfg.k)
+    return results
+
+
+def solve_batch_reference(u0s, cfg, equation):
+    """``advance_reference`` over the stacks ``solve_batch`` steps."""
+    return [result for rows in _row_chunks(len(u0s), equation.nbig)
+            for result in advance_reference(u0s[rows], cfg, equation)]
 
 
 @pytest.fixture

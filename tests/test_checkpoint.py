@@ -13,8 +13,11 @@ from bosp import (
     Trajectory,
     load_checkpoint,
     random_field,
+    remove_mean_bo,
+    renormalize_gbo,
     save_checkpoint,
     solve,
+    solve_batch,
 )
 from bosp.errors import (
     BadMagicError,
@@ -87,6 +90,33 @@ class TestRoundTrip:
         save_checkpoint(traj, p)
         loaded = load_checkpoint(p)
         assert loaded.equation == "renormalized_gbo" and loaded.k == 3
+
+    def test_library_trajectories_build_and_round_trip(self, rng, tmp_path):
+        # Trajectory refuses non-real slots 0 and n/2; every producer meets that
+        grid = PeriodicGrid(1.0, 32)
+        fields = []
+        for mean in (0.2, 0.0):
+            coeffs = random_field(grid, rng, n_modes=15, amplitude=0.2, normalize="h1",
+                                  mean=mean).coeffs.copy()
+            coeffs[grid.n // 2] = 0.01  # a live Nyquist slot
+            fields.append(SpectralField(grid, coeffs, is_real=True))
+        trajs = []
+        for equation, k in [("linear", 1), ("bo2", 1), ("gbo", 1), ("gbo", 2),
+                            ("renormalized_gbo", 2)]:
+            u0s = fields[1:] if equation == "renormalized_gbo" else fields
+            cfg = SolverConfig(equation, k=k, dt=0.01, t_final=0.05, dealias="pad4")
+            trajs += solve_batch(u0s, cfg)
+        by_tag = {(t.equation, t.k): t for t in trajs}
+        trajs += [remove_mean_bo(by_tag["gbo", 1]), remove_mean_bo(by_tag["bo2", 1]),
+                  renormalize_gbo(by_tag["gbo", 2])]
+        for i, traj in enumerate(trajs):
+            assert isinstance(traj, Trajectory)
+            assert not traj.half_coeffs[:, [0, grid.n // 2]].imag.any()
+            path = tmp_path / f"{i}.bosp"
+            save_checkpoint(traj, path)
+            loaded = load_checkpoint(path)
+            assert np.array_equal(loaded.half_coeffs, traj.half_coeffs)
+            assert loaded[0].mean == traj.half_coeffs[0, 0].real
 
     def test_header_annotations(self, field, tmp_path):
         p = tmp_path / "c.bosp"

@@ -21,7 +21,8 @@ from bosp.evolve import _etdrk4_weights
 from bosp.lingroup import group_symbol
 from bosp.spectral import _real_coeffs, _real_values
 
-from conftest import coeff_distance
+from conftest import (advance_reference, coeff_distance, nonlinear_reference,
+                      solve_batch_reference)
 
 
 def cos_data(grid, amp=0.1, mean=0.0):
@@ -50,6 +51,13 @@ class TestConfigValidation:
     def test_k_rejected_where_equation_has_none(self, equation):
         with pytest.raises(ValueError, match="k applies"):
             SolverConfig(equation, dt=0.1, t_final=1.0, k=3)
+
+    @pytest.mark.parametrize("dt, t_final", [(np.inf, np.inf), (np.nan, 1.0), (0.1, np.inf),
+                                             (0.1, np.nan), (0.1, -np.inf)])
+    def test_non_finite_dt_or_t_final_rejected(self, dt, t_final):
+        # an infinite t_final once overflowed in n_steps instead of naming the value
+        with pytest.raises(ValueError, match="must be finite"):
+            SolverConfig("gbo", dt=dt, t_final=t_final)
 
     def test_step_count_must_divide(self):
         cfg = SolverConfig("gbo", dt=0.3, t_final=1.0)
@@ -377,3 +385,85 @@ class TestIntegerPowers:
             ref = eq.iq * (2.0 * flux / (k + 1) - 2.0 * np.mean(vals ** k) * uhat)
         got = eq.nonlinear(uhat)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestInPlaceStepper:
+    """The preallocated stepper against the allocating reference, bit for bit."""
+
+    @pytest.mark.parametrize("equation,k", EQUATIONS)
+    @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds", "none"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_advance_equals_allocating_reference(self, equation, k, scheme, dealias, rows):
+        u0s = [_random_data(equation, seed) for seed in range(7, 7 + rows)]
+        cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme,
+                           dealias=dealias, sample_stride=5)
+        eq = evolve.Equation(u0s[0].grid, equation, k, dealias)
+        for got, ref in zip(evolve._advance(u0s, cfg, eq), advance_reference(u0s, cfg, eq)):
+            assert np.array_equal(got.times, ref.times)
+            assert np.array_equal(got.half_coeffs, ref.half_coeffs)
+
+    @pytest.mark.parametrize("equation,k", EQUATIONS + [("gbo", 6), ("renormalized_gbo", 5)])
+    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds", "none"])
+    def test_nonlinear_equals_allocating_reference(self, equation, k, dealias):
+        u0s = [_random_data(equation, seed) for seed in (7, 8, 9)]
+        eq = evolve.Equation(u0s[0].grid, equation, k, dealias)
+        stack = np.array([u0.coeffs[: eq.n // 2 + 1] for u0 in u0s])
+        for uhat in (stack[0], stack):
+            before = uhat.copy()
+            got = eq.nonlinear(uhat)
+            assert np.array_equal(got, nonlinear_reference(eq, uhat))
+            assert np.array_equal(uhat, before)
+
+    @pytest.mark.parametrize("stack_points", [64, 128, 1 << 14])
+    def test_mid_run_blow_up_equals_allocating_reference(self, monkeypatch, stack_points):
+        # two-thirds rule at n = 64: stacks of 1, 2 and all 4 rows; a blown row
+        # dropped from a stack of 2 or 4 rebuilds the stack's arrays mid-run
+        monkeypatch.setattr(spectral, "_STACK_POINTS", stack_points)
+        grid = PeriodicGrid(1.0, 64)
+        cos = SpectralField.from_function(grid, np.cos)
+        u0s = [0.1 * cos, 2.0 * cos, 1.6 * cos, 0.05 * cos]
+        cfg = SolverConfig("gbo", k=3, dt=0.01, t_final=5.0, sample_stride=10)
+        eq = evolve.Equation(grid, "gbo", 3, cfg.dealias)
+        got, ref = solve_batch(u0s, cfg), solve_batch_reference(u0s, cfg, eq)
+        for i in (1, 2):
+            assert isinstance(got[i], BlowUpError) and isinstance(ref[i], BlowUpError)
+            assert 0.1 < got[i].last_good_time == ref[i].last_good_time < 5.0
+        assert got[1].last_good_time != got[2].last_good_time
+        for i in (0, 3):
+            assert np.array_equal(got[i].half_coeffs, ref[i].half_coeffs)
+
+    def test_work_arrays_built_once_per_stack_and_per_dropped_row(self, monkeypatch):
+        built = []
+        work = evolve.Equation._work
+        monkeypatch.setattr(evolve.Equation, "_work",
+                            lambda self, lead: built.append(lead) or work(self, lead))
+        grid = PeriodicGrid(1.0, 64)
+        cos = SpectralField.from_function(grid, np.cos)
+        cfg = SolverConfig("gbo", k=3, dt=0.01, t_final=5.0, sample_stride=10)
+        results = solve_batch([0.1 * cos, 2.0 * cos, 1.6 * cos, 0.05 * cos], cfg)
+        assert [isinstance(r, BlowUpError) for r in results] == [False, True, True, False]
+        assert built == [(4,), (3,), (2,)]
+
+    @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_eight_transforms_of_nbig_points_per_step(self, monkeypatch, scheme, dealias, rows):
+        # the benchmark's tracer counts numpy.fft calls and their points this way
+        calls = []
+        for name in ("rfft", "irfft"):
+            fn = getattr(np.fft, name)
+
+            def counting(a, n=None, *args, _name=name, _fn=fn, **kwargs):
+                calls.append((_name, a.shape[:-1], a.shape[-1] if n is None else n))
+                return _fn(a, n, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        u0s = [_random_data("gbo", seed) for seed in range(7, 7 + rows)]
+        cfg = SolverConfig("gbo", dt=5e-3, t_final=0.05, scheme=scheme, dealias=dealias)
+        solve_batch(u0s, cfg)
+        nbig = evolve.Equation(u0s[0].grid, "gbo", 1, dealias).nbig
+        lead = () if rows == 1 else (rows,)
+        assert len(calls) == 8 * cfg.n_steps()
+        assert sorted(set(calls)) == [("irfft", lead, nbig), ("rfft", lead, nbig)]
+        assert sum(name == "rfft" for name, _, _ in calls) == 4 * cfg.n_steps()

@@ -228,6 +228,36 @@ class TestConfig:
         assert f"error: {line.split()[0]} must" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name in EXPERIMENT_NAMES
+        for key, default in _EXPERIMENTS[name].keys.items()
+        if isinstance(default, float)
+        or (isinstance(default, tuple) and isinstance(default[0], float))])
+    def test_every_float_key_must_be_finite(self, name, key, value):
+        default = _EXPERIMENTS[name].keys[key]
+        bad = (default[0], value) if isinstance(default, tuple) else value
+        with pytest.raises(ConfigError, match=f"{key}"):
+            config_from_mapping(name, {key: bad})
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--t-final", "inf"], "t_final must be finite, got inf"),
+        (["simulate", "--amplitude", "nan"], "amplitude must be finite, got nan"),
+        (["simulate", "--amplitude", "inf"], "amplitude must be finite, got inf"),
+        (["simulate", "--gamma", "inf"], "gamma must be finite, got inf"),
+        (["estimate-monitor", "--amplitude", "inf"], "amplitude must be finite, got inf"),
+        (["conservation", "--e-t-final", "inf"], "e_t_final must be finite, got inf"),
+        (["flowmap", "--perturbation", "nan"], "perturbation must be finite, got nan"),
+        (["scaling", "--dilation", "inf"], "dilation must be finite, got inf"),
+    ])
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, args, message):
+        # each of these once ran into a fake blow-up or an overflow traceback
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("name, key, value", [
         ("gauge-residual", "shrink_samples", 0),
         ("conservation", "e_ks", ()),

@@ -381,6 +381,20 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(grid, [0.0, 0.1], np.zeros((2, grid.n // 2 + 1)), "kdv")
 
+    @pytest.mark.parametrize("slot", [0, -1])
+    def test_non_real_mean_or_nyquist_slot_rejected(self, slot):
+        # such a stack saved, but the loader refused the file and traj[0].mean read 0.0
+        grid = PeriodicGrid(1.0, 16)
+        half = np.zeros((2, grid.n // 2 + 1), dtype=complex)
+        half[:, slot] = 0.1j
+        with pytest.raises(ValueError, match="slots 0 and n/2"):
+            Trajectory(grid, [0, 1], half, "linear")
+        half[1, slot] = 0.0
+        with pytest.raises(ValueError, match="slots 0 and n/2"):
+            Trajectory(grid, [0, 1], half, "linear")
+        half[0, slot] = 0.5
+        Trajectory(grid, [0, 1], half, "linear")
+
     def test_rows_expand_to_real_fields(self, grid, rng):
         half = rng.standard_normal((3, grid.n // 2 + 1)) + 1j * rng.standard_normal(
             (3, grid.n // 2 + 1))
@@ -428,6 +442,23 @@ def max_rel(a, b):
 
 
 class TestPaddedTransformProperties:
+    @pytest.mark.parametrize("pad", [1, 4])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_real_kernels_write_into_out_as_they_allocate(self, rng, pad, lead):
+        n = 32
+        nbig = pad * n
+        half = rng.standard_normal(lead + (n // 2 + 1,)) + 1j * rng.standard_normal(
+            lead + (n // 2 + 1,))
+        before = half.copy()
+        out, split = np.empty(lead + (nbig,)), np.empty_like(half)
+        vals = _real_values(half, nbig, out, split)
+        assert vals is out and np.array_equal(vals, _real_values(half, nbig))
+        assert np.array_equal(half, before)
+        spec = np.empty(lead + (nbig // 2 + 1,), dtype=complex)
+        coeffs = _real_coeffs(vals * vals, n, spec)
+        assert np.shares_memory(coeffs, spec)
+        assert np.array_equal(coeffs, _real_coeffs(vals * vals, n))
+
     @PROPERTY
     @given(f=fields(), pad=PADS)
     def test_padded_round_trip(self, f, pad):
@@ -524,6 +555,14 @@ class TestPower:
         assert not np.shares_memory(out, v)
         out[...] = 7.0
         assert np.array_equal(v, before, equal_nan=True)
+
+    @pytest.mark.parametrize("p", range(0, 13))
+    def test_work_pair_result_equals_new_array(self, p):
+        v = self.signed_values()
+        work = (np.full_like(v, 3.0), np.full_like(v, 5.0))
+        got = _power(v, p, work)
+        assert np.array_equal(got, _power(v, p), equal_nan=True)
+        assert p == 0 or any(got is w for w in work)
 
     def test_stack_equals_row_by_row(self):
         stack = self.signed_values()[:500].reshape(5, 100)

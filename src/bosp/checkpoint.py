@@ -3,7 +3,7 @@
 Layout (all little-endian):
 
     magic   4 bytes  b"BOSP"
-    version u32      1
+    version u32      2
     lambda  f64
     n       u32      collocation points
     k       u32      nonlinearity degree (0 when not applicable)
@@ -13,11 +13,14 @@ Layout (all little-endian):
     coeffs  n x (f64 re, f64 im) in transform mode order
     -- trajectory file --
     count   u32      number of snapshots (>= 2)
-    count x [ time f64; coeffs n x (f64, f64) ]
+    count x [ time f64; coeffs (n/2+1) x (f64, f64), modes 0..n/2 ]
 
-Fields and trajectories share the header; the two forms are told apart by
-exact file-size arithmetic (for a given n the sizes can never coincide).
-Loads are all-or-nothing: any mismatch raises before an object is built.
+A field keeps its full spectrum (complex fields are legal); a trajectory
+record is one row of ``Trajectory.half_coeffs``.  The forms share the
+header and differ in payload size: 8 + 16n bytes for a field, 4 + S (24 + 8n)
+for S >= 2 snapshots, at least 52 + 16n, so the sizes never coincide.
+Loads are all-or-nothing and raise before an object is built; version-1
+files (full-spectrum trajectory records) raise ``VersionError``.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ from .errors import (
     TruncatedFileError,
     VersionError,
 )
-from .spectral import (PeriodicGrid, SpectralField, Trajectory, _conjugate_symmetric,
-                       _full_spectrum)
+from .spectral import PeriodicGrid, SpectralField, Trajectory
 
 __all__ = ["save_checkpoint", "load_checkpoint", "MAGIC", "VERSION", "EQUATION_TAGS"]
 
 MAGIC = b"BOSP"
-VERSION = 1
+VERSION = 2
 
 EQUATION_TAGS = {"none": 0, "linear": 1, "bo2": 2, "gbo": 3, "renormalized_gbo": 4}
 _TAG_NAMES = {v: k for k, v in EQUATION_TAGS.items()}
@@ -47,9 +49,9 @@ _TAG_NAMES = {v: k for k, v in EQUATION_TAGS.items()}
 _HEADER = struct.Struct("<4sIdIIB")
 
 
-def _records(n: int) -> np.dtype:
-    """One stored sample: its time and n coefficients in transform mode order."""
-    return np.dtype([("time", "<f8"), ("coeffs", "<c16", (n,))])
+def _records(modes: int) -> np.dtype:
+    """One stored sample: its time and ``modes`` complex coefficients."""
+    return np.dtype([("time", "<f8"), ("coeffs", "<c16", (modes,))])
 
 
 def _check_finite(*arrays):
@@ -61,9 +63,10 @@ def _check_finite(*arrays):
 def save_checkpoint(obj, path, time: float = 0.0, equation: str = "none", k: int = 0):
     """Serialize a SpectralField or Trajectory to ``path``.
 
-    For fields, ``time``/``equation``/``k`` annotate the header (defaults:
-    t = 0, no equation).  Trajectories carry their own tag, k and sample
-    times.  Non-finite payloads are refused.
+    A field is written as its full (n,) spectrum; ``time``/``equation``/``k``
+    annotate the header (defaults: t = 0, no equation).  A trajectory is
+    written as its (S, n/2+1) half-spectrum stack, unexpanded, with its own
+    tag, k and sample times.  Non-finite payloads are refused.
     """
     if isinstance(obj, SpectralField):
         if equation not in EQUATION_TAGS:
@@ -75,9 +78,8 @@ def save_checkpoint(obj, path, time: float = 0.0, equation: str = "none", k: int
     elif isinstance(obj, Trajectory):
         _check_finite(obj.times, [obj.grid.lam], obj.half_coeffs)
         k, tag, count = obj.k, EQUATION_TAGS[obj.equation], struct.pack("<I", len(obj))
-        records = np.empty(len(obj), dtype=_records(obj.grid.n))
-        records["time"] = obj.times
-        _full_spectrum(obj.half_coeffs, obj.grid.n, out=records["coeffs"])
+        records = np.empty(len(obj), dtype=_records(obj.grid.n // 2 + 1))
+        records["time"], records["coeffs"] = obj.times, obj.half_coeffs
     else:
         raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
     header = _HEADER.pack(MAGIC, VERSION, obj.grid.lam, obj.grid.n, k, tag)
@@ -89,9 +91,8 @@ def save_checkpoint(obj, path, time: float = 0.0, equation: str = "none", k: int
 def load_checkpoint(path):
     """Load a checkpoint; returns a SpectralField or a Trajectory.
 
-    Trajectory snapshots must be exactly conjugate symmetric (real slots 0
-    and n/2, mode -m the conjugate of mode m), as ``save_checkpoint`` writes
-    them; ``spectral._conjugate_symmetric`` tests the whole stack at once.
+    After the finiteness check, the ``Trajectory`` constructor checks a
+    trajectory's records; its ``ValueError`` becomes ``CheckpointError``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -111,7 +112,7 @@ def load_checkpoint(path):
     except ValueError as exc:
         raise CheckpointError(f"invalid header: {exc}") from exc
     rest = raw[_HEADER.size:]
-    size = 8 + 16 * n  # bytes per stored sample; n may be huge until a size matches
+    size = 8 + 16 * n  # a field's payload; n may be huge until a size matches
 
     if len(rest) == size:
         (record,) = np.frombuffer(rest, dtype=_records(n))
@@ -120,17 +121,14 @@ def load_checkpoint(path):
 
     if len(rest) >= 4:
         (count,) = struct.unpack_from("<I", rest)
-        if len(rest) == 4 + count * size:
-            records = np.frombuffer(rest, dtype=_records(n), offset=4)
-            coeffs = records["coeffs"]
-            _check_finite(records["time"], coeffs)
-            if not _conjugate_symmetric(coeffs):
-                raise CheckpointError("trajectory snapshots are not conjugate symmetric")
+        if len(rest) == 4 + count * (24 + 8 * n):
+            records = np.frombuffer(rest, dtype=_records(n // 2 + 1), offset=4)
+            _check_finite(records["time"], records["coeffs"])
             equation = _TAG_NAMES[tag]
             if equation == "none":
                 raise CheckpointError("trajectory checkpoint carries no equation tag")
             try:
-                return Trajectory(grid, records["time"], coeffs[:, : n // 2 + 1], equation, k)
+                return Trajectory(grid, records["time"], records["coeffs"], equation, k)
             except ValueError as exc:
                 raise CheckpointError(f"invalid trajectory: {exc}") from exc
 

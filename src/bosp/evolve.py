@@ -107,7 +107,10 @@ class SolverConfig:
             raise ValueError("sample_stride must be an integer >= 1")
 
     def n_steps(self) -> int:
-        steps = int(round(self.t_final / self.dt))
+        ratio = self.t_final / self.dt
+        if not math.isfinite(ratio):
+            raise ValueError(f"t_final / dt = {self.t_final} / {self.dt} overflows a float")
+        steps = int(round(ratio))
         if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * self.t_final:
             raise ValueError(
                 f"t_final = {self.t_final} is not an integer number of steps dt = {self.dt}"

@@ -336,6 +336,8 @@ def _blow_up_record(rec: dict, exc: BlowUpError) -> dict:
 def _run_conservation(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
     records = []
+    e_cfg = cfg.solver(equation="gbo", dt=cfg.e_dt, t_final=cfg.e_t_final, sample_stride=1)
+    e_stride = _dividing_stride(e_cfg.n_steps(), 25)
 
     u0 = _cosine_data(cfg, grid)
     rec = {"run": "reference", "sample_index": 0, "inputs_hash": _hash_field(u0)}
@@ -366,16 +368,12 @@ def _run_conservation(cfg: ExperimentConfig, rng):
             ]
         records.append(rec)
 
-    e_steps = int(round(cfg.e_t_final / cfg.e_dt))
-    e_stride = _dividing_stride(e_steps, 25)
     for idx, kk in enumerate(cfg.e_ks):
         u0k = _cosine_data(cfg, grid)
         reck = {"run": f"energy_k{int(kk)}", "sample_index": idx + 1,
                 "inputs_hash": _hash_field(u0k)}
         try:
-            trajk = solve(u0k, cfg.solver(equation="gbo", k=int(kk), dt=cfg.e_dt,
-                                          t_final=cfg.e_t_final,
-                                          sample_stride=e_stride))
+            trajk = solve(u0k, dataclasses.replace(e_cfg, k=int(kk), sample_stride=e_stride))
         except BlowUpError as exc:
             records.append(_blow_up_record(reck, exc))
             continue

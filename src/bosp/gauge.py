@@ -69,6 +69,7 @@ from .spectral import (
     PeriodicGrid,
     SpectralField,
     Trajectory,
+    _DEFAULT_PAD,
     _alias_free_points,
     _complex_coeffs,
     _complex_values,
@@ -102,13 +103,11 @@ __all__ = [
     "pde_residual",
 ]
 
-_PAD = 4
-
 
 def _real_vals(coeffs: np.ndarray) -> np.ndarray:
     """Padded values of real fields given as coefficient rows (..., n)."""
     n = coeffs.shape[-1]
-    return _real_values(coeffs[..., : n // 2 + 1], _PAD * n)
+    return _real_values(coeffs[..., : n // 2 + 1], _DEFAULT_PAD * n)
 
 
 def _real_rows(values: np.ndarray, n: int) -> np.ndarray:
@@ -118,7 +117,7 @@ def _real_rows(values: np.ndarray, n: int) -> np.ndarray:
 
 def _minus_vals(coeffs: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Padded values of P_- of coefficient rows (..., n)."""
-    return _complex_values(np.where(_symbol(grid, "minus"), coeffs, 0.0), _PAD * grid.n)
+    return _complex_values(np.where(_symbol(grid, "minus"), coeffs, 0.0), _DEFAULT_PAD * grid.n)
 
 
 def _plus(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -368,7 +367,7 @@ def gauge_residual_batch(fields, variant: str = "bo", k: int = 1) -> list:
         return []
     coeffs, grid = _stack(fields, variant, k)
     results = []
-    for rows in _row_chunks(len(coeffs), _PAD * grid.n):
+    for rows in _row_chunks(len(coeffs), _DEFAULT_PAD * grid.n):
         fr = _Frame(coeffs[rows], grid, variant, k)
         iwxx, rhs = _subtracted(fr)
         resid = _instantaneous_wt(fr) - iwxx - rhs
@@ -389,7 +388,7 @@ def _snapshot_stacks(traj: Trajectory, variant: str, k: int,
     grid = traj.grid
     coeffs = _checked(_full_spectrum(traj.half_coeffs, grid.n), variant, k)
     chunks = [parts(_Frame(coeffs[rows], grid, variant, k))
-              for rows in _row_chunks(len(coeffs), _PAD * grid.n)]
+              for rows in _row_chunks(len(coeffs), _DEFAULT_PAD * grid.n)]
     return tuple(np.concatenate(stack) for stack in zip(*chunks))
 
 
@@ -425,11 +424,11 @@ def reconstruct_u(gauge: GaugeState, v: SpectralField) -> SpectralField:
     if gauge.variant != "bo":
         raise ValueError("reconstruction is only defined for the bo gauge")
     grid = v.grid
-    F_vals = synthesize(gauge.F, _PAD)
+    F_vals = synthesize(gauge.F, _DEFAULT_PAD)
     E = np.exp(-1j * F_vals)
     Ebar = np.exp(1j * F_vals)
-    iw_vals = synthesize(1j * gauge.w, _PAD)
-    minus_vals = _minus_vals(_complex_coeffs(E * synthesize(v, _PAD), grid.n), grid)
+    iw_vals = synthesize(1j * gauge.w, _DEFAULT_PAD)
+    minus_vals = _minus_vals(_complex_coeffs(E * synthesize(v, _DEFAULT_PAD), grid.n), grid)
     rec = _complex_coeffs(Ebar * (iw_vals + minus_vals), grid.n)
     return SpectralField(grid, rec, is_real=v.is_real)
 

@@ -342,9 +342,9 @@ def _alias_free_points(n: int, degree: int) -> int:
         points += 1
 
 
-def _full_spectrum(half_coeffs: np.ndarray, n: int, out=None) -> np.ndarray:
+def _full_spectrum(half_coeffs: np.ndarray, n: int) -> np.ndarray:
     """Half spectra (..., n/2+1) -> conjugate-symmetric transform order (..., n)."""
-    full = np.empty(half_coeffs.shape[:-1] + (n,), dtype=np.complex128) if out is None else out
+    full = np.empty(half_coeffs.shape[:-1] + (n,), dtype=np.complex128)
     full[..., : n // 2 + 1] = half_coeffs
     full[..., n // 2 + 1:] = np.conj(half_coeffs[..., n // 2 - 1: 0: -1])
     return full

@@ -19,6 +19,7 @@ from bosp import (
     solve,
     solve_batch,
 )
+from bosp.checkpoint import EQUATION_TAGS, VERSION
 from bosp.errors import (
     BadMagicError,
     CheckpointError,
@@ -26,6 +27,14 @@ from bosp.errors import (
     TruncatedFileError,
     VersionError,
 )
+
+
+_HEADER = struct.calcsize("<4sIdIIB")
+
+
+def _record_offset(n, i):
+    """File offset of trajectory record i: a time, then n/2+1 coefficients."""
+    return _HEADER + 4 + i * (24 + 8 * n)
 
 
 @pytest.fixture
@@ -123,14 +132,23 @@ class TestRoundTrip:
         save_checkpoint(field, p, time=0.75, equation="bo2", k=1)
         raw = p.read_bytes()
         magic, version, lam, n, k, tag = struct.unpack_from("<4sIdIIB", raw)
-        assert magic == b"BOSP" and version == 1
+        assert magic == b"BOSP" and version == VERSION
         assert lam == field.grid.lam and n == field.grid.n
         assert k == 1 and tag == 2
         (t,) = struct.unpack_from("<d", raw, struct.calcsize("<4sIdIIB"))
         assert t == 0.75
 
-
-_HEADER = struct.calcsize("<4sIdIIB")
+    def test_trajectory_records_hold_half_spectra(self, trajectory, tmp_path):
+        p = tmp_path / "h.bosp"
+        save_checkpoint(trajectory, p)
+        raw = p.read_bytes()
+        n, count = trajectory.grid.n, len(trajectory)
+        assert len(raw) == _record_offset(n, count)
+        assert struct.unpack_from("<I", raw, _HEADER) == (count,)
+        records = np.frombuffer(raw, offset=_HEADER + 4, dtype=[
+            ("time", "<f8"), ("coeffs", "<c16", (n // 2 + 1,))])
+        assert np.array_equal(records["time"], trajectory.times)
+        assert np.array_equal(records["coeffs"], trajectory.half_coeffs)
 
 
 def _small_trajectory_bytes(path):
@@ -141,13 +159,24 @@ def _small_trajectory_bytes(path):
 
 
 class TestCorruption:
-    def test_truncated_file(self, field, tmp_path):
+    @pytest.mark.parametrize("kind", ["field", "trajectory"])
+    def test_truncated_file(self, field, trajectory, tmp_path, kind):
         p = tmp_path / "t.bosp"
-        save_checkpoint(field, p)
+        save_checkpoint(field if kind == "field" else trajectory, p)
         raw = p.read_bytes()
-        for cut in (3, 20, len(raw) - 7):
+        for cut in (3, 20, _HEADER + 2, len(raw) - 7):
             p.write_bytes(raw[:cut])
             with pytest.raises(TruncatedFileError):
+                load_checkpoint(p)
+
+    def test_snapshot_count_disagrees_with_payload(self, trajectory, tmp_path):
+        p = tmp_path / "count.bosp"
+        save_checkpoint(trajectory, p)
+        raw = bytearray(p.read_bytes())
+        for count in (len(trajectory) - 1, len(trajectory) + 1):
+            raw[_HEADER: _HEADER + 4] = struct.pack("<I", count)
+            p.write_bytes(bytes(raw))
+            with pytest.raises(TruncatedFileError, match="whole number of snapshots"):
                 load_checkpoint(p)
 
     def test_bad_magic(self, field, tmp_path):
@@ -165,7 +194,7 @@ class TestCorruption:
         raw = bytearray(p.read_bytes())
         raw[4:8] = struct.pack("<I", 7)
         p.write_bytes(bytes(raw))
-        with pytest.raises(VersionError, match=r"version 7.*version 1"):
+        with pytest.raises(VersionError, match=rf"version 7.*version {VERSION}"):
             load_checkpoint(p)
 
     def test_non_finite_payload_rejected_on_save(self, field, tmp_path):
@@ -198,12 +227,13 @@ class TestCorruption:
         with pytest.raises(TypeError):
             save_checkpoint([1, 2, 3], tmp_path / "x.bosp")
 
-    def test_single_snapshot_trajectory(self, trajectory, tmp_path):
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_single_snapshot_trajectory(self, trajectory, tmp_path, count):
         p = tmp_path / "one.bosp"
         save_checkpoint(trajectory, p)
         raw = bytearray(p.read_bytes())
-        raw[_HEADER: _HEADER + 4] = struct.pack("<I", 1)
-        p.write_bytes(bytes(raw[: _HEADER + 4 + 8 + 16 * trajectory.grid.n]))
+        raw[_HEADER: _HEADER + 4] = struct.pack("<I", count)
+        p.write_bytes(bytes(raw[: _record_offset(trajectory.grid.n, count)]))
         with pytest.raises(CheckpointError, match="at least 2 snapshots"):
             load_checkpoint(p)
 
@@ -211,47 +241,64 @@ class TestCorruption:
         p = tmp_path / "times.bosp"
         save_checkpoint(trajectory, p)
         raw = bytearray(p.read_bytes())
-        off = _HEADER + 4 + 2 * (8 + 16 * trajectory.grid.n)  # third sample time
+        off = _record_offset(trajectory.grid.n, 2)  # third sample time
         raw[off: off + 8] = struct.pack("<d", 0.5)
         p.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="uniformly increasing"):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("mode, part, value", [
-        (-3, 0, 12.5),      # a negative mode that is not the conjugate of +3
-        (0, 8, 1e-20),      # an imaginary part on the mean slot
-        (16, 8, -1e-20),    # an imaginary part on the slot n/2
+    @pytest.mark.parametrize("mode, value", [
+        (0, 1e-20),     # an imaginary part on the mean slot
+        (16, -1e-20),   # an imaginary part on the slot n/2
     ])
-    def test_non_symmetric_trajectory(self, trajectory, tmp_path, mode, part, value):
+    def test_non_symmetric_trajectory(self, trajectory, tmp_path, mode, value):
         p = tmp_path / "asym.bosp"
         save_checkpoint(trajectory, p)
         raw = bytearray(p.read_bytes())
-        n = trajectory.grid.n
-        off = _HEADER + 4 + (8 + 16 * n) + 8 + 16 * (mode % n) + part  # second sample
+        off = _record_offset(trajectory.grid.n, 1) + 8 + 16 * mode + 8  # second sample
         raw[off: off + 8] = struct.pack("<d", value)
         p.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="not conjugate symmetric"):
+        with pytest.raises(CheckpointError, match="must be real"):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("byte", [0, 6])  # lowest mantissa bit, lowest exponent bit
-    @pytest.mark.parametrize("mode, part", [
-        (-1, 0), (-1, 8), (-15, 0), (-15, 8),  # real and imaginary parts of negative modes
-        (0, 8), (16, 8),                       # imaginary parts of the real slots
-    ])
-    def test_flipped_byte_is_refused(self, trajectory, tmp_path, mode, part, byte):
+    @pytest.mark.parametrize("mode", [0, 16])  # imaginary parts of the real slots
+    def test_flipped_byte_is_refused(self, trajectory, tmp_path, mode, byte):
         p = tmp_path / "flip.bosp"
         save_checkpoint(trajectory, p)
         raw = bytearray(p.read_bytes())
-        n = trajectory.grid.n
-        last = _HEADER + 4 + (len(trajectory) - 1) * (8 + 16 * n) + 8  # last sample's coeffs
-        raw[last + 16 * (mode % n) + part + byte] ^= 0x01 if byte == 0 else 0x10
+        last = _record_offset(trajectory.grid.n, len(trajectory) - 1) + 8  # last coeffs
+        raw[last + 16 * mode + 8 + byte] ^= 0x01 if byte == 0 else 0x10
         p.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="not conjugate symmetric"):
+        with pytest.raises(CheckpointError, match="must be real"):
+            load_checkpoint(p)
+
+    def test_non_finite_checked_before_real_slots(self, trajectory, tmp_path):
+        p = tmp_path / "nan.bosp"
+        save_checkpoint(trajectory, p)
+        raw = bytearray(p.read_bytes())
+        off = _record_offset(trajectory.grid.n, 1) + 8 + 8  # imaginary part of slot 0
+        raw[off: off + 8] = struct.pack("<d", np.nan)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(NonFinitePayloadError):
+            load_checkpoint(p)
+
+    def test_version_1_trajectory_is_refused(self, trajectory, tmp_path):
+        # version 1 stored every snapshot as its full (n,) spectrum
+        n, grid = trajectory.grid.n, trajectory.grid
+        records = np.empty(len(trajectory), dtype=[("time", "<f8"), ("coeffs", "<c16", (n,))])
+        records["time"] = trajectory.times
+        records["coeffs"] = [f.coeffs for f in trajectory]
+        header = struct.pack("<4sIdIIB", b"BOSP", 1, grid.lam, n, trajectory.k,
+                             EQUATION_TAGS[trajectory.equation])
+        p = tmp_path / "v1.bosp"
+        p.write_bytes(header + struct.pack("<I", len(trajectory)) + records.tobytes())
+        with pytest.raises(VersionError, match=r"version 1\b.*version 2\b"):
             load_checkpoint(p)
 
     def test_odd_n_in_header(self, tmp_path):
         p = tmp_path / "odd.bosp"
-        header = struct.pack("<4sIdIIB", b"BOSP", 1, 1.0, 33, 0, 0)
+        header = struct.pack("<4sIdIIB", b"BOSP", VERSION, 1.0, 33, 0, 0)
         p.write_bytes(header + bytes(8 + 16 * 33))
         with pytest.raises(CheckpointError, match="even integer"):
             load_checkpoint(p)

@@ -67,6 +67,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg.n_steps()
 
+    def test_overflowing_step_count_rejected(self):
+        # finite dt and t_final whose ratio is not: once an OverflowError in int()
+        with pytest.raises(ValueError, match="overflows"):
+            SolverConfig("gbo", dt=1e-300, t_final=1e10).n_steps()
+
     def test_complex_data_rejected(self, grid):
         f = SpectralField.from_function(grid, lambda x: np.exp(1j * x))
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -249,6 +250,11 @@ class TestConfig:
         (["conservation", "--e-t-final", "inf"], "e_t_final must be finite, got inf"),
         (["flowmap", "--perturbation", "nan"], "perturbation must be finite, got nan"),
         (["scaling", "--dilation", "inf"], "dilation must be finite, got inf"),
+        # finite dt and t_final whose ratio overflows
+        (["simulate", "--dt", "1e-300", "--t-final", "1e10"],
+         "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),
+        (["conservation", "--e-dt", "1e-300", "--e-t-final", "1e10"],
+         "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),
     ])
     def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, args, message):
         # each of these once ran into a fake blow-up or an overflow traceback
@@ -693,13 +699,20 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_simulate_writes_checkpoint(self, tmp_path):
-        code = main(["simulate", "--dt", "1e-3", "--t-final", "0.05",
-                     "--out", str(tmp_path), "--stem", "sim", "--quiet"])
+        # the read-back contract: snapshot count, byte-identical re-save, exact size
+        code = main(["simulate", "--dt", "1e-3", "--t-final", "0.05", "--sample-stride", "10",
+                     "--n", "64", "--out", str(tmp_path), "--stem", "sim", "--quiet"])
         assert code == 0
-        from bosp import Trajectory, load_checkpoint
+        from bosp import Trajectory, load_checkpoint, save_checkpoint
 
-        traj = load_checkpoint(tmp_path / "sim.bosp")
+        ckpt, resaved = tmp_path / "sim.bosp", tmp_path / "resaved.bosp"
+        traj = load_checkpoint(ckpt)
         assert isinstance(traj, Trajectory)
+        assert len(traj) == 6 and traj.grid.n == 64
+        save_checkpoint(traj, resaved)
+        assert resaved.read_bytes() == ckpt.read_bytes()
+        header = struct.calcsize("<4sIdIIB")
+        assert ckpt.stat().st_size == header + 4 + 6 * (24 + 8 * 64)
 
     def test_cli_overrides_reach_config(self, tmp_path):
         code = main(["gauge-residual", "--n-samples", "2", "--n", "128",

@@ -30,7 +30,7 @@ from .spectral import (
     integrate,
     symmetry_defect,
 )
-from .lingroup import propagate, strichartz_norm, group_symbol
+from .lingroup import propagate, strichartz_norm, strichartz_norms, group_symbol
 from .evolve import SolverConfig, solve, solve_batch, convergence_order, ConvergenceResult
 from .gauge import (
     GaugeState,
@@ -86,6 +86,7 @@ __all__ = [
     "symmetry_defect",
     "propagate",
     "strichartz_norm",
+    "strichartz_norms",
     "group_symbol",
     "SolverConfig",
     "solve",

@@ -54,7 +54,7 @@ from .ensembles import random_field
 from .evolve import SolverConfig, convergence_order, solve, solve_batch
 from .gauge import _snapshot_stacks, gauge_residual_batch
 from .invariants import dilate, drift_report, invariant, xnorm, xnorm_series
-from .lingroup import strichartz_norm
+from .lingroup import strichartz_norms
 from .spectral import (
     PeriodicGrid,
     SpectralField,
@@ -410,10 +410,10 @@ def _run_strichartz(cfg: ExperimentConfig, rng):
     records = []
     for lam in cfg.lambdas:
         grid = PeriodicGrid(lam, cfg.n)
-        for i in range(cfg.n_samples):
-            phi = random_field(grid, rng, n_modes=cfg.n_modes, decay=cfg.decay,
-                               amplitude=1.0, normalize="l2")
-            val = strichartz_norm(phi, cfg.horizon)
+        phis = [random_field(grid, rng, n_modes=cfg.n_modes, decay=cfg.decay,
+                             amplitude=1.0, normalize="l2")
+                for _ in range(cfg.n_samples)]
+        for i, (phi, val) in enumerate(zip(phis, strichartz_norms(phis, cfg.horizon))):
             records.append({
                 "lam": float(lam), "sample_index": i,
                 "inputs_hash": _hash_field(phi), "ratio": val,

@@ -18,6 +18,14 @@ T on the resonance set Omega = 0, (1 - exp(-i Omega T)) / (i Omega)
 elsewhere (the counting behind Bourgain's periodic L^4 estimate, GAFA 3
 (1993) 107-156).  Resonances are classified on integer keys lam^2 * phi_a,
 so Omega = 0 is detected exactly.
+
+``strichartz_norms`` evaluates a stack of fields on one grid at once.  The
+pairs, key groups and lam^2/Omega kernel depend on the modes only, so each
+chunk of m builds them once, over the union of the rows' supports, and every
+row costs only its products C_a C_b, group sums and one kernel product.  The
+chunk bound counts the kernel and the rows it is applied to; a stack whose
+rows would overflow it on a single m is evaluated in smaller stacks.
+``strichartz_norm`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 
 from .spectral import PeriodicGrid, SpectralField, _nyquist_split
 
-__all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm"]
+__all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm", "strichartz_norms"]
 
 GROUP_KINDS = ("bo_group", "schrodinger_group")
 
@@ -56,104 +64,151 @@ def propagate(f: SpectralField, t: float, kind: str = "bo_group") -> SpectralFie
     return SpectralField(f.grid, mult * f.coeffs, is_real=real_out)
 
 
-_EXACT_ENTRIES = 1 << 18  # bounds the padded (m, psi, psi') kernel of one chunk
+# bounds one chunk's padded (m, psi, psi') kernel plus the (m, psi) planes
+# of the rows it is applied to at once
+_EXACT_ENTRIES = 1 << 18
 
 
-def _wave_modes(f: SpectralField, kind: str):
-    """Ascending modes a, coefficients C_a and integer phase keys lam^2*phi_a.
+def _wave_stack(fields, kind: str):
+    """Ascending modes a, coefficients C_a (one column per row) and keys lam^2*phi_a.
 
     Follows the padded transforms' Nyquist convention: real bo rows split
     the slot n/2 into +-n/2 halves (as ``_real_values``), complex rows keep
     it whole at +n/2 (as ``_complex_values``); the bo key there is 0, as in
-    ``group_symbol``.  Zero coefficients are dropped.
+    ``group_symbol``.  The modes are the union of the rows' supports: a mode
+    is dropped only where every row is zero, and a row that is zero at a
+    kept mode adds exact zeros.
     """
-    if kind not in GROUP_KINDS:
-        raise ValueError(f"unknown group kind {kind!r}")
-    n = f.grid.n
-    if f.is_real and kind == "bo_group":
-        half = f.coeffs[: n // 2 + 1] * _nyquist_split(n)
+    grid = fields[0].grid
+    n = grid.n
+    coeffs = np.array([f.coeffs for f in fields]).T  # one column per row
+    if fields[0].is_real and kind == "bo_group":
+        half = coeffs[: n // 2 + 1] * _nyquist_split(n)[:, None]
         coeffs = np.concatenate((np.conj(half[:0:-1]), half))
         modes = np.arange(-(n // 2), n // 2 + 1)
     else:
-        order = np.argsort(f.grid.modes)
-        coeffs, modes = f.coeffs[order], f.grid.modes[order]
+        order = np.argsort(grid.modes)
+        coeffs, modes = coeffs[order], grid.modes[order]
     if kind == "bo_group":
         keys = modes * np.abs(modes)
         keys[np.abs(modes) == n // 2] = 0
     else:
         keys = modes * modes
-    nonzero = coeffs != 0
-    return modes[nonzero], coeffs[nonzero], keys[nonzero]
+    support = (coeffs != 0).any(axis=1)
+    return modes[support], coeffs[support], keys[support]
 
 
-def _resonance_chunk(modes, coeffs, keys, m_lo, m_hi, horizon, lam2, real_rows) -> float:
-    """sum over m_lo <= m < m_hi of w_m * integral_0^T |S_m(t)|^2 dt."""
+def _chunk_structure(modes, keys, m_lo, m_hi, lam2):
+    """The pairs, key groups and lam^2/Omega kernel of m_lo <= m < m_hi.
+
+    Depends on the modes only, so one structure serves every row.  Returns
+    None when no pair falls in the chunk.
+    """
     idx = np.arange(modes.size)
     # unordered pairs i <= j with m_lo <= a_i + a_j < m_hi (modes ascending)
     lo = np.maximum(np.searchsorted(modes, m_lo - modes), idx)
     hi = np.maximum(np.searchsorted(modes, m_hi - modes), lo)
     counts = hi - lo
     if not counts.any():
-        return 0.0
+        return None
     i = np.repeat(idx, counts)
     j = np.arange(i.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     m = modes[i] + modes[j]
     psi = keys[i] + keys[j]
-    prod = np.where(i == j, 1.0, 2.0) * coeffs[i] * coeffs[j]  # a <-> b
     # S_m(t) = sum_k D_k exp(-i psi_k t / lam^2) over the distinct keys psi_k
     order = np.lexsort((psi, m))
-    m, psi, prod = m[order], psi[order], prod[order]
+    i, j, m, psi = i[order], j[order], m[order], psi[order]
+    weight = np.where(i == j, 1.0, 2.0)  # a <-> b
     first = np.flatnonzero(np.r_[True, (m[1:] != m[:-1]) | (psi[1:] != psi[:-1])])
-    d = np.add.reduceat(prod, first)
     m, psi = m[first], psi[first]
-    z = d * np.exp(-1j * (horizon / lam2) * psi)
-    # one zero-padded row of (D, z) per m
+    # one zero-padded row of keys per m
     starts = np.flatnonzero(np.r_[True, m[1:] != m[:-1]])
     sizes = np.diff(np.r_[starts, m.size])
     row = np.repeat(np.arange(sizes.size), sizes)
     col = np.arange(m.size) - np.repeat(starts, sizes)
     psi_rows = np.zeros((sizes.size, sizes.max()), dtype=np.int64)
     psi_rows[row, col] = psi
-    re = np.zeros(psi_rows.shape + (2,))
-    im = np.zeros(psi_rows.shape + (2,))
-    re[row, col, 0], im[row, col, 0] = d.real, d.imag
-    re[row, col, 1], im[row, col, 1] = z.real, z.imag
-    # kernel (D inv D* - z inv z*) / i with inv = 1 / Omega off resonance;
-    # inv is real antisymmetric, so W inv W* = 2i Im(W)^T inv Re(W)
     omega = psi_rows[:, :, None] - psi_rows[:, None, :]
     inv = np.divide(lam2, omega, out=np.zeros(omega.shape), where=omega != 0)
+    return i, j, weight, first, psi, row, col, inv, m[starts] > 0
+
+
+def _chunk_sums(chunk, coeffs, horizon, lam2, real_rows) -> np.ndarray:
+    """Per column of coeffs, the sum over the chunk's m of w_m * integral_0^T |S_m(t)|^2 dt."""
+    i, j, weight, first, psi, row, col, inv, positive = chunk
+    d = np.add.reduceat(weight[:, None] * coeffs[i] * coeffs[j], first, axis=0)
+    z = d * np.exp(-1j * (horizon / lam2) * psi)[:, None]
+    # columns D, z of row 0, then of row 1, ...: one kernel product for the stack
+    dz = np.stack((d, z), axis=-1).reshape(psi.size, -1)
+    re = np.zeros(inv.shape[:2] + dz.shape[1:])
+    im = np.zeros(re.shape)
+    re[row, col], im[row, col] = dz.real, dz.imag
+    # kernel (D inv D* - z inv z*) / i with inv = 1 / Omega off resonance;
+    # inv is real antisymmetric, so W inv W* = 2i Im(W)^T inv Re(W)
     forms = np.sum(im * (inv @ re), axis=1)
-    per_m = 2.0 * (forms[:, 0] - forms[:, 1])
+    per_m = 2.0 * (forms[:, 0::2] - forms[:, 1::2])
     # the resonant part: distinct keys within one m, so only the diagonal
-    per_m += horizon * np.bincount(row, weights=d.real ** 2 + d.imag ** 2)
+    bins = (row[:, None] * d.shape[1] + np.arange(d.shape[1])).ravel()
+    per_m += horizon * np.bincount(bins, weights=(d.real ** 2 + d.imag ** 2).ravel(),
+                                   minlength=per_m.size).reshape(per_m.shape)
     if real_rows:  # S_{-m} = conj(S_m): m > 0 stands for both
-        per_m[m[starts] > 0] *= 2.0
-    return float(np.sum(per_m))
+        per_m[positive] *= 2.0
+    return np.ascontiguousarray(per_m.T).sum(axis=1)
 
 
-def _resonance_integral(f: SpectralField, horizon: float, kind: str) -> float:
-    """integral_0^T ||V(t) f||_{L^4}^4 dt by the resonance sum, chunked over m."""
-    modes, coeffs, keys = _wave_modes(f, kind)
+def _resonance_integrals(fields, horizon: float, kind: str) -> np.ndarray:
+    """integral_0^T ||V(t) f||_{L^4}^4 dt of each field, chunked over m and rows."""
+    modes, coeffs, keys = _wave_stack(fields, kind)
+    totals = np.zeros(len(fields))
     if modes.size == 0:
-        return 0.0
-    real_rows = f.is_real and kind == "bo_group"
-    lam2 = f.grid.lam ** 2
-    # no m has more than (size + 1) // 2 unordered pairs
-    width = max(1, _EXACT_ENTRIES // ((modes.size + 1) // 2) ** 2)
+        return totals
+    real_rows = fields[0].is_real and kind == "bo_group"
+    lam2 = fields[0].grid.lam ** 2
+    # no m has more than (size + 1) // 2 unordered pairs, so one m costs at
+    # most pairs^2 kernel entries plus 4 * pairs per row (Re, Im of D and z)
+    pairs = (modes.size + 1) // 2
+    stack = min(len(fields), max(1, (_EXACT_ENTRIES // pairs - pairs) // 4))
+    width = max(1, _EXACT_ENTRIES // (pairs * (pairs + 4 * stack)))
     m_first = 0 if real_rows else 2 * int(modes[0])
-    total = 0.0
     for m_lo in range(m_first, 2 * int(modes[-1]) + 1, width):
-        total += _resonance_chunk(modes, coeffs, keys, m_lo, m_lo + width,
-                                  horizon, lam2, real_rows)
-    return f.grid.circumference * total
+        chunk = _chunk_structure(modes, keys, m_lo, m_lo + width, lam2)
+        if chunk is None:
+            continue
+        for r in range(0, len(fields), stack):
+            totals[r: r + stack] += _chunk_sums(chunk, coeffs[:, r: r + stack], horizon,
+                                                lam2, real_rows)
+    return fields[0].grid.circumference * totals
+
+
+def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[float]:
+    """Mixed norms (integral_0^T ||V(t) f||_{L^4}^4 dt)^(1/4) of a stack of fields.
+
+    The fields share one grid and are all real or all complex.  Evaluated
+    exactly by the resonance sum (module docstring) over the union of the
+    fields' supports, with the same Nyquist convention as the padded
+    transforms.  The pairs, key groups and kernel of each m-chunk are built
+    once and applied to every row; ``_EXACT_ENTRIES`` bounds a chunk's
+    kernel plus the planes of the rows it meets, so a large stack is cut
+    into stacks of fewer rows.  No fields give [].
+    """
+    if not (horizon > 0 and np.isfinite(horizon)):
+        raise ValueError(f"time horizon must be finite and positive, got {horizon!r}")
+    if kind not in GROUP_KINDS:
+        raise ValueError(f"unknown group kind {kind!r}")
+    fields = list(fields)
+    if not fields:
+        return []
+    if any(f.grid != fields[0].grid for f in fields):
+        raise ValueError("fields must share one grid")
+    if any(f.is_real != fields[0].is_real for f in fields):
+        raise ValueError("fields must be all real or all complex")
+    return [float(total) ** 0.25 for total in _resonance_integrals(fields, horizon, kind).tolist()]
 
 
 def strichartz_norm(f: SpectralField, horizon: float, kind: str = "bo_group") -> float:
-    """Mixed norm (integral_0^T ||V(t) f||_{L^4}^4 dt)^(1/4).
+    """Mixed norm (integral_0^T ||V(t) f||_{L^4}^4 dt)^(1/4) of one field.
 
-    Evaluated exactly by the resonance sum (module docstring), with the
-    same Nyquist convention as the padded transforms.
+    The one-row case of ``strichartz_norms``: the union support is the
+    field's own, and the chunk bound counts one row.
     """
-    if not horizon > 0:
-        raise ValueError(f"time horizon must be positive, got {horizon!r}")
-    return float(_resonance_integral(f, horizon, kind) ** 0.25)
+    return strichartz_norms([f], horizon, kind)[0]

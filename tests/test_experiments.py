@@ -29,7 +29,7 @@ from bosp.cli import build_parser, main
 from bosp.experiments import (_EXPERIMENTS, EXPERIMENT_NAMES, _build_report, _hash_field,
                               _run_estimate_monitor, _run_flowmap, load_config_file)
 
-from conftest import xnorm_series_per_field
+from conftest import strichartz_norm_reference, xnorm_series_per_field
 
 
 FAST = {
@@ -612,6 +612,35 @@ class TestBatchedEnsembles:
         blown = [r for r in records if r.get("blew_up")]
         assert bool(blown) == (overrides == "blowing")
         assert len(blown) < len(records)
+
+    def test_strichartz_scan_makes_one_stacked_call_per_circle(self, monkeypatch):
+        from bosp import lingroup
+
+        stacks, singles, stacked = [], [], experiments.strichartz_norms
+        monkeypatch.setattr(experiments, "strichartz_norms",
+                            lambda fields, *a, **kw: stacks.append(len(fields))
+                            or stacked(fields, *a, **kw))
+        monkeypatch.setattr(lingroup, "strichartz_norm", lambda *a, **kw: singles.append(a))
+        cfg = default_config("strichartz-scan")
+        rep = run_experiment(cfg)
+        assert stacks == [cfg.n_samples] * len(cfg.lambdas)
+        assert singles == [] and not hasattr(experiments, "strichartz_norm")
+        assert rep.passed and len(rep.records) == cfg.n_samples * len(cfg.lambdas)
+
+    def test_strichartz_scan_matches_per_field_reference(self):
+        cfg = config_from_mapping("strichartz-scan", FAST["strichartz-scan"])
+        records, _ = experiments._run_strichartz(cfg, np.random.default_rng(cfg.seed))
+        rng = np.random.default_rng(cfg.seed)
+        want = []
+        for lam in cfg.lambdas:
+            for i in range(cfg.n_samples):
+                phi = random_field(PeriodicGrid(lam, cfg.n), rng, n_modes=cfg.n_modes,
+                                   decay=cfg.decay, amplitude=1.0, normalize="l2")
+                want.append((lam, i, _hash_field(phi),
+                             strichartz_norm_reference(phi, cfg.horizon)))
+        assert [(r["lam"], r["sample_index"], r["inputs_hash"]) for r in records] == \
+            [w[:3] for w in want]
+        assert [r["ratio"] for r in records] == pytest.approx([w[3] for w in want], rel=1e-14)
 
     def test_estimate_monitor_builds_one_gauge_frame_per_trajectory(self, monkeypatch):
         from bosp import gauge

@@ -13,12 +13,15 @@ from bosp import (
     propagate,
     random_field,
     strichartz_norm,
+    strichartz_norms,
     synthesize,
 )
 
+from bosp import lingroup
 from bosp.lingroup import GROUP_KINDS
 
-from conftest import QUAD_PAD, coeff_distance, l4_sums, trapezoid_strichartz_norm
+from conftest import (QUAD_PAD, coeff_distance, l4_sums, strichartz_norm_reference,
+                      trapezoid_strichartz_norm)
 
 
 def field_from(grid, fn):
@@ -245,3 +248,104 @@ class TestExactStrichartzNorm:
         big = strichartz_norm(f_d, dilation ** 2 * horizon, kind=kind) ** 4
         small = strichartz_norm(f, horizon, kind=kind) ** 4
         assert big == pytest.approx(dilation ** 3 * small, rel=1e-9)
+
+
+def _stack_rows(grid, rng, real):
+    """Rows with different supports: plain, some modes zeroed, Nyquist slot set, zero."""
+    if real:
+        rows = [random_field(grid, rng, n_modes=11, decay=0.85, normalize="l2")
+                for _ in range(4)]
+    else:
+        rows = [_complex_field(grid, rng, 6) for _ in range(4)]
+    c = rows[1].coeffs.copy()
+    c[[2, 5, -2, -5]] = 0.0
+    rows[1] = SpectralField(grid, c, is_real=real)
+    c = rows[2].coeffs.copy()
+    c[grid.n // 2] = 0.4 if real else 0.3 - 0.5j
+    rows[2] = SpectralField(grid, c, is_real=real)
+    rows.append(SpectralField(grid, np.zeros(grid.n, dtype=complex), is_real=real))
+    return rows
+
+
+class TestStackedStrichartzNorms:
+    """One resonance structure per m-chunk against the per-field sum."""
+
+    CASES = [(True, "bo_group"), (False, "bo_group"), (False, "schrodinger_group")]
+
+    @pytest.mark.parametrize("real, kind", CASES)
+    @pytest.mark.parametrize("lam", [1.0, 16.0])
+    @pytest.mark.parametrize("entries", [None, 150])
+    def test_matches_per_field_reference(self, monkeypatch, rng, real, kind, lam, entries):
+        calls = {"chunks": 0, "stacks": []}
+        structure, sums = lingroup._chunk_structure, lingroup._chunk_sums
+
+        def count_chunk(*args):
+            calls["chunks"] += 1
+            return structure(*args)
+
+        def count_stack(chunk, coeffs, *args):
+            calls["stacks"].append(coeffs.shape[1])
+            return sums(chunk, coeffs, *args)
+
+        monkeypatch.setattr(lingroup, "_chunk_structure", count_chunk)
+        monkeypatch.setattr(lingroup, "_chunk_sums", count_stack)
+        if entries is not None:
+            monkeypatch.setattr(lingroup, "_EXACT_ENTRIES", entries)
+        grid = PeriodicGrid(lam, 32)
+        rows = _stack_rows(grid, rng, real)
+        got = strichartz_norms(rows, 0.7, kind=kind)
+        want = [strichartz_norm_reference(f, 0.7, kind=kind) for f in rows]
+        assert got[-1] == want[-1] == 0.0
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        if entries is None:
+            assert calls["chunks"] == 1 and calls["stacks"] == [len(rows)]
+        else:  # several m-chunks, each over rows cut into stacks
+            assert calls["chunks"] > 1 and max(calls["stacks"]) < len(rows)
+
+    @pytest.mark.parametrize("real, kind", CASES)
+    @pytest.mark.parametrize("lam", [1.0, 16.0])
+    def test_stack_of_one_is_the_per_field_sum(self, rng, real, kind, lam):
+        for f in _stack_rows(PeriodicGrid(lam, 32), rng, real):
+            assert strichartz_norm(f, 0.7, kind=kind) == strichartz_norm_reference(f, 0.7, kind=kind)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0, 8.0, 16.0])
+    def test_closed_form_rows_in_a_random_stack(self, rng, lam):
+        # A cos(a x/lam) moves rigidly under the bo group, so its L^4_x norm
+        # is constant; a single complex mode has |u| = A at all times
+        grid, amp, a, horizon = PeriodicGrid(lam, 32), 1.7, 3, 0.6
+        c = np.zeros(grid.n, dtype=complex)
+        c[[a, -a]] = amp / 2
+        real = [random_field(grid, rng, n_modes=10, normalize="l2"),
+                SpectralField(grid, c, is_real=True),
+                random_field(grid, rng, n_modes=14, normalize="l2")]
+        cos_norm = strichartz_norms(real, horizon)[1]
+        assert cos_norm == pytest.approx(
+            (2 * np.pi * lam * horizon * 3 * amp ** 4 / 8) ** 0.25, rel=1e-13)
+        c = np.zeros(grid.n, dtype=complex)
+        c[a] = amp
+        cplx = [_complex_field(grid, rng, 5), SpectralField(grid, c), _complex_field(grid, rng, 7)]
+        for kind in GROUP_KINDS:
+            assert strichartz_norms(cplx, horizon, kind=kind)[1] == pytest.approx(
+                (2 * np.pi * lam * horizon * amp ** 4) ** 0.25, rel=1e-13)
+
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan"), -1.0, 0.0])
+    def test_non_finite_or_non_positive_horizon(self, random_fields, horizon):
+        f = random_fields()
+        with pytest.raises(ValueError, match="finite and positive"):
+            strichartz_norm(f, horizon)
+        with pytest.raises(ValueError, match="finite and positive"):
+            strichartz_norms([f, f], horizon)
+
+    def test_malformed_stacks_fail_before_any_work(self, monkeypatch, rng):
+        monkeypatch.setattr(lingroup, "_wave_stack",
+                            lambda *a: pytest.fail("work started on a malformed stack"))
+        f = random_field(PeriodicGrid(1.0, 32), rng, n_modes=8)
+        with pytest.raises(ValueError, match="one grid"):
+            strichartz_norms([f, random_field(PeriodicGrid(2.0, 32), rng, n_modes=8)], 1.0)
+        with pytest.raises(ValueError, match="one grid"):
+            strichartz_norms([f, random_field(PeriodicGrid(1.0, 64), rng, n_modes=8)], 1.0)
+        with pytest.raises(ValueError, match="all real or all complex"):
+            strichartz_norms([f, SpectralField(f.grid, f.coeffs, is_real=False)], 1.0)
+        with pytest.raises(ValueError, match="unknown group kind"):
+            strichartz_norms([f], 1.0, kind="airy_group")
+        assert strichartz_norms([], 1.0) == []

@@ -16,8 +16,9 @@ Kassam-Trefethen contour trick (SIAM J. Sci. Comput. 26 (2005), 1214).
 ``Equation`` is the one definition of each right-hand side: ``solve``
 integrates it and the residuals of ``gauge`` substitute it.  Its nonlinear
 terms are in conservative form d_x(u^{k+1})/(k+1) so the mean mode is
-conserved to round-off, and products are dealiased either by the
-two-thirds rule or by forming them on a 4x zero-padded grid.  The flux has
+conserved to round-off, and products are dealiased by forming them on a
+4x zero-padded grid (``pad4``) or by the two-thirds rule (``two_thirds``),
+or formed on the n-point grid with no dealiasing (``none``).  The flux has
 one implementation, ``Equation._flux``, which writes into caller-owned
 arrays; ``nonlinear`` is its allocating one-stack case.
 
@@ -76,7 +77,9 @@ class SolverConfig:
 
     ``sample_stride`` controls snapshot thinning: a snapshot is stored every
     ``sample_stride`` steps, and the step count t_final/dt must be an exact
-    multiple of it so sample times stay uniform.
+    multiple of it so sample times stay uniform.  ``dealias`` is ``pad4``
+    (products on a 4x zero-padded grid), ``two_thirds`` (flux modes
+    |q| > n/3 zeroed) or ``none`` (products on the n-point grid, aliased).
     """
 
     equation: str
@@ -110,6 +113,9 @@ class SolverConfig:
         ratio = self.t_final / self.dt
         if not math.isfinite(ratio):
             raise ValueError(f"t_final / dt = {self.t_final} / {self.dt} overflows a float")
+        if ratio > 2 ** 53:  # beyond this, neighbouring step counts share one float
+            raise ValueError(f"t_final / dt = {self.t_final} / {self.dt} = {ratio:g} "
+                             f"steps, more than a float counts exactly (2**53)")
         steps = int(round(ratio))
         if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * self.t_final:
             raise ValueError(

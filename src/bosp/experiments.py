@@ -471,7 +471,7 @@ def _run_scaling(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
     lam = cfg.dilation
     equation = "bo2" if cfg.variant == "bo" else "gbo"
-    steps = int(round(cfg.t_final / cfg.dt))
+    steps = cfg.solver(equation=equation).n_steps()
     u0 = 0.1 * SpectralField.from_function(grid, np.cos)
     rec = {"sample_index": 0, "variant": cfg.variant, "k": cfg.k,
            "inputs_hash": _hash_field(u0)}

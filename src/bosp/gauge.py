@@ -52,7 +52,8 @@ estimate monitor's w series build one frame per stack of snapshots, and
 ``build_gauge``, ``rhs_bo``, ``rhs_gbo_terms`` and ``gauge_lipschitz_gap``
 read rows of a small stack.
 The mean-removal and renormalization maps translate a whole trajectory
-stack by the odd generator iq of ``Equation``, which keeps the slot n/2.
+stack by the odd generator iq (``spectral._symbol`` "d_dx" on modes
+0..n/2), which is zero on the slot n/2 and so leaves that slot unchanged.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ class ResidualNorms:
 
 @functools.lru_cache(maxsize=16)
 def _equation(grid: PeriodicGrid, equation: str) -> Equation:
-    """One ``Equation`` per grid and tag, shared (read-only) by the residuals and maps."""
+    """One ``Equation`` per grid and tag, shared (read-only) by the residuals."""
     return Equation(grid, equation)
 
 
@@ -475,7 +476,7 @@ def remove_mean_bo(traj: Trajectory) -> Trajectory:
         raise ValueError("mean removal applies to the k = 1 equations only")
     gamma = float(traj.half_coeffs[0, 0].real)
     rate = (2.0 if traj.equation == "bo2" else 1.0) * gamma
-    iq = _equation(traj.grid, "linear").iq
+    iq = _symbol(traj.grid, "d_dx")[: traj.grid.n // 2 + 1]
     shifted = traj.half_coeffs * np.exp(-iq * rate * traj.times[:, None])
     shifted[:, 0] -= gamma
     return Trajectory(traj.grid, traj.times, shifted, traj.equation, traj.k)
@@ -500,7 +501,8 @@ def renormalize_gbo(traj: Trajectory) -> Trajectory:
                             for rows in _row_chunks(len(half), nbig)])
     dt = traj.sample_dt
     shifts = np.concatenate(([0.0], np.cumsum(0.5 * dt * (means[1:] + means[:-1]))))
-    coeffs = amp * half * np.exp(-_equation(traj.grid, "linear").iq * shifts[:, None])
+    iq = _symbol(traj.grid, "d_dx")[: traj.grid.n // 2 + 1]
+    coeffs = amp * half * np.exp(-iq * shifts[:, None])
     return Trajectory(traj.grid, traj.times, coeffs, "renormalized_gbo", k)
 
 

@@ -128,15 +128,17 @@ class TestRoundTrip:
             assert loaded[0].mean == traj.half_coeffs[0, 0].real
 
     def test_header_annotations(self, field, tmp_path):
+        # a field file carries no annotations: k 0, tag 0 and time 0
         p = tmp_path / "c.bosp"
-        save_checkpoint(field, p, time=0.75, equation="bo2", k=1)
+        save_checkpoint(field, p)
         raw = p.read_bytes()
         magic, version, lam, n, k, tag = struct.unpack_from("<4sIdIIB", raw)
         assert magic == b"BOSP" and version == VERSION
         assert lam == field.grid.lam and n == field.grid.n
-        assert k == 1 and tag == 2
-        (t,) = struct.unpack_from("<d", raw, struct.calcsize("<4sIdIIB"))
-        assert t == 0.75
+        assert k == 0 and tag == 0
+        (t,) = struct.unpack_from("<d", raw, _HEADER)
+        assert t == 0.0 and not np.signbit(t)
+        assert len(raw) == _HEADER + 8 + 16 * n
 
     def test_trajectory_records_hold_half_spectra(self, trajectory, tmp_path):
         p = tmp_path / "h.bosp"
@@ -151,10 +153,11 @@ class TestRoundTrip:
         assert np.array_equal(records["coeffs"], trajectory.half_coeffs)
 
 
-def _small_trajectory_bytes(path):
+def _small_bytes(path, kind):
     grid = PeriodicGrid(1.0, 8)
     u0 = SpectralField.from_function(grid, lambda x: 0.1 * np.cos(x))
-    save_checkpoint(solve(u0, SolverConfig("gbo", dt=0.01, t_final=0.03)), path)
+    save_checkpoint(u0 if kind == "field" else
+                    solve(u0, SolverConfig("gbo", dt=0.01, t_final=0.03)), path)
     return path.read_bytes()
 
 
@@ -168,6 +171,25 @@ class TestCorruption:
             p.write_bytes(raw[:cut])
             with pytest.raises(TruncatedFileError):
                 load_checkpoint(p)
+
+    def test_trajectory_cut_to_field_size(self, trajectory, tmp_path):
+        # the kind comes from the tag, so no cut of a trajectory reads as a field
+        p = tmp_path / "cut.bosp"
+        save_checkpoint(trajectory, p)
+        n = trajectory.grid.n
+        p.write_bytes(p.read_bytes()[: _HEADER + 8 + 16 * n])
+        with pytest.raises(TruncatedFileError, match="whole number of snapshots"):
+            load_checkpoint(p)
+
+    def test_tagged_field_file_is_refused(self, field, tmp_path):
+        # a field under an equation tag is read, and refused, as a trajectory
+        p = tmp_path / "tagged.bosp"
+        save_checkpoint(field, p)
+        raw = bytearray(p.read_bytes())
+        raw[_HEADER - 1] = EQUATION_TAGS["gbo"]
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p)
 
     def test_snapshot_count_disagrees_with_payload(self, trajectory, tmp_path):
         p = tmp_path / "count.bosp"
@@ -303,11 +325,12 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="even integer"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("kind", ["field", "trajectory"])
     @settings(derandomize=True, deadline=None)
     @given(data=st.data())
-    def test_damaged_file_loads_or_raises_named_error(self, tmp_path_factory, data):
+    def test_damaged_file_loads_or_raises_named_error(self, tmp_path_factory, data, kind):
         p = tmp_path_factory.mktemp("fuzz") / "t.bosp"
-        raw = bytearray(_small_trajectory_bytes(p))
+        raw = bytearray(_small_bytes(p, kind))
         if data.draw(st.booleans(), label="truncate"):
             raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
         else:

@@ -72,6 +72,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="overflows"):
             SolverConfig("gbo", dt=1e-300, t_final=1e10).n_steps()
 
+    @pytest.mark.parametrize("dt, t_final", [(1e-300, 0.5), (1.0, 2.0 ** 53 + 2)])
+    def test_step_count_beyond_float_resolution_rejected(self, dt, t_final):
+        # a finite ratio above 2**53 once returned a count no run could take
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            SolverConfig("gbo", dt=dt, t_final=t_final).n_steps()
+
+    def test_largest_exact_step_count_accepted(self):
+        assert SolverConfig("gbo", dt=1.0, t_final=2.0 ** 53).n_steps() == 2 ** 53
+
     def test_complex_data_rejected(self, grid):
         f = SpectralField.from_function(grid, lambda x: np.exp(1j * x))
         with pytest.raises(ValueError):

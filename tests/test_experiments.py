@@ -255,6 +255,8 @@ class TestConfig:
          "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),
         (["conservation", "--e-dt", "1e-300", "--e-t-final", "1e10"],
          "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),
+        (["scaling", "--dt", "1e-300", "--t-final", "1e10"],
+         "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),
     ])
     def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, args, message):
         # each of these once ran into a fake blow-up or an overflow traceback

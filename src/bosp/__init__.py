@@ -54,7 +54,7 @@ from .invariants import (
     h1_apriori_check,
     dilate,
 )
-from .ensembles import random_field
+from .ensembles import random_field, random_fields
 from .checkpoint import save_checkpoint, load_checkpoint
 from .experiments import (
     ExperimentConfig,
@@ -112,6 +112,7 @@ __all__ = [
     "h1_apriori_check",
     "dilate",
     "random_field",
+    "random_fields",
     "save_checkpoint",
     "load_checkpoint",
     "ExperimentConfig",

@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BlowUpError, ConfigError
-from .ensembles import random_field
+from .ensembles import _fields_from_normals, random_fields
 from .evolve import SolverConfig, convergence_order, solve, solve_batch
 from .gauge import _snapshot_stacks, gauge_residual_batch
 from .invariants import dilate, drift_report, invariant, xnorm, xnorm_series
@@ -59,11 +59,11 @@ from .spectral import (
     PeriodicGrid,
     SpectralField,
     _full_spectrum,
+    _lp_norms,
     _parseval_norms,
+    _symbol,
     analyze_values_padded,
     norm,
-    project,
-    differentiate,
     synthesize,
 )
 
@@ -117,7 +117,7 @@ class ExperimentConfig:
             least = 0 if name == "gauge-residual" else 1
             if values["n_modes"] < least:
                 raise ConfigError(f"n_modes must be at least {least}, got {values['n_modes']}")
-            # random_field caps a draw at n/2 - 1 modes; a larger n_modes would
+            # random_fields caps a draw at n/2 - 1 modes; a larger n_modes would
             # run capped while the config echo claims more
             if values["n_modes"] > values["n"] // 2 - 1:
                 raise ConfigError(f"n_modes must be at most n/2 - 1 = {values['n'] // 2 - 1} "
@@ -386,10 +386,8 @@ def _run_conservation(cfg: ExperimentConfig, rng):
 
 def _run_gauge_residual(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
-    n_modes = cfg.n_modes if cfg.n_modes else grid.n // 2 - 1
-    fields = [random_field(grid, rng, n_modes=n_modes, decay=cfg.decay,
-                           amplitude=cfg.amplitude, normalize="h2")
-              for _ in range(cfg.n_samples)]
+    fields = random_fields(grid, rng, cfg.n_samples, n_modes=cfg.n_modes or None,
+                           decay=cfg.decay, amplitude=cfg.amplitude, normalize="h2")
     half_grid = PeriodicGrid(cfg.lam, grid.n // 2)
     halves = [analyze_values_padded(synthesize(v), half_grid)
               for v in fields[: cfg.shrink_samples]]
@@ -410,9 +408,8 @@ def _run_strichartz(cfg: ExperimentConfig, rng):
     records = []
     for lam in cfg.lambdas:
         grid = PeriodicGrid(lam, cfg.n)
-        phis = [random_field(grid, rng, n_modes=cfg.n_modes, decay=cfg.decay,
+        phis = random_fields(grid, rng, cfg.n_samples, n_modes=cfg.n_modes, decay=cfg.decay,
                              amplitude=1.0, normalize="l2")
-                for _ in range(cfg.n_samples)]
         for i, (phi, val) in enumerate(zip(phis, strichartz_norms(phis, cfg.horizon))):
             records.append({
                 "lam": float(lam), "sample_index": i,
@@ -425,13 +422,13 @@ def _run_flowmap(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
     solver = cfg.solver(equation="gbo", k=1)
     scales = [cfg.perturbation, cfg.perturbation / cfg.shrink_factor]
-    draws = []
-    for _ in range(cfg.n_samples):
-        phi1 = random_field(grid, rng, n_modes=cfg.n_modes, decay=cfg.decay,
-                            amplitude=cfg.amplitude, normalize="h1", mean=cfg.gamma)
-        direction = random_field(grid, rng, n_modes=cfg.n_modes, decay=cfg.decay,
-                                 amplitude=1.0, normalize="h1")
-        draws.append((phi1, direction))
+    # one draw for every (phi1, direction) pair, in the order of drawing
+    # phi1 and then its direction sample by sample
+    normals = rng.standard_normal((cfg.n_samples, 2, 2, cfg.n_modes))
+    draws = list(zip(
+        _fields_from_normals(grid, normals[:, 0], cfg.decay, cfg.amplitude, "h1", cfg.gamma,
+                             False),
+        _fields_from_normals(grid, normals[:, 1], cfg.decay, 1.0, "h1", 0.0, False)))
     # one batch: every phi1, then the phi2 = phi1 + scale * direction of
     # each pair with a nonzero gap
     pairs = []
@@ -514,9 +511,8 @@ def _run_convergence(cfg: ExperimentConfig, rng):
 
 def _run_estimate_monitor(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
-    v0s = [random_field(grid, rng, n_modes=cfg.n_modes, decay=cfg.decay,
+    v0s = random_fields(grid, rng, cfg.n_samples, n_modes=cfg.n_modes, decay=cfg.decay,
                         amplitude=cfg.amplitude, normalize="h1")
-           for _ in range(cfg.n_samples)]
     runs = solve_batch(v0s, cfg.solver(equation="renormalized_gbo", k=cfg.k))
     records = []
     for i, (v0, vtraj) in enumerate(zip(v0s, runs)):
@@ -549,11 +545,13 @@ def _run_bernstein(cfg: ExperimentConfig, rng):
         # the scaled count is capped at the band limit by design, so the
         # high-pass ratio is then measured on a full-band draw
         n_modes = min(int(cfg.n_modes * lam), grid.n // 2 - 1)
-        for i in range(cfg.n_samples):
-            g = random_field(grid, rng, n_modes=n_modes, decay=cfg.decay,
-                             amplitude=1.0, normalize="h1", physical_decay=True)
-            num = norm(project(g, "gt", cutoff=1.0), "linf")
-            den = norm(differentiate(g, "d_dx", 1), "linf")
+        gs = random_fields(grid, rng, cfg.n_samples, n_modes=n_modes, decay=cfg.decay,
+                           amplitude=1.0, normalize="h1", physical_decay=True)
+        rows = np.array([g.coeffs for g in gs])
+        # sup norms of the one-sided high pass P_{q > 1} (complex) and of d_x (real)
+        nums = _lp_norms(np.where(grid.freqs > 1.0, rows, 0.0), grid, np.inf, False)
+        dens = _lp_norms(_symbol(grid, "d_dx") * rows, grid, np.inf, True)
+        for i, (g, num, den) in enumerate(zip(gs, nums, dens)):
             records.append({
                 "lam": float(lam), "sample_index": i,
                 "inputs_hash": _hash_field(g), "ratio": float(num / den),

@@ -37,8 +37,8 @@ slot n/2 the same way.
 A ``Trajectory`` is one half-spectrum stack, expanded a snapshot at a time
 on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
 ``norm`` is the one-row case of the per-row ``_parseval_norms`` (L^2, H^s)
-and ``_lp_norms`` (L^1, L^4).  ``_conjugate_symmetric`` is the one exact
-test that coefficient rows are real fields.
+and ``_lp_norms`` (L^1, L^4 and the sup norm).  ``_conjugate_symmetric``
+is the one exact test that coefficient rows are real fields.
 
 Norm conventions follow the coefficient-space definitions used throughout:
 
@@ -577,11 +577,12 @@ def _parseval_norms(coeffs: np.ndarray, grid: PeriodicGrid, s: float | None = No
     return np.sqrt(np.sum((1.0 + q * q) ** s * sq, axis=-1))
 
 
-def _lp_norms(rows: np.ndarray, grid: PeriodicGrid, p: int, real: bool) -> np.ndarray:
-    """Per-row L^p norms (p = 1 or 4) of coefficient rows (R, n) by the rectangle rule.
+def _lp_norms(rows: np.ndarray, grid: PeriodicGrid, p: float, real: bool) -> np.ndarray:
+    """Per-row L^p norms (p = 1, 4 or inf) of coefficient rows (R, n).
 
-    p = 4 sums on the alias-free grid of degree 4, exact since |f|^4 is a
-    polynomial in f and conj f; p = 1 on the 4x oversampled grid.  ``real``
+    p = 4 is the rectangle rule on the alias-free grid of degree 4, exact
+    since |f|^4 is a polynomial in f and conj f; p = 1 is the rectangle rule
+    and p = inf the largest |value| on the 4x oversampled grid.  ``real``
     rows are synthesized from their half spectra.  Rows go in stacks of at
     most ``_STACK_POINTS`` points.
     """
@@ -591,6 +592,9 @@ def _lp_norms(rows: np.ndarray, grid: PeriodicGrid, p: int, real: bool) -> np.nd
     for chunk in _row_chunks(len(rows), nbig):
         vals = (_real_values(rows[chunk, : n // 2 + 1], nbig) if real
                 else _complex_values(rows[chunk], nbig))
+        if p == np.inf:
+            out[chunk] = np.max(np.abs(vals), axis=-1)
+            continue
         sums = grid.circumference / nbig * np.sum(np.abs(vals) ** p, axis=-1)
         # roots as scalars: numpy's vectorized pow can differ from libm's by an ulp
         out[chunk] = [total ** (1.0 / p) for total in sums.tolist()]
@@ -625,7 +629,7 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
         q = f.grid.freqs
         return float(np.sqrt(np.sum(np.abs(q) ** (2 * s) * np.abs(f.coeffs) ** 2)))
     if kind == "linf":
-        return float(np.max(np.abs(synthesize(f, _DEFAULT_PAD))))
+        return float(_lp_norms(f.coeffs[None], f.grid, np.inf, f.is_real)[0])
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

@@ -10,7 +10,8 @@ tautology.
 import numpy as np
 import pytest
 
-from bosp import BlowUpError, PeriodicGrid, Trajectory, differentiate, norm, random_field
+from bosp import (BlowUpError, PeriodicGrid, SpectralField, Trajectory, differentiate, norm,
+                  random_field)
 from bosp.evolve import _BLOWUP_GUARD, _etdrk4_weights
 from bosp.lingroup import GROUP_KINDS, group_symbol
 from bosp.spectral import _complex_values, _nyquist_split, _real_values, _row_chunks
@@ -263,6 +264,45 @@ def xnorm_series_per_field(times, fields, level):
         total += float(np.max(l2s))
         total += float(np.trapezoid(l4s ** 4, times) ** 0.25)
     return total
+
+
+# --- random draws, one field at a time (reference of the stacked draw) ---
+
+
+def random_field_reference(grid, rng, n_modes=None, decay=0.7, amplitude=1.0,
+                           normalize="h1", mean=0.0, physical_decay=False):
+    """One real random field from two ``standard_normal(n_modes)`` draws.
+
+    The per-field draw that ``random_fields`` replaced by one draw and one
+    norm over a stack; every field operation here is a SpectralField's own.
+    """
+    cap = grid.n // 2 - 1
+    n_modes = cap if n_modes is None else min(int(n_modes), cap)
+    if n_modes < 1:
+        raise ValueError("need at least one mode")
+    m = np.arange(1, n_modes + 1)
+    envelope = decay ** (m / grid.lam) if physical_decay else decay ** m
+    g = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / np.sqrt(2.0)
+    coeffs = np.zeros(grid.n, dtype=np.complex128)
+    coeffs[1: n_modes + 1] = g * envelope
+    coeffs[-n_modes:] = np.conj(coeffs[1: n_modes + 1][::-1])
+    f = SpectralField(grid, coeffs, is_real=True)
+    if normalize == "l2":
+        cur = norm(f, "lp", p=2)
+    elif normalize == "h1":
+        cur = norm(f, "hs", s=1.0)
+    elif normalize == "h2":
+        cur = norm(f, "hs", s=2.0)
+    else:
+        raise ValueError(f"unknown normalization {normalize!r}")
+    if cur == 0.0:
+        raise ValueError("degenerate draw: zero field cannot be normalized")
+    f = (amplitude / cur) * f
+    if mean != 0.0:
+        c = f.coeffs.copy()
+        c[0] = mean
+        f = SpectralField(grid, c, is_real=True)
+    return f
 
 
 # --- the allocating stepper, one new array per operation (reference of the in-place one) ---

@@ -394,14 +394,31 @@ class TestDeterminismAndVerdicts:
                                                 dict(base, seed=1)))
         assert r1.records_jsonl() != r2.records_jsonl()
 
+    # First and last inputs_hash of each ensemble experiment's FAST run at
+    # seed 5, as the per-field draw loop made them: a change to the
+    # generator order, or to any byte of a drawn field, shows here.
+    PINNED_HASHES = {
+        "strichartz-scan": ("dfad1fad699aaef5", "94bd9154008c036a"),
+        "bernstein": ("fb9252570fc7d6f6", "0a0c9dcd06d725d4"),
+        "gauge-residual": ("7e9536ec1cfb0d87", "b56bd32494843dec"),
+        "flowmap": ("97ffa176c1525334", "04749c602db044c2"),
+        "estimate-monitor": ("b3d3de9e1b853a8c", "68c24a08a6739ef0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+    def test_ensemble_draws_keep_their_hashes(self, name):
+        rep = run_experiment(config_from_mapping(name, dict(FAST[name], seed=5)))
+        hashes = [r["inputs_hash"] for r in rep.records]
+        assert (hashes[0], hashes[-1]) == self.PINNED_HASHES[name]
+
     def test_bernstein_ratio_of_a_single_cosine(self, monkeypatch):
         """cos(m x/lam) with lam < m < 2 lam: the high pass keeps half, ratio lam/(2m)."""
-        def cosine(grid, rng, **kwargs):
+        def cosines(grid, rng, count, **kwargs):
             c = np.zeros(grid.n, dtype=np.complex128)
             c[int(1.5 * grid.lam)] = c[-int(1.5 * grid.lam)] = 0.5
-            return SpectralField(grid, c, is_real=True)
+            return [SpectralField(grid, c, is_real=True)] * count
 
-        monkeypatch.setattr(experiments, "random_field", cosine)
+        monkeypatch.setattr(experiments, "random_fields", cosines)
         rep = run_experiment(config_from_mapping(
             "bernstein", {"lambdas": (4.0, 16.0), "n_samples": 1}))
         assert [r["lam"] for r in rep.records] == [4.0, 16.0]
@@ -596,6 +613,18 @@ BLOWING = {
 }
 
 
+class _CountingGenerator:
+    """A seeded generator that records the size of each ``standard_normal`` call."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self._rng.standard_normal(size)
+
+
 class TestBatchedEnsembles:
     """The batched flowmap and estimate-monitor match per-field solves exactly."""
 
@@ -628,6 +657,20 @@ class TestBatchedEnsembles:
         assert stacks == [cfg.n_samples] * len(cfg.lambdas)
         assert singles == [] and not hasattr(experiments, "strichartz_norm")
         assert rep.passed and len(rep.records) == cfg.n_samples * len(cfg.lambdas)
+
+    @pytest.mark.parametrize("name", sorted(TestDeterminismAndVerdicts.PINNED_HASHES))
+    def test_one_generator_call_per_ensemble(self, name, monkeypatch):
+        from bosp import ensembles
+
+        monkeypatch.setattr(ensembles, "random_field",
+                            lambda *a, **kw: pytest.fail("per-field random_field call"))
+        cfg = config_from_mapping(name, FAST[name])
+        rng = _CountingGenerator(cfg.seed)
+        records, _ = _EXPERIMENTS[name].run(cfg, rng)
+        # one ensemble per circle size where the experiment scans several
+        n_ensembles = len(cfg.lambdas) if "lambdas" in cfg.as_dict() else 1
+        assert [size[0] for size in rng.sizes] == [cfg.n_samples] * n_ensembles
+        assert records and not hasattr(experiments, "random_field")
 
     def test_strichartz_scan_matches_per_field_reference(self):
         cfg = config_from_mapping("strichartz-scan", FAST["strichartz-scan"])
@@ -712,6 +755,12 @@ class TestCli:
         code = main(["flowmap", "--config", bad, "--out", str(tmp_path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_degenerate_draw_exit_code(self, tmp_path, capsys):
+        # the envelope underflows to 0, so no field can be normalized
+        code = main(["gauge-residual", "--decay", "1e-200", "--out", str(tmp_path)])
+        assert code == 2
+        assert "degenerate draw" in capsys.readouterr().err
 
     def test_zero_estimate_monitor_data_is_a_named_failure(self, tmp_path, capsys):
         code = main(["estimate-monitor", "--amplitude", "0", "--n-samples", "2",

@@ -308,6 +308,29 @@ class TestNorms:
         want = [norm(SpectralField(grid, row, is_real=real), "lp", p=p) for row in rows]
         assert np.array_equal(_lp_norms(rows, grid, p, real), want)
 
+    @pytest.mark.parametrize("rows_kind", ["real", "real_nyquist", "gt_projection",
+                                           "complex_nyquist"])
+    def test_sup_rows_equal_the_per_field_synthesis_max(self, rng, rows_kind):
+        # n = 512: 8 rows of 2048 padded points per stack, so 19 rows span 3 stacks
+        grid = PeriodicGrid(5.0, 512)
+        real = rows_kind.startswith("real")
+        if real:
+            rows = np.array([random_field(grid, rng, n_modes=60, decay=0.95).coeffs
+                             for _ in range(19)])
+        else:
+            rows = (rng.standard_normal((19, grid.n))
+                    + 1j * rng.standard_normal((19, grid.n))) * 0.99 ** np.abs(grid.modes)
+        if rows_kind == "real_nyquist":
+            rows[:, grid.n // 2] = rng.standard_normal(19)
+        elif rows_kind == "gt_projection":  # the one-sided high pass of bernstein
+            rows = np.where(grid.freqs > 1.0, rows, 0.0)
+        assert rows[:, grid.n // 2].any() == (rows_kind != "real")
+        want = [float(np.max(np.abs(synthesize(SpectralField(grid, row, is_real=real), 4))))
+                for row in rows]
+        got = _lp_norms(rows, grid, np.inf, real)
+        assert got.tolist() == want
+        assert [norm(SpectralField(grid, row, is_real=real), "linf") for row in rows] == want
+
     def test_parseval(self, rng):
         # coefficient-space L^2 equals dense quadrature, lambda factor included
         for lam in (1.0, 3.5):

@@ -1,20 +1,20 @@
 """Named, config-driven experiments with machine-readable reports.
 
-One registry holds every experiment.  Its entry declares the config keys
-the experiment reads, each with its default, the ``run`` that turns a
-config and a seeded generator into records, the ``verdict`` that derives
-the failures from config and records, and the ``summarize`` that derives
-the summary from the records.  An :class:`ExperimentConfig` holds
-``name``, ``seed`` and exactly its entry's keys: any other key is a
-:class:`ConfigError`, so a report's config echo lists only what the run
-used, and the command line offers only the flags of keys the experiment
-reads.
+One registry holds every experiment.  Its entry declares the config keys the
+experiment reads, each with its default, the ``run`` that turns a config and
+a seeded generator into records, the ``verdict`` that returns the structural
+failures and the gate rows of config and records, for one judge to decide,
+and the ``summarize`` that derives the summary from the records.  An
+:class:`ExperimentConfig` holds ``name``, ``seed`` and exactly its entry's
+keys: any other key is a :class:`ConfigError`, so a report's config echo
+lists only what the run used, and the command line offers only the flags of
+keys the experiment reads.
 
 Each experiment is a pure function of (config, seed): it draws its ensemble
 from a seeded generator, produces one record per sample, and derives its
-pass/fail verdict and its summary *from the records alone*, so a report's
-``summary.json`` is a function of its ``records.jsonl`` and config
-(``recompute_passed`` re-derives the verdict).  Reports serialize
+pass/fail verdict and its summary *from the records alone*, as the records
+file holds them (a non-finite value is ``None``), so ``summary.json`` is a
+function of ``records.jsonl`` and the config.  Reports serialize
 deterministically: the wall time is kept on the in-memory object only, never
 written, so identical (config, seed) runs produce byte-identical files.
 Records are sorted by their key ``(lam, sample_index, scale, run)`` first,
@@ -43,6 +43,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import time as _time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
@@ -256,10 +257,9 @@ class ExperimentReport:
         return json.dumps(_plain(self.summary_dict()), sort_keys=True, indent=2) + "\n"
 
     def records_jsonl(self) -> str:
-        lines = [
-            json.dumps(_plain(rec), sort_keys=True, separators=(",", ":"))
-            for rec in self.records
-        ]
+        # the records are plain already (_build_report)
+        lines = [json.dumps(rec, sort_keys=True, separators=(",", ":"), allow_nan=False)
+                 for rec in self.records]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -278,7 +278,7 @@ def _plain(obj):
         return bool(obj)
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
@@ -560,13 +560,18 @@ def _run_bernstein(cfg: ExperimentConfig, rng):
 
 
 # ---------------------------------------------------------------------------
-# pass rules (pure functions of config + records) and summaries (of records)
+# verdicts (pure functions of config + records) and summaries (of records)
 # ---------------------------------------------------------------------------
 
 
+def _floats(records, key: str) -> np.ndarray:
+    """The ``key`` values of the records that hold it; a ``None`` becomes NaN."""
+    return np.array([r[key] for r in records if key in r], dtype=float)
+
+
 def _max_by(records, group: str, key: str) -> list:
-    """Sorted ``(group value, max of key)`` pairs over the records."""
-    return [(value, max(r[key] for r in records if r[group] == value))
+    """Sorted ``(group value, max of key)`` pairs over the records; a NaN wins its group."""
+    return [(value, float(np.max(_floats([r for r in records if r[group] == value], key))))
             for value in sorted({r[group] for r in records})]
 
 
@@ -579,79 +584,95 @@ def _blown(records) -> list:
     return fails
 
 
-def _all_finite(values) -> bool:
-    return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
+class _Gate(NamedTuple):
+    """One checked value: it passes when finite and ``value <sense> bound``.
+
+    ``bound`` is a config key, or the (low, high) keys of a band for sense
+    "in"; without one only finiteness is checked.  ``text`` formats the
+    failure from ``name``, ``value`` and the bound's value.
+    """
+
+    name: str
+    value: float | None
+    sense: str = ""
+    bound: str | tuple = ""
+    text: str = ""
 
 
-# Every numeric gate below is written as "fail unless <pass condition>" and
-# checks finiteness first, so a NaN or infinite value can never pass.
+_SENSES = {"<": operator.lt, "<=": operator.le, ">=": operator.ge,
+           "in": lambda value, band: band[0] <= value <= band[1]}
 
 
-def _pass_simulate(cfg, records):
-    fails = _blown(records)
-    drifts = [v for r in records for key, v in r.items() if key.startswith("drift_")]
-    if not _all_finite(drifts):
-        fails.append("non-finite invariant drift")
+def _judge(fails: list, gates: list, cfg: ExperimentConfig) -> list:
+    """The structural ``fails``, then a message per failing gate.
+
+    The one finiteness check, so a verdict never passes on NaN: a value that
+    is not finite, or ``None`` as a plain record holds one, fails as
+    ``non-finite <name>``, once per name.  A finite value fails its bound.
+    """
+    fails = list(fails)
+    for gate in gates:
+        value = math.nan if gate.value is None else float(gate.value)
+        if not math.isfinite(value):
+            if f"non-finite {gate.name}" not in fails:
+                fails.append(f"non-finite {gate.name}")
+        elif gate.sense:
+            bound = (tuple(getattr(cfg, key) for key in gate.bound) if gate.sense == "in"
+                     else getattr(cfg, gate.bound))
+            if not _SENSES[gate.sense](value, bound):
+                fails.append(gate.text.format(name=gate.name, value=value, bound=bound))
     return fails
 
 
+def _pass_simulate(cfg, records):
+    return _blown(records), [_Gate("invariant drift", v) for r in records
+                             for key, v in r.items() if key.startswith("drift_")]
+
+
 def _pass_conservation(cfg, records):
-    fails = _blown(records)
+    fails, gates = _blown(records), []
     for r in records:
         if r.get("blew_up"):
             continue
         if r.get("degenerate"):
             fails.append(f"{r['run']}: zero initial data, relative drifts undefined")
-            continue
-        if r["run"] == "reference":
-            for key, tol in (("I", cfg.im_tol), ("M", cfg.im_tol), ("F", cfg.f_tol)):
-                val = r[f"drift_{key}"]
-                if not (np.isfinite(val) and val < tol):
-                    fails.append(f"{key} drift {val:.3e} >= {tol:.0e}")
-            opposite = r["drift_F_opposite"]
-            if not (np.isfinite(opposite) and opposite >= cfg.separation_min):
-                fails.append(
-                    f"opposite-sign F drift {opposite:.3e} "
-                    f"< separation floor {cfg.separation_min:.0e}")
-        elif not (np.isfinite(r["drift_E"]) and r["drift_E"] < cfg.e_tol):
-            fails.append(f"{r['run']}: E drift {r['drift_E']:.3e} >= {cfg.e_tol:.0e}")
-    return fails
+        elif r["run"] == "reference":
+            gates += [_Gate(f"{key} drift", r[f"drift_{key}"], "<", tol,
+                            "{name} {value:.3e} >= {bound:.0e}")
+                      for key, tol in (("I", "im_tol"), ("M", "im_tol"), ("F", "f_tol"))]
+            gates.append(_Gate("opposite-sign F drift", r["drift_F_opposite"], ">=",
+                               "separation_min",
+                               "{name} {value:.3e} < separation floor {bound:.0e}"))
+        else:
+            gates.append(_Gate(f"{r['run']}: E drift", r["drift_E"], "<", "e_tol",
+                               "{name} {value:.3e} >= {bound:.0e}"))
+    return fails, gates
 
 
 def _pass_gauge_residual(cfg, records):
     fails = []
-    residuals = [r["residual_l2"] for r in records]
+    residuals = _floats(records, "residual_l2")
     halves = [r for r in records if "residual_l2_half" in r]
-    coarse = [r["residual_l2_half"] for r in halves]
-    if not _all_finite(residuals + coarse):
-        return ["non-finite residual"]
-    worst = max(residuals)
-    if worst > cfg.residual_tol:
-        fails.append(f"max residual {worst:.3e} > {cfg.residual_tol:.0e}")
-    if worst == 0.0 and not any(coarse):
+    coarse = _floats(halves, "residual_l2_half")
+    if not np.any(residuals) and not np.any(coarse):
         fails.append("every residual is exactly 0: the data are zero and test nothing")
-    # A coarse grid already within tolerance leaves nothing for doubling to shrink.
-    if coarse and max(coarse) > cfg.residual_tol:
-        ratio = max(coarse) / max(max(r["residual_l2"] for r in halves), 1e-300)
-        if not (np.isfinite(ratio) and ratio >= cfg.shrink_min):
-            fails.append(f"doubling n only shrank the residual {ratio:.1f}x "
-                         f"(< {cfg.shrink_min:.0f}x)")
-    return fails
+    gates = [_Gate("residual", np.max(residuals), "<=", "residual_tol",
+                   "max residual {value:.3e} > {bound:.0e}")]
+    # A coarse grid already within tolerance leaves nothing for doubling to
+    # shrink; a NaN coarse maximum keeps the gate, and the judge fails it.
+    if coarse.size and not np.max(coarse) <= cfg.residual_tol:
+        ratio = np.max(coarse) / np.maximum(np.max(_floats(halves, "residual_l2")), 1e-300)
+        gates.append(_Gate("residual", ratio, ">=", "shrink_min",
+                           "doubling n only shrank the residual {value:.1f}x (< {bound:.0f}x)"))
+    return fails, gates
 
 
 def _pass_strichartz(cfg, records):
-    if not _all_finite([r["ratio"] for r in records]):
-        return ["non-finite ratio"]
     lams, maxes = np.array(_max_by(records, "lam", "ratio")).T
-    fails = []
-    variation = maxes.max() / maxes.min()
-    if not (np.isfinite(variation) and variation < cfg.variation_max):
-        fails.append(f"max ratio varies {variation:.2f}x across lambda "
-                     f"(>= {cfg.variation_max}x)")
-    slope = float(np.polyfit(np.log(lams), np.log(maxes), 1)[0])
-    if not (np.isfinite(slope) and slope < cfg.slope_max):
-        fails.append(f"log-log slope {slope:.3f} >= {cfg.slope_max}")
-    return fails
+    slope = np.polyfit(np.log(lams), np.log(maxes), 1)[0]
+    return [], [_Gate("ratio", maxes.max() / maxes.min(), "<", "variation_max",
+                      "max ratio varies {value:.2f}x across lambda (>= {bound}x)"),
+                _Gate("ratio", slope, "<", "slope_max", "log-log slope {value:.3f} >= {bound}")]
 
 
 def _pass_flowmap(cfg, records):
@@ -661,41 +682,27 @@ def _pass_flowmap(cfg, records):
         fails.append(f"{len(blown)} samples blew up")
     usable = [r for r in records if not r.get("degenerate") and not r.get("blew_up")]
     if not usable:
-        fails.append("no usable pair: every pair had a zero gap or blew up")
-        return fails
-    if not _all_finite([r["ratio"] for r in usable]):
-        fails.append("non-finite ratio")
-        return fails
-    bad = [r for r in usable if r["ratio"] > cfg.ratio_bound]
-    if bad:
-        fails.append(f"{len(bad)} ratios exceed {cfg.ratio_bound}")
-    per_scale = _max_by(usable, "scale", "ratio")
-    if len(per_scale) >= 2:
-        vals = sorted(mx for _, mx in per_scale)
-        change = vals[-1] / max(vals[0], 1e-300)
-        if change >= cfg.insensitivity_max:
-            fails.append(f"max ratio changed {change:.2f}x across perturbation scales")
-    return fails
+        return fails + ["no usable pair: every pair had a zero gap or blew up"], []
+    maxes = np.array([mx for _, mx in _max_by(usable, "scale", "ratio")])
+    gates = [_Gate("ratio", maxes.max(), "<=", "ratio_bound", "max ratio {value:.2f} > {bound}")]
+    if len(maxes) >= 2:
+        gates.append(_Gate("ratio", maxes.max() / np.maximum(maxes.min(), 1e-300), "<",
+                           "insensitivity_max",
+                           "max ratio changed {value:.2f}x across perturbation scales"))
+    return fails, gates
 
 
 def _pass_scaling(cfg, records):
-    fails = _blown(records)
-    for r in records:
-        disc = r.get("h1_discrepancy")
-        if disc is not None and not (np.isfinite(disc) and disc <= cfg.scaling_tol):
-            fails.append(f"H1 discrepancy {disc:.3e} > {cfg.scaling_tol:.0e}")
-    return fails
+    return _blown(records), [_Gate("H1 discrepancy", r["h1_discrepancy"], "<=", "scaling_tol",
+                                   "{name} {value:.3e} > {bound:.0e}")
+                             for r in records if "h1_discrepancy" in r]
 
 
 def _pass_convergence(cfg, records):
-    fails = _blown(records)
-    for r in records:
-        if r.get("blew_up") or r["exact"]:
-            continue
-        if not (cfg.order_min <= r["order"] <= cfg.order_max):
-            fails.append(f"{r['fixture']}: order {r['order']:.3f} outside "
-                         f"[{cfg.order_min}, {cfg.order_max}]")
-    return fails
+    return _blown(records), [
+        _Gate(f"{r['fixture']}: order", r["order"], "in", ("order_min", "order_max"),
+              "{name} {value:.3f} outside [{bound[0]}, {bound[1]}]")
+        for r in records if not r.get("blew_up") and not r["exact"]]
 
 
 def _pass_estimate_monitor(cfg, records):
@@ -706,25 +713,15 @@ def _pass_estimate_monitor(cfg, records):
     zero = [r for r in records if r.get("degenerate")]
     if zero:
         fails.append(f"{len(zero)} samples have zero initial data, ratio undefined")
-    ratios = [r["ratio"] for r in records if "ratio" in r]
-    if not ratios:
-        return fails
-    if not _all_finite(ratios):
-        fails.append("non-finite ratio")
-    elif max(ratios) > cfg.monitor_bound:
-        fails.append(f"max ratio {max(ratios):.2f} > {cfg.monitor_bound}")
-    return fails
+    ratios = _floats(records, "ratio")
+    return fails, [_Gate("ratio", np.max(ratios), "<=", "monitor_bound",
+                         "max ratio {value:.2f} > {bound}")] if ratios.size else []
 
 
 def _pass_bernstein(cfg, records):
-    if not _all_finite([r["ratio"] for r in records]):
-        return ["non-finite ratio"]
     maxes = np.array([mx for _, mx in _max_by(records, "lam", "ratio")])
-    fails = []
-    stability = maxes.max() / maxes.min()
-    if not (np.isfinite(stability) and stability < cfg.stability_max):
-        fails.append(f"per-lambda maxima vary {stability:.2f}x (>= {cfg.stability_max}x)")
-    return fails
+    return [], [_Gate("ratio", maxes.max() / maxes.min(), "<", "stability_max",
+                      "per-lambda maxima vary {value:.2f}x (>= {bound}x)")]
 
 
 def _no_series(records):
@@ -756,7 +753,7 @@ def _summarize_convergence(records):
 class _Experiment(NamedTuple):
     keys: dict            # config key -> default
     run: Callable         # (cfg, rng) -> (records, artifacts)
-    verdict: Callable     # (cfg, records) -> failure messages
+    verdict: Callable     # (cfg, records) -> (structural failures, gates)
     summarize: Callable   # records -> summary without its stats
 
 
@@ -835,9 +832,8 @@ EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 def recompute_passed(report: ExperimentReport):
     """Re-derive the verdict of a report from its records alone."""
-    cfg = config_from_mapping(report.name, report.config)
-    failures = _EXPERIMENTS[report.name].verdict(cfg, report.records)
-    return (not failures), failures
+    rebuilt = _build_report(config_from_mapping(report.name, report.config), report.records)
+    return rebuilt.passed, rebuilt.failures
 
 
 # the fields that identify a record, each with the value a record without it
@@ -850,19 +846,19 @@ def _summary_stats(records):
     numeric = {}
     for r in records:
         for key, val in r.items():
-            numeric_val = isinstance(val, (int, float)) and not isinstance(val, bool)
+            numeric_val = isinstance(val, (int, float, type(None))) and not isinstance(val, bool)
             if numeric_val and key not in _RECORD_KEY:
-                numeric.setdefault(key, []).append(val)
-    return {key: {"min": float(min(vals)), "max": float(max(vals)),
+                numeric.setdefault(key, []).append(math.nan if val is None else val)
+    return {key: {"min": float(np.min(vals)), "max": float(np.max(vals)),
                   "mean": float(np.mean(vals))} for key, vals in sorted(numeric.items())}
 
 
 def _build_report(cfg: ExperimentConfig, records, artifacts=None) -> ExperimentReport:
-    """Sort ``records`` and derive the verdict and summary: of a run or a read-back file."""
+    """Make ``records`` plain, as a records file holds them; then sort, judge, summarize."""
     experiment = _EXPERIMENTS[cfg.name]
-    records = sorted(records, key=lambda r: tuple(r.get(key, default)
-                                                  for key, default in _RECORD_KEY.items()))
-    failures = experiment.verdict(cfg, records)
+    records = sorted(_plain(records), key=lambda r: tuple(r.get(key, default)
+                                                          for key, default in _RECORD_KEY.items()))
+    failures = _judge(*experiment.verdict(cfg, records), cfg)
     summary = dict(experiment.summarize(records), stats=_summary_stats(records))
     return ExperimentReport(name=cfg.name, config=cfg.as_dict(), records=records,
                             summary=summary, passed=not failures, failures=failures,
@@ -893,7 +889,8 @@ def save_report(report: ExperimentReport, out_dir, stem: str) -> dict:
     paths["records"] = records_path
     for series_name, rows in report.summary.get("series", {}).items():
         dat = out / f"{stem}.{series_name}.dat"
-        lines = [f"{float(a):.17g} {float(b):.17g}" for a, b in rows]
+        # a null in a row (a non-finite record value) is written as nan
+        lines = [f"{a:.17g} {b:.17g}" for a, b in np.asarray(rows, dtype=float).tolist()]
         dat.write_text("\n".join(lines) + ("\n" if lines else ""))
         paths[series_name] = dat
     return paths

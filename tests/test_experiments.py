@@ -27,7 +27,8 @@ from bosp import (
 from bosp import experiments
 from bosp.cli import build_parser, main
 from bosp.experiments import (_EXPERIMENTS, EXPERIMENT_NAMES, _build_report, _hash_field,
-                              _run_estimate_monitor, _run_flowmap, load_config_file)
+                              _is_gate, _judge, _max_by, _run_estimate_monitor, _run_flowmap,
+                              load_config_file)
 
 from conftest import strichartz_norm_reference, xnorm_series_per_field
 
@@ -457,14 +458,46 @@ class TestDeterminismAndVerdicts:
         assert not set(rep.summary["stats"]) & {"lam", "sample_index", "scale", "run"}
 
     @pytest.mark.parametrize("name", sorted(FAST))
-    def test_nan_never_passes(self, name):
-        rep = run_experiment(config_from_mapping(name, FAST[name]))
-        for rec in rep.records:
-            for key, val in rec.items():
-                if isinstance(val, float) and key not in ("lam", "scale"):
-                    rec[key] = float("nan")
-        ok, fails = recompute_passed(rep)
-        assert not ok and fails
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nan_never_passes(self, name, bad, tmp_path):
+        """A non-finite report fails in memory and after a records file round trip."""
+        def poison(val):
+            return [poison(v) for v in val] if isinstance(val, list) else (
+                bad if isinstance(val, float) else val)
+
+        cfg = config_from_mapping(name, FAST[name])
+        records = [{key: val if key in ("lam", "scale") else poison(val)
+                    for key, val in rec.items()} for rec in run_experiment(cfg).records]
+        rep = _build_report(cfg, records)
+        assert not rep.passed and rep.failures
+        paths = save_report(rep, tmp_path, "bad")
+        read = [json.loads(line) for line in paths["records"].read_text().splitlines()]
+        rebuilt = _build_report(cfg, read)
+        assert (rebuilt.passed, rebuilt.failures) == (rep.passed, rep.failures)
+        assert rebuilt.summary_json().encode() == paths["summary"].read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(FAST))
+    def test_non_finite_gate_fails(self, name):
+        """Every gate of every experiment fails on a NaN or infinite value."""
+        cfg = config_from_mapping(name, FAST[name])
+        fails, gates = _EXPERIMENTS[name].verdict(cfg, run_experiment(cfg).records)
+        assert gates and not _judge(fails, gates, cfg)
+        bound_keys = set()
+        for i, gate in enumerate(gates):
+            keys = (gate.bound if isinstance(gate.bound, tuple)
+                    else [gate.bound] if gate.bound else [])
+            assert all(_is_gate(key) or key == "slope_max" for key in keys), gate
+            bound_keys.update(keys)
+            for bad in (float("nan"), float("inf"), float("-inf"), None):
+                poisoned = gates[:i] + [gate._replace(value=bad)] + gates[i + 1:]
+                assert _judge(fails, poisoned, cfg) == [f"non-finite {gate.name}"]
+        # every threshold the experiment declares bounds a gate of its run
+        assert bound_keys - {"slope_max"} == {key for n, key in GATES if n == name}
+
+    def test_group_max_keeps_nan(self):
+        records = [{"lam": 1.0, "ratio": r} for r in (1.0, float("nan"), 2.0)]
+        ((lam, top),) = _max_by(records, "lam", "ratio")
+        assert lam == 1.0 and np.isnan(top)
 
     def test_zero_data_conservation_is_degenerate_fail(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[conservation]\n" + "".join(
@@ -890,9 +923,9 @@ class TestCli:
 
     def test_doubling_check_applies_above_tolerance(self):
         cfg = default_config("gauge-residual")
-        fails = _EXPERIMENTS["gauge-residual"].verdict(cfg, [
-            {"residual_l2": 1e-7, "residual_l2_half": 1e-6}])
-        assert any("doubling n only shrank" in f for f in fails)
+        fails = _judge(*_EXPERIMENTS["gauge-residual"].verdict(cfg, [
+            {"residual_l2": 1e-7, "residual_l2_half": 1e-6}]), cfg)
+        assert "doubling n only shrank the residual 10.0x (< 100x)" in fails
 
     def test_default_run_exercises_doubling_check(self):
         cfg = default_config("gauge-residual")

@@ -89,7 +89,8 @@ def load_checkpoint(path):
     """Load a checkpoint; returns a SpectralField (tag 0) or a Trajectory.
 
     After the finiteness check, the ``Trajectory`` constructor checks a
-    trajectory's records; its ``ValueError`` becomes ``CheckpointError``.
+    trajectory's records and whether its header's tag and k name an
+    equation; its ``ValueError`` becomes ``CheckpointError``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()

@@ -8,7 +8,10 @@ alike, so a value is spelled as in a file (``--scheme etd_rk4``,
 ``--lambdas 1,2,4``).  Abbreviated flags are refused.
 
 Exit codes: 0 all checks passed, 1 any check failed, 2 usage or
-configuration error.  Reports land in --out (default ./runs) as
+configuration error.  An ``--out`` directory that cannot be created and a
+``--stem`` with a directory part are usage errors found before the
+experiment runs; an ``OSError`` while writing the report or checkpoint
+exits 2 as well.  Reports land in --out (default ./runs) as
 <name>-<timestamp>-seed<seed>.summary.json / .records.jsonl plus
 two-column .dat series for anything figure-worthy; the simulate
 subcommand also writes the trajectory checkpoint.
@@ -17,6 +20,7 @@ subcommand also writes the trajectory checkpoint.
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 import time
 
@@ -64,11 +68,28 @@ def _config(args) -> ExperimentConfig:
     return config_from_mapping(args.experiment, mapping)
 
 
+def _prepare_output(args, cfg: ExperimentConfig) -> str:
+    """Create the ``--out`` directory and return the file stem, before anything runs.
+
+    A stem is a file name: one with a directory part is refused.
+    """
+    stem = args.stem or f"{cfg.name}-{time.strftime('%Y%m%dT%H%M%S')}-seed{cfg.seed}"
+    if pathlib.PurePath(stem).name != stem:
+        raise ConfigError(f"--stem must be a file name without a directory part, "
+                          f"got {stem!r}")
+    try:
+        pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {args.out!r}: {exc}") from exc
+    return stem
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _config(args)
+        stem = _prepare_output(args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -79,12 +100,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    stem = args.stem or f"{cfg.name}-{time.strftime('%Y%m%dT%H%M%S')}-seed{cfg.seed}"
-    paths = save_report(report, args.out, stem)
-    if "trajectory" in report.artifacts:
-        ckpt = f"{paths['summary'].with_suffix('').with_suffix('')}.bosp"
-        save_checkpoint(report.artifacts["trajectory"], ckpt)
-        paths["checkpoint"] = ckpt
+    try:
+        paths = save_report(report, args.out, stem)
+        if "trajectory" in report.artifacts:
+            ckpt = f"{paths['summary'].with_suffix('').with_suffix('')}.bosp"
+            save_checkpoint(report.artifacts["trajectory"], ckpt)
+            paths["checkpoint"] = ckpt
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if not args.quiet:
         verdict = "PASS" if report.passed else "FAIL"

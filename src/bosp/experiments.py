@@ -625,8 +625,10 @@ def _judge(fails: list, gates: list, cfg: ExperimentConfig) -> list:
 
 
 def _pass_simulate(cfg, records):
-    return _blown(records), [_Gate("invariant drift", v) for r in records
-                             for key, v in r.items() if key.startswith("drift_")]
+    gates = [_Gate("invariant drift", v) for r in records
+             for key, v in r.items() if key.startswith("drift_")]
+    gates += [_Gate("final H1", r["final_h1"]) for r in records if "final_h1" in r]
+    return _blown(records), gates
 
 
 def _pass_conservation(cfg, records):
@@ -658,6 +660,7 @@ def _pass_gauge_residual(cfg, records):
         fails.append("every residual is exactly 0: the data are zero and test nothing")
     gates = [_Gate("residual", np.max(residuals), "<=", "residual_tol",
                    "max residual {value:.3e} > {bound:.0e}")]
+    gates += [_Gate("H1 residual", r["residual_h1"]) for r in records if "residual_h1" in r]
     # A coarse grid already within tolerance leaves nothing for doubling to
     # shrink; a NaN coarse maximum keeps the gate, and the judge fails it.
     if coarse.size and not np.max(coarse) <= cfg.residual_tol:

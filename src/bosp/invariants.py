@@ -97,8 +97,7 @@ def _series(grid: PeriodicGrid, half: np.ndarray, names, k: int = 1,
     """
     circ, q, h = grid.circumference, grid.freqs, grid.n // 2 + 1
     nbig = _alias_free_points(grid.n, max(4, k + 2))
-    # H d_x has the symbol |q|, zero on the slot n/2 like both its odd factors
-    hdx = np.append(np.abs(q[: h - 1]), 0.0)
+    hdx = _symbol(grid, "hilbert_dx")[:h]
     out = {name: [] for name in names}
     for rows in _row_chunks(len(half), nbig):
         c = _full_spectrum(half[rows], grid.n)

@@ -3,7 +3,9 @@
 ``bo_group`` evolves u_t + H u_xx = 0: the symbol of H d_xx is i*q|q|, so
 the propagator multiplies mode q by exp(-i*q|q|*t).  ``schrodinger_group``
 evolves w_t = i w_xx, multiplier exp(-i*q^2*t).  Both satisfy the exact
-group law and are unitary on every H^s.
+group law and are unitary on every H^s.  Their generators are kinds of the
+one multiplier table, ``spectral._symbol``: ``group_symbol`` returns its
+cached read-only array, the same one the solver's linear phase reads.
 
 The mixed space-time L^4 norm of a free wave, (integral_0^T ||u(t)||_L4^4
 dt)^(1/4), is evaluated exactly by a resonance sum.  With u(t) = sum_a C_a
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import PeriodicGrid, SpectralField, _nyquist_split
+from .spectral import PeriodicGrid, SpectralField, _nyquist_split, _symbol
 
 __all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm", "strichartz_norms"]
 
@@ -42,18 +44,13 @@ GROUP_KINDS = ("bo_group", "schrodinger_group")
 def group_symbol(grid: PeriodicGrid, kind: str) -> np.ndarray:
     """Frequency-domain generator: d/dt C_q = symbol_q * C_q.
 
-    The odd bo symbol is zeroed on the self-conjugate Nyquist slot so real
-    fields stay real.
+    The cached read-only ``spectral._symbol`` array of a kind in
+    ``GROUP_KINDS``; any other kind is a ``ValueError``.  The odd bo symbol
+    is zeroed on the self-conjugate Nyquist slot so real fields stay real.
     """
-    q = grid.freqs
-    if kind == "bo_group":
-        sym = -1j * q * np.abs(q)
-        sym = sym.copy()
-        sym[grid.n // 2] = 0.0
-        return sym
-    if kind == "schrodinger_group":
-        return -1j * q * q
-    raise ValueError(f"unknown group kind {kind!r}")
+    if kind not in GROUP_KINDS:
+        raise ValueError(f"unknown group kind {kind!r}")
+    return _symbol(grid, kind)
 
 
 def propagate(f: SpectralField, t: float, kind: str = "bo_group") -> SpectralField:

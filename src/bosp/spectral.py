@@ -11,14 +11,23 @@ m = 0, 1, ..., n/2, -n/2 + 1, ..., -1 in standard transform order.  The
 single self-conjugate slot at index n/2 is labelled +n/2 (positive
 frequency); for real fields it must be real.
 
-Odd multipliers (sgn q, odd powers of iq, 1/(iq)) zero that Nyquist slot so
-that real fields map to real fields exactly; see
+Odd multipliers (sgn q, odd powers of iq, 1/(iq), the bo group generator
+-iq|q|) zero that Nyquist slot so that real fields map to real fields
+exactly, and so does H d_x = |D|; see
 http://math.mit.edu/~stevenj/fft-deriv.pdf for the standard argument.
-Each multiplier (the powers of iq, 1/(iq), -i sgn q) and the masks of P_+
-and P_- are defined once, in ``_symbol``, which builds a read-only array
-per grid: ``differentiate``, ``antiderivative``, ``hilbert`` and
-``project`` multiply by it, and so do the solver's iq and the stacked gauge
-kernels, which act on coefficient rows (..., n) without SpectralFields.
+Every Fourier multiplier is defined once, in ``_symbol``, which builds a
+read-only array per grid and kind: ``d_dx`` (iq)^j, ``abs_d`` |q|^s,
+``bessel`` (1 + q^2)^(s/2) (the H^s weights), ``hilbert_dx`` the |q| of
+H d_x, ``antiderivative`` 1/(iq), ``hilbert`` -i sgn q, the free-group
+generators ``bo_group`` -iq|q| and ``schrodinger_group`` -iq^2, and the
+masks ``plus`` and ``minus`` of P_+ and P_-.  ``differentiate``,
+``antiderivative``, ``hilbert``, ``project``, the H^s norms, the
+invariants' H d_x, ``lingroup.group_symbol`` and the solver's iq and linear
+phase read it, and so do the stacked gauge kernels, which act on
+coefficient rows (..., n) without SpectralFields.  Only the cutoff masks
+(``project``'s ``leq`` and ``gt``, bernstein's high pass), the Parseval
+weights of the invariants and the integer resonance keys of ``lingroup``
+are formed from the frequencies where they are used.
 
 Products and quadratures are formed on a zero-padded grid of nbig >= n
 points (Boyd, *Chebyshev and Fourier Spectral Methods*, 2001, ch. 11).
@@ -36,6 +45,8 @@ or (..., n), and the exact L^4 resonance sum in ``lingroup`` places the
 slot n/2 the same way.
 A ``Trajectory`` is one half-spectrum stack, expanded a snapshot at a time
 on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
+``_check_equation`` is the one rule for which (tag, k) pairs name a
+right-hand side; every constructor that names one applies it.
 ``norm`` is the one-row case of the per-row ``_parseval_norms`` (L^2, H^s)
 and ``_lp_norms`` (L^1, L^4 and the sup norm).  ``_conjugate_symmetric``
 is the one exact test that coefficient rows are real fields.
@@ -441,27 +452,41 @@ def integrate(f: SpectralField):
 
 
 @functools.lru_cache(maxsize=64)
-def _symbol(grid: PeriodicGrid, kind: str, order: int = 1) -> np.ndarray:
+def _symbol(grid: PeriodicGrid, kind: str, order: float = 1) -> np.ndarray:
     """The read-only multiplier or mask ``kind`` in transform order, built once per grid.
 
-    ``d_dx`` is (iq)^order, ``antiderivative`` 1/(iq) away from q = 0 and
-    ``hilbert`` -i sgn q; the odd ones zero the slot n/2.  ``plus`` and
-    ``minus`` are the masks q > 0 and q < 0 of P_+ and P_-.
+    ``d_dx`` is (iq)^order, ``abs_d`` |q|^order, ``bessel``
+    (1 + q^2)^(order/2), ``hilbert_dx`` the |q| of H d_x, ``antiderivative``
+    1/(iq) away from q = 0, ``hilbert`` -i sgn q, and ``bo_group`` -iq|q| and
+    ``schrodinger_group`` -iq^2 the generators of the free groups; the odd
+    ones, and H d_x, zero the slot n/2.  ``plus`` and ``minus`` are the
+    masks q > 0 and q < 0 of P_+ and P_-.
     """
     q, nyq = grid.freqs, grid.n // 2
     if kind == "d_dx":
         mult = (1j * q) ** order
+    elif kind == "abs_d":
+        mult = np.abs(q) ** order
+    elif kind == "hilbert_dx":
+        mult = np.abs(q)
+    elif kind == "bessel":
+        mult = (1.0 + q * q) ** (order / 2.0)
     elif kind == "antiderivative":
         mult = np.zeros(grid.n, dtype=np.complex128)
         nz = q != 0
         mult[nz] = 1.0 / (1j * q[nz])
     elif kind == "hilbert":
         mult = -1j * np.sign(grid.modes).astype(np.complex128)
+    elif kind == "bo_group":
+        mult = -1j * q * np.abs(q)
+    elif kind == "schrodinger_group":
+        mult = -1j * q * q
     elif kind in ("plus", "minus"):
         mult = q > 0 if kind == "plus" else q < 0
     else:
         raise ValueError(f"unknown symbol {kind!r}")
-    if kind in ("antiderivative", "hilbert") or (kind == "d_dx" and order % 2 == 1):
+    if kind in ("antiderivative", "hilbert", "hilbert_dx", "bo_group") or (
+            kind == "d_dx" and order % 2 == 1):
         mult = mult.copy()
         mult[nyq] = 0.0
     mult.flags.writeable = False
@@ -523,21 +548,16 @@ def differentiate(f: SpectralField, kind: str = "d_dx", order: float = 1) -> Spe
 
     All three map real fields to real fields.
     """
-    q = f.grid.freqs
     if kind == "d_dx":
         if order != int(order) or order < 0:
             raise ValueError("d_dx order must be a nonnegative integer")
-        mult = _symbol(f.grid, "d_dx", int(order))
-    elif kind == "abs_d":
+        order = int(order)
+    elif kind in ("abs_d", "bessel"):
         if order < 0:
-            raise ValueError("abs_d exponent must be nonnegative")
-        mult = np.abs(q) ** order
-    elif kind == "bessel":
-        if order < 0:
-            raise ValueError("bessel exponent must be nonnegative")
-        mult = (1.0 + q * q) ** (order / 2.0)
+            raise ValueError(f"{kind} exponent must be nonnegative")
     else:
         raise ValueError(f"unknown derivative kind {kind!r}")
+    mult = _symbol(f.grid, kind, order)
     return f._with(mult * f.coeffs, f.is_real)
 
 
@@ -573,8 +593,7 @@ def _parseval_norms(coeffs: np.ndarray, grid: PeriodicGrid, s: float | None = No
     sq = np.abs(coeffs) ** 2
     if s is None:
         return np.sqrt(grid.circumference * np.sum(sq, axis=-1))
-    q = grid.freqs
-    return np.sqrt(np.sum((1.0 + q * q) ** s * sq, axis=-1))
+    return np.sqrt(np.sum(_symbol(grid, "bessel", 2 * s) * sq, axis=-1))
 
 
 def _lp_norms(rows: np.ndarray, grid: PeriodicGrid, p: float, real: bool) -> np.ndarray:
@@ -626,8 +645,7 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
     if kind == "hs_dot":
         if s is None:
             raise ValueError("hs_dot norm needs the smoothness parameter s")
-        q = f.grid.freqs
-        return float(np.sqrt(np.sum(np.abs(q) ** (2 * s) * np.abs(f.coeffs) ** 2)))
+        return float(np.sqrt(np.sum(_symbol(f.grid, "abs_d", 2 * s) * np.abs(f.coeffs) ** 2)))
     if kind == "linf":
         return float(_lp_norms(f.coeffs[None], f.grid, np.inf, f.is_real)[0])
     raise ValueError(f"unknown norm kind {kind!r}")
@@ -636,6 +654,22 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
+
+
+def _check_equation(equation, k) -> None:
+    """Raise ``ValueError`` unless the tag and degree ``k`` name a right-hand side.
+
+    The one rule for every constructor that names one (``SolverConfig``,
+    ``evolve.Equation``, ``Trajectory``): a tag of ``Trajectory.EQUATIONS``
+    and an integer k >= 1, which must be 1 for ``linear`` and ``bo2``.
+    """
+    if equation not in Trajectory.EQUATIONS:
+        raise ValueError(f"unknown equation tag {equation!r}")
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if k != 1 and equation in ("linear", "bo2"):
+        raise ValueError(f"k applies to gbo and renormalized_gbo only, "
+                         f"got k = {k} for {equation}")
 
 
 class Trajectory:
@@ -649,8 +683,9 @@ class Trajectory:
     ``equation`` tags which right-hand side produced the data: one of
     ``linear``, ``bo2`` (u_t + H u_xx = 2 u u_x), ``gbo``
     (u_t + H u_xx = u^k u_x) or ``renormalized_gbo``
-    (v_t + H v_xx = 2 (v^k - mean v^k) v_x), with the degree ``k``.  The
-    solver settings that produced the data are not kept.
+    (v_t + H v_xx = 2 (v^k - mean v^k) v_x), with the degree ``k``; a pair
+    that ``_check_equation`` refuses is a ``ValueError``.  The solver
+    settings that produced the data are not kept.
     """
 
     EQUATIONS = ("linear", "bo2", "gbo", "renormalized_gbo")
@@ -672,8 +707,7 @@ class Trajectory:
         h = steps[0]
         if h <= 0 or np.max(np.abs(steps - h)) > 1e-12 * max(abs(h), 1e-300):
             raise ValueError("sample times must be uniformly increasing")
-        if equation not in self.EQUATIONS:
-            raise ValueError(f"unknown equation tag {equation!r}")
+        _check_equation(equation, k)
         half.flags.writeable = False
         self.grid = grid
         self.times = times

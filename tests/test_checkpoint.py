@@ -245,6 +245,27 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+    def test_invalid_lambda_in_header(self, field, tmp_path, lam):
+        p = tmp_path / "lam.bosp"
+        save_checkpoint(field, p)
+        raw = bytearray(p.read_bytes())
+        raw[8:16] = struct.pack("<d", lam)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(NonFinitePayloadError, match="invalid lambda"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("equation, k", [("gbo", 0), ("bo2", 3), ("linear", 2)])
+    def test_header_naming_no_equation_is_refused(self, trajectory, tmp_path, equation, k):
+        # a gbo header with k = 0 once loaded, and drift_report took an energy at k = 0
+        p = tmp_path / "k.bosp"
+        save_checkpoint(trajectory, p)
+        raw = bytearray(p.read_bytes())
+        raw[20:25] = struct.pack("<IB", k, EQUATION_TAGS[equation])
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="invalid trajectory: k "):
+            load_checkpoint(p)
+
     def test_unsupported_object(self, tmp_path):
         with pytest.raises(TypeError):
             save_checkpoint([1, 2, 3], tmp_path / "x.bosp")

@@ -1,5 +1,8 @@
 """Time stepping: exactness, order, conservation, reversibility, blow-up."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from bosp import (
     PeriodicGrid,
     SolverConfig,
     SpectralField,
+    Trajectory,
     convergence_order,
     norm,
     propagate,
@@ -32,6 +36,17 @@ def cos_data(grid, amp=0.1, mean=0.0):
     return SpectralField(grid, c, is_real=True)
 
 
+# (tag, k) pairs that name no right-hand side, with the one rule's message
+REFUSED_RIGHT_HAND_SIDES = {
+    ("kdv", 1): "unknown equation tag 'kdv'",
+    ("gbo", 0): "k must be an integer >= 1, got 0",
+    ("gbo", -1): "k must be an integer >= 1, got -1",
+    ("gbo", 1.5): "k must be an integer >= 1, got 1.5",
+    ("bo2", 3): "k applies to gbo and renormalized_gbo only, got k = 3 for bo2",
+    ("linear", 2): "k applies to gbo and renormalized_gbo only, got k = 2 for linear",
+}
+
+
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -51,6 +66,39 @@ class TestConfigValidation:
     def test_k_rejected_where_equation_has_none(self, equation):
         with pytest.raises(ValueError, match="k applies"):
             SolverConfig(equation, dt=0.1, t_final=1.0, k=3)
+
+    @pytest.mark.parametrize("equation, k", list(REFUSED_RIGHT_HAND_SIDES))
+    def test_every_constructor_naming_a_right_hand_side_refuses_alike(self, equation, k):
+        # Equation and Trajectory once checked the tag only: gbo with k = 0 integrated
+        # u_t + H u_xx = u_x, and a gbo Trajectory with k = -1 gave NaN drifts
+        grid = PeriodicGrid(1.0, 16)
+        builders = [lambda: SolverConfig(equation, dt=0.1, t_final=1.0, k=k),
+                    lambda: evolve.Equation(grid, equation, k),
+                    lambda: Trajectory(grid, [0.0, 0.1], np.zeros((2, 9)), equation, k)]
+        for build in builders:
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == REFUSED_RIGHT_HAND_SIDES[equation, k]
+
+    @pytest.mark.parametrize("dealias", ["two-thirds", "pad3"])
+    def test_equation_refuses_unknown_dealias(self, dealias):
+        # "two-thirds" once took the aliased n-point path
+        with pytest.raises(ValueError, match=f"unknown dealias rule '{dealias}'"):
+            evolve.Equation(PeriodicGrid(1.0, 16), "gbo", 1, dealias)
+
+    @pytest.mark.parametrize("stride", [0, -2, 1.0])
+    def test_sample_stride_must_be_a_positive_integer(self, stride):
+        with pytest.raises(ValueError, match="sample_stride must be an integer >= 1"):
+            SolverConfig("gbo", dt=0.1, t_final=1.0, sample_stride=stride)
+
+    def test_solver_reads_the_group_symbol_from_the_symbol_table(self):
+        tree = ast.parse(inspect.getsource(evolve))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "lingroup" not in imported
+        grid = PeriodicGrid(2.0, 32)
+        eq = evolve.Equation(grid, "gbo")
+        assert np.shares_memory(eq.symbol, spectral._symbol(grid, "bo_group"))
+        assert np.array_equal(eq.symbol, group_symbol(grid, "bo_group")[: grid.n // 2 + 1])
 
     @pytest.mark.parametrize("dt, t_final", [(np.inf, np.inf), (np.nan, 1.0), (0.1, np.inf),
                                              (0.1, np.nan), (0.1, -np.inf)])

@@ -494,6 +494,18 @@ class TestDeterminismAndVerdicts:
         # every threshold the experiment declares bounds a gate of its run
         assert bound_keys - {"slope_max"} == {key for n, key in GATES if n == name}
 
+    @pytest.mark.parametrize("name, key, gate", [("simulate", "final_h1", "final H1"),
+                                                 ("gauge-residual", "residual_h1",
+                                                  "H1 residual")])
+    @pytest.mark.parametrize("bad", [float("nan"), None])
+    def test_unbounded_record_values_are_gated(self, name, key, gate, bad):
+        """A value no bound reads still fails the verdict when it is not finite."""
+        cfg = config_from_mapping(name, FAST[name])
+        records = run_experiment(cfg).records
+        records[-1] = dict(records[-1], **{key: bad})
+        rebuilt = _build_report(cfg, records)
+        assert not rebuilt.passed and rebuilt.failures == [f"non-finite {gate}"]
+
     def test_group_max_keeps_nan(self):
         records = [{"lam": 1.0, "ratio": r} for r in (1.0, float("nan"), 2.0)]
         ((lam, top),) = _max_by(records, "lam", "ratio")
@@ -518,6 +530,27 @@ class TestDeterminismAndVerdicts:
         records = [json.loads(line) for line in
                    (tmp_path / "b.records.jsonl").read_text().splitlines()]
         assert all(r["blew_up"] and "last_good_time" in r for r in records)
+
+    def test_simulate_blow_up_is_a_failing_record_without_checkpoint(self, tmp_path, capsys):
+        code = main(["simulate", "--amplitude", "20", "--dt", "1e-3", "--t-final", "0.2",
+                     "--out", str(tmp_path), "--stem", "b"])
+        out = capsys.readouterr()
+        assert code == 1
+        assert "[FAIL]" in out.out and "blew up" in out.out and "Traceback" not in out.err
+        (record,) = [json.loads(line) for line in
+                     (tmp_path / "b.records.jsonl").read_text().splitlines()]
+        assert record["blew_up"] and "final_h1" not in record
+        assert record["last_good_time"] < 0.2
+        assert not (tmp_path / "b.bosp").exists()
+
+    def test_simulate_mean_is_gamma(self, tmp_path):
+        from bosp import load_checkpoint
+
+        code = main(["simulate", "--gamma", "0.5", "--out", str(tmp_path), "--stem", "g",
+                     "--quiet"])
+        assert code == 0
+        traj = load_checkpoint(tmp_path / "g.bosp")
+        assert np.all(traj.half_coeffs[:, 0] == 0.5)
 
     @pytest.mark.parametrize("name", ["scaling", "convergence"])
     def test_blow_up_caught(self, name):
@@ -757,6 +790,13 @@ class TestBatchedEnsembles:
         assert len(blown) == 6 and sorted(set(blown)) == [0, 2, 3]
         assert rep.failures[0] == "3 samples blew up"
 
+    def test_estimate_monitor_blow_up_fails_with_its_count(self):
+        rep = run_experiment(config_from_mapping("estimate-monitor",
+                                                 BLOWING["estimate-monitor"]))
+        blown = [r for r in rep.records if r.get("blew_up")]
+        assert blown and not rep.passed
+        assert rep.failures[0] == f"{len(blown)} samples blew up"
+
 
 class TestCli:
     def test_pass_exit_code_and_files(self, tmp_path, capsys):
@@ -805,6 +845,32 @@ class TestCli:
         records = [json.loads(line)
                    for line in (tmp_path / "z.records.jsonl").read_text().splitlines()]
         assert [(r["degenerate"], "ratio" in r) for r in records] == [(True, False)] * 2
+
+    @pytest.mark.parametrize("where", ["out", "stem"])
+    def test_bad_output_path_is_usage_error_before_running(self, tmp_path, capsys,
+                                                           monkeypatch, where):
+        # both once ended in a traceback (exit 1) after the whole experiment had run
+        from bosp import cli
+
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg: pytest.fail("the experiment ran"))
+        (tmp_path / "file").write_text("")
+        args = (["--out", str(tmp_path / "file" / "x")] if where == "out"
+                else ["--out", str(tmp_path / "o"), "--stem", "sub/dir/x"])
+        assert main(["scaling", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_write_failure_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        from bosp import cli
+
+        def refuse(*args):
+            raise PermissionError("read-only report directory")
+
+        monkeypatch.setattr(cli, "save_report", refuse)
+        assert main(["scaling", "--out", str(tmp_path), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: read-only report directory\n"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from bosp import (
 
 from bosp import lingroup
 from bosp.lingroup import GROUP_KINDS
+from bosp.spectral import _symbol
 
 from conftest import (QUAD_PAD, coeff_distance, l4_sums, strichartz_norm_reference,
                       trapezoid_strichartz_norm)
@@ -71,6 +72,16 @@ class TestPropagate:
     def test_unknown_kind(self, random_fields):
         with pytest.raises(ValueError):
             propagate(random_fields(), 1.0, "airy_group")
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    def test_group_symbol_is_the_symbol_table_array(self, kind):
+        grid = PeriodicGrid(1.5, 32)
+        assert lingroup.group_symbol(grid, kind) is _symbol(grid, kind)
+
+    @pytest.mark.parametrize("kind", ["airy_group", "d_dx", "hilbert"])
+    def test_group_symbol_serves_group_kinds_only(self, kind):
+        with pytest.raises(ValueError, match="unknown group kind"):
+            lingroup.group_symbol(PeriodicGrid(1.0, 16), kind)
 
 
 class TestLinearResidual:

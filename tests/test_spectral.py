@@ -23,8 +23,8 @@ from bosp import (
     synthesize,
 )
 
-from bosp.spectral import (_complex_coeffs, _complex_values, _lp_norms, _power, _real_coeffs,
-                           _real_values)
+from bosp.spectral import (_complex_coeffs, _complex_values, _lp_norms, _parseval_norms,
+                           _power, _real_coeffs, _real_values, _symbol)
 
 from conftest import coeff_distance, dense_lp, dft_direct
 
@@ -215,6 +215,51 @@ class TestDerivatives:
         for kind, order in (("d_dx", 1), ("d_dx", 2), ("abs_d", 0.5), ("bessel", 1.5)):
             out = differentiate(f, kind, order)
             assert out.is_real and symmetry_defect(out.coeffs) < 1e-13
+
+
+def _nyquist_zeroed(mult, n):
+    mult = mult.copy()
+    mult[n // 2] = 0.0
+    return mult
+
+
+# each multiplier as its reader once built it from grid.freqs
+SYMBOL_REFERENCES = {
+    ("abs_d", 0.5): lambda q, n: np.abs(q) ** 0.5,
+    ("abs_d", 2.0): lambda q, n: np.abs(q) ** (2 * 1.0),              # norm "hs_dot", s = 1
+    ("bessel", 2.0): lambda q, n: (1.0 + q * q) ** 1.0,               # H^1 weight
+    ("bessel", 1.4): lambda q, n: (1.0 + q * q) ** 0.7,               # H^0.7 weight
+    ("bessel", 3.0): lambda q, n: (1.0 + q * q) ** (3.0 / 2.0),       # differentiate
+    ("hilbert_dx", 1): lambda q, n: np.append(np.abs(q[: n // 2]), 0.0),   # half spectrum
+    ("bo_group", 1): lambda q, n: _nyquist_zeroed(-1j * q * np.abs(q), n),
+    ("schrodinger_group", 1): lambda q, n: -1j * q * q,
+}
+
+
+class TestSymbolTable:
+    """Every Fourier multiplier is one cached, read-only ``_symbol`` array."""
+
+    @pytest.mark.parametrize("kind, order", sorted(SYMBOL_REFERENCES, key=str))
+    @pytest.mark.parametrize("lam, n", [(1.0, 16), (2.5, 64)])
+    def test_kind_keeps_the_bits_of_its_old_expression(self, kind, order, lam, n):
+        grid = PeriodicGrid(lam, n)
+        mult = _symbol(grid, kind, order)
+        want = SYMBOL_REFERENCES[kind, order](grid.freqs, n)
+        assert np.array_equal(mult[: want.size], want) and mult.dtype == want.dtype
+        assert not mult.flags.writeable and _symbol(grid, kind, order) is mult
+
+    @pytest.mark.parametrize("s", [0.5, 0.7, 1, 1.0, 1.5, 2.0])
+    def test_sobolev_norms_keep_their_bits(self, rng, s):
+        grid = PeriodicGrid(1.5, 32)
+        rows = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
+        q, sq = grid.freqs, np.abs(rows) ** 2
+        assert np.array_equal(_parseval_norms(rows, grid, s),
+                              np.sqrt(np.sum((1.0 + q * q) ** s * sq, axis=-1)))
+        f = SpectralField(grid, rows[0])
+        assert norm(f, "hs_dot", s=s) == float(np.sqrt(np.sum(np.abs(q) ** (2 * s) * sq[0])))
+        assert np.array_equal(differentiate(f, "abs_d", s).coeffs, np.abs(q) ** s * rows[0])
+        assert np.array_equal(differentiate(f, "bessel", s).coeffs,
+                              (1.0 + q * q) ** (s / 2.0) * rows[0])
 
 
 class TestAntiderivative:

@@ -112,6 +112,8 @@ def load_checkpoint(path):
 
     equation = _TAG_NAMES[tag]
     if equation == "none":
+        if k != 0:
+            raise CheckpointError(f"a field has k = 0, got k = {k} in header")
         offset, count, modes = _HEADER.size, 1, n
     else:
         offset, modes = _HEADER.size + _COUNT.size, n // 2 + 1

@@ -64,9 +64,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpError
-from .spectral import (ZERO_MEAN_TOL, PeriodicGrid, SpectralField, Trajectory,
-                       _check_equation, _full_spectrum, _power, _real_coeffs, _real_values,
-                       _row_chunks, _symbol)
+from .spectral import (PeriodicGrid, SpectralField, Trajectory, _check_equation,
+                       _check_one_grid, _check_real, _check_zero_mean, _full_spectrum,
+                       _power, _real_coeffs, _real_values, _row_chunks, _symbol)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
@@ -232,16 +232,10 @@ def solve_batch(u0s, cfg: SolverConfig) -> list:
     u0s = list(u0s)
     if not u0s:
         return []
-    grid = u0s[0].grid
-    for u0 in u0s:
-        if u0.grid != grid:
-            raise ValueError("every field of a batch must share one grid")
-        if not u0.is_real:
-            raise ValueError("initial data must be real-flagged")
-        if cfg.equation == "renormalized_gbo" and abs(u0.coeffs[0]) >= ZERO_MEAN_TOL:
-            raise ValueError(
-                f"renormalized equation needs zero-mean data: |C_0| = {abs(u0.coeffs[0]):.3e}"
-            )
+    grid = _check_one_grid(u0s, "solve")
+    _check_real(u0s, "solve")
+    if cfg.equation == "renormalized_gbo":
+        _check_zero_mean([u0.coeffs for u0 in u0s], "the renormalized equation")
     equation = Equation(grid, cfg.equation, cfg.k, cfg.dealias)
     return [result for rows in _row_chunks(len(u0s), equation.nbig)
             for result in _advance(u0s[rows], cfg, equation)]

@@ -59,6 +59,7 @@ from .lingroup import strichartz_norms
 from .spectral import (
     PeriodicGrid,
     SpectralField,
+    _check_gauge_variant,
     _full_spectrum,
     _lp_norms,
     _parseval_norms,
@@ -127,8 +128,11 @@ class ExperimentConfig:
             # the doubling check evaluates every field again on a grid of n/2 points
             raise ConfigError(f"n must be a multiple of 4 and at least 16 for the doubling "
                               f"check at n/2, got n = {values['n']}")
-        if values.get("variant") == "bo" and values["k"] != 1:
-            raise ConfigError(f"the bo variant has k = 1, got k = {values['k']}")
+        if "variant" in values:
+            try:
+                _check_gauge_variant(values["variant"], values["k"])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         _check_ranges(values)
         self.__dict__.update(values)
 
@@ -298,7 +302,6 @@ def _dividing_stride(steps: int, target_snapshots: int) -> int:
     for s in range(want, 0, -1):
         if steps % s == 0:
             return s
-    return 1
 
 
 def _cosine_data(cfg: ExperimentConfig, grid: PeriodicGrid) -> SpectralField:
@@ -323,8 +326,7 @@ def _run_simulate(cfg: ExperimentConfig, rng):
         rec["final_h1"] = norm(traj[-1], "hs", s=1.0)
         artifacts["trajectory"] = traj
     except BlowUpError as exc:
-        rec["blew_up"] = True
-        rec["last_good_time"] = exc.last_good_time
+        _blow_up_record(rec, exc)
     return [rec], artifacts
 
 

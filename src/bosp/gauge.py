@@ -51,6 +51,10 @@ most ``spectral._STACK_POINTS`` padded points; an instantaneous
 estimate monitor's w series build one frame per stack of snapshots, and
 ``build_gauge``, ``rhs_bo``, ``rhs_gbo_terms`` and ``gauge_lipschitz_gap``
 read rows of a small stack.
+Every entry point checks its input with the rules of ``spectral``, each
+said once there: fields on one grid, real-flagged fields, a (variant, k)
+pair that names a gauge, and zero mean where the phase or a right-hand side
+needs it.
 The mean-removal and renormalization maps translate a whole trajectory
 stack by the odd generator iq (``spectral._symbol`` "d_dx" on modes
 0..n/2), which is zero on the slot n/2 and so leaves that slot unchanged.
@@ -59,19 +63,21 @@ stack by the odd generator iq (``spectral._symbol`` "d_dx" on modes
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evolve import Equation
 from .spectral import (
-    ZERO_MEAN_TOL,
     PeriodicGrid,
     SpectralField,
     Trajectory,
     _DEFAULT_PAD,
     _alias_free_points,
+    _check_gauge_variant,
+    _check_one_grid,
+    _check_real,
+    _check_zero_mean,
     _complex_coeffs,
     _complex_values,
     _full_spectrum,
@@ -148,31 +154,21 @@ class GaugeState:
 def _checked(coeffs: np.ndarray, variant: str, k, zero_mean: bool = True) -> np.ndarray:
     """A (B, n) stack of real fields' coefficient rows, once every row is checked.
 
-    Zero mean is required by the bo phase and by both right-hand sides.
+    The pair (variant, k) must pass ``spectral._check_gauge_variant`` (bo
+    with k = 1, gbo with an integer k >= 1).  Zero mean, the rule of
+    ``spectral._check_zero_mean``, is required by the bo phase and by both
+    right-hand sides.
     """
-    if variant == "bo":
-        if k != 1:
-            raise ValueError(f"the bo gauge has k = 1, got k = {k!r}")
-    elif variant == "gbo":
-        if not isinstance(k, numbers.Integral) or k < 1:
-            raise ValueError(f"the gbo gauge needs an integer k >= 1, got k = {k!r}")
-    else:
-        raise ValueError(f"unknown gauge variant {variant!r}")
-    c0 = np.abs(coeffs[:, 0])
-    bad = np.flatnonzero(c0 >= ZERO_MEAN_TOL) if zero_mean or variant == "bo" else []
-    if len(bad):
-        raise ValueError(f"the {variant} gauge needs zero-mean input: field {bad[0]} has "
-                         f"|C_0| = {c0[bad[0]]:.3e} >= {ZERO_MEAN_TOL:.0e}")
+    _check_gauge_variant(variant, k)
+    if zero_mean or variant == "bo":
+        _check_zero_mean(coeffs, f"the {variant} gauge")
     return coeffs
 
 
 def _stack(fields: list, variant: str, k, zero_mean: bool = True):
     """The checked coefficient rows of real fields on one grid, and the grid."""
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise ValueError("every field of a batch must share one grid")
-    if not all(f.is_real for f in fields):
-        raise ValueError("gauge transform is defined for real fields")
+    grid = _check_one_grid(fields, "the gauge transform")
+    _check_real(fields, "the gauge transform")
     return _checked(np.array([f.coeffs for f in fields]), variant, k, zero_mean), grid
 
 
@@ -449,7 +445,6 @@ def gauge_lipschitz_gap(phi1: SpectralField, phi2: SpectralField,
 
     Equal inputs report a zero ratio with the degenerate flag set.
     """
-    phi1._check_same_grid(phi2)
     E = _Frame(*_stack([phi1, phi2], variant, k, zero_mean=False), variant, k).E
     gap = float(np.max(np.abs(E[0] - E[1])))
     if np.array_equal(phi1.coeffs, phi2.coeffs):

@@ -39,6 +39,8 @@ from .spectral import (
     Trajectory,
     PeriodicGrid,
     _alias_free_points,
+    _check_gauge_variant,
+    _check_real,
     _conjugate_symmetric,
     _full_spectrum,
     _lp_norms,
@@ -81,8 +83,7 @@ def invariant(f, which: str, k: int = 1, sign: float = 1.0):
     """
     if isinstance(f, Trajectory):
         return _series(f.grid, f.half_coeffs, (which,), k, sign)[which]
-    if not f.is_real:
-        raise ValueError("invariants are defined for real fields")
+    _check_real([f], "invariant")
     return float(_series(f.grid, f.coeffs[None, : f.grid.n // 2 + 1], (which,), k, sign)[which][0])
 
 
@@ -216,14 +217,12 @@ def dilate(f: SpectralField, lam: float, variant: str = "bo", k: int = 1) -> Spe
     period parameter), and the amplitude picks up lam^(-1) for ``bo`` or
     lam^(-1/k) for ``gbo``; if u(t, x) solves the equation on the source
     circle, lam^(-1/k) u(t/lam^2, x/lam) solves it on the target circle.
+    The pair (variant, k) must pass ``spectral._check_gauge_variant``:
+    ``bo`` has k = 1 and ``gbo`` takes an integer k >= 1.
     """
     if lam < 1:
         raise ValueError(f"dilation parameter must be >= 1, got {lam!r}")
-    if variant == "bo":
-        amp = 1.0 / lam
-    elif variant == "gbo":
-        amp = lam ** (-1.0 / k)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_gauge_variant(variant, k)
+    amp = 1.0 / lam if variant == "bo" else lam ** (-1.0 / k)
     target = PeriodicGrid(f.grid.lam * lam, f.grid.n)
     return SpectralField(target, amp * f.coeffs, is_real=f.is_real)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import PeriodicGrid, SpectralField, _nyquist_split, _symbol
+from .spectral import PeriodicGrid, SpectralField, _check_one_grid, _nyquist_split, _symbol
 
 __all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm", "strichartz_norms"]
 
@@ -195,8 +195,7 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     fields = list(fields)
     if not fields:
         return []
-    if any(f.grid != fields[0].grid for f in fields):
-        raise ValueError("fields must share one grid")
+    _check_one_grid(fields, "strichartz_norms")
     if any(f.is_real != fields[0].is_real for f in fields):
         raise ValueError("fields must be all real or all complex")
     return [float(total) ** 0.25 for total in _resonance_integrals(fields, horizon, kind).tolist()]

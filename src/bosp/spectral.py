@@ -46,7 +46,12 @@ slot n/2 the same way.
 A ``Trajectory`` is one half-spectrum stack, expanded a snapshot at a time
 on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
 ``_check_equation`` is the one rule for which (tag, k) pairs name a
-right-hand side; every constructor that names one applies it.
+right-hand side; every constructor that names one applies it.  Beside it,
+each input rule is one function that every entry point calls:
+``_check_zero_mean`` (|C_0| < ``ZERO_MEAN_TOL``, which no other code
+compares), ``_check_one_grid``, ``_check_real`` (real-flagged fields) and
+``_check_gauge_variant`` (``bo`` with k = 1, ``gbo`` with an integer
+k >= 1).  Each raises ``ValueError`` with one message, naming the caller.
 ``norm`` is the one-row case of the per-row ``_parseval_norms`` (L^2, H^s)
 and ``_lp_norms`` (L^1, L^4 and the sup norm).  ``_conjugate_symmetric``
 is the one exact test that coefficient rows are real fields.
@@ -85,6 +90,7 @@ quadratures) keep ``**``.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +129,9 @@ _STACK_POINTS = 1 << 14
 class PeriodicGrid:
     """Uniform collocation grid x_j = 2*pi*lam*j/n on the circle.
 
-    ``lam`` is the period parameter (circumference 2*pi*lam) and ``n`` the
-    number of collocation points; ``n`` must be even and at least 8.
+    ``lam`` is the period parameter (circumference 2*pi*lam), finite and
+    positive, and ``n`` the number of collocation points; ``n`` must be
+    even and at least 8.
     """
 
     lam: float
@@ -133,8 +140,8 @@ class PeriodicGrid:
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 8 and self.n % 2 == 0):
             raise ValueError(f"n must be an even integer >= 8, got {self.n!r}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam!r}")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "n", int(self.n))
 
@@ -225,16 +232,12 @@ class SpectralField:
     def _with(self, coeffs, is_real) -> "SpectralField":
         return SpectralField(self.grid, coeffs, is_real=is_real)
 
-    def _check_same_grid(self, other: "SpectralField"):
-        if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
-
     def __add__(self, other):
-        self._check_same_grid(other)
+        _check_one_grid((self, other), "field arithmetic")
         return self._with(self.coeffs + other.coeffs, self.is_real and other.is_real)
 
     def __sub__(self, other):
-        self._check_same_grid(other)
+        _check_one_grid((self, other), "field arithmetic")
         return self._with(self.coeffs - other.coeffs, self.is_real and other.is_real)
 
     def __neg__(self):
@@ -435,7 +438,7 @@ def _power(values: np.ndarray, p: int, work=None) -> np.ndarray:
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product on the 4x oversampled grid, where it is alias-free."""
-    f._check_same_grid(g)
+    _check_one_grid((f, g), "multiply")
     vals = synthesize(f, _DEFAULT_PAD) * synthesize(g, _DEFAULT_PAD)
     return analyze_values_padded(vals, f.grid)
 
@@ -566,12 +569,7 @@ def antiderivative(f: SpectralField) -> SpectralField:
 
     Requires |C_0| < ZERO_MEAN_TOL; the Nyquist slot is zeroed (odd symbol).
     """
-    c0 = abs(f.coeffs[0])
-    if c0 >= ZERO_MEAN_TOL:
-        raise ValueError(
-            f"antiderivative needs a zero-mean field: |C_0| = {c0:.3e} "
-            f">= {ZERO_MEAN_TOL:.0e}"
-        )
+    _check_zero_mean(f.coeffs, "antiderivative")
     return f._with(_primitive(f.coeffs, f.grid), f.is_real)
 
 
@@ -652,8 +650,52 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
 
 
 # ---------------------------------------------------------------------------
-# trajectories
+# input rules and trajectories
 # ---------------------------------------------------------------------------
+
+
+def _check_zero_mean(coeffs: np.ndarray, who: str) -> None:
+    """Raise ``ValueError`` unless every coefficient row (..., n) has |C_0| < ZERO_MEAN_TOL.
+
+    The one zero-mean rule: a primitive is periodic only for zero-mean
+    data.  ``who`` names the caller in the message.
+    """
+    c0 = np.abs(np.asarray(coeffs)[..., 0]).reshape(-1)
+    bad = np.flatnonzero(c0 >= ZERO_MEAN_TOL)
+    if len(bad):
+        raise ValueError(f"{who} needs zero-mean data: field {bad[0]} has "
+                         f"|C_0| = {c0[bad[0]]:.3e} >= {ZERO_MEAN_TOL:.0e}")
+
+
+def _check_one_grid(fields, who: str) -> PeriodicGrid:
+    """The grid every field lives on; ``ValueError`` if two differ."""
+    grid = fields[0].grid
+    for i, f in enumerate(fields):
+        if f.grid != grid:
+            raise ValueError(f"{who} needs fields on one grid: field {i} is on "
+                             f"{f.grid}, field 0 on {grid}")
+    return grid
+
+
+def _check_real(fields, who: str) -> None:
+    """Raise ``ValueError`` unless every field is real-flagged."""
+    for i, f in enumerate(fields):
+        if not f.is_real:
+            raise ValueError(f"{who} needs real-flagged fields: field {i} is complex")
+
+
+def _check_gauge_variant(variant, k) -> None:
+    """Raise ``ValueError`` unless (variant, k) names a gauge and its degree.
+
+    The one rule for the gauge transform, the dilations and the configs
+    that name a variant: ``bo`` has k = 1 and ``gbo`` an integer k >= 1.
+    """
+    if variant not in ("bo", "gbo"):
+        raise ValueError(f"unknown gauge variant {variant!r}")
+    if variant == "bo" and k != 1:
+        raise ValueError(f"the bo variant has k = 1, got k = {k!r}")
+    if variant == "gbo" and not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"the gbo variant needs an integer k >= 1, got k = {k!r}")
 
 
 def _check_equation(equation, k) -> None:

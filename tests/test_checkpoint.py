@@ -266,6 +266,16 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="invalid trajectory: k "):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_field_header_k_is_checked(self, field, tmp_path, k):
+        p = tmp_path / "fk.bosp"
+        save_checkpoint(field, p)
+        raw = bytearray(p.read_bytes())
+        raw[20:24] = struct.pack("<I", k)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"a field has k = 0, got k = {k}"):
+            load_checkpoint(p)
+
     def test_unsupported_object(self, tmp_path):
         with pytest.raises(TypeError):
             save_checkpoint([1, 2, 3], tmp_path / "x.bosp")

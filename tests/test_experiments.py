@@ -332,6 +332,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bo variant has k = 1, got k = 2"):
             config_from_mapping("scaling", {"k": 2})
 
+    @pytest.mark.parametrize("name, args, message", [
+        ("scaling", ["--variant", "kdv"], "unknown gauge variant 'kdv'"),
+        ("gauge-residual", ["--variant", "kdv"], "unknown gauge variant 'kdv'"),
+        ("gauge-residual", ["--k", "0"], "the gbo variant needs an integer k >= 1, got k = 0"),
+        ("scaling", ["--variant", "gbo", "--k", "0"],
+         "the gbo variant needs an integer k >= 1, got k = 0"),
+    ])
+    def test_variant_rule_is_a_config_error_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                          name, args, message):
+        from bosp import cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", ran.append)
+        assert main([name, *args, "--out", str(tmp_path)]) == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("name, args", [
         ("strichartz-scan", ["--lambdas", "2"]),
         ("strichartz-scan", ["--lambdas", "2", "--n-samples", "2"]),
@@ -789,6 +809,27 @@ class TestBatchedEnsembles:
         blown = [r["sample_index"] for r in rep.records if r["blew_up"]]
         assert len(blown) == 6 and sorted(set(blown)) == [0, 2, 3]
         assert rep.failures[0] == "3 samples blew up"
+
+    def test_blown_phi2_keeps_phi1_and_the_other_pairs(self, monkeypatch):
+        cfg = config_from_mapping("flowmap", FAST["flowmap"])
+        clean = run_experiment(cfg)
+        stacked = experiments.solve_batch
+
+        def blow_second_phi2(u0s, solver):
+            # rows: every phi1, then the phi2 of each pair in (sample, scale) order
+            runs = stacked(u0s, solver)
+            runs[cfg.n_samples + 1] = BlowUpError(0.3)
+            return runs
+
+        monkeypatch.setattr(experiments, "solve_batch", blow_second_phi2)
+        rep = run_experiment(cfg)
+        (blown,) = [r for r in rep.records if r["blew_up"]]
+        assert (blown["sample_index"], blown["scale"]) == (0, cfg.perturbation / cfg.shrink_factor)
+        assert blown["last_good_time"] == 0.3 and blown["degenerate"] is False
+        assert "ratio" not in blown
+        assert rep.failures == ["1 samples blew up"]
+        assert [r for r in rep.records if r is not blown] == \
+            [r for r in clean.records if r["sample_index"] != 0 or r["scale"] != blown["scale"]]
 
     def test_estimate_monitor_blow_up_fails_with_its_count(self):
         rep = run_experiment(config_from_mapping("estimate-monitor",

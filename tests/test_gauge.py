@@ -304,8 +304,8 @@ class TestInstantaneousResidual:
 class TestFrame:
     @pytest.mark.parametrize("variant, k, match", [
         ("gbo", 0, "integer k >= 1"), ("gbo", -2, "integer k >= 1"),
-        ("gbo", 1.5, "integer k >= 1"), ("bo", 3, "bo gauge has k = 1"),
-        ("bo", 0, "bo gauge has k = 1"), ("kdv", 1, "unknown gauge variant"),
+        ("gbo", 1.5, "integer k >= 1"), ("bo", 3, "bo variant has k = 1"),
+        ("bo", 0, "bo variant has k = 1"), ("kdv", 1, "unknown gauge variant"),
     ])
     def test_bad_variant_or_k_named(self, grid, rng, variant, k, match):
         v = h2_normalized(grid, rng)

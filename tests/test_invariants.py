@@ -328,6 +328,10 @@ class TestDilate:
         with pytest.raises(ValueError):
             dilate(cos_field(grid), 2.0, "kdv")
 
+    def test_infinite_lambda_rejected(self, grid):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            dilate(cos_field(grid), np.inf, "bo")
+
     def test_linear_flow_commutes_exactly(self, rng):
         # dilation maps exact propagators to exact propagators
         grid = PeriodicGrid(1.0, 64)

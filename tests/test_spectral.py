@@ -42,6 +42,11 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             PeriodicGrid(-1.0, 64)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0])
+    def test_grid_needs_finite_positive_lam(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            PeriodicGrid(lam, 32)
+
     def test_mode_order_has_positive_nyquist(self, grid):
         m = grid.modes
         assert m[0] == 0 and m[grid.n // 2] == grid.n // 2 and m[-1] == -1

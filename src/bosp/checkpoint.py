@@ -38,7 +38,7 @@ from .errors import (
 )
 from .spectral import PeriodicGrid, SpectralField, Trajectory
 
-__all__ = ["save_checkpoint", "load_checkpoint", "MAGIC", "VERSION", "EQUATION_TAGS"]
+__all__ = ["save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"BOSP"
 VERSION = 2

@@ -10,8 +10,9 @@ alike, so a value is spelled as in a file (``--scheme etd_rk4``,
 Exit codes: 0 all checks passed, 1 any check failed, 2 usage or
 configuration error.  An ``--out`` directory that cannot be created and a
 ``--stem`` with a directory part are usage errors found before the
-experiment runs; an ``OSError`` while writing the report or checkpoint
-exits 2 as well.  Reports land in --out (default ./runs) as
+experiment runs; a ``ValueError``, ``TypeError`` or ``OSError`` raised
+while running or writing the report or checkpoint exits 2 as well.
+Reports land in --out (default ./runs) as
 <name>-<timestamp>-seed<seed>.summary.json / .records.jsonl plus
 two-column .dat series for anything figure-worthy; the simulate
 subcommand also writes the trajectory checkpoint.
@@ -90,23 +91,13 @@ def main(argv=None) -> int:
     try:
         cfg = _config(args)
         stem = _prepare_output(args, cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         report = run_experiment(cfg)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         paths = save_report(report, args.out, stem)
         if "trajectory" in report.artifacts:
             ckpt = f"{paths['summary'].with_suffix('').with_suffix('')}.bosp"
             save_checkpoint(report.artifacts["trajectory"], ckpt)
             paths["checkpoint"] = ckpt
-    except OSError as exc:
+    except (ValueError, TypeError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

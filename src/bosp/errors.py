@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["BlowUpError", "CheckpointError", "BadMagicError", "VersionError", "TruncatedFileError",
+           "NonFinitePayloadError", "ConfigError"]
+
 
 class BlowUpError(RuntimeError):
     """Raised when a time integration produces non-finite or exploding modes.

@@ -42,18 +42,17 @@ on one grid under one SolverConfig as a ``(B, n/2+1)`` array, and ``solve``
 is its one-field case with a 1-D ``(n/2+1,)`` state.  Rows never mix (every
 transform and product acts along the last axis), so each row is bit-for-bit
 the single-field solution.  A row blows up when, after a step, one of its
-modes is non-finite or exceeds the magnitude guard: that row is dropped
-from the stack and reports ``BlowUpError`` with the time before the step,
-and the other rows go on.
+modes is non-finite or exceeds the magnitude guard: that row reports
+``BlowUpError`` with the time before the step and is set to zero, which
+the equations keep exactly zero, and the other rows go on.
 
 A step allocates no stack-sized array.  Each stack gets its stage arrays,
 a magnitude array for the blow-up test and the flux's transform work
-arrays once, and again only when a blown-up row is dropped; the stage
-arithmetic writes into them with ``out=`` in the operations and order of
-the schemes' plain expressions, so every intermediate, and every stored
-state, is bit-for-bit that of the allocating form.  The transforms are
-still the eight ``numpy.fft`` calls of a step, of ``Equation.nbig``
-points per row.
+arrays once; the stage arithmetic writes into them with ``out=`` in the
+operations and order of the schemes' plain expressions, so every
+intermediate, and every stored state, is bit-for-bit that of the
+allocating form.  The transforms are still the eight ``numpy.fft`` calls
+of a step, of ``Equation.nbig`` points per row.
 """
 
 from __future__ import annotations
@@ -247,14 +246,14 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
 
     The stack owns its arrays: four flux and four stage arrays, a magnitude
     array for the blow-up test and the flux's transform work arrays are
-    allocated once, and again only when a blown-up row is dropped.  Each
-    step writes into them with ``out=``, in the operations and order of
-    the schemes' plain expressions (kept in the comments), so every
-    intermediate is bit-for-bit theirs; constants of the step are formed
-    once.  Every stored step writes the state into one preallocated
-    ``(B, S, n/2+1)`` history, whose rows become the trajectories.  The
-    state is checked after every step, so numpy's overflow warnings are
-    silenced.
+    allocated once.  A blown-up row stays in the stack as zeros, so row i
+    is always input i.  Each step writes into them with ``out=``, in the
+    operations and order of the schemes' plain expressions (kept in the
+    comments), so every intermediate is bit-for-bit theirs; constants of
+    the step are formed once.  Every stored step writes the state into one
+    preallocated ``(B, S, n/2+1)`` history, whose rows become the
+    trajectories.  The state is checked after every step, so numpy's
+    overflow warnings are silenced.
     """
     grid, n = equation.grid, equation.n
     steps, stride = cfg.n_steps(), cfg.sample_stride
@@ -280,18 +279,14 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
         uhat = uhat[0]
     uhat[..., 0] = uhat[..., 0].real
     uhat[..., n // 2] = uhat[..., n // 2].real
-    rows = list(range(len(u0s)))  # input index of each row of the stack
     results = [None] * len(u0s)
     times = dt * np.arange(0, steps + 1, stride)
     history = np.empty((len(u0s), len(times), n // 2 + 1), dtype=np.complex128)
     history[:, 0] = uhat
     t_good = 0.0
 
-    def arrays(state):
-        return ([np.empty_like(state) for _ in range(8)], np.empty(state.shape),
-                equation._work(state.shape[:-1]))
-
-    (k1, k2, k3, k4, s1, s2, t, w), mag, work = arrays(uhat)
+    k1, k2, k3, k4, s1, s2, t, w = (np.empty_like(uhat) for _ in range(8))
+    mag, work = np.empty(uhat.shape), equation._work(uhat.shape[:-1])
     for step in range(1, steps + 1):
         if if_rk4:
             flux(uhat, k1, work)                       # a = N(uhat)
@@ -338,21 +333,18 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
             mul(f3, k4, out=s1)
             add(t, s1, out=uhat)
         if not np.abs(uhat, out=mag).max() <= _BLOWUP_GUARD:  # NaN propagates and fails
-            good = np.atleast_1d(mag.max(axis=-1) <= _BLOWUP_GUARD)
-            for row in np.flatnonzero(~good):
-                results[rows[row]] = BlowUpError(t_good)
-            if not good.any():
+            blown = np.flatnonzero(np.atleast_1d(~(mag.max(axis=-1) <= _BLOWUP_GUARD)))
+            for row in blown:
+                results[row] = BlowUpError(t_good)
+            if None not in results:
                 return results
-            uhat = uhat[good]
-            rows = [r for r, ok in zip(rows, good) if ok]
-            (k1, k2, k3, k4, s1, s2, t, w), mag, work = arrays(uhat)
+            uhat[blown] = 0.0
         t_good = step * dt
         if step % stride == 0:
-            history[rows, step // stride] = uhat
+            history[:, step // stride] = uhat
 
-    for r in rows:
-        results[r] = Trajectory(grid, times, history[r], cfg.equation, cfg.k)
-    return results
+    return [Trajectory(grid, times, history[r], cfg.equation, cfg.k) if result is None else result
+            for r, result in enumerate(results)]
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ from .lingroup import strichartz_norms
 from .spectral import (
     PeriodicGrid,
     SpectralField,
+    _check_equation,
     _check_gauge_variant,
     _full_spectrum,
     _lp_norms,
@@ -128,11 +129,13 @@ class ExperimentConfig:
             # the doubling check evaluates every field again on a grid of n/2 points
             raise ConfigError(f"n must be a multiple of 4 and at least 16 for the doubling "
                               f"check at n/2, got n = {values['n']}")
-        if "variant" in values:
-            try:
+        try:
+            if "variant" in values:
                 _check_gauge_variant(values["variant"], values["k"])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            for k in values.get("e_ks", ()):
+                _check_equation("gbo", k)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         _check_ranges(values)
         self.__dict__.update(values)
 
@@ -168,8 +171,8 @@ def _check_ranges(values: dict) -> None:
     blow-up, an overflow or a gate that cannot fail, not in its own error.
     """
     for key, value in values.items():
-        # flowmap's second gap is perturbation / shrink_factor
-        if ((key in ("horizon", "shrink_factor") or _is_gate(key))
+        # flowmap's gaps are perturbation and perturbation / shrink_factor
+        if ((key in ("horizon", "perturbation", "shrink_factor") or _is_gate(key))
                 and not (math.isfinite(value) and value > 0)):
             raise ConfigError(f"{key} must be finite and positive, got {value!r}")
     if "decay" in values and not 0 < values["decay"] <= 1:
@@ -472,11 +475,11 @@ def _run_scaling(cfg: ExperimentConfig, rng):
     equation = "bo2" if cfg.variant == "bo" else "gbo"
     steps = cfg.solver(equation=equation).n_steps()
     u0 = 0.1 * SpectralField.from_function(grid, np.cos)
+    u0_dilated = dilate(u0, lam, cfg.variant, k=cfg.k)  # refuses a bad dilation before any solve
     rec = {"sample_index": 0, "variant": cfg.variant, "k": cfg.k,
            "inputs_hash": _hash_field(u0)}
     try:
         direct = solve(u0, cfg.solver(equation=equation, sample_stride=steps))[-1]
-        u0_dilated = dilate(u0, lam, cfg.variant, k=cfg.k)
         dilated_then = solve(
             u0_dilated,
             cfg.solver(equation=equation, dt=lam * lam * cfg.dt,

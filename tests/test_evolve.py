@@ -8,6 +8,7 @@ import pytest
 
 from bosp import (
     BlowUpError,
+    ConvergenceResult,
     PeriodicGrid,
     SolverConfig,
     SpectralField,
@@ -194,6 +195,12 @@ class TestAccuracy:
             n_levels=4)
         assert not res.exact
         assert 3.8 <= res.order <= 4.2
+
+    def test_convergence_result_repr(self):
+        exact = ConvergenceResult((0.1, 0.05), (0.0, 1e-13), float("nan"), True)
+        assert repr(exact) == "ConvergenceResult(exact: all errors < 1e-12)"
+        measured = ConvergenceResult((0.1, 0.05), (1e-3, 6.25e-5), 4.0, False)
+        assert repr(measured) == "ConvergenceResult(order=4.000, errors=(0.001, 6.25e-05))"
 
     def test_needs_three_levels(self, grid, random_fields):
         with pytest.raises(ValueError):
@@ -480,7 +487,7 @@ class TestInPlaceStepper:
     @pytest.mark.parametrize("stack_points", [64, 128, 1 << 14])
     def test_mid_run_blow_up_equals_allocating_reference(self, monkeypatch, stack_points):
         # two-thirds rule at n = 64: stacks of 1, 2 and all 4 rows; a blown row
-        # dropped from a stack of 2 or 4 rebuilds the stack's arrays mid-run
+        # of a stack of 2 or 4 is zeroed mid-run and the stack keeps stepping
         monkeypatch.setattr(spectral, "_STACK_POINTS", stack_points)
         grid = PeriodicGrid(1.0, 64)
         cos = SpectralField.from_function(grid, np.cos)
@@ -495,7 +502,7 @@ class TestInPlaceStepper:
         for i in (0, 3):
             assert np.array_equal(got[i].half_coeffs, ref[i].half_coeffs)
 
-    def test_work_arrays_built_once_per_stack_and_per_dropped_row(self, monkeypatch):
+    def test_work_arrays_built_once_per_stack(self, monkeypatch):
         built = []
         work = evolve.Equation._work
         monkeypatch.setattr(evolve.Equation, "_work",
@@ -505,7 +512,7 @@ class TestInPlaceStepper:
         cfg = SolverConfig("gbo", k=3, dt=0.01, t_final=5.0, sample_stride=10)
         results = solve_batch([0.1 * cos, 2.0 * cos, 1.6 * cos, 0.05 * cos], cfg)
         assert [isinstance(r, BlowUpError) for r in results] == [False, True, True, False]
-        assert built == [(4,), (3,), (2,)]
+        assert built == [(4,)]
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
     @pytest.mark.parametrize("dealias", ["pad4", "two_thirds"])

@@ -1,6 +1,7 @@
 """Experiment runner: config handling, determinism, verdicts, CLI."""
 
 import argparse
+import dataclasses
 import json
 import struct
 
@@ -143,6 +144,34 @@ class TestConfig:
             cfg.gamma = 1.0
         assert cfg == config_from_mapping("flowmap", {"gamma": "0"})
 
+    def test_config_repr(self):
+        assert repr(config_from_mapping("scaling", {"seed": 3})) == (
+            "ExperimentConfig(name='scaling', seed=3, lam=1.0, n=128, dt=0.001, t_final=0.25, "
+            "scheme='if_rk4', dealias='pad4', k=1, variant='bo', dilation=2.0, "
+            "scaling_tol=1e-08)")
+
+    @pytest.mark.parametrize("name, args, message", [
+        ("flowmap", ["--perturbation", "-0.01"],
+         "perturbation must be finite and positive, got -0.01"),
+        ("flowmap", ["--perturbation", "0"], "perturbation must be finite and positive, got 0.0"),
+        ("conservation", ["--e-ks", "0"], "k must be an integer >= 1, got 0"),
+        ("conservation", ["--e-ks", "2,0"], "k must be an integer >= 1, got 0"),
+        ("scaling", ["--dilation", "0.5"], "dilation parameter must be >= 1, got 0.5"),
+    ])
+    def test_bad_value_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                name, args, message):
+        # each of these once ran solves first: to records of a negative gap,
+        # to a FAIL with no usable pair, or to a late usage error
+        solved = []
+        for fn in ("solve", "solve_batch"):
+            monkeypatch.setattr(experiments, fn, lambda *a, _fn=fn, **kw: solved.append(_fn))
+        assert main([name, *args, "--out", str(tmp_path)]) == 2
+        assert solved == []
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [["scaling", "--amplitude", "1"],
                                       ["convergence", "--equation", "linear"],
                                       ["bernstein", "--dt", "7"]])
@@ -249,7 +278,8 @@ class TestConfig:
         (["simulate", "--gamma", "inf"], "gamma must be finite, got inf"),
         (["estimate-monitor", "--amplitude", "inf"], "amplitude must be finite, got inf"),
         (["conservation", "--e-t-final", "inf"], "e_t_final must be finite, got inf"),
-        (["flowmap", "--perturbation", "nan"], "perturbation must be finite, got nan"),
+        (["flowmap", "--perturbation", "nan"],
+         "perturbation must be finite and positive, got nan"),
         (["scaling", "--dilation", "inf"], "dilation must be finite, got inf"),
         # finite dt and t_final whose ratio overflows
         (["simulate", "--dt", "1e-300", "--t-final", "1e10"],
@@ -390,6 +420,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_mapping("flowmap", load_config_file(path, "flowmap"))
 
+    @pytest.mark.parametrize("text", [None, "n = 64\n"])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys, text):
+        # a missing file, and a file whose first line comes before any section
+        path = tmp_path / "exp.cfg"
+        if text is not None:
+            path.write_text(text)
+        assert main(["scaling", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_section_is_empty(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[bernstein]\nn_samples = 2\n")
@@ -496,6 +538,33 @@ class TestDeterminismAndVerdicts:
         assert (rebuilt.passed, rebuilt.failures) == (rep.passed, rep.failures)
         assert rebuilt.summary_json().encode() == paths["summary"].read_bytes()
 
+    @pytest.mark.parametrize("name, held", [("conservation", np.ndarray), ("flowmap", np.bool_)])
+    def test_numpy_record_values_give_the_plain_report(self, name, held):
+        def as_numpy(val):
+            if isinstance(val, bool):
+                return np.bool_(val)
+            if isinstance(val, (int, float)):
+                return np.array(val)[()]  # np.int64 or np.float64
+            return np.array(val) if isinstance(val, list) else val
+
+        rep = run_experiment(config_from_mapping(name, FAST[name]))
+        records = [{key: as_numpy(val) for key, val in rec.items()} for rec in rep.records]
+        kinds = {type(val) for rec in records for val in rec.values()}
+        assert {held, np.int64, np.float64} <= kinds
+        assert recompute_passed(dataclasses.replace(rep, records=records)) == (rep.passed,
+                                                                               rep.failures)
+        rebuilt = _build_report(config_from_mapping(name, rep.config), records)
+        assert rebuilt.summary_json() == rep.summary_json()
+        assert rebuilt.records_jsonl() == rep.records_jsonl()
+
+    def test_numpy_config_value_gives_the_plain_report(self):
+        plain = run_experiment(config_from_mapping("scaling", {}))
+        rep = run_experiment(config_from_mapping("scaling", {"n": np.int64(128)}))
+        assert type(rep.config["n"]) is np.int64
+        assert (rep.passed, rep.failures) == (plain.passed, plain.failures)
+        assert rep.summary_json() == plain.summary_json()
+        assert rep.records_jsonl() == plain.records_jsonl()
+
     @pytest.mark.parametrize("name", sorted(FAST))
     def test_non_finite_gate_fails(self, name):
         """Every gate of every experiment fails on a NaN or infinite value."""
@@ -587,7 +656,8 @@ class TestDeterminismAndVerdicts:
 
 class TestFlowmapConstruction:
     def test_degenerate_pairs_skipped(self):
-        over = dict(FAST["flowmap"], perturbation=0.0)
+        # the least positive float: every scaled direction underflows to a zero gap
+        over = dict(FAST["flowmap"], perturbation=5e-324)
         rep = run_experiment(config_from_mapping("flowmap", over))
         assert all(r["degenerate"] for r in rep.records)
         assert not rep.passed  # zero usable pairs bound nothing
@@ -912,6 +982,20 @@ class TestCli:
         monkeypatch.setattr(cli, "save_report", refuse)
         assert main(["scaling", "--out", str(tmp_path), "--quiet"]) == 2
         assert capsys.readouterr().err == "error: read-only report directory\n"
+
+    @pytest.mark.parametrize("where, exc", [("save_report", ValueError("NaN in a strict field")),
+                                            ("run_experiment", OSError("scratch disk full"))])
+    def test_error_while_running_or_writing_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                            where, exc):
+        # these once ended in a traceback and exit 1
+        from bosp import cli
+
+        def refuse(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, where, refuse)
+        assert main(["scaling", "--out", str(tmp_path), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -79,6 +79,22 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             analyze(np.zeros(10), grid)
 
+    def test_field_is_immutable(self, grid):
+        with pytest.raises(AttributeError, match="SpectralField is immutable"):
+            SpectralField.zero(grid).is_real = False
+
+    def test_negation_keeps_grid_and_real_flag(self, random_fields):
+        f = random_fields()
+        for g in (f, 1j * f):
+            neg = -g
+            assert np.array_equal(neg.coeffs, -g.coeffs)
+            assert neg.grid is g.grid and neg.is_real == g.is_real
+        assert (-f).is_real and not (-(1j * f)).is_real
+
+    def test_field_repr(self):
+        f = SpectralField.zero(PeriodicGrid(2.5, 16))
+        assert repr(f) == "SpectralField(lam=2.5, n=16, is_real=True)"
+
     def test_real_flag_detection(self, grid, random_fields):
         f = random_fields()
         assert f.is_real and symmetry_defect(f.coeffs) < 1e-13
@@ -189,6 +205,12 @@ class TestProjections:
             project(random_fields(), "leq")
 
 
+    @pytest.mark.parametrize("kind, cutoff", [("gt", None), ("gt", -1), ("leq", -1)])
+    def test_band_needs_nonnegative_cutoff(self, random_fields, kind, cutoff):
+        with pytest.raises(ValueError, match=f"{kind} projection needs a nonnegative cutoff"):
+            project(random_fields(), kind, cutoff)
+
+
 class TestDerivatives:
     def test_half_derivative_unit_mode(self, grid):
         f = field_from(grid, lambda x: np.exp(1j * x))
@@ -214,6 +236,15 @@ class TestDerivatives:
         for kind in ("abs_d", "bessel"):
             with pytest.raises(ValueError):
                 differentiate(f, kind, -0.5)
+
+    @pytest.mark.parametrize("order", [0.5, -1])
+    def test_d_dx_needs_nonnegative_integer_order(self, random_fields, order):
+        with pytest.raises(ValueError, match="d_dx order must be a nonnegative integer"):
+            differentiate(random_fields(), "d_dx", order)
+
+    def test_unknown_kind_rejected(self, random_fields):
+        with pytest.raises(ValueError, match="unknown derivative kind 'curl'"):
+            differentiate(random_fields(), "curl")
 
     def test_real_outputs(self, random_fields):
         f = random_fields()
@@ -252,6 +283,10 @@ class TestSymbolTable:
         want = SYMBOL_REFERENCES[kind, order](grid.freqs, n)
         assert np.array_equal(mult[: want.size], want) and mult.dtype == want.dtype
         assert not mult.flags.writeable and _symbol(grid, kind, order) is mult
+
+    def test_unknown_kind_rejected(self, grid):
+        with pytest.raises(ValueError, match="unknown symbol 'bogus'"):
+            _symbol(grid, "bogus")
 
     @pytest.mark.parametrize("s", [0.5, 0.7, 1, 1.0, 1.5, 2.0])
     def test_sobolev_norms_keep_their_bits(self, rng, s):
@@ -453,6 +488,14 @@ class TestTrajectoryType:
     def test_unknown_tag(self, grid):
         with pytest.raises(ValueError):
             Trajectory(grid, [0.0, 0.1], np.zeros((2, grid.n // 2 + 1)), "kdv")
+
+    def test_times_must_match_the_snapshots(self, grid):
+        with pytest.raises(ValueError, match="times and snapshots must have equal length"):
+            Trajectory(grid, [0.0, 0.1, 0.2], np.zeros((2, grid.n // 2 + 1)), "linear")
+
+    def test_trajectory_repr(self):
+        traj = Trajectory(PeriodicGrid(2.0, 16), [0.0, 0.5], np.zeros((2, 9)), "gbo", 3)
+        assert repr(traj) == "Trajectory(gbo, k=3, lam=2, n=16, samples=2, T=0.5)"
 
     @pytest.mark.parametrize("slot", [0, -1])
     def test_non_real_mean_or_nyquist_slot_rejected(self, slot):

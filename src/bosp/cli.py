@@ -5,10 +5,13 @@ has one flag per config key of its experiment, ``seed`` included, named
 after the key with ``-`` for ``_`` (``--t-final``, ``--lam``).  The flags
 lie over the config file's section, and ``config_from_mapping`` parses both
 alike, so a value is spelled as in a file (``--scheme etd_rk4``,
-``--lambdas 1,2,4``).  Abbreviated flags are refused.
+``--lambdas 1,2,4``).  ``bosp <name> --help`` prints each key's rule from
+the experiments' rule table beside its default.  Abbreviated flags are
+refused.
 
 Exit codes: 0 all checks passed, 1 any check failed, 2 usage or
-configuration error.  An ``--out`` directory that cannot be created and a
+configuration error; a value that breaks a config rule is refused before
+the experiment runs.  An ``--out`` directory that cannot be created and a
 ``--stem`` with a directory part are usage errors found before the
 experiment runs; a ``ValueError``, ``TypeError`` or ``OSError`` raised
 while running or writing the report or checkpoint exits 2 as well.
@@ -30,18 +33,12 @@ from .errors import ConfigError
 from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
+    _key_help,
     config_from_mapping,
-    default_config,
     load_config_file,
     run_experiment,
     save_report,
 )
-
-
-def _config_keys(name: str) -> dict:
-    """The keys a config of ``name`` may set, with their defaults as a file spells them."""
-    return {key: ",".join(map(str, val)) if isinstance(val, list) else str(val)
-            for key, val in default_config(name).as_dict().items() if key != "name"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,16 +52,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report directory (default: ./runs)")
         p.add_argument("--quiet", action="store_true", help="suppress output")
         p.add_argument("--stem", help="output file stem (default: name-timestamp-seed)")
-        for key, default in _config_keys(name).items():
-            p.add_argument(f"--{key.replace('_', '-')}", metavar="VALUE",
-                           help=f"default: {default}")
+        for key, text in _key_help(name).items():
+            p.add_argument(f"--{key.replace('_', '-')}", metavar="VALUE", help=text)
     return parser
 
 
 def _config(args) -> ExperimentConfig:
     """The config file's section with the flags that were given laid on top."""
     mapping = load_config_file(args.config, args.experiment) if args.config else {}
-    mapping.update({key: getattr(args, key) for key in _config_keys(args.experiment)
+    mapping.update({key: getattr(args, key) for key in _key_help(args.experiment)
                     if getattr(args, key) is not None})
     return config_from_mapping(args.experiment, mapping)
 

@@ -72,6 +72,7 @@ __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_orde
 
 _BLOWUP_GUARD = 1e8
 _CONTOUR_POINTS = 64
+_SCHEMES = ("if_rk4", "etd_rk4")
 _DEALIAS_RULES = ("two_thirds", "pad4", "none")
 
 
@@ -96,7 +97,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_equation(self.equation, self.k)
-        if self.scheme not in ("if_rk4", "etd_rk4"):
+        if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dealias not in _DEALIAS_RULES:
             raise ValueError(f"unknown dealias rule {self.dealias!r}")

@@ -10,6 +10,16 @@ keys: any other key is a :class:`ConfigError`, so a report's config echo
 lists only what the run used, and the command line offers only the flags of
 keys the experiment reads.
 
+The config rules are data.  ``_RULES`` maps each key name to one rule, a
+test and the text that is both its error message and its ``--help`` line;
+a key the table does not name need only be finite.  An entry lists its
+cross-key ``checks``, named functions of the values that return the text
+of a broken rule, and its ``solvers``, which builds the
+:class:`SolverConfig` of every solve the run makes, so the solver's own
+rules apply before anything runs and the run reads those objects.  One loop
+applies the rules in that order, and the first broken one is the
+:class:`ConfigError`.
+
 Each experiment is a pure function of (config, seed): it draws its ensemble
 from a seeded generator, produces one record per sample, and derives its
 pass/fail verdict and its summary *from the records alone*, as the records
@@ -43,23 +53,25 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import operator
 import time as _time
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigError
 from .ensembles import _fields_from_normals, random_fields
-from .evolve import SolverConfig, convergence_order, solve, solve_batch
+from .evolve import (_DEALIAS_RULES, _SCHEMES, SolverConfig, convergence_order, solve,
+                     solve_batch)
 from .gauge import _snapshot_stacks, gauge_residual_batch
 from .invariants import dilate, drift_report, invariant, xnorm, xnorm_series
 from .lingroup import strichartz_norms
 from .spectral import (
     PeriodicGrid,
     SpectralField,
-    _check_equation,
+    Trajectory,
     _check_gauge_variant,
     _full_spectrum,
     _lp_norms,
@@ -91,13 +103,16 @@ class ExperimentConfig:
     Holds ``name``, ``seed`` and exactly the keys its registry entry
     declares, each defaulting to the entry's value.  A string value is
     parsed into the type of the key's default; a key the experiment does
-    not read is a :class:`ConfigError`.
+    not read, or a value that breaks a rule, is a :class:`ConfigError`.
+    ``solvers`` maps a label to each :class:`SolverConfig` the run uses,
+    built here, so every solver rule is checked before anything runs.
     """
 
     def __init__(self, name: str, **overrides):
         if name not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {name!r}")
-        values = dict(name=name, seed=0, **_EXPERIMENTS[name].keys)
+        entry = _EXPERIMENTS[name]
+        values = _defaults(name)
         for key, value in overrides.items():
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r} for experiment {name!r}")
@@ -105,39 +120,14 @@ class ExperimentConfig:
                 values[key] = _coerce(value, values[key])
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-        for key in ("n_samples", "shrink_samples"):
-            if values.get(key, 1) < 1:
-                raise ConfigError(f"{key} must be at least 1, got {values[key]}")
-        for key in ("e_ks", "lambdas"):
-            if values.get(key) == ():
-                raise ConfigError(f"{key} must not be empty")
-        if "lambdas" in values and len(set(values["lambdas"])) < 2:
-            # the verdicts compare per-lambda maxima across circle sizes
-            raise ConfigError(f"lambdas must hold at least 2 distinct circle sizes, "
-                              f"got {values['lambdas']!r}")
-        if "n_modes" in values:
-            # gauge-residual reads 0 as "fill the band"; every other draw needs a mode
-            least = 0 if name == "gauge-residual" else 1
-            if values["n_modes"] < least:
-                raise ConfigError(f"n_modes must be at least {least}, got {values['n_modes']}")
-            # random_fields caps a draw at n/2 - 1 modes; a larger n_modes would
-            # run capped while the config echo claims more
-            if values["n_modes"] > values["n"] // 2 - 1:
-                raise ConfigError(f"n_modes must be at most n/2 - 1 = {values['n'] // 2 - 1} "
-                                  f"at n = {values['n']}, got {values['n_modes']}")
-        if "shrink_samples" in values and (values["n"] % 4 or values["n"] < 16):
-            # the doubling check evaluates every field again on a grid of n/2 points
-            raise ConfigError(f"n must be a multiple of 4 and at least 16 for the doubling "
-                              f"check at n/2, got n = {values['n']}")
-        try:
-            if "variant" in values:
-                _check_gauge_variant(values["variant"], values["k"])
-            for k in values.get("e_ks", ()):
-                _check_equation("gbo", k)
+        try:  # a rule of SolverConfig or of the gauge variant raises in its own words
+            broken = next(filter(None, _broken_rules(values, entry.checks)), "")
+            solvers = {} if broken else entry.solvers(values)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        _check_ranges(values)
-        self.__dict__.update(values)
+            broken = str(exc)
+        if broken:
+            raise ConfigError(broken)
+        self.__dict__.update(name=name, **values, solvers=solvers)
 
     def __setattr__(self, key, value):
         raise AttributeError("ExperimentConfig is immutable")
@@ -146,51 +136,186 @@ class ExperimentConfig:
         return isinstance(other, ExperimentConfig) and vars(self) == vars(other)
 
     def __repr__(self):
-        return f"ExperimentConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-    def solver(self, **overrides) -> SolverConfig:
-        """Solver settings from the experiment's solver keys, then ``overrides``."""
-        kw = {key: val for key, val in vars(self).items() if key in _SOLVER_KEYS}
-        kw.update(overrides)
-        return SolverConfig(**kw)
+        keys = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k != "solvers")
+        return f"ExperimentConfig({keys})"
 
     def as_dict(self) -> dict:
         return {key: list(val) if isinstance(val, tuple) else val
-                for key, val in vars(self).items()}
+                for key, val in vars(self).items() if key != "solvers"}
 
 
-def _is_gate(key: str) -> bool:
-    """A verdict threshold; ``slope_max`` bounds a slope, which may be negative."""
-    return key.endswith(("_tol", "_max", "_min", "_bound")) and key != "slope_max"
+# ---------------------------------------------------------------------------
+# config rules: one per key name, then each experiment's cross-key checks
+# ---------------------------------------------------------------------------
 
 
-def _check_ranges(values: dict) -> None:
-    """Reject float values that would turn a check into nonsense.
+class _Rule(NamedTuple):
+    """What a config value must be: ``test`` decides, ``text`` says it.
 
-    No float may be NaN or infinite: such a value would end in a fake
-    blow-up, an overflow or a gate that cannot fail, not in its own error.
+    ``text`` completes "<key> must be ...", both in the error message of a
+    broken rule and in the key's ``--help`` line.
+    """
+
+    test: Callable
+    text: str
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _integer(least: int) -> _Rule:
+    return _Rule(lambda v: isinstance(v, (int, np.integer)) and v >= least,
+                 f"an integer >= {least}")
+
+
+def _choice(*options: str) -> _Rule:
+    return _Rule(lambda v: isinstance(v, str) and v in options,
+                 f"one of {', '.join(options)}")
+
+
+def _distinct(least: int, item: _Rule) -> _Rule:
+    """A list of at least ``least`` distinct values, each passing ``item``."""
+    return _Rule(lambda v: (isinstance(v, tuple) and len(v) >= least
+                            and all(map(item.test, v)) and len(set(v)) == len(v)),
+                 f"a list of {least} or more distinct values, each {item.text}")
+
+
+_FINITE = _Rule(_finite, "finite")  # the rule of a key the table does not name
+_POSITIVE = _Rule(lambda v: _finite(v) and v > 0, "finite and positive")
+
+_RULES = {
+    "seed": _integer(0),
+    "n": _Rule(lambda v: _integer(8).test(v) and v % 2 == 0, "an even integer >= 8"),
+    **dict.fromkeys(("k", "sample_stride", "n_samples", "shrink_samples"), _integer(1)),
+    "n_modes": _integer(0),             # the cross-key checks bound it by the band
+    "n_levels": _integer(3),            # a slope needs two errors below the reference
+    "equation": _choice(*Trajectory.EQUATIONS),
+    "scheme": _choice(*_SCHEMES),
+    "dealias": _choice(*_DEALIAS_RULES),
+    "variant": _choice("bo", "gbo"),
+    "decay": _Rule(lambda v: _finite(v) and 0 < v <= 1, "in (0, 1]"),
+    # one dilation solves on a larger circle; dilation 1 repeats the direct solve
+    "dilation": _Rule(lambda v: _finite(v) and v > 1, "finite and above 1"),
+    "e_ks": _distinct(1, _integer(1)),
+    # the verdicts compare per-lambda maxima across circle sizes
+    "lambdas": _distinct(2, _POSITIVE),
+    # flowmap's gaps are perturbation and perturbation / shrink_factor; every
+    # verdict threshold but strichartz-scan's slope_max, which may be negative
+    **dict.fromkeys("lam dt t_final e_dt e_t_final horizon perturbation shrink_factor "
+                    "im_tol f_tol e_tol separation_min residual_tol shrink_min "
+                    "variation_max ratio_bound insensitivity_max scaling_tol order_min "
+                    "order_max monitor_bound stability_max".split(), _POSITIVE),
+}
+
+
+def _defaults(name: str) -> dict:
+    """The keys of a ``name`` config, seed first, each with its default."""
+    return dict(seed=0, **_EXPERIMENTS[name].keys)
+
+
+def _key_help(name: str) -> dict:
+    """Each key of a ``name`` config with its ``--help`` line: its rule and its default,
+    spelled as in a config file."""
+    return {key: f"{_RULES.get(key, _FINITE).text} (default: "
+                 f"{','.join(map(str, val)) if isinstance(val, tuple) else val})"
+            for key, val in _defaults(name).items()}
+
+
+def _broken_rules(values: dict, checks) -> Iterator:
+    """The text of each broken rule in turn ("" or None for a check that holds).
+
+    The key rules come first, so a cross-key check reads only values that
+    passed theirs; taken lazily, the first broken rule ends the checking.
     """
     for key, value in values.items():
-        # flowmap's gaps are perturbation and perturbation / shrink_factor
-        if ((key in ("horizon", "perturbation", "shrink_factor") or _is_gate(key))
-                and not (math.isfinite(value) and value > 0)):
-            raise ConfigError(f"{key} must be finite and positive, got {value!r}")
-    if "decay" in values and not 0 < values["decay"] <= 1:
-        raise ConfigError(f"decay must lie in (0, 1], got {values['decay']!r}")
-    if "order_min" in values and not values["order_min"] < values["order_max"]:
-        raise ConfigError(f"order_min must be below order_max, got "
-                          f"{values['order_min']!r} >= {values['order_max']!r}")
-    for lam in values.get("lambdas", ()):
-        if not (math.isfinite(lam) and lam > 0):
-            raise ConfigError(f"lambdas entries must be finite and positive, got {lam!r}")
-        # bernstein draws int(n_modes * lam) modes on the lam circle
-        if values["name"] == "bernstein" and int(values["n_modes"] * lam) < 1:
-            raise ConfigError(f"lambdas entry {lam!r} draws int(n_modes * lam) = 0 modes "
-                              f"at n_modes = {values['n_modes']}; need n_modes * lam >= 1")
-    for key, value in values.items():
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, float) and not math.isfinite(item):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
+        if not (rule := _RULES.get(key, _FINITE)).test(value):
+            yield f"{key} must be {rule.text}, got {value!r}"
+    yield from (check(values) for check in checks)
+
+
+def _modes_drawn(v) -> str:
+    return "" if v["n_modes"] >= 1 else f"n_modes must be at least 1, got {v['n_modes']}"
+
+
+def _modes_fit(v) -> str:
+    """random_fields caps a draw at n/2 - 1 modes: a larger n_modes would run
+    capped while the config echo claims more."""
+    cap = v["n"] // 2 - 1
+    return ("" if v["n_modes"] <= cap else
+            f"n_modes must be at most n/2 - 1 = {cap} at n = {v['n']}, got {v['n_modes']}")
+
+
+def _doubling_grid(v) -> str:
+    """gauge-residual evaluates its fields again on a grid of n/2 points."""
+    return ("" if v["n"] % 4 == 0 and v["n"] >= 16 else
+            f"n must be a multiple of 4 and at least 16 for the doubling check at n/2, "
+            f"got n = {v['n']}")
+
+
+def _shrinks_drawn(v) -> str:
+    """The doubling check re-evaluates the first shrink_samples fields drawn."""
+    return ("" if v["shrink_samples"] <= v["n_samples"] else
+            f"shrink_samples must be at most n_samples = {v['n_samples']}, "
+            f"got {v['shrink_samples']}")
+
+
+def _gauge_degree(v) -> None:
+    """bo has k = 1: spectral's gauge-variant rule, which raises in its own words."""
+    _check_gauge_variant(v["variant"], v["k"])
+
+
+def _renormalized_mean(v) -> str:
+    """The renormalized equation takes zero-mean data."""
+    return ("" if v["equation"] != "renormalized_gbo" or v["gamma"] == 0 else
+            f"gamma must be 0 for the renormalized_gbo equation, got {v['gamma']!r}")
+
+
+def _order_band(v) -> str:
+    return ("" if v["order_min"] < v["order_max"] else
+            f"order_min must be below order_max, got {v['order_min']!r} >= {v['order_max']!r}")
+
+
+def _modes_per_circle(v) -> str:
+    """bernstein draws int(n_modes * lam) modes on the lam circle."""
+    return next((f"lambdas entry {lam!r} draws int(n_modes * lam) = 0 modes at "
+                 f"n_modes = {v['n_modes']}; need n_modes * lam >= 1"
+                 for lam in v["lambdas"] if int(v["n_modes"] * lam) < 1), "")
+
+
+# ---------------------------------------------------------------------------
+# solver settings: each experiment's solves, built at config time
+# ---------------------------------------------------------------------------
+
+
+def _solver(values: dict, **overrides) -> SolverConfig:
+    """The config's solver keys, then ``overrides``; the step count checked too."""
+    solver = SolverConfig(**{key: values[key] for key in _SOLVER_KEYS & values.keys()
+                             if key not in overrides}, **overrides)
+    solver.n_steps()
+    return solver
+
+
+def _conservation_solvers(v) -> dict:
+    energy = dict(equation="gbo", dt=v["e_dt"], t_final=v["e_t_final"])
+    stride = _dividing_stride(_solver(v, **energy, sample_stride=1).n_steps(), 25)
+    return {"reference": _solver(v, equation="gbo"),
+            **{f"energy_k{kk}": _solver(v, **energy, k=kk, sample_stride=stride)
+               for kk in v["e_ks"]}}
+
+
+def _scaling_solvers(v) -> dict:
+    """The direct solve and the solve on the dilated circle, over dilation^2 the time."""
+    equation = "bo2" if v["variant"] == "bo" else "gbo"
+    ends = dict(equation=equation, sample_stride=_solver(v, equation=equation).n_steps())
+    lam2 = v["dilation"] * v["dilation"]
+    return {"direct": _solver(v, **ends),
+            "dilated": _solver(v, **ends, dt=lam2 * v["dt"], t_final=lam2 * v["t_final"])}
+
+
+def _convergence_solvers(v) -> dict:
+    return {fixture: _solver(v, equation="gbo", k=k, sample_stride=1)
+            for fixture, k in (("gbo1_cos", 1), ("gbo3_mix", 3))}
 
 
 def _coerce(value, default):
@@ -322,7 +447,7 @@ def _run_simulate(cfg: ExperimentConfig, rng):
     rec = {"sample_index": 0, "inputs_hash": _hash_field(u0)}
     artifacts = {}
     try:
-        traj = solve(u0, cfg.solver())
+        traj = solve(u0, cfg.solvers["run"])
         rep = drift_report(traj)
         rec.update({f"drift_{k}": v for k, v in rep.drifts.items()})
         rec["blew_up"] = False
@@ -341,23 +466,24 @@ def _blow_up_record(rec: dict, exc: BlowUpError) -> dict:
 def _run_conservation(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
     records = []
-    e_cfg = cfg.solver(equation="gbo", dt=cfg.e_dt, t_final=cfg.e_t_final, sample_stride=1)
-    e_stride = _dividing_stride(e_cfg.n_steps(), 25)
-
-    u0 = _cosine_data(cfg, grid)
-    rec = {"run": "reference", "sample_index": 0, "inputs_hash": _hash_field(u0)}
-    try:
-        traj = solve(u0, cfg.solver(equation="gbo", k=1))
-    except BlowUpError as exc:
-        records.append(_blow_up_record(rec, exc))
-    else:
+    # the reference run, then an energy run per degree of e_ks
+    for idx, (run, solver) in enumerate(cfg.solvers.items()):
+        u0 = _cosine_data(cfg, grid)
+        rec = {"run": run, "sample_index": idx, "inputs_hash": _hash_field(u0)}
+        records.append(rec)
+        try:
+            traj = solve(u0, solver)
+        except BlowUpError as exc:
+            _blow_up_record(rec, exc)
+            continue
         rep = drift_report(traj)
+        rec.update({"drift_I": rep.drifts["I"], "drift_M": rep.drifts["M"],
+                    "drift_E": rep.drifts["E_gbo"]})
+        if run != "reference":
+            continue
+        rec["drift_F"] = rep.drifts["F_bo"]
         wrong_f = invariant(traj, "F_bo", sign=-1.0)
         wrong_e = invariant(traj, "E_gbo", k=1, sign=-1.0)
-        rec.update({
-            "drift_I": rep.drifts["I"], "drift_M": rep.drifts["M"],
-            "drift_F": rep.drifts["F_bo"], "drift_E": rep.drifts["E_gbo"],
-        })
         if wrong_f[0] == 0.0 or wrong_e[0] == 0.0:
             # zero data: the relative opposite-sign drifts are 0/0
             rec["degenerate"] = True
@@ -371,21 +497,6 @@ def _run_conservation(cfg: ExperimentConfig, rng):
                 [float(t), float(abs(v - f_series[0]) / abs(f_series[0]))]
                 for t, v in zip(rep.times, f_series)
             ]
-        records.append(rec)
-
-    for idx, kk in enumerate(cfg.e_ks):
-        u0k = _cosine_data(cfg, grid)
-        reck = {"run": f"energy_k{int(kk)}", "sample_index": idx + 1,
-                "inputs_hash": _hash_field(u0k)}
-        try:
-            trajk = solve(u0k, dataclasses.replace(e_cfg, k=int(kk), sample_stride=e_stride))
-        except BlowUpError as exc:
-            records.append(_blow_up_record(reck, exc))
-            continue
-        repk = drift_report(trajk)
-        reck.update({"drift_I": repk.drifts["I"], "drift_M": repk.drifts["M"],
-                     "drift_E": repk.drifts["E_gbo"]})
-        records.append(reck)
     return records, {}
 
 
@@ -425,7 +536,6 @@ def _run_strichartz(cfg: ExperimentConfig, rng):
 
 def _run_flowmap(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
-    solver = cfg.solver(equation="gbo", k=1)
     scales = [cfg.perturbation, cfg.perturbation / cfg.shrink_factor]
     # one draw for every (phi1, direction) pair, in the order of drawing
     # phi1 and then its direction sample by sample
@@ -442,7 +552,7 @@ def _run_flowmap(cfg: ExperimentConfig, rng):
             delta = scale * direction
             pairs.append((i, scale, phi1 + delta, norm(delta, "hs", s=1.0)))
     runs = solve_batch([phi1 for phi1, _ in draws]
-                       + [phi2 for _, _, phi2, gap in pairs if gap != 0.0], solver)
+                       + [phi2 for _, _, phi2, gap in pairs if gap != 0.0], cfg.solvers["run"])
     traj1s, traj2s = runs[: len(draws)], iter(runs[len(draws):])
     records = []
     for i, scale, phi2, gap in pairs:
@@ -471,40 +581,32 @@ def _run_flowmap(cfg: ExperimentConfig, rng):
 
 def _run_scaling(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
-    lam = cfg.dilation
-    equation = "bo2" if cfg.variant == "bo" else "gbo"
-    steps = cfg.solver(equation=equation).n_steps()
     u0 = 0.1 * SpectralField.from_function(grid, np.cos)
-    u0_dilated = dilate(u0, lam, cfg.variant, k=cfg.k)  # refuses a bad dilation before any solve
     rec = {"sample_index": 0, "variant": cfg.variant, "k": cfg.k,
            "inputs_hash": _hash_field(u0)}
     try:
-        direct = solve(u0, cfg.solver(equation=equation, sample_stride=steps))[-1]
-        dilated_then = solve(
-            u0_dilated,
-            cfg.solver(equation=equation, dt=lam * lam * cfg.dt,
-                       t_final=lam * lam * cfg.t_final, sample_stride=steps),
-        )[-1]
+        direct = solve(u0, cfg.solvers["direct"])[-1]
+        dilated_then = solve(dilate(u0, cfg.dilation, cfg.variant, k=cfg.k),
+                             cfg.solvers["dilated"])[-1]
     except BlowUpError as exc:
         return [_blow_up_record(rec, exc)], {}
-    then_dilated = dilate(direct, lam, cfg.variant, k=cfg.k)
+    then_dilated = dilate(direct, cfg.dilation, cfg.variant, k=cfg.k)
     rec["h1_discrepancy"] = norm(then_dilated - dilated_then, "hs", s=1.0)
     return [rec], {}
 
 
 def _run_convergence(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
-    fixtures = [
-        ("gbo1_cos", 1, 0.1 * SpectralField.from_function(grid, np.cos)),
-        ("gbo3_mix", 3, SpectralField.from_function(
-            grid, lambda x: 0.05 * (np.cos(x) + np.sin(2 * x)))),
-    ]
+    fixtures = {
+        "gbo1_cos": 0.1 * SpectralField.from_function(grid, np.cos),
+        "gbo3_mix": SpectralField.from_function(
+            grid, lambda x: 0.05 * (np.cos(x) + np.sin(2 * x))),
+    }
     records = []
-    for idx, (label, k, u0) in enumerate(fixtures):
+    for idx, (label, u0) in enumerate(fixtures.items()):
         rec = {"sample_index": idx, "fixture": label, "inputs_hash": _hash_field(u0)}
         try:
-            res = convergence_order(
-                u0, cfg.solver(equation="gbo", k=k, sample_stride=1), cfg.n_levels)
+            res = convergence_order(u0, cfg.solvers[label], cfg.n_levels)
         except BlowUpError as exc:
             records.append(_blow_up_record(rec, exc))
             continue
@@ -518,7 +620,7 @@ def _run_estimate_monitor(cfg: ExperimentConfig, rng):
     grid = PeriodicGrid(cfg.lam, cfg.n)
     v0s = random_fields(grid, rng, cfg.n_samples, n_modes=cfg.n_modes, decay=cfg.decay,
                         amplitude=cfg.amplitude, normalize="h1")
-    runs = solve_batch(v0s, cfg.solver(equation="renormalized_gbo", k=cfg.k))
+    runs = solve_batch(v0s, cfg.solvers["run"])
     records = []
     for i, (v0, vtraj) in enumerate(zip(v0s, runs)):
         rec = {"sample_index": i, "inputs_hash": _hash_field(v0)}
@@ -763,6 +865,8 @@ class _Experiment(NamedTuple):
     run: Callable         # (cfg, rng) -> (records, artifacts)
     verdict: Callable     # (cfg, records) -> (structural failures, gates)
     summarize: Callable   # records -> summary without its stats
+    checks: tuple = ()    # cross-key rules: values -> a broken rule's text, else "" or None
+    solvers: Callable = lambda values: {}  # values -> {label: SolverConfig} of its solves
 
 
 # Defaults shared by the experiments that integrate in time ...
@@ -776,7 +880,8 @@ _EXPERIMENTS = {
              sample_stride=50,          # steps per stored snapshot
              amplitude=0.2,             # initial data amplitude * cos(x)
              gamma=0.0),                # mean value of the initial data
-        _run_simulate, _pass_simulate, _no_series),
+        _run_simulate, _pass_simulate, _no_series,
+        checks=(_renormalized_mean,), solvers=lambda v: {"run": _solver(v)}),
     "conservation": _Experiment(
         dict(_SOLVER, n=256, dt=1e-4, t_final=1.0, sample_stride=200,
              amplitude=0.2, gamma=0.0,
@@ -787,7 +892,8 @@ _EXPERIMENTS = {
              f_tol=1e-6,                # calibrated F drift
              e_tol=1e-6,                # energy drift
              separation_min=1e-2),      # wrong-sign drift floor
-        _run_conservation, _pass_conservation, _summarize_conservation),
+        _run_conservation, _pass_conservation, _summarize_conservation,
+        solvers=_conservation_solvers),
     "gauge-residual": _Experiment(
         dict(lam=1.0, n=256, k=1, n_samples=20, amplitude=0.1,
              n_modes=0,                 # 0 fills the band
@@ -796,14 +902,16 @@ _EXPERIMENTS = {
              shrink_samples=5,          # ensemble for the doubling check
              residual_tol=1e-9,         # L^2 tolerance
              shrink_min=100.0),         # min decay on doubling n
-        _run_gauge_residual, _pass_gauge_residual, _no_series),
+        _run_gauge_residual, _pass_gauge_residual, _no_series,
+        checks=(_modes_fit, _doubling_grid, _shrinks_drawn, _gauge_degree)),
     "strichartz-scan": _Experiment(
         dict(_ENSEMBLE, n=128, n_modes=24, decay=0.8,
              lambdas=(1.0, 2.0, 4.0, 8.0, 16.0),    # circle sizes
              horizon=1.0,               # time horizon
              variation_max=2.0,         # max/min bound on the maxima
              slope_max=0.1),            # log-log slope bound
-        _run_strichartz, _pass_strichartz, _summarize_max_ratio),
+        _run_strichartz, _pass_strichartz, _summarize_max_ratio,
+        checks=(_modes_drawn, _modes_fit)),
     "flowmap": _Experiment(
         dict(_SOLVER | _ENSEMBLE, dt=2e-3, t_final=0.5, sample_stride=25,
              n_samples=25, amplitude=0.25, n_modes=16, gamma=0.0,
@@ -811,28 +919,35 @@ _EXPERIMENTS = {
              shrink_factor=100.0,       # second-scale divisor
              ratio_bound=10.0,          # admissible Lipschitz ratio
              insensitivity_max=2.0),    # max ratio change across scales
-        _run_flowmap, _pass_flowmap, _summarize_flowmap),
+        _run_flowmap, _pass_flowmap, _summarize_flowmap,
+        checks=(_modes_drawn, _modes_fit),
+        solvers=lambda v: {"run": _solver(v, equation="gbo")}),
     "scaling": _Experiment(
         dict(_SOLVER, k=1,
              variant="bo",              # bo or gbo
              dilation=2.0,              # circle enlargement
              scaling_tol=1e-8),         # H^1 discrepancy bound
-        _run_scaling, _pass_scaling, _no_series),
+        _run_scaling, _pass_scaling, _no_series,
+        checks=(_gauge_degree,), solvers=_scaling_solvers),
     "convergence": _Experiment(
         dict(_SOLVER, dt=0.04, t_final=0.4,
              n_levels=4,                # refinement levels
              order_min=3.8,             # measured-order band
              order_max=4.2),
-        _run_convergence, _pass_convergence, _summarize_convergence),
+        _run_convergence, _pass_convergence, _summarize_convergence,
+        checks=(_order_band,), solvers=_convergence_solvers),
     "estimate-monitor": _Experiment(
         dict(_SOLVER | _ENSEMBLE, k=2, sample_stride=25, n_samples=10, amplitude=0.1,
              monitor_bound=20.0),       # admissible ratio
-        _run_estimate_monitor, _pass_estimate_monitor, _no_series),
+        _run_estimate_monitor, _pass_estimate_monitor, _no_series,
+        checks=(_modes_drawn, _modes_fit),
+        solvers=lambda v: {"run": _solver(v, equation="renormalized_gbo")}),
     "bernstein": _Experiment(
         dict(_ENSEMBLE, n=256, n_modes=8,
              lambdas=(1.0, 4.0, 16.0),  # circle sizes
              stability_max=3.0),        # per-lambda maxima spread
-        _run_bernstein, _pass_bernstein, _summarize_max_ratio),
+        _run_bernstein, _pass_bernstein, _summarize_max_ratio,
+        checks=(_modes_drawn, _modes_fit, _modes_per_circle)),
 }
 
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)

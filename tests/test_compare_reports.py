@@ -22,7 +22,7 @@ def test_checkout_matches_itself():
     assert proc.stdout.strip() == "1 runs per checkout, 2 files compared: identical"
 
 
-def test_differences_are_named_with_their_largest_relative_change(tmp_path):
+def test_differences_are_named_with_their_largest_relative_and_absolute_change(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir()
     b.mkdir()
@@ -35,10 +35,28 @@ def test_differences_are_named_with_their_largest_relative_change(tmp_path):
     assert compare_reports.compare(a, b) == [
         "only in PARENT: only.dat",
         "differs: r.bosp",
-        "differs: r.records.jsonl (largest relative change 2.000e-01 at line 1: errors[1])",
+        "differs: r.records.jsonl (largest relative change 2.000e-01, absolute 1.000e+00, "
+        "at line 1: errors[1])",
     ]
 
 
+def test_absolute_change_is_read_at_the_largest_relative_change():
+    # the ratio moves least relatively but most absolutely: the line reports
+    # the drift's field, with the drift's own absolute change
+    a = {"ratio": 1000.0, "drift": 5.2349e-13}
+    b = {"ratio": 1000.1, "drift": 5.2327e-13}
+    relative, absolute, where = compare_reports.largest_relative_change(
+        json.dumps(a), json.dumps(b), False)
+    assert where == "drift"
+    assert relative == abs(a["drift"] - b["drift"]) / a["drift"]
+    assert absolute == abs(a["drift"] - b["drift"])
+
+
 def test_a_value_turned_null_is_an_infinite_change():
-    change, where = compare_reports.largest_relative_change('{"x": 1.0}', '{"x": null}', False)
-    assert change == float("inf") and where == "x"
+    changes = compare_reports.largest_relative_change('{"x": 1.0}', '{"x": null}', False)
+    assert changes == (float("inf"), float("inf"), "x")
+
+
+def test_line_count_change_is_infinite():
+    assert compare_reports.largest_relative_change("{}\n{}", "{}", True) == (
+        float("inf"), float("inf"), "line count 2 != 1")

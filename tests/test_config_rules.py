@@ -1,0 +1,254 @@
+"""Config rules: one rule per key name, cross-key checks, solver settings at config time."""
+
+import copy
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from bosp import ConfigError, config_from_mapping, default_config, run_experiment
+from bosp import experiments
+from bosp.cli import build_parser, main
+from bosp.experiments import _EXPERIMENTS, _FINITE, _RULES, EXPERIMENT_NAMES
+
+TINY = math.ulp(0.0)  # the least positive float
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+# For each key: values just outside its rule (the first one spelled on the
+# command line too), values just inside it, and the settings that make room
+# for them under the experiment's cross-key and solver rules.
+EDGES = {
+    "seed": ([-1, 0.5], [0], {}),
+    "n": ([6, 7, 8.0], [8], {"n_modes": 1}),
+    "k": ([0, 1.5], [1], {}),
+    "sample_stride": ([0, 1.0], [1], {}),
+    "n_samples": ([0], [1], {"shrink_samples": 1}),
+    "shrink_samples": ([0], [1], {}),
+    "n_modes": ([-1, 1.0], [0], {}),
+    "n_levels": ([2], [3], {}),
+    "equation": (["kdv", 1], ["linear", "renormalized_gbo"], {}),
+    "scheme": (["rk45", "ifrk4"], ["etd_rk4"], {}),
+    "dealias": (["pad3", "two-thirds"], ["none"], {}),
+    "variant": (["kdv", ""], ["bo", "gbo"], {}),
+    "decay": ([0.0, math.nextafter(1.0, 2.0), -1.0, *NON_FINITE], [TINY, 1.0], {}),
+    "dilation": ([1.0, 0.5, *NON_FINITE], [ABOVE_ONE], {}),
+    "e_ks": ([(0,), (), (2, 2), (1.5,)], [(1,)], {}),
+    "lambdas": ([(1.0,), (), (1.0, 1.0), (0.0, 1.0), (1.0, math.nan)], [(1.0, 2.0)], {}),
+}
+# every finite-and-positive key: the least positive float is inside; a step
+# or horizon that small needs its partner as small
+_ROOM = {"dt": {"t_final": TINY, "sample_stride": 1}, "t_final": {"dt": TINY, "sample_stride": 1},
+         "e_dt": {"e_t_final": TINY}, "e_t_final": {"e_dt": TINY}}
+EDGES.update({key: ([0.0, -1.0, *NON_FINITE], [TINY], _ROOM.get(key, {}))
+              for key, rule in _RULES.items() if key not in EDGES})
+EDGES["order_max"] = EDGES["order_max"][0], [2 * TINY], {"order_min": TINY}
+# a key the table does not name need only be finite
+UNNAMED = ([*NON_FINITE], [-1.0, 0.0], {})
+
+# Where a cross-key check of the experiment is tighter than the key's rule,
+# the value just inside the check instead.
+TIGHTER = {("gauge-residual", "n"): 16,
+           **{(name, "n_modes"): 1 for name in EXPERIMENT_NAMES
+              if name != "gauge-residual" and "n_modes" in _EXPERIMENTS[name].keys}}
+
+
+def _defaults(name) -> dict:
+    """The keys of a ``name`` config, seed included, with their defaults."""
+    return {key: val for key, val in default_config(name).as_dict().items() if key != "name"}
+
+
+KEYS = [(name, key) for name in EXPERIMENT_NAMES for key in _defaults(name)]
+
+
+def _spelled(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+
+
+def test_every_rule_has_edges():
+    assert set(EDGES) == set(_RULES)
+    assert {key for _, key in KEYS} >= set(_RULES)
+
+
+@pytest.mark.parametrize("name, key", KEYS)
+def test_rule_refuses_just_outside_and_takes_just_inside(name, key, tmp_path, capsys):
+    outside, inside, room = EDGES.get(key, UNNAMED)
+    room = {k: v for k, v in room.items() if k in _EXPERIMENTS[name].keys}
+    text = f"{key} must be {_RULES.get(key, _FINITE).text}, got "
+    for value in outside:
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(name, {**room, key: value})
+        assert str(exc.value) == text + repr(value), value
+    for value in [TIGHTER.get((name, key))] if (name, key) in TIGHTER else inside:
+        cfg = config_from_mapping(name, {**room, key: value})
+        assert getattr(cfg, key) == value
+    assert main([name, f"--{key.replace('_', '-')}", _spelled(outside[0]),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {text}") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+# Configs that were accepted and ran, or failed only once the run started;
+# each is refused by a rule, with this message, before anything runs.
+NEWLY_REFUSED = [
+    ("gauge-residual", {"n_samples": "3", "shrink_samples": "10"},
+     "shrink_samples must be at most n_samples = 3, got 10"),
+    ("convergence", {"n_levels": "2"}, "n_levels must be an integer >= 3, got 2"),
+    ("scaling", {"dilation": "1"}, "dilation must be finite and above 1, got 1.0"),
+    ("strichartz-scan", {"lambdas": "1,1,2", "n_samples": "2"},
+     "lambdas must be a list of 2 or more distinct values, each finite and positive, "
+     "got (1.0, 1.0, 2.0)"),
+    ("bernstein", {"lambdas": "1,1,4"},
+     "lambdas must be a list of 2 or more distinct values, each finite and positive, "
+     "got (1.0, 1.0, 4.0)"),
+    ("conservation", {"e_ks": "2,2"},
+     "e_ks must be a list of 1 or more distinct values, each an integer >= 1, got (2, 2)"),
+    ("simulate", {"equation": "kdv"},
+     "equation must be one of linear, bo2, gbo, renormalized_gbo, got 'kdv'"),
+    ("simulate", {"k": "0"}, "k must be an integer >= 1, got 0"),
+    ("simulate", {"n": "7"}, "n must be an even integer >= 8, got 7"),
+    ("simulate", {"dt": "-1"}, "dt must be finite and positive, got -1.0"),
+    ("simulate", {"sample_stride": "0"}, "sample_stride must be an integer >= 1, got 0"),
+    ("simulate", {"equation": "renormalized_gbo", "gamma": "0.5"},
+     "gamma must be 0 for the renormalized_gbo equation, got 0.5"),
+    ("simulate", {"t_final": "0.0505"},
+     "t_final = 0.0505 is not an integer number of steps dt = 0.001"),
+    ("flowmap", {"seed": "-1"}, "seed must be an integer >= 0, got -1"),
+    ("estimate-monitor", {"lam": "0"}, "lam must be finite and positive, got 0.0"),
+    ("conservation", {"e_dt": "1.0", "e_t_final": "0.5"},
+     "t_final must be finite and at least dt, got 0.5"),
+]
+
+
+@pytest.mark.parametrize("name, overrides, message", NEWLY_REFUSED)
+def test_refused_at_config_time(name, overrides, message, tmp_path, capsys, monkeypatch):
+    from bosp import cli
+
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping(name, overrides)
+    assert str(exc.value) == message
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("the experiment ran"))
+    flags = [arg for key, val in overrides.items() for arg in (f"--{key.replace('_', '-')}", val)]
+    assert main([name, *flags, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+class _Solved(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", [name for name in EXPERIMENT_NAMES
+                                  if default_config(name).solvers])
+def test_a_run_solves_with_the_settings_its_config_built(name, monkeypatch):
+    cfg = default_config(name)
+
+    def solved(u0, solver, *args):
+        raise _Solved(solver)
+
+    for fn in ("solve", "solve_batch", "convergence_order"):
+        monkeypatch.setattr(experiments, fn, solved)
+    monkeypatch.setattr(experiments, "SolverConfig",
+                        lambda *a, **kw: pytest.fail("solver settings built at run time"))
+    with pytest.raises(_Solved) as exc:
+        _EXPERIMENTS[name].run(cfg, np.random.default_rng(0))
+    assert any(exc.value.args[0] is solver for solver in cfg.solvers.values())
+
+
+def test_solvers_are_not_part_of_the_config_echo():
+    cfg = config_from_mapping("conservation", {"e_ks": "3, 2"})
+    assert list(cfg.solvers) == ["reference", "energy_k3", "energy_k2"]
+    assert "solvers" not in cfg.as_dict() and "solvers" not in repr(cfg)
+    assert cfg == config_from_mapping("conservation", {"e_ks": (3, 2)})
+    with pytest.raises(AttributeError):
+        cfg.solvers = {}
+    # a copy, a pickle round trip included, is the same config with its solvers
+    for other in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert other == cfg and other.solvers == cfg.solvers
+
+
+def test_help_prints_each_key_rule_beside_its_default():
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "experiment"]
+    for name in EXPERIMENT_NAMES:
+        helps = {a.dest: a.help for a in subparsers.choices[name]._actions}
+        for key, default in _defaults(name).items():
+            rule = _RULES.get(key, _FINITE).text
+            assert helps[key] == f"{rule} (default: {_spelled(default)})", (name, key)
+
+
+def test_help_text_reaches_the_terminal(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gauge-residual", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--decay VALUE in (0, 1] (default: 0.8)" in out
+    assert "--variant VALUE one of bo, gbo (default: gbo)" in out
+
+
+# Every experiment made cheap: small grids, short horizons and few samples.
+# Each key ranges over values on both sides of its rules, so most draws are
+# refused; the rest must run to a verdict.  One accepted input still ends in
+# a usage error by design and is left out: a decay so small (about 1e-160)
+# that every drawn envelope underflows to zero, a "degenerate draw" that
+# depends on the draw (test_degenerate_draw_exit_code pins its exit 2).
+_SMALL = {
+    "seed": st.integers(-1, 3),
+    "lam": st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    "n": st.sampled_from([6, 7, 8, 16, 24, 32]),
+    "k": st.integers(0, 3),
+    "equation": st.sampled_from(["linear", "bo2", "gbo", "renormalized_gbo", "kdv"]),
+    "n_samples": st.integers(0, 3),
+    "shrink_samples": st.integers(0, 3),
+    "n_modes": st.integers(-1, 16),
+    "decay": st.sampled_from([0.0, 0.3, 0.8, 1.0, 1.5]),
+    "amplitude": st.sampled_from([0.0, -0.1, 0.1]),
+    "gamma": st.sampled_from([0.0, 0.5]),
+    "variant": st.sampled_from(["bo", "gbo", "kdv"]),
+    "horizon": st.sampled_from([0.0, 0.5, 1.0]),
+    "lambdas": st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), max_size=3).map(tuple),
+    "dt": st.sampled_from([0.0, 0.01, 0.02, 0.03]),
+    "t_final": st.sampled_from([0.0, 0.01, 0.02, 0.04, 0.05]),
+    "sample_stride": st.integers(0, 3),
+    "scheme": st.sampled_from(["if_rk4", "etd_rk4", "rk45"]),
+    "dealias": st.sampled_from(["pad4", "two_thirds", "none", "pad3"]),
+    "e_ks": st.lists(st.integers(0, 3), max_size=2).map(tuple),
+    "e_dt": st.sampled_from([0.0, 0.01, 0.03]),
+    "perturbation": st.sampled_from([0.0, 1e-3, 0.1]),
+    "shrink_factor": st.sampled_from([0.0, 10.0]),
+    "dilation": st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    "n_levels": st.integers(2, 4),
+    "order_min": st.sampled_from([0.0, 3.8, 4.2]),
+    "order_max": st.sampled_from([3.8, 4.2]),
+}
+_CHEAP = dict(n=16, n_samples=2, shrink_samples=1, n_modes=2, dt=0.01, t_final=0.04,
+              sample_stride=1, e_dt=0.01, e_t_final=0.04)
+
+
+@st.composite
+def _overrides(draw):
+    name = draw(st.sampled_from(EXPERIMENT_NAMES))
+    keys = _defaults(name).keys()
+    chosen = draw(st.lists(st.sampled_from([key for key in _SMALL if key in keys]), unique=True))
+    return name, {**{key: val for key, val in _CHEAP.items() if key in keys},
+                  **{key: draw(_SMALL[key]) for key in chosen}}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_overrides())
+def test_accepted_config_runs_to_a_verdict(tmp_path, drawn):
+    """A config the rules accept never ends in a usage error or a traceback."""
+    name, overrides = drawn
+    try:
+        cfg = config_from_mapping(name, overrides)
+    except ConfigError:
+        return
+    report = run_experiment(cfg)  # no ValueError or TypeError escapes
+    assert isinstance(report.passed, bool)
+    flags = [arg for key, val in cfg.as_dict().items() if key != "name"
+             for arg in (f"--{key.replace('_', '-')}", _spelled(val))]
+    assert main([name, *flags, "--out", str(tmp_path), "--stem", "h", "--quiet"]) in (0, 1)
+

@@ -27,9 +27,9 @@ from bosp import (
 )
 from bosp import experiments
 from bosp.cli import build_parser, main
-from bosp.experiments import (_EXPERIMENTS, EXPERIMENT_NAMES, _build_report, _hash_field,
-                              _is_gate, _judge, _max_by, _run_estimate_monitor, _run_flowmap,
-                              load_config_file)
+from bosp.experiments import (_EXPERIMENTS, _FINITE, _POSITIVE, _RULES, EXPERIMENT_NAMES,
+                              _build_report, _hash_field, _judge, _max_by,
+                              _run_estimate_monitor, _run_flowmap, load_config_file)
 
 from conftest import strichartz_norm_reference, xnorm_series_per_field
 
@@ -67,8 +67,8 @@ KEYS_READ = {name: set(keys.split()) for name, keys in {
                         "amplitude n_modes decay monitor_bound",
     "bernstein": "n lambdas n_samples n_modes decay stability_max",
 }.items()}
-SOLVER_KEYS = {"equation", "dt", "t_final", "k", "scheme", "dealias", "sample_stride"}
-# The verdict thresholds; each must be finite and positive.
+LAMBDAS_RULE = "lambdas must be a list of 2 or more distinct values, each finite and positive"
+# The verdict thresholds; the rule table holds each as finite and positive.
 GATES = [(name, key) for name, keys in {
     "conservation": "im_tol f_tol e_tol separation_min",
     "gauge-residual": "residual_tol shrink_min",
@@ -110,25 +110,31 @@ class TestConfig:
             assert set(_EXPERIMENTS[name].keys) == KEYS_READ[name], name
 
     def test_every_declared_key_is_read(self, monkeypatch):
-        """The runs and verdicts read exactly the declared keys, name and seed.
+        """The runs, verdicts and solver settings read exactly the declared keys.
 
-        A solver key counts as read when ``solver()`` does not override it.
+        ``name`` and ``seed`` included.  The cross-key checks are not
+        counted: a key only they read would be read by nothing the run does.
         """
         read = set()
         get = ExperimentConfig.__getattribute__
-        solver = ExperimentConfig.solver
 
         def tracked_get(cfg, key):
             if not key.startswith("_"):
                 read.add((get(cfg, "name"), key))
             return get(cfg, key)
 
-        def tracked_solver(cfg, **overrides):
-            read.update((cfg.name, key) for key in SOLVER_KEYS - set(overrides))
-            return solver(cfg, **overrides)
+        def tracked_solvers(name, build):
+            class TrackedValues(dict):
+                def __getitem__(self, key):
+                    read.add((name, key))
+                    return super().__getitem__(key)
+
+            return lambda values: build(TrackedValues(values))
 
         monkeypatch.setattr(ExperimentConfig, "__getattribute__", tracked_get)
-        monkeypatch.setattr(ExperimentConfig, "solver", tracked_solver)
+        for name, entry in _EXPERIMENTS.items():
+            monkeypatch.setitem(_EXPERIMENTS, name,
+                                entry._replace(solvers=tracked_solvers(name, entry.solvers)))
         runs = [(name, FAST[name]) for name in EXPERIMENT_NAMES]
         runs.append(("scaling", {"variant": "gbo", "k": 2}))
         for name, over in runs:
@@ -154,9 +160,11 @@ class TestConfig:
         ("flowmap", ["--perturbation", "-0.01"],
          "perturbation must be finite and positive, got -0.01"),
         ("flowmap", ["--perturbation", "0"], "perturbation must be finite and positive, got 0.0"),
-        ("conservation", ["--e-ks", "0"], "k must be an integer >= 1, got 0"),
-        ("conservation", ["--e-ks", "2,0"], "k must be an integer >= 1, got 0"),
-        ("scaling", ["--dilation", "0.5"], "dilation parameter must be >= 1, got 0.5"),
+        ("conservation", ["--e-ks", "0"],
+         "e_ks must be a list of 1 or more distinct values, each an integer >= 1, got (0,)"),
+        ("conservation", ["--e-ks", "2,0"],
+         "e_ks must be a list of 1 or more distinct values, each an integer >= 1, got (2, 0)"),
+        ("scaling", ["--dilation", "0.5"], "dilation must be finite and above 1, got 0.5"),
     ])
     def test_bad_value_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                 name, args, message):
@@ -215,20 +223,27 @@ class TestConfig:
                                              ("flowmap", 0), ("estimate-monitor", -1),
                                              ("gauge-residual", -2)])
     def test_n_modes_below_one_rejected(self, name, value, capsys):
-        # gauge-residual reads 0 as "fill the band", so only it accepts 0
+        # gauge-residual reads 0 as "fill the band", so only it accepts 0;
+        # the key's rule refuses a negative count, a cross-key check 0
         least = 0 if name == "gauge-residual" else 1
         config_from_mapping(name, {"n_modes": least})
         with pytest.raises(ConfigError, match="n_modes"):
             config_from_mapping(name, {"n_modes": value})
         assert main([name, "--n-modes", str(value)]) == 2
         err = capsys.readouterr().err
-        assert f"error: n_modes must be at least {least}, got {value}" in err
+        rule = "be an integer >= 0" if value < 0 else "be at least 1"
+        assert f"error: n_modes must {rule}, got {value}" in err
         assert "Traceback" not in err
 
-    def test_gate_table_covers_every_threshold(self):
-        suffixed = {(name, key) for name in EXPERIMENT_NAMES for key in _EXPERIMENTS[name].keys
-                    if key.endswith(("_tol", "_max", "_min", "_bound"))}
-        assert suffixed - {("strichartz-scan", "slope_max")} == set(GATES)
+    def test_rule_table_holds_every_threshold_as_finite_positive(self):
+        # besides the thresholds, the positive keys are the physical sizes;
+        # slope_max bounds a slope, which may be negative, so it is only finite
+        positive = {(name, key) for name in EXPERIMENT_NAMES for key in _EXPERIMENTS[name].keys
+                    if _RULES.get(key) is _POSITIVE}
+        sizes = {"lam", "dt", "t_final", "e_dt", "e_t_final", "horizon", "perturbation",
+                 "shrink_factor"}
+        assert {(name, key) for name, key in positive if key not in sizes} == set(GATES)
+        assert "slope_max" not in _RULES
 
     @pytest.mark.parametrize("name, key", GATES + [("strichartz-scan", "horizon"),
                                                    ("flowmap", "shrink_factor")])
@@ -242,7 +257,7 @@ class TestConfig:
                                       "estimate-monitor", "bernstein"])
     def test_decay_outside_unit_interval_rejected(self, name, value):
         config_from_mapping(name, {"decay": 1.0})
-        with pytest.raises(ConfigError, match=r"decay must lie in \(0, 1\]"):
+        with pytest.raises(ConfigError, match=r"decay must be in \(0, 1\]"):
             config_from_mapping(name, {"decay": value})
 
     @pytest.mark.parametrize("order_min, order_max", [(4.0, 4.0), (4.2, 3.8)])
@@ -272,15 +287,16 @@ class TestConfig:
             config_from_mapping(name, {key: bad})
 
     @pytest.mark.parametrize("args, message", [
-        (["simulate", "--t-final", "inf"], "t_final must be finite, got inf"),
+        (["simulate", "--t-final", "inf"], "t_final must be finite and positive, got inf"),
         (["simulate", "--amplitude", "nan"], "amplitude must be finite, got nan"),
         (["simulate", "--amplitude", "inf"], "amplitude must be finite, got inf"),
         (["simulate", "--gamma", "inf"], "gamma must be finite, got inf"),
         (["estimate-monitor", "--amplitude", "inf"], "amplitude must be finite, got inf"),
-        (["conservation", "--e-t-final", "inf"], "e_t_final must be finite, got inf"),
+        (["conservation", "--e-t-final", "inf"],
+         "e_t_final must be finite and positive, got inf"),
         (["flowmap", "--perturbation", "nan"],
          "perturbation must be finite and positive, got nan"),
-        (["scaling", "--dilation", "inf"], "dilation must be finite, got inf"),
+        (["scaling", "--dilation", "inf"], "dilation must be finite and above 1, got inf"),
         # finite dt and t_final whose ratio overflows
         (["simulate", "--dt", "1e-300", "--t-final", "1e10"],
          "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),
@@ -313,14 +329,15 @@ class TestConfig:
         cfg = _write_cfg(tmp_path, f"[{name}]\n{line}\n")
         assert main([name, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert f"error: {line.split()[0]} must not be empty" in err
+        key = line.split()[0]
+        assert f"error: {key} must be {_RULES[key].text}, got ()" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name, line, message", [
-        ("strichartz-scan", "lambdas = 0 1", "lambdas entries must be finite and positive, got 0.0"),
-        ("strichartz-scan", "lambdas = 1 -2", "lambdas entries must be finite and positive, got -2.0"),
-        ("bernstein", "lambdas = 1 nan", "lambdas entries must be finite and positive, got nan"),
-        ("bernstein", "lambdas = 1 inf", "lambdas entries must be finite and positive, got inf"),
+        ("strichartz-scan", "lambdas = 0 1", f"{LAMBDAS_RULE}, got (0.0, 1.0)"),
+        ("strichartz-scan", "lambdas = 1 -2", f"{LAMBDAS_RULE}, got (1.0, -2.0)"),
+        ("bernstein", "lambdas = 1 nan", f"{LAMBDAS_RULE}, got (1.0, nan)"),
+        ("bernstein", "lambdas = 1 inf", f"{LAMBDAS_RULE}, got (1.0, inf)"),
         ("bernstein", "lambdas = 0.1 1",
          "lambdas entry 0.1 draws int(n_modes * lam) = 0 modes at n_modes = 8"),
     ])
@@ -363,11 +380,10 @@ class TestConfig:
             config_from_mapping("scaling", {"k": 2})
 
     @pytest.mark.parametrize("name, args, message", [
-        ("scaling", ["--variant", "kdv"], "unknown gauge variant 'kdv'"),
-        ("gauge-residual", ["--variant", "kdv"], "unknown gauge variant 'kdv'"),
-        ("gauge-residual", ["--k", "0"], "the gbo variant needs an integer k >= 1, got k = 0"),
-        ("scaling", ["--variant", "gbo", "--k", "0"],
-         "the gbo variant needs an integer k >= 1, got k = 0"),
+        ("scaling", ["--variant", "kdv"], "variant must be one of bo, gbo, got 'kdv'"),
+        ("gauge-residual", ["--variant", "kdv"], "variant must be one of bo, gbo, got 'kdv'"),
+        ("gauge-residual", ["--k", "0"], "k must be an integer >= 1, got 0"),
+        ("scaling", ["--variant", "gbo", "--k", "0"], "k must be an integer >= 1, got 0"),
     ])
     def test_variant_rule_is_a_config_error_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                           name, args, message):
@@ -393,11 +409,11 @@ class TestConfig:
     def test_scan_over_one_circle_size_rejected(self, tmp_path, capsys, name, args):
         # the verdicts compare per-lambda maxima, which one lambda cannot
         lambdas = args[args.index("--lambdas") + 1]
-        with pytest.raises(ConfigError, match="at least 2 distinct circle sizes"):
+        with pytest.raises(ConfigError, match=LAMBDAS_RULE):
             config_from_mapping(name, {"lambdas": lambdas})
         assert main([name, *args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "error: lambdas must hold at least 2 distinct circle sizes" in err
+        assert f"error: {LAMBDAS_RULE}" in err
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
@@ -575,7 +591,9 @@ class TestDeterminismAndVerdicts:
         for i, gate in enumerate(gates):
             keys = (gate.bound if isinstance(gate.bound, tuple)
                     else [gate.bound] if gate.bound else [])
-            assert all(_is_gate(key) or key == "slope_max" for key in keys), gate
+            # the rule table holds a bound finite and positive, a slope bound finite
+            assert all(_RULES.get(key, _FINITE) is (_FINITE if key == "slope_max" else _POSITIVE)
+                       for key in keys), gate
             bound_keys.update(keys)
             for bad in (float("nan"), float("inf"), float("-inf"), None):
                 poisoned = gates[:i] + [gate._replace(value=bad)] + gates[i + 1:]
@@ -697,7 +715,7 @@ def _flowmap_unbatched(cfg, rng):
     ``summarize``, so the test compares two derivations of it.
     """
     grid = PeriodicGrid(cfg.lam, cfg.n)
-    solver = cfg.solver(equation="gbo", k=1)
+    solver = cfg.solvers["run"]
     scales = [cfg.perturbation, cfg.perturbation / cfg.shrink_factor]
     records = []
     for i in range(cfg.n_samples):
@@ -744,7 +762,7 @@ def _estimate_monitor_unbatched(cfg, rng):
                           amplitude=cfg.amplitude, normalize="h1")
         rec = {"sample_index": i, "inputs_hash": _hash_field(v0)}
         try:
-            vtraj = solve(v0, cfg.solver(equation="renormalized_gbo", k=cfg.k))
+            vtraj = solve(v0, cfg.solvers["run"])
         except BlowUpError as exc:
             records.append(dict(rec, blew_up=True, last_good_time=exc.last_good_time))
             continue
@@ -1019,8 +1037,8 @@ class TestCli:
         assert ckpt.stat().st_size == header + 4 + 6 * (24 + 8 * 64)
 
     def test_cli_overrides_reach_config(self, tmp_path):
-        code = main(["gauge-residual", "--n-samples", "2", "--n", "128",
-                     "--seed", "5", "--out", str(tmp_path), "--stem", "g",
+        code = main(["gauge-residual", "--n-samples", "2", "--shrink-samples", "2",
+                     "--n", "128", "--seed", "5", "--out", str(tmp_path), "--stem", "g",
                      "--quiet"])
         assert code == 0
         summary = json.loads((tmp_path / "g.summary.json").read_text())
@@ -1127,7 +1145,7 @@ class TestCli:
 
     def test_zero_data_residual_fails(self):
         rep = run_experiment(config_from_mapping(
-            "gauge-residual", {"amplitude": 0.0, "n_samples": 2}))
+            "gauge-residual", {"amplitude": 0.0, "n_samples": 2, "shrink_samples": 2}))
         assert not rep.passed
         assert any("exactly 0" in f for f in rep.failures)
 

@@ -8,7 +8,8 @@ first on ``PYTHONPATH`` and every other setting at its default.  Every file
 a run writes (summary, records, ``.dat`` series, ``.bosp`` checkpoint) is
 compared byte for byte with the other checkout's, and so is each run's exit
 code.  For a JSON or JSONL file that differs, the largest relative change
-of any numeric field is printed.  Exits 0 only when everything matches.
+of any numeric field is printed, with that field's absolute change.  Exits
+0 only when everything matches.
 
 Standard library only; the experiment list is read from CHANGE's registry.
 """
@@ -67,17 +68,18 @@ def _numbers(obj, path=""):
         yield path, math.nan if obj is None else float(obj)
 
 
-def _relative(a: float, b: float) -> float:
-    """|a - b| / max(|a|, |b|); a NaN or infinity on one side only is an infinite change."""
+def _changes(a: float, b: float) -> tuple:
+    """(|a - b| / max(|a|, |b|), |a - b|); a NaN or infinity on one side only is infinite."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
+        return 0.0, 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+        return math.inf, math.inf
+    return abs(a - b) / max(abs(a), abs(b)), abs(a - b)
 
 
 def largest_relative_change(text_a: str, text_b: str, lines: bool) -> tuple:
-    """(largest relative change, its field path) between two JSON or JSONL texts.
+    """(largest relative change, absolute change there, its field path) between two
+    JSON or JSONL texts.
 
     A field that is numeric on one side only, or a structure that differs,
     counts as an infinite change.
@@ -85,17 +87,17 @@ def largest_relative_change(text_a: str, text_b: str, lines: bool) -> tuple:
     docs_a = [json.loads(t) for t in text_a.splitlines()] if lines else [json.loads(text_a)]
     docs_b = [json.loads(t) for t in text_b.splitlines()] if lines else [json.loads(text_b)]
     if len(docs_a) != len(docs_b):
-        return math.inf, f"line count {len(docs_a)} != {len(docs_b)}"
-    worst = (0.0, "")
+        return math.inf, math.inf, f"line count {len(docs_a)} != {len(docs_b)}"
+    worst = (0.0, 0.0, "")
     for i, (a, b) in enumerate(zip(docs_a, docs_b)):
         nums_a, nums_b = dict(_numbers(a)), dict(_numbers(b))
         for path in sorted(nums_a.keys() | nums_b.keys()):
             if path not in nums_a or path not in nums_b:
-                change = math.inf
+                changes = math.inf, math.inf
             else:
-                change = _relative(nums_a[path], nums_b[path])
-            if change > worst[0]:
-                worst = (change, f"line {i + 1}: {path[1:]}" if lines else path[1:])
+                changes = _changes(nums_a[path], nums_b[path])
+            if changes[0] > worst[0]:
+                worst = (*changes, f"line {i + 1}: {path[1:]}" if lines else path[1:])
     return worst
 
 
@@ -111,9 +113,10 @@ def compare(dir_a: pathlib.Path, dir_b: pathlib.Path) -> list:
             continue
         line = f"differs: {name}"
         if name.endswith((".json", ".jsonl")):
-            change, where = largest_relative_change(a.decode(), b.decode(),
-                                                    name.endswith(".jsonl"))
-            line += f" (largest relative change {change:.3e} at {where})"
+            relative, absolute, where = largest_relative_change(a.decode(), b.decode(),
+                                                                name.endswith(".jsonl"))
+            line += (f" (largest relative change {relative:.3e}, absolute {absolute:.3e}, "
+                     f"at {where})")
         diffs.append(line)
     return diffs
 

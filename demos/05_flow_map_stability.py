@@ -16,7 +16,7 @@ from bosp import (PeriodicGrid, SolverConfig, gauge_lipschitz_gap, norm,
 rng = np.random.default_rng(1)
 grid = PeriodicGrid(1.0, 128)
 gamma = 0.5
-cfg = SolverConfig("gbo", k=1, dt=2e-3, t_final=0.5, dealias="pad4",
+cfg = SolverConfig("gbo", k=1, dt=2e-3, t_final=0.5, dealias="alias_free",
                    sample_stride=25)
 
 print(f"pairs with mean pinned to gamma = {gamma}, T = {cfg.t_final}")

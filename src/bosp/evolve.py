@@ -21,11 +21,13 @@ also refuses a dealias rule that ``SolverConfig`` refuses.  Its linear
 phase and iq are read from ``spectral._symbol`` (kinds ``bo_group`` and
 ``d_dx``), the table that ``lingroup.group_symbol`` serves too.  Its nonlinear
 terms are in conservative form d_x(u^{k+1})/(k+1) so the mean mode is
-conserved to round-off, and products are dealiased by forming them on a
-4x zero-padded grid (``pad4``) or by the two-thirds rule (``two_thirds``),
-or formed on the n-point grid with no dealiasing (``none``).  The flux has
-one implementation, ``Equation._flux``, which writes into caller-owned
-arrays; ``nonlinear`` is its allocating one-stack case.
+conserved to round-off, and products are dealiased by forming them on the
+alias-free grid of degree k + 2 (3 for ``bo2``), where the flux and the
+renormalized mean of v^k are exact at every k (``alias_free``), by the
+two-thirds rule (``two_thirds``), or formed on the n-point grid with no
+dealiasing (``none``).  The flux has one implementation,
+``Equation._flux``, which writes into caller-owned arrays; ``nonlinear`` is
+its allocating one-stack case.
 
 Solver state is the rfft half spectrum: modes m = 0, 1, ..., n/2 of a real
 field, the negative modes being their conjugates.  Values and fluxes go
@@ -64,8 +66,8 @@ import numpy as np
 
 from .errors import BlowUpError
 from .spectral import (PeriodicGrid, SpectralField, Trajectory, _check_equation,
-                       _check_one_grid, _check_real, _check_zero_mean, _full_spectrum,
-                       _power, _real_coeffs, _real_values, _row_chunks, _symbol)
+                       _alias_free_points, _check_one_grid, _check_real, _check_zero_mean,
+                       _full_spectrum, _power, _real_coeffs, _real_values, _row_chunks, _symbol)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
@@ -73,7 +75,7 @@ __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_orde
 _BLOWUP_GUARD = 1e8
 _CONTOUR_POINTS = 64
 _SCHEMES = ("if_rk4", "etd_rk4")
-_DEALIAS_RULES = ("two_thirds", "pad4", "none")
+_DEALIAS_RULES = ("two_thirds", "alias_free", "none")
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,11 @@ class SolverConfig:
 
     ``sample_stride`` controls snapshot thinning: a snapshot is stored every
     ``sample_stride`` steps, and the step count t_final/dt must be an exact
-    multiple of it so sample times stay uniform.  ``dealias`` is ``pad4``
-    (products on a 4x zero-padded grid), ``two_thirds`` (flux modes
-    |q| > n/3 zeroed) or ``none`` (products on the n-point grid, aliased).
+    multiple of it so sample times stay uniform.  ``dealias`` is
+    ``alias_free`` (products on the smallest zero-padded grid where the
+    flux is exact, ``spectral._alias_free_points(n, k + 2)`` points),
+    ``two_thirds`` (flux modes |q| > n/3 zeroed) or ``none`` (products on
+    the n-point grid, aliased).
     """
 
     equation: str
@@ -134,10 +138,13 @@ class Equation:
     conservative flux, both on the half spectrum (modes 0..n/2 along the
     last axis of a stack); the odd symbols zero the Nyquist slot.  ``rhs``
     expands their sum to the full transform order.  The stepper calls the
-    flux through ``_flux`` with arrays of its own (``_work``).
+    flux through ``_flux`` with arrays of its own (``_work``).  ``nbig`` is
+    the points per row the flux is formed on: the alias-free size of degree
+    k + 2 (3 for ``bo2``) under ``alias_free``, else n.
     """
 
-    def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1, dealias: str = "pad4"):
+    def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1,
+                 dealias: str = "alias_free"):
         _check_equation(equation, k)
         if dealias not in _DEALIAS_RULES:
             raise ValueError(f"unknown dealias rule {dealias!r}")
@@ -145,7 +152,8 @@ class Equation:
         self.grid, self.eq, self.k, self.n = grid, equation, k, grid.n
         self.symbol = _symbol(grid, "bo_group")[: half + 1]
         self.iq = _symbol(grid, "d_dx")[: half + 1]
-        self.nbig = 4 * grid.n if dealias == "pad4" else grid.n
+        self.nbig = (_alias_free_points(grid.n, 3 if equation == "bo2" else k + 2)
+                     if dealias == "alias_free" else grid.n)
         self.cut = grid.n // 3 + 1 if dealias == "two_thirds" else None
 
     def _work(self, lead: tuple) -> tuple:
@@ -273,8 +281,8 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
 
     # one field keeps a 1-D state: the kernels' fast path for a single row.
     # Kept apart on purpose: on a 2-core Xeon, a one-row (1, n/2+1) stack made
-    # the 10^4-step n = 256 pad4 solve slower in 4 of 4 alternating pairs
-    # (median 1.87 s -> 2.03 s, +9%).
+    # the 10^4-step n = 256 solve (then padded to 4n) slower in 4 of 4
+    # alternating pairs (median 1.87 s -> 2.03 s, +9%).
     uhat = np.array([u0.coeffs[: n // 2 + 1] for u0 in u0s])
     if len(u0s) == 1:
         uhat = uhat[0]

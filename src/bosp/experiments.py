@@ -277,10 +277,13 @@ def _order_band(v) -> str:
 
 
 def _modes_per_circle(v) -> str:
-    """bernstein draws int(n_modes * lam) modes on the lam circle."""
-    return next((f"lambdas entry {lam!r} draws int(n_modes * lam) = 0 modes at "
-                 f"n_modes = {v['n_modes']}; need n_modes * lam >= 1"
-                 for lam in v["lambdas"] if int(v["n_modes"] * lam) < 1), "")
+    """bernstein draws modes m <= min(int(n_modes * lam), n/2 - 1) on the lam
+    circle, of frequency m / lam; its high pass q > 1 needs the top one above lam."""
+    drawn = {lam: min(int(v["n_modes"] * lam), v["n"] // 2 - 1) for lam in v["lambdas"]}
+    return next((f"lambdas entry {lam!r} draws modes up to min(int(n_modes * lam), n/2 - 1)"
+                 f" = {top} at n_modes = {v['n_modes']}, n = {v['n']}; the high pass q > 1 "
+                 f"needs one above lam = {lam!r}"
+                 for lam, top in drawn.items() if not top / lam > 1.0), "")
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +428,14 @@ def _hash_field(f: SpectralField) -> str:
 
 
 def _dividing_stride(steps: int, target_snapshots: int) -> int:
-    """Largest stride <= steps/target that divides the step count."""
+    """Largest stride <= steps/target that divides the step count.
+
+    Divisors pair up as (c, steps // c) with c <= sqrt(steps), so a walk up
+    to sqrt(steps) meets every one.
+    """
     want = max(1, steps // target_snapshots)
-    for s in range(want, 0, -1):
-        if steps % s == 0:
-            return s
+    return max(d for c in range(1, math.isqrt(steps) + 1) if steps % c == 0
+               for d in (c, steps // c) if d <= want)
 
 
 def _cosine_data(cfg: ExperimentConfig, grid: PeriodicGrid) -> SpectralField:
@@ -870,7 +876,7 @@ class _Experiment(NamedTuple):
 
 
 # Defaults shared by the experiments that integrate in time ...
-_SOLVER = dict(lam=1.0, n=128, dt=1e-3, t_final=0.25, scheme="if_rk4", dealias="pad4")
+_SOLVER = dict(lam=1.0, n=128, dt=1e-3, t_final=0.25, scheme="if_rk4", dealias="alias_free")
 # ... and by those that draw a random ensemble.
 _ENSEMBLE = dict(n_samples=50, n_modes=32, decay=0.7)
 

@@ -70,9 +70,12 @@ points is exact once N > degree * n/2 (Orszag, J. Atmos. Sci. 28 (1971)
 1074).  ``_alias_free_points(n, degree)`` is the one rule for that N, the
 smallest such size >= n with no prime factor above 5.  The L^4 norm sums
 on it with degree 4, the invariants with degree max(4, k + 2) and the gbo
-renormalization with degree k.  The L^1 and sup norms, whose integrands
-are no polynomials, sample a 4x zero-padded grid; so do the solver's
-``pad4`` products and the gauge's e^{-iF} products.
+renormalization with degree k.  A product truncated to n modes is exact on
+it too, since each kept coefficient is the mean of the product times one
+mode: ``multiply`` forms f g with degree 3 and the solver's ``alias_free``
+flux u^{k+1} with degree k + 2.  The L^1 and sup norms, whose integrands
+are no polynomials, sample a 4x zero-padded grid; so do the gauge's
+e^{-iF} products.
 
 Integer powers of signed value arrays (the u^{k+1} flux of the solver, the
 u^{k+2} energy density, the M(v^k) gauge phase) go through ``_power``,
@@ -120,8 +123,12 @@ ZERO_MEAN_TOL = 1e-10
 _DEFAULT_PAD = 4
 
 # Padded points per stack of rows a kernel transforms at once.  A work array
-# of 2^14 doubles (128 KB) stays in a core's cache: 75 rows at n = 128 with
-# pad4 stepped 1.5x faster in stacks of 32 rows than in one stack of 75.
+# of 2^14 doubles (128 KB) stays in a core's cache: 75 rows at n = 128 padded
+# to 4n (512 points) stepped 1.5x faster in stacks of 32 rows than in one
+# stack of 75.  On the solver's 200-point alias-free rows (the same 75 rows,
+# 250 steps, 2-core Xeon, median of 12 alternating rounds) one stack of 75
+# took 0.35 s, stacks of 40 (2^13) 0.40 s and of 20 (2^12) 0.47 s; at 150
+# rows, 2^14 and 2^15 points per stack were within noise (0.67, 0.68 s).
 _STACK_POINTS = 1 << 14
 
 
@@ -379,21 +386,24 @@ def synthesize(f: SpectralField, oversample: int = 1) -> np.ndarray:
 
     Returns a real array for real-flagged fields.
     """
-    nbig = oversample * f.grid.n
+    return _values(f, oversample * f.grid.n)
+
+
+def _values(f: SpectralField, nbig: int) -> np.ndarray:
+    """Values of f on nbig >= n points; real for a real-flagged field."""
     if f.is_real:
         return _real_values(f.coeffs[: f.grid.n // 2 + 1], nbig)
     return _complex_values(f.coeffs, nbig)
 
 
 def analyze_values_padded(values, grid: PeriodicGrid) -> SpectralField:
-    """Values on an oversampled grid -> field truncated to grid.n modes.
+    """Values on nbig >= grid.n points -> field truncated to grid.n modes.
 
     Real values give an exactly conjugate-symmetric field.
     """
     values = np.asarray(values)
-    nbig = values.size
-    if nbig % grid.n != 0 or nbig < grid.n:
-        raise ValueError("padded value array length must be a multiple of grid.n")
+    if values.size < grid.n:
+        raise ValueError("padded value array must have at least grid.n points")
     real = np.isrealobj(values)
     if real:
         coeffs = _full_spectrum(_real_coeffs(values, grid.n), grid.n)
@@ -437,10 +447,11 @@ def _power(values: np.ndarray, p: int, work=None) -> np.ndarray:
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product on the 4x oversampled grid, where it is alias-free."""
+    """Pointwise product truncated to n modes, formed on the alias-free grid of
+    degree 3, where every kept coefficient is exact."""
     _check_one_grid((f, g), "multiply")
-    vals = synthesize(f, _DEFAULT_PAD) * synthesize(g, _DEFAULT_PAD)
-    return analyze_values_padded(vals, f.grid)
+    nbig = _alias_free_points(f.grid.n, 3)
+    return analyze_values_padded(_values(f, nbig) * _values(g, nbig), f.grid)
 
 
 def integrate(f: SpectralField):

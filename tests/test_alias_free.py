@@ -1,16 +1,20 @@
 """The alias-free quadrature rule and the exact polynomial integrals it sizes.
 
 A degree-d product of fields with modes up to n/2 has its top mode at
-d * n/2, so its rectangle-rule mean is exact on N > d * n/2 points.  The
-references below sum on 16n points, exact for every degree tested; the
+d * n/2, so its rectangle-rule mean is exact on N > d * n/2 points.  A
+product truncated to n modes is exact on the same rule with one degree more
+(each kept coefficient is the mean of the product times one mode): the
+solver's gbo flux u^{k+1} with degree k + 2, ``multiply`` with degree 3.
+The references below sum on 16n points, exact for every degree tested; the
 full-band fields carry the slot n/2, so a grid one size too small shows.
 """
 
 import numpy as np
 import pytest
 
-from bosp import (PeriodicGrid, SpectralField, Trajectory, invariant, norm, renormalize_gbo,
-                  synthesize)
+from bosp import (PeriodicGrid, SpectralField, Trajectory, analyze_values_padded, invariant,
+                  multiply, norm, renormalize_gbo, synthesize)
+from bosp.evolve import Equation
 from bosp.spectral import _alias_free_points
 
 REF_PAD = 16
@@ -90,3 +94,49 @@ class TestExactIntegrals:
         out = renormalize_gbo(traj).half_coeffs
         shift = -np.angle(out[1, 1] / (2.0 ** (-1.0 / k) * half[1])) / grid.freqs[1]
         assert shift == pytest.approx(np.sign(mean), rel=1e-13)
+
+
+def reference_flux(u, equation, k):
+    """The half-spectrum flux of ``Equation.nonlinear``, formed on 16n points."""
+    grid, half = u.grid, u.grid.n // 2 + 1
+    vals = synthesize(u, REF_PAD)
+    power = analyze_values_padded(vals ** (2 if equation == "bo2" else k + 1), grid)
+    flux = power.coeffs[:half]
+    if equation == "gbo":
+        flux = flux / (k + 1)
+    elif equation == "renormalized_gbo":
+        flux = 2.0 * flux / (k + 1) - 2.0 * np.mean(vals ** k) * u.coeffs[:half]
+    iq = 1j * grid.freqs[:half]
+    iq[-1] = 0.0  # the odd multiplier zeroes the slot n/2
+    return iq * flux
+
+
+class TestExactProducts:
+    @pytest.mark.parametrize("equation, k", [*(("gbo", k) for k in range(1, 9)), ("bo2", 1),
+                                             *(("renormalized_gbo", k) for k in range(1, 5))])
+    def test_solver_flux(self, grid, equation, k):
+        # k = 7 and 8 were off by 2.8e-6 and 5.3e-5 on a fixed 4n grid
+        u = full_band(grid, 5)
+        if equation == "renormalized_gbo":
+            u = SpectralField(grid, u.coeffs * (grid.modes != 0), is_real=True)
+        ref = reference_flux(u, equation, k)
+        got = Equation(grid, equation, k).nonlinear(u.coeffs[: grid.n // 2 + 1])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, equation, k, dealias, nbig", [
+        (64, "gbo", 1, "alias_free", 100), (64, "bo2", 1, "alias_free", 100),
+        (64, "gbo", 7, "alias_free", 300), (128, "gbo", 1, "alias_free", 200),
+        (256, "gbo", 1, "alias_free", 400), (256, "gbo", 3, "alias_free", 648),
+        (256, "renormalized_gbo", 2, "alias_free", 540),
+        (64, "gbo", 1, "two_thirds", 64), (64, "gbo", 5, "none", 64),
+    ])
+    def test_solver_grid_size(self, n, equation, k, dealias, nbig):
+        assert Equation(PeriodicGrid(1.0, n), equation, k, dealias).nbig == nbig
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_multiply(self, grid, real):
+        f, g = full_band(grid, 6, real), full_band(grid, 7, real)
+        ref = analyze_values_padded(synthesize(f, REF_PAD) * synthesize(g, REF_PAD), grid)
+        got = multiply(f, g)
+        assert got.is_real == real
+        assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-14 * np.max(np.abs(ref.coeffs))

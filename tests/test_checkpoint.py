@@ -113,7 +113,7 @@ class TestRoundTrip:
         for equation, k in [("linear", 1), ("bo2", 1), ("gbo", 1), ("gbo", 2),
                             ("renormalized_gbo", 2)]:
             u0s = fields[1:] if equation == "renormalized_gbo" else fields
-            cfg = SolverConfig(equation, k=k, dt=0.01, t_final=0.05, dealias="pad4")
+            cfg = SolverConfig(equation, k=k, dt=0.01, t_final=0.05, dealias="alias_free")
             trajs += solve_batch(u0s, cfg)
         by_tag = {(t.equation, t.k): t for t in trajs}
         trajs += [remove_mean_bo(by_tag["gbo", 1]), remove_mean_bo(by_tag["bo2", 1]),

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 # for them under the experiment's cross-key and solver rules.
 EDGES = {
     "seed": ([-1, 0.5], [0], {}),
-    "n": ([6, 7, 8.0], [8], {"n_modes": 1}),
+    # bernstein's draws must reach above its high pass q > 1 on each circle
+    "n": ([6, 7, 8.0], [8], {"n_modes": 3, "lambdas": (1.0, 2.0)}),
     "k": ([0, 1.5], [1], {}),
     "sample_stride": ([0, 1.0], [1], {}),
     "n_samples": ([0], [1], {"shrink_samples": 1}),
@@ -31,7 +33,7 @@ EDGES = {
     "n_levels": ([2], [3], {}),
     "equation": (["kdv", 1], ["linear", "renormalized_gbo"], {}),
     "scheme": (["rk45", "ifrk4"], ["etd_rk4"], {}),
-    "dealias": (["pad3", "two-thirds"], ["none"], {}),
+    "dealias": (["pad4", "pad3", "two-thirds"], ["alias_free", "none"], {}),
     "variant": (["kdv", ""], ["bo", "gbo"], {}),
     "decay": ([0.0, math.nextafter(1.0, 2.0), -1.0, *NON_FINITE], [TINY, 1.0], {}),
     "dilation": ([1.0, 0.5, *NON_FINITE], [ABOVE_ONE], {}),
@@ -52,7 +54,9 @@ UNNAMED = ([*NON_FINITE], [-1.0, 0.0], {})
 # the value just inside the check instead.
 TIGHTER = {("gauge-residual", "n"): 16,
            **{(name, "n_modes"): 1 for name in EXPERIMENT_NAMES
-              if name != "gauge-residual" and "n_modes" in _EXPERIMENTS[name].keys}}
+              if name != "gauge-residual" and "n_modes" in _EXPERIMENTS[name].keys},
+           # bernstein's lam = 1 circle needs a drawn mode above its high pass q > 1
+           ("bernstein", "n_modes"): 2}
 
 
 def _defaults(name) -> dict:
@@ -120,6 +124,12 @@ NEWLY_REFUSED = [
     ("estimate-monitor", {"lam": "0"}, "lam must be finite and positive, got 0.0"),
     ("conservation", {"e_dt": "1.0", "e_t_final": "0.5"},
      "t_final must be finite and at least dt, got 0.5"),
+    ("simulate", {"dealias": "pad4"},
+     "dealias must be one of two_thirds, alias_free, none, got 'pad4'"),
+    # the high pass q > 1 kept no drawn mode: every ratio was 0, the verdict 0/0
+    ("bernstein", {"n_modes": "1", "lambdas": "1,2", "n_samples": "2"},
+     "lambdas entry 1.0 draws modes up to min(int(n_modes * lam), n/2 - 1) = 1 at "
+     "n_modes = 1, n = 256; the high pass q > 1 needs one above lam = 1.0"),
 ]
 
 
@@ -135,6 +145,29 @@ def test_refused_at_config_time(name, overrides, message, tmp_path, capsys, monk
     assert main([name, *flags, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+def _countdown_stride(steps, target_snapshots):
+    """The stride search as first written: down from steps // target, one at a time."""
+    want = max(1, steps // target_snapshots)
+    for s in range(want, 0, -1):
+        if steps % s == 0:
+            return s
+
+
+@pytest.mark.parametrize("target", [1, 25, 200])
+def test_dividing_stride_equals_the_countdown(target):
+    steps = range(1, 20001)
+    assert ([experiments._dividing_stride(s, target) for s in steps]
+            == [_countdown_stride(s, target) for s in steps])
+
+
+def test_prime_step_count_builds_quickly():
+    # 1000000007 steps is prime: the countdown tried 4e7 strides, about 3 s
+    start = time.perf_counter()
+    cfg = config_from_mapping("conservation", {"e_dt": 0.5 / 1000000007, "e_t_final": 0.5})
+    assert time.perf_counter() - start < 0.5
+    assert cfg.solvers["energy_k2"].sample_stride == 1
 
 
 class _Solved(Exception):
@@ -213,7 +246,7 @@ _SMALL = {
     "t_final": st.sampled_from([0.0, 0.01, 0.02, 0.04, 0.05]),
     "sample_stride": st.integers(0, 3),
     "scheme": st.sampled_from(["if_rk4", "etd_rk4", "rk45"]),
-    "dealias": st.sampled_from(["pad4", "two_thirds", "none", "pad3"]),
+    "dealias": st.sampled_from(["alias_free", "two_thirds", "none", "pad4"]),
     "e_ks": st.lists(st.integers(0, 3), max_size=2).map(tuple),
     "e_dt": st.sampled_from([0.0, 0.01, 0.03]),
     "perturbation": st.sampled_from([0.0, 1e-3, 0.1]),

@@ -166,7 +166,7 @@ class TestAccuracy:
         u0 = cos_data(grid, amp=0.1)
 
         def final(dt):
-            cfg = SolverConfig("gbo", k=1, dt=dt, t_final=0.5, dealias="pad4",
+            cfg = SolverConfig("gbo", k=1, dt=dt, t_final=0.5, dealias="alias_free",
                                sample_stride=int(round(0.5 / dt)))
             return solve(u0, cfg)[-1]
 
@@ -191,7 +191,7 @@ class TestAccuracy:
             u0 = SpectralField.from_function(
                 grid, lambda x: amp * (np.cos(x) + np.sin(2 * x)))
         res = convergence_order(
-            u0, SolverConfig("gbo", k=k, dt=0.04, t_final=0.4, dealias="pad4"),
+            u0, SolverConfig("gbo", k=k, dt=0.04, t_final=0.4, dealias="alias_free"),
             n_levels=4)
         assert not res.exact
         assert 3.8 <= res.order <= 4.2
@@ -213,7 +213,7 @@ class TestAccuracy:
         out = {}
         for scheme in ("if_rk4", "etd_rk4"):
             cfg = SolverConfig("gbo", dt=1e-3, t_final=0.2, scheme=scheme,
-                               dealias="pad4", sample_stride=200)
+                               dealias="alias_free", sample_stride=200)
             out[scheme] = solve(u0, cfg)[-1]
         assert coeff_distance(out["if_rk4"], out["etd_rk4"]) < 1e-9
 
@@ -223,7 +223,7 @@ class TestStructurePreservation:
         grid = PeriodicGrid(1.0, 128)
         u0 = cos_data(grid, amp=0.2, mean=0.4)
         traj = solve(u0, SolverConfig("gbo", k=2, dt=1e-3, t_final=0.3,
-                                      dealias="pad4", sample_stride=30))
+                                      dealias="alias_free", sample_stride=30))
         for f in traj:
             assert abs(f.coeffs[0].real - 0.4) < 1e-12
             assert abs(f.coeffs[0].imag) < 1e-14
@@ -233,7 +233,7 @@ class TestStructurePreservation:
         grid = PeriodicGrid(1.0, 128)
         u0 = cos_data(grid, amp=0.2)
         traj = solve(u0, SolverConfig("gbo", dt=2e-4, t_final=0.2,
-                                      dealias="pad4", sample_stride=100))
+                                      dealias="alias_free", sample_stride=100))
         m = [norm(f, "lp", p=2) ** 2 for f in traj]
         assert max(abs(v - m[0]) for v in m) / m[0] < 1e-10
 
@@ -242,14 +242,14 @@ class TestStructurePreservation:
         # reflection is coefficient conjugation
         grid = PeriodicGrid(1.0, 128)
         u0 = cos_data(grid, amp=0.1)
-        cfg = SolverConfig("gbo", dt=5e-3, t_final=0.5, dealias="pad4",
+        cfg = SolverConfig("gbo", dt=5e-3, t_final=0.5, dealias="alias_free",
                            sample_stride=100)
         fwd = solve(u0, cfg)[-1]
         reflected = SpectralField(grid, np.conj(fwd.coeffs), is_real=True)
         back = solve(reflected, cfg)[-1]
         recovered = SpectralField(grid, np.conj(back.coeffs), is_real=True)
 
-        cfg_half = SolverConfig("gbo", dt=2.5e-3, t_final=0.5, dealias="pad4",
+        cfg_half = SolverConfig("gbo", dt=2.5e-3, t_final=0.5, dealias="alias_free",
                                 sample_stride=200)
         self_err = coeff_distance(fwd, solve(u0, cfg_half)[-1])
         assert coeff_distance(recovered, u0) <= 10 * max(self_err, 1e-15)
@@ -268,11 +268,13 @@ def reference_solve(u0, cfg):
     """Full complex-spectrum stepper, projected onto real data every step.
 
     Final-state coefficient arrays at each stored sample; the half-spectrum
-    solver must reproduce them to round-off.
+    solver must reproduce them to round-off.  Under ``alias_free`` it pads to
+    4n points, a grid of its own that is exact for k <= 5, not the solver's
+    alias-free size.
     """
     grid, dt, k = u0.grid, cfg.dt, cfg.k
     n, half = grid.n, grid.n // 2
-    nbig = 4 * n if cfg.dealias == "pad4" else n
+    nbig = 4 * n if cfg.dealias == "alias_free" else n
     idx = grid.modes % nbig  # slot of each mode on the (padded) grid
     iq = 1j * grid.freqs
     iq[half] = 0.0
@@ -347,7 +349,7 @@ def _random_data(equation, seed=7):
 class TestHalfSpectrum:
     @pytest.mark.parametrize("equation,k", EQUATIONS)
     @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
-    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds", "none"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
     def test_matches_full_spectrum_reference(self, equation, k, scheme, dealias):
         u0 = _random_data(equation)
         cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme,
@@ -360,7 +362,7 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("equation,k", EQUATIONS)
     def test_snapshots_exactly_conjugate_symmetric(self, equation, k):
-        cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, dealias="pad4",
+        cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, dealias="alias_free",
                            sample_stride=2)
         for f in solve(_random_data(equation), cfg):
             assert f.is_real and symmetry_defect(f.coeffs) == 0.0
@@ -389,7 +391,7 @@ def _assert_same_trajectory(traj, ref):
 class TestSolveBatch:
     @pytest.mark.parametrize("equation,k", EQUATIONS)
     @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
-    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds", "none"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
     def test_rows_equal_solo_solves(self, equation, k, scheme, dealias):
         u0s = [_random_data(equation, seed) for seed in (7, 8, 9)]
         cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme,
@@ -419,8 +421,9 @@ class TestSolveBatch:
             raise AssertionError("stepped before checking every row")
 
         monkeypatch.setattr(evolve, "_advance", no_stepping)
-        monkeypatch.setattr(spectral, "_STACK_POINTS", 4 * grid.n)  # one row per stack
-        cfg = SolverConfig("renormalized_gbo", dt=0.1, t_final=0.2, dealias="pad4")
+        cfg = SolverConfig("renormalized_gbo", dt=0.1, t_final=0.2, dealias="alias_free")
+        row = evolve.Equation(grid, cfg.equation, cfg.k, cfg.dealias).nbig
+        monkeypatch.setattr(spectral, "_STACK_POINTS", row)  # one row per stack
         good = cos_data(grid)
         with pytest.raises(ValueError, match="zero-mean"):
             solve_batch([good, good, cos_data(grid, mean=0.5)], cfg)
@@ -437,7 +440,7 @@ class TestSolveBatch:
 class TestIntegerPowers:
     @pytest.mark.parametrize("equation,k", [("gbo", 2), ("gbo", 3), ("gbo", 4),
                                             ("renormalized_gbo", 2), ("renormalized_gbo", 3)])
-    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     def test_nonlinear_matches_pow_reference(self, equation, k, dealias):
         # zero-mean data is negative on part of the circle: pow's slow path
         u0 = _random_data("renormalized_gbo")
@@ -461,7 +464,7 @@ class TestInPlaceStepper:
 
     @pytest.mark.parametrize("equation,k", EQUATIONS)
     @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
-    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds", "none"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_advance_equals_allocating_reference(self, equation, k, scheme, dealias, rows):
         u0s = [_random_data(equation, seed) for seed in range(7, 7 + rows)]
@@ -473,7 +476,7 @@ class TestInPlaceStepper:
             assert np.array_equal(got.half_coeffs, ref.half_coeffs)
 
     @pytest.mark.parametrize("equation,k", EQUATIONS + [("gbo", 6), ("renormalized_gbo", 5)])
-    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds", "none"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
     def test_nonlinear_equals_allocating_reference(self, equation, k, dealias):
         u0s = [_random_data(equation, seed) for seed in (7, 8, 9)]
         eq = evolve.Equation(u0s[0].grid, equation, k, dealias)
@@ -515,7 +518,7 @@ class TestInPlaceStepper:
         assert built == [(4,)]
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
-    @pytest.mark.parametrize("dealias", ["pad4", "two_thirds"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_eight_transforms_of_nbig_points_per_step(self, monkeypatch, scheme, dealias, rows):
         # the benchmark's tracer counts numpy.fft calls and their points this way

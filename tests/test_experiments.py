@@ -153,7 +153,7 @@ class TestConfig:
     def test_config_repr(self):
         assert repr(config_from_mapping("scaling", {"seed": 3})) == (
             "ExperimentConfig(name='scaling', seed=3, lam=1.0, n=128, dt=0.001, t_final=0.25, "
-            "scheme='if_rk4', dealias='pad4', k=1, variant='bo', dilation=2.0, "
+            "scheme='if_rk4', dealias='alias_free', k=1, variant='bo', dilation=2.0, "
             "scaling_tol=1e-08)")
 
     @pytest.mark.parametrize("name, args, message", [
@@ -224,8 +224,9 @@ class TestConfig:
                                              ("gauge-residual", -2)])
     def test_n_modes_below_one_rejected(self, name, value, capsys):
         # gauge-residual reads 0 as "fill the band", so only it accepts 0;
-        # the key's rule refuses a negative count, a cross-key check 0
-        least = 0 if name == "gauge-residual" else 1
+        # the key's rule refuses a negative count, a cross-key check 0.
+        # bernstein's lam = 1 circle needs a drawn mode above its high pass q > 1
+        least = {"gauge-residual": 0, "bernstein": 2}.get(name, 1)
         config_from_mapping(name, {"n_modes": least})
         with pytest.raises(ConfigError, match="n_modes"):
             config_from_mapping(name, {"n_modes": value})
@@ -339,7 +340,8 @@ class TestConfig:
         ("bernstein", "lambdas = 1 nan", f"{LAMBDAS_RULE}, got (1.0, nan)"),
         ("bernstein", "lambdas = 1 inf", f"{LAMBDAS_RULE}, got (1.0, inf)"),
         ("bernstein", "lambdas = 0.1 1",
-         "lambdas entry 0.1 draws int(n_modes * lam) = 0 modes at n_modes = 8"),
+         "lambdas entry 0.1 draws modes up to min(int(n_modes * lam), n/2 - 1) = 0 at "
+         "n_modes = 8, n = 256; the high pass q > 1 needs one above lam = 0.1"),
     ])
     def test_bad_lambdas_entry_in_config_file(self, tmp_path, capsys, name, line, message):
         cfg = _write_cfg(tmp_path, f"[{name}]\n{line}\n")
@@ -422,6 +424,25 @@ class TestConfig:
         config_from_mapping("bernstein", {"lambdas": "0.125 1"})
         with pytest.raises(ConfigError, match="n_modes = 7"):
             config_from_mapping("bernstein", {"lambdas": "0.125 1", "n_modes": 7})
+
+    @pytest.mark.parametrize("overrides, refused", [
+        ({"n_modes": 1, "lambdas": "1 2"}, 1.0),     # mode 1 on the lam = 1 circle is q = 1
+        ({"n_modes": 2, "lambdas": "1 2"}, None),
+        # at n = 16 a draw is capped at n/2 - 1 = 7 modes, the lam = 7 circle's q = 1
+        ({"n": 16, "n_modes": 2, "lambdas": "1 7"}, 7.0),
+        ({"n": 16, "n_modes": 2, "lambdas": "1 6.5"}, None),
+    ])
+    def test_bernstein_draws_a_mode_above_its_high_pass(self, overrides, refused):
+        # with none, every ratio was 0 and the verdict divided 0/0
+        if refused is not None:
+            with pytest.raises(ConfigError, match=f"lambdas entry {refused!r} draws modes up to"):
+                config_from_mapping("bernstein", overrides)
+            return
+        report = run_experiment(config_from_mapping("bernstein", {**overrides, "n_samples": 2}))
+        assert all(r["ratio"] > 0 for r in report.records)
+
+    def test_bernstein_default_config_passes(self):
+        assert run_experiment(default_config("bernstein")).passed
 
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -294,7 +294,7 @@ class TestInstantaneousResidual:
         grid = PeriodicGrid(1.0, 128)
         u0 = h2_normalized(grid, rng, amp=0.3)
         traj = solve(u0, SolverConfig("renormalized_gbo", k=2, dt=1e-3,
-                                      t_final=0.1, dealias="pad4",
+                                      t_final=0.1, dealias="alias_free",
                                       sample_stride=10))
         for f in traj:
             w = build_gauge(f, "gbo", 2).w
@@ -431,7 +431,7 @@ class TestTrajectoryResidual:
     def _make_traj(self, stride):
         grid = PeriodicGrid(1.0, 128)
         u0 = cos_field(grid, 0.05)
-        cfg = SolverConfig("bo2", dt=1e-3, t_final=0.2, dealias="pad4",
+        cfg = SolverConfig("bo2", dt=1e-3, t_final=0.2, dealias="alias_free",
                            sample_stride=stride)
         return solve(u0, cfg)
 
@@ -612,7 +612,7 @@ class TestMeanRemoval:
         grid = PeriodicGrid(1.0, 128)
         u0 = random_field(grid, rng, n_modes=8, amplitude=0.1, normalize="h1")
         traj = solve(u0, SolverConfig("gbo", dt=1e-3, t_final=0.05,
-                                      dealias="pad4", sample_stride=10))
+                                      dealias="alias_free", sample_stride=10))
         out = remove_mean_bo(traj)
         for a, b in zip(traj, out):
             assert coeff_distance(a, b) < 1e-15
@@ -630,7 +630,7 @@ class TestMeanRemoval:
         grid = PeriodicGrid(1.0, 128)
         u0 = SpectralField.from_function(grid, lambda x: 1.0 + 0.1 * np.cos(x))
         traj = solve(u0, SolverConfig("bo2", dt=5e-4, t_final=0.2,
-                                      dealias="pad4", sample_stride=2))
+                                      dealias="alias_free", sample_stride=2))
         out = remove_mean_bo(traj)
         assert max(abs(f.coeffs[0]) for f in out) < 1e-12
         assert pde_residual(out).l2 < 1e-8
@@ -666,7 +666,7 @@ class TestRenormalization:
         grid = PeriodicGrid(1.0, 128)
         u0 = cos_field(grid, 0.1)
         traj = solve(u0, SolverConfig("gbo", k=2, dt=5e-4, t_final=0.5,
-                                      dealias="pad4", sample_stride=2))
+                                      dealias="alias_free", sample_stride=2))
         out = renormalize_gbo(traj)
         assert pde_residual(out).l2 < 1e-6
 
@@ -694,7 +694,7 @@ def reference_rhs(f, equation, k):
 
 
 class TestRightHandSides:
-    """``Equation.rhs`` at pad4 against a non-conservative reference.
+    """``Equation.rhs`` at alias_free against a non-conservative reference.
 
     At slot n/2 the renormalized forms differ on purpose: the reference's
     non-conservative 2 M(v^k) v_x keeps the folded Nyquist value, while the

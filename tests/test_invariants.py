@@ -156,7 +156,7 @@ class TestDriftReport:
         grid = PeriodicGrid(1.0, 128)
         u0 = cos_field(grid, 0.2)
         traj = solve(u0, SolverConfig("gbo", k=1, dt=5e-4, t_final=0.2,
-                                      dealias="pad4", sample_stride=40))
+                                      dealias="alias_free", sample_stride=40))
         rep = drift_report(traj)
         assert rep.drifts["I"] < 1e-12
         assert rep.drifts["M"] < 1e-11
@@ -166,7 +166,7 @@ class TestDriftReport:
     def test_bo2_run_conserves_f_bo_at_2u(self):
         grid = PeriodicGrid(1.0, 128)
         traj = solve(cos_field(grid, 0.2), SolverConfig("bo2", dt=5e-4, t_final=0.2,
-                                                        dealias="pad4", sample_stride=40))
+                                                        dealias="alias_free", sample_stride=40))
         assert drift_report(traj).drifts["F_bo"] < 1e-10
 
     def test_sign_separation_on_short_run(self):
@@ -174,7 +174,7 @@ class TestDriftReport:
         grid = PeriodicGrid(1.0, 128)
         u0 = cos_field(grid, 0.2)
         traj = solve(u0, SolverConfig("gbo", k=1, dt=5e-4, t_final=1.0,
-                                      dealias="pad4", sample_stride=100))
+                                      dealias="alias_free", sample_stride=100))
         wrong = np.array([invariant(f, "F_bo", sign=-1.0) for f in traj])
         drift = np.max(np.abs(wrong - wrong[0])) / abs(wrong[0])
         assert drift > 1e-3
@@ -297,7 +297,7 @@ class TestH1Check:
         grid = PeriodicGrid(1.0, 128)
         u0 = cos_field(grid, 0.2)
         traj = solve(u0, SolverConfig("gbo", k=1, dt=1e-3, t_final=1.0,
-                                      dealias="pad4", sample_stride=50))
+                                      dealias="alias_free", sample_stride=50))
         out = h1_apriori_check(traj)
         assert not out.degenerate
         assert out.ratio < 2.0

@@ -24,7 +24,7 @@ from bosp import (
 )
 
 from bosp.spectral import (_complex_coeffs, _complex_values, _lp_norms, _parseval_norms,
-                           _power, _real_coeffs, _real_values, _symbol)
+                           _power, _real_coeffs, _real_values, _symbol, _values)
 
 from conftest import coeff_distance, dense_lp, dft_direct
 
@@ -136,8 +136,8 @@ class TestTransforms:
     def test_padded_analysis_rejects_bad_length(self, grid):
         from bosp import analyze_values_padded
 
-        with pytest.raises(ValueError):
-            analyze_values_padded(np.zeros(grid.n + 3), grid)
+        with pytest.raises(ValueError, match="at least grid.n"):
+            analyze_values_padded(np.zeros(grid.n - 3), grid)
 
 
 class TestHilbert:
@@ -579,6 +579,14 @@ class TestPaddedTransformProperties:
     @given(f=fields(), pad=PADS)
     def test_padded_round_trip(self, f, pad):
         back = analyze_values_padded(synthesize(f, pad), f.grid)
+        assert back.is_real == f.is_real
+        assert max_rel(back.coeffs, f.coeffs) <= 1e-14
+
+    @PROPERTY
+    @given(f=fields(), extra=st.integers(1, 7))
+    def test_round_trip_on_any_longer_grid(self, f, extra):
+        """nbig need not be a multiple of n: the alias-free sizes are not."""
+        back = analyze_values_padded(_values(f, f.grid.n + extra), f.grid)
         assert back.is_real == f.is_real
         assert max_rel(back.coeffs, f.coeffs) <= 1e-14
 

@@ -15,8 +15,8 @@ Layout (all little-endian):
     count   u32      number of snapshots (>= 2)
     count x [ time f64; coeffs (n/2+1) x (f64, f64), modes 0..n/2 ]
 
-The tag decides the kind.  A field keeps its full spectrum (complex fields
-are legal) as one record at time 0; a trajectory record is one row of
+The tag decides the kind.  A field keeps its full spectrum, and so its
+realness, as one record at time 0; a trajectory record is one row of
 ``Trajectory.half_coeffs``.  A payload that is not exactly the records the
 header and count name raises ``TruncatedFileError``.  Loads are
 all-or-nothing and raise before an object is built; version-1 files

@@ -60,7 +60,7 @@ def _fields_from_normals(grid: PeriodicGrid, normals: np.ndarray, decay: float,
     coeffs *= (amplitude / cur)[:, None]
     if mean != 0.0:
         coeffs[:, 0] = mean
-    return [SpectralField(grid, row, is_real=True) for row in coeffs]
+    return [SpectralField(grid, row) for row in coeffs]
 
 
 def random_fields(grid: PeriodicGrid, rng: np.random.Generator, count: int,

@@ -217,7 +217,7 @@ def _etdrk4_weights(z: np.ndarray, dt: float):
 def solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     """Integrate u0 under cfg and return the sampled trajectory.
 
-    The initial field must be real-flagged; the renormalized equation
+    The initial field must be real; the renormalized equation
     additionally requires zero-mean data.  Non-finite or exploding modes
     raise BlowUpError carrying the last good time.
     """
@@ -241,9 +241,10 @@ def solve_batch(u0s, cfg: SolverConfig) -> list:
     if not u0s:
         return []
     grid = _check_one_grid(u0s, "solve")
-    _check_real(u0s, "solve")
+    coeffs = np.array([u0.coeffs for u0 in u0s])
+    _check_real(coeffs, "solve")
     if cfg.equation == "renormalized_gbo":
-        _check_zero_mean([u0.coeffs for u0 in u0s], "the renormalized equation")
+        _check_zero_mean(coeffs, "the renormalized equation")
     equation = Equation(grid, cfg.equation, cfg.k, cfg.dealias)
     return [result for rows in _row_chunks(len(u0s), equation.nbig)
             for result in _advance(u0s[rows], cfg, equation)]

@@ -55,6 +55,7 @@ import json
 import math
 import numbers
 import operator
+import re
 import time as _time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterator, NamedTuple
@@ -291,20 +292,29 @@ def _modes_per_circle(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _solver(values: dict, **overrides) -> SolverConfig:
-    """The config's solver keys, then ``overrides``; the step count checked too."""
-    solver = SolverConfig(**{key: values[key] for key in _SOLVER_KEYS & values.keys()
-                             if key not in overrides}, **overrides)
-    solver.n_steps()
+def _solver(values: dict, label: str = "", keys: dict | None = None, **overrides) -> SolverConfig:
+    """The config's solver keys, then ``overrides``; the step count checked too.
+    A broken rule names the config ``keys`` an override came from, and the solve."""
+    try:
+        solver = SolverConfig(**{key: values[key] for key in _SOLVER_KEYS & values.keys()
+                                 if key not in overrides}, **overrides)
+        solver.n_steps()
+    except ValueError as exc:
+        if not keys:
+            raise
+        text = re.sub(rf"\b(?:{'|'.join(keys)})\b", lambda m: keys[m.group()], str(exc))
+        raise ValueError(f"{label} solve: {text}") from exc
     return solver
 
 
 def _conservation_solvers(v) -> dict:
-    energy = dict(equation="gbo", dt=v["e_dt"], t_final=v["e_t_final"])
-    stride = _dividing_stride(_solver(v, **energy, sample_stride=1).n_steps(), 25)
+    energy = dict(equation="gbo", dt=v["e_dt"], t_final=v["e_t_final"],
+                  keys={"dt": "e_dt", "t_final": "e_t_final"})
+    first = f"energy_k{v['e_ks'][0]}"  # the energy solves share their steps
+    stride = _dividing_stride(_solver(v, first, **energy, sample_stride=1).n_steps(), 25)
     return {"reference": _solver(v, equation="gbo"),
-            **{f"energy_k{kk}": _solver(v, **energy, k=kk, sample_stride=stride)
-               for kk in v["e_ks"]}}
+            **{f"energy_k{kk}": _solver(v, f"energy_k{kk}", **energy, k=kk,
+                                        sample_stride=stride) for kk in v["e_ks"]}}
 
 
 def _scaling_solvers(v) -> dict:
@@ -313,7 +323,9 @@ def _scaling_solvers(v) -> dict:
     ends = dict(equation=equation, sample_stride=_solver(v, equation=equation).n_steps())
     lam2 = v["dilation"] * v["dilation"]
     return {"direct": _solver(v, **ends),
-            "dilated": _solver(v, **ends, dt=lam2 * v["dt"], t_final=lam2 * v["t_final"])}
+            "dilated": _solver(v, "dilated", {"dt": "dilation^2 * dt",
+                                              "t_final": "dilation^2 * t_final"},
+                               **ends, dt=lam2 * v["dt"], t_final=lam2 * v["t_final"])}
 
 
 def _convergence_solvers(v) -> dict:
@@ -443,7 +455,7 @@ def _cosine_data(cfg: ExperimentConfig, grid: PeriodicGrid) -> SpectralField:
     if cfg.gamma:
         c = u.coeffs.copy()
         c[0] = cfg.gamma
-        u = SpectralField(grid, c, is_real=True)
+        u = SpectralField(grid, c)
     return u
 
 
@@ -662,8 +674,8 @@ def _run_bernstein(cfg: ExperimentConfig, rng):
                            amplitude=1.0, normalize="h1", physical_decay=True)
         rows = np.array([g.coeffs for g in gs])
         # sup norms of the one-sided high pass P_{q > 1} (complex) and of d_x (real)
-        nums = _lp_norms(np.where(grid.freqs > 1.0, rows, 0.0), grid, np.inf, False)
-        dens = _lp_norms(_symbol(grid, "d_dx") * rows, grid, np.inf, True)
+        nums = _lp_norms(np.where(grid.freqs > 1.0, rows, 0.0), grid, np.inf)
+        dens = _lp_norms(_symbol(grid, "d_dx") * rows, grid, np.inf)
         for i, (g, num, den) in enumerate(zip(gs, nums, dens)):
             records.append({
                 "lam": float(lam), "sample_index": i,

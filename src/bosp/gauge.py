@@ -52,9 +52,9 @@ estimate monitor's w series build one frame per stack of snapshots, and
 ``build_gauge``, ``rhs_bo``, ``rhs_gbo_terms`` and ``gauge_lipschitz_gap``
 read rows of a small stack.
 Every entry point checks its input with the rules of ``spectral``, each
-said once there: fields on one grid, real-flagged fields, a (variant, k)
-pair that names a gauge, and zero mean where the phase or a right-hand side
-needs it.
+said once there: fields on one grid, real fields (tested on the stack), a
+(variant, k) pair that names a gauge, and zero mean where the phase or a
+right-hand side needs it.
 The mean-removal and renormalization maps translate a whole trajectory
 stack by the odd generator iq (``spectral._symbol`` "d_dx" on modes
 0..n/2), which is zero on the slot n/2 and so leaves that slot unchanged.
@@ -132,10 +132,6 @@ def _plus(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return np.where(_symbol(grid, "plus"), _complex_coeffs(values, grid.n), 0.0)
 
 
-def _row0(grid: PeriodicGrid, rows: np.ndarray, is_real: bool = False) -> SpectralField:
-    return SpectralField(grid, rows[0], is_real=is_real)
-
-
 @dataclass(frozen=True)
 class GaugeState:
     """The triple (F, W, w) of the gauge transform at one time.
@@ -168,8 +164,9 @@ def _checked(coeffs: np.ndarray, variant: str, k, zero_mean: bool = True) -> np.
 def _stack(fields: list, variant: str, k, zero_mean: bool = True):
     """The checked coefficient rows of real fields on one grid, and the grid."""
     grid = _check_one_grid(fields, "the gauge transform")
-    _check_real(fields, "the gauge transform")
-    return _checked(np.array([f.coeffs for f in fields]), variant, k, zero_mean), grid
+    coeffs = np.array([f.coeffs for f in fields])
+    _check_real(coeffs, "the gauge transform")
+    return _checked(coeffs, variant, k, zero_mean), grid
 
 
 class _Frame:
@@ -214,9 +211,8 @@ def build_gauge(v: SpectralField, variant: str = "bo", k: int = 1) -> GaugeState
     ``gbo`` phase uses M(v^k), which removes the mean itself.
     """
     fr = _Frame(*_stack([v], variant, k, zero_mean=False), variant, k)
-    grid = fr.grid
-    return GaugeState(F=_row0(grid, fr.F, is_real=True), W=_row0(grid, _plus(fr.E, grid)),
-                      w=_row0(grid, fr.w), variant=variant, k=k)
+    return GaugeState(*(SpectralField(fr.grid, rows[0])
+                        for rows in (fr.F, _plus(fr.E, fr.grid), fr.w)), variant, k)
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,7 @@ class RhsBo:
 def rhs_bo(u: SpectralField) -> RhsBo:
     """-2 d_x P_+(P_-(u_x) e^{-iF}) + P_0(u^2) P_+(u e^{-iF}) for zero-mean real u."""
     fr = _Frame(*_stack([u], "bo", 1), "bo", 1)
-    return RhsBo(*(_row0(fr.grid, term) for term in _rhs_bo(fr)))
+    return RhsBo(*(SpectralField(fr.grid, term[0]) for term in _rhs_bo(fr)))
 
 
 def _rhs_bo(fr: _Frame) -> tuple:
@@ -262,7 +258,7 @@ class GboTerms:
 def rhs_gbo_terms(v: SpectralField, k: int) -> GboTerms:
     """The a + b + c + d right-hand side for zero-mean real v; d = 0 at k = 1."""
     fr = _Frame(*_stack([v], "gbo", k), "gbo", k)
-    return GboTerms(*(_row0(fr.grid, term) for term in _rhs_gbo(fr)))
+    return GboTerms(*(SpectralField(fr.grid, term[0]) for term in _rhs_gbo(fr)))
 
 
 def _rhs_gbo(fr: _Frame) -> tuple:
@@ -416,7 +412,8 @@ def reconstruct_u(gauge: GaugeState, v: SpectralField) -> SpectralField:
     Only the ``bo`` variant admits this two-term inversion: there the mean
     mode of e^{-iF} v vanishes identically (e^{-iF} v = i d_x e^{-iF} is an
     exact derivative).  For ``gbo`` the discarded mean term does not vanish,
-    so reconstruction is refused.
+    so reconstruction is refused.  For a real v the result, symmetric only
+    to round-off, is a complex field.
     """
     if gauge.variant != "bo":
         raise ValueError("reconstruction is only defined for the bo gauge")
@@ -427,7 +424,7 @@ def reconstruct_u(gauge: GaugeState, v: SpectralField) -> SpectralField:
     iw_vals = synthesize(1j * gauge.w, _DEFAULT_PAD)
     minus_vals = _minus_vals(_complex_coeffs(E * synthesize(v, _DEFAULT_PAD), grid.n), grid)
     rec = _complex_coeffs(Ebar * (iw_vals + minus_vals), grid.n)
-    return SpectralField(grid, rec, is_real=v.is_real)
+    return SpectralField(grid, rec)
 
 
 @dataclass(frozen=True)

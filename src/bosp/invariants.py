@@ -41,7 +41,6 @@ from .spectral import (
     _alias_free_points,
     _check_gauge_variant,
     _check_real,
-    _conjugate_symmetric,
     _full_spectrum,
     _lp_norms,
     _parseval_norms,
@@ -83,7 +82,7 @@ def invariant(f, which: str, k: int = 1, sign: float = 1.0):
     """
     if isinstance(f, Trajectory):
         return _series(f.grid, f.half_coeffs, (which,), k, sign)[which]
-    _check_real([f], "invariant")
+    _check_real(f.coeffs, "invariant")
     return float(_series(f.grid, f.coeffs[None, : f.grid.n // 2 + 1], (which,), k, sign)[which][0])
 
 
@@ -176,12 +175,11 @@ def xnorm_series(times, coeffs, grid: PeriodicGrid, level: int) -> float:
     if coeffs.shape != (len(times), grid.n):
         raise ValueError(f"coefficient stack has shape {coeffs.shape}, "
                          f"expected ({len(times)}, {grid.n})")
-    real = _conjugate_symmetric(coeffs)
     total = 0.0
     for j in range(level + 1):
         derivs = _symbol(grid, "d_dx", j) * coeffs if j else coeffs
         total += float(np.max(_parseval_norms(derivs, grid)))
-        total += float(np.trapezoid(_lp_norms(derivs, grid, 4, real) ** 4, times) ** 0.25)
+        total += float(np.trapezoid(_lp_norms(derivs, grid, 4) ** 4, times) ** 0.25)
     return total
 
 
@@ -225,4 +223,4 @@ def dilate(f: SpectralField, lam: float, variant: str = "bo", k: int = 1) -> Spe
     _check_gauge_variant(variant, k)
     amp = 1.0 / lam if variant == "bo" else lam ** (-1.0 / k)
     target = PeriodicGrid(f.grid.lam * lam, f.grid.n)
-    return SpectralField(target, amp * f.coeffs, is_real=f.is_real)
+    return SpectralField(target, amp * f.coeffs)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import PeriodicGrid, SpectralField, _check_one_grid, _nyquist_split, _symbol
+from .spectral import PeriodicGrid, SpectralField, _check_one_grid, _conjugate_symmetric, _symbol
 
 __all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm", "strichartz_norms"]
 
@@ -55,10 +55,8 @@ def group_symbol(grid: PeriodicGrid, kind: str) -> np.ndarray:
 
 def propagate(f: SpectralField, t: float, kind: str = "bo_group") -> SpectralField:
     """Apply the free group at time t (exact multiplier)."""
-    mult = np.exp(group_symbol(f.grid, kind) * t)
-    # Hermitian multiplier (bo) preserves realness; Schroedinger does not.
-    real_out = f.is_real and kind == "bo_group"
-    return SpectralField(f.grid, mult * f.coeffs, is_real=real_out)
+    # the bo multiplier is exactly conjugate symmetric, so real fields stay real
+    return SpectralField(f.grid, np.exp(group_symbol(f.grid, kind) * t) * f.coeffs)
 
 
 # bounds one chunk's padded (m, psi, psi') kernel plus the (m, psi) planes
@@ -67,32 +65,32 @@ _EXACT_ENTRIES = 1 << 18
 
 
 def _wave_stack(fields, kind: str):
-    """Ascending modes a, coefficients C_a (one column per row) and keys lam^2*phi_a.
+    """Ascending modes a, coefficients C_a (one column per row), keys lam^2*phi_a
+    and whether every row is a real bo row.
 
-    Follows the padded transforms' Nyquist convention: real bo rows split
-    the slot n/2 into +-n/2 halves (as ``_real_values``), complex rows keep
-    it whole at +n/2 (as ``_complex_values``); the bo key there is 0, as in
-    ``group_symbol``.  The modes are the union of the rows' supports: a mode
-    is dropped only where every row is zero, and a row that is zero at a
-    kept mode adds exact zeros.
+    Follows the padded transforms' Nyquist convention row by row: real bo
+    rows split the slot n/2 into +-n/2 halves (as ``_real_values``), other
+    rows keep it whole at +n/2 (as ``_complex_values``); the bo key there is
+    0, as in ``group_symbol``.  The modes are the union of the rows'
+    supports: a mode is dropped only where every row is zero, and a row that
+    is zero at a kept mode adds exact zeros.
     """
     grid = fields[0].grid
     n = grid.n
-    coeffs = np.array([f.coeffs for f in fields]).T  # one column per row
-    if fields[0].is_real and kind == "bo_group":
-        half = coeffs[: n // 2 + 1] * _nyquist_split(n)[:, None]
-        coeffs = np.concatenate((np.conj(half[:0:-1]), half))
-        modes = np.arange(-(n // 2), n // 2 + 1)
-    else:
-        order = np.argsort(grid.modes)
-        coeffs, modes = coeffs[order], grid.modes[order]
+    rows = np.array([f.coeffs for f in fields])
+    split = _conjugate_symmetric(rows) & (kind == "bo_group")
+    coeffs = np.zeros((n + 1, len(rows)), dtype=np.complex128)  # one column per row
+    coeffs[1:] = rows.T[np.argsort(grid.modes)]
+    coeffs[n] *= np.where(split, 0.5, 1.0)
+    coeffs[0] = np.where(split, np.conj(coeffs[n]), 0.0)
+    modes = np.arange(-(n // 2), n // 2 + 1)
     if kind == "bo_group":
         keys = modes * np.abs(modes)
         keys[np.abs(modes) == n // 2] = 0
     else:
         keys = modes * modes
     support = (coeffs != 0).any(axis=1)
-    return modes[support], coeffs[support], keys[support]
+    return modes[support], coeffs[support], keys[support], bool(split.all())
 
 
 def _chunk_structure(modes, keys, m_lo, m_hi, lam2):
@@ -155,11 +153,10 @@ def _chunk_sums(chunk, coeffs, horizon, lam2, real_rows) -> np.ndarray:
 
 def _resonance_integrals(fields, horizon: float, kind: str) -> np.ndarray:
     """integral_0^T ||V(t) f||_{L^4}^4 dt of each field, chunked over m and rows."""
-    modes, coeffs, keys = _wave_stack(fields, kind)
+    modes, coeffs, keys, real_rows = _wave_stack(fields, kind)
     totals = np.zeros(len(fields))
     if modes.size == 0:
         return totals
-    real_rows = fields[0].is_real and kind == "bo_group"
     lam2 = fields[0].grid.lam ** 2
     # no m has more than (size + 1) // 2 unordered pairs, so one m costs at
     # most pairs^2 kernel entries plus 4 * pairs per row (Re, Im of D and z)
@@ -180,9 +177,9 @@ def _resonance_integrals(fields, horizon: float, kind: str) -> np.ndarray:
 def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[float]:
     """Mixed norms (integral_0^T ||V(t) f||_{L^4}^4 dt)^(1/4) of a stack of fields.
 
-    The fields share one grid and are all real or all complex.  Evaluated
+    The fields share one grid; real and complex ones may mix.  Evaluated
     exactly by the resonance sum (module docstring) over the union of the
-    fields' supports, with the same Nyquist convention as the padded
+    fields' supports, each row with the Nyquist convention of the padded
     transforms.  The pairs, key groups and kernel of each m-chunk are built
     once and applied to every row; ``_EXACT_ENTRIES`` bounds a chunk's
     kernel plus the planes of the rows it meets, so a large stack is cut
@@ -196,8 +193,6 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     if not fields:
         return []
     _check_one_grid(fields, "strichartz_norms")
-    if any(f.is_real != fields[0].is_real for f in fields):
-        raise ValueError("fields must be all real or all complex")
     return [float(total) ** 0.25 for total in _resonance_integrals(fields, horizon, kind).tolist()]
 
 

@@ -49,12 +49,13 @@ on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
 right-hand side; every constructor that names one applies it.  Beside it,
 each input rule is one function that every entry point calls:
 ``_check_zero_mean`` (|C_0| < ``ZERO_MEAN_TOL``, which no other code
-compares), ``_check_one_grid``, ``_check_real`` (real-flagged fields) and
+compares), ``_check_one_grid``, ``_check_real`` (real fields) and
 ``_check_gauge_variant`` (``bo`` with k = 1, ``gbo`` with an integer
 k >= 1).  Each raises ``ValueError`` with one message, naming the caller.
 ``norm`` is the one-row case of the per-row ``_parseval_norms`` (L^2, H^s)
 and ``_lp_norms`` (L^1, L^4 and the sup norm).  ``_conjugate_symmetric``
-is the one exact test that coefficient rows are real fields.
+is the one exact test that coefficient rows are real fields, one bool per
+row; no flag is stored: ``SpectralField.is_real`` and the kernels read it.
 
 Norm conventions follow the coefficient-space definitions used throughout:
 
@@ -185,6 +186,7 @@ def symmetry_defect(coeffs: np.ndarray) -> float:
 
     Measures max |C_{-m} - conj(C_m)| together with |Im C_{n/2}|, scaled by
     the largest coefficient magnitude (absolute when everything is tiny).
+    A measurement: it decides nothing (``SpectralField.is_real`` does).
     """
     c = np.asarray(coeffs)
     n = c.size
@@ -198,26 +200,23 @@ def symmetry_defect(coeffs: np.ndarray) -> float:
 class SpectralField:
     """One snapshot of a function on the circle, stored as coefficients.
 
-    Coefficients are the truth; physical values are always derived.  The
-    ``is_real`` flag marks fields whose coefficients are conjugate
-    symmetric; every operator propagates it.
+    Coefficients are the truth; physical values are always derived.  A
+    field is real when its coefficients are exactly conjugate symmetric
+    (``is_real``), whatever made them.
     """
 
-    __slots__ = ("grid", "coeffs", "is_real")
+    __slots__ = ("grid", "coeffs")
 
-    def __init__(self, grid: PeriodicGrid, coeffs, is_real=None):
+    def __init__(self, grid: PeriodicGrid, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != (grid.n,):
             raise ValueError(
                 f"coefficient array has shape {coeffs.shape}, expected ({grid.n},)"
             )
-        if is_real is None:
-            is_real = symmetry_defect(coeffs) < 1e-13
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "is_real", bool(is_real))
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralField is immutable")
@@ -228,7 +227,12 @@ class SpectralField:
 
     @classmethod
     def zero(cls, grid: PeriodicGrid) -> "SpectralField":
-        return cls(grid, np.zeros(grid.n, dtype=np.complex128), is_real=True)
+        return cls(grid, np.zeros(grid.n, dtype=np.complex128))
+
+    @property
+    def is_real(self) -> bool:
+        """Whether the coefficients are exactly conjugate symmetric (``_conjugate_symmetric``)."""
+        return bool(_conjugate_symmetric(self.coeffs))
 
     @property
     def mean(self):
@@ -236,31 +240,26 @@ class SpectralField:
         c0 = self.coeffs[0]
         return float(c0.real) if self.is_real else complex(c0)
 
-    def _with(self, coeffs, is_real) -> "SpectralField":
-        return SpectralField(self.grid, coeffs, is_real=is_real)
-
     def __add__(self, other):
         _check_one_grid((self, other), "field arithmetic")
-        return self._with(self.coeffs + other.coeffs, self.is_real and other.is_real)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         _check_one_grid((self, other), "field arithmetic")
-        return self._with(self.coeffs - other.coeffs, self.is_real and other.is_real)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __neg__(self):
-        return self._with(-self.coeffs, self.is_real)
+        return SpectralField(self.grid, -self.coeffs)
 
     def __mul__(self, scalar):
-        scalar = complex(scalar)
-        real_scalar = scalar.imag == 0.0
-        return self._with(self.coeffs * scalar, self.is_real and real_scalar)
+        return SpectralField(self.grid, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
     def __repr__(self):
         return (
             f"SpectralField(lam={self.grid.lam:.6g}, n={self.grid.n}, "
-            f"is_real={self.is_real})"
+            f"{'real' if self.is_real else 'complex'})"
         )
 
 
@@ -371,26 +370,27 @@ def _full_spectrum(half_coeffs: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
-def _conjugate_symmetric(coeffs: np.ndarray) -> bool:
-    """Whether all coefficient rows (..., n) are exactly conjugate symmetric.
+def _conjugate_symmetric(coeffs: np.ndarray) -> np.ndarray:
+    """Per coefficient row (..., n), whether it is exactly conjugate symmetric.
 
-    Slots 0 and n/2 must be real, and mode -m the exact conjugate of mode m.
+    Slots 0 and n/2 must be real, and mode -m the exact conjugate of mode m;
+    a NaN anywhere makes the row complex.  The one rule of realness.
     """
     n = coeffs.shape[-1]
-    return (not coeffs[..., [0, n // 2]].imag.any()
-            and np.array_equal(coeffs[..., n // 2 + 1:], np.conj(coeffs[..., n // 2 - 1: 0: -1])))
+    return (~coeffs[..., [0, n // 2]].imag.any(axis=-1)
+            & (coeffs[..., n // 2 + 1:] == np.conj(coeffs[..., n // 2 - 1: 0: -1])).all(axis=-1))
 
 
 def synthesize(f: SpectralField, oversample: int = 1) -> np.ndarray:
     """Coefficients -> point values, optionally on an oversampled grid.
 
-    Returns a real array for real-flagged fields.
+    Returns a real array for real fields.
     """
     return _values(f, oversample * f.grid.n)
 
 
 def _values(f: SpectralField, nbig: int) -> np.ndarray:
-    """Values of f on nbig >= n points; real for a real-flagged field."""
+    """Values of f on nbig >= n points; real for a real field."""
     if f.is_real:
         return _real_values(f.coeffs[: f.grid.n // 2 + 1], nbig)
     return _complex_values(f.coeffs, nbig)
@@ -404,12 +404,9 @@ def analyze_values_padded(values, grid: PeriodicGrid) -> SpectralField:
     values = np.asarray(values)
     if values.size < grid.n:
         raise ValueError("padded value array must have at least grid.n points")
-    real = np.isrealobj(values)
-    if real:
-        coeffs = _full_spectrum(_real_coeffs(values, grid.n), grid.n)
-    else:
-        coeffs = _complex_coeffs(values, grid.n)
-    return SpectralField(grid, coeffs, is_real=real)
+    if np.isrealobj(values):
+        return SpectralField(grid, _full_spectrum(_real_coeffs(values, grid.n), grid.n))
+    return SpectralField(grid, _complex_coeffs(values, grid.n))
 
 
 def _power(values: np.ndarray, p: int, work=None) -> np.ndarray:
@@ -456,8 +453,7 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
 
 def integrate(f: SpectralField):
     """Integral of f over the circle, i.e. 2*pi*lam * C_0."""
-    val = f.grid.circumference * f.coeffs[0]
-    return float(val.real) if f.is_real else complex(val)
+    return f.grid.circumference * f.mean
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +512,7 @@ def _primitive(coeffs: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 def hilbert(f: SpectralField) -> SpectralField:
     """Hilbert transform: multiplier -i*sgn(q), zero on the mean mode."""
-    return f._with(_symbol(f.grid, "hilbert") * f.coeffs, f.is_real)
+    return SpectralField(f.grid, _symbol(f.grid, "hilbert") * f.coeffs)
 
 
 def project(f: SpectralField, kind: str, cutoff: float | None = None) -> SpectralField:
@@ -534,21 +530,20 @@ def project(f: SpectralField, kind: str, cutoff: float | None = None) -> Spectra
     """
     q = f.grid.freqs
     if kind in ("plus", "minus"):
-        mask, real_out = _symbol(f.grid, kind), False
+        mask = _symbol(f.grid, kind)
     elif kind == "zero":
-        mask, real_out = q == 0, f.is_real
+        mask = q == 0
     elif kind == "leq":
         if cutoff is None or cutoff < 0:
             raise ValueError("leq projection needs a nonnegative cutoff")
-        mask, real_out = (q != 0) & (np.abs(q) <= cutoff), f.is_real
+        mask = (q != 0) & (np.abs(q) <= cutoff)
     elif kind == "gt":
         if cutoff is None or cutoff < 0:
             raise ValueError("gt projection needs a nonnegative cutoff")
-        mask, real_out = q > cutoff, False
+        mask = q > cutoff
     else:
         raise ValueError(f"unknown projection kind {kind!r}")
-    out = np.where(mask, f.coeffs, 0.0)
-    return f._with(out, real_out)
+    return SpectralField(f.grid, np.where(mask, f.coeffs, 0.0))
 
 
 def differentiate(f: SpectralField, kind: str = "d_dx", order: float = 1) -> SpectralField:
@@ -572,7 +567,7 @@ def differentiate(f: SpectralField, kind: str = "d_dx", order: float = 1) -> Spe
     else:
         raise ValueError(f"unknown derivative kind {kind!r}")
     mult = _symbol(f.grid, kind, order)
-    return f._with(mult * f.coeffs, f.is_real)
+    return SpectralField(f.grid, mult * f.coeffs)
 
 
 def antiderivative(f: SpectralField) -> SpectralField:
@@ -581,7 +576,7 @@ def antiderivative(f: SpectralField) -> SpectralField:
     Requires |C_0| < ZERO_MEAN_TOL; the Nyquist slot is zeroed (odd symbol).
     """
     _check_zero_mean(f.coeffs, "antiderivative")
-    return f._with(_primitive(f.coeffs, f.grid), f.is_real)
+    return SpectralField(f.grid, _primitive(f.coeffs, f.grid))
 
 
 def mean_remove(f: SpectralField):
@@ -589,7 +584,7 @@ def mean_remove(f: SpectralField):
     mean = f.mean
     out = f.coeffs.copy()
     out[0] = 0.0
-    return mean, f._with(out, f.is_real)
+    return mean, SpectralField(f.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -605,16 +600,16 @@ def _parseval_norms(coeffs: np.ndarray, grid: PeriodicGrid, s: float | None = No
     return np.sqrt(np.sum(_symbol(grid, "bessel", 2 * s) * sq, axis=-1))
 
 
-def _lp_norms(rows: np.ndarray, grid: PeriodicGrid, p: float, real: bool) -> np.ndarray:
+def _lp_norms(rows: np.ndarray, grid: PeriodicGrid, p: float) -> np.ndarray:
     """Per-row L^p norms (p = 1, 4 or inf) of coefficient rows (R, n).
 
     p = 4 is the rectangle rule on the alias-free grid of degree 4, exact
     since |f|^4 is a polynomial in f and conj f; p = 1 is the rectangle rule
-    and p = inf the largest |value| on the 4x oversampled grid.  ``real``
-    rows are synthesized from their half spectra.  Rows go in stacks of at
-    most ``_STACK_POINTS`` points.
+    and p = inf the largest |value| on the 4x oversampled grid.  A stack of
+    real rows is synthesized from its half spectra, any other as complex.
+    Rows go in stacks of at most ``_STACK_POINTS`` points.
     """
-    n = grid.n
+    n, real = grid.n, _conjugate_symmetric(rows).all()
     nbig = _alias_free_points(n, 4) if p == 4 else _DEFAULT_PAD * n
     out = np.empty(len(rows))
     for chunk in _row_chunks(len(rows), nbig):
@@ -646,7 +641,7 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
             return float(_parseval_norms(f.coeffs, f.grid))
         if p not in (1, 4):
             raise ValueError(f"unsupported Lp exponent p = {p!r} (use 1, 2 or 4)")
-        return float(_lp_norms(f.coeffs[None], f.grid, p, f.is_real)[0])
+        return float(_lp_norms(f.coeffs[None], f.grid, p)[0])
     if kind == "hs":
         if s is None:
             raise ValueError("hs norm needs the smoothness parameter s")
@@ -656,7 +651,7 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
             raise ValueError("hs_dot norm needs the smoothness parameter s")
         return float(np.sqrt(np.sum(_symbol(f.grid, "abs_d", 2 * s) * np.abs(f.coeffs) ** 2)))
     if kind == "linf":
-        return float(_lp_norms(f.coeffs[None], f.grid, np.inf, f.is_real)[0])
+        return float(_lp_norms(f.coeffs[None], f.grid, np.inf)[0])
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -688,11 +683,12 @@ def _check_one_grid(fields, who: str) -> PeriodicGrid:
     return grid
 
 
-def _check_real(fields, who: str) -> None:
-    """Raise ``ValueError`` unless every field is real-flagged."""
-    for i, f in enumerate(fields):
-        if not f.is_real:
-            raise ValueError(f"{who} needs real-flagged fields: field {i} is complex")
+def _check_real(coeffs: np.ndarray, who: str) -> None:
+    """Raise ``ValueError`` naming the first coefficient row (..., n) that is no real field."""
+    bad = np.flatnonzero(~_conjugate_symmetric(np.asarray(coeffs)).reshape(-1))
+    if len(bad):
+        raise ValueError(f"{who} needs real fields: field {bad[0]} is complex "
+                         "(its coefficients are not exactly conjugate symmetric)")
 
 
 def _check_gauge_variant(variant, k) -> None:
@@ -731,7 +727,8 @@ class Trajectory:
     ``half_coeffs`` is one read-only (S, n/2+1) stack of rfft half spectra
     (modes 0..n/2), S >= 2, with real slots 0 and n/2; every tagged
     equation is real.  ``traj[i]`` and
-    iteration expand a row to the full, exactly conjugate-symmetric field.
+    iteration expand a row to the full, exactly conjugate-symmetric
+    spectrum, so a finite row is a real field.
 
     ``equation`` tags which right-hand side produced the data: one of
     ``linear``, ``bo2`` (u_t + H u_xx = 2 u u_x), ``gbo``
@@ -776,8 +773,7 @@ class Trajectory:
         return len(self.half_coeffs)
 
     def __getitem__(self, i) -> SpectralField:
-        return SpectralField(self.grid, _full_spectrum(self.half_coeffs[i], self.grid.n),
-                             is_real=True)
+        return SpectralField(self.grid, _full_spectrum(self.half_coeffs[i], self.grid.n))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))

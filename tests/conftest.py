@@ -286,7 +286,7 @@ def random_field_reference(grid, rng, n_modes=None, decay=0.7, amplitude=1.0,
     coeffs = np.zeros(grid.n, dtype=np.complex128)
     coeffs[1: n_modes + 1] = g * envelope
     coeffs[-n_modes:] = np.conj(coeffs[1: n_modes + 1][::-1])
-    f = SpectralField(grid, coeffs, is_real=True)
+    f = SpectralField(grid, coeffs)
     if normalize == "l2":
         cur = norm(f, "lp", p=2)
     elif normalize == "h1":
@@ -301,7 +301,7 @@ def random_field_reference(grid, rng, n_modes=None, decay=0.7, amplitude=1.0,
     if mean != 0.0:
         c = f.coeffs.copy()
         c[0] = mean
-        f = SpectralField(grid, c, is_real=True)
+        f = SpectralField(grid, c)
     return f
 
 

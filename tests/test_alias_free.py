@@ -31,10 +31,10 @@ def full_band(grid, seed, real=True):
     n = grid.n
     c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(n)
     if not real:
-        return SpectralField(grid, c, is_real=False)
+        return SpectralField(grid, c)
     half = c[: n // 2 + 1].copy()
     half[[0, -1]] = half[[0, -1]].real
-    return SpectralField(grid, np.concatenate([half, np.conj(half[-2:0:-1])]), is_real=True)
+    return SpectralField(grid, np.concatenate([half, np.conj(half[-2:0:-1])]))
 
 
 @pytest.fixture
@@ -71,7 +71,7 @@ class TestExactIntegrals:
         circ = grid.circumference
         vals = synthesize(u, REF_PAD)
         hux = synthesize(SpectralField(
-            grid, np.abs(grid.freqs) * u.coeffs * (grid.modes != grid.n // 2), is_real=True),
+            grid, np.abs(grid.freqs) * u.coeffs * (grid.modes != grid.n // 2)),
             REF_PAD)
         expected = (circ * np.sum((grid.freqs * np.abs(u.coeffs)) ** 2)
                     - 0.75 * circ * np.mean(vals * vals * hux) + 0.125 * circ * np.mean(vals ** 4))
@@ -118,7 +118,7 @@ class TestExactProducts:
         # k = 7 and 8 were off by 2.8e-6 and 5.3e-5 on a fixed 4n grid
         u = full_band(grid, 5)
         if equation == "renormalized_gbo":
-            u = SpectralField(grid, u.coeffs * (grid.modes != 0), is_real=True)
+            u = SpectralField(grid, u.coeffs * (grid.modes != 0))
         ref = reference_flux(u, equation, k)
         got = Equation(grid, equation, k).nonlinear(u.coeffs[: grid.n // 2 + 1])
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

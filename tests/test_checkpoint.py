@@ -80,7 +80,7 @@ class TestRoundTrip:
         coeffs = np.zeros(8, dtype=complex)
         coeffs[[0, 1, 7]] = 0.5, 0.25, 0.25
         coeffs.imag = -0.0
-        field = SpectralField(grid, coeffs, is_real=True)
+        field = SpectralField(grid, coeffs)
         assert np.signbit(field.coeffs.imag).all()
         p1, p2 = tmp_path / "a.bosp", tmp_path / "b.bosp"
         save_checkpoint(field, p1)
@@ -108,7 +108,7 @@ class TestRoundTrip:
             coeffs = random_field(grid, rng, n_modes=15, amplitude=0.2, normalize="h1",
                                   mean=mean).coeffs.copy()
             coeffs[grid.n // 2] = 0.01  # a live Nyquist slot
-            fields.append(SpectralField(grid, coeffs, is_real=True))
+            fields.append(SpectralField(grid, coeffs))
         trajs = []
         for equation, k in [("linear", 1), ("bo2", 1), ("gbo", 1), ("gbo", 2),
                             ("renormalized_gbo", 2)]:

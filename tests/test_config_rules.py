@@ -122,8 +122,16 @@ NEWLY_REFUSED = [
      "t_final = 0.0505 is not an integer number of steps dt = 0.001"),
     ("flowmap", {"seed": "-1"}, "seed must be an integer >= 0, got -1"),
     ("estimate-monitor", {"lam": "0"}, "lam must be finite and positive, got 0.0"),
+    # a solve whose steps come from other keys names those keys and the solve
     ("conservation", {"e_dt": "1.0", "e_t_final": "0.5"},
-     "t_final must be finite and at least dt, got 0.5"),
+     "energy_k2 solve: e_t_final must be finite and at least e_dt, got 0.5"),
+    ("conservation", {"e_dt": "0.3", "e_t_final": "0.5"},
+     "energy_k2 solve: e_t_final = 0.5 is not an integer number of steps e_dt = 0.3"),
+    ("conservation", {"e_ks": "3,2", "e_dt": "0.3", "e_t_final": "0.5"},
+     "energy_k3 solve: e_t_final = 0.5 is not an integer number of steps e_dt = 0.3"),
+    ("scaling", {"dt": "1e300", "t_final": "1e308"},
+     "dilated solve: dilation^2 * t_final must be finite and at least dilation^2 * dt, "
+     "got inf"),
     ("simulate", {"dealias": "pad4"},
      "dealias must be one of two_thirds, alias_free, none, got 'pad4'"),
     # the high pass q > 1 kept no drawn mode: every ratio was 0, the verdict 0/0

@@ -34,7 +34,7 @@ def cos_data(grid, amp=0.1, mean=0.0):
     c = np.zeros(grid.n, dtype=complex)
     c[0] = mean
     c[1] = c[-1] = amp / 2.0
-    return SpectralField(grid, c, is_real=True)
+    return SpectralField(grid, c)
 
 
 # (tag, k) pairs that name no right-hand side, with the one rule's message
@@ -245,9 +245,9 @@ class TestStructurePreservation:
         cfg = SolverConfig("gbo", dt=5e-3, t_final=0.5, dealias="alias_free",
                            sample_stride=100)
         fwd = solve(u0, cfg)[-1]
-        reflected = SpectralField(grid, np.conj(fwd.coeffs), is_real=True)
+        reflected = SpectralField(grid, np.conj(fwd.coeffs))
         back = solve(reflected, cfg)[-1]
-        recovered = SpectralField(grid, np.conj(back.coeffs), is_real=True)
+        recovered = SpectralField(grid, np.conj(back.coeffs))
 
         cfg_half = SolverConfig("gbo", dt=2.5e-3, t_final=0.5, dealias="alias_free",
                                 sample_stride=200)
@@ -343,7 +343,7 @@ def _random_data(equation, seed=7):
                      amplitude=0.3, normalize="h1", mean=mean)
     coeffs = f.coeffs.copy()
     coeffs[grid.n // 2] = 0.01
-    return SpectralField(grid, coeffs, is_real=True)
+    return SpectralField(grid, coeffs)
 
 
 class TestHalfSpectrum:
@@ -430,7 +430,7 @@ class TestSolveBatch:
         with pytest.raises(ValueError, match="one grid"):
             solve_batch([good, cos_data(PeriodicGrid(2.0, grid.n))], cfg)
         complex_field = SpectralField.from_function(grid, lambda x: np.exp(1j * x))
-        with pytest.raises(ValueError, match="real-flagged"):
+        with pytest.raises(ValueError, match="needs real fields: field 1 is complex"):
             solve_batch([good, complex_field], cfg)
 
     def test_empty_batch(self):

@@ -3,7 +3,9 @@
 import argparse
 import dataclasses
 import json
+import runpy
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -302,7 +304,7 @@ class TestConfig:
         (["simulate", "--dt", "1e-300", "--t-final", "1e10"],
          "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),
         (["conservation", "--e-dt", "1e-300", "--e-t-final", "1e10"],
-         "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),
+         "energy_k2 solve: e_t_final / e_dt = 10000000000.0 / 1e-300 overflows a float"),
         (["scaling", "--dt", "1e-300", "--t-final", "1e10"],
          "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),
     ])
@@ -516,7 +518,7 @@ class TestDeterminismAndVerdicts:
         def cosines(grid, rng, count, **kwargs):
             c = np.zeros(grid.n, dtype=np.complex128)
             c[int(1.5 * grid.lam)] = c[-int(1.5 * grid.lam)] = 0.5
-            return [SpectralField(grid, c, is_real=True)] * count
+            return [SpectralField(grid, c)] * count
 
         monkeypatch.setattr(experiments, "random_fields", cosines)
         rep = run_experiment(config_from_mapping(
@@ -949,6 +951,16 @@ class TestBatchedEnsembles:
 
 
 class TestCli:
+    def test_module_entry_point_runs_main(self, monkeypatch, capsys):
+        # what ``python -m bosp.cli --help`` runs, in this process; the module
+        # is run afresh, as ``-m`` does, not from its imported copy
+        monkeypatch.delitem(sys.modules, "bosp.cli")
+        monkeypatch.setattr(sys, "argv", ["bosp", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("bosp.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bosp")
+
     def test_pass_exit_code_and_files(self, tmp_path, capsys):
         code = main(["bernstein", "--n-samples", "3", "--out", str(tmp_path),
                      "--stem", "run"])

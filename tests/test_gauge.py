@@ -49,7 +49,7 @@ DENSE_N = 1 << 14
 def cos_field(grid, amp=1.0):
     c = np.zeros(grid.n, dtype=complex)
     c[1] = c[-1] = amp / 2.0
-    return SpectralField(grid, c, is_real=True)
+    return SpectralField(grid, c)
 
 
 def h2_normalized(grid, rng, amp=0.1, n_modes=None, decay=0.7):
@@ -398,10 +398,10 @@ class TestResidualBatch:
             rhs_l2, rhs_h1 = norm(one.total, "lp", p=2), norm(one.total, "hs", s=1.0)
             assert rhs_l2 > 0.0
             tol_l2, tol_h1 = STACK_ROUNDOFF * rhs_l2, STACK_ROUNDOFF * rhs_h1
-            w = SpectralField(grid, stack.w[i], is_real=False)
+            w = SpectralField(grid, stack.w[i])
             assert norm(w - build_gauge(v, variant, k).w, "lp", p=2) <= tol_l2
             for term, one_term in zip(terms, one_terms):
-                diff = SpectralField(grid, term[i], is_real=False) - one_term
+                diff = SpectralField(grid, term[i]) - one_term
                 assert norm(diff, "lp", p=2) <= tol_l2
                 assert norm(diff, "hs", s=1.0) <= tol_h1
             assert abs(batch[i].l2 - singles[i].l2) <= tol_l2
@@ -620,7 +620,7 @@ class TestMeanRemoval:
     def test_constant_maps_to_zero(self, grid):
         c = np.zeros(grid.n, dtype=complex)
         c[0] = 0.8
-        u0 = SpectralField(grid, c, is_real=True)
+        u0 = SpectralField(grid, c)
         traj = solve(u0, SolverConfig("bo2", dt=0.05, t_final=0.2))
         out = remove_mean_bo(traj)
         for f in out:
@@ -654,7 +654,7 @@ class TestRenormalization:
     def test_constant_becomes_scaled_steady_state(self, grid):
         c = np.zeros(grid.n, dtype=complex)
         c[0] = 0.6
-        u0 = SpectralField(grid, c, is_real=True)
+        u0 = SpectralField(grid, c)
         traj = solve(u0, SolverConfig("gbo", k=2, dt=0.05, t_final=0.2))
         out = renormalize_gbo(traj)
         # amplitude 2^{-1/2} * 0.6; constants are steady for the new equation

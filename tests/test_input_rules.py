@@ -1,7 +1,7 @@
 """Each input rule has one message, whichever entry point applies it.
 
-``bosp.spectral`` says each rule once: zero mean, one grid, real-flagged
-fields and the gauge (variant, k) pair.  Every entry point that applies a
+``bosp.spectral`` says each rule once: zero mean, one grid, real fields
+and the gauge (variant, k) pair.  Every entry point that applies a
 rule gets the same bad input and must raise that rule's message; the zero
 mean, grid and real rules prefix it with the caller's name.
 """
@@ -37,13 +37,13 @@ def _cos(grid):
 def _with_mean(grid, mean):
     c = _cos(grid).coeffs.copy()
     c[0] = mean
-    return SpectralField(grid, c, is_real=True)
+    return SpectralField(grid, c)
 
 
 def _complex(grid):
     c = np.zeros(grid.n, dtype=complex)
     c[1] = 0.1
-    return SpectralField(grid, c, is_real=False)
+    return SpectralField(grid, c)
 
 
 def _raised(call) -> str:
@@ -87,12 +87,16 @@ def test_one_grid_rule(entry):
 @pytest.mark.parametrize("entry", ["solve_batch", "gauge_residual_batch", "build_gauge",
                                    "invariant"])
 def test_real_flagged_rule(entry):
+    # the rule tests the whole stack at once and names its first complex row
     c = _complex(GRID)
-    call = {"solve_batch": lambda: solve_batch([c], GBO),
-            "gauge_residual_batch": lambda: gauge_residual_batch([c], "bo"),
+    call = {"solve_batch": lambda: solve_batch([_cos(GRID), c, c], GBO),
+            "gauge_residual_batch": lambda: gauge_residual_batch([_cos(GRID), c, c], "bo"),
             "build_gauge": lambda: build_gauge(c, "bo"),
             "invariant": lambda: invariant(c, "M")}[entry]
-    assert _raised(call).endswith(" needs real-flagged fields: field 0 is complex")
+    index = 0 if entry in ("build_gauge", "invariant") else 1
+    assert _raised(call).endswith(
+        f" needs real fields: field {index} is complex "
+        "(its coefficients are not exactly conjugate symmetric)")
 
 
 # A config applies the rule table's variant and k rules before the pair

@@ -29,7 +29,7 @@ def cos_field(grid, amp=1.0, mean=0.0):
     c = np.zeros(grid.n, dtype=complex)
     c[0] = mean
     c[1] = c[-1] = amp / 2.0
-    return SpectralField(grid, c, is_real=True)
+    return SpectralField(grid, c)
 
 
 def constant_trajectory(grid, f, n_snap=5, t_final=1.0):
@@ -55,7 +55,7 @@ class TestInvariantValues:
         xs = dense_points(grid)
         uv = np.real(dense_values(u, xs))
         du = np.real(dense_values(
-            SpectralField(grid, (1j * grid.freqs) * u.coeffs, is_real=True), xs))
+            SpectralField(grid, (1j * grid.freqs) * u.coeffs), xs))
         hux = np.real(dense_hilbert(du, grid.lam))
         w = grid.circumference / xs.size
         expected = (np.sum(du**2) - 0.75 * np.sum(uv * uv * hux)
@@ -110,8 +110,7 @@ class TestIntegerPowers:
         grid, circ = u.grid, u.grid.circumference
         vals = synthesize(u, 4)
         hux = synthesize(SpectralField(
-            grid, np.abs(grid.freqs) * u.coeffs * (np.arange(grid.n) != grid.n // 2),
-            is_real=True), 4)
+            grid, np.abs(grid.freqs) * u.coeffs * (np.arange(grid.n) != grid.n // 2)), 4)
         grad_sq = circ * np.sum((grid.freqs * np.abs(u.coeffs)) ** 2)
         expected = (grad_sq - 0.75 * circ * np.mean(vals * vals * hux)
                     + 0.125 * circ * np.mean(vals ** 4))
@@ -185,7 +184,7 @@ def _tag_trajectory(equation, k):
     grid = PeriodicGrid(1.0, 32)
     u0 = random_field(grid, np.random.default_rng(11), n_modes=15, amplitude=0.3)
     if equation == "renormalized_gbo":
-        u0 = SpectralField(grid, np.where(grid.modes == 0, 0.0, u0.coeffs), is_real=True)
+        u0 = SpectralField(grid, np.where(grid.modes == 0, 0.0, u0.coeffs))
     return solve(u0, SolverConfig(equation, k=k, dt=1e-3, t_final=0.01))
 
 
@@ -255,7 +254,7 @@ class TestXNorms:
             assert xnorm(traj, level) == xnorm_series_per_field(times, fields, level)
         else:
             rng = np.random.default_rng(level)
-            fields = [SpectralField(grid, c, is_real=False) for c in
+            fields = [SpectralField(grid, c) for c in
                       rng.standard_normal((len(traj), grid.n))
                       + 1j * rng.standard_normal((len(traj), grid.n))]
         stack = np.array([f.coeffs for f in fields])

@@ -169,9 +169,14 @@ class TestStrichartzNorm:
     @pytest.mark.parametrize("real_rows", [True, False])
     def test_block_padding_matches_row_padding(self, rng, real_rows):
         grid = PeriodicGrid(2.0, 32)
-        rows = rng.standard_normal((9, grid.n)) + 1j * rng.standard_normal((9, grid.n))
+        n = grid.n
+        rows = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
+        if real_rows:  # exactly conjugate symmetric, Nyquist slot live
+            rows[:, [0, n // 2]] = rows[:, [0, n // 2]].real
+            rows[:, n // 2 + 1:] = np.conj(rows[:, n // 2 - 1: 0: -1])
+        assert all(SpectralField(grid, row).is_real == real_rows for row in rows)
         w = grid.circumference / (QUAD_PAD * grid.n)
-        sums = [w * np.sum(np.abs(synthesize(SpectralField(grid, row, is_real=real_rows),
+        sums = [w * np.sum(np.abs(synthesize(SpectralField(grid, row),
                                              QUAD_PAD)) ** 4) for row in rows]
         assert np.array_equal(l4_sums(rows, grid, real_rows), sums)
 
@@ -207,21 +212,29 @@ class TestExactStrichartzNorm:
         c[grid.n // 2] = 0.6 if real else 0.6 - 0.4j
         if not real:
             c[1] += 0.3j
-        f = SpectralField(grid, c, is_real=real)
+        f = SpectralField(grid, c)
         exact = strichartz_norm(f, 0.5, kind=kind)
         assert exact == pytest.approx(trapezoid_strichartz_norm(f, 0.5, 16384, kind=kind),
                                       rel=1e-9)
 
-    def test_nyquist_convention_changes_the_value(self):
-        # a lone Nyquist mode: whole at +n/2 it has |u| = |C|, split into
-        # cos halves it does not, and the exact sum tells the two apart
+    @pytest.mark.parametrize("value, kind, mean_u4", [
+        (1.0, "bo_group", 3 / 8),        # real under bo: split, u = cos(n x / 2)
+        (1.0, "schrodinger_group", 1.0),  # real, but the Schroedinger group keeps it whole
+        (1j, "bo_group", 1.0),           # complex: whole at +n/2, |u| = |C|
+        (1j, "schrodinger_group", 1.0),
+    ])
+    def test_nyquist_convention_changes_the_value(self, value, kind, mean_u4):
+        # a lone Nyquist mode is constant in time under both groups, so each
+        # convention has a closed form: 2 pi lam T mean(|u|^4)
         grid = PeriodicGrid(1.0, 16)
         c = np.zeros(grid.n, dtype=complex)
-        c[grid.n // 2] = 1.0
-        whole = strichartz_norm(SpectralField(grid, c, is_real=False), 1.0) ** 4
-        split = strichartz_norm(SpectralField(grid, c, is_real=True), 1.0) ** 4
-        assert whole == pytest.approx(2 * np.pi, rel=1e-13)
-        assert split == pytest.approx(2 * np.pi * 3 / 8, rel=1e-13)
+        c[grid.n // 2] = value
+        f = SpectralField(grid, c)
+        assert f.is_real == (value == 1.0)
+        integral = strichartz_norm(f, 1.0, kind=kind) ** 4
+        assert integral == pytest.approx(2 * np.pi * mean_u4, rel=1e-13)
+        assert integral == pytest.approx(
+            trapezoid_strichartz_norm(f, 1.0, 16, kind=kind) ** 4, rel=1e-13)
 
     @pytest.mark.parametrize("kind", GROUP_KINDS)
     def test_trapezoid_error_is_second_order(self, rng, kind):
@@ -255,7 +268,7 @@ class TestExactStrichartzNorm:
         grid = PeriodicGrid(lam, 32)
         f = (_complex_field(grid, rng, 5) if complex_rows
              else random_field(grid, rng, n_modes=10, decay=0.85, normalize="l2"))
-        f_d = SpectralField(PeriodicGrid(lam * dilation, grid.n), f.coeffs, is_real=f.is_real)
+        f_d = SpectralField(PeriodicGrid(lam * dilation, grid.n), f.coeffs)
         big = strichartz_norm(f_d, dilation ** 2 * horizon, kind=kind) ** 4
         small = strichartz_norm(f, horizon, kind=kind) ** 4
         assert big == pytest.approx(dilation ** 3 * small, rel=1e-9)
@@ -270,11 +283,11 @@ def _stack_rows(grid, rng, real):
         rows = [_complex_field(grid, rng, 6) for _ in range(4)]
     c = rows[1].coeffs.copy()
     c[[2, 5, -2, -5]] = 0.0
-    rows[1] = SpectralField(grid, c, is_real=real)
+    rows[1] = SpectralField(grid, c)
     c = rows[2].coeffs.copy()
     c[grid.n // 2] = 0.4 if real else 0.3 - 0.5j
-    rows[2] = SpectralField(grid, c, is_real=real)
-    rows.append(SpectralField(grid, np.zeros(grid.n, dtype=complex), is_real=real))
+    rows[2] = SpectralField(grid, c)
+    rows.append(SpectralField(grid, np.zeros(grid.n, dtype=complex)))
     return rows
 
 
@@ -327,7 +340,7 @@ class TestStackedStrichartzNorms:
         c = np.zeros(grid.n, dtype=complex)
         c[[a, -a]] = amp / 2
         real = [random_field(grid, rng, n_modes=10, normalize="l2"),
-                SpectralField(grid, c, is_real=True),
+                SpectralField(grid, c),
                 random_field(grid, rng, n_modes=14, normalize="l2")]
         cos_norm = strichartz_norms(real, horizon)[1]
         assert cos_norm == pytest.approx(
@@ -355,8 +368,6 @@ class TestStackedStrichartzNorms:
             strichartz_norms([f, random_field(PeriodicGrid(2.0, 32), rng, n_modes=8)], 1.0)
         with pytest.raises(ValueError, match="one grid"):
             strichartz_norms([f, random_field(PeriodicGrid(1.0, 64), rng, n_modes=8)], 1.0)
-        with pytest.raises(ValueError, match="all real or all complex"):
-            strichartz_norms([f, SpectralField(f.grid, f.coeffs, is_real=False)], 1.0)
         with pytest.raises(ValueError, match="unknown group kind"):
             strichartz_norms([f], 1.0, kind="airy_group")
         assert strichartz_norms([], 1.0) == []

@@ -92,8 +92,10 @@ class TestGridAndField:
         assert (-f).is_real and not (-(1j * f)).is_real
 
     def test_field_repr(self):
+        # no keyword spelling: realness is read from the coefficients, not passed
         f = SpectralField.zero(PeriodicGrid(2.5, 16))
-        assert repr(f) == "SpectralField(lam=2.5, n=16, is_real=True)"
+        assert repr(f) == "SpectralField(lam=2.5, n=16, real)"
+        assert repr(1j * SpectralField.from_function(f.grid, np.cos)).endswith("complex)")
 
     def test_real_flag_detection(self, grid, random_fields):
         f = random_fields()
@@ -390,8 +392,8 @@ class TestNorms:
             rows = np.array([random_field(grid, rng, n_modes=31).coeffs for _ in range(130)])
         else:
             rows = rng.standard_normal((130, grid.n)) + 1j * rng.standard_normal((130, grid.n))
-        want = [norm(SpectralField(grid, row, is_real=real), "lp", p=p) for row in rows]
-        assert np.array_equal(_lp_norms(rows, grid, p, real), want)
+        want = [norm(SpectralField(grid, row), "lp", p=p) for row in rows]
+        assert np.array_equal(_lp_norms(rows, grid, p), want)
 
     @pytest.mark.parametrize("rows_kind", ["real", "real_nyquist", "gt_projection",
                                            "complex_nyquist"])
@@ -410,11 +412,11 @@ class TestNorms:
         elif rows_kind == "gt_projection":  # the one-sided high pass of bernstein
             rows = np.where(grid.freqs > 1.0, rows, 0.0)
         assert rows[:, grid.n // 2].any() == (rows_kind != "real")
-        want = [float(np.max(np.abs(synthesize(SpectralField(grid, row, is_real=real), 4))))
+        want = [float(np.max(np.abs(synthesize(SpectralField(grid, row), 4))))
                 for row in rows]
-        got = _lp_norms(rows, grid, np.inf, real)
+        got = _lp_norms(rows, grid, np.inf)
         assert got.tolist() == want
-        assert [norm(SpectralField(grid, row, is_real=real), "linf") for row in rows] == want
+        assert [norm(SpectralField(grid, row), "linf") for row in rows] == want
 
     def test_parseval(self, rng):
         # coefficient-space L^2 equals dense quadrature, lambda factor included
@@ -544,13 +546,13 @@ def fields(draw, real=None):
     if real:
         c[0], c[n // 2] = c[0].real, c[n // 2].real
         c[n // 2 + 1:] = np.conj(c[n // 2 - 1: 0: -1])
-    return SpectralField(grid, c, is_real=real)
+    return SpectralField(grid, c)
 
 
 def zero_mean_zero_nyquist(f):
     c = f.coeffs.copy()
     c[0] = c[f.grid.n // 2] = 0.0
-    return SpectralField(f.grid, c, is_real=f.is_real)
+    return SpectralField(f.grid, c)
 
 
 def max_rel(a, b):

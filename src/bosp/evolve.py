@@ -53,8 +53,9 @@ a magnitude array for the blow-up test and the flux's transform work
 arrays once; the stage arithmetic writes into them with ``out=`` in the
 operations and order of the schemes' plain expressions, so every
 intermediate, and every stored state, is bit-for-bit that of the
-allocating form.  The transforms are still the eight ``numpy.fft`` calls
-of a step, of ``Equation.nbig`` points per row.
+allocating form.  A step makes eight transforms of ``Equation.nbig``
+points per row, four forward and four inverse, through ``spectral``'s
+transform set ``_FFTS``.
 """
 
 from __future__ import annotations

@@ -43,6 +43,25 @@ private transforms are the one place that layout lives; the solver, the
 invariants and the gauge frames call them on stacks of shape (..., n/2+1)
 or (..., n), and the exact L^4 resonance sum in ``lingroup`` places the
 slot n/2 the same way.
+
+The four kernels ``_real_values``, ``_real_coeffs``, ``_complex_values``
+and ``_complex_coeffs`` make the library's only transforms, through the
+set ``_FFTS``.  It calls numpy's pocketfft gufuncs
+(``numpy.fft._pocketfft_umath``) directly, with the factors and axes that
+``numpy.fft`` passes for ``norm="forward"`` and an ``out`` the kernel
+allocates or is given, so the results are numpy.fft's bit for bit.  The
+reason is per-call cost: the solver transforms one row of a few hundred
+points at a time, and there numpy.fft's Python wrapper (argument checks,
+normalization, output allocation) costs more than the transform; one
+400-point ``_real_values`` into given arrays took 5.1 us against 8.0 us
+through ``numpy.fft.irfft`` (numpy 2.4, 2-core Xeon VM).  The module is
+private to numpy, present in every numpy >= 2.0 but free to move: when it
+lacks one of the five gufuncs, ``_FFTS`` is the public ``numpy.fft`` set
+``_NUMPY_FFTS``, which the tests also hold the gufunc set equal to, bit
+for bit.  Every transform is in float64 (complex128) whatever the input
+dtype: the gufuncs get float64 factors, and ``analyze_values_padded``
+(so ``analyze``) casts its values.
+
 A ``Trajectory`` is one half-spectrum stack, expanded a snapshot at a time
 on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
 ``_check_equation`` is the one rule for which (tag, k) pairs name a
@@ -96,6 +115,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -286,6 +306,60 @@ def _nyquist_split(n: int) -> np.ndarray:
     return split
 
 
+class _Transforms(NamedTuple):
+    """The four transforms along the last axis, each ``(a, out) -> out``.
+
+    ``out`` is caller-owned and its last axis sets the output size (nbig
+    points for ``irfft``); the forward transforms scale by 1/nbig, numpy's
+    ``norm="forward"``, and the inverse ones by 1.
+    """
+
+    rfft: Callable
+    irfft: Callable
+    fft: Callable
+    ifft: Callable
+
+
+_NUMPY_FFTS = _Transforms(
+    rfft=lambda a, out: np.fft.rfft(a, norm="forward", out=out),
+    irfft=lambda a, out: np.fft.irfft(a, out.shape[-1], norm="forward", out=out),
+    fft=lambda a, out: np.fft.fft(a, norm="forward", out=out),
+    ifft=lambda a, out: np.fft.ifft(a, norm="forward", out=out),
+)
+
+
+_GUFUNC_NAMES = ("rfft_n_even", "rfft_n_odd", "irfft", "fft", "ifft")
+
+
+def _gufunc_transforms(pfu) -> _Transforms | None:
+    """The pocketfft gufuncs of ``pfu`` called as numpy.fft calls them, or None
+    unless ``pfu`` has all five.
+
+    Each factor is a float64 scalar, so every input transforms in double
+    precision.
+    """
+    if not all(hasattr(pfu, name) for name in _GUFUNC_NAMES):
+        return None
+    axes, one = [(-1,), (), (-1,)], np.float64(1.0)
+    rfft_even, rfft_odd, irfft, fft, ifft = (getattr(pfu, name) for name in _GUFUNC_NAMES)
+
+    def forward(a, out):
+        n = a.shape[-1]
+        return (rfft_odd if n % 2 else rfft_even)(a, np.float64(1 / n), axes=axes, out=out)
+
+    return _Transforms(
+        rfft=forward,
+        irfft=lambda a, out: irfft(a, one, axes=axes, out=out),
+        fft=lambda a, out: fft(a, np.float64(1 / a.shape[-1]), axes=axes, out=out),
+        ifft=lambda a, out: ifft(a, one, axes=axes, out=out),
+    )
+
+
+_GUFUNC_FFTS = _gufunc_transforms(getattr(np.fft, "_pocketfft_umath", None))
+# the transforms every kernel calls
+_FFTS = _NUMPY_FFTS if _GUFUNC_FFTS is None else _GUFUNC_FFTS
+
+
 def _real_values(half: np.ndarray, nbig: int, out=None, split=None) -> np.ndarray:
     """Half spectra (..., n/2+1) -> real values (..., nbig), nbig >= n.
 
@@ -296,7 +370,9 @@ def _real_values(half: np.ndarray, nbig: int, out=None, split=None) -> np.ndarra
     n = 2 * (half.shape[-1] - 1)
     if nbig > n:
         half = np.multiply(half, _nyquist_split(n), out=split)
-    return np.fft.irfft(half, nbig, norm="forward", out=out)
+    if out is None:
+        out = np.empty(half.shape[:-1] + (nbig,))
+    return _FFTS.irfft(half, out)
 
 
 def _real_coeffs(values: np.ndarray, n: int, out=None) -> np.ndarray:
@@ -305,7 +381,9 @@ def _real_coeffs(values: np.ndarray, n: int, out=None) -> np.ndarray:
     ``out`` (..., nbig/2+1), or a new array, receives the transform; the
     result is a view of its first n/2+1 slots, with -n/2 folded into +n/2.
     """
-    half = np.fft.rfft(values, norm="forward", out=out)[..., : n // 2 + 1]
+    if out is None:
+        out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=np.complex128)
+    half = _FFTS.rfft(values, out)[..., : n // 2 + 1]
     if values.shape[-1] > n:
         if half.ndim == 1:  # one field: Python complex beats numpy scalar ops
             z = half.item(n // 2)
@@ -323,12 +401,12 @@ def _complex_values(coeffs: np.ndarray, nbig: int) -> np.ndarray:
         big[..., : n // 2 + 1] = coeffs[..., : n // 2 + 1]
         big[..., nbig - n // 2 + 1:] = coeffs[..., n // 2 + 1:]
         coeffs = big
-    return np.fft.ifft(coeffs, norm="forward")
+    return _FFTS.ifft(coeffs, np.empty(coeffs.shape, dtype=np.complex128))
 
 
 def _complex_coeffs(values: np.ndarray, n: int) -> np.ndarray:
     """Values (..., nbig) -> coefficients (..., n) in transform order."""
-    big = np.fft.fft(values, norm="forward")
+    big = _FFTS.fft(values, np.empty(values.shape, dtype=np.complex128))
     nbig = big.shape[-1]
     out = np.concatenate((big[..., : n // 2 + 1], big[..., nbig - n // 2 + 1:]), axis=-1)
     if nbig > n:
@@ -384,8 +462,10 @@ def _conjugate_symmetric(coeffs: np.ndarray) -> np.ndarray:
 def synthesize(f: SpectralField, oversample: int = 1) -> np.ndarray:
     """Coefficients -> point values, optionally on an oversampled grid.
 
-    Returns a real array for real fields.
+    ``oversample`` is an integer >= 1.  Returns a real array for real fields.
     """
+    if not (isinstance(oversample, numbers.Integral) and oversample >= 1):
+        raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
     return _values(f, oversample * f.grid.n)
 
 
@@ -399,14 +479,16 @@ def _values(f: SpectralField, nbig: int) -> np.ndarray:
 def analyze_values_padded(values, grid: PeriodicGrid) -> SpectralField:
     """Values on nbig >= grid.n points -> field truncated to grid.n modes.
 
-    Real values give an exactly conjugate-symmetric field.
+    Real values give an exactly conjugate-symmetric field.  Values of any
+    dtype are transformed in float64 (complex128).
     """
     values = np.asarray(values)
     if values.size < grid.n:
         raise ValueError("padded value array must have at least grid.n points")
     if np.isrealobj(values):
+        values = values.astype(np.float64, copy=False)
         return SpectralField(grid, _full_spectrum(_real_coeffs(values, grid.n), grid.n))
-    return SpectralField(grid, _complex_coeffs(values, grid.n))
+    return SpectralField(grid, _complex_coeffs(values.astype(np.complex128, copy=False), grid.n))
 
 
 def _power(values: np.ndarray, p: int, work=None) -> np.ndarray:

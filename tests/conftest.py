@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bosp import (BlowUpError, PeriodicGrid, SpectralField, Trajectory, differentiate, norm,
-                  random_field)
+                  random_field, spectral)
 from bosp.evolve import _BLOWUP_GUARD, _etdrk4_weights
 from bosp.lingroup import GROUP_KINDS, group_symbol
 from bosp.spectral import _complex_values, _nyquist_split, _real_values, _row_chunks
@@ -416,6 +416,23 @@ def solve_batch_reference(u0s, cfg, equation):
     """``advance_reference`` over the stacks ``solve_batch`` steps."""
     return [result for rows in _row_chunks(len(u0s), equation.nbig)
             for result in advance_reference(u0s[rows], cfg, equation)]
+
+
+def count_transforms(monkeypatch):
+    """Record every transform the spectral kernels make, as (name, leading
+    shape, points), by wrapping ``spectral._FFTS``; points is the transform
+    size (the output's for ``irfft``)."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(a, out):
+            calls.append((name, a.shape[:-1], (out if name == "irfft" else a).shape[-1]))
+            return fn(a, out)
+        return wrapped
+
+    monkeypatch.setattr(spectral, "_FFTS", spectral._Transforms(
+        *(counting(name, fn) for name, fn in spectral._FFTS._asdict().items())))
+    return calls
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from bosp.evolve import _etdrk4_weights
 from bosp.lingroup import group_symbol
 from bosp.spectral import _real_coeffs, _real_values
 
-from conftest import (advance_reference, coeff_distance, nonlinear_reference,
+from conftest import (advance_reference, coeff_distance, count_transforms, nonlinear_reference,
                       solve_batch_reference)
 
 
@@ -521,16 +521,7 @@ class TestInPlaceStepper:
     @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_eight_transforms_of_nbig_points_per_step(self, monkeypatch, scheme, dealias, rows):
-        # the benchmark's tracer counts numpy.fft calls and their points this way
-        calls = []
-        for name in ("rfft", "irfft"):
-            fn = getattr(np.fft, name)
-
-            def counting(a, n=None, *args, _name=name, _fn=fn, **kwargs):
-                calls.append((_name, a.shape[:-1], a.shape[-1] if n is None else n))
-                return _fn(a, n, *args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counting)
+        calls = count_transforms(monkeypatch)
         u0s = [_random_data("gbo", seed) for seed in range(7, 7 + rows)]
         cfg = SolverConfig("gbo", dt=5e-3, t_final=0.05, scheme=scheme, dealias=dealias)
         solve_batch(u0s, cfg)

@@ -34,6 +34,7 @@ from bosp.spectral import _alias_free_points, _real_values
 
 from conftest import (
     coeff_distance,
+    count_transforms,
     dense_analyze,
     dense_antiderivative,
     dense_ddx,
@@ -339,7 +340,7 @@ class TestFrame:
         trajs = [solve(cos_field(PeriodicGrid(1.0, 128), 0.05),
                        SolverConfig("bo2", dt=1e-3, t_final=t_final, sample_stride=10))
                  for t_final in (0.1, 0.3)]
-        calls = _counting_ffts(monkeypatch)
+        calls = count_transforms(monkeypatch)
         gauge_residual(v, "gbo", k=3)
         assert len(calls) <= 19  # frame 4, w_t 6, the b, c and d terms 9
         for traj in trajs:
@@ -529,20 +530,6 @@ class TestLipschitzGap:
         assert max(maxima) / min(maxima) < 3.0
 
 
-def _counting_ffts(monkeypatch):
-    calls = []
-
-    def counting(fn):
-        def wrapped(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
-    return calls
-
-
 class TestLipschitzGapCost:
     @pytest.mark.parametrize("variant, k, most", [("bo", 1, 2), ("gbo", 2, 6)])
     def test_fft_calls_per_gap(self, rng, monkeypatch, variant, k, most):
@@ -550,7 +537,7 @@ class TestLipschitzGapCost:
         grid = PeriodicGrid(1.0, 128)
         p1, p2 = h2_normalized(grid, rng), h2_normalized(grid, rng)
         expected = gauge_lipschitz_gap(p1, p2, variant, k)
-        calls = _counting_ffts(monkeypatch)
+        calls = count_transforms(monkeypatch)
         assert gauge_lipschitz_gap(p1, p2, variant, k) == expected
         assert len(calls) <= most
 

@@ -1,5 +1,7 @@
 """Operator calculus: transforms, multipliers, projections, norms."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,13 +22,14 @@ from bosp import (
     project,
     random_field,
     symmetry_defect,
+    spectral,
     synthesize,
 )
 
-from bosp.spectral import (_complex_coeffs, _complex_values, _lp_norms, _parseval_norms,
-                           _power, _real_coeffs, _real_values, _symbol, _values)
+from bosp.spectral import (_alias_free_points, _complex_coeffs, _complex_values, _lp_norms,
+                           _parseval_norms, _power, _real_coeffs, _real_values, _symbol, _values)
 
-from conftest import coeff_distance, dense_lp, dft_direct
+from conftest import coeff_distance, count_transforms, dense_lp, dft_direct
 
 
 def field_from(grid, fn):
@@ -140,6 +143,68 @@ class TestTransforms:
 
         with pytest.raises(ValueError, match="at least grid.n"):
             analyze_values_padded(np.zeros(grid.n - 3), grid)
+
+    @pytest.mark.parametrize("oversample", [0, -1, 1.5])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_oversample_below_one_or_fractional_rejected(self, monkeypatch, grid, oversample,
+                                                           real):
+        f = field_from(grid, np.cos if real else lambda x: np.exp(1j * x))
+        calls = count_transforms(monkeypatch)
+        with pytest.raises(ValueError, match="oversample must be an integer >= 1"):
+            synthesize(f, oversample)
+        assert calls == []
+
+    @pytest.mark.parametrize("transforms", ["_GUFUNC_FFTS", "_NUMPY_FFTS"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.bool_])
+    def test_samples_of_any_dtype_analyze_as_float64(self, monkeypatch, grid, rng, transforms,
+                                                     dtype):
+        monkeypatch.setattr(spectral, "_FFTS", getattr(spectral, transforms))
+        raw = 4.0 * rng.standard_normal(grid.n)
+        samples = raw > 0 if dtype is np.bool_ else raw.astype(dtype)
+        assert np.array_equal(analyze(samples, grid).coeffs,
+                              analyze(samples.astype(np.float64), grid).coeffs)
+
+
+class TestTransformSets:
+    def test_gufuncs_are_picked_when_numpy_has_all_five(self):
+        from numpy.fft import _pocketfft_umath
+
+        assert spectral._FFTS is spectral._GUFUNC_FFTS is not None
+        assert isinstance(spectral._gufunc_transforms(_pocketfft_umath), spectral._Transforms)
+        four = SimpleNamespace(**{name: getattr(_pocketfft_umath, name)
+                                  for name in spectral._GUFUNC_NAMES[1:]})
+        assert spectral._gufunc_transforms(four) is None
+        assert spectral._gufunc_transforms(None) is None
+
+    @pytest.mark.parametrize("n", [8, 16, 256, 2048])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+    def test_gufunc_kernels_equal_numpy_fft_bit_for_bit(self, monkeypatch, n, degree, lead):
+        """degree 1 is the unpadded nbig = n; n = 8 at degree 3 an odd nbig = 15."""
+        rng = np.random.default_rng([n, degree, len(lead)])
+        nbig = _alias_free_points(n, degree)
+
+        def cplx(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        half, values = cplx(lead + (n // 2 + 1,)), rng.standard_normal(lead + (nbig,))
+        cases = [  # kernel, input, size, fresh out arrays (or None: it takes none)
+            (_real_values, half, nbig,
+             lambda: (np.empty(lead + (nbig,)), np.empty_like(half))),
+            (_real_coeffs, values, n,
+             lambda: (np.empty(lead + (nbig // 2 + 1,), dtype=complex),)),
+            (_complex_values, cplx(lead + (n,)), nbig, None),
+            (_complex_coeffs, cplx(lead + (nbig,)), n, None),
+            (_complex_coeffs, values, n, None),
+        ]
+        for kernel, data, size, work in cases:
+            got = []
+            for transforms in (spectral._GUFUNC_FFTS, spectral._NUMPY_FFTS):
+                monkeypatch.setattr(spectral, "_FFTS", transforms)
+                got.append(kernel(data, size))
+                if work is not None:
+                    got.append(kernel(data, size, *work()))
+            assert all(np.array_equal(other, got[0]) for other in got[1:]), kernel.__name__
 
 
 class TestHilbert:

@@ -66,7 +66,7 @@ from .errors import BlowUpError, ConfigError
 from .ensembles import _fields_from_normals, random_fields
 from .evolve import (_DEALIAS_RULES, _SCHEMES, SolverConfig, convergence_order, solve,
                      solve_batch)
-from .gauge import _snapshot_stacks, gauge_residual_batch
+from .gauge import _frames, gauge_residual_batch
 from .invariants import dilate, drift_report, invariant, xnorm, xnorm_series
 from .lingroup import strichartz_norms
 from .spectral import (
@@ -645,7 +645,7 @@ def _run_estimate_monitor(cfg: ExperimentConfig, rng):
         if isinstance(vtraj, BlowUpError):
             records.append(_blow_up_record(rec, vtraj))
             continue
-        (ws,) = _snapshot_stacks(vtraj, "gbo", cfg.k)
+        (ws,) = _frames(vtraj, "gbo", cfg.k, lambda fr: (fr.w,))
         w_x1 = xnorm_series(vtraj.times, ws, grid, 1)
         v_x1 = xnorm(vtraj, 1)
         w0_h1 = float(_parseval_norms(ws[0], grid, 1.0))

@@ -45,16 +45,18 @@ coefficient rows of real fields on one grid, each piece at most once: the
 padded values of v and of M(v^k), the phase F, the padded e^{-iF} and
 P_+(e^{-iF} v).  The right-hand sides and the residuals act on the frame's
 arrays with the multipliers ``spectral._symbol`` caches per grid, and rows
-never mix.  ``gauge_residual_batch`` evaluates an ensemble in stacks of at
-most ``spectral._STACK_POINTS`` padded points; an instantaneous
-``gauge_residual`` is its stack of one, a trajectory residual and the
-estimate monitor's w series build one frame per stack of snapshots, and
-``build_gauge``, ``rhs_bo``, ``rhs_gbo_terms`` and ``gauge_lipschitz_gap``
-read rows of a small stack.
-Every entry point checks its input with the rules of ``spectral``, each
-said once there: fields on one grid, real fields (tested on the stack), a
-(variant, k) pair that names a gauge, and zero mean where the phase or a
-right-hand side needs it.
+never mix.
+``_frames`` is the one path from input to frames: it takes a list of
+fields or a trajectory's snapshots, checks them with the rules of
+``spectral``, each said once there (fields on one grid, real fields tested
+on the stack, a (variant, k) pair that names a gauge, and zero mean where
+the phase or a right-hand side needs it), builds one frame per stack of at
+most ``spectral._STACK_POINTS`` padded points, and joins the rows each
+caller reads off the frames.  ``build_gauge``, ``rhs_bo``,
+``rhs_gbo_terms``, ``gauge_lipschitz_gap``, ``gauge_residual_batch`` (and
+through it the instantaneous ``gauge_residual``), the trajectory residual
+and the estimate monitor's w series all go through it.  ``reconstruct_u``
+builds no frame but checks its v with the same rules.
 The mean-removal and renormalization maps translate a whole trajectory
 stack by the odd generator iq (``spectral._symbol`` "d_dx" on modes
 0..n/2), which is zero on the slot n/2 and so leaves that slot unchanged.
@@ -84,7 +86,7 @@ from .spectral import (
     _parseval_norms,
     _power,
     _primitive,
-    _real_coeffs,
+    _real_rows,
     _real_values,
     _row_chunks,
     _symbol,
@@ -117,11 +119,6 @@ def _real_vals(coeffs: np.ndarray) -> np.ndarray:
     return _real_values(coeffs[..., : n // 2 + 1], _DEFAULT_PAD * n)
 
 
-def _real_rows(values: np.ndarray, n: int) -> np.ndarray:
-    """Real padded values (..., 4n) -> conjugate-symmetric coefficient rows (..., n)."""
-    return _full_spectrum(_real_coeffs(values, n), n)
-
-
 def _minus_vals(coeffs: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Padded values of P_- of coefficient rows (..., n)."""
     return _complex_values(np.where(_symbol(grid, "minus"), coeffs, 0.0), _DEFAULT_PAD * grid.n)
@@ -147,35 +144,13 @@ class GaugeState:
     k: int = 1
 
 
-def _checked(coeffs: np.ndarray, variant: str, k, zero_mean: bool = True) -> np.ndarray:
-    """A (B, n) stack of real fields' coefficient rows, once every row is checked.
-
-    The pair (variant, k) must pass ``spectral._check_gauge_variant`` (bo
-    with k = 1, gbo with an integer k >= 1).  Zero mean, the rule of
-    ``spectral._check_zero_mean``, is required by the bo phase and by both
-    right-hand sides.
-    """
-    _check_gauge_variant(variant, k)
-    if zero_mean or variant == "bo":
-        _check_zero_mean(coeffs, f"the {variant} gauge")
-    return coeffs
-
-
-def _stack(fields: list, variant: str, k, zero_mean: bool = True):
-    """The checked coefficient rows of real fields on one grid, and the grid."""
-    grid = _check_one_grid(fields, "the gauge transform")
-    coeffs = np.array([f.coeffs for f in fields])
-    _check_real(coeffs, "the gauge transform")
-    return _checked(coeffs, variant, k, zero_mean), grid
-
-
 class _Frame:
     """The gauge data of a (B, n) stack of real fields, each piece computed at most once.
 
-    ``coeffs`` holds the coefficient rows of the fields, checked by the
-    caller.  ``v_vals`` and ``mvk_vals`` are the (B, 4n) padded values of v
-    and of M(v^k) (``None`` for bo), ``F`` the phase rows, the primitive of
-    v (bo) or of M(v^k) (gbo), ``E`` the padded values of e^{-iF},
+    ``coeffs`` holds the coefficient rows of the fields, checked by
+    ``_frames``.  ``v_vals`` and ``mvk_vals`` are the (B, 4n) padded values
+    of v and of M(v^k) (``None`` for bo), ``F`` the phase rows, the
+    primitive of v (bo) or of M(v^k) (gbo), ``E`` the padded values of e^{-iF},
     ``plus_Ev`` the rows of P_+(e^{-iF} v) and ``w`` those of the filtered
     variable.  ``v_vals``, ``plus_Ev`` and ``w`` are computed on first use:
     ``gauge_lipschitz_gap`` reads only ``E``.
@@ -204,15 +179,41 @@ class _Frame:
         return (-1j) * self.plus_Ev if self.variant == "bo" else self.plus_Ev
 
 
+def _frames(fields, variant: str, k, parts, zero_mean: bool = True) -> tuple:
+    """The (B, n) stacks of the rows ``parts(frame)`` reads off the frames of ``fields``.
+
+    ``fields`` is a non-empty list of fields or a ``Trajectory``, whose
+    snapshots are the fields.  Every row is checked before any frame is
+    built, by the rules of ``spectral`` in turn: one grid, real fields, a
+    (variant, k) pair that names a gauge (bo with k = 1, gbo with an
+    integer k >= 1), and zero mean, which the bo phase and both right-hand
+    sides need.  One frame is built per stack of at most
+    ``spectral._STACK_POINTS`` padded points; rows never mix, so each row
+    of a stack equals its stack of one up to round-off.
+    """
+    if isinstance(fields, Trajectory):
+        grid, coeffs = fields.grid, _full_spectrum(fields.half_coeffs, fields.grid.n)
+    else:
+        grid = _check_one_grid(fields, "the gauge transform")
+        coeffs = np.array([f.coeffs for f in fields])
+    _check_real(coeffs, "the gauge transform")
+    _check_gauge_variant(variant, k)
+    if zero_mean or variant == "bo":
+        _check_zero_mean(coeffs, f"the {variant} gauge")
+    chunks = [parts(_Frame(coeffs[rows], grid, variant, k))
+              for rows in _row_chunks(len(coeffs), _DEFAULT_PAD * grid.n)]
+    return tuple(np.concatenate(stack) for stack in zip(*chunks))
+
+
 def build_gauge(v: SpectralField, variant: str = "bo", k: int = 1) -> GaugeState:
     """Construct the gauge state of a real field.
 
     ``bo`` requires zero-mean input (the primitive must be periodic); the
     ``gbo`` phase uses M(v^k), which removes the mean itself.
     """
-    fr = _Frame(*_stack([v], variant, k, zero_mean=False), variant, k)
-    return GaugeState(*(SpectralField(fr.grid, rows[0])
-                        for rows in (fr.F, _plus(fr.E, fr.grid), fr.w)), variant, k)
+    rows = _frames([v], variant, k, lambda fr: (fr.F, _plus(fr.E, fr.grid), fr.w),
+                   zero_mean=False)
+    return GaugeState(*(SpectralField(v.grid, row[0]) for row in rows), variant, k)
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,8 @@ class RhsBo:
 
 def rhs_bo(u: SpectralField) -> RhsBo:
     """-2 d_x P_+(P_-(u_x) e^{-iF}) + P_0(u^2) P_+(u e^{-iF}) for zero-mean real u."""
-    fr = _Frame(*_stack([u], "bo", 1), "bo", 1)
-    return RhsBo(*(SpectralField(fr.grid, term[0]) for term in _rhs_bo(fr)))
+    terms = _frames([u], "bo", 1, _rhs_bo)
+    return RhsBo(*(SpectralField(u.grid, term[0]) for term in terms))
 
 
 def _rhs_bo(fr: _Frame) -> tuple:
@@ -257,8 +258,8 @@ class GboTerms:
 
 def rhs_gbo_terms(v: SpectralField, k: int) -> GboTerms:
     """The a + b + c + d right-hand side for zero-mean real v; d = 0 at k = 1."""
-    fr = _Frame(*_stack([v], "gbo", k), "gbo", k)
-    return GboTerms(*(SpectralField(fr.grid, term[0]) for term in _rhs_gbo(fr)))
+    terms = _frames([v], "gbo", k, _rhs_gbo)
+    return GboTerms(*(SpectralField(v.grid, term[0]) for term in terms))
 
 
 def _rhs_gbo(fr: _Frame) -> tuple:
@@ -358,31 +359,15 @@ def gauge_residual_batch(fields, variant: str = "bo", k: int = 1) -> list:
     fields = list(fields)
     if not fields:
         return []
-    coeffs, grid = _stack(fields, variant, k)
-    results = []
-    for rows in _row_chunks(len(coeffs), _DEFAULT_PAD * grid.n):
-        fr = _Frame(coeffs[rows], grid, variant, k)
-        iwxx, rhs = _subtracted(fr)
-        resid = _instantaneous_wt(fr) - iwxx - rhs
-        results += [ResidualNorms(l2=l2, h1=h1) for l2, h1 in
-                    zip(_parseval_norms(resid, grid).tolist(),
-                        _parseval_norms(resid, grid, 1.0).tolist())]
-    return results
+    l2, h1 = _frames(fields, variant, k, _residual_norms)
+    return [ResidualNorms(l2=a, h1=b) for a, b in zip(l2.tolist(), h1.tolist())]
 
 
-def _snapshot_stacks(traj: Trajectory, variant: str, k: int,
-                     parts=lambda fr: (fr.w,)) -> tuple:
-    """The (S, n) stacks of the rows ``parts`` reads off the snapshots' frames.
-
-    The snapshots must be zero-mean.  One frame is built per stack of at
-    most ``spectral._STACK_POINTS`` padded points; by default the stacks are
-    just w, one row per snapshot, bit-identical to ``build_gauge`` on each.
-    """
-    grid = traj.grid
-    coeffs = _checked(_full_spectrum(traj.half_coeffs, grid.n), variant, k)
-    chunks = [parts(_Frame(coeffs[rows], grid, variant, k))
-              for rows in _row_chunks(len(coeffs), _DEFAULT_PAD * grid.n)]
-    return tuple(np.concatenate(stack) for stack in zip(*chunks))
+def _residual_norms(fr: _Frame) -> tuple:
+    """Per-row L^2 and H^1 norms of the frame's instantaneous residual."""
+    iwxx, rhs = _subtracted(fr)
+    resid = _instantaneous_wt(fr) - iwxx - rhs
+    return _parseval_norms(resid, fr.grid), _parseval_norms(resid, fr.grid, 1.0)
 
 
 def gauge_residual(target, variant: str = "bo", k: int = 1) -> ResidualNorms:
@@ -399,8 +384,7 @@ def gauge_residual(target, variant: str = "bo", k: int = 1) -> ResidualNorms:
     if isinstance(target, SpectralField):
         return gauge_residual_batch([target], variant, k)[0]
     if isinstance(target, Trajectory):
-        w, iwxx, rhs = _snapshot_stacks(target, variant, k,
-                                        lambda fr: (fr.w, *_subtracted(fr)))
+        w, iwxx, rhs = _frames(target, variant, k, lambda fr: (fr.w, *_subtracted(fr)))
         return _stencil_residual(target, w, iwxx, rhs)
     raise TypeError(f"gauge_residual expects a SpectralField or a Trajectory, "
                     f"got {type(target).__name__}")
@@ -412,12 +396,16 @@ def reconstruct_u(gauge: GaugeState, v: SpectralField) -> SpectralField:
     Only the ``bo`` variant admits this two-term inversion: there the mean
     mode of e^{-iF} v vanishes identically (e^{-iF} v = i d_x e^{-iF} is an
     exact derivative).  For ``gbo`` the discarded mean term does not vanish,
-    so reconstruction is refused.  For a real v the result, symmetric only
-    to round-off, is a complex field.
+    so reconstruction is refused.  ``v`` must pass the rules ``_frames``
+    applies to the bo gauge: the grid of ``gauge.F``, a real field, zero
+    mean.  For such a v the result, symmetric only to round-off, is a
+    complex field.
     """
     if gauge.variant != "bo":
         raise ValueError("reconstruction is only defined for the bo gauge")
-    grid = v.grid
+    grid = _check_one_grid([gauge.F, v], "reconstruction from a gauge state")
+    _check_real(v.coeffs, "reconstruction from a gauge state")
+    _check_zero_mean(v.coeffs, "the bo gauge")
     F_vals = synthesize(gauge.F, _DEFAULT_PAD)
     E = np.exp(-1j * F_vals)
     Ebar = np.exp(1j * F_vals)
@@ -442,7 +430,7 @@ def gauge_lipschitz_gap(phi1: SpectralField, phi2: SpectralField,
 
     Equal inputs report a zero ratio with the degenerate flag set.
     """
-    E = _Frame(*_stack([phi1, phi2], variant, k, zero_mean=False), variant, k).E
+    (E,) = _frames([phi1, phi2], variant, k, lambda fr: (fr.E,), zero_mean=False)
     gap = float(np.max(np.abs(E[0] - E[1])))
     if np.array_equal(phi1.coeffs, phi2.coeffs):
         return LipschitzGap(gap=0.0, bound_ratio=0.0, degenerate=True)

@@ -448,6 +448,11 @@ def _full_spectrum(half_coeffs: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
+def _real_rows(values: np.ndarray, n: int) -> np.ndarray:
+    """Real values (..., nbig) -> conjugate-symmetric coefficient rows (..., n)."""
+    return _full_spectrum(_real_coeffs(values, n), n)
+
+
 def _conjugate_symmetric(coeffs: np.ndarray) -> np.ndarray:
     """Per coefficient row (..., n), whether it is exactly conjugate symmetric.
 
@@ -487,7 +492,7 @@ def analyze_values_padded(values, grid: PeriodicGrid) -> SpectralField:
         raise ValueError("padded value array must have at least grid.n points")
     if np.isrealobj(values):
         values = values.astype(np.float64, copy=False)
-        return SpectralField(grid, _full_spectrum(_real_coeffs(values, grid.n), grid.n))
+        return SpectralField(grid, _real_rows(values, grid.n))
     return SpectralField(grid, _complex_coeffs(values.astype(np.complex128, copy=False), grid.n))
 
 
@@ -615,14 +620,11 @@ def project(f: SpectralField, kind: str, cutoff: float | None = None) -> Spectra
         mask = _symbol(f.grid, kind)
     elif kind == "zero":
         mask = q == 0
-    elif kind == "leq":
-        if cutoff is None or cutoff < 0:
-            raise ValueError("leq projection needs a nonnegative cutoff")
-        mask = (q != 0) & (np.abs(q) <= cutoff)
-    elif kind == "gt":
-        if cutoff is None or cutoff < 0:
-            raise ValueError("gt projection needs a nonnegative cutoff")
-        mask = q > cutoff
+    elif kind in ("leq", "gt"):
+        if cutoff is None or not (np.isfinite(cutoff) and cutoff >= 0):
+            raise ValueError(f"{kind} projection needs a nonnegative cutoff that is finite, "
+                             f"got {cutoff!r}")
+        mask = (q != 0) & (np.abs(q) <= cutoff) if kind == "leq" else q > cutoff
     else:
         raise ValueError(f"unknown projection kind {kind!r}")
     return SpectralField(f.grid, np.where(mask, f.coeffs, 0.0))
@@ -640,12 +642,12 @@ def differentiate(f: SpectralField, kind: str = "d_dx", order: float = 1) -> Spe
     All three map real fields to real fields.
     """
     if kind == "d_dx":
-        if order != int(order) or order < 0:
-            raise ValueError("d_dx order must be a nonnegative integer")
+        if not (np.isfinite(order) and order == int(order) and order >= 0):
+            raise ValueError(f"d_dx order must be a nonnegative integer, got {order!r}")
         order = int(order)
     elif kind in ("abs_d", "bessel"):
-        if order < 0:
-            raise ValueError(f"{kind} exponent must be nonnegative")
+        if not (np.isfinite(order) and order >= 0):
+            raise ValueError(f"{kind} exponent must be nonnegative and finite, got {order!r}")
     else:
         raise ValueError(f"unknown derivative kind {kind!r}")
     mult = _symbol(f.grid, kind, order)
@@ -724,13 +726,11 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
         if p not in (1, 4):
             raise ValueError(f"unsupported Lp exponent p = {p!r} (use 1, 2 or 4)")
         return float(_lp_norms(f.coeffs[None], f.grid, p)[0])
+    if kind in ("hs", "hs_dot") and (s is None or not np.isfinite(s)):
+        raise ValueError(f"{kind} norm needs a finite smoothness parameter s, got {s!r}")
     if kind == "hs":
-        if s is None:
-            raise ValueError("hs norm needs the smoothness parameter s")
         return float(_parseval_norms(f.coeffs, f.grid, s))
     if kind == "hs_dot":
-        if s is None:
-            raise ValueError("hs_dot norm needs the smoothness parameter s")
         return float(np.sqrt(np.sum(_symbol(f.grid, "abs_d", 2 * s) * np.abs(f.coeffs) ** 2)))
     if kind == "linf":
         return float(_lp_norms(f.coeffs[None], f.grid, np.inf)[0])
@@ -766,11 +766,18 @@ def _check_one_grid(fields, who: str) -> PeriodicGrid:
 
 
 def _check_real(coeffs: np.ndarray, who: str) -> None:
-    """Raise ``ValueError`` naming the first coefficient row (..., n) that is no real field."""
-    bad = np.flatnonzero(~_conjugate_symmetric(np.asarray(coeffs)).reshape(-1))
+    """Raise ``ValueError`` naming the first coefficient row (..., n) that is no real field.
+
+    The message says whether that row holds a NaN or infinite coefficient
+    or is finite and complex; only a failing check looks.
+    """
+    coeffs = np.asarray(coeffs)
+    bad = np.flatnonzero(~_conjugate_symmetric(coeffs).reshape(-1))
     if len(bad):
-        raise ValueError(f"{who} needs real fields: field {bad[0]} is complex "
-                         "(its coefficients are not exactly conjugate symmetric)")
+        row = coeffs.reshape(-1, coeffs.shape[-1])[bad[0]]
+        why = ("is non-finite (a coefficient is NaN or infinite)" if not np.isfinite(row).all()
+               else "is complex (its coefficients are not exactly conjugate symmetric)")
+        raise ValueError(f"{who} needs real fields: field {bad[0]} {why}")
 
 
 def _check_gauge_variant(variant, k) -> None:
@@ -835,6 +842,8 @@ class Trajectory:
                              "half spectrum must be real")
         if times.shape != (len(half),):
             raise ValueError("times and snapshots must have equal length")
+        if not np.isfinite(times).all():
+            raise ValueError("sample times must be finite")
         steps = np.diff(times)
         h = steps[0]
         if h <= 0 or np.max(np.abs(steps - h)) > 1e-12 * max(abs(h), 1e-300):

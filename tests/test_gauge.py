@@ -1,5 +1,7 @@
 """Gauge transform construction, derived equations, renormalizations."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.special
@@ -465,7 +467,7 @@ class TestTrajectoryResidual:
         traj = solve(v0, SolverConfig("renormalized_gbo", k=k, dt=1e-3, t_final=0.01))
         monkeypatch.setattr(spectral, "_STACK_POINTS", 3 * 4 * grid.n)  # 3 rows a stack
         built = _counting_frames(monkeypatch)
-        (ws,) = gauge._snapshot_stacks(traj, "gbo", k)
+        (ws,) = gauge._frames(traj, "gbo", k, lambda fr: (fr.w,))
         assert [len(args[0]) for args in built] == [3, 3, 3, 2]
         assert np.array_equal(ws, [build_gauge(f, "gbo", k).w.coeffs for f in traj])
 
@@ -498,6 +500,21 @@ class TestReconstruction:
         st = build_gauge(v, "gbo", 2)
         with pytest.raises(ValueError):
             reconstruct_u(st, v)
+
+    @pytest.mark.parametrize("bad, match", [
+        ("grid", "needs fields on one grid: field 1 is on"),
+        ("mean", "the bo gauge needs zero-mean data: field 0 has |C_0| = 3.000e-01"),
+        ("complex", "needs real fields: field 0 is complex"),
+    ])
+    def test_bad_v_refused(self, bad, match):
+        # each was accepted: a field on the other grid came back, a mean of
+        # 0.3 came back off by 0.3, and a complex v was reconstructed
+        v1 = random_field(PeriodicGrid(1.0, 64), np.random.default_rng(3), n_modes=8)
+        v = {"grid": random_field(PeriodicGrid(2.0, 64), np.random.default_rng(4), n_modes=8),
+             "mean": random_field(v1.grid, np.random.default_rng(4), n_modes=8, mean=0.3),
+             "complex": 1j * v1}[bad]
+        with pytest.raises(ValueError, match=re.escape(match)):
+            reconstruct_u(build_gauge(v1), v)
 
 
 class TestLipschitzGap:

@@ -19,6 +19,7 @@ from bosp import (
     config_from_mapping,
     dilate,
     gauge_lipschitz_gap,
+    gauge_residual,
     gauge_residual_batch,
     invariant,
     multiply,
@@ -97,6 +98,20 @@ def test_real_flagged_rule(entry):
     assert _raised(call).endswith(
         f" needs real fields: field {index} is complex "
         "(its coefficients are not exactly conjugate symmetric)")
+
+
+@pytest.mark.parametrize("entry", ["solve_batch", "gauge_residual", "invariant"])
+def test_real_rule_names_a_non_finite_row(entry):
+    # a NaN coefficient breaks conjugate symmetry too; the message said "complex"
+    c = _cos(GRID).coeffs.copy()
+    c[3] = np.nan
+    u = SpectralField(GRID, c)
+    call = {"solve_batch": lambda: solve_batch([_cos(GRID), u], GBO),
+            "gauge_residual": lambda: gauge_residual(u, "bo"),
+            "invariant": lambda: invariant(u, "M")}[entry]
+    index = 1 if entry == "solve_batch" else 0
+    assert _raised(call).endswith(
+        f" needs real fields: field {index} is non-finite (a coefficient is NaN or infinite)")
 
 
 # A config applies the rule table's variant and k rules before the pair

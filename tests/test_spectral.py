@@ -537,6 +537,23 @@ class TestOperatorProperties:
         assert coeff_distance(prod, expected) < 1e-15
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call, message", [
+    (lambda f, x: differentiate(f, "d_dx", x), "d_dx order must be a nonnegative integer"),
+    (lambda f, x: differentiate(f, "abs_d", x), "abs_d exponent must be nonnegative and finite"),
+    (lambda f, x: differentiate(f, "bessel", x), "bessel exponent must be nonnegative and finite"),
+    (lambda f, x: project(f, "leq", x), "leq projection needs a nonnegative cutoff"),
+    (lambda f, x: project(f, "gt", x), "gt projection needs a nonnegative cutoff"),
+    (lambda f, x: norm(f, "hs", s=x), "hs norm needs a finite smoothness parameter"),
+    (lambda f, x: norm(f, "hs_dot", s=x), "hs_dot norm needs a finite smoothness parameter"),
+], ids=["d_dx", "abs_d", "bessel", "leq", "gt", "hs", "hs_dot"])
+def test_non_finite_operator_parameter_rejected(random_fields, call, message, bad):
+    # the checks compared with <, which NaN passes: inf overflowed int() in
+    # d_dx, and the others returned non-finite coefficients, a zero field or nan
+    with pytest.raises(ValueError, match=message):
+        call(random_fields(), bad)
+
+
 class TestTrajectoryType:
     def test_needs_two_snapshots(self, grid):
         with pytest.raises(ValueError):
@@ -559,6 +576,12 @@ class TestTrajectoryType:
     def test_times_must_match_the_snapshots(self, grid):
         with pytest.raises(ValueError, match="times and snapshots must have equal length"):
             Trajectory(grid, [0.0, 0.1, 0.2], np.zeros((2, grid.n // 2 + 1)), "linear")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # NaN and inf steps passed the uniformity test; sample_dt read nan or inf
+        with pytest.raises(ValueError, match="sample times must be finite"):
+            Trajectory(PeriodicGrid(1.0, 16), [0, bad], np.zeros((2, 9)), "linear")
 
     def test_trajectory_repr(self):
         traj = Trajectory(PeriodicGrid(2.0, 16), [0.0, 0.5], np.zeros((2, 9)), "gbo", 3)

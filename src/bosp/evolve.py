@@ -25,9 +25,9 @@ conserved to round-off, and products are dealiased by forming them on the
 alias-free grid of degree k + 2 (3 for ``bo2``), where the flux and the
 renormalized mean of v^k are exact at every k (``alias_free``), by the
 two-thirds rule (``two_thirds``), or formed on the n-point grid with no
-dealiasing (``none``).  The flux has one implementation,
-``Equation._flux``, which writes into caller-owned arrays; ``nonlinear`` is
-its allocating one-stack case.
+dealiasing (``none``).  The flux has one implementation, the closure
+``Equation._flux`` built once per equation, which writes into caller-owned
+arrays; ``nonlinear`` (so ``rhs``) is its allocating case.
 
 Solver state is the rfft half spectrum: modes m = 0, 1, ..., n/2 of a real
 field, the negative modes being their conjugates.  Values and fluxes go
@@ -55,7 +55,7 @@ operations and order of the schemes' plain expressions, so every
 intermediate, and every stored state, is bit-for-bit that of the
 allocating form.  A step makes eight transforms of ``Equation.nbig``
 points per row, four forward and four inverse, through ``spectral``'s
-transform set ``_FFTS``.
+transform set ``_FFTS`` as it was when the ``Equation`` was built.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ import numpy as np
 from .errors import BlowUpError
 from .spectral import (PeriodicGrid, SpectralField, Trajectory, _check_equation,
                        _alias_free_points, _check_one_grid, _check_real, _check_zero_mean,
-                       _full_spectrum, _power, _real_coeffs, _real_values, _row_chunks, _symbol)
+                       _full_spectrum, _power_steps, _real_transforms, _row_chunks, _symbol)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
@@ -139,7 +139,7 @@ class Equation:
     conservative flux, both on the half spectrum (modes 0..n/2 along the
     last axis of a stack); the odd symbols zero the Nyquist slot.  ``rhs``
     expands their sum to the full transform order.  The stepper calls the
-    flux through ``_flux`` with arrays of its own (``_work``).  ``nbig`` is
+    flux closure ``_flux`` with arrays of its own (``_work``).  ``nbig`` is
     the points per row the flux is formed on: the alias-free size of degree
     k + 2 (3 for ``bo2``) under ``alias_free``, else n.
     """
@@ -156,41 +156,64 @@ class Equation:
         self.nbig = (_alias_free_points(grid.n, 3 if equation == "bo2" else k + 2)
                      if dealias == "alias_free" else grid.n)
         self.cut = grid.n // 3 + 1 if dealias == "two_thirds" else None
+        self._flux = self._build_flux()
 
     def _work(self, lead: tuple) -> tuple:
-        """Flux work arrays of a stack with leading shape ``lead``: values,
-        Nyquist-split spectrum, power pair and padded spectrum (none for linear)."""
+        """Flux work arrays of a stack with leading shape ``lead``: values, Nyquist-split
+        spectrum, power slots (values and a pair) and padded spectrum (none for linear)."""
         if self.eq == "linear":
             return ()
-        vals = lead + (self.nbig,)
-        return (np.empty(vals), np.empty(lead + (self.n // 2 + 1,), dtype=np.complex128),
-                (np.empty(vals), np.empty(vals)),
+        vals = np.empty(lead + (self.nbig,))
+        return (vals, np.empty(lead + (self.n // 2 + 1,), dtype=np.complex128),
+                [vals, np.empty_like(vals), np.empty_like(vals)],
                 np.empty(lead + (self.nbig // 2 + 1,), dtype=np.complex128))
 
-    def _flux(self, uhat: np.ndarray, out: np.ndarray, work: tuple) -> np.ndarray:
-        """The dealiased flux of the stack uhat, written into ``out``.
+    def _build_flux(self):
+        """The dealiased flux ``flux(uhat, out, work) -> out`` of one row
+        (n/2+1,) or a stack (..., n/2+1), with the transforms (of ``_FFTS``
+        as it is now), powers and constants settled once.
 
         ``work`` comes from ``_work`` and is clobbered; ``out`` must not
-        share memory with uhat or work.
+        share memory with uhat or work.  When k + 1 is a power of two (k =
+        1, 3, 7), dividing by it only shifts exponents, so gbo's
+        ``iq * (flux / (k + 1))`` is bit for bit ``(iq / (k + 1)) * flux``
+        unless a flux value is below 2^-1022 (k + 1), near subnormal.
         """
-        eq, k = self.eq, self.k
+        eq, k, iq, cut = self.eq, self.k, self.iq, self.cut
         if eq == "linear":
-            out.fill(0.0)
-            return out
-        vals, split, pair, spec = work
-        vals = _real_values(uhat, self.nbig, vals, split)
-        flux = _real_coeffs(_power(vals, 2 if eq == "bo2" else k + 1, pair), self.n, spec)
-        if self.cut is not None:
-            flux[..., self.cut:] = 0.0
-        if eq == "gbo":
-            np.divide(flux, k + 1, out=flux)
-        elif eq == "renormalized_gbo":
-            # 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
-            mean = np.mean(_power(vals, k, pair), axis=-1, keepdims=True)
-            np.multiply(2.0, flux, out=flux)
-            np.divide(flux, k + 1, out=flux)
-            np.subtract(flux, np.multiply(2.0 * mean, uhat, out=out), out=flux)
-        return np.multiply(self.iq, flux, out=out)
+            def flux(uhat, out, work):
+                out.fill(0.0)
+                return out
+            return flux
+        values, coeffs = _real_transforms(self.n, self.nbig)
+        steps, last = _power_steps(2 if eq == "bo2" else k + 1)
+        mean_steps, mean_last = _power_steps(k)
+        folded = eq == "gbo" and not k & (k + 1)  # k + 1 a power of two
+        iq = iq / (k + 1) if folded else iq
+        divide, renormalized = eq == "gbo" and not folded, eq == "renormalized_gbo"
+        mul = np.multiply
+
+        def flux(uhat, out, work):
+            vals, split, slots, spec = work
+            values(uhat, vals, split)
+            for a, b, dest in steps:
+                mul(slots[a], slots[b], out=slots[dest])
+            f = coeffs(slots[last], spec)
+            if cut is not None:
+                f[..., cut:] = 0.0
+            if divide:
+                np.divide(f, k + 1, out=f)
+            elif renormalized:
+                # 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
+                for a, b, dest in mean_steps:
+                    mul(slots[a], slots[b], out=slots[dest])
+                mean = np.mean(slots[mean_last], axis=-1, keepdims=True)
+                mul(2.0, f, out=f)
+                np.divide(f, k + 1, out=f)
+                np.subtract(f, mul(2.0 * mean, uhat, out=out), out=f)
+            return mul(iq, f, out=out)
+
+        return flux
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         """The dealiased flux of a half-spectrum stack (..., n/2+1), as a new array."""
@@ -269,7 +292,7 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
     grid, n = equation.grid, equation.n
     steps, stride = cfg.n_steps(), cfg.sample_stride
     flux, group_sym = equation._flux, equation.symbol
-    mul, add = np.multiply, np.add
+    mul, add, absolute, peak = np.multiply, np.add, np.abs, np.maximum.reduce
     dt = cfg.dt
     if_rk4 = cfg.scheme == "if_rk4"
 
@@ -282,9 +305,9 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
         two_f2 = 2.0 * f2
 
     # one field keeps a 1-D state: the kernels' fast path for a single row.
-    # Kept apart on purpose: on a 2-core Xeon, a one-row (1, n/2+1) stack made
-    # the 10^4-step n = 256 solve (then padded to 4n) slower in 4 of 4
-    # alternating pairs (median 1.87 s -> 2.03 s, +9%).
+    # Kept apart on purpose: on a 2-core Xeon VM, a one-row (1, n/2+1) stack
+    # made bosp conservation (10^4 steps at n = 256, 400-point flux rows)
+    # slower in 9 of 10 alternating in-process pairs (median 1.06 s -> 1.46 s).
     uhat = np.array([u0.coeffs[: n // 2 + 1] for u0 in u0s])
     if len(u0s) == 1:
         uhat = uhat[0]
@@ -343,7 +366,8 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
             add(t, s1, out=t)
             mul(f3, k4, out=s1)
             add(t, s1, out=uhat)
-        if not np.abs(uhat, out=mag).max() <= _BLOWUP_GUARD:  # NaN propagates and fails
+        # NaN propagates and fails; .max() would add numpy's Python wrapper per step
+        if not peak(absolute(uhat, out=mag), axis=None) <= _BLOWUP_GUARD:
             blown = np.flatnonzero(np.atleast_1d(~(mag.max(axis=-1) <= _BLOWUP_GUARD)))
             for row in blown:
                 results[row] = BlowUpError(t_good)

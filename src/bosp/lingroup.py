@@ -54,7 +54,9 @@ def group_symbol(grid: PeriodicGrid, kind: str) -> np.ndarray:
 
 
 def propagate(f: SpectralField, t: float, kind: str = "bo_group") -> SpectralField:
-    """Apply the free group at time t (exact multiplier)."""
+    """Apply the free group at a finite time t (exact multiplier)."""
+    if not np.isfinite(t):
+        raise ValueError(f"propagate needs a finite time t, got {t!r}")
     # the bo multiplier is exactly conjugate symmetric, so real fields stay real
     return SpectralField(f.grid, np.exp(group_symbol(f.grid, kind) * t) * f.coeffs)
 

@@ -35,32 +35,33 @@ When nbig > n, real synthesis (``_real_values``) splits the slot n/2
 half-half between +n/2 and -n/2, while complex synthesis
 (``_complex_values``) keeps the whole slot at +n/2; analysis on either path
 folds -n/2 back into +n/2.  Real fields: rfft half spectrum (modes
-0..n/2); complex: padded fft.  The two real kernels take an optional
-``out`` for the transform's output (and ``_real_values`` a ``split`` array
-for the Nyquist-split input), which lets the solver step with arrays it
-allocated once; the result is the same, bit for bit.  This module's
-private transforms are the one place that layout lives; the solver, the
+0..n/2); complex: padded fft.  The real pair for n modes on nbig points,
+``_real_transforms(n, nbig)``, is built once per size and writes into
+arrays it is given, which lets the solver's flux, built once per equation,
+step with arrays it allocated once; ``_real_values`` and ``_real_coeffs``
+are its allocating calls, the same bit for bit.  This module's private
+transforms are the one place that layout lives; the solver, the
 invariants and the gauge frames call them on stacks of shape (..., n/2+1)
 or (..., n), and the exact L^4 resonance sum in ``lingroup`` places the
 slot n/2 the same way.
 
-The four kernels ``_real_values``, ``_real_coeffs``, ``_complex_values``
-and ``_complex_coeffs`` make the library's only transforms, through the
-set ``_FFTS``.  It calls numpy's pocketfft gufuncs
-(``numpy.fft._pocketfft_umath``) directly, with the factors and axes that
-``numpy.fft`` passes for ``norm="forward"`` and an ``out`` the kernel
-allocates or is given, so the results are numpy.fft's bit for bit.  The
-reason is per-call cost: the solver transforms one row of a few hundred
-points at a time, and there numpy.fft's Python wrapper (argument checks,
-normalization, output allocation) costs more than the transform; one
-400-point ``_real_values`` into given arrays took 5.1 us against 8.0 us
-through ``numpy.fft.irfft`` (numpy 2.4, 2-core Xeon VM).  The module is
-private to numpy, present in every numpy >= 2.0 but free to move: when it
-lacks one of the five gufuncs, ``_FFTS`` is the public ``numpy.fft`` set
-``_NUMPY_FFTS``, which the tests also hold the gufunc set equal to, bit
-for bit.  Every transform is in float64 (complex128) whatever the input
-dtype: the gufuncs get float64 factors, and ``analyze_values_padded``
-(so ``analyze``) casts its values.
+The real pair and the kernels ``_complex_values`` and ``_complex_coeffs``
+make the library's only transforms, through the set ``_FFTS``.  It calls
+numpy's pocketfft gufuncs (``numpy.fft._pocketfft_umath``) directly, with
+the factors that ``numpy.fft`` passes for ``norm="forward"`` and an
+``out`` the kernel allocates or is given, so the results are numpy.fft's
+bit for bit.  The reason is per-call cost: the solver transforms one row
+of a few hundred points at a time, and there numpy.fft's Python wrapper
+(argument checks, normalization, output allocation) costs more than the
+transform; one 400-point synthesis at n = 256 (``values`` of
+``_real_transforms(256, 400)``) into given arrays took 4.0 us against
+6.8 us through ``numpy.fft.irfft``, best of 7 (numpy 2.4, 2-core Xeon VM).
+The module is private to numpy, present in every numpy >= 2.0 but free
+to move: when it lacks one of the five gufuncs, ``_FFTS`` is the public
+``numpy.fft`` set ``_NUMPY_FFTS``, which the tests also hold the gufunc
+set equal to, bit for bit.  Every transform is in float64 (complex128)
+whatever the input dtype: the gufuncs get float64 factors, and
+``analyze_values_padded`` (so ``analyze``) casts its values.
 
 A ``Trajectory`` is one half-spectrum stack, expanded a snapshot at a time
 on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
@@ -68,7 +69,7 @@ on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
 right-hand side; every constructor that names one applies it.  Beside it,
 each input rule is one function that every entry point calls:
 ``_check_zero_mean`` (|C_0| < ``ZERO_MEAN_TOL``, which no other code
-compares), ``_check_one_grid``, ``_check_real`` (real fields) and
+compares), ``_check_one_grid``, ``_check_real`` (finite real fields) and
 ``_check_gauge_variant`` (``bo`` with k = 1, ``gbo`` with an integer
 k >= 1).  Each raises ``ValueError`` with one message, naming the caller.
 ``norm`` is the one-row case of the per-row ``_parseval_norms`` (L^2, H^s)
@@ -98,11 +99,12 @@ are no polynomials, sample a 4x zero-padded grid; so do the gauge's
 e^{-iF} products.
 
 Integer powers of signed value arrays (the u^{k+1} flux of the solver, the
-u^{k+2} energy density, the M(v^k) gauge phase) go through ``_power``,
-which multiplies by repeated squaring, into new arrays or into a
-caller-owned pair.  numpy's ``values ** p`` squares
-with one multiply at p = 2 but calls the vectorized ``pow`` for p >= 3,
-which drops to a slow path on negative bases: with numpy 2.4 on one Xeon
+u^{k+2} energy density, the M(v^k) gauge phase) multiply by repeated
+squaring in the one order ``_power_steps`` gives: ``_power`` runs it into
+new arrays, the solver's flux into a pair of its own.  numpy's
+``values ** p`` squares with one multiply at p = 2 but calls the
+vectorized ``pow`` for p >= 3, which drops to a slow path on negative
+bases: with numpy 2.4 on one Xeon
 core, ``v ** 3`` on 1024 signed doubles takes about 87 us against 1.5 us
 for ``v * v * v`` (and 4.6 us for ``** 3`` on the non-negative ``abs(v)``).
 The products agree with ``pow`` to (p - 1) eps relative and are
@@ -307,21 +309,23 @@ def _nyquist_split(n: int) -> np.ndarray:
 
 
 class _Transforms(NamedTuple):
-    """The four transforms along the last axis, each ``(a, out) -> out``.
+    """The transforms along the last axis, each ``(a, out) -> out``.
 
-    ``out`` is caller-owned and its last axis sets the output size (nbig
-    points for ``irfft``); the forward transforms scale by 1/nbig, numpy's
+    ``sized_rfft(nbig)`` returns the forward real one for rows of nbig
+    points, so that a set makes its choices for that size once.  ``out``
+    is caller-owned and its last axis sets the output size (nbig points for
+    ``irfft``); the forward transforms scale by 1/nbig, numpy's
     ``norm="forward"``, and the inverse ones by 1.
     """
 
-    rfft: Callable
+    sized_rfft: Callable
     irfft: Callable
     fft: Callable
     ifft: Callable
 
 
 _NUMPY_FFTS = _Transforms(
-    rfft=lambda a, out: np.fft.rfft(a, norm="forward", out=out),
+    sized_rfft=lambda nbig: lambda a, out: np.fft.rfft(a, norm="forward", out=out),
     irfft=lambda a, out: np.fft.irfft(a, out.shape[-1], norm="forward", out=out),
     fft=lambda a, out: np.fft.fft(a, norm="forward", out=out),
     ifft=lambda a, out: np.fft.ifft(a, norm="forward", out=out),
@@ -332,26 +336,28 @@ _GUFUNC_NAMES = ("rfft_n_even", "rfft_n_odd", "irfft", "fft", "ifft")
 
 
 def _gufunc_transforms(pfu) -> _Transforms | None:
-    """The pocketfft gufuncs of ``pfu`` called as numpy.fft calls them, or None
-    unless ``pfu`` has all five.
+    """The pocketfft gufuncs of ``pfu`` with the factors numpy.fft gives them,
+    or None unless ``pfu`` has all five.
 
     Each factor is a float64 scalar, so every input transforms in double
-    precision.
+    precision.  numpy.fft's last-axis ``axes`` are the gufuncs' default and
+    ``out`` goes by position: the two keywords cost about 0.5 us a call at
+    400 points (numpy 2.4, 2-core Xeon VM).
     """
     if not all(hasattr(pfu, name) for name in _GUFUNC_NAMES):
         return None
-    axes, one = [(-1,), (), (-1,)], np.float64(1.0)
+    one = np.float64(1.0)
     rfft_even, rfft_odd, irfft, fft, ifft = (getattr(pfu, name) for name in _GUFUNC_NAMES)
 
-    def forward(a, out):
-        n = a.shape[-1]
-        return (rfft_odd if n % 2 else rfft_even)(a, np.float64(1 / n), axes=axes, out=out)
+    def sized_rfft(nbig):
+        kernel, factor = rfft_odd if nbig % 2 else rfft_even, np.float64(1 / nbig)
+        return lambda a, out: kernel(a, factor, out)
 
     return _Transforms(
-        rfft=forward,
-        irfft=lambda a, out: irfft(a, one, axes=axes, out=out),
-        fft=lambda a, out: fft(a, np.float64(1 / a.shape[-1]), axes=axes, out=out),
-        ifft=lambda a, out: ifft(a, one, axes=axes, out=out),
+        sized_rfft=sized_rfft,
+        irfft=lambda a, out: irfft(a, one, out),
+        fft=lambda a, out: fft(a, np.float64(1 / a.shape[-1]), out),
+        ifft=lambda a, out: ifft(a, one, out),
     )
 
 
@@ -360,37 +366,52 @@ _GUFUNC_FFTS = _gufunc_transforms(getattr(np.fft, "_pocketfft_umath", None))
 _FFTS = _NUMPY_FFTS if _GUFUNC_FFTS is None else _GUFUNC_FFTS
 
 
-def _real_values(half: np.ndarray, nbig: int, out=None, split=None) -> np.ndarray:
-    """Half spectra (..., n/2+1) -> real values (..., nbig), nbig >= n.
+def _real_transforms(n: int, nbig: int) -> tuple:
+    """Real synthesis and analysis between half spectra of n modes and nbig >= n
+    points, built once per transform set (``_FFTS`` at the call) and sizes.
 
-    ``out`` (..., nbig) receives the values and ``split`` (half's shape,
-    complex) the Nyquist-split spectrum that is transformed when nbig > n;
-    either is a new array when not given.
+    ``values(half, out, split)`` writes the values (..., nbig) of half
+    spectra (..., n/2+1) into ``out``, through their Nyquist split, written
+    into ``split`` (half's shape), when nbig > n.  ``coeffs(values, out)``
+    transforms into ``out`` (..., nbig/2+1) and returns the half spectra,
+    its first n/2+1 slots, with -n/2 folded into +n/2.
     """
-    n = 2 * (half.shape[-1] - 1)
-    if nbig > n:
-        half = np.multiply(half, _nyquist_split(n), out=split)
-    if out is None:
-        out = np.empty(half.shape[:-1] + (nbig,))
-    return _FFTS.irfft(half, out)
+    return _bound_real_transforms(n, nbig, _FFTS)
 
 
-def _real_coeffs(values: np.ndarray, n: int, out=None) -> np.ndarray:
-    """Real values (..., nbig) -> half spectra (..., n/2+1) of n modes.
+@functools.lru_cache(maxsize=64)
+def _bound_real_transforms(n: int, nbig: int, ffts: _Transforms) -> tuple:
+    irfft, rfft, nyq = ffts.irfft, ffts.sized_rfft(nbig), n // 2
+    if nbig == n:  # no split, and ``out`` holds exactly the n/2+1 modes
+        return (lambda half, out, split: irfft(half, out)), rfft
+    split_nyquist, multiply = _nyquist_split(n), np.multiply
 
-    ``out`` (..., nbig/2+1), or a new array, receives the transform; the
-    result is a view of its first n/2+1 slots, with -n/2 folded into +n/2.
-    """
-    if out is None:
-        out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=np.complex128)
-    half = _FFTS.rfft(values, out)[..., : n // 2 + 1]
-    if values.shape[-1] > n:
+    def values(half, out, split):
+        return irfft(multiply(half, split_nyquist, out=split), out)
+
+    def coeffs(values, out):
+        half = rfft(values, out)[..., : nyq + 1]
         if half.ndim == 1:  # one field: Python complex beats numpy scalar ops
-            z = half.item(n // 2)
-            half[n // 2] = z + z.conjugate()
+            z = half.item(nyq)
+            half[nyq] = z + z.conjugate()
         else:
-            half[..., n // 2] = 2.0 * half[..., n // 2].real
-    return half
+            half[..., nyq] = 2.0 * half[..., nyq].real
+        return half
+
+    return values, coeffs
+
+
+def _real_values(half: np.ndarray, nbig: int) -> np.ndarray:
+    """Half spectra (..., n/2+1) -> real values (..., nbig), nbig >= n, as a new array."""
+    values, _ = _real_transforms(2 * (half.shape[-1] - 1), nbig)
+    return values(half, np.empty(half.shape[:-1] + (nbig,)), None)
+
+
+def _real_coeffs(values: np.ndarray, n: int) -> np.ndarray:
+    """Real values (..., nbig) -> half spectra (..., n/2+1) of n modes, -n/2 folded into +n/2."""
+    _, coeffs = _real_transforms(n, values.shape[-1])
+    return coeffs(values, np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,),
+                                   dtype=np.complex128))
 
 
 def _complex_values(coeffs: np.ndarray, nbig: int) -> np.ndarray:
@@ -496,38 +517,43 @@ def analyze_values_padded(values, grid: PeriodicGrid) -> SpectralField:
     return SpectralField(grid, _complex_coeffs(values.astype(np.complex128, copy=False), grid.n))
 
 
-def _power(values: np.ndarray, p: int, work=None) -> np.ndarray:
-    """values ** p for an integer p >= 0 by repeated squaring.
+@functools.cache
+def _power_steps(p: int) -> tuple:
+    """The multiplies of values ** p (p >= 1) by repeated squaring, and the slot of the result.
 
-    The result is a new array or, given ``work`` (two arrays of values'
-    shape, not sharing its memory), one of those two, the other clobbered.
+    Slot 0 holds the values (read only), slots 1 and 2 the running product
+    and square; each step ``(a, b, dest)`` is ``slots[dest] = slots[a] *
+    slots[b]``.  The one order of the products: ``_power`` runs the steps
+    into new arrays and the solver's flux into a pair of its own.
     """
-    if p < 0:
-        raise ValueError(f"_power needs an integer p >= 0, got {p!r}")
-    if p == 0:
-        return np.ones_like(values)
-    if p == 1:
-        if work is None:
-            return values.copy()
-        np.copyto(work[0], values)
-        return work[0]
-    # slot 0 holds values (read only); slots 1 and 2 the running product and square
-    slots = [values, *(work if work is not None else (None, None))]
-    acc, base = None, 0
+    steps, acc, base = [], None, 0
     while True:
         if p & 1:
             if acc is None:
                 acc = base
             else:  # into acc's own slot, or the one base is not in
                 dest = acc or 3 - base
-                slots[dest] = np.multiply(slots[acc], slots[base], out=slots[dest])
+                steps.append((acc, base, dest))
                 acc = dest
         p >>= 1
         if not p:
-            return slots[acc]
+            return tuple(steps), acc
         dest = base if base and base != acc else (2 if acc == 1 else 1)
-        slots[dest] = np.multiply(slots[base], slots[base], out=slots[dest])
+        steps.append((base, base, dest))
         base = dest
+
+
+def _power(values: np.ndarray, p: int) -> np.ndarray:
+    """values ** p for an integer p >= 0 by repeated squaring, as a new array."""
+    if p < 0:
+        raise ValueError(f"_power needs an integer p >= 0, got {p!r}")
+    if p == 0:
+        return np.ones_like(values)
+    steps, last = _power_steps(p)
+    slots = [values, None, None]
+    for a, b, dest in steps:
+        slots[dest] = np.multiply(slots[a], slots[b], out=slots[dest])
+    return slots[last] if last else values.copy()
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -766,13 +792,16 @@ def _check_one_grid(fields, who: str) -> PeriodicGrid:
 
 
 def _check_real(coeffs: np.ndarray, who: str) -> None:
-    """Raise ``ValueError`` naming the first coefficient row (..., n) that is no real field.
+    """Raise ``ValueError`` naming the first coefficient row (..., n) that is no
+    finite real field: exactly conjugate symmetric, and finite, which
+    symmetric infinite coefficients are not.
 
     The message says whether that row holds a NaN or infinite coefficient
     or is finite and complex; only a failing check looks.
     """
     coeffs = np.asarray(coeffs)
-    bad = np.flatnonzero(~_conjugate_symmetric(coeffs).reshape(-1))
+    real = _conjugate_symmetric(coeffs) & np.isfinite(coeffs).all(axis=-1)
+    bad = np.flatnonzero(~real.reshape(-1))
     if len(bad):
         row = coeffs.reshape(-1, coeffs.shape[-1])[bad[0]]
         why = ("is non-finite (a coefficient is NaN or infinite)" if not np.isfinite(row).all()

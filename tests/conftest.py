@@ -353,6 +353,65 @@ def nonlinear_reference(equation, uhat):
     return equation.iq * flux
 
 
+def _dispatching_power(values, p, work):
+    """values ** p (p >= 1) by repeated squaring into the pair ``work``, slot by slot."""
+    if p == 1:
+        np.copyto(work[0], values)
+        return work[0]
+    slots = [values, *work]
+    acc, base = None, 0
+    while True:
+        if p & 1:
+            if acc is None:
+                acc = base
+            else:
+                dest = acc or 3 - base
+                slots[dest] = np.multiply(slots[acc], slots[base], out=slots[dest])
+                acc = dest
+        p >>= 1
+        if not p:
+            return slots[acc]
+        dest = base if base and base != acc else (2 if acc == 1 else 1)
+        slots[dest] = np.multiply(slots[base], slots[base], out=slots[dest])
+        base = dest
+
+
+def dispatching_flux(equation, uhat, out):
+    """The in-place flux as it was before ``Equation`` built it once: every call
+    dispatches on the equation and goes through the generic real kernels,
+    the Nyquist split and fold spelled out, with the transforms of the set
+    ``spectral._FFTS`` of the moment.  ``Equation._flux`` must equal it bit
+    for bit."""
+    eq, k, n, nbig = equation.eq, equation.k, equation.n, equation.nbig
+    if eq == "linear":
+        out.fill(0.0)
+        return out
+    lead = uhat.shape[:-1]
+    vals, split = np.empty(lead + (nbig,)), np.empty(lead + (n // 2 + 1,), dtype=complex)
+    pair = (np.empty(lead + (nbig,)), np.empty(lead + (nbig,)))
+    spec = np.empty(lead + (nbig // 2 + 1,), dtype=complex)
+    half = np.multiply(uhat, _nyquist_split(n), out=split) if nbig > n else uhat
+    vals = spectral._FFTS.irfft(half, vals)
+    powered = _dispatching_power(vals, 2 if eq == "bo2" else k + 1, pair)
+    flux = spectral._FFTS.sized_rfft(nbig)(powered, spec)[..., : n // 2 + 1]
+    if nbig > n:
+        if flux.ndim == 1:
+            z = flux.item(n // 2)
+            flux[n // 2] = z + z.conjugate()
+        else:
+            flux[..., n // 2] = 2.0 * flux[..., n // 2].real
+    if equation.cut is not None:
+        flux[..., equation.cut:] = 0.0
+    if eq == "gbo":
+        np.divide(flux, k + 1, out=flux)
+    elif eq == "renormalized_gbo":
+        mean = np.mean(_dispatching_power(vals, k, pair), axis=-1, keepdims=True)
+        np.multiply(2.0, flux, out=flux)
+        np.divide(flux, k + 1, out=flux)
+        np.subtract(flux, np.multiply(2.0 * mean, uhat, out=out), out=flux)
+    return np.multiply(equation.iq, flux, out=out)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def advance_reference(u0s, cfg, equation):
     """One stack of fields stepped with a new array for every operation.
@@ -421,7 +480,8 @@ def solve_batch_reference(u0s, cfg, equation):
 def count_transforms(monkeypatch):
     """Record every transform the spectral kernels make, as (name, leading
     shape, points), by wrapping ``spectral._FFTS``; points is the transform
-    size (the output's for ``irfft``)."""
+    size (the output's for ``irfft``).  ``sized_rfft`` is wrapped to return
+    a counting ``rfft``, so kernels bound after this call are counted."""
     calls = []
 
     def counting(name, fn):
@@ -430,8 +490,10 @@ def count_transforms(monkeypatch):
             return fn(a, out)
         return wrapped
 
+    ffts = spectral._FFTS
     monkeypatch.setattr(spectral, "_FFTS", spectral._Transforms(
-        *(counting(name, fn) for name, fn in spectral._FFTS._asdict().items())))
+        sized_rfft=lambda nbig: counting("rfft", ffts.sized_rfft(nbig)),
+        **{name: counting(name, getattr(ffts, name)) for name in ("irfft", "fft", "ifft")}))
     return calls
 
 

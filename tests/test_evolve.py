@@ -24,10 +24,10 @@ from bosp import (
 from bosp import evolve, spectral
 from bosp.evolve import _etdrk4_weights
 from bosp.lingroup import group_symbol
-from bosp.spectral import _real_coeffs, _real_values
+from bosp.spectral import _power, _real_coeffs, _real_values
 
-from conftest import (advance_reference, coeff_distance, count_transforms, nonlinear_reference,
-                      solve_batch_reference)
+from conftest import (advance_reference, coeff_distance, count_transforms, dispatching_flux,
+                      nonlinear_reference, solve_batch_reference)
 
 
 def cos_data(grid, amp=0.1, mean=0.0):
@@ -505,6 +505,27 @@ class TestInPlaceStepper:
         for i in (0, 3):
             assert np.array_equal(got[i].half_coeffs, ref[i].half_coeffs)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_nan_state_fails_the_blow_up_guard(self, rows):
+        # a NaN in the last row's flux at step 4 makes its state NaN, never > the guard
+        u0s = [_random_data("gbo", seed) for seed in range(7, 7 + rows)]
+        cfg = SolverConfig("gbo", dt=5e-3, t_final=0.05)
+        eq = evolve.Equation(u0s[0].grid, "gbo", 1, cfg.dealias)
+        flux, calls = eq._flux, []
+
+        def poisoned(uhat, out, work):
+            flux(uhat, out, work)
+            calls.append(uhat.shape)
+            if len(calls) == 3 * 4 + 1:
+                out.reshape(-1, out.shape[-1])[-1, 2] = np.nan
+            return out
+
+        eq._flux = poisoned
+        *good, blown = evolve._advance(u0s, cfg, eq)
+        assert isinstance(blown, BlowUpError) and blown.last_good_time == 3 * cfg.dt
+        for got, ref in zip(good, solve_batch(u0s[:-1], cfg)):
+            assert np.array_equal(got.half_coeffs, ref.half_coeffs)
+
     def test_work_arrays_built_once_per_stack(self, monkeypatch):
         built = []
         work = evolve.Equation._work
@@ -530,3 +551,53 @@ class TestInPlaceStepper:
         assert len(calls) == 8 * cfg.n_steps()
         assert sorted(set(calls)) == [("irfft", lead, nbig), ("rfft", lead, nbig)]
         assert sum(name == "rfft" for name, _, _ in calls) == 4 * cfg.n_steps()
+
+
+FLUX_EQUATIONS = ([("linear", 1), ("bo2", 1)]
+                  + [(eq, k) for eq in ("gbo", "renormalized_gbo") for k in range(1, 9)])
+
+
+class TestBuiltFlux:
+    """The flux ``Equation`` builds once against the per-call dispatching one."""
+
+    @pytest.mark.parametrize("transforms", ["_GUFUNC_FFTS", "_NUMPY_FFTS"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
+    @pytest.mark.parametrize("equation,k", FLUX_EQUATIONS)
+    def test_equals_the_dispatching_flux(self, monkeypatch, transforms, dealias, equation, k):
+        monkeypatch.setattr(spectral, "_FFTS", getattr(spectral, transforms))
+        u0s = [_random_data(equation, seed) for seed in (7, 8, 9)]
+        eq = evolve.Equation(u0s[0].grid, equation, k, dealias)
+        stack = np.array([u0.coeffs[: eq.n // 2 + 1] for u0 in u0s])
+        for uhat in (stack[0], stack):
+            out, before = np.empty_like(uhat), uhat.copy()
+            assert eq._flux(uhat, out, eq._work(uhat.shape[:-1])) is out
+            assert out.tobytes() == dispatching_flux(eq, uhat, np.empty_like(uhat)).tobytes()
+            assert np.array_equal(uhat, before)
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
+    @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+    def test_folded_factor_equals_divide_then_multiply(self, k, dealias, scale):
+        # k + 1 a power of two: iq / (k + 1) times the flux is exact, away
+        # from the subnormal range that these scales stay out of
+        eq = evolve.Equation(PeriodicGrid(1.0, 32), "gbo", k, dealias)
+        uhat = np.array([scale * _random_data("gbo", seed).coeffs[: eq.n // 2 + 1]
+                         for seed in (7, 8)])
+        vals = _real_values(uhat, eq.nbig)
+        flux = _real_coeffs(_power(vals, k + 1), eq.n)
+        if eq.cut is not None:
+            flux[..., eq.cut:] = 0.0
+        expected = eq.iq * (flux / (k + 1))
+        assert np.abs(expected).max() > 0
+        assert eq.nonlinear(uhat).tobytes() == expected.tobytes()
+        assert eq.nonlinear(uhat[0]).tobytes() == expected[0].tobytes()
+
+    def test_transform_set_is_read_when_the_equation_is_built(self, monkeypatch):
+        grid = PeriodicGrid(1.0, 32)
+        uhat = _random_data("gbo").coeffs[: grid.n // 2 + 1]
+        before = evolve.Equation(grid, "gbo")
+        calls = count_transforms(monkeypatch)
+        before.nonlinear(uhat)
+        assert calls == []
+        evolve.Equation(grid, "gbo").nonlinear(uhat)
+        assert [name for name, _, _ in calls] == ["irfft", "rfft"]

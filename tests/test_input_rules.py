@@ -6,6 +6,8 @@ rule gets the same bad input and must raise that rule's message; the zero
 mean, grid and real rules prefix it with the caller's name.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from bosp import (
     gauge_residual_batch,
     invariant,
     multiply,
+    solve,
     solve_batch,
     strichartz_norms,
 )
@@ -112,6 +115,23 @@ def test_real_rule_names_a_non_finite_row(entry):
     index = 1 if entry == "solve_batch" else 0
     assert _raised(call).endswith(
         f" needs real fields: field {index} is non-finite (a coefficient is NaN or infinite)")
+
+
+@pytest.mark.parametrize("entry", ["solve", "gauge_residual", "invariant"])
+def test_real_rule_refuses_symmetric_infinite_coefficients(entry):
+    # exactly conjugate symmetric, so a real field by symmetry alone
+    grid = PeriodicGrid(1.0, 16)
+    c = np.zeros(grid.n, dtype=complex)
+    c[1] = c[15] = np.inf
+    u = SpectralField(grid, c)
+    assert u.is_real
+    call = {"solve": lambda: solve(u, GBO),
+            "gauge_residual": lambda: gauge_residual(u, "bo"),
+            "invariant": lambda: invariant(u, "M")}[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _raised(call).endswith(
+            " needs real fields: field 0 is non-finite (a coefficient is NaN or infinite)")
 
 
 # A config applies the rule table's variant and k rules before the pair

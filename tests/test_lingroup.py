@@ -73,6 +73,13 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(random_fields(), 1.0, "airy_group")
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    def test_non_finite_time_refused(self, random_fields, t, kind):
+        # nan gave a NaN field and inf an invalid-value warning (0 * inf at q = 0)
+        with pytest.raises(ValueError, match=f"propagate needs a finite time t, got {t!r}"):
+            propagate(random_fields(), t, kind)
+
     @pytest.mark.parametrize("kind", GROUP_KINDS)
     def test_group_symbol_is_the_symbol_table_array(self, kind):
         grid = PeriodicGrid(1.5, 32)

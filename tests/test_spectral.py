@@ -27,7 +27,8 @@ from bosp import (
 )
 
 from bosp.spectral import (_alias_free_points, _complex_coeffs, _complex_values, _lp_norms,
-                           _parseval_norms, _power, _real_coeffs, _real_values, _symbol, _values)
+                           _parseval_norms, _power, _power_steps, _real_coeffs,
+                           _real_transforms, _real_values, _symbol, _values)
 
 from conftest import coeff_distance, count_transforms, dense_lp, dft_direct
 
@@ -188,22 +189,24 @@ class TestTransformSets:
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         half, values = cplx(lead + (n // 2 + 1,)), rng.standard_normal(lead + (nbig,))
-        cases = [  # kernel, input, size, fresh out arrays (or None: it takes none)
+        cases = [  # kernel, input, size, the call into given arrays (or None: it takes none)
             (_real_values, half, nbig,
-             lambda: (np.empty(lead + (nbig,)), np.empty_like(half))),
+             lambda: _real_transforms(n, nbig)[0](half, np.empty(lead + (nbig,)),
+                                                  np.empty_like(half))),
             (_real_coeffs, values, n,
-             lambda: (np.empty(lead + (nbig // 2 + 1,), dtype=complex),)),
+             lambda: _real_transforms(n, nbig)[1](
+                 values, np.empty(lead + (nbig // 2 + 1,), dtype=complex))),
             (_complex_values, cplx(lead + (n,)), nbig, None),
             (_complex_coeffs, cplx(lead + (nbig,)), n, None),
             (_complex_coeffs, values, n, None),
         ]
-        for kernel, data, size, work in cases:
+        for kernel, data, size, into in cases:
             got = []
             for transforms in (spectral._GUFUNC_FFTS, spectral._NUMPY_FFTS):
                 monkeypatch.setattr(spectral, "_FFTS", transforms)
                 got.append(kernel(data, size))
-                if work is not None:
-                    got.append(kernel(data, size, *work()))
+                if into is not None:
+                    got.append(into())
             assert all(np.array_equal(other, got[0]) for other in got[1:]), kernel.__name__
 
 
@@ -657,13 +660,14 @@ class TestPaddedTransformProperties:
             lead + (n // 2 + 1,))
         before = half.copy()
         out, split = np.empty(lead + (nbig,)), np.empty_like(half)
-        vals = _real_values(half, nbig, out, split)
+        values, coeffs = _real_transforms(n, nbig)
+        vals = values(half, out, split)
         assert vals is out and np.array_equal(vals, _real_values(half, nbig))
         assert np.array_equal(half, before)
         spec = np.empty(lead + (nbig // 2 + 1,), dtype=complex)
-        coeffs = _real_coeffs(vals * vals, n, spec)
-        assert np.shares_memory(coeffs, spec)
-        assert np.array_equal(coeffs, _real_coeffs(vals * vals, n))
+        half_spec = coeffs(vals * vals, spec)
+        assert np.shares_memory(half_spec, spec)
+        assert np.array_equal(half_spec, _real_coeffs(vals * vals, n))
 
     @PROPERTY
     @given(f=fields(), pad=PADS)
@@ -770,13 +774,17 @@ class TestPower:
         out[...] = 7.0
         assert np.array_equal(v, before, equal_nan=True)
 
-    @pytest.mark.parametrize("p", range(0, 13))
+    @pytest.mark.parametrize("p", range(1, 13))
     def test_work_pair_result_equals_new_array(self, p):
+        """The steps run into the values and a pair, as the solver's flux runs them."""
         v = self.signed_values()
-        work = (np.full_like(v, 3.0), np.full_like(v, 5.0))
-        got = _power(v, p, work)
-        assert np.array_equal(got, _power(v, p), equal_nan=True)
-        assert p == 0 or any(got is w for w in work)
+        before = v.copy()
+        slots = [v, np.full_like(v, 3.0), np.full_like(v, 5.0)]
+        steps, last = _power_steps(p)
+        for a, b, dest in steps:
+            np.multiply(slots[a], slots[b], out=slots[dest])
+        assert np.array_equal(slots[last], _power(v, p), equal_nan=True)
+        assert np.array_equal(v, before, equal_nan=True)
 
     def test_stack_equals_row_by_row(self):
         stack = self.signed_values()[:500].reshape(5, 100)

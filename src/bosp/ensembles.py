@@ -17,21 +17,26 @@ relies on this.
 and normalizes it with one norm over the coefficient stack; numpy fills a
 sized draw in the order of repeated calls, so field i is the one the i-th
 of ``count`` ``random_field`` calls would draw.  ``random_field`` is its
-one-row case.  A caller that draws several fields per sample takes one
-block of shape (count, roles, 2, n_modes) and turns each role's slice into
-fields with ``_fields_from_normals``, which keeps that order too.
+one-row case; both refuse a ``decay`` outside (0, 1] and a non-finite
+``amplitude`` or ``mean`` before drawing.  A caller that draws several
+fields per sample takes one block of shape (count, roles, 2, n_modes) and
+turns each role's slice into fields with ``_fields_from_normals``, which
+keeps that order too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spectral import PeriodicGrid, SpectralField, _parseval_norms
+from .spectral import PeriodicGrid, SpectralField, _Rule, _check_values, _finite, _parseval_norms
 
 __all__ = ["random_field", "random_fields"]
 
 # The H^s smoothness of each normalization; None is the L^2 norm.
 _NORM_ORDERS = {"l2": None, "h1": 1.0, "h2": 2.0}
+
+# Rules shared with config keys (see spectral); amplitude and mean need only be finite.
+_RULES = {"decay": _Rule(lambda v: _finite(v) and 0 < v <= 1, "in (0, 1]")}
 
 
 def _fields_from_normals(grid: PeriodicGrid, normals: np.ndarray, decay: float,
@@ -77,6 +82,7 @@ def random_fields(grid: PeriodicGrid, rng: np.random.Generator, count: int,
     """
     if normalize not in _NORM_ORDERS:
         raise ValueError(f"unknown normalization {normalize!r}")
+    _check_values(_RULES, decay=decay, amplitude=amplitude, mean=mean)
     cap = grid.n // 2 - 1
     n_modes = cap if n_modes is None else min(int(n_modes), cap)
     if n_modes < 1:

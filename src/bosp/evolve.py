@@ -16,10 +16,13 @@ Kassam-Trefethen contour trick (SIAM J. Sci. Comput. 26 (2005), 1214).
 ``Equation`` is the one definition of each right-hand side: ``solve``
 integrates it and the residuals of ``gauge`` substitute it.  Which (tag, k)
 pairs name one is decided by one rule, ``spectral._check_equation``, which
-``SolverConfig``, ``Equation`` and ``Trajectory`` all apply; ``Equation``
-also refuses a dealias rule that ``SolverConfig`` refuses.  Its linear
-phase and iq are read from ``spectral._symbol`` (kinds ``bo_group`` and
-``d_dx``), the table that ``lingroup.group_symbol`` serves too.  Its nonlinear
+``SolverConfig``, ``Equation`` and ``Trajectory`` all apply.  The other
+parameters (the solver's, and ``Equation``'s ``dealias``) are checked by
+this module's rule table ``_RULES`` (see ``spectral``), which the config
+keys of the same names share; ``SolverConfig`` adds the cross-key rule
+t_final >= dt.  The linear phase and iq of ``Equation`` are read from
+``spectral._symbol`` (kinds ``bo_group`` and ``d_dx``), the table that
+``lingroup.group_symbol`` serves too.  Its nonlinear
 terms are in conservative form d_x(u^{k+1})/(k+1) so the mean mode is
 conserved to round-off, and products are dealiased by forming them on the
 alias-free grid of degree k + 2 (3 for ``bo2``), where the flux and the
@@ -66,17 +69,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpError
-from .spectral import (PeriodicGrid, SpectralField, Trajectory, _check_equation,
-                       _alias_free_points, _check_one_grid, _check_real, _check_zero_mean,
-                       _full_spectrum, _power_steps, _real_transforms, _row_chunks, _symbol)
+from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, Trajectory, _alias_free_points,
+                       _check_equation, _check_one_grid, _check_real, _check_values,
+                       _check_zero_mean, _choice, _full_spectrum, _integer, _power_steps,
+                       _real_transforms, _row_chunks, _symbol)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
 
 _BLOWUP_GUARD = 1e8
 _CONTOUR_POINTS = 64
-_SCHEMES = ("if_rk4", "etd_rk4")
-_DEALIAS_RULES = ("two_thirds", "alias_free", "none")
+# Rules shared with config keys (see spectral).
+_RULES = {
+    **dict.fromkeys(("dt", "t_final"), _POSITIVE),
+    "scheme": _choice("if_rk4", "etd_rk4"),
+    "dealias": _choice("two_thirds", "alias_free", "none"),
+    "sample_stride": _integer(1),
+    "n_levels": _integer(3),  # a slope needs two errors below the reference
+}
 
 
 @dataclass(frozen=True)
@@ -102,16 +112,10 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_equation(self.equation, self.k)
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dealias not in _DEALIAS_RULES:
-            raise ValueError(f"unknown dealias rule {self.dealias!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        _check_values(_RULES, scheme=self.scheme, dealias=self.dealias, dt=self.dt)
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
             raise ValueError(f"t_final must be finite and at least dt, got {self.t_final!r}")
-        if not (isinstance(self.sample_stride, (int, np.integer)) and self.sample_stride >= 1):
-            raise ValueError("sample_stride must be an integer >= 1")
+        _check_values(_RULES, sample_stride=self.sample_stride)
 
     def n_steps(self) -> int:
         ratio = self.t_final / self.dt
@@ -147,8 +151,7 @@ class Equation:
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1,
                  dealias: str = "alias_free"):
         _check_equation(equation, k)
-        if dealias not in _DEALIAS_RULES:
-            raise ValueError(f"unknown dealias rule {dealias!r}")
+        _check_values(_RULES, dealias=dealias)
         half = grid.n // 2
         self.grid, self.eq, self.k, self.n = grid, equation, k, grid.n
         self.symbol = _symbol(grid, "bo_group")[: half + 1]
@@ -406,8 +409,7 @@ def convergence_order(u0: SpectralField, cfg: SolverConfig, n_levels: int = 4) -
     1e-12 the result is flagged ``exact`` (linear runs hit this: the
     integrating factor is the exact propagator).
     """
-    if n_levels < 3:
-        raise ValueError("need at least 3 refinement levels")
+    _check_values(_RULES, n_levels=n_levels)
     finals = []
     dts = []
     base_steps = replace(cfg, sample_stride=1).n_steps()

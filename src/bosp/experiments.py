@@ -12,13 +12,15 @@ keys the experiment reads.
 
 The config rules are data.  ``_RULES`` maps each key name to one rule, a
 test and the text that is both its error message and its ``--help`` line;
-a key the table does not name need only be finite.  An entry lists its
-cross-key ``checks``, named functions of the values that return the text
-of a broken rule, and its ``solvers``, which builds the
-:class:`SolverConfig` of every solve the run makes, so the solver's own
-rules apply before anything runs and the run reads those objects.  One loop
-applies the rules in that order, and the first broken one is the
-:class:`ConfigError`.
+a key the table does not name need only be finite.  It is the union of the
+rule tables of ``spectral``, ``evolve``, ``lingroup`` and ``ensembles``,
+whose functions check their own parameters by the same rules, and the
+rules of the keys only experiments have.  An entry lists its cross-key
+``checks``, named functions of the values that return the text of a broken
+rule, and its ``solvers``, which builds the :class:`SolverConfig` of every
+solve the run makes, so the solver's own rules apply before anything runs
+and the run reads those objects.  The rules apply in that order, and the
+first broken one is the :class:`ConfigError`.
 
 Each experiment is a pure function of (config, seed): it draws its ensemble
 from a seeded generator, produces one record per sample, and derives its
@@ -53,35 +55,25 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import operator
 import re
 import time as _time
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import ensembles, evolve, lingroup, spectral
 from .errors import BlowUpError, ConfigError
 from .ensembles import _fields_from_normals, random_fields
-from .evolve import (_DEALIAS_RULES, _SCHEMES, SolverConfig, convergence_order, solve,
-                     solve_batch)
+from .evolve import SolverConfig, convergence_order, solve, solve_batch
 from .gauge import _frames, gauge_residual_batch
 from .invariants import dilate, drift_report, invariant, xnorm, xnorm_series
 from .lingroup import strichartz_norms
-from .spectral import (
-    PeriodicGrid,
-    SpectralField,
-    Trajectory,
-    _check_gauge_variant,
-    _full_spectrum,
-    _lp_norms,
-    _parseval_norms,
-    _symbol,
-    analyze_values_padded,
-    norm,
-    synthesize,
-)
+from .spectral import (_FINITE, _POSITIVE, PeriodicGrid, SpectralField, _Rule,
+                       _check_gauge_variant, _check_values, _finite, _full_spectrum, _integer,
+                       _lp_norms, _parseval_norms, _symbol, analyze_values_padded, norm,
+                       synthesize)
 
 __all__ = [
     "EXPERIMENT_NAMES",
@@ -121,8 +113,9 @@ class ExperimentConfig:
                 values[key] = _coerce(value, values[key])
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-        try:  # a rule of SolverConfig or of the gauge variant raises in its own words
-            broken = next(filter(None, _broken_rules(values, entry.checks)), "")
+        try:  # the key rules first, so a cross-key check reads only values that passed
+            _check_values(_RULES, **values)
+            broken = next(filter(None, (check(values) for check in entry.checks)), "")
             solvers = {} if broken else entry.solvers(values)
         except ValueError as exc:
             broken = str(exc)
@@ -150,31 +143,6 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-class _Rule(NamedTuple):
-    """What a config value must be: ``test`` decides, ``text`` says it.
-
-    ``text`` completes "<key> must be ...", both in the error message of a
-    broken rule and in the key's ``--help`` line.
-    """
-
-    test: Callable
-    text: str
-
-
-def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
-
-
-def _integer(least: int) -> _Rule:
-    return _Rule(lambda v: isinstance(v, (int, np.integer)) and v >= least,
-                 f"an integer >= {least}")
-
-
-def _choice(*options: str) -> _Rule:
-    return _Rule(lambda v: isinstance(v, str) and v in options,
-                 f"one of {', '.join(options)}")
-
-
 def _distinct(least: int, item: _Rule) -> _Rule:
     """A list of at least ``least`` distinct values, each passing ``item``."""
     return _Rule(lambda v: (isinstance(v, tuple) and len(v) >= least
@@ -182,20 +150,12 @@ def _distinct(least: int, item: _Rule) -> _Rule:
                  f"a list of {least} or more distinct values, each {item.text}")
 
 
-_FINITE = _Rule(_finite, "finite")  # the rule of a key the table does not name
-_POSITIVE = _Rule(lambda v: _finite(v) and v > 0, "finite and positive")
-
+# the rules of the library's parameters, then those of keys only experiments have
 _RULES = {
+    **spectral._RULES, **evolve._RULES, **lingroup._RULES, **ensembles._RULES,
     "seed": _integer(0),
-    "n": _Rule(lambda v: _integer(8).test(v) and v % 2 == 0, "an even integer >= 8"),
-    **dict.fromkeys(("k", "sample_stride", "n_samples", "shrink_samples"), _integer(1)),
+    **dict.fromkeys(("n_samples", "shrink_samples"), _integer(1)),
     "n_modes": _integer(0),             # the cross-key checks bound it by the band
-    "n_levels": _integer(3),            # a slope needs two errors below the reference
-    "equation": _choice(*Trajectory.EQUATIONS),
-    "scheme": _choice(*_SCHEMES),
-    "dealias": _choice(*_DEALIAS_RULES),
-    "variant": _choice("bo", "gbo"),
-    "decay": _Rule(lambda v: _finite(v) and 0 < v <= 1, "in (0, 1]"),
     # one dilation solves on a larger circle; dilation 1 repeats the direct solve
     "dilation": _Rule(lambda v: _finite(v) and v > 1, "finite and above 1"),
     "e_ks": _distinct(1, _integer(1)),
@@ -203,10 +163,10 @@ _RULES = {
     "lambdas": _distinct(2, _POSITIVE),
     # flowmap's gaps are perturbation and perturbation / shrink_factor; every
     # verdict threshold but strichartz-scan's slope_max, which may be negative
-    **dict.fromkeys("lam dt t_final e_dt e_t_final horizon perturbation shrink_factor "
-                    "im_tol f_tol e_tol separation_min residual_tol shrink_min "
-                    "variation_max ratio_bound insensitivity_max scaling_tol order_min "
-                    "order_max monitor_bound stability_max".split(), _POSITIVE),
+    **dict.fromkeys("e_dt e_t_final perturbation shrink_factor im_tol f_tol e_tol "
+                    "separation_min residual_tol shrink_min variation_max ratio_bound "
+                    "insensitivity_max scaling_tol order_min order_max monitor_bound "
+                    "stability_max".split(), _POSITIVE),
 }
 
 
@@ -221,18 +181,6 @@ def _key_help(name: str) -> dict:
     return {key: f"{_RULES.get(key, _FINITE).text} (default: "
                  f"{','.join(map(str, val)) if isinstance(val, tuple) else val})"
             for key, val in _defaults(name).items()}
-
-
-def _broken_rules(values: dict, checks) -> Iterator:
-    """The text of each broken rule in turn ("" or None for a check that holds).
-
-    The key rules come first, so a cross-key check reads only values that
-    passed theirs; taken lazily, the first broken rule ends the checking.
-    """
-    for key, value in values.items():
-        if not (rule := _RULES.get(key, _FINITE)).test(value):
-            yield f"{key} must be {rule.text}, got {value!r}"
-    yield from (check(values) for check in checks)
 
 
 def _modes_drawn(v) -> str:

@@ -300,24 +300,18 @@ class ResidualNorms:
     h1: float
 
 
-@functools.lru_cache(maxsize=16)
-def _equation(grid: PeriodicGrid, equation: str) -> Equation:
-    """One ``Equation`` per grid and tag, shared (read-only) by the residuals."""
-    return Equation(grid, equation)
-
-
 def _instantaneous_wt(fr: _Frame) -> np.ndarray:
     """Rows of w_t with the evolution equation substituted for v_t."""
     k, grid = fr.k, fr.grid
     half = fr.coeffs[:, : grid.n // 2 + 1]
     if fr.variant == "bo":
-        vt = _equation(grid, "bo2").rhs(half)
+        vt = Equation(grid, "bo2").rhs(half)
         vt_vals = _real_vals(vt)
         Ft = _primitive(vt, grid)
     else:
         # non-conservative: keeps the folded n/2 value, which the identity needs
         vx_vals = _real_vals(_symbol(grid, "d_dx") * fr.coeffs)
-        vt = _equation(grid, "linear").rhs(half) + _real_rows(2.0 * fr.mvk_vals * vx_vals, grid.n)
+        vt = Equation(grid, "linear").rhs(half) + _real_rows(2.0 * fr.mvk_vals * vx_vals, grid.n)
         vt_vals = _real_vals(vt)
         Ft = _primitive(_real_rows(k * _power(fr.v_vals, k - 1) * vt_vals, grid.n), grid)
     # e^{iF} d_t(e^{-iF} v), named for the reason given at vxx_minus in _rhs_gbo

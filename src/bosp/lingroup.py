@@ -34,11 +34,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import PeriodicGrid, SpectralField, _check_one_grid, _conjugate_symmetric, _symbol
+from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, _check_one_grid, _check_values,
+                       _conjugate_symmetric, _symbol)
 
 __all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm", "strichartz_norms"]
 
 GROUP_KINDS = ("bo_group", "schrodinger_group")
+
+# Rules shared with config keys (see spectral); t need only be finite.
+_RULES = {"horizon": _POSITIVE}
 
 
 def group_symbol(grid: PeriodicGrid, kind: str) -> np.ndarray:
@@ -55,8 +59,7 @@ def group_symbol(grid: PeriodicGrid, kind: str) -> np.ndarray:
 
 def propagate(f: SpectralField, t: float, kind: str = "bo_group") -> SpectralField:
     """Apply the free group at a finite time t (exact multiplier)."""
-    if not np.isfinite(t):
-        raise ValueError(f"propagate needs a finite time t, got {t!r}")
+    _check_values(_RULES, t=t)
     # the bo multiplier is exactly conjugate symmetric, so real fields stay real
     return SpectralField(f.grid, np.exp(group_symbol(f.grid, kind) * t) * f.coeffs)
 
@@ -187,8 +190,7 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     kernel plus the planes of the rows it meets, so a large stack is cut
     into stacks of fewer rows.  No fields give [].
     """
-    if not (horizon > 0 and np.isfinite(horizon)):
-        raise ValueError(f"time horizon must be finite and positive, got {horizon!r}")
+    _check_values(_RULES, horizon=horizon)
     if kind not in GROUP_KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
     fields = list(fields)

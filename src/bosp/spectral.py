@@ -65,6 +65,15 @@ whatever the input dtype: the gufuncs get float64 factors, and
 
 A ``Trajectory`` is one half-spectrum stack, expanded a snapshot at a time
 on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
+
+Each scalar parameter has one rule, a ``_Rule`` (a test, and the text
+that completes "<name> must be ..."), whose ``check`` raises the one
+message "<name> must be <text>, got <value>".  Each module lists the rules
+of its parameters in a table ``_RULES`` beside its code (here n, lam, k,
+equation and variant) and checks them with ``_check_values``; a name no
+table lists need only be finite.  ``experiments._RULES`` is their union
+plus the keys only experiments have, so a config key and the library
+parameter it feeds are refused in the same words.
 ``_check_equation`` is the one rule for which (tag, k) pairs name a
 right-hand side; every constructor that names one applies it.  Beside it,
 each input rule is one function that every entry point calls:
@@ -115,6 +124,7 @@ quadratures) keep ``**``.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -168,10 +178,7 @@ class PeriodicGrid:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 8 and self.n % 2 == 0):
-            raise ValueError(f"n must be an even integer >= 8, got {self.n!r}")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
+        _check_values(_RULES, n=self.n, lam=self.lam)
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "n", int(self.n))
 
@@ -490,8 +497,7 @@ def synthesize(f: SpectralField, oversample: int = 1) -> np.ndarray:
 
     ``oversample`` is an integer >= 1.  Returns a real array for real fields.
     """
-    if not (isinstance(oversample, numbers.Integral) and oversample >= 1):
-        raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
+    _integer(1).check("oversample", oversample)
     return _values(f, oversample * f.grid.n)
 
 
@@ -768,6 +774,43 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
 # ---------------------------------------------------------------------------
 
 
+class _Rule(NamedTuple):
+    """What a parameter must be: ``test`` decides, and ``text`` completes "<name>
+    must be ..." in the message of a broken rule and a config key's ``--help`` line."""
+
+    test: Callable
+    text: str
+
+    def check(self, name: str, value) -> None:
+        """Raise the ``ValueError`` of this rule broken by ``value``, if it is."""
+        if not self.test(value):
+            raise ValueError(f"{name} must be {self.text}, got {value!r}")
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _integer(least: int) -> _Rule:
+    return _Rule(lambda v: isinstance(v, (int, np.integer)) and v >= least,
+                 f"an integer >= {least}")
+
+
+def _choice(*options: str) -> _Rule:
+    return _Rule(lambda v: isinstance(v, str) and v in options,
+                 f"one of {', '.join(options)}")
+
+
+_FINITE = _Rule(_finite, "finite")  # the rule of a name a table does not list
+_POSITIVE = _Rule(lambda v: _finite(v) and v > 0, "finite and positive")
+
+
+def _check_values(rules: dict, **values) -> None:
+    """Check each value in order by its rule in ``rules``, ``_FINITE`` if unlisted."""
+    for name, value in values.items():
+        rules.get(name, _FINITE).check(name, value)
+
+
 def _check_zero_mean(coeffs: np.ndarray, who: str) -> None:
     """Raise ``ValueError`` unless every coefficient row (..., n) has |C_0| < ZERO_MEAN_TOL.
 
@@ -813,27 +856,22 @@ def _check_gauge_variant(variant, k) -> None:
     """Raise ``ValueError`` unless (variant, k) names a gauge and its degree.
 
     The one rule for the gauge transform, the dilations and the configs
-    that name a variant: ``bo`` has k = 1 and ``gbo`` an integer k >= 1.
+    that name a variant: the ``variant`` and ``k`` rules, then k = 1 for
+    ``bo``.
     """
-    if variant not in ("bo", "gbo"):
-        raise ValueError(f"unknown gauge variant {variant!r}")
+    _check_values(_RULES, variant=variant, k=k)
     if variant == "bo" and k != 1:
         raise ValueError(f"the bo variant has k = 1, got k = {k!r}")
-    if variant == "gbo" and not (isinstance(k, numbers.Integral) and k >= 1):
-        raise ValueError(f"the gbo variant needs an integer k >= 1, got k = {k!r}")
 
 
 def _check_equation(equation, k) -> None:
     """Raise ``ValueError`` unless the tag and degree ``k`` name a right-hand side.
 
     The one rule for every constructor that names one (``SolverConfig``,
-    ``evolve.Equation``, ``Trajectory``): a tag of ``Trajectory.EQUATIONS``
-    and an integer k >= 1, which must be 1 for ``linear`` and ``bo2``.
+    ``evolve.Equation``, ``Trajectory``): the ``equation`` and ``k`` rules,
+    then k = 1 for ``linear`` and ``bo2``.
     """
-    if equation not in Trajectory.EQUATIONS:
-        raise ValueError(f"unknown equation tag {equation!r}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    _check_values(_RULES, equation=equation, k=k)
     if k != 1 and equation in ("linear", "bo2"):
         raise ValueError(f"k applies to gbo and renormalized_gbo only, "
                          f"got k = {k} for {equation}")
@@ -903,3 +941,13 @@ class Trajectory:
             f"Trajectory({self.equation}, k={self.k}, lam={self.grid.lam:.6g}, "
             f"n={self.grid.n}, samples={len(self)}, T={self.times[-1]:.6g})"
         )
+
+
+# Rules shared with config keys (module docstring).
+_RULES = {
+    "n": _Rule(lambda v: _integer(8).test(v) and v % 2 == 0, "an even integer >= 8"),
+    "lam": _POSITIVE,
+    "k": _integer(1),
+    "equation": _choice(*Trajectory.EQUATIONS),
+    "variant": _choice("bo", "gbo"),
+}

@@ -1,5 +1,7 @@
 """Stacked random draws against the per-field reference loop, byte for byte."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,25 @@ def test_degenerate_draw_is_refused():
     # the envelope underflows to zero, so no field can be normalized
     with pytest.raises(ValueError, match="degenerate draw"):
         random_fields(PeriodicGrid(1.0, 16), np.random.default_rng(0), 4, decay=1e-200)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+REFUSED_SCALARS = ([("decay", value, "in (0, 1]") for value in [*NON_FINITE, 0.0, -1.0, 2.0]]
+                   + [(key, value, "finite") for key in ("amplitude", "mean")
+                      for value in NON_FINITE])
+
+
+@pytest.mark.parametrize("draw", [lambda grid, rng, **kw: random_fields(grid, rng, 3, **kw),
+                                  random_field], ids=["random_fields", "random_field"])
+@pytest.mark.parametrize("key, value, rule", REFUSED_SCALARS)
+def test_scalar_outside_its_config_rule_is_refused_by_name(draw, key, value, rule):
+    # decay or amplitude nan drew NaN fields, decay -1 and 2 were drawn, decay
+    # or amplitude inf raised an invalid-value warning and mean went into C_0
+    grid, rng = PeriodicGrid(1.0, 16), np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            draw(grid, rng, **{key: value})
+    assert str(exc.value) == f"{key} must be {rule}, got {value!r}"
+    assert rng.bit_generator.state == state

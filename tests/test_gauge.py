@@ -273,25 +273,25 @@ class TestInstantaneousResidual:
         assert worst_128 / max(worst_256, 1e-300) >= 1e2
 
     @pytest.mark.parametrize("variant", ["bo", "gbo"])
-    def test_equation_built_once_per_grid(self, rng, monkeypatch, variant):
-        from bosp import gauge
-
-        built = []
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return Equation(*args, **kwargs)
-
-        gauge._equation.cache_clear()
-        monkeypatch.setattr(gauge, "Equation", counting)
+    def test_warm_and_cold_residuals_count_the_same_transforms(self, rng, monkeypatch, variant):
+        # residuals once shared one Equation per grid, whose flux kept the
+        # transforms of its first use: counted later, bo lost its bo2 flux
+        k = 2 if variant == "gbo" else 1
         grid = PeriodicGrid(1.0, 64)
         fields = [h2_normalized(grid, rng, amp=0.1) for _ in range(3)]
-        first = [gauge_residual(v, variant, k=2 if variant == "gbo" else 1) for v in fields]
-        second = [gauge_residual(v, variant, k=2 if variant == "gbo" else 1)
-                  for v in fields + [h2_normalized(PeriodicGrid(1.0, 64), rng, amp=0.1)]]
-        gauge._equation.cache_clear()
-        assert len(built) == 1
-        assert first == second[:3]
+        first = [gauge_residual(v, variant, k=k) for v in fields]
+        calls = count_transforms(monkeypatch)
+
+        def counted(v):
+            start = len(calls)
+            return gauge_residual(v, variant, k=k), calls[start:]
+
+        second, warm = zip(*map(counted, fields + [h2_normalized(grid, rng, amp=0.1)]))
+        _, cold = counted(h2_normalized(PeriodicGrid(1.375, 64), rng, amp=0.1))
+        assert all(counts == cold for counts in warm)
+        assert first == list(second[:3])
+        if variant == "bo":  # the bo2 flux, on its alias-free rows
+            assert ("irfft", (1,), _alias_free_points(64, 3)) in cold
 
     def test_w_never_exceeds_v_in_l2(self, rng):
         grid = PeriodicGrid(1.0, 128)
@@ -306,9 +306,9 @@ class TestInstantaneousResidual:
 
 class TestFrame:
     @pytest.mark.parametrize("variant, k, match", [
-        ("gbo", 0, "integer k >= 1"), ("gbo", -2, "integer k >= 1"),
-        ("gbo", 1.5, "integer k >= 1"), ("bo", 3, "bo variant has k = 1"),
-        ("bo", 0, "bo variant has k = 1"), ("kdv", 1, "unknown gauge variant"),
+        ("gbo", 0, "k must be an integer >= 1"), ("gbo", -2, "k must be an integer >= 1"),
+        ("gbo", 1.5, "k must be an integer >= 1"), ("bo", 3, "bo variant has k = 1"),
+        ("bo", 0, "k must be an integer >= 1"), ("kdv", 1, "variant must be one of bo, gbo"),
     ])
     def test_bad_variant_or_k_named(self, grid, rng, variant, k, match):
         v = h2_normalized(grid, rng)
@@ -725,5 +725,5 @@ class TestRightHandSides:
             assert ref[half] == 0.0
 
     def test_unknown_equation_rejected(self):
-        with pytest.raises(ValueError, match="unknown equation"):
+        with pytest.raises(ValueError, match="equation must be one of"):
             Equation(PeriodicGrid(1.0, 16), "kdv")

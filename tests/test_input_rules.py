@@ -7,6 +7,7 @@ mean, grid and real rules prefix it with the caller's name.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from bosp import (
     antiderivative,
     build_gauge,
     config_from_mapping,
+    convergence_order,
     dilate,
     gauge_lipschitz_gap,
     gauge_residual,
     gauge_residual_batch,
     invariant,
     multiply,
+    random_fields,
     solve,
     solve_batch,
     strichartz_norms,
@@ -134,24 +137,15 @@ def test_real_rule_refuses_symmetric_infinite_coefficients(entry):
             " needs real fields: field 0 is non-finite (a coefficient is NaN or infinite)")
 
 
-# A config applies the rule table's variant and k rules before the pair
-# rule, so those decide a bad variant or a k that is not an integer >= 1.
-CONFIG_MESSAGES = {
-    ("bo", 0): "k must be an integer >= 1, got 0",
-    ("gbo", 0): "k must be an integer >= 1, got 0",
-    ("gbo", 1.5): "k must be an integer >= 1, got 1.5",
-    ("gbo", -1): "k must be an integer >= 1, got -1",
-    ("kdv", 1): "variant must be one of bo, gbo, got 'kdv'",
-}
-
-
+# The variant and k rules come before the pair rule, in the library as in a
+# config, so every entry gives one text.
 @pytest.mark.parametrize("variant, k, message", [
     ("bo", 3, "the bo variant has k = 1, got k = 3"),
-    ("bo", 0, "the bo variant has k = 1, got k = 0"),
-    ("gbo", 0, "the gbo variant needs an integer k >= 1, got k = 0"),
-    ("gbo", 1.5, "the gbo variant needs an integer k >= 1, got k = 1.5"),
-    ("gbo", -1, "the gbo variant needs an integer k >= 1, got k = -1"),
-    ("kdv", 1, "unknown gauge variant 'kdv'"),
+    ("bo", 0, "k must be an integer >= 1, got 0"),
+    ("gbo", 0, "k must be an integer >= 1, got 0"),
+    ("gbo", 1.5, "k must be an integer >= 1, got 1.5"),
+    ("gbo", -1, "k must be an integer >= 1, got -1"),
+    ("kdv", 1, "variant must be one of bo, gbo, got 'kdv'"),
 ])
 @pytest.mark.parametrize("entry", ["gauge_residual_batch", "build_gauge", "dilate",
                                    "scaling config", "gauge-residual config"])
@@ -165,7 +159,36 @@ def test_gauge_variant_rule(entry, variant, k, message):
             "gauge-residual config": lambda: config_from_mapping(
                 "gauge-residual", {"variant": variant, "k": k})}[entry]
     if entry.endswith("config"):
-        message = CONFIG_MESSAGES.get((variant, k), message)
         with pytest.raises(ConfigError):
             call()
     assert _raised(call) == message
+
+
+# One bad value of each key that a library parameter shares with the config,
+# the experiment that reads the key, and the library call that takes it.
+SHARED_KEYS = {
+    "n": ("simulate", 6, lambda v: PeriodicGrid(1.0, v)),
+    "lam": ("simulate", 0.0, lambda v: PeriodicGrid(v, 32)),
+    "k": ("simulate", 0, lambda v: replace(GBO, k=v)),
+    "equation": ("simulate", "kdv", lambda v: replace(GBO, equation=v)),
+    "variant": ("gauge-residual", "kdv", lambda v: gauge_residual(_cos(GRID), v)),
+    "dt": ("simulate", -1.0, lambda v: replace(GBO, dt=v)),
+    "scheme": ("simulate", "rk45", lambda v: replace(GBO, scheme=v)),
+    "dealias": ("simulate", "pad4", lambda v: replace(GBO, dealias=v)),
+    "sample_stride": ("simulate", 0, lambda v: replace(GBO, sample_stride=v)),
+    "n_levels": ("convergence", 2, lambda v: convergence_order(_cos(GRID), GBO, v)),
+    "horizon": ("strichartz-scan", 0.0, lambda v: strichartz_norms([_cos(GRID)], v)),
+    "decay": ("gauge-residual", 2.0,
+              lambda v: random_fields(GRID, np.random.default_rng(0), 1, decay=v)),
+}
+
+
+@pytest.mark.parametrize("key", SHARED_KEYS)
+def test_library_and_config_refuse_a_shared_key_in_one_text(key):
+    # the library once said "unknown scheme 'rk45'", "need at least 3
+    # refinement levels" or "time horizon must be ...", and took decay = 2
+    name, value, call = SHARED_KEYS[key]
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping(name, {key: value})
+    assert str(exc.value).startswith(f"{key} must be ")
+    assert _raised(lambda: call(value)) == str(exc.value)

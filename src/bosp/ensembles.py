@@ -17,8 +17,8 @@ relies on this.
 and normalizes it with one norm over the coefficient stack; numpy fills a
 sized draw in the order of repeated calls, so field i is the one the i-th
 of ``count`` ``random_field`` calls would draw.  ``random_field`` is its
-one-row case; both refuse a ``decay`` outside (0, 1] and a non-finite
-``amplitude`` or ``mean`` before drawing.  A caller that draws several
+one-row case; both check ``count``, ``n_modes``, ``normalize``, ``decay``,
+``amplitude`` and ``mean`` before drawing.  A caller that draws several
 fields per sample takes one block of shape (count, roles, 2, n_modes) and
 turns each role's slice into fields with ``_fields_from_normals``, which
 keeps that order too.
@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import PeriodicGrid, SpectralField, _Rule, _check_values, _finite, _parseval_norms
+from .spectral import (PeriodicGrid, SpectralField, _Rule, _check_values, _choice, _finite,
+                       _integer, _parseval_norms)
 
 __all__ = ["random_field", "random_fields"]
 
@@ -74,19 +75,20 @@ def random_fields(grid: PeriodicGrid, rng: np.random.Generator, count: int,
                   mean: float = 0.0, physical_decay: bool = False) -> list:
     """Draw ``count`` real random fields from one generator call.
 
-    ``n_modes`` positive modes are populated (at most n/2 - 1, the default).
+    ``n_modes`` positive modes are populated: None (the default) or an
+    integer >= 1, capped at n/2 - 1.
     ``normalize`` rescales each fluctuation (mean excluded) to ``amplitude``
     in ``h1``, ``l2`` or ``h2``.  ``mean`` is written into C_0 after
     normalization, so pinned-mean ensembles keep their fluctuation size
     exactly.
     """
-    if normalize not in _NORM_ORDERS:
-        raise ValueError(f"unknown normalization {normalize!r}")
+    _integer(0).check("count", count)
+    _Rule(lambda v: v is None or _integer(1).test(v), "None or an integer >= 1").check(
+        "n_modes", n_modes)
+    _choice(*_NORM_ORDERS).check("normalize", normalize)
     _check_values(_RULES, decay=decay, amplitude=amplitude, mean=mean)
     cap = grid.n // 2 - 1
-    n_modes = cap if n_modes is None else min(int(n_modes), cap)
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
+    n_modes = cap if n_modes is None else min(n_modes, cap)
     return _fields_from_normals(grid, rng.standard_normal((count, 2, n_modes)), decay,
                                 amplitude, normalize, mean, physical_decay)
 

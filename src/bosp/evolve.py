@@ -69,10 +69,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpError
-from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, Trajectory, _alias_free_points,
-                       _check_equation, _check_one_grid, _check_real, _check_values,
-                       _check_zero_mean, _choice, _full_spectrum, _integer, _power_steps,
-                       _real_transforms, _row_chunks, _symbol)
+from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, Trajectory, _Rule,
+                       _alias_free_points, _check_equation, _check_one_grid, _check_real,
+                       _check_values, _check_zero_mean, _choice, _finite, _full_spectrum,
+                       _integer, _power_steps, _real_transforms, _row_chunks, _symbol)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
@@ -113,8 +113,8 @@ class SolverConfig:
     def __post_init__(self):
         _check_equation(self.equation, self.k)
         _check_values(_RULES, scheme=self.scheme, dealias=self.dealias, dt=self.dt)
-        if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
-            raise ValueError(f"t_final must be finite and at least dt, got {self.t_final!r}")
+        _Rule(lambda v: _finite(v) and v >= self.dt, "finite and at least dt").check(
+            "t_final", self.t_final)
         _check_values(_RULES, sample_stride=self.sample_stride)
 
     def n_steps(self) -> int:

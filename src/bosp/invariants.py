@@ -34,21 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    SpectralField,
-    Trajectory,
-    PeriodicGrid,
-    _alias_free_points,
-    _check_gauge_variant,
-    _check_real,
-    _full_spectrum,
-    _lp_norms,
-    _parseval_norms,
-    _power,
-    _real_values,
-    _row_chunks,
-    _symbol,
-)
+from .spectral import _RULES as _SPECTRAL_RULES
+from .spectral import (PeriodicGrid, SpectralField, Trajectory, _Rule, _alias_free_points,
+                       _check_gauge_variant, _check_real, _choice, _finite, _full_spectrum,
+                       _integer, _lp_norms, _parseval_norms, _power, _real_values, _row_chunks,
+                       _symbol)
 
 __all__ = [
     "invariant",
@@ -78,8 +68,11 @@ def invariant(f, which: str, k: int = 1, sign: float = 1.0):
     ``sign=1`` is the convention conserved by u_t + H u_xx = u^k u_x;
     ``sign=-1`` selects the mirror convention (conserved when the
     right-hand side carries the opposite sign), used by the separation
-    tests.
+    tests; ``sign`` is 1 or -1, and ``k`` an integer >= 1 (spectral's rule).
     """
+    _choice("I", "M", "F_bo", "E_gbo").check("which", which)
+    _SPECTRAL_RULES["k"].check("k", k)
+    _Rule(lambda v: v in (1, -1), "1 or -1").check("sign", sign)
     if isinstance(f, Trajectory):
         return _series(f.grid, f.half_coeffs, (which,), k, sign)[which]
     _check_real(f.coeffs, "invariant")
@@ -113,11 +106,9 @@ def _series(grid: PeriodicGrid, half: np.ndarray, names, k: int = 1,
                 value = (circ * np.sum((q * np.abs(c)) ** 2, axis=-1)
                          - sign * 0.75 * (circ * np.mean(u * u * hux, axis=-1))
                          + 0.125 * (circ * np.mean(_power(u, 4), axis=-1)))
-            elif name == "E_gbo":
+            else:  # E_gbo
                 power = circ * np.mean(_power(u, k + 2), axis=-1) / ((k + 1) * (k + 2))
                 value = 0.5 * (circ * np.sum(np.abs(q) * np.abs(c) ** 2, axis=-1)) - sign * power
-            else:
-                raise ValueError(f"unknown invariant {name!r}")
             out[name].append(value)
     return {name: np.concatenate(values) for name, values in out.items()}
 
@@ -169,8 +160,7 @@ def xnorm_series(times, coeffs, grid: PeriodicGrid, level: int) -> float:
     the one of ``xnorm``, reduced over the whole stack.  Exactly conjugate-
     symmetric stacks are synthesized as real fields, any other as complex.
     """
-    if level not in (0, 1, 2):
-        raise ValueError(f"level must be 0, 1 or 2, got {level!r}")
+    _Rule(lambda v: _integer(0).test(v) and v <= 2, "0, 1 or 2").check("level", level)
     times, coeffs = np.asarray(times, dtype=float), np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != (len(times), grid.n):
         raise ValueError(f"coefficient stack has shape {coeffs.shape}, "
@@ -218,8 +208,7 @@ def dilate(f: SpectralField, lam: float, variant: str = "bo", k: int = 1) -> Spe
     The pair (variant, k) must pass ``spectral._check_gauge_variant``:
     ``bo`` has k = 1 and ``gbo`` takes an integer k >= 1.
     """
-    if lam < 1:
-        raise ValueError(f"dilation parameter must be >= 1, got {lam!r}")
+    _Rule(lambda v: _finite(v) and v >= 1, "finite and at least 1").check("lam", lam)
     _check_gauge_variant(variant, k)
     amp = 1.0 / lam if variant == "bo" else lam ** (-1.0 / k)
     target = PeriodicGrid(f.grid.lam * lam, f.grid.n)

@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, _check_one_grid, _check_values,
-                       _conjugate_symmetric, _symbol)
+from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, _check_finite, _check_one_grid,
+                       _check_values, _choice, _conjugate_symmetric, _symbol)
 
 __all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm", "strichartz_norms"]
 
 GROUP_KINDS = ("bo_group", "schrodinger_group")
+_KIND = _choice(*GROUP_KINDS)  # the rule of every ``kind`` argument
 
 # Rules shared with config keys (see spectral); t need only be finite.
 _RULES = {"horizon": _POSITIVE}
@@ -52,8 +53,7 @@ def group_symbol(grid: PeriodicGrid, kind: str) -> np.ndarray:
     ``GROUP_KINDS``; any other kind is a ``ValueError``.  The odd bo symbol
     is zeroed on the self-conjugate Nyquist slot so real fields stay real.
     """
-    if kind not in GROUP_KINDS:
-        raise ValueError(f"unknown group kind {kind!r}")
+    _KIND.check("kind", kind)
     return _symbol(grid, kind)
 
 
@@ -185,18 +185,19 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     The fields share one grid; real and complex ones may mix.  Evaluated
     exactly by the resonance sum (module docstring) over the union of the
     fields' supports, each row with the Nyquist convention of the padded
-    transforms.  The pairs, key groups and kernel of each m-chunk are built
+    transforms.  A field with a NaN or infinite coefficient is refused by
+    name.  The pairs, key groups and kernel of each m-chunk are built
     once and applied to every row; ``_EXACT_ENTRIES`` bounds a chunk's
     kernel plus the planes of the rows it meets, so a large stack is cut
     into stacks of fewer rows.  No fields give [].
     """
     _check_values(_RULES, horizon=horizon)
-    if kind not in GROUP_KINDS:
-        raise ValueError(f"unknown group kind {kind!r}")
+    _KIND.check("kind", kind)
     fields = list(fields)
     if not fields:
         return []
     _check_one_grid(fields, "strichartz_norms")
+    _check_finite([f.coeffs for f in fields], "strichartz_norms")
     return [float(total) ** 0.25 for total in _resonance_integrals(fields, horizon, kind).tolist()]
 
 

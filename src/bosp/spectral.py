@@ -66,19 +66,23 @@ whatever the input dtype: the gufuncs get float64 factors, and
 A ``Trajectory`` is one half-spectrum stack, expanded a snapshot at a time
 on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
 
-Each scalar parameter has one rule, a ``_Rule`` (a test, and the text
-that completes "<name> must be ..."), whose ``check`` raises the one
-message "<name> must be <text>, got <value>".  Each module lists the rules
-of its parameters in a table ``_RULES`` beside its code (here n, lam, k,
-equation and variant) and checks them with ``_check_values``; a name no
-table lists need only be finite.  ``experiments._RULES`` is their union
-plus the keys only experiments have, so a config key and the library
-parameter it feeds are refused in the same words.
-``_check_equation`` is the one rule for which (tag, k) pairs name a
-right-hand side; every constructor that names one applies it.  Beside it,
-each input rule is one function that every entry point calls:
-``_check_zero_mean`` (|C_0| < ``ZERO_MEAN_TOL``, which no other code
-compares), ``_check_one_grid``, ``_check_real`` (finite real fields) and
+Each scalar parameter of the public API has one rule, a ``_Rule`` (a test,
+and the text that completes "<name> must be ..."), whose ``check`` raises
+the one message "<name> must be <text>, got <value>"; no entry point words
+a scalar check of its own.  ``_integer`` takes no bool and ``_finite`` no
+int beyond float range.  A module's table ``_RULES`` lists the parameters
+that share a name with a config key (here n, lam, k, equation and
+variant), checked with ``_check_values``, where a name no table lists need
+only be finite; ``experiments._RULES`` merges the tables, which share no
+key, with the keys only experiments have, so a config key and the library
+parameter it feeds are refused in the same words.  Any other parameter
+(a ``kind``, ``order``, ``cutoff``, ``p``, ``s``, ``which``, ``sign``,
+``level``, ``count``) is checked by an inline rule.  ``_check_equation``
+is the one rule for which (tag, k) pairs name a right-hand side; every
+constructor that names one applies it.  Beside it, each input rule is one
+function that every entry point calls: ``_check_zero_mean`` (|C_0| <
+``ZERO_MEAN_TOL``, which no other code compares), ``_check_one_grid``,
+``_check_finite``, ``_check_real`` (finite real fields) and
 ``_check_gauge_variant`` (``bo`` with k = 1, ``gbo`` with an integer
 k >= 1).  Each raises ``ValueError`` with one message, naming the caller.
 ``norm`` is the one-row case of the per-row ``_parseval_norms`` (L^2, H^s)
@@ -647,18 +651,15 @@ def project(f: SpectralField, kind: str, cutoff: float | None = None) -> Spectra
     ``leq`` + ``gt`` + the negative mirror of ``gt`` + ``zero`` reassemble
     the identity exactly.
     """
+    _choice("plus", "minus", "zero", "leq", "gt").check("kind", kind)
     q = f.grid.freqs
     if kind in ("plus", "minus"):
         mask = _symbol(f.grid, kind)
     elif kind == "zero":
         mask = q == 0
-    elif kind in ("leq", "gt"):
-        if cutoff is None or not (np.isfinite(cutoff) and cutoff >= 0):
-            raise ValueError(f"{kind} projection needs a nonnegative cutoff that is finite, "
-                             f"got {cutoff!r}")
-        mask = (q != 0) & (np.abs(q) <= cutoff) if kind == "leq" else q > cutoff
     else:
-        raise ValueError(f"unknown projection kind {kind!r}")
+        _NONNEGATIVE.check("cutoff", cutoff)
+        mask = (q != 0) & (np.abs(q) <= cutoff) if kind == "leq" else q > cutoff
     return SpectralField(f.grid, np.where(mask, f.coeffs, 0.0))
 
 
@@ -673,15 +674,13 @@ def differentiate(f: SpectralField, kind: str = "d_dx", order: float = 1) -> Spe
 
     All three map real fields to real fields.
     """
+    _choice("d_dx", "abs_d", "bessel").check("kind", kind)
     if kind == "d_dx":
-        if not (np.isfinite(order) and order == int(order) and order >= 0):
-            raise ValueError(f"d_dx order must be a nonnegative integer, got {order!r}")
+        _Rule(lambda v: _NONNEGATIVE.test(v) and v == int(v), "a whole number >= 0").check(
+            "order", order)
         order = int(order)
-    elif kind in ("abs_d", "bessel"):
-        if not (np.isfinite(order) and order >= 0):
-            raise ValueError(f"{kind} exponent must be nonnegative and finite, got {order!r}")
     else:
-        raise ValueError(f"unknown derivative kind {kind!r}")
+        _NONNEGATIVE.check("order", order)
     mult = _symbol(f.grid, kind, order)
     return SpectralField(f.grid, mult * f.coeffs)
 
@@ -752,21 +751,18 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
       ``hs_dot`` -- (sum |q|^(2s) |C_q|^2)^(1/2); pass s.
       ``linf``   -- max |f| on the 4x oversampled grid.
     """
+    _choice("lp", "hs", "hs_dot", "linf").check("kind", kind)
     if kind == "lp":
+        _Rule(lambda v: v in (1, 2, 4), "1, 2 or 4").check("p", p)
         if p == 2:
             return float(_parseval_norms(f.coeffs, f.grid))
-        if p not in (1, 4):
-            raise ValueError(f"unsupported Lp exponent p = {p!r} (use 1, 2 or 4)")
         return float(_lp_norms(f.coeffs[None], f.grid, p)[0])
-    if kind in ("hs", "hs_dot") and (s is None or not np.isfinite(s)):
-        raise ValueError(f"{kind} norm needs a finite smoothness parameter s, got {s!r}")
-    if kind == "hs":
-        return float(_parseval_norms(f.coeffs, f.grid, s))
-    if kind == "hs_dot":
-        return float(np.sqrt(np.sum(_symbol(f.grid, "abs_d", 2 * s) * np.abs(f.coeffs) ** 2)))
     if kind == "linf":
         return float(_lp_norms(f.coeffs[None], f.grid, np.inf)[0])
-    raise ValueError(f"unknown norm kind {kind!r}")
+    _FINITE.check("s", s)
+    if kind == "hs":
+        return float(_parseval_norms(f.coeffs, f.grid, s))
+    return float(np.sqrt(np.sum(_symbol(f.grid, "abs_d", 2 * s) * np.abs(f.coeffs) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +784,15 @@ class _Rule(NamedTuple):
 
 
 def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def _integer(least: int) -> _Rule:
-    return _Rule(lambda v: isinstance(v, (int, np.integer)) and v >= least,
-                 f"an integer >= {least}")
+    return _Rule(lambda v: (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                            and v >= least), f"an integer >= {least}")
 
 
 def _choice(*options: str) -> _Rule:
@@ -803,6 +802,7 @@ def _choice(*options: str) -> _Rule:
 
 _FINITE = _Rule(_finite, "finite")  # the rule of a name a table does not list
 _POSITIVE = _Rule(lambda v: _finite(v) and v > 0, "finite and positive")
+_NONNEGATIVE = _Rule(lambda v: _finite(v) and v >= 0, "finite and nonnegative")
 
 
 def _check_values(rules: dict, **values) -> None:
@@ -834,22 +834,29 @@ def _check_one_grid(fields, who: str) -> PeriodicGrid:
     return grid
 
 
+def _check_finite(coeffs, who: str, fields: str = "finite fields") -> None:
+    """Raise ``ValueError`` naming the first coefficient row (..., n) with a NaN
+    or infinite coefficient; the message says the caller needs ``fields``."""
+    bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=-1).reshape(-1))
+    if len(bad):
+        raise ValueError(f"{who} needs {fields}: field {bad[0]} is non-finite "
+                         "(a coefficient is NaN or infinite)")
+
+
 def _check_real(coeffs: np.ndarray, who: str) -> None:
     """Raise ``ValueError`` naming the first coefficient row (..., n) that is no
     finite real field: exactly conjugate symmetric, and finite, which
-    symmetric infinite coefficients are not.
-
-    The message says whether that row holds a NaN or infinite coefficient
-    or is finite and complex; only a failing check looks.
+    symmetric infinite coefficients are not.  The message says whether that
+    row is non-finite (``_check_finite`` up to the first complex row) or complex.
     """
     coeffs = np.asarray(coeffs)
-    real = _conjugate_symmetric(coeffs) & np.isfinite(coeffs).all(axis=-1)
-    bad = np.flatnonzero(~real.reshape(-1))
-    if len(bad):
-        row = coeffs.reshape(-1, coeffs.shape[-1])[bad[0]]
-        why = ("is non-finite (a coefficient is NaN or infinite)" if not np.isfinite(row).all()
-               else "is complex (its coefficients are not exactly conjugate symmetric)")
-        raise ValueError(f"{who} needs real fields: field {bad[0]} {why}")
+    rows = coeffs.reshape(-1, coeffs.shape[-1])
+    complex_rows = np.flatnonzero(~_conjugate_symmetric(rows))
+    first = complex_rows[0] if len(complex_rows) else len(rows)
+    _check_finite(rows[: first + 1], who, "real fields")
+    if len(complex_rows):
+        raise ValueError(f"{who} needs real fields: field {first} is complex "
+                         "(its coefficients are not exactly conjugate symmetric)")
 
 
 def _check_gauge_variant(variant, k) -> None:

@@ -22,11 +22,11 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 # command line too), values just inside it, and the settings that make room
 # for them under the experiment's cross-key and solver rules.
 EDGES = {
-    "seed": ([-1, 0.5], [0], {}),
+    "seed": ([-1, 0.5, True], [0], {}),
     # bernstein's draws must reach above its high pass q > 1 on each circle
     "n": ([6, 7, 8.0], [8], {"n_modes": 3, "lambdas": (1.0, 2.0)}),
-    "k": ([0, 1.5], [1], {}),
-    "sample_stride": ([0, 1.0], [1], {}),
+    "k": ([0, 1.5, True], [1], {}),
+    "sample_stride": ([0, 1.0, True], [1], {}),
     "n_samples": ([0], [1], {"shrink_samples": 1}),
     "shrink_samples": ([0], [1], {}),
     "n_modes": ([-1, 1.0], [0], {}),
@@ -41,14 +41,15 @@ EDGES = {
     "lambdas": ([(1.0,), (), (1.0, 1.0), (0.0, 1.0), (1.0, math.nan)], [(1.0, 2.0)], {}),
 }
 # every finite-and-positive key: the least positive float is inside; a step
-# or horizon that small needs its partner as small
+# or horizon that small needs its partner as small.  An int beyond float
+# range is not finite (math.isfinite raised OverflowError on it).
 _ROOM = {"dt": {"t_final": TINY, "sample_stride": 1}, "t_final": {"dt": TINY, "sample_stride": 1},
          "e_dt": {"e_t_final": TINY}, "e_t_final": {"e_dt": TINY}}
-EDGES.update({key: ([0.0, -1.0, *NON_FINITE], [TINY], _ROOM.get(key, {}))
+EDGES.update({key: ([0.0, -1.0, *NON_FINITE, 10 ** 400], [TINY], _ROOM.get(key, {}))
               for key, rule in _RULES.items() if key not in EDGES})
 EDGES["order_max"] = EDGES["order_max"][0], [2 * TINY], {"order_min": TINY}
 # a key the table does not name need only be finite
-UNNAMED = ([*NON_FINITE], [-1.0, 0.0], {})
+UNNAMED = ([*NON_FINITE, 10 ** 400], [-1.0, 0.0], {})
 
 # Where a cross-key check of the experiment is tighter than the key's rule,
 # the value just inside the check instead.
@@ -74,6 +75,18 @@ def _spelled(value) -> str:
 def test_every_rule_has_edges():
     assert set(EDGES) == set(_RULES)
     assert {key for _, key in KEYS} >= set(_RULES)
+
+
+def test_module_rule_tables_share_no_key():
+    # experiments._RULES merges the tables with **, where a repeated key
+    # would silently replace another module's rule
+    from bosp import ensembles, evolve, lingroup, spectral
+
+    tables = [spectral._RULES, evolve._RULES, lingroup._RULES, ensembles._RULES]
+    names = [name for table in tables for name in table]
+    assert len(names) == len(set(names))
+    for table in tables:
+        assert all(_RULES[name] is rule for name, rule in table.items())
 
 
 @pytest.mark.parametrize("name, key", KEYS)

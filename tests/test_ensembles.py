@@ -50,9 +50,9 @@ def test_one_field_is_the_one_row_stack():
 def test_errors_come_before_the_draw():
     grid, rng = PeriodicGrid(1.0, 16), np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="unknown normalization"):
+    with pytest.raises(ValueError, match="normalize must be one of l2, h1, h2"):
         random_fields(grid, rng, 3, normalize="h3")
-    with pytest.raises(ValueError, match="at least one mode"):
+    with pytest.raises(ValueError, match="n_modes must be None or an integer >= 1"):
         random_fields(grid, rng, 3, n_modes=0)
     assert rng.bit_generator.state == state
 

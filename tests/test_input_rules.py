@@ -3,9 +3,12 @@
 ``bosp.spectral`` says each rule once: zero mean, one grid, real fields
 and the gauge (variant, k) pair.  Every entry point that applies a
 rule gets the same bad input and must raise that rule's message; the zero
-mean, grid and real rules prefix it with the caller's name.
+mean, grid and real rules prefix it with the caller's name.  Every scalar
+argument of the public API is checked by a ``_Rule``, whose message
+starts "<name> must be ".
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -14,23 +17,36 @@ import pytest
 
 from bosp import (
     ConfigError,
+    Equation,
     PeriodicGrid,
     SolverConfig,
     SpectralField,
+    Trajectory,
     antiderivative,
     build_gauge,
     config_from_mapping,
     convergence_order,
+    differentiate,
     dilate,
     gauge_lipschitz_gap,
     gauge_residual,
     gauge_residual_batch,
+    group_symbol,
     invariant,
     multiply,
+    norm,
+    project,
+    propagate,
+    random_field,
     random_fields,
+    rhs_gbo_terms,
     solve,
     solve_batch,
+    strichartz_norm,
     strichartz_norms,
+    synthesize,
+    xnorm,
+    xnorm_series,
 )
 
 GRID = PeriodicGrid(1.0, 32)
@@ -192,3 +208,97 @@ def test_library_and_config_refuse_a_shared_key_in_one_text(key):
         config_from_mapping(name, {key: value})
     assert str(exc.value).startswith(f"{key} must be ")
     assert _raised(lambda: call(value)) == str(exc.value)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+U = _cos(GRID)
+TRAJ = Trajectory(GRID, [0.0, 0.1], np.zeros((2, GRID.n // 2 + 1)), "linear")
+HUGE = 10 ** 400  # an int beyond float range
+
+# One bad value of each scalar argument of the public API: NaN, a wrong
+# type, out of range, a bool for an integer or an int beyond float range.
+SCALAR_ARGUMENTS = [
+    ("PeriodicGrid", "lam", math.nan, lambda v: PeriodicGrid(v, 16)),
+    ("PeriodicGrid", "lam", HUGE, lambda v: PeriodicGrid(v, 16)),
+    ("PeriodicGrid", "n", 16.0, lambda v: PeriodicGrid(1.0, v)),
+    ("synthesize", "oversample", True, lambda v: synthesize(U, v)),
+    ("synthesize", "oversample", 0, lambda v: synthesize(U, v)),
+    ("project", "kind", "high", lambda v: project(U, v)),
+    ("project", "cutoff", None, lambda v: project(U, "leq", v)),
+    ("project", "cutoff", -1.0, lambda v: project(U, "gt", v)),
+    ("project", "cutoff", math.nan, lambda v: project(U, "gt", v)),
+    ("differentiate", "kind", "curl", lambda v: differentiate(U, v)),
+    ("differentiate", "order", 0.5, lambda v: differentiate(U, "d_dx", v)),
+    ("differentiate", "order", math.inf, lambda v: differentiate(U, "d_dx", v)),
+    ("differentiate", "order", -0.5, lambda v: differentiate(U, "abs_d", v)),
+    ("differentiate", "order", "1", lambda v: differentiate(U, "bessel", v)),
+    ("norm", "kind", "l3", lambda v: norm(U, v)),
+    ("norm", "p", 3, lambda v: norm(U, "lp", p=v)),
+    ("norm", "p", None, lambda v: norm(U, "lp", p=v)),
+    ("norm", "p", math.nan, lambda v: norm(U, "lp", p=v)),
+    ("norm", "s", None, lambda v: norm(U, "hs", s=v)),
+    ("norm", "s", math.nan, lambda v: norm(U, "hs_dot", s=v)),
+    ("Trajectory", "k", True, lambda v: Trajectory(GRID, TRAJ.times, TRAJ.half_coeffs, "gbo", v)),
+    ("group_symbol", "kind", "airy_group", lambda v: group_symbol(GRID, v)),
+    ("propagate", "t", math.nan, lambda v: propagate(U, v)),
+    ("propagate", "t", HUGE, lambda v: propagate(U, v)),
+    ("propagate", "kind", "d_dx", lambda v: propagate(U, 1.0, v)),
+    ("strichartz_norms", "horizon", HUGE, lambda v: strichartz_norms([U], v)),
+    ("strichartz_norms", "kind", "hilbert", lambda v: strichartz_norms([U], 1.0, v)),
+    ("strichartz_norm", "horizon", 0.0, lambda v: strichartz_norm(U, v)),
+    ("SolverConfig", "t_final", HUGE, lambda v: SolverConfig("gbo", dt=0.1, t_final=v)),
+    ("SolverConfig", "t_final", math.nan, lambda v: replace(GBO, t_final=v)),
+    ("SolverConfig", "dt", math.nan, lambda v: replace(GBO, dt=v)),
+    ("SolverConfig", "k", True, lambda v: replace(GBO, k=v)),
+    ("SolverConfig", "sample_stride", True, lambda v: replace(GBO, sample_stride=v)),
+    ("Equation", "dealias", "pad4", lambda v: Equation(GRID, "gbo", 1, v)),
+    ("convergence_order", "n_levels", 3.0, lambda v: convergence_order(U, GBO, v)),
+    ("build_gauge", "k", True, lambda v: build_gauge(U, "gbo", v)),
+    ("rhs_gbo_terms", "k", 1.5, lambda v: rhs_gbo_terms(U, v)),
+    ("gauge_residual", "k", True, lambda v: gauge_residual(U, "gbo", v)),
+    ("gauge_lipschitz_gap", "variant", "kdv", lambda v: gauge_lipschitz_gap(U, U, v)),
+    ("invariant", "which", "H", lambda v: invariant(U, v)),
+    ("invariant", "which", "H", lambda v: invariant(TRAJ, v)),
+    ("invariant", "k", 0, lambda v: invariant(U, "E_gbo", k=v)),
+    ("invariant", "k", -1, lambda v: invariant(U, "E_gbo", k=v)),
+    ("invariant", "k", 1.5, lambda v: invariant(U, "E_gbo", k=v)),
+    ("invariant", "sign", math.nan, lambda v: invariant(U, "M", sign=v)),
+    ("invariant", "sign", 0.5, lambda v: invariant(U, "F_bo", sign=v)),
+    ("xnorm", "level", 3, lambda v: xnorm(TRAJ, v)),
+    ("xnorm_series", "level", True,
+     lambda v: xnorm_series(TRAJ.times, np.zeros((2, GRID.n)), GRID, v)),
+    ("dilate", "lam", 0.5, lambda v: dilate(U, v)),
+    ("dilate", "lam", math.nan, lambda v: dilate(U, v)),
+    ("random_fields", "count", -1, lambda v: random_fields(GRID, _rng(), v)),
+    ("random_fields", "count", True, lambda v: random_fields(GRID, _rng(), v)),
+    ("random_fields", "n_modes", 2.7, lambda v: random_fields(GRID, _rng(), 2, n_modes=v)),
+    ("random_fields", "n_modes", math.nan, lambda v: random_fields(GRID, _rng(), 2, n_modes=v)),
+    ("random_fields", "n_modes", 0, lambda v: random_fields(GRID, _rng(), 2, n_modes=v)),
+    ("random_fields", "normalize", "h3", lambda v: random_fields(GRID, _rng(), 2, normalize=v)),
+    ("random_field", "decay", math.nan, lambda v: random_field(GRID, _rng(), decay=v)),
+    ("random_field", "amplitude", HUGE, lambda v: random_field(GRID, _rng(), amplitude=v)),
+    ("random_field", "mean", math.inf, lambda v: random_field(GRID, _rng(), mean=v)),
+]
+
+
+@pytest.mark.parametrize("entry, param, value, call", SCALAR_ARGUMENTS,
+                         ids=[f"{e}-{p}-{str(v)[:8]}" for e, p, v, _ in SCALAR_ARGUMENTS])
+def test_scalar_argument_is_refused_by_its_rule(entry, param, value, call):
+    # each raised its own text, a numpy error or warning, or returned a value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _raised(lambda: call(value)).startswith(f"{param} must be ")
+
+
+def test_real_rule_names_the_first_bad_row():
+    # the row named is the first that is complex or non-finite
+    nan = _cos(GRID).coeffs.copy()
+    nan[3] = np.nan
+    rows = [_cos(GRID), _complex(GRID), SpectralField(GRID, nan)]
+    assert _raised(lambda: solve_batch(rows, GBO)).endswith(
+        "field 1 is complex (its coefficients are not exactly conjugate symmetric)")
+    assert _raised(lambda: solve_batch(rows[::-1], GBO)).endswith(
+        "field 0 is non-finite (a coefficient is NaN or infinite)")

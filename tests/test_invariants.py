@@ -216,7 +216,7 @@ class TestStackedSeries:
                 assert np.array_equal(series, solo), (name, sign)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown invariant"):
+        with pytest.raises(ValueError, match="which must be one of I, M, F_bo, E_gbo"):
             invariant(_tag_trajectory("linear", 1), "H")
 
 
@@ -328,7 +328,7 @@ class TestDilate:
             dilate(cos_field(grid), 2.0, "kdv")
 
     def test_infinite_lambda_rejected(self, grid):
-        with pytest.raises(ValueError, match="lam must be finite and positive"):
+        with pytest.raises(ValueError, match="lam must be finite and at least 1"):
             dilate(cos_field(grid), np.inf, "bo")
 
     def test_linear_flow_commutes_exactly(self, rng):

@@ -87,7 +87,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("kind", ["airy_group", "d_dx", "hilbert"])
     def test_group_symbol_serves_group_kinds_only(self, kind):
-        with pytest.raises(ValueError, match="unknown group kind"):
+        with pytest.raises(ValueError, match="kind must be one of bo_group, schrodinger_group"):
             lingroup.group_symbol(PeriodicGrid(1.0, 16), kind)
 
 
@@ -375,6 +375,25 @@ class TestStackedStrichartzNorms:
             strichartz_norms([f, random_field(PeriodicGrid(2.0, 32), rng, n_modes=8)], 1.0)
         with pytest.raises(ValueError, match="one grid"):
             strichartz_norms([f, random_field(PeriodicGrid(1.0, 64), rng, n_modes=8)], 1.0)
-        with pytest.raises(ValueError, match="unknown group kind"):
+        with pytest.raises(ValueError, match="kind must be one of bo_group, schrodinger_group"):
             strichartz_norms([f], 1.0, kind="airy_group")
+        c = f.coeffs.copy()
+        c[3] = np.nan
+        with pytest.raises(ValueError, match="field 1 is non-finite"):
+            strichartz_norms([f, SpectralField(f.grid, c)], 1.0)
         assert strichartz_norms([], 1.0) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_is_refused_by_name(self, bad):
+        # it returned [nan]; a complex row beside it stays accepted
+        grid = PeriodicGrid(1.0, 16)
+        c = np.zeros(grid.n, dtype=complex)
+        c[1] = 0.1j
+        broken = c.copy()
+        broken[2] = bad
+        fields = [SpectralField(grid, c), SpectralField(grid, broken)]
+        assert not fields[0].is_real and np.isfinite(strichartz_norms(fields[:1], 1.0)).all()
+        with pytest.raises(ValueError) as exc:
+            strichartz_norms(fields, 1.0)
+        assert str(exc.value) == ("strichartz_norms needs finite fields: field 1 is non-finite "
+                                  "(a coefficient is NaN or infinite)")

@@ -7,7 +7,8 @@ lie over the config file's section, and ``config_from_mapping`` parses both
 alike, so a value is spelled as in a file (``--scheme etd_rk4``,
 ``--lambdas 1,2,4``).  ``bosp <name> --help`` prints each key's rule from
 the experiments' rule table beside its default.  Abbreviated flags are
-refused.
+refused.  ``main`` builds the full flag set of the experiment it runs only;
+the other names carry just their help lines (``build_parser``).
 
 Exit codes: 0 all checks passed, 1 any check failed, 2 usage or
 configuration error; a value that breaks a config rule is refused before
@@ -41,12 +42,23 @@ from .experiments import (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``bosp`` parser, every subcommand in full or, given ``only``, that one.
+
+    Each other name is then a stub with its name and help line only, which
+    is all that top-level ``--help``, usage lines and invalid-choice errors
+    print: the top-level parser has no option but ``-h``, so argparse hands
+    arguments to no subparser but the first positional token's.
+    """
     parser = argparse.ArgumentParser(
         prog="bosp", description="run named experiments and write reports")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENT_NAMES:
-        p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
+        help_line = f"run the {name} experiment"
+        if only not in (None, name):
+            sub.add_parser(name, help=help_line, add_help=False)
+            continue
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH", help="key=value config file")
         p.add_argument("--out", metavar="DIR", default="runs",
                        help="report directory (default: ./runs)")
@@ -82,8 +94,10 @@ def _prepare_output(args, cfg: ExperimentConfig) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the experiment that runs: the first token not starting with "-", if known
+    name = next((token for token in argv if not token.startswith("-")), None)
+    args = build_parser(name if name in EXPERIMENT_NAMES else None).parse_args(argv)
     try:
         cfg = _config(args)
         stem = _prepare_output(args, cfg)

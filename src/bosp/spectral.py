@@ -69,15 +69,17 @@ on indexing; kernels take many rows in chunks of ``_STACK_POINTS``.
 Each scalar parameter of the public API has one rule, a ``_Rule`` (a test,
 and the text that completes "<name> must be ..."), whose ``check`` raises
 the one message "<name> must be <text>, got <value>"; no entry point words
-a scalar check of its own.  ``_integer`` takes no bool and ``_finite`` no
-int beyond float range.  A module's table ``_RULES`` lists the parameters
-that share a name with a config key (here n, lam, k, equation and
-variant), checked with ``_check_values``, where a name no table lists need
-only be finite; ``experiments._RULES`` merges the tables, which share no
-key, with the keys only experiments have, so a config key and the library
-parameter it feeds are refused in the same words.  Any other parameter
-(a ``kind``, ``order``, ``cutoff``, ``p``, ``s``, ``which``, ``sign``,
-``level``, ``count``) is checked by an inline rule.  ``_check_equation``
+a scalar check of its own.  ``_integer`` and ``_finite`` take no bool,
+and ``_finite`` no int beyond float range.  A module's table ``_RULES``
+lists the parameters that share a name with a config key (here n, lam,
+k, equation and variant), checked with ``_check_values``, where a name
+no table lists need only be finite; ``experiments._RULES`` merges the
+tables, which share no key, with the keys only experiments have, so a
+config key and the library parameter it feeds are refused in the same
+words.  Any other parameter (a ``kind``, ``order``, ``cutoff``, ``p``,
+``s``, ``which``, ``sign``, ``level``, ``count``) is checked by an
+inline rule, and an ``order`` or ``s`` also by ``_finite_symbol``: a
+finite one can overflow its multiplier on the grid.  ``_check_equation``
 is the one rule for which (tag, k) pairs name a right-hand side; every
 constructor that names one applies it.  Beside it, each input rule is one
 function that every entry point calls: ``_check_zero_mean`` (|C_0| <
@@ -681,8 +683,8 @@ def differentiate(f: SpectralField, kind: str = "d_dx", order: float = 1) -> Spe
         order = int(order)
     else:
         _NONNEGATIVE.check("order", order)
-    mult = _symbol(f.grid, kind, order)
-    return SpectralField(f.grid, mult * f.coeffs)
+    _finite_symbol(f.grid, kind).check("order", order)
+    return SpectralField(f.grid, _symbol(f.grid, kind, order) * f.coeffs)
 
 
 def antiderivative(f: SpectralField) -> SpectralField:
@@ -760,6 +762,7 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
     if kind == "linf":
         return float(_lp_norms(f.coeffs[None], f.grid, np.inf)[0])
     _FINITE.check("s", s)
+    _finite_symbol(f.grid, "bessel" if kind == "hs" else "abs_d", 2).check("s", s)
     if kind == "hs":
         return float(_parseval_norms(f.coeffs, f.grid, s))
     return float(np.sqrt(np.sum(_symbol(f.grid, "abs_d", 2 * s) * np.abs(f.coeffs) ** 2)))
@@ -785,7 +788,8 @@ class _Rule(NamedTuple):
 
 def _finite(value) -> bool:
     try:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
     except OverflowError:  # an int beyond float range
         return False
 
@@ -793,6 +797,15 @@ def _finite(value) -> bool:
 def _integer(least: int) -> _Rule:
     return _Rule(lambda v: (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                             and v >= least), f"an integer >= {least}")
+
+
+def _finite_symbol(grid: PeriodicGrid, kind: str, scale: float = 1) -> _Rule:
+    """The rule that the multiplier ``_symbol(grid, kind, scale * v)`` is finite on
+    ``grid``: a large order overflows it, and ``abs_d`` of a negative one is infinite at 0."""
+    def test(v) -> bool:
+        with np.errstate(over="ignore", divide="ignore"):
+            return bool(np.isfinite(_symbol(grid, kind, scale * v)).all())
+    return _Rule(test, "such that the multiplier is finite on this grid")
 
 
 def _choice(*options: str) -> _Rule:

@@ -35,21 +35,22 @@ EDGES = {
     "scheme": (["rk45", "ifrk4"], ["etd_rk4"], {}),
     "dealias": (["pad4", "pad3", "two-thirds"], ["alias_free", "none"], {}),
     "variant": (["kdv", ""], ["bo", "gbo"], {}),
-    "decay": ([0.0, math.nextafter(1.0, 2.0), -1.0, *NON_FINITE], [TINY, 1.0], {}),
-    "dilation": ([1.0, 0.5, *NON_FINITE], [ABOVE_ONE], {}),
+    "decay": ([0.0, math.nextafter(1.0, 2.0), -1.0, *NON_FINITE, True], [TINY, 1.0], {}),
+    "dilation": ([1.0, 0.5, *NON_FINITE, True], [ABOVE_ONE], {}),
     "e_ks": ([(0,), (), (2, 2), (1.5,)], [(1,)], {}),
     "lambdas": ([(1.0,), (), (1.0, 1.0), (0.0, 1.0), (1.0, math.nan)], [(1.0, 2.0)], {}),
 }
 # every finite-and-positive key: the least positive float is inside; a step
 # or horizon that small needs its partner as small.  An int beyond float
-# range is not finite (math.isfinite raised OverflowError on it).
+# range is not finite (math.isfinite raised OverflowError on it), nor is a
+# bool (True was taken as 1.0).
 _ROOM = {"dt": {"t_final": TINY, "sample_stride": 1}, "t_final": {"dt": TINY, "sample_stride": 1},
          "e_dt": {"e_t_final": TINY}, "e_t_final": {"e_dt": TINY}}
-EDGES.update({key: ([0.0, -1.0, *NON_FINITE, 10 ** 400], [TINY], _ROOM.get(key, {}))
+EDGES.update({key: ([0.0, -1.0, *NON_FINITE, 10 ** 400, True], [TINY], _ROOM.get(key, {}))
               for key, rule in _RULES.items() if key not in EDGES})
 EDGES["order_max"] = EDGES["order_max"][0], [2 * TINY], {"order_min": TINY}
 # a key the table does not name need only be finite
-UNNAMED = ([*NON_FINITE, 10 ** 400], [-1.0, 0.0], {})
+UNNAMED = ([*NON_FINITE, 10 ** 400, True], [-1.0, 0.0], {})
 
 # Where a cross-key check of the experiment is tighter than the key's rule,
 # the value just inside the check instead.

@@ -1111,6 +1111,31 @@ class TestCli:
                 assert a.option_strings == [f"--{a.dest.replace('_', '-')}"]
                 assert a.type is None and a.choices is None and a.default is None
 
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["--help", "simulate"], [], ["nosuch"], ["-1", "simulate"],
+        *([name, "--help"] for name in EXPERIMENT_NAMES),
+        ["simulate", "--bogus", "1"], ["simulate", "--se", "1"], ["simulate", "--lam"],
+        ["simulate", "stray"],
+    ], ids=" ".join)
+    def test_usage_text_is_the_full_parsers(self, capsys, argv):
+        """``main`` builds one experiment's flags only and prints what the full parser does."""
+        printed = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            printed.append((*capsys.readouterr(), exc.value.code))
+        assert printed[0] == printed[1]
+        assert printed[0][2] in (0, 2)
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_main_builds_the_flags_of_its_experiment_only(self, monkeypatch, name):
+        built = []
+        key_help = experiments._key_help
+        monkeypatch.setattr("bosp.cli._key_help", lambda n: built.append(n) or key_help(n))
+        with pytest.raises(SystemExit):
+            main(["--quiet", name, "--bogus"])
+        assert built == [name]
+
     @pytest.mark.parametrize("name", sorted(FAST))
     def test_flag_and_config_file_give_the_same_report(self, tmp_path, name):
         """Every key set through its flag or through a config file, alike."""

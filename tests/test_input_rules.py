@@ -219,10 +219,12 @@ TRAJ = Trajectory(GRID, [0.0, 0.1], np.zeros((2, GRID.n // 2 + 1)), "linear")
 HUGE = 10 ** 400  # an int beyond float range
 
 # One bad value of each scalar argument of the public API: NaN, a wrong
-# type, out of range, a bool for an integer or an int beyond float range.
+# type, out of range, a bool for a number, an int beyond float range or an
+# order whose multiplier overflows on the grid.
 SCALAR_ARGUMENTS = [
     ("PeriodicGrid", "lam", math.nan, lambda v: PeriodicGrid(v, 16)),
     ("PeriodicGrid", "lam", HUGE, lambda v: PeriodicGrid(v, 16)),
+    ("PeriodicGrid", "lam", True, lambda v: PeriodicGrid(v, 16)),
     ("PeriodicGrid", "n", 16.0, lambda v: PeriodicGrid(1.0, v)),
     ("synthesize", "oversample", True, lambda v: synthesize(U, v)),
     ("synthesize", "oversample", 0, lambda v: synthesize(U, v)),
@@ -235,16 +237,26 @@ SCALAR_ARGUMENTS = [
     ("differentiate", "order", math.inf, lambda v: differentiate(U, "d_dx", v)),
     ("differentiate", "order", -0.5, lambda v: differentiate(U, "abs_d", v)),
     ("differentiate", "order", "1", lambda v: differentiate(U, "bessel", v)),
+    ("differentiate", "order", True, lambda v: differentiate(U, "abs_d", v)),
+    ("differentiate", "order", 1e300, lambda v: differentiate(U, "abs_d", v)),
+    ("differentiate", "order", 1e20, lambda v: differentiate(U, "d_dx", v)),
+    ("differentiate", "order", 1e300, lambda v: differentiate(U, "bessel", v)),
     ("norm", "kind", "l3", lambda v: norm(U, v)),
     ("norm", "p", 3, lambda v: norm(U, "lp", p=v)),
     ("norm", "p", None, lambda v: norm(U, "lp", p=v)),
     ("norm", "p", math.nan, lambda v: norm(U, "lp", p=v)),
     ("norm", "s", None, lambda v: norm(U, "hs", s=v)),
     ("norm", "s", math.nan, lambda v: norm(U, "hs_dot", s=v)),
+    ("norm", "s", True, lambda v: norm(U, "hs", s=v)),
+    ("norm", "s", 1e300, lambda v: norm(U, "hs", s=v)),
+    ("norm", "s", 1e308, lambda v: norm(U, "hs", s=v)),
+    ("norm", "s", 1e300, lambda v: norm(U, "hs_dot", s=v)),
+    ("norm", "s", -1.0, lambda v: norm(U, "hs_dot", s=v)),
     ("Trajectory", "k", True, lambda v: Trajectory(GRID, TRAJ.times, TRAJ.half_coeffs, "gbo", v)),
     ("group_symbol", "kind", "airy_group", lambda v: group_symbol(GRID, v)),
     ("propagate", "t", math.nan, lambda v: propagate(U, v)),
     ("propagate", "t", HUGE, lambda v: propagate(U, v)),
+    ("propagate", "t", True, lambda v: propagate(U, v)),
     ("propagate", "kind", "d_dx", lambda v: propagate(U, 1.0, v)),
     ("strichartz_norms", "horizon", HUGE, lambda v: strichartz_norms([U], v)),
     ("strichartz_norms", "kind", "hilbert", lambda v: strichartz_norms([U], 1.0, v)),
@@ -280,6 +292,7 @@ SCALAR_ARGUMENTS = [
     ("random_fields", "normalize", "h3", lambda v: random_fields(GRID, _rng(), 2, normalize=v)),
     ("random_field", "decay", math.nan, lambda v: random_field(GRID, _rng(), decay=v)),
     ("random_field", "amplitude", HUGE, lambda v: random_field(GRID, _rng(), amplitude=v)),
+    ("random_field", "amplitude", True, lambda v: random_field(GRID, _rng(), amplitude=v)),
     ("random_field", "mean", math.inf, lambda v: random_field(GRID, _rng(), mean=v)),
 ]
 

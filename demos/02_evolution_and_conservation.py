@@ -14,8 +14,7 @@ from bosp import PeriodicGrid, SolverConfig, SpectralField, drift_report, invari
 
 grid = PeriodicGrid(1.0, 256)
 u0 = 0.2 * SpectralField.from_function(grid, np.cos)
-cfg = SolverConfig("gbo", k=1, dt=5e-4, t_final=1.0, dealias="alias_free",
-                   sample_stride=100)
+cfg = SolverConfig("gbo", k=1, dt=5e-4, t_final=1.0, sample_stride=100)
 print(f"evolving u_t + H u_xx = u u_x from 0.2 cos x, dt={cfg.dt}, T={cfg.t_final}")
 traj = solve(u0, cfg)
 

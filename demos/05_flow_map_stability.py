@@ -16,8 +16,7 @@ from bosp import (PeriodicGrid, SolverConfig, gauge_lipschitz_gap, norm,
 rng = np.random.default_rng(1)
 grid = PeriodicGrid(1.0, 128)
 gamma = 0.5
-cfg = SolverConfig("gbo", k=1, dt=2e-3, t_final=0.5, dealias="alias_free",
-                   sample_stride=25)
+cfg = SolverConfig("gbo", k=1, dt=2e-3, t_final=0.5, sample_stride=25)
 
 print(f"pairs with mean pinned to gamma = {gamma}, T = {cfg.t_final}")
 for scale in (1e-2, 1e-4):

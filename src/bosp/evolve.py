@@ -24,13 +24,15 @@ t_final >= dt.  The linear phase and iq of ``Equation`` are read from
 ``spectral._symbol`` (kinds ``bo_group`` and ``d_dx``), the table that
 ``lingroup.group_symbol`` serves too.  Its nonlinear
 terms are in conservative form d_x(u^{k+1})/(k+1) so the mean mode is
-conserved to round-off, and products are dealiased by forming them on the
-alias-free grid of degree k + 2 (3 for ``bo2``), where the flux and the
-renormalized mean of v^k are exact at every k (``alias_free``), by the
-two-thirds rule (``two_thirds``), or formed on the n-point grid with no
-dealiasing (``none``).  The flux has one implementation, the closure
-``Equation._flux`` built once per equation, which writes into caller-owned
-arrays; ``nonlinear`` (so ``rhs``) is its allocating case.
+conserved to round-off, and products are dealiased by one of two rules.
+The default, ``alias_free``, forms them on the alias-free grid of degree
+k + 2 (3 for ``bo2``), where the flux and the renormalized mean of v^k are
+exact at every k; ``two_thirds`` zeroes the flux modes |q| > n/3.
+``SolverConfig``'s fields are the one place the solver's ``scheme`` and
+``dealias`` defaults are written; ``Equation`` reads its default there.
+The flux has one implementation, the closure ``Equation._flux`` built once
+per equation, which writes into caller-owned arrays; ``nonlinear`` (so
+``rhs``) is its allocating case.
 
 Solver state is the rfft half spectrum: modes m = 0, 1, ..., n/2 of a real
 field, the negative modes being their conjugates.  Values and fluxes go
@@ -83,7 +85,7 @@ _CONTOUR_POINTS = 64
 _RULES = {
     **dict.fromkeys(("dt", "t_final"), _POSITIVE),
     "scheme": _choice("if_rk4", "etd_rk4"),
-    "dealias": _choice("two_thirds", "alias_free", "none"),
+    "dealias": _choice("two_thirds", "alias_free"),
     "sample_stride": _integer(1),
     "n_levels": _integer(3),  # a slope needs two errors below the reference
 }
@@ -96,10 +98,10 @@ class SolverConfig:
     ``sample_stride`` controls snapshot thinning: a snapshot is stored every
     ``sample_stride`` steps, and the step count t_final/dt must be an exact
     multiple of it so sample times stay uniform.  ``dealias`` is
-    ``alias_free`` (products on the smallest zero-padded grid where the
-    flux is exact, ``spectral._alias_free_points(n, k + 2)`` points),
-    ``two_thirds`` (flux modes |q| > n/3 zeroed) or ``none`` (products on
-    the n-point grid, aliased).
+    ``alias_free`` (the default: products on the smallest zero-padded grid
+    where the flux is exact, ``spectral._alias_free_points(n, k + 2)``
+    points) or ``two_thirds`` (flux modes |q| > n/3 zeroed).  These fields
+    are the one place the solver's defaults are written.
     """
 
     equation: str
@@ -107,7 +109,7 @@ class SolverConfig:
     t_final: float
     k: int = 1
     scheme: str = "if_rk4"
-    dealias: str = "two_thirds"
+    dealias: str = "alias_free"
     sample_stride: int = 1
 
     def __post_init__(self):
@@ -145,11 +147,12 @@ class Equation:
     expands their sum to the full transform order.  The stepper calls the
     flux closure ``_flux`` with arrays of its own (``_work``).  ``nbig`` is
     the points per row the flux is formed on: the alias-free size of degree
-    k + 2 (3 for ``bo2``) under ``alias_free``, else n.
+    k + 2 (3 for ``bo2``) under ``alias_free``, else n (``two_thirds``).
+    ``dealias`` defaults to ``SolverConfig``'s.
     """
 
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1,
-                 dealias: str = "alias_free"):
+                 dealias: str = SolverConfig.dealias):
         _check_equation(equation, k)
         _check_values(_RULES, dealias=dealias)
         half = grid.n // 2

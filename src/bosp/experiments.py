@@ -836,7 +836,8 @@ class _Experiment(NamedTuple):
 
 
 # Defaults shared by the experiments that integrate in time ...
-_SOLVER = dict(lam=1.0, n=128, dt=1e-3, t_final=0.25, scheme="if_rk4", dealias="alias_free")
+_SOLVER = dict(lam=1.0, n=128, dt=1e-3, t_final=0.25, scheme=SolverConfig.scheme,
+               dealias=SolverConfig.dealias)
 # ... and by those that draw a random ensemble.
 _ENSEMBLE = dict(n_samples=50, n_modes=32, decay=0.7)
 

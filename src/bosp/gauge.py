@@ -486,7 +486,10 @@ def pde_residual(traj: Trajectory) -> ResidualNorms:
     Time derivatives use the fourth-order centered stencil on the sample
     times, so this measures how well the stored snapshots satisfy the
     tagged equation (used to validate the mean-removal and renormalization
-    maps, and as a sampling-rate diagnostic).
+    maps, and as a sampling-rate diagnostic).  The right-hand side is
+    ``Equation`` at its default, the exact ``alias_free`` flux, which is
+    also the solver's default: a ``two_thirds`` solve leaves the residual
+    of the flux modes it zeroes, which halving the step barely changes.
     """
     equation = Equation(traj.grid, traj.equation, traj.k)
     half = traj.half_coeffs

@@ -72,7 +72,7 @@ def invariant(f, which: str, k: int = 1, sign: float = 1.0):
     """
     _choice("I", "M", "F_bo", "E_gbo").check("which", which)
     _SPECTRAL_RULES["k"].check("k", k)
-    _Rule(lambda v: v in (1, -1), "1 or -1").check("sign", sign)
+    _Rule(lambda v: _finite(v) and v in (1, -1), "1 or -1").check("sign", sign)
     if isinstance(f, Trajectory):
         return _series(f.grid, f.half_coeffs, (which,), k, sign)[which]
     _check_real(f.coeffs, "invariant")

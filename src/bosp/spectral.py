@@ -70,7 +70,8 @@ Each scalar parameter of the public API has one rule, a ``_Rule`` (a test,
 and the text that completes "<name> must be ..."), whose ``check`` raises
 the one message "<name> must be <text>, got <value>"; no entry point words
 a scalar check of its own.  ``_integer`` and ``_finite`` take no bool,
-and ``_finite`` no int beyond float range.  A module's table ``_RULES``
+and ``_finite`` no int beyond float range; every numeric rule is built on
+one of them, so none takes a bool.  A module's table ``_RULES``
 lists the parameters that share a name with a config key (here n, lam,
 k, equation and variant), checked with ``_check_values``, where a name
 no table lists need only be finite; ``experiments._RULES`` merges the
@@ -755,7 +756,7 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
     """
     _choice("lp", "hs", "hs_dot", "linf").check("kind", kind)
     if kind == "lp":
-        _Rule(lambda v: v in (1, 2, 4), "1, 2 or 4").check("p", p)
+        _Rule(lambda v: _finite(v) and v in (1, 2, 4), "1, 2 or 4").check("p", p)
         if p == 2:
             return float(_parseval_norms(f.coeffs, f.grid))
         return float(_lp_norms(f.coeffs[None], f.grid, p)[0])
@@ -900,9 +901,10 @@ def _check_equation(equation, k) -> None:
 class Trajectory:
     """Uniformly sampled time history of one real field.
 
-    ``half_coeffs`` is one read-only (S, n/2+1) stack of rfft half spectra
-    (modes 0..n/2), S >= 2, with real slots 0 and n/2; every tagged
-    equation is real.  ``traj[i]`` and
+    ``half_coeffs`` is one read-only (S, n/2+1) stack of finite rfft half
+    spectra (modes 0..n/2), S >= 2, with real slots 0 and n/2; every tagged
+    equation is real.  A NaN or infinite coefficient is refused by
+    ``_check_finite``, naming its snapshot.  ``traj[i]`` and
     iteration expand a row to the full, exactly conjugate-symmetric
     spectrum, so a finite row is a real field.
 
@@ -924,6 +926,7 @@ class Trajectory:
                              f"expected (S, {grid.n // 2 + 1})")
         if len(half) < 2:
             raise ValueError("a trajectory needs at least 2 snapshots")
+        _check_finite(half, "Trajectory")
         if half[:, [0, grid.n // 2]].imag.any():
             raise ValueError("slots 0 and n/2 (mean and Nyquist) of a real field's "
                              "half spectrum must be real")

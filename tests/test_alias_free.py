@@ -128,7 +128,7 @@ class TestExactProducts:
         (64, "gbo", 7, "alias_free", 300), (128, "gbo", 1, "alias_free", 200),
         (256, "gbo", 1, "alias_free", 400), (256, "gbo", 3, "alias_free", 648),
         (256, "renormalized_gbo", 2, "alias_free", 540),
-        (64, "gbo", 1, "two_thirds", 64), (64, "gbo", 5, "none", 64),
+        (64, "gbo", 1, "two_thirds", 64),
     ])
     def test_solver_grid_size(self, n, equation, k, dealias, nbig):
         assert Equation(PeriodicGrid(1.0, n), equation, k, dealias).nbig == nbig

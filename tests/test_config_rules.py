@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bosp import ConfigError, config_from_mapping, default_config, run_experiment
+from bosp import (ConfigError, SolverConfig, config_from_mapping, default_config,
+                  run_experiment)
 from bosp import experiments
 from bosp.cli import build_parser, main
 from bosp.experiments import _EXPERIMENTS, _FINITE, _RULES, EXPERIMENT_NAMES
@@ -33,7 +34,7 @@ EDGES = {
     "n_levels": ([2], [3], {}),
     "equation": (["kdv", 1], ["linear", "renormalized_gbo"], {}),
     "scheme": (["rk45", "ifrk4"], ["etd_rk4"], {}),
-    "dealias": (["pad4", "pad3", "two-thirds"], ["alias_free", "none"], {}),
+    "dealias": (["none", "pad4", "pad3", "two-thirds"], ["alias_free", "two_thirds"], {}),
     "variant": (["kdv", ""], ["bo", "gbo"], {}),
     "decay": ([0.0, math.nextafter(1.0, 2.0), -1.0, *NON_FINITE, True], [TINY, 1.0], {}),
     "dilation": ([1.0, 0.5, *NON_FINITE, True], [ABOVE_ONE], {}),
@@ -147,7 +148,7 @@ NEWLY_REFUSED = [
      "dilated solve: dilation^2 * t_final must be finite and at least dilation^2 * dt, "
      "got inf"),
     ("simulate", {"dealias": "pad4"},
-     "dealias must be one of two_thirds, alias_free, none, got 'pad4'"),
+     "dealias must be one of two_thirds, alias_free, got 'pad4'"),
     # the high pass q > 1 kept no drawn mode: every ratio was 0, the verdict 0/0
     ("bernstein", {"n_modes": "1", "lambdas": "1,2", "n_samples": "2"},
      "lambdas entry 1.0 draws modes up to min(int(n_modes * lam), n/2 - 1) = 1 at "
@@ -211,6 +212,14 @@ def test_a_run_solves_with_the_settings_its_config_built(name, monkeypatch):
     with pytest.raises(_Solved) as exc:
         _EXPERIMENTS[name].run(cfg, np.random.default_rng(0))
     assert any(exc.value.args[0] is solver for solver in cfg.solvers.values())
+
+
+@pytest.mark.parametrize("name", [name for name in EXPERIMENT_NAMES
+                                  if default_config(name).solvers])
+def test_default_solvers_take_solver_configs_defaults(name):
+    # the experiments' shared defaults read SolverConfig's, not literals of their own
+    for solver in default_config(name).solvers.values():
+        assert (solver.scheme, solver.dealias) == (SolverConfig.scheme, SolverConfig.dealias)
 
 
 def test_solvers_are_not_part_of_the_config_echo():

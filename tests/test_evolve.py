@@ -1,6 +1,7 @@
 """Time stepping: exactness, order, conservation, reversibility, blow-up."""
 
 import ast
+import dataclasses
 import inspect
 
 import numpy as np
@@ -15,13 +16,14 @@ from bosp import (
     Trajectory,
     convergence_order,
     norm,
+    pde_residual,
     propagate,
     random_field,
     solve,
     solve_batch,
     symmetry_defect,
 )
-from bosp import evolve, spectral
+from bosp import evolve, experiments, spectral
 from bosp.evolve import _etdrk4_weights
 from bosp.lingroup import group_symbol
 from bosp.spectral import _power, _real_coeffs, _real_values
@@ -81,12 +83,26 @@ class TestConfigValidation:
                 build()
             assert str(exc.value) == REFUSED_RIGHT_HAND_SIDES[equation, k]
 
-    @pytest.mark.parametrize("dealias", ["two-thirds", "pad3"])
+    @pytest.mark.parametrize("dealias", ["two-thirds", "pad3", "none", "alias-free",
+                                         "ALIAS_FREE", "", None])
     def test_equation_refuses_unknown_dealias(self, dealias):
-        # "two-thirds" once took the aliased n-point path
-        with pytest.raises(ValueError) as exc:
-            evolve.Equation(PeriodicGrid(1.0, 16), "gbo", 1, dealias)
-        assert str(exc.value) == f"dealias must be one of two_thirds, alias_free, none, got {dealias!r}"
+        # "two-thirds" once took the aliased n-point path; a rule is spelled
+        # exactly, so a near miss is refused rather than read as the default
+        for build in (lambda: evolve.Equation(PeriodicGrid(1.0, 16), "gbo", 1, dealias),
+                      lambda: SolverConfig("gbo", dt=0.1, t_final=1.0, dealias=dealias)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == (
+                f"dealias must be one of two_thirds, alias_free, got {dealias!r}")
+
+    def test_solver_defaults_are_solver_configs(self):
+        # one default, so a default solve and the residuals that check it
+        # form the same exact flux
+        assert SolverConfig.dealias == "alias_free"
+        assert (inspect.signature(evolve.Equation).parameters["dealias"].default
+                == SolverConfig.dealias)
+        assert experiments._SOLVER["dealias"] == SolverConfig.dealias
+        assert experiments._SOLVER["scheme"] == SolverConfig.scheme
 
     @pytest.mark.parametrize("stride", [0, -2, 1.0])
     def test_sample_stride_must_be_a_positive_integer(self, stride):
@@ -161,6 +177,11 @@ class TestExactCases:
         assert coeff_distance(traj[-1], exact) < 1e-12
 
 
+# every nonlinear equation, at degrees whose alias-free grids differ
+RESIDUAL_EQUATIONS = ([("gbo", k) for k in range(1, 5)] + [("bo2", 1)]
+                      + [("renormalized_gbo", k) for k in range(1, 4)])
+
+
 class TestAccuracy:
     def test_step_halving_ratio_is_fourth_order(self):
         grid = PeriodicGrid(1.0, 128)
@@ -175,6 +196,18 @@ class TestAccuracy:
         e1 = coeff_distance(final(0.05), ref)
         e2 = coeff_distance(final(0.025), ref)
         assert 12.0 < e1 / e2 < 20.0
+
+    @pytest.mark.parametrize("equation,k", RESIDUAL_EQUATIONS)
+    @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+    def test_default_solve_satisfies_its_equation_at_fourth_order(self, equation, k, scheme):
+        # pde_residual checks against the exact flux; a two_thirds solve's
+        # residual shrinks by about 1.2x, not 16x, as the step halves
+        u0 = random_field(PeriodicGrid(1.0, 64), np.random.default_rng(3), n_modes=31,
+                          decay=0.8, amplitude=0.5)
+        l2 = [pde_residual(solve(u0, SolverConfig(equation, k=k, dt=dt, t_final=40 * dt,
+                                                  scheme=scheme))).l2
+              for dt in (1e-4, 5e-5)]
+        assert l2[0] >= 8.0 * l2[1]
 
     def test_convergence_order_linear_exact(self, grid, random_fields):
         res = convergence_order(random_fields(),
@@ -350,7 +383,7 @@ def _random_data(equation, seed=7):
 class TestHalfSpectrum:
     @pytest.mark.parametrize("equation,k", EQUATIONS)
     @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
-    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     def test_matches_full_spectrum_reference(self, equation, k, scheme, dealias):
         u0 = _random_data(equation)
         cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme,
@@ -392,7 +425,7 @@ def _assert_same_trajectory(traj, ref):
 class TestSolveBatch:
     @pytest.mark.parametrize("equation,k", EQUATIONS)
     @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
-    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     def test_rows_equal_solo_solves(self, equation, k, scheme, dealias):
         u0s = [_random_data(equation, seed) for seed in (7, 8, 9)]
         cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme,
@@ -408,7 +441,8 @@ class TestSolveBatch:
         cos = SpectralField.from_function(grid, np.cos)
         u0s = [0.1 * cos, 2.0 * cos, random_field(grid, np.random.default_rng(3), n_modes=8,
                                                   amplitude=0.1), 0.05 * cos]
-        cfg = SolverConfig("gbo", k=3, dt=0.01, t_final=5.0, sample_stride=10)
+        cfg = SolverConfig("gbo", k=3, dt=0.01, t_final=5.0, dealias="two_thirds",
+                           sample_stride=10)
         results = solve_batch(u0s, cfg)
         with pytest.raises(BlowUpError) as solo:
             solve(u0s[1], cfg)
@@ -465,7 +499,7 @@ class TestInPlaceStepper:
 
     @pytest.mark.parametrize("equation,k", EQUATIONS)
     @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
-    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_advance_equals_allocating_reference(self, equation, k, scheme, dealias, rows):
         u0s = [_random_data(equation, seed) for seed in range(7, 7 + rows)]
@@ -477,7 +511,7 @@ class TestInPlaceStepper:
             assert np.array_equal(got.half_coeffs, ref.half_coeffs)
 
     @pytest.mark.parametrize("equation,k", EQUATIONS + [("gbo", 6), ("renormalized_gbo", 5)])
-    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     def test_nonlinear_equals_allocating_reference(self, equation, k, dealias):
         u0s = [_random_data(equation, seed) for seed in (7, 8, 9)]
         eq = evolve.Equation(u0s[0].grid, equation, k, dealias)
@@ -562,7 +596,7 @@ class TestBuiltFlux:
     """The flux ``Equation`` builds once against the per-call dispatching one."""
 
     @pytest.mark.parametrize("transforms", ["_GUFUNC_FFTS", "_NUMPY_FFTS"])
-    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     @pytest.mark.parametrize("equation,k", FLUX_EQUATIONS)
     def test_equals_the_dispatching_flux(self, monkeypatch, transforms, dealias, equation, k):
         monkeypatch.setattr(spectral, "_FFTS", getattr(spectral, transforms))
@@ -576,7 +610,7 @@ class TestBuiltFlux:
             assert np.array_equal(uhat, before)
 
     @pytest.mark.parametrize("k", [1, 3, 7])
-    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds", "none"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
     def test_folded_factor_equals_divide_then_multiply(self, k, dealias, scale):
         # k + 1 a power of two: iq / (k + 1) times the flux is exact, away
@@ -602,3 +636,38 @@ class TestBuiltFlux:
         assert calls == []
         evolve.Equation(grid, "gbo").nonlinear(uhat)
         assert [name for name, _, _ in calls] == ["irfft", "rfft"]
+
+
+class TestDefaultDealias:
+    """A call that leaves ``dealias`` out takes ``SolverConfig``'s, the exact flux."""
+
+    @pytest.mark.parametrize("equation,k", FLUX_EQUATIONS)
+    def test_residuals_form_the_flux_a_default_solve_steps(self, equation, k):
+        # pde_residual and the gauge residuals build Equation at its default;
+        # the solver builds it from its config's dealias
+        grid = PeriodicGrid(1.0, 32)
+        cfg = SolverConfig(equation, k=k, dt=0.01, t_final=0.1)
+        solver_eq = evolve.Equation(grid, cfg.equation, cfg.k, cfg.dealias)
+        residual_eq = evolve.Equation(grid, equation, k)
+        assert (residual_eq.nbig, residual_eq.cut) == (solver_eq.nbig, solver_eq.cut)
+        assert residual_eq.nbig == evolve.Equation(grid, equation, k, "alias_free").nbig
+        uhat = np.array([_random_data(equation, seed).coeffs[: grid.n // 2 + 1]
+                         for seed in (7, 8)])
+        assert residual_eq.nonlinear(uhat).tobytes() == solver_eq.nonlinear(uhat).tobytes()
+
+    @pytest.mark.parametrize("equation,k", EQUATIONS + [("gbo", 6), ("renormalized_gbo", 5)])
+    @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+    def test_default_solve_is_the_alias_free_solve(self, equation, k, scheme):
+        u0 = _random_data(equation)
+        cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme, sample_stride=5)
+        _assert_same_trajectory(solve(u0, cfg),
+                                solve(u0, dataclasses.replace(cfg, dealias="alias_free")))
+
+    @pytest.mark.parametrize("equation,k", EQUATIONS + [("gbo", 6), ("renormalized_gbo", 5)])
+    @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+    def test_default_batch_is_the_alias_free_batch(self, equation, k, scheme):
+        u0s = [_random_data(equation, seed) for seed in (7, 8)]
+        cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme, sample_stride=5)
+        exact = solve_batch(u0s, dataclasses.replace(cfg, dealias="alias_free"))
+        for traj, ref in zip(solve_batch(u0s, cfg), exact):
+            _assert_same_trajectory(traj, ref)

@@ -245,6 +245,10 @@ SCALAR_ARGUMENTS = [
     ("norm", "p", 3, lambda v: norm(U, "lp", p=v)),
     ("norm", "p", None, lambda v: norm(U, "lp", p=v)),
     ("norm", "p", math.nan, lambda v: norm(U, "lp", p=v)),
+    ("norm", "p", True, lambda v: norm(U, "lp", p=v)),
+    ("norm", "p", np.True_, lambda v: norm(U, "lp", p=v)),
+    ("norm", "p", 2 + 0j, lambda v: norm(U, "lp", p=v)),
+    ("norm", "p", np.array(4), lambda v: norm(U, "lp", p=v)),
     ("norm", "s", None, lambda v: norm(U, "hs", s=v)),
     ("norm", "s", math.nan, lambda v: norm(U, "hs_dot", s=v)),
     ("norm", "s", True, lambda v: norm(U, "hs", s=v)),
@@ -279,6 +283,10 @@ SCALAR_ARGUMENTS = [
     ("invariant", "k", 1.5, lambda v: invariant(U, "E_gbo", k=v)),
     ("invariant", "sign", math.nan, lambda v: invariant(U, "M", sign=v)),
     ("invariant", "sign", 0.5, lambda v: invariant(U, "F_bo", sign=v)),
+    ("invariant", "sign", True, lambda v: invariant(U, "F_bo", sign=v)),
+    ("invariant", "sign", np.True_, lambda v: invariant(U, "F_bo", sign=v)),
+    ("invariant", "sign", -1 + 0j, lambda v: invariant(U, "F_bo", sign=v)),
+    ("invariant", "sign", np.array(-1), lambda v: invariant(U, "F_bo", sign=v)),
     ("xnorm", "level", 3, lambda v: xnorm(TRAJ, v)),
     ("xnorm_series", "level", True,
      lambda v: xnorm_series(TRAJ.times, np.zeros((2, GRID.n)), GRID, v)),
@@ -315,3 +323,26 @@ def test_real_rule_names_the_first_bad_row():
         "field 1 is complex (its coefficients are not exactly conjugate symmetric)")
     assert _raised(lambda: solve_batch(rows[::-1], GBO)).endswith(
         "field 0 is non-finite (a coefficient is NaN or infinite)")
+
+
+@pytest.mark.parametrize("slot", [3, 0, 8])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                   complex(0, np.inf), complex(0, -np.inf)])
+def test_trajectory_refuses_a_non_finite_coefficient(slot, value):
+    # the trajectory kernels trust their stack to be finite; a NaN in slot 0
+    # or n/2 is named as non-finite, not as breaking the realness rule
+    grid = PeriodicGrid(1.0, 16)
+    half = np.zeros((5, grid.n // 2 + 1), dtype=complex)
+    half[2, slot] = value
+    assert _raised(lambda: Trajectory(grid, np.arange(5) * 0.1, half, "gbo")) == (
+        "Trajectory needs finite fields: field 2 is non-finite "
+        "(a coefficient is NaN or infinite)")
+
+
+def test_trajectory_names_its_first_non_finite_field():
+    grid = PeriodicGrid(1.0, 16)
+    half = np.zeros((5, grid.n // 2 + 1), dtype=complex)
+    half[4, 1], half[1, 0] = np.inf, np.nan
+    assert _raised(lambda: Trajectory(grid, np.arange(5) * 0.1, half, "gbo")) == (
+        "Trajectory needs finite fields: field 1 is non-finite "
+        "(a coefficient is NaN or infinite)")

@@ -312,8 +312,9 @@ def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
 
     # one field keeps a 1-D state: the kernels' fast path for a single row.
     # Kept apart on purpose: on a 2-core Xeon VM, a one-row (1, n/2+1) stack
-    # made bosp conservation (10^4 steps at n = 256, 400-point flux rows)
-    # slower in 9 of 10 alternating in-process pairs (median 1.06 s -> 1.46 s).
+    # made a 10^4-step n = 256 gbo solve (400-point flux rows; the
+    # conservation reference run when it stepped at dt = 1e-4) slower in 9 of
+    # 10 alternating in-process pairs (median 1.06 s -> 1.46 s).
     uhat = np.array([u0.coeffs[: n // 2 + 1] for u0 in u0s])
     if len(u0s) == 1:
         uhat = uhat[0]

@@ -36,8 +36,9 @@ concurrently; the summary's ``stats`` skip those identifying fields.
 Experiments
 -----------
 ``simulate``          run one initial condition, report invariant drifts
-``conservation``      reference-run drift of I, M, F and the energies,
-                      including the sign-separation control
+``conservation``      reference-run drift of I, M and F with the
+                      sign-separation control, and the order at which the
+                      M and E drifts of a fixed profile fall as e_dt halves
 ``gauge-residual``    instantaneous gauge-equation residual over an
                       ensemble, plus the resolution-doubling decay check
 ``strichartz-scan``   max free-propagator L^4 ratio across circle sizes
@@ -255,14 +256,32 @@ def _solver(values: dict, label: str = "", keys: dict | None = None, **overrides
     return solver
 
 
+# conservation's order study steps each degree at e_dt / 2^j for j < _ORDER_LEVELS
+_ORDER_LEVELS = 3
+# a level's drift below this many ulp per step is round-off: the finest
+# levels of e_dt = 5e-5 (4e4 steps) drift 4.3e-12, half an ulp per step
+_ROUND_OFF_ULPS = 4
+
+
+def _energy_level(k: int, j: int) -> str:
+    """The label of the order study's solve at degree k and step e_dt / 2^j."""
+    return f"energy_k{k}" + (f" dt/{2 ** j}" if j else "")
+
+
 def _conservation_solvers(v) -> dict:
-    energy = dict(equation="gbo", dt=v["e_dt"], t_final=v["e_t_final"],
-                  keys={"dt": "e_dt", "t_final": "e_t_final"})
-    first = f"energy_k{v['e_ks'][0]}"  # the energy solves share their steps
-    stride = _dividing_stride(_solver(v, first, **energy, sample_stride=1).n_steps(), 25)
+    """The reference solve, then per degree of e_ks one solve per order-study level,
+    each sampled at the coarsest level's times."""
+    def energy(k, j, stride):
+        return _solver(v, _energy_level(k, j),
+                       {"dt": f"e_dt/{2 ** j}" if j else "e_dt", "t_final": "e_t_final"},
+                       equation="gbo", k=k, dt=v["e_dt"] / 2 ** j, t_final=v["e_t_final"],
+                       sample_stride=stride * 2 ** j)
+
+    # every degree steps alike, so the first one's step count sets the stride
+    stride = _dividing_stride(energy(v["e_ks"][0], 0, 1).n_steps(), 25)
     return {"reference": _solver(v, equation="gbo"),
-            **{f"energy_k{kk}": _solver(v, f"energy_k{kk}", **energy, k=kk,
-                                        sample_stride=stride) for kk in v["e_ks"]}}
+            **{_energy_level(k, j): energy(k, j, stride)
+               for k in v["e_ks"] for j in range(_ORDER_LEVELS)}}
 
 
 def _scaling_solvers(v) -> dict:
@@ -429,25 +448,39 @@ def _blow_up_record(rec: dict, exc: BlowUpError) -> dict:
     return rec
 
 
+def _drift_orders(rec: dict, steps: int) -> np.ndarray:
+    """The observed orders of an order-study record: log2 of each ratio of
+    successive M and E drifts, leaving out each pair whose finer drift is
+    round-off, which is resolved; ``steps`` is the coarsest level's step
+    count.  A drift that is not finite gives a NaN order."""
+    drifts = np.array([rec["drifts_M"], rec["drifts_E"]], dtype=float)  # a None is NaN
+    floor = _ROUND_OFF_ULPS * np.finfo(float).eps * steps * 2.0 ** np.arange(drifts.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orders = np.log2(drifts[:, :-1] / drifts[:, 1:])
+    return orders[~(drifts[:, 1:] < floor[1:])]
+
+
 def _run_conservation(cfg: ExperimentConfig, rng):
+    """The reference run of the cosine data, then an order study per degree of e_ks.
+
+    The alias-free Galerkin truncation conserves M and E exactly, so the
+    study's drifts are the time stepper's error and fall at its order.  Its
+    profile is one fixed draw that reads no seed, scaled to the L^2 norm of
+    amplitude * cos x, with mean gamma.  A pair of levels whose finer drift is
+    round-off is resolved and gives no order; a study with no other pair is
+    exact, as convergence's is, and its order is not gated."""
     grid = PeriodicGrid(cfg.lam, cfg.n)
-    records = []
-    # the reference run, then an energy run per degree of e_ks
-    for idx, (run, solver) in enumerate(cfg.solvers.items()):
-        u0 = _cosine_data(cfg, grid)
-        rec = {"run": run, "sample_index": idx, "inputs_hash": _hash_field(u0)}
-        records.append(rec)
-        try:
-            traj = solve(u0, solver)
-        except BlowUpError as exc:
-            _blow_up_record(rec, exc)
-            continue
+    u0 = _cosine_data(cfg, grid)
+    rec = {"run": "reference", "sample_index": 0, "inputs_hash": _hash_field(u0)}
+    records = [rec]
+    try:
+        traj = solve(u0, cfg.solvers["reference"])
+    except BlowUpError as exc:
+        _blow_up_record(rec, exc)
+    else:
         rep = drift_report(traj)
         rec.update({"drift_I": rep.drifts["I"], "drift_M": rep.drifts["M"],
-                    "drift_E": rep.drifts["E_gbo"]})
-        if run != "reference":
-            continue
-        rec["drift_F"] = rep.drifts["F_bo"]
+                    "drift_E": rep.drifts["E_gbo"], "drift_F": rep.drifts["F_bo"]})
         wrong_f = invariant(traj, "F_bo", sign=-1.0)
         wrong_e = invariant(traj, "E_gbo", k=1, sign=-1.0)
         if wrong_f[0] == 0.0 or wrong_e[0] == 0.0:
@@ -463,6 +496,28 @@ def _run_conservation(cfg: ExperimentConfig, rng):
                 [float(t), float(abs(v - f_series[0]) / abs(f_series[0]))]
                 for t, v in zip(rep.times, f_series)
             ]
+    l2 = norm(cfg.amplitude * SpectralField.from_function(grid, np.cos), "lp", p=2)
+    (profile,) = random_fields(grid, np.random.default_rng(0), 1, n_modes=20, decay=0.9,
+                               amplitude=l2, normalize="l2", mean=cfg.gamma)
+    for idx, k in enumerate(cfg.e_ks, start=1):
+        rec = {"run": _energy_level(k, 0), "sample_index": idx,
+               "inputs_hash": _hash_field(profile)}
+        records.append(rec)
+        if not profile.coeffs.any():
+            rec["degenerate"] = True  # zero data: every relative drift is 0/0
+            continue
+        try:
+            reps = [drift_report(solve(profile, cfg.solvers[_energy_level(k, j)]))
+                    for j in range(_ORDER_LEVELS)]
+        except BlowUpError as exc:
+            _blow_up_record(rec, exc)
+            continue
+        rec.update({"dts": [cfg.e_dt / 2 ** j for j in range(_ORDER_LEVELS)],
+                    "drifts_M": [r.drifts["M"] for r in reps],
+                    "drifts_E": [r.drifts["E_gbo"] for r in reps]})
+        orders = _drift_orders(rec, cfg.solvers[rec["run"]].n_steps())
+        rec.update({"order": orders.min() if orders.size else math.nan,
+                    "exact": not orders.size})
     return records, {}
 
 
@@ -718,8 +773,12 @@ def _pass_conservation(cfg, records):
             gates.append(_Gate("opposite-sign F drift", r["drift_F_opposite"], ">=",
                                "separation_min",
                                "{name} {value:.3e} < separation floor {bound:.0e}"))
-        else:
-            gates.append(_Gate(f"{r['run']}: E drift", r["drift_E"], "<", "e_tol",
+        else:  # the orders are read from the level drifts, not from the record's copy
+            orders = _drift_orders(r, cfg.solvers[r["run"]].n_steps())
+            if orders.size:  # else every finer drift is round-off, the study exact
+                gates.append(_Gate(f"{r['run']}: drift order", orders.min(), ">=", "order_min",
+                                   "{name} {value:.2f} < {bound}"))
+            gates.append(_Gate(f"{r['run']}: finest E drift", r["drifts_E"][-1], "<", "e_tol",
                                "{name} {value:.3e} >= {bound:.0e}"))
     return fails, gates
 
@@ -850,14 +909,15 @@ _EXPERIMENTS = {
         _run_simulate, _pass_simulate, _no_series,
         checks=(_renormalized_mean,), solvers=lambda v: {"run": _solver(v)}),
     "conservation": _Experiment(
-        dict(_SOLVER, n=256, dt=1e-4, t_final=1.0, sample_stride=200,
+        dict(_SOLVER, n=256, t_final=1.0, sample_stride=20,
              amplitude=0.2, gamma=0.0,
-             e_ks=(2, 3),               # energy-run degrees
-             e_dt=2e-4,                 # energy-run step
-             e_t_final=0.5,             # energy-run horizon
+             e_ks=(2, 3),               # order-study degrees
+             e_dt=2e-3,                 # order-study coarsest step
+             e_t_final=0.5,             # order-study horizon
              im_tol=1e-10,              # I and M drift
              f_tol=1e-6,                # calibrated F drift
-             e_tol=1e-6,                # energy drift
+             e_tol=1e-6,                # finest-level energy drift
+             order_min=4.0,             # least observed drift order
              separation_min=1e-2),      # wrong-sign drift floor
         _run_conservation, _pass_conservation, _summarize_conservation,
         solvers=_conservation_solvers),

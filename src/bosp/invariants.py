@@ -86,31 +86,39 @@ def _series(grid: PeriodicGrid, half: np.ndarray, names, k: int = 1,
     Rows go in chunks of at most ``_STACK_POINTS`` padded points.  Parseval
     sums run over the full rows, and the values of u are synthesized once
     per chunk, for both F_bo and E_gbo, on the alias-free grid of degree
-    max(4, k + 2).
+    max(4, k + 2).  The coefficients are finite, so a value that is not
+    overflowed a float: it is refused by name, and numpy does not warn.
     """
     circ, q, h = grid.circumference, grid.freqs, grid.n // 2 + 1
     nbig = _alias_free_points(grid.n, max(4, k + 2))
     hdx = _symbol(grid, "hilbert_dx")[:h]
     out = {name: [] for name in names}
-    for rows in _row_chunks(len(half), nbig):
-        c = _full_spectrum(half[rows], grid.n)
-        if "F_bo" in names or "E_gbo" in names:
-            u = _real_values(c[:, :h], nbig)
-        for name in names:
-            if name == "I":
-                value = circ * c[:, 0].real
-            elif name == "M":
-                value = circ * np.sum(np.abs(c) ** 2, axis=-1)
-            elif name == "F_bo":
-                hux = _real_values(hdx * c[:, :h], nbig)
-                value = (circ * np.sum((q * np.abs(c)) ** 2, axis=-1)
-                         - sign * 0.75 * (circ * np.mean(u * u * hux, axis=-1))
-                         + 0.125 * (circ * np.mean(_power(u, 4), axis=-1)))
-            else:  # E_gbo
-                power = circ * np.mean(_power(u, k + 2), axis=-1) / ((k + 1) * (k + 2))
-                value = 0.5 * (circ * np.sum(np.abs(q) * np.abs(c) ** 2, axis=-1)) - sign * power
-            out[name].append(value)
-    return {name: np.concatenate(values) for name, values in out.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_chunks(len(half), nbig):
+            c = _full_spectrum(half[rows], grid.n)
+            if "F_bo" in names or "E_gbo" in names:
+                u = _real_values(c[:, :h], nbig)
+            for name in names:
+                if name == "I":
+                    value = circ * c[:, 0].real
+                elif name == "M":
+                    value = circ * np.sum(np.abs(c) ** 2, axis=-1)
+                elif name == "F_bo":
+                    hux = _real_values(hdx * c[:, :h], nbig)
+                    value = (circ * np.sum((q * np.abs(c)) ** 2, axis=-1)
+                             - sign * 0.75 * (circ * np.mean(u * u * hux, axis=-1))
+                             + 0.125 * (circ * np.mean(_power(u, 4), axis=-1)))
+                else:  # E_gbo
+                    power = circ * np.mean(_power(u, k + 2), axis=-1) / ((k + 1) * (k + 2))
+                    value = (0.5 * (circ * np.sum(np.abs(q) * np.abs(c) ** 2, axis=-1))
+                             - sign * power)
+                out[name].append(value)
+    out = {name: np.concatenate(values) for name, values in out.items()}
+    for name, values in out.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} overflows a float at coefficients up to "
+                             f"{np.max(np.abs(half)):.3g}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,7 @@ def test_criterion_03_conservation():
         f"I {ref['drift_I']:.1e}, M {ref['drift_M']:.1e}, "
         f"F {ref['drift_F']:.1e}, opposite-sign F {ref['drift_F_opposite']:.1e}; "
         + ", ".join(
-            f"E(k={r['run'][-1]}) {r['drift_E']:.1e}"
+            f"k={r['run'][-1]}: drift order {r['order']:.2f}, finest E {r['drifts_E'][-1]:.1e}"
             for r in rep.records if r["run"].startswith("energy"))
     )
     _criterion(3, "conservation and sign separation", rep.passed, detail)

@@ -45,10 +45,12 @@ EDGES = {
 # or horizon that small needs its partner as small.  An int beyond float
 # range is not finite (math.isfinite raised OverflowError on it), nor is a
 # bool (True was taken as 1.0).
-_ROOM = {"dt": {"t_final": TINY, "sample_stride": 1}, "t_final": {"dt": TINY, "sample_stride": 1},
-         "e_dt": {"e_t_final": TINY}, "e_t_final": {"e_dt": TINY}}
+_ROOM = {"dt": {"t_final": TINY, "sample_stride": 1}, "t_final": {"dt": TINY, "sample_stride": 1}}
 EDGES.update({key: ([0.0, -1.0, *NON_FINITE, 10 ** 400, True], [TINY], _ROOM.get(key, {}))
               for key, rule in _RULES.items() if key not in EDGES})
+# conservation's order study steps at e_dt / 4 too, which is 0 below 4 * TINY
+EDGES["e_dt"] = EDGES["e_dt"][0], [4 * TINY], {"e_t_final": 4 * TINY}
+EDGES["e_t_final"] = EDGES["e_t_final"][0], [4 * TINY], {"e_dt": 4 * TINY}
 EDGES["order_max"] = EDGES["order_max"][0], [2 * TINY], {"order_min": TINY}
 # a key the table does not name need only be finite
 UNNAMED = ([*NON_FINITE, 10 ** 400, True], [-1.0, 0.0], {})
@@ -153,6 +155,9 @@ NEWLY_REFUSED = [
     ("bernstein", {"n_modes": "1", "lambdas": "1,2", "n_samples": "2"},
      "lambdas entry 1.0 draws modes up to min(int(n_modes * lam), n/2 - 1) = 1 at "
      "n_modes = 1, n = 256; the high pass q > 1 needs one above lam = 1.0"),
+    # the order study's finer steps e_dt / 2^j must be positive floats too
+    ("conservation", {"e_dt": "5e-324", "e_t_final": "5e-324"},
+     "energy_k2 dt/2 solve: e_dt/2 must be finite and positive, got 0.0"),
 ]
 
 
@@ -224,7 +229,8 @@ def test_default_solvers_take_solver_configs_defaults(name):
 
 def test_solvers_are_not_part_of_the_config_echo():
     cfg = config_from_mapping("conservation", {"e_ks": "3, 2"})
-    assert list(cfg.solvers) == ["reference", "energy_k3", "energy_k2"]
+    assert list(cfg.solvers) == ["reference", "energy_k3", "energy_k3 dt/2", "energy_k3 dt/4",
+                                 "energy_k2", "energy_k2 dt/2", "energy_k2 dt/4"]
     assert "solvers" not in cfg.as_dict() and "solvers" not in repr(cfg)
     assert cfg == config_from_mapping("conservation", {"e_ks": (3, 2)})
     with pytest.raises(AttributeError):

@@ -55,7 +55,7 @@ KEYS_READ = {name: set(keys.split()) for name, keys in {
     "simulate": "lam n equation k dt t_final scheme dealias sample_stride "
                 "amplitude gamma",
     "conservation": "lam n dt t_final scheme dealias sample_stride amplitude gamma "
-                    "e_ks e_dt e_t_final im_tol f_tol e_tol separation_min",
+                    "e_ks e_dt e_t_final im_tol f_tol e_tol order_min separation_min",
     "gauge-residual": "lam n k variant n_samples amplitude n_modes decay "
                       "shrink_samples residual_tol shrink_min",
     "strichartz-scan": "n lambdas n_samples n_modes decay horizon variation_max "
@@ -72,7 +72,7 @@ KEYS_READ = {name: set(keys.split()) for name, keys in {
 LAMBDAS_RULE = "lambdas must be a list of 2 or more distinct values, each finite and positive"
 # The verdict thresholds; the rule table holds each as finite and positive.
 GATES = [(name, key) for name, keys in {
-    "conservation": "im_tol f_tol e_tol separation_min",
+    "conservation": "im_tol f_tol e_tol order_min separation_min",
     "gauge-residual": "residual_tol shrink_min",
     "strichartz-scan": "variation_max",
     "flowmap": "ratio_bound insensitivity_max",
@@ -488,6 +488,51 @@ class TestDeterminismAndVerdicts:
         p2 = save_report(r2, tmp_path / "b", "run")
         assert p1["summary"].read_bytes() == p2["summary"].read_bytes()
         assert p1["records"].read_bytes() == p2["records"].read_bytes()
+
+    def test_default_conservation_ignores_the_seed(self, tmp_path):
+        """Fixed data: the report files of seeds 0, 1 and 7 differ only in the seed echo."""
+        files = {}
+        for seed in (0, 1, 7):
+            rep = run_experiment(config_from_mapping("conservation", {"seed": seed}))
+            assert rep.passed, rep.failures
+            paths = save_report(rep, tmp_path / str(seed), "c")
+            files[seed] = {key: path.read_bytes() for key, path in paths.items()}
+            files[seed]["summary"] = files[seed]["summary"].replace(
+                f'"seed": {seed},'.encode(), b'"seed": 0,')
+        assert set(files[0]) == {"summary", "records", "time_vs_f_drift"}
+        assert files[0] == files[1] == files[7]
+
+    def test_conservation_order_gate_reads_the_level_drifts(self):
+        """The default report passes when recomputed; drifts falling 8x per halving,
+        a third-order stepper's, fail the order gate, whatever order the record holds."""
+        rep = run_experiment(default_config("conservation"))
+        assert recompute_passed(rep) == (True, [])
+        study = [r for r in rep.records if r["run"] == "energy_k2"]
+        assert len(study) == 1 and study[0]["order"] >= 4.0
+        third = [8e-8, 1e-8, 1.25e-9]
+        records = [dict(r, drifts_M=third, drifts_E=third) if r is study[0] else r
+                   for r in rep.records]
+        assert recompute_passed(dataclasses.replace(rep, records=records)) == (
+            False, ["energy_k2: drift order 3.00 < 4.0"])
+        # a finer drift below 4 ulp per step (4.4e-13 at dt/2's 500 steps, 8.9e-13
+        # at dt/4's 1000) is round-off: its pair is resolved, and with no pair
+        # left the study is exact; a drift above that which rises still fails
+        for drifts, verdict in (([1e-11, 2e-13, 5e-13], (True, [])),
+                                ([1e-11, 2e-13, 5e-12],
+                                 (False, ["energy_k2: drift order -4.64 < 4.0"]))):
+            records = [dict(r, drifts_M=drifts, drifts_E=drifts) if r is study[0] else r
+                       for r in rep.records]
+            assert recompute_passed(dataclasses.replace(rep, records=records)) == verdict
+
+    def test_conservation_at_round_off_steps_is_exact(self):
+        """At e_dt = 2e-4 the study's drifts are round-off, 2.5e-12 and below:
+        every pair is resolved, so the order is not gated and the run passes."""
+        rep = run_experiment(config_from_mapping("conservation", {"e_dt": 2e-4, "e_ks": "2"}))
+        assert rep.passed, rep.failures
+        (study,) = [r for r in rep.records if r["run"] == "energy_k2"]
+        assert study["exact"] and study["order"] is None
+        assert max(study["drifts_M"] + study["drifts_E"]) < 3e-12
+        assert recompute_passed(rep) == (True, [])
 
     def test_different_seed_different_records(self):
         base = dict(FAST["bernstein"])

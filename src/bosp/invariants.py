@@ -36,9 +36,9 @@ import numpy as np
 
 from .spectral import _RULES as _SPECTRAL_RULES
 from .spectral import (PeriodicGrid, SpectralField, Trajectory, _Rule, _alias_free_points,
-                       _check_gauge_variant, _check_real, _choice, _finite, _full_spectrum,
-                       _integer, _lp_norms, _parseval_norms, _power, _real_values, _row_chunks,
-                       _symbol)
+                       _check_gauge_variant, _check_no_overflow, _check_real, _choice, _finite,
+                       _full_spectrum, _integer, _lp_norms, _parseval_norms, _power, _real_values,
+                       _row_chunks, _symbol)
 
 __all__ = [
     "invariant",
@@ -84,40 +84,40 @@ def _series(grid: PeriodicGrid, half: np.ndarray, names, k: int = 1,
     """The named invariants of the real fields with half spectra ``half`` (S, n/2+1).
 
     Rows go in chunks of at most ``_STACK_POINTS`` padded points.  Parseval
-    sums run over the full rows, and the values of u are synthesized once
-    per chunk, for both F_bo and E_gbo, on the alias-free grid of degree
-    max(4, k + 2).  The coefficients are finite, so a value that is not
-    overflowed a float: it is refused by name, and numpy does not warn.
+    sums run over the half spectra, each mode 0 < m < n/2 weighted 2 for
+    its conjugate, and the values of u are synthesized once per chunk, for
+    both F_bo and E_gbo, on the alias-free grid of degree max(4, k + 2).
+    The coefficients are finite, so a value that is not overflowed a float:
+    it is refused by name, and numpy does not warn.
     """
-    circ, q, h = grid.circumference, grid.freqs, grid.n // 2 + 1
+    circ, h = grid.circumference, grid.n // 2 + 1
+    q = np.abs(grid.freqs[:h])
+    weights = np.full(h, 2.0)
+    weights[[0, -1]] = 1.0
+    quadratic = {"M": weights, "F_bo": weights * q ** 2, "E_gbo": 0.5 * weights * q}
     nbig = _alias_free_points(grid.n, max(4, k + 2))
     hdx = _symbol(grid, "hilbert_dx")[:h]
     out = {name: [] for name in names}
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_chunks(len(half), nbig):
-            c = _full_spectrum(half[rows], grid.n)
+            c = half[rows]
+            abs2 = np.abs(c) ** 2
             if "F_bo" in names or "E_gbo" in names:
-                u = _real_values(c[:, :h], nbig)
+                u = _real_values(c, nbig)
             for name in names:
-                if name == "I":
-                    value = circ * c[:, 0].real
-                elif name == "M":
-                    value = circ * np.sum(np.abs(c) ** 2, axis=-1)
-                elif name == "F_bo":
-                    hux = _real_values(hdx * c[:, :h], nbig)
-                    value = (circ * np.sum((q * np.abs(c)) ** 2, axis=-1)
-                             - sign * 0.75 * (circ * np.mean(u * u * hux, axis=-1))
+                value = circ * (c[:, 0].real if name == "I"
+                                else np.sum(quadratic[name] * abs2, axis=-1))
+                if name == "F_bo":
+                    hux = _real_values(hdx * c, nbig)
+                    value = (value - sign * 0.75 * (circ * np.mean(u * u * hux, axis=-1))
                              + 0.125 * (circ * np.mean(_power(u, 4), axis=-1)))
-                else:  # E_gbo
+                elif name == "E_gbo":
                     power = circ * np.mean(_power(u, k + 2), axis=-1) / ((k + 1) * (k + 2))
-                    value = (0.5 * (circ * np.sum(np.abs(q) * np.abs(c) ** 2, axis=-1))
-                             - sign * power)
+                    value = value - sign * power
                 out[name].append(value)
     out = {name: np.concatenate(values) for name, values in out.items()}
     for name, values in out.items():
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} overflows a float at coefficients up to "
-                             f"{np.max(np.abs(half)):.3g}")
+        _check_no_overflow(values, half, name)
     return out
 
 

@@ -110,9 +110,10 @@ on it with degree 4, the invariants with degree max(4, k + 2) and the gbo
 renormalization with degree k.  A product truncated to n modes is exact on
 it too, since each kept coefficient is the mean of the product times one
 mode: ``multiply`` forms f g with degree 3 and the solver's ``alias_free``
-flux u^{k+1} with degree k + 2.  The L^1 and sup norms, whose integrands
-are no polynomials, sample a 4x zero-padded grid; so do the gauge's
-e^{-iF} products.
+flux u^{k+1} with degree k + 2.  The gauge forms its e^{-iF} products on
+it too, with degree max(k + 3, 2k): e^{-iF} counts as one n-mode factor
+there (``gauge._frame_points``).  The L^1 and sup norms, whose integrands
+are no polynomials, sample a 4x zero-padded grid.
 
 Integer powers of signed value arrays (the u^{k+1} flux of the solver, the
 u^{k+2} energy density, the M(v^k) gauge phase) multiply by repeated
@@ -855,6 +856,14 @@ def _check_finite(coeffs, who: str, fields: str = "finite fields") -> None:
     if len(bad):
         raise ValueError(f"{who} needs {fields}: field {bad[0]} is non-finite "
                          "(a coefficient is NaN or infinite)")
+
+
+def _check_no_overflow(values, coeffs, who: str) -> None:
+    """Raise ``ValueError`` if ``values``, computed from the finite ``coeffs``,
+    are not all finite: they overflowed a float."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{who} overflows a float at coefficients up to "
+                         f"{np.max(np.abs(coeffs)):.3g}")
 
 
 def _check_real(coeffs: np.ndarray, who: str) -> None:

@@ -1,6 +1,7 @@
 """Gauge transform construction, derived equations, renormalizations."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -344,13 +345,84 @@ class TestFrame:
                  for t_final in (0.1, 0.3)]
         calls = count_transforms(monkeypatch)
         gauge_residual(v, "gbo", k=3)
-        assert len(calls) <= 19  # frame 4, w_t 6, the b, c and d terms 9
+        # frame 4, w_t 5, the b, c and d factors 5, and one projection of their
+        # sum less w_t's (19 when each term and w_t were projected apart)
+        assert len(calls) <= 15
         for traj in trajs:
             calls.clear()
             gauge_residual(traj, "bo")
             # one frame 3, its right-hand side 2, however many snapshots
             assert len(calls) <= 5
         assert [len(traj) for traj in trajs] == [11, 31]
+
+
+class TestFrameGrid:
+    """The frame grid: _alias_free_points of degree max(k + 3, 2k), bo as k = 1."""
+
+    @pytest.mark.parametrize("variant, k, n, points", [
+        ("bo", 1, 256, 540), ("gbo", 1, 256, 540), ("gbo", 2, 256, 648), ("gbo", 3, 256, 800),
+        ("gbo", 4, 256, 1080), ("gbo", 5, 256, 1296), ("gbo", 2, 128, 324),
+    ])
+    def test_points_per_variant_and_k(self, rng, variant, k, n, points):
+        from bosp import gauge
+
+        grid = PeriodicGrid(1.0, n)
+        frame = gauge._Frame(h2_normalized(grid, rng).coeffs[None], grid, variant, k)
+        assert frame.points == points
+        assert frame.E.shape == frame.v_vals.shape == (1, points)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_p0_m2_matches_a_16n_reference(self, k):
+        # the mean of the degree-2k product M(v^k)^2; on a fixed 4n grid it
+        # was off by 1.7e-8 to 1.6e-4 relative at k = 5 ... 8 on these data,
+        # and within 4.3e-16 at k <= 4
+        from bosp import gauge
+
+        grid = PeriodicGrid(1.0, 64)
+        v = random_field(grid, np.random.default_rng(k), decay=0.95, amplitude=0.5)
+        p0_m2, _ = gauge._gbo_factors(gauge._Frame(v.coeffs[None], grid, "gbo", k))
+        vk = _real_values(v.coeffs[: grid.n // 2 + 1], 16 * grid.n) ** k
+        reference = np.mean((vk - np.mean(vk)) ** 2)
+        assert p0_m2.shape == (1, 1)
+        assert abs(p0_m2[0, 0] - reference) <= 1e-14 * reference
+
+    @pytest.mark.parametrize("variant, k", [("bo", 1), ("gbo", 1), ("gbo", 2), ("gbo", 3)])
+    def test_fused_residual_equals_separately_projected(self, rng, variant, k):
+        # gbo projects e^{-iF} (e^{iF} d_t(e^{-iF} v) - X_b - X_c - X_d) once;
+        # against w_t - i w_xx - (a + b + c + d) with every term projected
+        # apart it differed by at most 4.3e-16 ||w_xx|| (n = 128, 12 fields)
+        from bosp import gauge
+
+        grid = PeriodicGrid(1.0, 128)
+        fields = [h2_normalized(grid, rng, amp=0.1, decay=0.8) for _ in range(3)]
+        frame = gauge._Frame(np.array([v.coeffs for v in fields]), grid, variant, k)
+        fused = gauge._instantaneous_residual(frame)
+        wt = gauge._plus(frame.E * gauge._instantaneous_Ev_t(frame), grid)
+        for i, v in enumerate(fields):
+            w = build_gauge(v, variant, k).w
+            if variant == "bo":
+                wt_i, rhs = -1j * wt[i], rhs_bo(v).total
+            else:
+                wt_i, rhs = wt[i], rhs_gbo_terms(v, k).total
+            wxx = differentiate(w, "d_dx", 2)
+            separate = SpectralField(grid, wt_i) - 1j * wxx - rhs
+            diff = SpectralField(grid, fused[i]) - separate
+            assert norm(diff, "lp", p=2) <= 1e-14 * norm(wxx, "lp", p=2)
+
+    @pytest.mark.parametrize("variant, k", [("bo", 1), ("gbo", 3)])
+    def test_overflow_is_refused_by_name_without_a_warning(self, variant, k):
+        """Finite coefficients whose residual exceeds the float range are refused,
+        on a field and along a trajectory, and numpy warns of nothing."""
+        grid = PeriodicGrid(1.0, 16)
+        huge = cos_field(grid, amp=2e200)
+        traj = Trajectory(grid, np.linspace(0.0, 0.4, 5), [huge.coeffs[:9]] * 5,
+                          "bo2" if variant == "bo" else "renormalized_gbo", k)
+        message = f"the {variant} gauge overflows a float at coefficients up to 1e\\+200"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in (huge, traj):
+                with pytest.raises(ValueError, match=message):
+                    gauge_residual(target, variant, k)
 
 
 def _counting_frames(monkeypatch):
@@ -387,7 +459,8 @@ class TestResidualBatch:
         grid = PeriodicGrid(1.0, 64)
         fields = [h2_normalized(grid, rng, amp=0.1, n_modes=31, decay=0.8) for _ in range(7)]
         singles = [gauge_residual(v, variant, k=k) for v in fields]
-        monkeypatch.setattr(spectral, "_STACK_POINTS", 3 * 4 * grid.n)  # 3 rows a stack
+        monkeypatch.setattr(spectral, "_STACK_POINTS",
+                            3 * gauge._frame_points(grid.n, k))  # 3 rows a stack
         built = _counting_frames(monkeypatch)
         batch = gauge_residual_batch(fields, variant, k)
         assert [len(args[0]) for args in built] == [3, 3, 1]
@@ -465,7 +538,8 @@ class TestTrajectoryResidual:
         grid = PeriodicGrid(1.0, 32)
         v0 = random_field(grid, np.random.default_rng(8), n_modes=15, amplitude=0.3)
         traj = solve(v0, SolverConfig("renormalized_gbo", k=k, dt=1e-3, t_final=0.01))
-        monkeypatch.setattr(spectral, "_STACK_POINTS", 3 * 4 * grid.n)  # 3 rows a stack
+        monkeypatch.setattr(spectral, "_STACK_POINTS",
+                            3 * gauge._frame_points(grid.n, k))  # 3 rows a stack
         built = _counting_frames(monkeypatch)
         (ws,) = gauge._frames(traj, "gbo", k, lambda fr: (fr.w,))
         assert [len(args[0]) for args in built] == [3, 3, 3, 2]

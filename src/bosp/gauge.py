@@ -24,16 +24,19 @@ let F be the zero-mean primitive of M(v^k) and w = P_+(e^{-iF} v).  Then
     c = -2k P_+(e^{-iF} v M(v^{k-1} P_-(v_x))),
     d = -i k(k-1) P_+(e^{-iF} v h),   h = antiderivative of M(v^{k-2} v_x H v_x).
 
-(At k = 1 the second equation, multiplied by -i, reduces to the first:
-P_+(u e^{-iF}) = i w there, and the b and c terms collapse into the single
-derivative term via d_x P_+(e^{-iF} P_-(u_x)) = P_+(e^{-iF} P_-(u_xx))
-- i P_+(u e^{-iF} P_-(u_x)).)
+At k = 1 on zero-mean data M(v) = v, the two equations and the two phases
+agree, and every bo quantity is -i times the gbo one: w, the right-hand
+side (the b and c terms collapse into the derivative term via
+d_x P_+(e^{-iF} P_-(u_x)) = P_+(e^{-iF} P_-(u_xx)) - i P_+(u e^{-iF}
+P_-(u_x)), and the a term is the mean term) and the residual.  So the code
+has one set of formulas: a frame computes the gbo quantities of its degree
+k, bo as k = 1, and multiplies them by -i for bo.
 
 ``gauge_residual`` turns these identities into numbers: on a field it
 substitutes the evolution equation for the time derivative (no time
 stepping at all), on a trajectory it uses fourth-order centered differences
-on uniformly sampled snapshots.  The instantaneous residual takes u_t and
-v_t from ``evolve.Equation``, except the gbo nonlinear term: that stays in
+on uniformly sampled snapshots.  The instantaneous residual takes the
+linear part of v_t from ``evolve.Equation`` and keeps the nonlinear term in
 the non-conservative form 2 M(v^k) v_x, which keeps the folded n/2 value
 the solver's conservative flux zeroes, because the identity needs that
 slot at finite n.  ``pde_residual`` substitutes ``Equation`` unchanged.
@@ -53,12 +56,12 @@ spectral tail of the data and of e^{-iF}.  A private frame computes the
 gauge data of a (B, n) stack of coefficient rows of real fields on one
 grid, each piece at most once: the values of v, v_x and M(v^k) on the
 frame grid, the phase F, e^{-iF} and P_+(e^{-iF} v).  The right-hand sides
-and the residuals act on the frame's arrays with the multipliers
-``spectral._symbol`` caches per grid, and rows never mix.  The gbo
-right-hand side is the a term plus P_+ of e^{-iF} times the pointwise
-factors of b, c and d: ``rhs_gbo_terms`` projects each factor on its own,
-the residuals project their sum, less the e^{iF} d_t(e^{-iF} v) of w_t,
-once.
+and the residual act on the frame's arrays with the multipliers
+``spectral._symbol`` caches per grid, and rows never mix.  The right-hand
+side is the a term plus P_+ of e^{-iF} times the pointwise factors of b, c
+and d: ``rhs_gbo_terms`` and ``rhs_bo`` project each factor on its own, and
+the one residual function projects their sum, less the e^{iF}
+d_t(e^{-iF} v) of w_t on a field, once.
 ``_frames`` is the one path from input to frames: it takes a list of
 fields or a trajectory's snapshots, checks them with the rules of
 ``spectral``, each said once there (fields on one grid, real fields tested
@@ -185,26 +188,20 @@ class GaugeState:
 class _Frame:
     """The gauge data of a (B, n) stack of real fields, each piece computed at most once.
 
-    ``coeffs`` holds the coefficient rows of the fields, checked by
-    ``_frames``, and ``points`` the size of the frame grid,
-    ``_frame_points(n, k)``.  ``v_vals``, ``vx_vals`` and ``mvk_vals`` are
-    the (B, points) values of v, v_x and M(v^k) (``None`` for bo), ``F``
-    the phase rows, the primitive of v (bo) or of M(v^k) (gbo), ``E`` the
-    values of e^{-iF}, ``plus_Ev`` the rows of P_+(e^{-iF} v) and ``w``
-    those of the filtered variable.  ``v_vals``, ``vx_vals``, ``plus_Ev``
-    and ``w`` are computed on first use: ``gauge_lipschitz_gap`` reads only
-    ``E``.
+    ``coeffs`` holds the rows checked by ``_frames`` and ``points`` the size
+    ``_frame_points(n, k)`` of the frame grid; the frame holds the gbo data
+    of degree k, bo as k = 1.  ``v_vals``, ``vx_vals``, ``vk_vals`` and
+    ``mvk_vals`` are the (B, points) values of v, v_x, v^k and M(v^k),
+    ``F`` the rows of the primitive of M(v^k) (at k = 1 of v's own rows, no
+    transform), ``E`` the values of e^{-iF}, ``plus_Ev`` the rows of
+    P_+(e^{-iF} v) and ``w`` those of the filtered variable.  All but ``F``
+    and ``E`` are computed on first use: ``gauge_lipschitz_gap`` reads ``E``.
     """
 
     def __init__(self, coeffs: np.ndarray, grid: PeriodicGrid, variant: str, k: int):
         self.coeffs, self.grid, self.variant, self.k = coeffs, grid, variant, k
         self.points = _frame_points(grid.n, k)
-        if variant == "bo":
-            self.mvk_vals, self.F = None, _primitive(coeffs, grid)
-        else:
-            vk = _power(self.v_vals, k)
-            self.mvk_vals = vk - np.mean(vk, axis=-1, keepdims=True)
-            self.F = _primitive(_real_rows(vk, grid.n), grid)
+        self.F = _primitive(coeffs if k == 1 else _real_rows(self.vk_vals, grid.n), grid)
         self.E = _phase_factor(_real_vals(self.F, self.points))
 
     @functools.cached_property
@@ -216,12 +213,24 @@ class _Frame:
         return _real_vals(_symbol(self.grid, "d_dx") * self.coeffs, self.points)
 
     @functools.cached_property
+    def vk_vals(self) -> np.ndarray:
+        return _power(self.v_vals, self.k)
+
+    @functools.cached_property
+    def mvk_vals(self) -> np.ndarray:
+        return self.vk_vals - np.mean(self.vk_vals, axis=-1, keepdims=True)
+
+    @functools.cached_property
     def plus_Ev(self) -> np.ndarray:
         return _plus(self.E * self.v_vals, self.grid)
 
     @functools.cached_property
     def w(self) -> np.ndarray:
-        return (-1j) * self.plus_Ev if self.variant == "bo" else self.plus_Ev
+        return self.of_variant(self.plus_Ev)
+
+    def of_variant(self, rows: np.ndarray) -> np.ndarray:
+        """The variant's rows of a gbo quantity: -i times them for bo, themselves for gbo."""
+        return (-1j) * rows if self.variant == "bo" else rows
 
 
 def _frames(fields, variant: str, k, parts, zero_mean: bool = True) -> tuple:
@@ -231,7 +240,7 @@ def _frames(fields, variant: str, k, parts, zero_mean: bool = True) -> tuple:
     snapshots are the fields.  Every row is checked before any frame is
     built, by the rules of ``spectral`` in turn: one grid, real fields, a
     (variant, k) pair that names a gauge (bo with k = 1, gbo with an
-    integer k >= 1), and zero mean, which the bo phase and both right-hand
+    integer k >= 1), and zero mean, which the bo gauge and both right-hand
     sides need.  One frame is built per stack of at most
     ``spectral._STACK_POINTS`` frame-grid points; rows never mix, so each
     row of a stack equals its stack of one up to round-off.  The rows come
@@ -269,7 +278,7 @@ def build_gauge(v: SpectralField, variant: str = "bo", k: int = 1) -> GaugeState
 
 @dataclass(frozen=True)
 class RhsBo:
-    """Right-hand side of the bo gauge equation, term by term."""
+    """Right-hand side of the bo gauge equation: -i (b + c), slot n/2 kept, and -i a."""
 
     dx_term: SpectralField
     mean_term: SpectralField
@@ -280,17 +289,15 @@ class RhsBo:
 
 
 def rhs_bo(u: SpectralField) -> RhsBo:
-    """-2 d_x P_+(P_-(u_x) e^{-iF}) + P_0(u^2) P_+(u e^{-iF}) for zero-mean real u."""
-    terms = _frames([u], "bo", 1, _rhs_bo)
+    """-2 d_x P_+(P_-(u_x) e^{-iF}) + P_0(u^2) P_+(u e^{-iF}) for zero-mean real u.
+
+    The terms are -i (b + c) and -i a of gbo at k = 1; the dx term keeps the slot n/2."""
+    def parts(fr: _Frame) -> tuple:
+        a, b, c, _ = _rhs_gbo(fr)
+        return (-1j) * (b + c), (-1j) * a
+
+    terms = _frames([u], "bo", 1, parts)
     return RhsBo(*(SpectralField(u.grid, term[0]) for term in terms))
-
-
-def _rhs_bo(fr: _Frame) -> tuple:
-    grid, dx = fr.grid, _symbol(fr.grid, "d_dx")
-    ux_minus = _minus_vals(dx * fr.coeffs, grid, fr.points)
-    dx_term = (-2.0) * (dx * _plus(ux_minus * fr.E, grid))
-    p0_u2 = np.mean(fr.v_vals * fr.v_vals, axis=-1, keepdims=True)
-    return dx_term, p0_u2 * fr.plus_Ev
 
 
 @dataclass(frozen=True)
@@ -342,20 +349,20 @@ def _gbo_factors(fr: _Frame) -> tuple:
     return p0_m2, factors
 
 
-def _subtracted(fr: _Frame) -> tuple:
-    """The rows of i w_xx and of the right-hand side, subtracted in turn from w_t.
+def _residual(fr: _Frame, Ev_t=0.0) -> np.ndarray:
+    """Rows of w_t - i w_xx - RHS: P_+(e^{-iF} (Ev_t - X_b - X_c - X_d)), one
+    projection, less i w_xx and the a term; bo's rows are -i times gbo's.
 
-    The gbo right-hand side projects the sum of its b, c and d factors once.
-    """
-    iwxx = 1j * (_symbol(fr.grid, "d_dx", 2) * fr.w)
-    if fr.variant == "bo":
-        dx_term, mean_term = _rhs_bo(fr)
-        return iwxx, dx_term + mean_term
+    ``Ev_t`` is the values of e^{iF} d_t(e^{-iF} v) (the gbo w_t is P_+ of
+    e^{-iF} times them): the trajectory residual passes none, and adds the
+    rows to its stencil's w_t."""
     p0_m2, factors = _gbo_factors(fr)
-    # Named, not inline: numpy would multiply E into a large temporary in
-    # place, with the complex operands swapped, which rounds differently.
-    total = sum(factors[1:], factors[0])
-    return iwxx, 1j * p0_m2 * fr.plus_Ev + _plus(fr.E * total, fr.grid)
+    for factor in factors:
+        Ev_t -= factor
+    # Ev_t is named, not inline: numpy would multiply E into a large temporary
+    # in place, with the complex operands swapped, which rounds differently.
+    iwxx = 1j * (_symbol(fr.grid, "d_dx", 2) * fr.plus_Ev)
+    return fr.of_variant(_plus(fr.E * Ev_t, fr.grid) - iwxx - 1j * p0_m2 * fr.plus_Ev)
 
 
 @dataclass(frozen=True)
@@ -368,41 +375,39 @@ class ResidualNorms:
 
 def _instantaneous_Ev_t(fr: _Frame) -> np.ndarray:
     """Values of e^{iF} d_t(e^{-iF} v) on the frame grid, the evolution equation
-    substituted for v_t: w_t is P_+ of e^{-iF} times them, and times -i for bo."""
+    substituted for v_t: the gbo w_t is P_+ of e^{-iF} times them."""
     k, grid, points = fr.k, fr.grid, fr.points
-    half = fr.coeffs[:, : grid.n // 2 + 1]
-    if fr.variant == "bo":
-        vt = Equation(grid, "bo2").rhs(half)
-        vt_vals = _real_vals(vt, points)
-        Ft = _primitive(vt, grid)
-    else:
-        # non-conservative: keeps the folded n/2 value, which the identity needs
-        vt = (Equation(grid, "linear").rhs(half)
-              + _real_rows(2.0 * fr.mvk_vals * fr.vx_vals, grid.n))
-        vt_vals = _real_vals(vt, points)
-        Ft = _primitive(_real_rows(k * _power(fr.v_vals, k - 1) * vt_vals, grid.n), grid)
+    # non-conservative: keeps the folded n/2 value, which the identity needs
+    vt = (Equation(grid, "linear").rhs(fr.coeffs[:, : grid.n // 2 + 1])
+          + _real_rows(2.0 * fr.mvk_vals * fr.vx_vals, grid.n))
+    vt_vals = _real_vals(vt, points)
+    Ft = _primitive(_real_rows(k * _power(fr.v_vals, k - 1) * vt_vals, grid.n), grid)
     return -1j * _real_vals(Ft, points) * fr.v_vals + vt_vals
 
 
 _STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
-def _stencil_residual(traj: Trajectory, series: np.ndarray, *terms) -> ResidualNorms:
-    """Norms of d/dt series - terms on the interior snapshots.
+def _stencil_residual(traj: Trajectory, series: np.ndarray, rest: np.ndarray,
+                      who: str) -> ResidualNorms:
+    """Norms of d/dt series + rest on the interior snapshots.
 
-    ``series`` and each term are (S, n) stacks of coefficient rows, one row
-    per snapshot; d/dt is the 4th-order centered stencil and the terms are
-    subtracted in order.
+    ``series`` and ``rest`` are (S, n) stacks of coefficient rows, one row
+    per snapshot; d/dt is the 4th-order centered stencil.  A trajectory's
+    coefficients are finite, so a norm that is not finite overflowed a
+    float: it is refused by name as ``who``'s, and numpy does not warn.
     """
     S = len(traj)
     if S < 5:
         raise ValueError("need at least 5 uniformly spaced snapshots")
-    resid = sum(c * series[2 + off: S - 2 + off]
-                for off, c in zip((-2, -1, 0, 1, 2), _STENCIL)) / traj.sample_dt
-    for term in terms:
-        resid = resid - term[2: S - 2]
-    return ResidualNorms(l2=float(np.max(_parseval_norms(resid, traj.grid))),
-                         h1=float(np.max(_parseval_norms(resid, traj.grid, 1.0))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = sum(c * series[2 + off: S - 2 + off]
+                    for off, c in zip((-2, -1, 0, 1, 2), _STENCIL)) / traj.sample_dt
+        resid = resid + rest[2: S - 2]
+        norms = np.array([np.max(_parseval_norms(resid, traj.grid)),
+                          np.max(_parseval_norms(resid, traj.grid, 1.0))])
+    _check_no_overflow(norms, traj.half_coeffs, who)
+    return ResidualNorms(l2=float(norms[0]), h1=float(norms[1]))
 
 
 def gauge_residual_batch(fields, variant: str = "bo", k: int = 1) -> list:
@@ -423,27 +428,8 @@ def gauge_residual_batch(fields, variant: str = "bo", k: int = 1) -> list:
 
 def _residual_norms(fr: _Frame) -> tuple:
     """Per-row L^2 and H^1 norms of the frame's instantaneous residual."""
-    resid = _instantaneous_residual(fr)
+    resid = _residual(fr, _instantaneous_Ev_t(fr))
     return _parseval_norms(resid, fr.grid), _parseval_norms(resid, fr.grid, 1.0)
-
-
-def _instantaneous_residual(fr: _Frame) -> np.ndarray:
-    """Rows of w_t - i w_xx - RHS, the evolution equation substituted for v_t.
-
-    gbo projects e^{-iF} (e^{iF} d_t(e^{-iF} v) - X_b - X_c - X_d) once and
-    subtracts the a term; bo projects w_t and its right-hand side apart,
-    since its dx term applies d_x after the projection.
-    """
-    # Ev_t is named for the reason given in _subtracted
-    grid, Ev_t = fr.grid, _instantaneous_Ev_t(fr)
-    if fr.variant == "bo":
-        iwxx, rhs = _subtracted(fr)
-        return (-1j) * _plus(fr.E * Ev_t, grid) - iwxx - rhs
-    p0_m2, factors = _gbo_factors(fr)
-    for factor in factors:
-        Ev_t -= factor
-    iwxx = 1j * (_symbol(grid, "d_dx", 2) * fr.w)
-    return _plus(fr.E * Ev_t, grid) - iwxx - 1j * p0_m2 * fr.plus_Ev
 
 
 def gauge_residual(target, variant: str = "bo", k: int = 1) -> ResidualNorms:
@@ -460,8 +446,8 @@ def gauge_residual(target, variant: str = "bo", k: int = 1) -> ResidualNorms:
     if isinstance(target, SpectralField):
         return gauge_residual_batch([target], variant, k)[0]
     if isinstance(target, Trajectory):
-        w, iwxx, rhs = _frames(target, variant, k, lambda fr: (fr.w, *_subtracted(fr)))
-        return _stencil_residual(target, w, iwxx, rhs)
+        w, rest = _frames(target, variant, k, lambda fr: (fr.w, _residual(fr)))
+        return _stencil_residual(target, w, rest, f"the {variant} gauge")
     raise TypeError(f"gauge_residual expects a SpectralField or a Trajectory, "
                     f"got {type(target).__name__}")
 
@@ -573,9 +559,13 @@ def pde_residual(traj: Trajectory) -> ResidualNorms:
     ``Equation`` at its default, the exact ``alias_free`` flux, which is
     also the solver's default: a ``two_thirds`` solve leaves the residual
     of the flux modes it zeroes, which halving the step barely changes.
+    A residual that overflows a float is refused by name (``the bo2
+    equation overflows a float ...``), and numpy does not warn.
     """
     equation = Equation(traj.grid, traj.equation, traj.k)
     half = traj.half_coeffs
-    ut = np.concatenate([equation.rhs(half[rows])
-                         for rows in _row_chunks(len(half), equation.nbig)])
-    return _stencil_residual(traj, _full_spectrum(half, traj.grid.n), ut)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ut = np.concatenate([equation.rhs(half[rows])
+                             for rows in _row_chunks(len(half), equation.nbig)])
+    return _stencil_residual(traj, _full_spectrum(half, traj.grid.n), -ut,
+                             f"the {traj.equation} equation")

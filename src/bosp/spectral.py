@@ -754,20 +754,26 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
       ``hs``     -- (sum (1+q^2)^s |C_q|^2)^(1/2); pass s.
       ``hs_dot`` -- (sum |q|^(2s) |C_q|^2)^(1/2); pass s.
       ``linf``   -- max |f| on the 4x oversampled grid.
+
+    A norm of finite coefficients that overflows a float is refused by name
+    without a numpy warning; a NaN or infinite coefficient gets numpy's norm.
     """
     _choice("lp", "hs", "hs_dot", "linf").check("kind", kind)
     if kind == "lp":
         _Rule(lambda v: _finite(v) and v in (1, 2, 4), "1, 2 or 4").check("p", p)
-        if p == 2:
-            return float(_parseval_norms(f.coeffs, f.grid))
-        return float(_lp_norms(f.coeffs[None], f.grid, p)[0])
-    if kind == "linf":
-        return float(_lp_norms(f.coeffs[None], f.grid, np.inf)[0])
-    _FINITE.check("s", s)
-    _finite_symbol(f.grid, "bessel" if kind == "hs" else "abs_d", 2).check("s", s)
-    if kind == "hs":
-        return float(_parseval_norms(f.coeffs, f.grid, s))
-    return float(np.sqrt(np.sum(_symbol(f.grid, "abs_d", 2 * s) * np.abs(f.coeffs) ** 2)))
+    elif kind != "linf":
+        _FINITE.check("s", s)
+        _finite_symbol(f.grid, "bessel" if kind == "hs" else "abs_d", 2).check("s", s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "hs" or (kind == "lp" and p == 2):
+            value = _parseval_norms(f.coeffs, f.grid, s if kind == "hs" else None)
+        elif kind == "hs_dot":
+            value = np.sqrt(np.sum(_symbol(f.grid, "abs_d", 2 * s) * np.abs(f.coeffs) ** 2))
+        else:
+            value = _lp_norms(f.coeffs[None], f.grid, np.inf if kind == "linf" else p)[0]
+    if np.isfinite(f.coeffs).all():
+        _check_no_overflow(value, f.coeffs, f"the {kind} norm")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -60,3 +60,15 @@ def test_a_value_turned_null_is_an_infinite_change():
 def test_line_count_change_is_infinite():
     assert compare_reports.largest_relative_change("{}\n{}", "{}", True) == (
         float("inf"), float("inf"), "line count 2 != 1")
+
+
+def test_extra_runs_have_stems_of_their_own():
+    runs = compare_reports.runs(["scaling", "gauge-residual"])
+    assert runs == [
+        ("scaling", (), "scaling"),
+        ("gauge-residual", (), "gauge-residual"),
+        ("gauge-residual", ("--variant", "bo"), "gauge-residual-variant-bo"),
+        ("gauge-residual", ("--k", "3", "--n-samples", "1000"),
+         "gauge-residual-k-3-n-samples-1000"),
+    ]
+    assert compare_reports.runs(["scaling"]) == [("scaling", (), "scaling")]

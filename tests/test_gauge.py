@@ -275,8 +275,11 @@ class TestInstantaneousResidual:
 
     @pytest.mark.parametrize("variant", ["bo", "gbo"])
     def test_warm_and_cold_residuals_count_the_same_transforms(self, rng, monkeypatch, variant):
+        from bosp import gauge
+
         # residuals once shared one Equation per grid, whose flux kept the
-        # transforms of its first use: counted later, bo lost its bo2 flux
+        # transforms of its first use: counted later, bo lost its bo2 flux.
+        # Both variants now transform only on the frame grid, one row a time.
         k = 2 if variant == "gbo" else 1
         grid = PeriodicGrid(1.0, 64)
         fields = [h2_normalized(grid, rng, amp=0.1) for _ in range(3)]
@@ -291,8 +294,8 @@ class TestInstantaneousResidual:
         _, cold = counted(h2_normalized(PeriodicGrid(1.375, 64), rng, amp=0.1))
         assert all(counts == cold for counts in warm)
         assert first == list(second[:3])
-        if variant == "bo":  # the bo2 flux, on its alias-free rows
-            assert ("irfft", (1,), _alias_free_points(64, 3)) in cold
+        assert {(shape, points) for _, shape, points in cold} == {
+            ((1,), gauge._frame_points(grid.n, k))}
 
     def test_w_never_exceeds_v_in_l2(self, rng):
         grid = PeriodicGrid(1.0, 128)
@@ -351,8 +354,10 @@ class TestFrame:
         for traj in trajs:
             calls.clear()
             gauge_residual(traj, "bo")
-            # one frame 3, its right-hand side 2, however many snapshots
-            assert len(calls) <= 5
+            # one frame 3, the values of P_-(v_xx) and P_-(v_x) and one
+            # projection, however many snapshots; 5 when bo applied d_x after
+            # P_+ to P_-(v_x) e^{-iF}, which zeroed the slot n/2 the identity needs
+            assert len(calls) <= 6
         assert [len(traj) for traj in trajs] == [11, 31]
 
 
@@ -396,7 +401,7 @@ class TestFrameGrid:
         grid = PeriodicGrid(1.0, 128)
         fields = [h2_normalized(grid, rng, amp=0.1, decay=0.8) for _ in range(3)]
         frame = gauge._Frame(np.array([v.coeffs for v in fields]), grid, variant, k)
-        fused = gauge._instantaneous_residual(frame)
+        fused = gauge._residual(frame, gauge._instantaneous_Ev_t(frame))
         wt = gauge._plus(frame.E * gauge._instantaneous_Ev_t(frame), grid)
         for i, v in enumerate(fields):
             w = build_gauge(v, variant, k).w
@@ -423,6 +428,18 @@ class TestFrameGrid:
             for target in (huge, traj):
                 with pytest.raises(ValueError, match=message):
                     gauge_residual(target, variant, k)
+
+
+    def test_trajectory_norms_that_overflow_are_refused_by_name(self):
+        # at 1e100 the rows are finite and the stencil residual's norms
+        # overflow: numpy warned of an overflow in square
+        grid = PeriodicGrid(1.0, 16)
+        half = cos_field(grid, amp=2e100).coeffs[:9]
+        traj = Trajectory(grid, np.linspace(0.0, 0.4, 5), [half] * 5, "bo2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the bo gauge overflows a float"):
+                gauge_residual(traj, "bo")
 
 
 def _counting_frames(monkeypatch):
@@ -466,7 +483,8 @@ class TestResidualBatch:
         assert [len(args[0]) for args in built] == [3, 3, 1]
 
         stack = gauge._Frame(np.array([v.coeffs for v in fields]), grid, variant, k)
-        terms = gauge._rhs_bo(stack) if variant == "bo" else gauge._rhs_gbo(stack)
+        a, b, c, d = gauge._rhs_gbo(stack)
+        terms = [-1j * (b + c), -1j * a] if variant == "bo" else [a, b, c, d]
         for i, v in enumerate(fields):
             one = rhs_bo(v) if variant == "bo" else rhs_gbo_terms(v, k)
             one_terms = [one.dx_term, one.mean_term] if variant == "bo" else [
@@ -501,6 +519,43 @@ class TestResidualBatch:
 
     def test_empty_batch(self):
         assert gauge_residual_batch([], "gbo", 2) == []
+
+
+class TestBoIsGboAtKOne:
+    """bo is -i times gbo at k = 1, from the same formulas, so bit for bit."""
+
+    def test_fields(self, rng):
+        grid = PeriodicGrid(1.0, 64)
+        fields = [h2_normalized(grid, rng, amp=0.1, decay=0.8) for _ in range(4)]
+        assert gauge_residual_batch(fields, "bo") == gauge_residual_batch(fields, "gbo", 1)
+        for v in fields:
+            assert gauge_residual(v, "bo") == gauge_residual(v, "gbo", 1)
+            bo, gbo = build_gauge(v, "bo"), build_gauge(v, "gbo", 1)
+            assert np.array_equal(bo.F.coeffs, gbo.F.coeffs)
+            assert np.array_equal(bo.W.coeffs, gbo.W.coeffs)
+            assert np.array_equal(bo.w.coeffs, -1j * gbo.w.coeffs)
+            rhs, terms = rhs_bo(v), rhs_gbo_terms(v, 1)
+            assert np.array_equal(rhs.dx_term.coeffs, -1j * (terms.b + terms.c).coeffs)
+            assert np.array_equal(rhs.mean_term.coeffs, -1j * terms.a.coeffs)
+
+    def test_trajectory(self):
+        from bosp import gauge
+
+        traj = solve(cos_field(PeriodicGrid(1.0, 64), 0.05),
+                     SolverConfig("bo2", dt=1e-3, t_final=0.1, sample_stride=10))
+        assert gauge_residual(traj, "bo") == gauge_residual(traj, "gbo", 1)
+        bo_F, bo_w = gauge._frames(traj, "bo", 1, lambda fr: (fr.F, fr.w))
+        gbo_F, gbo_w = gauge._frames(traj, "gbo", 1, lambda fr: (fr.F, fr.w))
+        assert np.array_equal(bo_F, gbo_F)
+        assert np.array_equal(bo_w, -1j * gbo_w)
+
+    def test_full_band_residual_keeps_slot_n_half(self, rng):
+        # bo applied d_x after P_+ and took u_t from bo2's conservative flux,
+        # both zeroing slot n/2: 1.2e-5 on these fields, gbo k = 1 6.2e-9
+        grid = PeriodicGrid(1.0, 64)
+        fields = [h2_normalized(grid, rng, amp=0.1, decay=0.8) for _ in range(5)]
+        assert max(res.l2 for res in gauge_residual_batch(fields, "bo")) < 1e-7
+        assert all(rhs_bo(v).dx_term.coeffs[grid.n // 2] != 0.0 for v in fields)
 
 
 class TestTrajectoryResidual:
@@ -621,10 +676,20 @@ class TestLipschitzGap:
         assert max(maxima) / min(maxima) < 3.0
 
 
+    def test_overflowing_distance_is_refused_by_name_without_a_warning(self):
+        # the phases are finite, and norm(phi1 - phi2, "lp", p=2) warned
+        grid = PeriodicGrid(1.0, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the lp norm overflows a float"):
+                gauge_lipschitz_gap(cos_field(grid, 2e200), SpectralField.zero(grid))
+
+
 class TestLipschitzGapCost:
-    @pytest.mark.parametrize("variant, k, most", [("bo", 1, 2), ("gbo", 2, 6)])
+    @pytest.mark.parametrize("variant, k, most", [("bo", 1, 1), ("gbo", 1, 1), ("gbo", 2, 6)])
     def test_fft_calls_per_gap(self, rng, monkeypatch, variant, k, most):
-        # one phase per field: bo needs e^{-iF} alone, gbo also M(v^k)
+        # one phase per stack: at k = 1 e^{-iF} alone, from v's own rows; at
+        # k >= 2 also v^k (gbo k = 1 took 3 when its phase came from v^1)
         grid = PeriodicGrid(1.0, 128)
         p1, p2 = h2_normalized(grid, rng), h2_normalized(grid, rng)
         expected = gauge_lipschitz_gap(p1, p2, variant, k)
@@ -753,6 +818,20 @@ class TestRenormalization:
                      SolverConfig("bo2", dt=0.05, t_final=0.2))
         with pytest.raises(ValueError):
             renormalize_gbo(traj)
+
+
+class TestPdeResidualOverflow:
+    @pytest.mark.parametrize("equation, k", [("bo2", 1), ("gbo", 3), ("renormalized_gbo", 2)])
+    def test_overflow_is_refused_by_name_without_a_warning(self, equation, k):
+        # numpy warned of an overflow in multiply, and the norms came back inf
+        grid = PeriodicGrid(1.0, 16)
+        huge = cos_field(grid, amp=2e200)
+        traj = Trajectory(grid, np.linspace(0.0, 0.4, 5), [huge.coeffs[:9]] * 5, equation, k)
+        message = f"the {equation} equation overflows a float at coefficients up to 1e\\+200"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                pde_residual(traj)
 
 
 def reference_rhs(f, equation, k):

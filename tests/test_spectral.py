@@ -1,6 +1,7 @@
 """Operator calculus: transforms, multipliers, projections, norms."""
 
 from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
@@ -485,6 +486,25 @@ class TestNorms:
         got = _lp_norms(rows, grid, np.inf)
         assert got.tolist() == want
         assert [norm(SpectralField(grid, row), "linf") for row in rows] == want
+
+    @pytest.mark.parametrize("kind, p, s", [("lp", 2, None), ("lp", 4, None), ("hs", None, 1.0),
+                                            ("hs_dot", None, 1.0)])
+    def test_overflow_is_refused_by_name_without_a_warning(self, kind, p, s):
+        # each raised numpy's overflow warning and returned inf
+        grid = PeriodicGrid(1.0, 16)
+        c = np.zeros(grid.n, dtype=complex)
+        c[1] = c[-1] = 1e200
+        huge = SpectralField(grid, c)
+        message = f"the {kind} norm overflows a float at coefficients up to 1e\\+200"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                norm(huge, kind, p=p, s=s)
+            # a large finite norm still evaluates, and a NaN field keeps its NaN
+            assert norm(1e-130 * huge, kind, p=p, s=s) > 1e70
+            nan = huge.coeffs.copy()
+            nan[3] = np.nan
+            assert np.isnan(norm(SpectralField(grid, nan), kind, p=p, s=s))
 
     def test_parseval(self, rng):
         # coefficient-space L^2 equals dense quadrature, lambda factor included

@@ -7,9 +7,10 @@ through ``python -m bosp.cli NAME --seed S``, with that checkout's ``src``
 first on ``PYTHONPATH`` and every other setting at its default.  Every file
 a run writes (summary, records, ``.dat`` series, ``.bosp`` checkpoint) is
 compared byte for byte with the other checkout's, and so is each run's exit
-code.  For a JSON or JSONL file that differs, the largest relative change
-of any numeric field is printed, with that field's absolute change.  Exits
-0 only when everything matches.
+code.  Each run of ``EXTRA_RUNS`` whose experiment is selected also runs
+at every seed, under a stem of its own.  For a JSON or JSONL file that
+differs, the largest relative change of any numeric field is printed, with
+that field's absolute change.  Exits 0 only when everything matches.
 
 Standard library only; the experiment list is read from CHANGE's registry.
 """
@@ -26,6 +27,14 @@ import sys
 import tempfile
 
 
+# Non-default runs besides each experiment's defaults: the bo gauge residual,
+# and the gauge-residual config the benchmark runs.
+EXTRA_RUNS = [
+    ("gauge-residual", ("--variant", "bo")),
+    ("gauge-residual", ("--k", "3", "--n-samples", "1000")),
+]
+
+
 def _env(checkout: pathlib.Path) -> dict:
     paths = [str(checkout.resolve() / "src"), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
@@ -40,14 +49,22 @@ def experiment_names(checkout: pathlib.Path) -> list:
     return out.stdout.split()
 
 
+def runs(names) -> list:
+    """(experiment, extra flags, stem prefix) of each run: every experiment at its
+    defaults, then each of ``EXTRA_RUNS`` whose experiment is in ``names``."""
+    extra = [(name, flags, "-".join([name, *(f.lstrip("-") for f in flags)]))
+             for name, flags in EXTRA_RUNS if name in names]
+    return [(name, (), name) for name in names] + extra
+
+
 def run_reports(checkout: pathlib.Path, names, seeds, out: pathlib.Path) -> dict:
-    """Run each (experiment, seed) of the checkout into ``out``; returns the exit codes."""
+    """Run each (run, seed) of the checkout into ``out``; returns the exit codes."""
     codes = {}
-    for name in names:
+    for name, flags, prefix in runs(names):
         for seed in seeds:
-            stem = f"{name}-seed{seed}"
+            stem = f"{prefix}-seed{seed}"
             proc = subprocess.run(
-                [sys.executable, "-m", "bosp.cli", name, "--seed", str(seed),
+                [sys.executable, "-m", "bosp.cli", name, *flags, "--seed", str(seed),
                  "--out", str(out), "--stem", stem, "--quiet"],
                 env=_env(checkout), cwd=out, capture_output=True, text=True)
             codes[stem] = proc.returncode
@@ -142,11 +159,10 @@ def main(argv=None) -> int:
                  for stem in codes["parent"] if codes["parent"][stem] != codes["change"][stem]]
         diffs += compare(dirs["parent"], dirs["change"])
         files = sum(1 for _ in dirs["change"].iterdir())
-    runs = len(names) * len(seeds)
     nonzero = sorted(stem for stem, code in codes["change"].items() if code)
     for line in diffs:
         print(line)
-    print(f"{runs} runs per checkout, {files} files compared: "
+    print(f"{len(codes['change'])} runs per checkout, {files} files compared: "
           + ("identical" if not diffs else f"{len(diffs)} differences")
           + (f"; nonzero exit in CHANGE: {', '.join(nonzero)}" if nonzero else ""))
     return 0 if not diffs else 1

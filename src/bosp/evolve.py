@@ -46,15 +46,21 @@ SpectralField, exactly conjugate symmetric.
 
 The state is a ``(..., n/2+1)`` stack: ``solve_batch`` advances B fields
 on one grid under one SolverConfig as a ``(B, n/2+1)`` array, and ``solve``
-is its one-field case with a 1-D ``(n/2+1,)`` state.  Rows never mix (every
-transform and product acts along the last axis), so each row is bit-for-bit
-the single-field solution.  A row blows up when, after a step, one of its
-modes is non-finite or exceeds the magnitude guard: that row reports
-``BlowUpError`` with the time before the step and is set to zero, which
-the equations keep exactly zero, and the other rows go on.
+is its one-field case with a 1-D ``(n/2+1,)`` state.  ``_solve_levels``
+steps one field under several configs that differ in dt, step count or
+sample stride (a step-halving ladder: ``convergence_order`` and the order
+study of ``experiments``' conservation) as one stack too: the levels step
+in lockstep, each row with its own step constants, and a level leaves the
+stack once its steps are done, the last one stepping as a 1-D state.  Rows
+never mix (every transform and product acts along the last axis), so each
+row is bit-for-bit the single-field solution.  A row blows up when, after a
+step, one of its modes is non-finite or exceeds the magnitude guard: that
+row reports ``BlowUpError`` with its time before the step and is set to
+zero, which the equations keep exactly zero, and the other rows go on.
 
-A step allocates no stack-sized array.  Each stack gets its stage arrays,
-a magnitude array for the blow-up test and the flux's transform work
+A step allocates no stack-sized array.  Each stack (each phase of a
+ladder's stack, between two levels leaving it) gets its stage arrays, a
+magnitude array for the blow-up test and the flux's transform work
 arrays once; the stage arithmetic writes into them with ``out=`` in the
 operations and order of the schemes' plain expressions, so every
 intermediate, and every stored state, is bit-for-bit that of the
@@ -65,6 +71,7 @@ transform set ``_FFTS`` as it was when the ``Equation`` was built.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -270,123 +277,185 @@ def solve_batch(u0s, cfg: SolverConfig) -> list:
     u0s = list(u0s)
     if not u0s:
         return []
+    return _stacks(u0s, [cfg] * len(u0s), _checked_equation(u0s, cfg))
+
+
+def _solve_levels(u0: SpectralField, cfgs: list) -> list:
+    """Integrate u0 under each of cfgs as one stack: entry j is what
+    ``solve(u0, cfgs[j])`` gives, its Trajectory bit for bit or its BlowUpError.
+
+    The configs must share equation, k, scheme and dealias; dt, the step
+    count and ``sample_stride`` may differ.  The rows step in lockstep in
+    ascending step count, and a row leaves the stack once its steps are
+    done, so a step-halving ladder makes one transform call where separate
+    solves make one per level.
+    """
+    first = cfgs[0]
+    for cfg in cfgs:
+        if (cfg.equation, cfg.k, cfg.scheme, cfg.dealias) != (
+                first.equation, first.k, first.scheme, first.dealias):
+            raise ValueError(f"levels stepped as one stack must share equation, k, scheme and "
+                             f"dealias: {cfg} and {first} differ")
+    order = sorted(range(len(cfgs)), key=lambda j: cfgs[j].n_steps())
+    stepped = dict(zip(order, _stacks([u0] * len(cfgs), [cfgs[j] for j in order],
+                                      _checked_equation([u0], first))))
+    return [stepped[j] for j in range(len(cfgs))]
+
+
+def _checked_equation(u0s: list, cfg: SolverConfig) -> Equation:
+    """The Equation of cfg on the fields' one grid, once every field meets
+    ``solve``'s conditions."""
     grid = _check_one_grid(u0s, "solve")
     coeffs = np.array([u0.coeffs for u0 in u0s])
     _check_real(coeffs, "solve")
     if cfg.equation == "renormalized_gbo":
         _check_zero_mean(coeffs, "the renormalized equation")
-    equation = Equation(grid, cfg.equation, cfg.k, cfg.dealias)
+    return Equation(grid, cfg.equation, cfg.k, cfg.dealias)
+
+
+def _stacks(u0s: list, cfgs: list, equation: Equation) -> list:
+    """``_advance`` over stacks of at most ``spectral._STACK_POINTS`` padded points."""
     return [result for rows in _row_chunks(len(u0s), equation.nbig)
-            for result in _advance(u0s[rows], cfg, equation)]
+            for result in _advance(u0s[rows], cfgs[rows], equation)]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _advance(u0s: list, cfg: SolverConfig, equation: Equation) -> list:
-    """The stepping loop of ``solve_batch`` over one stack of checked fields.
-
-    The stack owns its arrays: four flux and four stage arrays, a magnitude
-    array for the blow-up test and the flux's transform work arrays are
-    allocated once.  A blown-up row stays in the stack as zeros, so row i
-    is always input i.  Each step writes into them with ``out=``, in the
-    operations and order of the schemes' plain expressions (kept in the
-    comments), so every intermediate is bit-for-bit theirs; constants of
-    the step are formed once.  Every stored step writes the state into one
-    preallocated ``(B, S, n/2+1)`` history, whose rows become the
-    trajectories.  The state is checked after every step, so numpy's
-    overflow warnings are silenced.
-    """
-    grid, n = equation.grid, equation.n
-    steps, stride = cfg.n_steps(), cfg.sample_stride
-    flux, group_sym = equation._flux, equation.symbol
-    mul, add, absolute, peak = np.multiply, np.add, np.abs, np.maximum.reduce
-    dt = cfg.dt
-    if_rk4 = cfg.scheme == "if_rk4"
-
+def _step_constants(group_sym: np.ndarray, dt: float, if_rk4: bool) -> tuple:
+    """The constants of a step of dt: ehalf, efull, then dt/2, dt/6, dt * ehalf
+    and 2 ehalf (``if_rk4``) or the ETDRK4 weights q2, f1, 2 f2 and f3."""
     ehalf = np.exp(group_sym * (dt / 2.0))
     efull = ehalf * ehalf
     if if_rk4:
-        half_dt, sixth_dt, dt_ehalf, two_ehalf = dt / 2.0, dt / 6.0, dt * ehalf, 2.0 * ehalf
-    else:
-        q2, f1, f2, f3 = _etdrk4_weights(group_sym * dt, dt)
-        two_f2 = 2.0 * f2
+        return ehalf, efull, dt / 2.0, dt / 6.0, dt * ehalf, 2.0 * ehalf
+    q2, f1, f2, f3 = _etdrk4_weights(group_sym * dt, dt)
+    return ehalf, efull, q2, f1, 2.0 * f2, f3
 
-    # one field keeps a 1-D state: the kernels' fast path for a single row.
-    # Kept apart on purpose: on a 2-core Xeon VM, a one-row (1, n/2+1) stack
-    # made a 10^4-step n = 256 gbo solve (400-point flux rows; the
-    # conservation reference run when it stepped at dt = 1e-4) slower in 9 of
-    # 10 alternating in-process pairs (median 1.06 s -> 1.46 s).
-    uhat = np.array([u0.coeffs[: n // 2 + 1] for u0 in u0s])
-    if len(u0s) == 1:
-        uhat = uhat[0]
-    uhat[..., 0] = uhat[..., 0].real
-    uhat[..., n // 2] = uhat[..., n // 2].real
-    results = [None] * len(u0s)
-    times = dt * np.arange(0, steps + 1, stride)
-    history = np.empty((len(u0s), len(times), n // 2 + 1), dtype=np.complex128)
-    history[:, 0] = uhat
-    t_good = 0.0
 
-    k1, k2, k3, k4, s1, s2, t, w = (np.empty_like(uhat) for _ in range(8))
-    mag, work = np.empty(uhat.shape), equation._work(uhat.shape[:-1])
-    for step in range(1, steps + 1):
-        if if_rk4:
-            flux(uhat, k1, work)                       # a = N(uhat)
-            mul(half_dt, k1, out=t)                    # ua = ehalf * (uhat + dt/2 * a)
-            add(uhat, t, out=t)
-            mul(ehalf, t, out=s1)
-            flux(s1, k2, work)                         # b = N(ua)
-            mul(ehalf, uhat, out=t)                    # ub = ehalf * uhat + dt/2 * b
-            mul(half_dt, k2, out=s1)
-            add(t, s1, out=s1)
-            flux(s1, k3, work)                         # c = N(ub)
-            mul(efull, uhat, out=w)                    # uc = efull * uhat + dt * ehalf * c,
-            mul(dt_ehalf, k3, out=t)                   #   efull * uhat kept in w
-            add(w, t, out=s1)
-            flux(s1, k4, work)                         # d = N(uc)
-            mul(efull, k1, out=t)                      # uhat = efull * uhat + dt/6 *
-            add(k2, k3, out=s1)                        #   (efull * a + 2 ehalf * (b + c) + d)
-            mul(two_ehalf, s1, out=s1)
-            add(t, s1, out=t)
-            add(t, k4, out=t)
-            mul(sixth_dt, t, out=t)
-            add(w, t, out=uhat)
+@np.errstate(over="ignore", invalid="ignore")
+def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
+    """The stepping loop over one stack of checked fields, row i under ``cfgs[i]``.
+
+    The configs share ``equation``'s tag, k and dealias and one scheme; they
+    come in ascending step count with equal configs adjacent.  Each run of
+    equal configs is a level with one preallocated ``(rows, S, n/2+1)``
+    history, written at every stored step, whose rows become its
+    trajectories.  The rows step in lockstep, in phases: a phase ends when a
+    level's steps are done, and the level leaves the stack, whose state is
+    then the suffix view of the rows still stepping.  Rows that share one dt
+    share the step's constants, formed once as ``_step_constants``; rows of
+    several dts each get theirs, formed alike and stacked, so each row is
+    bit-for-bit its own solve.  Each phase owns its arrays: four flux and
+    four stage arrays, a magnitude array for the blow-up test and the flux's
+    transform work arrays are allocated once.  A blown-up row stays in the
+    stack as zeros until its level leaves, so row i is always input i.  Each
+    step writes into the arrays with ``out=``, in the operations and order
+    of the schemes' plain expressions (kept in the comments), so every
+    intermediate is bit-for-bit theirs.  The state is checked after every
+    step, so numpy's overflow warnings are silenced.
+    """
+    grid, n = equation.grid, equation.n
+    flux, group_sym = equation._flux, equation.symbol
+    mul, add, absolute, peak = np.multiply, np.add, np.abs, np.maximum.reduce
+    if_rk4 = cfgs[0].scheme == "if_rk4"
+    dts = [cfg.dt for cfg in cfgs]
+    constants = {dt: _step_constants(group_sym, dt, if_rk4) for dt in dict.fromkeys(dts)}
+
+    state = np.array([u0.coeffs[: n // 2 + 1] for u0 in u0s])
+    state[:, 0] = state[:, 0].real
+    state[:, n // 2] = state[:, n // 2].real
+    levels, first = [], 0  # (cfg, first row, rows, sample times, history) per level
+    for cfg, run in itertools.groupby(cfgs):
+        rows = len(list(run))
+        times = cfg.dt * np.arange(0, cfg.n_steps() + 1, cfg.sample_stride)
+        history = np.empty((rows, len(times), n // 2 + 1), dtype=np.complex128)
+        history[:, 0] = state[first: first + rows]
+        levels.append((cfg, first, rows, times, history))
+        first += rows
+
+    results, done = [None] * len(u0s), 0
+    for phase, (cfg, lo, _, _, _) in enumerate(levels):
+        if None not in results[lo:]:
+            break
+        # one field keeps a 1-D state: the kernels' fast path for a single row.
+        # Kept apart on purpose: on a 2-core Xeon VM, a one-row (1, n/2+1) stack
+        # made a 10^4-step n = 256 gbo solve (400-point flux rows; the
+        # conservation reference run when it stepped at dt = 1e-4) slower in 9 of
+        # 10 alternating in-process pairs (median 1.06 s -> 1.46 s).
+        uhat = state[lo] if lo == len(u0s) - 1 else state[lo:]
+        if dts[lo:].count(dts[lo]) == len(dts) - lo:
+            step_constants = constants[dts[lo]]
         else:
-            flux(uhat, k1, work)                       # n0 = N(uhat)
-            mul(ehalf, uhat, out=w)                    # sa = ehalf * uhat + q2 * n0,
-            mul(q2, k1, out=t)                         #   ehalf * uhat kept in w
-            add(w, t, out=s1)
-            flux(s1, k2, work)                         # na = N(sa)
-            mul(q2, k2, out=t)                         # sb = ehalf * uhat + q2 * na
-            add(w, t, out=s2)
-            flux(s2, k3, work)                         # nb = N(sb)
-            mul(2.0, k3, out=t)                        # sc = ehalf * sa + q2 * (2 nb - n0)
-            np.subtract(t, k1, out=t)
-            mul(q2, t, out=t)
-            mul(ehalf, s1, out=s2)
-            add(s2, t, out=s2)
-            flux(s2, k4, work)                         # nc = N(sc)
-            mul(efull, uhat, out=t)                    # uhat = efull * uhat + f1 * n0
-            mul(f1, k1, out=s1)                        #   + 2 f2 * (na + nb) + f3 * nc
-            add(t, s1, out=t)
-            add(k2, k3, out=s1)
-            mul(two_f2, s1, out=s1)
-            add(t, s1, out=t)
-            mul(f3, k4, out=s1)
-            add(t, s1, out=uhat)
-        # NaN propagates and fails; .max() would add numpy's Python wrapper per step
-        if not peak(absolute(uhat, out=mag), axis=None) <= _BLOWUP_GUARD:
-            blown = np.flatnonzero(np.atleast_1d(~(mag.max(axis=-1) <= _BLOWUP_GUARD)))
-            for row in blown:
-                results[row] = BlowUpError(t_good)
-            if None not in results:
-                return results
-            uhat[blown] = 0.0
-        t_good = step * dt
-        if step % stride == 0:
-            history[:, step // stride] = uhat
+            step_constants = tuple(np.array(c)[:, None] if np.ndim(c[0]) == 0 else np.stack(c)
+                                   for c in zip(*(constants[dt] for dt in dts[lo:])))
+        if if_rk4:
+            ehalf, efull, half_dt, sixth_dt, dt_ehalf, two_ehalf = step_constants
+        else:
+            ehalf, efull, q2, f1, two_f2, f3 = step_constants
+        sinks = [(level_cfg.sample_stride, history, state[row: row + rows])
+                 for level_cfg, row, rows, _, history in levels[phase:]]
+        k1, k2, k3, k4, s1, s2, t, w = (np.empty_like(uhat) for _ in range(8))
+        mag, work = np.empty(uhat.shape), equation._work(uhat.shape[:-1])
+        steps = cfg.n_steps()
+        for step in range(done + 1, steps + 1):
+            if if_rk4:
+                flux(uhat, k1, work)                       # a = N(uhat)
+                mul(half_dt, k1, out=t)                    # ua = ehalf * (uhat + dt/2 * a)
+                add(uhat, t, out=t)
+                mul(ehalf, t, out=s1)
+                flux(s1, k2, work)                         # b = N(ua)
+                mul(ehalf, uhat, out=t)                    # ub = ehalf * uhat + dt/2 * b
+                mul(half_dt, k2, out=s1)
+                add(t, s1, out=s1)
+                flux(s1, k3, work)                         # c = N(ub)
+                mul(efull, uhat, out=w)                    # uc = efull * uhat + dt * ehalf * c,
+                mul(dt_ehalf, k3, out=t)                   #   efull * uhat kept in w
+                add(w, t, out=s1)
+                flux(s1, k4, work)                         # d = N(uc)
+                mul(efull, k1, out=t)                      # uhat = efull * uhat + dt/6 *
+                add(k2, k3, out=s1)                        #   (efull * a + 2 ehalf * (b + c) + d)
+                mul(two_ehalf, s1, out=s1)
+                add(t, s1, out=t)
+                add(t, k4, out=t)
+                mul(sixth_dt, t, out=t)
+                add(w, t, out=uhat)
+            else:
+                flux(uhat, k1, work)                       # n0 = N(uhat)
+                mul(ehalf, uhat, out=w)                    # sa = ehalf * uhat + q2 * n0,
+                mul(q2, k1, out=t)                         #   ehalf * uhat kept in w
+                add(w, t, out=s1)
+                flux(s1, k2, work)                         # na = N(sa)
+                mul(q2, k2, out=t)                         # sb = ehalf * uhat + q2 * na
+                add(w, t, out=s2)
+                flux(s2, k3, work)                         # nb = N(sb)
+                mul(2.0, k3, out=t)                        # sc = ehalf * sa + q2 * (2 nb - n0)
+                np.subtract(t, k1, out=t)
+                mul(q2, t, out=t)
+                mul(ehalf, s1, out=s2)
+                add(s2, t, out=s2)
+                flux(s2, k4, work)                         # nc = N(sc)
+                mul(efull, uhat, out=t)                    # uhat = efull * uhat + f1 * n0
+                mul(f1, k1, out=s1)                        #   + 2 f2 * (na + nb) + f3 * nc
+                add(t, s1, out=t)
+                add(k2, k3, out=s1)
+                mul(two_f2, s1, out=s1)
+                add(t, s1, out=t)
+                mul(f3, k4, out=s1)
+                add(t, s1, out=uhat)
+            # NaN propagates and fails; .max() would add numpy's Python wrapper per step
+            if not peak(absolute(uhat, out=mag), axis=None) <= _BLOWUP_GUARD:
+                blown = lo + np.flatnonzero(np.atleast_1d(~(mag.max(axis=-1) <= _BLOWUP_GUARD)))
+                for row in blown:
+                    results[row] = BlowUpError((step - 1) * dts[row])
+                if None not in results[lo:]:
+                    break
+                state[blown] = 0.0
+            for stride, history, rows in sinks:
+                if step % stride == 0:
+                    history[:, step // stride] = rows
+        done = steps
 
-    return [Trajectory(grid, times, history[r], cfg.equation, cfg.k) if result is None else result
-            for r, result in enumerate(results)]
+    return [results[row + r] if results[row + r] is not None
+            else Trajectory(grid, times, history[r], cfg.equation, cfg.k)
+            for cfg, row, rows, times, history in levels for r in range(rows)]
 
 
 @dataclass(frozen=True)
@@ -414,16 +483,16 @@ def convergence_order(u0: SpectralField, cfg: SolverConfig, n_levels: int = 4) -
     integrating factor is the exact propagator).
     """
     _check_values(_RULES, n_levels=n_levels)
-    finals = []
-    dts = []
     base_steps = replace(cfg, sample_stride=1).n_steps()
-    for lvl in range(n_levels):
-        dt = cfg.dt / (2 ** lvl)
-        # only the final state matters; sample just the endpoints
-        cfg_lvl = replace(cfg, dt=dt, sample_stride=base_steps * 2 ** lvl)
-        traj = solve(u0, cfg_lvl)
-        finals.append(traj[-1])
-        dts.append(dt)
+    # only the final state matters; sample just the endpoints
+    cfgs = [replace(cfg, dt=cfg.dt / (2 ** lvl), sample_stride=base_steps * 2 ** lvl)
+            for lvl in range(n_levels)]
+    finals = []
+    for result in _solve_levels(u0, cfgs):
+        if isinstance(result, BlowUpError):
+            raise result
+        finals.append(result[-1])
+    dts = [c.dt for c in cfgs]
     ref = finals[-1]
     circ = np.sqrt(u0.grid.circumference)
     errors = [

@@ -67,7 +67,7 @@ import numpy as np
 from . import ensembles, evolve, lingroup, spectral
 from .errors import BlowUpError, ConfigError
 from .ensembles import _fields_from_normals, random_fields
-from .evolve import SolverConfig, convergence_order, solve, solve_batch
+from .evolve import SolverConfig, _solve_levels, convergence_order, solve, solve_batch
 from .gauge import _frames, gauge_residual_batch
 from .invariants import dilate, drift_report, invariant, xnorm, xnorm_series
 from .lingroup import strichartz_norms
@@ -507,8 +507,12 @@ def _run_conservation(cfg: ExperimentConfig, rng):
             rec["degenerate"] = True  # zero data: every relative drift is 0/0
             continue
         try:
-            reps = [drift_report(solve(profile, cfg.solvers[_energy_level(k, j)]))
-                    for j in range(_ORDER_LEVELS)]
+            reps = []
+            for traj in _solve_levels(profile, [cfg.solvers[_energy_level(k, j)]
+                                                for j in range(_ORDER_LEVELS)]):
+                if isinstance(traj, BlowUpError):
+                    raise traj
+                reps.append(drift_report(traj))
         except BlowUpError as exc:
             _blow_up_record(rec, exc)
             continue

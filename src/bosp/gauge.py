@@ -381,7 +381,9 @@ def _instantaneous_Ev_t(fr: _Frame) -> np.ndarray:
     vt = (Equation(grid, "linear").rhs(fr.coeffs[:, : grid.n // 2 + 1])
           + _real_rows(2.0 * fr.mvk_vals * fr.vx_vals, grid.n))
     vt_vals = _real_vals(vt, points)
-    Ft = _primitive(_real_rows(k * _power(fr.v_vals, k - 1) * vt_vals, grid.n), grid)
+    # F_t is the primitive of k v^{k-1} v_t; at k = 1 that is v_t, whose rows are at hand
+    ft_rows = vt if k == 1 else _real_rows(k * _power(fr.v_vals, k - 1) * vt_vals, grid.n)
+    Ft = _primitive(ft_rows, grid)
     return -1j * _real_vals(Ft, points) * fr.v_vals + vt_vals
 
 

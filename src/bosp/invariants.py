@@ -167,6 +167,8 @@ def xnorm_series(times, coeffs, grid: PeriodicGrid, level: int) -> float:
     ``coeffs`` is an (S, n) stack in transform order on ``grid``; the norm is
     the one of ``xnorm``, reduced over the whole stack.  Exactly conjugate-
     symmetric stacks are synthesized as real fields, any other as complex.
+    A norm of finite coefficients that overflows a float is refused by name
+    without a numpy warning; a NaN or infinite coefficient gets numpy's norm.
     """
     _Rule(lambda v: _integer(0).test(v) and v <= 2, "0, 1 or 2").check("level", level)
     times, coeffs = np.asarray(times, dtype=float), np.asarray(coeffs, dtype=np.complex128)
@@ -174,10 +176,13 @@ def xnorm_series(times, coeffs, grid: PeriodicGrid, level: int) -> float:
         raise ValueError(f"coefficient stack has shape {coeffs.shape}, "
                          f"expected ({len(times)}, {grid.n})")
     total = 0.0
-    for j in range(level + 1):
-        derivs = _symbol(grid, "d_dx", j) * coeffs if j else coeffs
-        total += float(np.max(_parseval_norms(derivs, grid)))
-        total += float(np.trapezoid(_lp_norms(derivs, grid, 4) ** 4, times) ** 0.25)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(level + 1):
+            derivs = _symbol(grid, "d_dx", j) * coeffs if j else coeffs
+            total += float(np.max(_parseval_norms(derivs, grid)))
+            total += float(np.trapezoid(_lp_norms(derivs, grid, 4) ** 4, times) ** 0.25)
+    if np.isfinite(coeffs).all():
+        _check_no_overflow(total, coeffs, f"the level-{level} xnorm")
     return total
 
 
@@ -199,8 +204,11 @@ class H1Check:
 
 
 def h1_apriori_check(traj: Trajectory) -> H1Check:
-    """max_t ||u(t)||_{H^1} / ||u(0)||_{H^1}; degenerate for zero data."""
-    h1s = _parseval_norms(_full_spectrum(traj.half_coeffs, traj.grid.n), traj.grid, 1.0)
+    """max_t ||u(t)||_{H^1} / ||u(0)||_{H^1}; degenerate for zero data.  An H^1
+    norm that overflows a float is refused by name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h1s = _parseval_norms(_full_spectrum(traj.half_coeffs, traj.grid.n), traj.grid, 1.0)
+    _check_no_overflow(h1s, traj.half_coeffs, "the H^1 norm")
     if h1s[0] == 0.0:
         return H1Check(float("nan"), True)
     return H1Check(float(np.max(h1s) / h1s[0]), False)

@@ -572,10 +572,15 @@ def _power(values: np.ndarray, p: int) -> np.ndarray:
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product truncated to n modes, formed on the alias-free grid of
-    degree 3, where every kept coefficient is exact."""
+    degree 3, where every kept coefficient is exact.  A product of finite
+    fields that overflows a float is refused by name, as ``norm`` refuses one."""
     _check_one_grid((f, g), "multiply")
     nbig = _alias_free_points(f.grid.n, 3)
-    return analyze_values_padded(_values(f, nbig) * _values(g, nbig), f.grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = analyze_values_padded(_values(f, nbig) * _values(g, nbig), f.grid)
+    if np.isfinite(f.coeffs).all() and np.isfinite(g.coeffs).all():
+        _check_no_overflow(product.coeffs, (f.coeffs, g.coeffs), "the product")
+    return product
 
 
 def integrate(f: SpectralField):

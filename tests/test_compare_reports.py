@@ -72,3 +72,8 @@ def test_extra_runs_have_stems_of_their_own():
          "gauge-residual-k-3-n-samples-1000"),
     ]
     assert compare_reports.runs(["scaling"]) == [("scaling", (), "scaling")]
+    # the ETDRK4 branch of the stacked step-halving ladders
+    assert compare_reports.runs(["conservation", "convergence"])[2:] == [
+        ("conservation", ("--scheme", "etd_rk4"), "conservation-scheme-etd_rk4"),
+        ("convergence", ("--scheme", "etd_rk4"), "convergence-scheme-etd_rk4"),
+    ]

@@ -1,6 +1,7 @@
 """Time stepping: exactness, order, conservation, reversibility, blow-up."""
 
 import ast
+import collections
 import dataclasses
 import inspect
 
@@ -506,7 +507,8 @@ class TestInPlaceStepper:
         cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme,
                            dealias=dealias, sample_stride=5)
         eq = evolve.Equation(u0s[0].grid, equation, k, dealias)
-        for got, ref in zip(evolve._advance(u0s, cfg, eq), advance_reference(u0s, cfg, eq)):
+        got_refs = zip(evolve._advance(u0s, [cfg] * len(u0s), eq), advance_reference(u0s, cfg, eq))
+        for got, ref in got_refs:
             assert np.array_equal(got.times, ref.times)
             assert np.array_equal(got.half_coeffs, ref.half_coeffs)
 
@@ -556,7 +558,7 @@ class TestInPlaceStepper:
             return out
 
         eq._flux = poisoned
-        *good, blown = evolve._advance(u0s, cfg, eq)
+        *good, blown = evolve._advance(u0s, [cfg] * len(u0s), eq)
         assert isinstance(blown, BlowUpError) and blown.last_good_time == 3 * cfg.dt
         for got, ref in zip(good, solve_batch(u0s[:-1], cfg)):
             assert np.array_equal(got.half_coeffs, ref.half_coeffs)
@@ -636,6 +638,98 @@ class TestBuiltFlux:
         assert calls == []
         evolve.Equation(grid, "gbo").nonlinear(uhat)
         assert [name for name, _, _ in calls] == ["irfft", "rfft"]
+
+
+def _ladder(cfg, levels=3):
+    """cfg at dt / 2^j for j < levels, sampled at cfg's times."""
+    return [dataclasses.replace(cfg, dt=cfg.dt / 2 ** j, sample_stride=cfg.sample_stride * 2 ** j)
+            for j in range(levels)]
+
+
+def _solo(u0, cfg):
+    try:
+        return solve(u0, cfg)
+    except BlowUpError as exc:
+        return exc
+
+
+def _assert_same_result(got, ref):
+    if isinstance(ref, BlowUpError):
+        assert isinstance(got, BlowUpError) and got.last_good_time == ref.last_good_time
+    else:
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.half_coeffs, ref.half_coeffs)
+        assert (got.equation, got.k) == (ref.equation, ref.k)
+
+
+class TestSolveLevels:
+    """Levels of one field stepped as one stack against their separate solves."""
+
+    @pytest.mark.parametrize("equation,k", [("gbo", 1), ("gbo", 2), ("gbo", 3), ("bo2", 1),
+                                            ("renormalized_gbo", 2), ("linear", 1)])
+    @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+    def test_each_level_is_its_solve_bit_for_bit(self, equation, k, scheme):
+        u0 = _random_data(equation)
+        cfg = SolverConfig(equation, dt=4e-3, t_final=0.08, k=k, scheme=scheme, sample_stride=5)
+        # out of step order, a level of the same dt and its own stride, and a
+        # longer level that steps alone (the one-row state) at the end
+        cfgs = _ladder(cfg)[::-1] + [dataclasses.replace(cfg, sample_stride=10),
+                                     dataclasses.replace(cfg, dt=1e-3, t_final=0.12)]
+        for got, level in zip(evolve._solve_levels(u0, cfgs), cfgs):
+            _assert_same_result(got, solve(u0, level))
+
+    @pytest.mark.parametrize("dt, blown", [(0.005, [0]), (0.01, [0, 1]), (0.02, [0, 1, 2])])
+    def test_a_blown_level_reports_its_own_last_good_time(self, dt, blown):
+        # gbo k = 3 from 1.5 cos x blows up at coarse steps and not at fine ones
+        u0 = 1.5 * SpectralField.from_function(PeriodicGrid(1.0, 64), np.cos)
+        cfgs = _ladder(SolverConfig("gbo", k=3, dt=dt, t_final=2.0, sample_stride=10))
+        results = evolve._solve_levels(u0, cfgs)
+        assert [isinstance(r, BlowUpError) for r in results] == [j in blown for j in range(3)]
+        for got, cfg in zip(results, cfgs):
+            _assert_same_result(got, _solo(u0, cfg))
+
+    def test_a_level_that_blows_up_stepping_alone(self):
+        # the level of t_final 1 blows up at 0.53, after the other has left the stack
+        u0 = 1.5 * SpectralField.from_function(PeriodicGrid(1.0, 64), np.cos)
+        cfg = SolverConfig("gbo", k=3, dt=0.005, t_final=1.0, sample_stride=10)
+        cfgs = [cfg, dataclasses.replace(cfg, t_final=0.4)]
+        results = evolve._solve_levels(u0, cfgs)
+        assert isinstance(results[0], BlowUpError) and 0.5 < results[0].last_good_time < 0.6
+        for got, level in zip(results, cfgs):
+            _assert_same_result(got, _solo(u0, level))
+
+    @pytest.mark.parametrize("stack_points", [64, 128])
+    def test_levels_beyond_a_stack_are_split(self, monkeypatch, stack_points):
+        # two-thirds rule at n = 64: stacks of 1 and 2 levels
+        monkeypatch.setattr(spectral, "_STACK_POINTS", stack_points)
+        u0 = _random_data("gbo")
+        cfgs = _ladder(SolverConfig("gbo", dt=4e-3, t_final=0.08, dealias="two_thirds",
+                                    sample_stride=5), levels=4)
+        for got, cfg in zip(evolve._solve_levels(u0, cfgs), cfgs):
+            _assert_same_result(got, solve(u0, cfg))
+
+    @pytest.mark.parametrize("key, value", [("equation", "bo2"), ("k", 2),
+                                            ("scheme", "etd_rk4"), ("dealias", "two_thirds")])
+    def test_levels_must_share_the_equation_and_scheme(self, key, value):
+        cfg = SolverConfig("gbo", dt=0.01, t_final=0.02)
+        cfgs = [cfg, dataclasses.replace(cfg, **{key: value})]
+        with pytest.raises(ValueError, match="must share equation, k, scheme and dealias"):
+            evolve._solve_levels(_random_data("gbo"), cfgs)
+
+    def test_conservation_steps_each_order_study_as_one_stack(self, monkeypatch):
+        # per degree 8 transforms of 1000 steps: 3 levels x 250, 2 x 250, 1 x 500,
+        # where separate solves make 8 x 1750
+        calls = count_transforms(monkeypatch)
+        cfg = experiments.default_config("conservation")
+        experiments._EXPERIMENTS["conservation"].run(cfg, np.random.default_rng(0))
+        grid = PeriodicGrid(cfg.lam, cfg.n)
+        assert len(cfg.e_ks) == 2
+        for k in cfg.e_ks:
+            nbig = evolve.Equation(grid, "gbo", k).nbig
+            steps = collections.Counter(lead for _, lead, points in calls
+                                        if points == nbig and lead in ((3,), (2,), ()))
+            assert steps == {(3,): 8 * 250, (2,): 8 * 250, (): 8 * 500}
+            assert cfg.solvers[experiments._energy_level(k, 2)].n_steps() == 1000
 
 
 class TestDefaultDealias:

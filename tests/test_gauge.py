@@ -351,6 +351,12 @@ class TestFrame:
         # frame 4, w_t 5, the b, c and d factors 5, and one projection of their
         # sum less w_t's (19 when each term and w_t were projected apart)
         assert len(calls) <= 15
+        for variant in ("bo", "gbo"):
+            calls.clear()
+            gauge_residual(v, variant, k=1)
+            # F_t from v_t's own rows at k = 1 (11 when they made a round trip
+            # through v_t's values)
+            assert len(calls) <= 10
         for traj in trajs:
             calls.clear()
             gauge_residual(traj, "bo")

@@ -32,6 +32,7 @@ from bosp import (
     gauge_residual,
     gauge_residual_batch,
     group_symbol,
+    h1_apriori_check,
     invariant,
     multiply,
     norm,
@@ -346,3 +347,49 @@ def test_trajectory_names_its_first_non_finite_field():
     assert _raised(lambda: Trajectory(grid, np.arange(5) * 0.1, half, "gbo")) == (
         "Trajectory needs finite fields: field 1 is non-finite "
         "(a coefficient is NaN or infinite)")
+
+
+def _huge_field(grid):
+    c = np.zeros(grid.n, dtype=complex)
+    c[1] = c[-1] = 1e200
+    return SpectralField(grid, c)
+
+
+HUGE_GRID = PeriodicGrid(1.0, 16)
+HUGE_U = _huge_field(HUGE_GRID)
+# five snapshots of the huge field (a solve of it blows up)
+HUGE_TRAJ = Trajectory(HUGE_GRID, np.arange(5) * 0.1,
+                       np.tile(HUGE_U.coeffs[: HUGE_GRID.n // 2 + 1], (5, 1)), "bo2")
+
+# Each call forms a value of finite coefficients that overflows a float, and
+# the name it is refused under.
+OVERFLOWING = [
+    ("strichartz_norm", "the strichartz norm", lambda: strichartz_norm(HUGE_U, 1.0)),
+    ("strichartz_norms", "the strichartz norm",
+     lambda: strichartz_norms([0.1 * _cos(HUGE_GRID), HUGE_U], 1.0)),
+    ("multiply", "the product", lambda: multiply(HUGE_U, HUGE_U)),
+    ("xnorm-0", "the level-0 xnorm", lambda: xnorm(HUGE_TRAJ, 0)),
+    ("xnorm-1", "the level-1 xnorm", lambda: xnorm(HUGE_TRAJ, 1)),
+    ("xnorm-2", "the level-2 xnorm", lambda: xnorm(HUGE_TRAJ, 2)),
+    ("xnorm_series", "the level-1 xnorm",
+     lambda: xnorm_series(HUGE_TRAJ.times, np.tile(HUGE_U.coeffs, (5, 1)), HUGE_GRID, 1)),
+    ("h1_apriori_check", "the H^1 norm", lambda: h1_apriori_check(HUGE_TRAJ)),
+]
+
+
+@pytest.mark.parametrize("entry, who, call", OVERFLOWING, ids=[e for e, _, _ in OVERFLOWING])
+def test_overflow_is_refused_by_name_without_a_warning(entry, who, call):
+    # each raised numpy's overflow RuntimeWarning, or returned inf or NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _raised(call) == f"{who} overflows a float at coefficients up to 1e+200"
+
+
+def test_non_finite_coefficients_keep_their_nan():
+    # only a value of finite coefficients is refused: NaN in, NaN out, as for norm
+    c = _cos(GRID).coeffs.copy()
+    c[2] = c[-2] = np.nan
+    u = SpectralField(GRID, c)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(multiply(u, u).coeffs).all()
+        assert math.isnan(xnorm_series([0.0, 0.1], np.array([c, c]), GRID, 0))

@@ -28,10 +28,13 @@ import tempfile
 
 
 # Non-default runs besides each experiment's defaults: the bo gauge residual,
-# and the gauge-residual config the benchmark runs.
+# the gauge-residual config the benchmark runs, and the step-halving ladders
+# of conservation and convergence under the ETDRK4 scheme.
 EXTRA_RUNS = [
     ("gauge-residual", ("--variant", "bo")),
     ("gauge-residual", ("--k", "3", "--n-samples", "1000")),
+    ("conservation", ("--scheme", "etd_rk4")),
+    ("convergence", ("--scheme", "etd_rk4")),
 ]
 
 

@@ -381,7 +381,7 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
         # conservation reference run when it stepped at dt = 1e-4) slower in 9 of
         # 10 alternating in-process pairs (median 1.06 s -> 1.46 s).
         uhat = state[lo] if lo == len(u0s) - 1 else state[lo:]
-        if dts[lo:].count(dts[lo]) == len(dts) - lo:
+        if len(set(dts[lo:])) == 1:
             step_constants = constants[dts[lo]]
         else:
             step_constants = tuple(np.array(c)[:, None] if np.ndim(c[0]) == 0 else np.stack(c)

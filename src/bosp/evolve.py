@@ -26,8 +26,8 @@ t_final >= dt.  The linear phase and iq of ``Equation`` are read from
 terms are in conservative form d_x(u^{k+1})/(k+1) so the mean mode is
 conserved to round-off, and products are dealiased by one of two rules.
 The default, ``alias_free``, forms them on the alias-free grid of degree
-k + 2 (3 for ``bo2``), where the flux and the renormalized mean of v^k are
-exact at every k; ``two_thirds`` zeroes the flux modes |q| > n/3.
+k + 2, where the flux and the renormalized mean of v^k are exact at every
+k; ``two_thirds`` zeroes the flux modes |q| > n/3.
 ``SolverConfig``'s fields are the one place the solver's ``scheme`` and
 ``dealias`` defaults are written; ``Equation`` reads its default there.
 The flux has one implementation, the closure ``Equation._flux`` built once
@@ -154,8 +154,8 @@ class Equation:
     expands their sum to the full transform order.  The stepper calls the
     flux closure ``_flux`` with arrays of its own (``_work``).  ``nbig`` is
     the points per row the flux is formed on: the alias-free size of degree
-    k + 2 (3 for ``bo2``) under ``alias_free``, else n (``two_thirds``).
-    ``dealias`` defaults to ``SolverConfig``'s.
+    k + 2 under ``alias_free``, else n (``two_thirds``).  ``dealias``
+    defaults to ``SolverConfig``'s.
     """
 
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1,
@@ -166,8 +166,7 @@ class Equation:
         self.grid, self.eq, self.k, self.n = grid, equation, k, grid.n
         self.symbol = _symbol(grid, "bo_group")[: half + 1]
         self.iq = _symbol(grid, "d_dx")[: half + 1]
-        self.nbig = (_alias_free_points(grid.n, 3 if equation == "bo2" else k + 2)
-                     if dealias == "alias_free" else grid.n)
+        self.nbig = _alias_free_points(grid.n, k + 2) if dealias == "alias_free" else grid.n
         self.cut = grid.n // 3 + 1 if dealias == "two_thirds" else None
         self._flux = self._build_flux()
 
@@ -199,7 +198,7 @@ class Equation:
                 return out
             return flux
         values, coeffs = _real_transforms(self.n, self.nbig)
-        steps, last = _power_steps(2 if eq == "bo2" else k + 1)
+        steps, last = _power_steps(k + 1)
         mean_steps, mean_last = _power_steps(k)
         folded = eq == "gbo" and not k & (k + 1)  # k + 1 a power of two
         iq = iq / (k + 1) if folded else iq

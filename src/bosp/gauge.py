@@ -68,8 +68,8 @@ fields or a trajectory's snapshots, checks them with the rules of
 on the stack, a (variant, k) pair that names a gauge, and zero mean where
 the phase or a right-hand side needs it), builds one frame per stack of at
 most ``spectral._STACK_POINTS`` frame-grid points, and joins the rows each
-caller reads off the frames; a row that is not finite overflowed a float
-and is refused by name.  ``build_gauge``, ``rhs_bo``, ``rhs_gbo_terms``,
+caller reads off the frames, under ``spectral._refusing_overflow``, the
+one overflow rule.  ``build_gauge``, ``rhs_bo``, ``rhs_gbo_terms``,
 ``gauge_lipschitz_gap``, ``gauge_residual_batch`` (and through it the
 instantaneous ``gauge_residual``), the trajectory residual and the
 estimate monitor's w series all go through it.  ``reconstruct_u``
@@ -94,7 +94,6 @@ from .spectral import (
     Trajectory,
     _alias_free_points,
     _check_gauge_variant,
-    _check_no_overflow,
     _check_one_grid,
     _check_real,
     _check_zero_mean,
@@ -106,6 +105,7 @@ from .spectral import (
     _primitive,
     _real_rows,
     _real_values,
+    _refusing_overflow,
     _row_chunks,
     _symbol,
     norm,
@@ -243,9 +243,7 @@ def _frames(fields, variant: str, k, parts, zero_mean: bool = True) -> tuple:
     integer k >= 1), and zero mean, which the bo gauge and both right-hand
     sides need.  One frame is built per stack of at most
     ``spectral._STACK_POINTS`` frame-grid points; rows never mix, so each
-    row of a stack equals its stack of one up to round-off.  The rows come
-    from finite coefficients, so a row that is not finite overflowed a
-    float: it is refused by name, and numpy does not warn.
+    row of a stack equals its stack of one up to round-off.
     """
     if isinstance(fields, Trajectory):
         grid, coeffs = fields.grid, _full_spectrum(fields.half_coeffs, fields.grid.n)
@@ -256,13 +254,12 @@ def _frames(fields, variant: str, k, parts, zero_mean: bool = True) -> tuple:
     _check_gauge_variant(variant, k)
     if zero_mean or variant == "bo":
         _check_zero_mean(coeffs, f"the {variant} gauge")
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def stacks() -> tuple:
         chunks = [parts(_Frame(coeffs[rows], grid, variant, k))
                   for rows in _row_chunks(len(coeffs), _frame_points(grid.n, k))]
-    stacks = tuple(np.concatenate(stack) for stack in zip(*chunks))
-    for stack in stacks:
-        _check_no_overflow(stack, coeffs, f"the {variant} gauge")
-    return stacks
+        return tuple(np.concatenate(stack) for stack in zip(*chunks))
+    return _refusing_overflow(f"the {variant} gauge", coeffs, stacks)
 
 
 def build_gauge(v: SpectralField, variant: str = "bo", k: int = 1) -> GaugeState:
@@ -395,21 +392,20 @@ def _stencil_residual(traj: Trajectory, series: np.ndarray, rest: np.ndarray,
     """Norms of d/dt series + rest on the interior snapshots.
 
     ``series`` and ``rest`` are (S, n) stacks of coefficient rows, one row
-    per snapshot; d/dt is the 4th-order centered stencil.  A trajectory's
-    coefficients are finite, so a norm that is not finite overflowed a
-    float: it is refused by name as ``who``'s, and numpy does not warn.
+    per snapshot; d/dt is the 4th-order centered stencil; ``who`` names
+    norms that overflow a float.
     """
     S = len(traj)
     if S < 5:
         raise ValueError("need at least 5 uniformly spaced snapshots")
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def norms() -> np.ndarray:
         resid = sum(c * series[2 + off: S - 2 + off]
                     for off, c in zip((-2, -1, 0, 1, 2), _STENCIL)) / traj.sample_dt
         resid = resid + rest[2: S - 2]
-        norms = np.array([np.max(_parseval_norms(resid, traj.grid)),
-                          np.max(_parseval_norms(resid, traj.grid, 1.0))])
-    _check_no_overflow(norms, traj.half_coeffs, who)
-    return ResidualNorms(l2=float(norms[0]), h1=float(norms[1]))
+        return np.array([np.max(_parseval_norms(resid, traj.grid)),
+                         np.max(_parseval_norms(resid, traj.grid, 1.0))])
+    return ResidualNorms(*_refusing_overflow(who, traj.half_coeffs, norms).tolist())
 
 
 def gauge_residual_batch(fields, variant: str = "bo", k: int = 1) -> list:
@@ -535,19 +531,21 @@ def renormalize_gbo(traj: Trajectory) -> Trajectory:
     the coefficient of the renormalized nonlinearity exactly 2, and the
     drift S(t) (accumulated with the trapezoid rule on the sample times)
     removes the mean transport.  mean(u^k) is summed exactly, on the
-    alias-free grid of degree k.
+    alias-free grid of degree k.  ``_refusing_overflow`` names an overflow
+    the renormalization's.
     """
     if traj.equation != "gbo":
         raise ValueError("renormalization applies to gbo trajectories only")
-    k, half = traj.k, traj.half_coeffs
-    amp = 2.0 ** (-1.0 / k)
-    nbig = _alias_free_points(traj.grid.n, k)
-    means = np.concatenate([np.mean(_power(_real_values(half[rows], nbig), k), axis=-1)
-                            for rows in _row_chunks(len(half), nbig)])
-    dt = traj.sample_dt
-    shifts = np.concatenate(([0.0], np.cumsum(0.5 * dt * (means[1:] + means[:-1]))))
+    k, half, dt = traj.k, traj.half_coeffs, traj.sample_dt
+    amp, nbig = 2.0 ** (-1.0 / k), _alias_free_points(traj.grid.n, k)
     iq = _symbol(traj.grid, "d_dx")[: traj.grid.n // 2 + 1]
-    coeffs = amp * half * np.exp(-iq * shifts[:, None])
+
+    def renormalized() -> np.ndarray:
+        means = np.concatenate([np.mean(_power(_real_values(half[rows], nbig), k), axis=-1)
+                                for rows in _row_chunks(len(half), nbig)])
+        shifts = np.concatenate(([0.0], np.cumsum(0.5 * dt * (means[1:] + means[:-1]))))
+        return amp * half * np.exp(-iq * shifts[:, None])
+    coeffs = _refusing_overflow("the renormalization", half, renormalized)
     return Trajectory(traj.grid, traj.times, coeffs, "renormalized_gbo", k)
 
 
@@ -561,13 +559,10 @@ def pde_residual(traj: Trajectory) -> ResidualNorms:
     ``Equation`` at its default, the exact ``alias_free`` flux, which is
     also the solver's default: a ``two_thirds`` solve leaves the residual
     of the flux modes it zeroes, which halving the step barely changes.
-    A residual that overflows a float is refused by name (``the bo2
-    equation overflows a float ...``), and numpy does not warn.
+    A residual that overflows a float is refused as the tagged equation's.
     """
-    equation = Equation(traj.grid, traj.equation, traj.k)
+    equation, who = Equation(traj.grid, traj.equation, traj.k), f"the {traj.equation} equation"
     half = traj.half_coeffs
-    with np.errstate(over="ignore", invalid="ignore"):
-        ut = np.concatenate([equation.rhs(half[rows])
-                             for rows in _row_chunks(len(half), equation.nbig)])
-    return _stencil_residual(traj, _full_spectrum(half, traj.grid.n), -ut,
-                             f"the {traj.equation} equation")
+    ut = _refusing_overflow(who, half, lambda: np.concatenate(
+        [equation.rhs(half[rows]) for rows in _row_chunks(len(half), equation.nbig)]))
+    return _stencil_residual(traj, _full_spectrum(half, traj.grid.n), -ut, who)

@@ -36,9 +36,9 @@ import numpy as np
 
 from .spectral import _RULES as _SPECTRAL_RULES
 from .spectral import (PeriodicGrid, SpectralField, Trajectory, _Rule, _alias_free_points,
-                       _check_gauge_variant, _check_no_overflow, _check_real, _choice, _finite,
-                       _full_spectrum, _integer, _lp_norms, _parseval_norms, _power, _real_values,
-                       _row_chunks, _symbol)
+                       _check_gauge_variant, _check_real, _choice, _finite, _full_spectrum,
+                       _integer, _lp_norms, _parseval_norms, _power, _real_values,
+                       _refusing_overflow, _row_chunks, _symbol)
 
 __all__ = [
     "invariant",
@@ -87,8 +87,6 @@ def _series(grid: PeriodicGrid, half: np.ndarray, names, k: int = 1,
     sums run over the half spectra, each mode 0 < m < n/2 weighted 2 for
     its conjugate, and the values of u are synthesized once per chunk, for
     both F_bo and E_gbo, on the alias-free grid of degree max(4, k + 2).
-    The coefficients are finite, so a value that is not overflowed a float:
-    it is refused by name, and numpy does not warn.
     """
     circ, h = grid.circumference, grid.n // 2 + 1
     q = np.abs(grid.freqs[:h])
@@ -97,8 +95,9 @@ def _series(grid: PeriodicGrid, half: np.ndarray, names, k: int = 1,
     quadratic = {"M": weights, "F_bo": weights * q ** 2, "E_gbo": 0.5 * weights * q}
     nbig = _alias_free_points(grid.n, max(4, k + 2))
     hdx = _symbol(grid, "hilbert_dx")[:h]
-    out = {name: [] for name in names}
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def series() -> tuple:
+        out = {name: [] for name in names}
         for rows in _row_chunks(len(half), nbig):
             c = half[rows]
             abs2 = np.abs(c) ** 2
@@ -115,10 +114,8 @@ def _series(grid: PeriodicGrid, half: np.ndarray, names, k: int = 1,
                     power = circ * np.mean(_power(u, k + 2), axis=-1) / ((k + 1) * (k + 2))
                     value = value - sign * power
                 out[name].append(value)
-    out = {name: np.concatenate(values) for name, values in out.items()}
-    for name, values in out.items():
-        _check_no_overflow(values, half, name)
-    return out
+        return tuple(np.concatenate(out[name]) for name in names)
+    return dict(zip(names, _refusing_overflow(names, half, series)))
 
 
 @dataclass(frozen=True)
@@ -167,23 +164,22 @@ def xnorm_series(times, coeffs, grid: PeriodicGrid, level: int) -> float:
     ``coeffs`` is an (S, n) stack in transform order on ``grid``; the norm is
     the one of ``xnorm``, reduced over the whole stack.  Exactly conjugate-
     symmetric stacks are synthesized as real fields, any other as complex.
-    A norm of finite coefficients that overflows a float is refused by name
-    without a numpy warning; a NaN or infinite coefficient gets numpy's norm.
+    A norm that overflows a float is refused by ``_refusing_overflow``.
     """
     _Rule(lambda v: _integer(0).test(v) and v <= 2, "0, 1 or 2").check("level", level)
     times, coeffs = np.asarray(times, dtype=float), np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != (len(times), grid.n):
         raise ValueError(f"coefficient stack has shape {coeffs.shape}, "
                          f"expected ({len(times)}, {grid.n})")
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def total() -> float:
+        total = 0.0
         for j in range(level + 1):
             derivs = _symbol(grid, "d_dx", j) * coeffs if j else coeffs
             total += float(np.max(_parseval_norms(derivs, grid)))
             total += float(np.trapezoid(_lp_norms(derivs, grid, 4) ** 4, times) ** 0.25)
-    if np.isfinite(coeffs).all():
-        _check_no_overflow(total, coeffs, f"the level-{level} xnorm")
-    return total
+        return total
+    return _refusing_overflow(f"the level-{level} xnorm", coeffs, total)
 
 
 def xnorm(traj: Trajectory, level: int) -> float:
@@ -205,10 +201,9 @@ class H1Check:
 
 def h1_apriori_check(traj: Trajectory) -> H1Check:
     """max_t ||u(t)||_{H^1} / ||u(0)||_{H^1}; degenerate for zero data.  An H^1
-    norm that overflows a float is refused by name."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        h1s = _parseval_norms(_full_spectrum(traj.half_coeffs, traj.grid.n), traj.grid, 1.0)
-    _check_no_overflow(h1s, traj.half_coeffs, "the H^1 norm")
+    norm that overflows a float is refused by ``_refusing_overflow``."""
+    h1s = _refusing_overflow("the H^1 norm", traj.half_coeffs, lambda: _parseval_norms(
+        _full_spectrum(traj.half_coeffs, traj.grid.n), traj.grid, 1.0))
     if h1s[0] == 0.0:
         return H1Check(float("nan"), True)
     return H1Check(float(np.max(h1s) / h1s[0]), False)

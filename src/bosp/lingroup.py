@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, _check_finite,
-                       _check_no_overflow, _check_one_grid, _check_values, _choice,
-                       _conjugate_symmetric, _symbol)
+from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, _check_finite, _check_one_grid,
+                       _check_values, _choice, _conjugate_symmetric, _refusing_overflow,
+                       _symbol)
 
 __all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm", "strichartz_norms"]
 
@@ -187,11 +187,11 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     exactly by the resonance sum (module docstring) over the union of the
     fields' supports, each row with the Nyquist convention of the padded
     transforms.  A field with a NaN or infinite coefficient is refused by
-    name, and so is a stack whose norms overflow a float.  The pairs, key
-    groups and kernel of each m-chunk are built once and applied to every
-    row; ``_EXACT_ENTRIES`` bounds a chunk's kernel plus the planes of the
-    rows it meets, so a large stack is cut into stacks of fewer rows.  No
-    fields give [].
+    name, and a stack whose norms overflow a float by ``_refusing_overflow``.
+    The pairs, key groups and kernel of each m-chunk are built once and
+    applied to every row; ``_EXACT_ENTRIES`` bounds a chunk's kernel plus
+    the planes of the rows it meets, so a large stack is cut into stacks of
+    fewer rows.  No fields give [].
     """
     _check_values(_RULES, horizon=horizon)
     _KIND.check("kind", kind)
@@ -201,9 +201,8 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     _check_one_grid(fields, "strichartz_norms")
     coeffs = [f.coeffs for f in fields]
     _check_finite(coeffs, "strichartz_norms")
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = _resonance_integrals(fields, horizon, kind)
-    _check_no_overflow(totals, coeffs, "the strichartz norm")
+    totals = _refusing_overflow("the strichartz norm", coeffs,
+                                lambda: _resonance_integrals(fields, horizon, kind))
     return [float(total) ** 0.25 for total in totals.tolist()]
 
 

@@ -88,6 +88,8 @@ function that every entry point calls: ``_check_zero_mean`` (|C_0| <
 ``_check_finite``, ``_check_real`` (finite real fields) and
 ``_check_gauge_variant`` (``bo`` with k = 1, ``gbo`` with an integer
 k >= 1).  Each raises ``ValueError`` with one message, naming the caller.
+``_refusing_overflow`` is the one overflow rule, which every kernel that
+can overflow a float from finite coefficients runs under.
 ``norm`` is the one-row case of the per-row ``_parseval_norms`` (L^2, H^s)
 and ``_lp_norms`` (L^1, L^4 and the sup norm).  ``_conjugate_symmetric``
 is the one exact test that coefficient rows are real fields, one bool per
@@ -572,15 +574,13 @@ def _power(values: np.ndarray, p: int) -> np.ndarray:
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product truncated to n modes, formed on the alias-free grid of
-    degree 3, where every kept coefficient is exact.  A product of finite
-    fields that overflows a float is refused by name, as ``norm`` refuses one."""
+    degree 3, where every kept coefficient is exact.  A product that overflows
+    a float is refused by ``_refusing_overflow``."""
     _check_one_grid((f, g), "multiply")
     nbig = _alias_free_points(f.grid.n, 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = analyze_values_padded(_values(f, nbig) * _values(g, nbig), f.grid)
-    if np.isfinite(f.coeffs).all() and np.isfinite(g.coeffs).all():
-        _check_no_overflow(product.coeffs, (f.coeffs, g.coeffs), "the product")
-    return product
+    product = _refusing_overflow("the product", (f.coeffs, g.coeffs), lambda: (
+        analyze_values_padded(_values(f, nbig) * _values(g, nbig), f.grid).coeffs))
+    return SpectralField(f.grid, product)
 
 
 def integrate(f: SpectralField):
@@ -760,8 +760,7 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
       ``hs_dot`` -- (sum |q|^(2s) |C_q|^2)^(1/2); pass s.
       ``linf``   -- max |f| on the 4x oversampled grid.
 
-    A norm of finite coefficients that overflows a float is refused by name
-    without a numpy warning; a NaN or infinite coefficient gets numpy's norm.
+    A norm that overflows a float is refused by ``_refusing_overflow``.
     """
     _choice("lp", "hs", "hs_dot", "linf").check("kind", kind)
     if kind == "lp":
@@ -769,16 +768,14 @@ def norm(f: SpectralField, kind: str, p: int | None = None, s: float | None = No
     elif kind != "linf":
         _FINITE.check("s", s)
         _finite_symbol(f.grid, "bessel" if kind == "hs" else "abs_d", 2).check("s", s)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def value():
         if kind == "hs" or (kind == "lp" and p == 2):
-            value = _parseval_norms(f.coeffs, f.grid, s if kind == "hs" else None)
-        elif kind == "hs_dot":
-            value = np.sqrt(np.sum(_symbol(f.grid, "abs_d", 2 * s) * np.abs(f.coeffs) ** 2))
-        else:
-            value = _lp_norms(f.coeffs[None], f.grid, np.inf if kind == "linf" else p)[0]
-    if np.isfinite(f.coeffs).all():
-        _check_no_overflow(value, f.coeffs, f"the {kind} norm")
-    return float(value)
+            return _parseval_norms(f.coeffs, f.grid, s if kind == "hs" else None)
+        if kind == "hs_dot":
+            return np.sqrt(np.sum(_symbol(f.grid, "abs_d", 2 * s) * np.abs(f.coeffs) ** 2))
+        return _lp_norms(f.coeffs[None], f.grid, np.inf if kind == "linf" else p)[0]
+    return float(_refusing_overflow(f"the {kind} norm", f.coeffs, value))
 
 
 # ---------------------------------------------------------------------------
@@ -869,12 +866,23 @@ def _check_finite(coeffs, who: str, fields: str = "finite fields") -> None:
                          "(a coefficient is NaN or infinite)")
 
 
-def _check_no_overflow(values, coeffs, who: str) -> None:
-    """Raise ``ValueError`` if ``values``, computed from the finite ``coeffs``,
-    are not all finite: they overflowed a float."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{who} overflows a float at coefficients up to "
-                         f"{np.max(np.abs(coeffs)):.3g}")
+def _refusing_overflow(who, coeffs, compute):
+    """``compute()`` with numpy's overflow warnings silenced, refused if it overflows.
+
+    A result (each item of a tuple, named by the items of a tuple ``who``)
+    that is not finite although every one of ``coeffs`` is overflowed a
+    float: ``ValueError("<who> overflows a float at coefficients up to
+    <max |c|>")``.  Non-finite coefficients keep numpy's result (NaN in, NaN out)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = compute()
+    if np.isfinite(coeffs).all():
+        items = result if isinstance(result, tuple) else (result,)
+        names = (who,) * len(items) if isinstance(who, str) else who
+        for name, values in zip(names, items):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} overflows a float at coefficients up to "
+                                 f"{np.max(np.abs(coeffs)):.3g}")
+    return result
 
 
 def _check_real(coeffs: np.ndarray, who: str) -> None:

@@ -28,6 +28,7 @@ from bosp import (
     convergence_order,
     differentiate,
     dilate,
+    drift_report,
     gauge_lipschitz_gap,
     gauge_residual,
     gauge_residual_batch,
@@ -36,10 +37,12 @@ from bosp import (
     invariant,
     multiply,
     norm,
+    pde_residual,
     project,
     propagate,
     random_field,
     random_fields,
+    renormalize_gbo,
     rhs_gbo_terms,
     solve,
     solve_batch,
@@ -357,13 +360,28 @@ def _huge_field(grid):
 
 HUGE_GRID = PeriodicGrid(1.0, 16)
 HUGE_U = _huge_field(HUGE_GRID)
-# five snapshots of the huge field (a solve of it blows up)
-HUGE_TRAJ = Trajectory(HUGE_GRID, np.arange(5) * 0.1,
-                       np.tile(HUGE_U.coeffs[: HUGE_GRID.n // 2 + 1], (5, 1)), "bo2")
+HUGE_HALF = np.tile(HUGE_U.coeffs[: HUGE_GRID.n // 2 + 1], (5, 1))
+
+
+def _huge_traj(equation, k=1, half=HUGE_HALF):
+    """Five snapshots of the huge field under ``equation`` (a solve of it blows up)."""
+    return Trajectory(HUGE_GRID, np.arange(5) * 0.1, half, equation, k)
+
+
+HUGE_TRAJ = _huge_traj("bo2")
 
 # Each call forms a value of finite coefficients that overflows a float, and
 # the name it is refused under.
 OVERFLOWING = [
+    ("norm-lp2", "the lp norm", lambda: norm(HUGE_U, "lp", p=2)),
+    ("norm-lp4", "the lp norm", lambda: norm(HUGE_U, "lp", p=4)),
+    ("norm-hs", "the hs norm", lambda: norm(HUGE_U, "hs", s=1.0)),
+    ("norm-hs_dot", "the hs_dot norm", lambda: norm(HUGE_U, "hs_dot", s=1.0)),
+    *[(f"invariant-{which}-{k}-{on}", which, lambda which=which, k=k, f=f: invariant(f, which, k))
+      for which, k in [("M", 1), ("F_bo", 1), ("E_gbo", 1), ("E_gbo", 4)]
+      for on, f in [("field", HUGE_U), ("trajectory", HUGE_TRAJ)]],
+    ("drift_report-gbo-1", "M", lambda: drift_report(_huge_traj("gbo"))),
+    ("drift_report-gbo-4", "M", lambda: drift_report(_huge_traj("gbo", 4))),
     ("strichartz_norm", "the strichartz norm", lambda: strichartz_norm(HUGE_U, 1.0)),
     ("strichartz_norms", "the strichartz norm",
      lambda: strichartz_norms([0.1 * _cos(HUGE_GRID), HUGE_U], 1.0)),
@@ -374,7 +392,23 @@ OVERFLOWING = [
     ("xnorm_series", "the level-1 xnorm",
      lambda: xnorm_series(HUGE_TRAJ.times, np.tile(HUGE_U.coeffs, (5, 1)), HUGE_GRID, 1)),
     ("h1_apriori_check", "the H^1 norm", lambda: h1_apriori_check(HUGE_TRAJ)),
+    ("gauge_residual-bo-field", "the bo gauge", lambda: gauge_residual(HUGE_U, "bo")),
+    ("gauge_residual-bo-trajectory", "the bo gauge", lambda: gauge_residual(HUGE_TRAJ, "bo")),
+    # rows of finite coefficients 1e100 are finite, and the stencil's norms overflow
+    ("gauge_residual-bo-norms", "the bo gauge",
+     lambda: gauge_residual(_huge_traj("bo2", half=1e-100 * HUGE_HALF), "bo")),
+    ("gauge_residual-gbo-field", "the gbo gauge", lambda: gauge_residual(HUGE_U, "gbo", 3)),
+    ("gauge_residual-gbo-trajectory", "the gbo gauge",
+     lambda: gauge_residual(_huge_traj("renormalized_gbo", 3), "gbo", 3)),
+    ("gauge_lipschitz_gap", "the lp norm",
+     lambda: gauge_lipschitz_gap(HUGE_U, SpectralField.zero(HUGE_GRID))),
+    ("pde_residual-bo2", "the bo2 equation", lambda: pde_residual(HUGE_TRAJ)),
+    ("pde_residual-gbo", "the gbo equation", lambda: pde_residual(_huge_traj("gbo", 3))),
+    ("pde_residual-renormalized_gbo", "the renormalized_gbo equation",
+     lambda: pde_residual(_huge_traj("renormalized_gbo", 2))),
+    ("renormalize_gbo", "the renormalization", lambda: renormalize_gbo(_huge_traj("gbo", 3))),
 ]
+UP_TO = {"gauge_residual-bo-norms": "1e+100"}  # the largest coefficient, where not 1e+200
 
 
 @pytest.mark.parametrize("entry, who, call", OVERFLOWING, ids=[e for e, _, _ in OVERFLOWING])
@@ -382,7 +416,8 @@ def test_overflow_is_refused_by_name_without_a_warning(entry, who, call):
     # each raised numpy's overflow RuntimeWarning, or returned inf or NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _raised(call) == f"{who} overflows a float at coefficients up to 1e+200"
+        assert _raised(call) == (f"{who} overflows a float at coefficients up to "
+                                 f"{UP_TO.get(entry, '1e+200')}")
 
 
 def test_non_finite_coefficients_keep_their_nan():

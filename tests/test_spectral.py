@@ -489,22 +489,16 @@ class TestNorms:
 
     @pytest.mark.parametrize("kind, p, s", [("lp", 2, None), ("lp", 4, None), ("hs", None, 1.0),
                                             ("hs_dot", None, 1.0)])
-    def test_overflow_is_refused_by_name_without_a_warning(self, kind, p, s):
-        # each raised numpy's overflow warning and returned inf
+    def test_large_finite_norm_evaluates_and_nan_field_keeps_its_nan(self, kind, p, s):
+        # only a norm of finite coefficients that overflows is refused (test_input_rules)
         grid = PeriodicGrid(1.0, 16)
         c = np.zeros(grid.n, dtype=complex)
-        c[1] = c[-1] = 1e200
-        huge = SpectralField(grid, c)
-        message = f"the {kind} norm overflows a float at coefficients up to 1e\\+200"
+        c[1] = c[-1] = 1e70
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
-                norm(huge, kind, p=p, s=s)
-            # a large finite norm still evaluates, and a NaN field keeps its NaN
-            assert norm(1e-130 * huge, kind, p=p, s=s) > 1e70
-            nan = huge.coeffs.copy()
-            nan[3] = np.nan
-            assert np.isnan(norm(SpectralField(grid, nan), kind, p=p, s=s))
+            assert norm(SpectralField(grid, c), kind, p=p, s=s) > 1e70
+            c[3] = np.nan
+            assert np.isnan(norm(SpectralField(grid, c), kind, p=p, s=s))
 
     def test_parseval(self, rng):
         # coefficient-space L^2 equals dense quadrature, lambda factor included

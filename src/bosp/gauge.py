@@ -536,8 +536,10 @@ def renormalize_gbo(traj: Trajectory) -> Trajectory:
     """
     if traj.equation != "gbo":
         raise ValueError("renormalization applies to gbo trajectories only")
-    k, half, dt = traj.k, traj.half_coeffs, traj.sample_dt
-    amp, nbig = 2.0 ** (-1.0 / k), _alias_free_points(traj.grid.n, k)
+    k, half = traj.k, traj.half_coeffs
+    amp = 2.0 ** (-1.0 / k)
+    nbig = _alias_free_points(traj.grid.n, k)
+    dt = traj.sample_dt
     iq = _symbol(traj.grid, "d_dx")[: traj.grid.n // 2 + 1]
 
     def renormalized() -> np.ndarray:
@@ -561,7 +563,8 @@ def pde_residual(traj: Trajectory) -> ResidualNorms:
     of the flux modes it zeroes, which halving the step barely changes.
     A residual that overflows a float is refused as the tagged equation's.
     """
-    equation, who = Equation(traj.grid, traj.equation, traj.k), f"the {traj.equation} equation"
+    equation = Equation(traj.grid, traj.equation, traj.k)
+    who = f"the {traj.equation} equation"
     half = traj.half_coeffs
     ut = _refusing_overflow(who, half, lambda: np.concatenate(
         [equation.rhs(half[rows]) for rows in _row_chunks(len(half), equation.nbig)]))

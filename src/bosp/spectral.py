@@ -578,9 +578,8 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     a float is refused by ``_refusing_overflow``."""
     _check_one_grid((f, g), "multiply")
     nbig = _alias_free_points(f.grid.n, 3)
-    product = _refusing_overflow("the product", (f.coeffs, g.coeffs), lambda: (
-        analyze_values_padded(_values(f, nbig) * _values(g, nbig), f.grid).coeffs))
-    return SpectralField(f.grid, product)
+    return _refusing_overflow("the product", (f.coeffs, g.coeffs), lambda: (
+        analyze_values_padded(_values(f, nbig) * _values(g, nbig), f.grid)))
 
 
 def integrate(f: SpectralField):
@@ -869,17 +868,18 @@ def _check_finite(coeffs, who: str, fields: str = "finite fields") -> None:
 def _refusing_overflow(who, coeffs, compute):
     """``compute()`` with numpy's overflow warnings silenced, refused if it overflows.
 
-    A result (each item of a tuple, named by the items of a tuple ``who``)
-    that is not finite although every one of ``coeffs`` is overflowed a
-    float: ``ValueError("<who> overflows a float at coefficients up to
-    <max |c|>")``.  Non-finite coefficients keep numpy's result (NaN in, NaN out)."""
+    A result (each item of a tuple, named by the items of a tuple ``who``;
+    a field by its coefficients) that is not finite although every one of
+    ``coeffs`` is overflowed a float: ``ValueError("<who> overflows a float
+    at coefficients up to <max |c|>")``.  Non-finite coefficients keep
+    numpy's result (NaN in, NaN out)."""
     with np.errstate(over="ignore", invalid="ignore"):
         result = compute()
     if np.isfinite(coeffs).all():
         items = result if isinstance(result, tuple) else (result,)
         names = (who,) * len(items) if isinstance(who, str) else who
         for name, values in zip(names, items):
-            if not np.isfinite(values).all():
+            if not np.isfinite(getattr(values, "coeffs", values)).all():
                 raise ValueError(f"{name} overflows a float at coefficients up to "
                                  f"{np.max(np.abs(coeffs)):.3g}")
     return result

@@ -421,10 +421,14 @@ def test_overflow_is_refused_by_name_without_a_warning(entry, who, call):
 
 
 def test_non_finite_coefficients_keep_their_nan():
-    # only a value of finite coefficients is refused: NaN in, NaN out, as for norm
-    c = _cos(GRID).coeffs.copy()
-    c[2] = c[-2] = np.nan
-    u = SpectralField(GRID, c)
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(multiply(u, u).coeffs).all()
-        assert math.isnan(xnorm_series([0.0, 0.1], np.array([c, c]), GRID, 0))
+    # only a value of finite coefficients is refused: NaN in, NaN out, also
+    # next to coefficients whose values overflow, and numpy does not warn
+    for u in (_cos(GRID), HUGE_U):
+        c = u.coeffs.copy()
+        c[2] = c[-2] = np.nan
+        nan = SpectralField(u.grid, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(norm(nan, "lp", p=4))
+            assert np.isnan(multiply(nan, nan).coeffs).all()
+            assert math.isnan(xnorm_series([0.0, 0.1], np.array([c, c]), u.grid, 1))

@@ -31,8 +31,8 @@ k; ``two_thirds`` zeroes the flux modes |q| > n/3.
 ``SolverConfig``'s fields are the one place the solver's ``scheme`` and
 ``dealias`` defaults are written; ``Equation`` reads its default there.
 The flux has one implementation, the closure ``Equation._flux`` built once
-per equation, which writes into caller-owned arrays; ``nonlinear`` (so
-``rhs``) is its allocating case.
+per equation (or stack of degrees, ``Equation._stack``), which writes into
+caller-owned arrays; ``nonlinear`` (so ``rhs``) is its allocating case.
 
 Solver state is the rfft half spectrum: modes m = 0, 1, ..., n/2 of a real
 field, the negative modes being their conjugates.  Values and fluxes go
@@ -51,12 +51,19 @@ steps one field under several configs that differ in dt, step count or
 sample stride (a step-halving ladder: ``convergence_order`` and the order
 study of ``experiments``' conservation) as one stack too: the levels step
 in lockstep, each row with its own step constants, and a level leaves the
-stack once its steps are done, the last one stepping as a 1-D state.  Rows
-never mix (every transform and product acts along the last axis), so each
-row is bit-for-bit the single-field solution.  A row blows up when, after a
-step, one of its modes is non-finite or exceeds the magnitude guard: that
-row reports ``BlowUpError`` with its time before the step and is set to
-zero, which the equations keep exactly zero, and the other rows go on.
+stack once its steps are done, the last one of a single degree stepping as
+a 1-D state.  The ladders of several degrees k of one equation (the order
+study's ``e_ks``) share that stack when every degree has the same ladder:
+the rows go level-major, degree-minor, on the largest degree's alias-free
+grid, where every degree's flux is exact, and one inverse and one forward
+transform per stage serve them all.  Rows never mix (every transform and
+product acts along the last axis), so each row is bit-for-bit the
+single-field solution on the stack's grid: a one-degree stack's rows are
+``solve``'s, and a smaller degree's rows move by round-off from its own
+grid's.  A row blows up when, after a step, one of its modes is non-finite
+or exceeds the magnitude guard: that row reports ``BlowUpError`` with its
+time before the step and is set to zero, which the equations keep exactly
+zero, and the other rows go on.
 
 A step allocates no stack-sized array.  Each stack (each phase of a
 ladder's stack, between two levels leaving it) gets its stage arrays, a
@@ -64,13 +71,15 @@ magnitude array for the blow-up test and the flux's transform work
 arrays once; the stage arithmetic writes into them with ``out=`` in the
 operations and order of the schemes' plain expressions, so every
 intermediate, and every stored state, is bit-for-bit that of the
-allocating form.  A step makes eight transforms of ``Equation.nbig``
-points per row, four forward and four inverse, through ``spectral``'s
-transform set ``_FFTS`` as it was when the ``Equation`` was built.
+allocating form.  A step makes eight transform calls on the whole stack,
+four forward and four inverse, of ``Equation.nbig`` points per row, through
+``spectral``'s transform set ``_FFTS`` as it was when the ``Equation`` was
+built.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -155,7 +164,9 @@ class Equation:
     flux closure ``_flux`` with arrays of its own (``_work``).  ``nbig`` is
     the points per row the flux is formed on: the alias-free size of degree
     k + 2 under ``alias_free``, else n (``two_thirds``).  ``dealias``
-    defaults to ``SolverConfig``'s.
+    defaults to ``SolverConfig``'s.  ``ks`` are the degrees of a stack's
+    rows, row i of degree ``ks[i % len(ks)]``: ``(k,)``, or several from
+    ``_stack``.
     """
 
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1,
@@ -163,22 +174,54 @@ class Equation:
         _check_equation(equation, k)
         _check_values(_RULES, dealias=dealias)
         half = grid.n // 2
-        self.grid, self.eq, self.k, self.n = grid, equation, k, grid.n
+        self.grid, self.eq, self.k, self.n, self.ks = grid, equation, k, grid.n, (k,)
         self.symbol = _symbol(grid, "bo_group")[: half + 1]
         self.iq = _symbol(grid, "d_dx")[: half + 1]
         self.nbig = _alias_free_points(grid.n, k + 2) if dealias == "alias_free" else grid.n
         self.cut = grid.n // 3 + 1 if dealias == "two_thirds" else None
         self._flux = self._build_flux()
 
+    def _stack(self, ks, nbig: int) -> Equation:
+        """This equation for stacks whose row i has degree ``ks[i % len(ks)]``,
+        its flux formed on ``nbig`` points.
+
+        A flux is exact on any grid at or above its alias-free size (Orszag
+        1971; Boyd 2001, sec. 11.5), so degrees stack on the largest one's
+        ``nbig``; a smaller ``nbig`` aliases the larger degrees' fluxes.
+        """
+        stack = copy.copy(self)
+        stack.ks, stack.nbig = tuple(ks), nbig
+        stack._flux = stack._build_flux()
+        return stack
+
+    def _folded(self, k: int) -> bool:
+        """Whether gbo's ``/ (k + 1)`` is folded into iq: k + 1 is a power of two."""
+        return self.eq == "gbo" and not k & (k + 1)
+
     def _work(self, lead: tuple) -> tuple:
-        """Flux work arrays of a stack with leading shape ``lead``: values, Nyquist-split
-        spectrum, power slots (values and a pair) and padded spectrum (none for linear)."""
+        """Flux work arrays of a stack with leading shape ``lead``: values,
+        Nyquist-split spectrum, each degree's power slots (values and a pair),
+        the powers, padded spectrum, each degree's flux rows and every row's
+        iq (none for linear).  A degree's slots and flux rows are its rows
+        ``[d::D]`` of the stack's arrays, D = len(ks), and its power lands in
+        the powers' rows; one degree's are the whole arrays."""
         if self.eq == "linear":
             return ()
+        ks, degrees = self.ks, len(self.ks)
+
+        def rows(a, d):
+            return a if degrees == 1 else a[d::degrees]
+
         vals = np.empty(lead + (self.nbig,))
-        return (vals, np.empty(lead + (self.n // 2 + 1,), dtype=np.complex128),
-                [vals, np.empty_like(vals), np.empty_like(vals)],
-                np.empty(lead + (self.nbig // 2 + 1,), dtype=np.complex128))
+        powers, spare = np.empty_like(vals), np.empty_like(vals)
+        spec = np.empty(lead + (self.nbig // 2 + 1,), dtype=np.complex128)
+        slots = [[rows(a, d) for a in ((vals, powers, spare) if _power_steps(k + 1)[1] == 1
+                                       else (vals, spare, powers))]
+                 for d, k in enumerate(ks)]
+        iqs = [self.iq / (k + 1) if self._folded(k) else self.iq for k in ks]
+        return (vals, np.empty(lead + (self.n // 2 + 1,), dtype=np.complex128), slots, powers,
+                spec, [rows(spec[..., : self.n // 2 + 1], d) for d in range(degrees)],
+                iqs[0] if degrees == 1 else np.tile(iqs, (lead[0] // degrees, 1)))
 
     def _build_flux(self):
         """The dealiased flux ``flux(uhat, out, work) -> out`` of one row
@@ -186,43 +229,47 @@ class Equation:
         as it is now), powers and constants settled once.
 
         ``work`` comes from ``_work`` and is clobbered; ``out`` must not
-        share memory with uhat or work.  When k + 1 is a power of two (k =
-        1, 3, 7), dividing by it only shifts exponents, so gbo's
-        ``iq * (flux / (k + 1))`` is bit for bit ``(iq / (k + 1)) * flux``
-        unless a flux value is below 2^-1022 (k + 1), near subnormal.
+        share memory with uhat or work.  One inverse and one forward
+        transform serve the whole stack; each degree's power, its ``/ (k +
+        1)`` and any renormalized mean act on its rows.  When k + 1 is a
+        power of two (k = 1, 3, 7), dividing by it only shifts exponents, so
+        gbo's ``iq * (flux / (k + 1))`` is bit for bit ``(iq / (k + 1)) *
+        flux`` unless a flux value is below 2^-1022 (k + 1), near subnormal.
         """
-        eq, k, iq, cut = self.eq, self.k, self.iq, self.cut
+        eq, ks, cut, degrees = self.eq, self.ks, self.cut, len(self.ks)
         if eq == "linear":
             def flux(uhat, out, work):
                 out.fill(0.0)
                 return out
             return flux
         values, coeffs = _real_transforms(self.n, self.nbig)
-        steps, last = _power_steps(k + 1)
-        mean_steps, mean_last = _power_steps(k)
-        folded = eq == "gbo" and not k & (k + 1)  # k + 1 a power of two
-        iq = iq / (k + 1) if folded else iq
-        divide, renormalized = eq == "gbo" and not folded, eq == "renormalized_gbo"
+        chains = [_power_steps(k + 1)[0] for k in ks]
+        divided = [(d, k + 1) for d, k in enumerate(ks) if eq == "gbo" and not self._folded(k)]
+        renormalized = [(d, k + 1, *_power_steps(k)) for d, k in enumerate(ks)
+                        if eq == "renormalized_gbo"]
         mul = np.multiply
 
         def flux(uhat, out, work):
-            vals, split, slots, spec = work
+            vals, split, slots, powers, spec, rows, iq = work
             values(uhat, vals, split)
-            for a, b, dest in steps:
-                mul(slots[a], slots[b], out=slots[dest])
-            f = coeffs(slots[last], spec)
+            for steps, s in zip(chains, slots):
+                for a, b, dest in steps:
+                    mul(s[a], s[b], out=s[dest])
+            f = coeffs(powers, spec)
             if cut is not None:
                 f[..., cut:] = 0.0
-            if divide:
-                np.divide(f, k + 1, out=f)
-            elif renormalized:
+            for d, k1 in divided:
+                np.divide(rows[d], k1, out=rows[d])
+            for d, k1, mean_steps, mean_last in renormalized:
                 # 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
+                s, f_d = slots[d], rows[d]
                 for a, b, dest in mean_steps:
-                    mul(slots[a], slots[b], out=slots[dest])
-                mean = np.mean(slots[mean_last], axis=-1, keepdims=True)
-                mul(2.0, f, out=f)
-                np.divide(f, k + 1, out=f)
-                np.subtract(f, mul(2.0 * mean, uhat, out=out), out=f)
+                    mul(s[a], s[b], out=s[dest])
+                mean = np.mean(s[mean_last], axis=-1, keepdims=True)
+                mul(2.0, f_d, out=f_d)
+                np.divide(f_d, k1, out=f_d)
+                u_d, out_d = (uhat, out) if degrees == 1 else (uhat[d::degrees], out[d::degrees])
+                np.subtract(f_d, mul(2.0 * mean, u_d, out=out_d), out=f_d)
             return mul(iq, f, out=out)
 
         return flux
@@ -280,24 +327,42 @@ def solve_batch(u0s, cfg: SolverConfig) -> list:
 
 
 def _solve_levels(u0: SpectralField, cfgs: list) -> list:
-    """Integrate u0 under each of cfgs as one stack: entry j is what
-    ``solve(u0, cfgs[j])`` gives, its Trajectory bit for bit or its BlowUpError.
+    """Integrate u0 under each of cfgs as one stack: entry j is its Trajectory
+    or BlowUpError under ``cfgs[j]``, as ``solve`` gives it on the stack's grid.
 
-    The configs must share equation, k, scheme and dealias; dt, the step
-    count and ``sample_stride`` may differ.  The rows step in lockstep in
-    ascending step count, and a row leaves the stack once its steps are
-    done, so a step-halving ladder makes one transform call where separate
-    solves make one per level.
+    The configs must share equation, scheme and dealias.  Their degrees k
+    may differ when each degree has one ladder: the same dt, step count and
+    ``sample_stride``, in the same order (its configs in the order given).
+    The stack is formed on the largest degree's ``Equation.nbig`` points,
+    where every degree's flux is exact, so the rows of the largest degree
+    are bit for bit ``solve``'s and a smaller degree's rows are its solve on
+    that grid, which moves them by round-off.  The rows go level-major,
+    degree-minor (row i of degree ``ks[i % D]``, ks ascending, D of them),
+    step in lockstep in ascending step count, and a level's D rows leave
+    the stack once its steps are done, so a step-halving ladder of D
+    degrees makes one transform call where separate solves make one per
+    level and degree.
     """
     first = cfgs[0]
     for cfg in cfgs:
-        if (cfg.equation, cfg.k, cfg.scheme, cfg.dealias) != (
-                first.equation, first.k, first.scheme, first.dealias):
-            raise ValueError(f"levels stepped as one stack must share equation, k, scheme and "
+        if (cfg.equation, cfg.scheme, cfg.dealias) != (first.equation, first.scheme,
+                                                       first.dealias):
+            raise ValueError(f"levels stepped as one stack must share equation, scheme and "
                              f"dealias: {cfg} and {first} differ")
-    order = sorted(range(len(cfgs)), key=lambda j: cfgs[j].n_steps())
+    ks = sorted({cfg.k for cfg in cfgs})
+    ladders = [[j for j, cfg in enumerate(cfgs) if cfg.k == k] for k in ks]
+    rungs = [[(cfgs[j].dt, cfgs[j].n_steps(), cfgs[j].sample_stride) for j in ladder]
+             for ladder in ladders]
+    for k, rung in zip(ks, rungs):
+        if rung != rungs[0]:
+            raise ValueError(f"degrees stepped as one stack must share one ladder of dt, step "
+                             f"count and sample_stride: k = {k} steps {rung}, k = {ks[0]} "
+                             f"steps {rungs[0]}")
+    levels = sorted(range(len(rungs[0])), key=lambda j: rungs[0][j][1])
+    order = [ladder[j] for j in levels for ladder in ladders]
+    top = _checked_equation([u0], replace(first, k=ks[-1]))
     stepped = dict(zip(order, _stacks([u0] * len(cfgs), [cfgs[j] for j in order],
-                                      _checked_equation([u0], first))))
+                                      top._stack(ks, top.nbig))))
     return [stepped[j] for j in range(len(cfgs))]
 
 
@@ -313,8 +378,10 @@ def _checked_equation(u0s: list, cfg: SolverConfig) -> Equation:
 
 
 def _stacks(u0s: list, cfgs: list, equation: Equation) -> list:
-    """``_advance`` over stacks of at most ``spectral._STACK_POINTS`` padded points."""
-    return [result for rows in _row_chunks(len(u0s), equation.nbig)
+    """``_advance`` over stacks of at most ``spectral._STACK_POINTS`` padded
+    points, each of whole groups of ``len(equation.ks)`` rows, so no level's
+    degrees are split."""
+    return [result for rows in _row_chunks(len(u0s), equation.nbig, len(equation.ks))
             for result in _advance(u0s[rows], cfgs[rows], equation)]
 
 
@@ -333,15 +400,17 @@ def _step_constants(group_sym: np.ndarray, dt: float, if_rk4: bool) -> tuple:
 def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
     """The stepping loop over one stack of checked fields, row i under ``cfgs[i]``.
 
-    The configs share ``equation``'s tag, k and dealias and one scheme; they
-    come in ascending step count with equal configs adjacent.  Each run of
-    equal configs is a level with one preallocated ``(rows, S, n/2+1)``
-    history, written at every stored step, whose rows become its
-    trajectories.  The rows step in lockstep, in phases: a phase ends when a
-    level's steps are done, and the level leaves the stack, whose state is
-    then the suffix view of the rows still stepping.  Rows that share one dt
-    share the step's constants, formed once as ``_step_constants``; rows of
-    several dts each get theirs, formed alike and stacked, so each row is
+    The configs share ``equation``'s tag and dealias and one scheme; row i
+    has degree ``equation.ks[i % D]``, D = len(ks).  They come in ascending
+    step count, with the rows of one dt, step count and stride adjacent:
+    each run of them is a level (D rows per level of a ladder) with one
+    preallocated ``(rows, S, n/2+1)`` history, written at every stored
+    step, whose rows become its trajectories.  The rows step in lockstep,
+    in phases: a phase ends when a level's steps are done, and the level
+    leaves the stack, whose state is then the suffix view of the rows still
+    stepping, so row i keeps its degree.  Rows that share one dt share the
+    step's constants, formed once as ``_step_constants``; rows of several
+    dts each get theirs, formed alike and stacked, so each row is
     bit-for-bit its own solve.  Each phase owns its arrays: four flux and
     four stage arrays, a magnitude array for the blow-up test and the flux's
     transform work arrays are allocated once.  A blown-up row stays in the
@@ -362,8 +431,9 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
     state[:, 0] = state[:, 0].real
     state[:, n // 2] = state[:, n // 2].real
     levels, first = [], 0  # (cfg, first row, rows, sample times, history) per level
-    for cfg, run in itertools.groupby(cfgs):
-        rows = len(list(run))
+    for _, run in itertools.groupby(cfgs, key=lambda c: (c.dt, c.n_steps(), c.sample_stride)):
+        cfg, *others = run  # the level's rows differ in k at most
+        rows = 1 + len(others)
         times = cfg.dt * np.arange(0, cfg.n_steps() + 1, cfg.sample_stride)
         history = np.empty((rows, len(times), n // 2 + 1), dtype=np.complex128)
         history[:, 0] = state[first: first + rows]
@@ -452,9 +522,9 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
                     history[:, step // stride] = rows
         done = steps
 
-    return [results[row + r] if results[row + r] is not None
-            else Trajectory(grid, times, history[r], cfg.equation, cfg.k)
-            for cfg, row, rows, times, history in levels for r in range(rows)]
+    return [results[i] if results[i] is not None
+            else Trajectory(grid, times, history[i - row], cfgs[i].equation, cfgs[i].k)
+            for _, row, rows, times, history in levels for i in range(row, row + rows)]
 
 
 @dataclass(frozen=True)

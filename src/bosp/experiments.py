@@ -499,23 +499,23 @@ def _run_conservation(cfg: ExperimentConfig, rng):
     l2 = norm(cfg.amplitude * SpectralField.from_function(grid, np.cos), "lp", p=2)
     (profile,) = random_fields(grid, np.random.default_rng(0), 1, n_modes=20, decay=0.9,
                                amplitude=l2, normalize="l2", mean=cfg.gamma)
-    for idx, k in enumerate(cfg.e_ks, start=1):
-        rec = {"run": _energy_level(k, 0), "sample_index": idx,
-               "inputs_hash": _hash_field(profile)}
-        records.append(rec)
-        if not profile.coeffs.any():
+    studies = [{"run": _energy_level(k, 0), "sample_index": idx,
+                "inputs_hash": _hash_field(profile)} for idx, k in enumerate(cfg.e_ks, start=1)]
+    records += studies
+    if not profile.coeffs.any():
+        for rec in studies:
             rec["degenerate"] = True  # zero data: every relative drift is 0/0
+        return records, {}
+    # every level of every degree steps as one stack
+    results = _solve_levels(profile, [cfg.solvers[_energy_level(k, j)]
+                                      for k in cfg.e_ks for j in range(_ORDER_LEVELS)])
+    for i, rec in enumerate(studies):
+        levels = results[i * _ORDER_LEVELS: (i + 1) * _ORDER_LEVELS]
+        blown = [r for r in levels if isinstance(r, BlowUpError)]
+        if blown:
+            _blow_up_record(rec, blown[0])
             continue
-        try:
-            reps = []
-            for traj in _solve_levels(profile, [cfg.solvers[_energy_level(k, j)]
-                                                for j in range(_ORDER_LEVELS)]):
-                if isinstance(traj, BlowUpError):
-                    raise traj
-                reps.append(drift_report(traj))
-        except BlowUpError as exc:
-            _blow_up_record(rec, exc)
-            continue
+        reps = [drift_report(traj) for traj in levels]
         rec.update({"dts": [cfg.e_dt / 2 ** j for j in range(_ORDER_LEVELS)],
                     "drifts_M": [r.drifts["M"] for r in reps],
                     "drifts_E": [r.drifts["E_gbo"] for r in reps]})

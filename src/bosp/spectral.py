@@ -230,7 +230,8 @@ def symmetry_defect(coeffs: np.ndarray) -> float:
     c = np.asarray(coeffs)
     n = c.size
     rev = np.conj(np.roll(c[::-1], 1))  # slot m -> conj(slot -m)
-    defect = float(np.max(np.abs(c - rev)))
+    defect = float(_refusing_overflow("the symmetry defect", c,
+                                      lambda: np.max(np.abs(c - rev))))
     defect = max(defect, abs(float(c[n // 2].imag)))
     scale = float(np.max(np.abs(c)))
     return defect / scale if scale > 1e-300 else defect
@@ -281,17 +282,23 @@ class SpectralField:
 
     def __add__(self, other):
         _check_one_grid((self, other), "field arithmetic")
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return self._arithmetic((self.coeffs, other.coeffs), lambda: self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         _check_one_grid((self, other), "field arithmetic")
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return self._arithmetic((self.coeffs, other.coeffs), lambda: self.coeffs - other.coeffs)
 
     def __neg__(self):
         return SpectralField(self.grid, -self.coeffs)
 
     def __mul__(self, scalar):
-        return SpectralField(self.grid, self.coeffs * complex(scalar))
+        scalar = complex(scalar)
+        return self._arithmetic(np.append(self.coeffs, scalar), lambda: self.coeffs * scalar)
+
+    def _arithmetic(self, inputs, compute) -> "SpectralField":
+        """The field of the coefficients ``compute()`` forms from ``inputs``, refused
+        by ``_refusing_overflow`` if they overflow a float."""
+        return SpectralField(self.grid, _refusing_overflow("field arithmetic", inputs, compute))
 
     __rmul__ = __mul__
 
@@ -452,9 +459,10 @@ def _complex_coeffs(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _row_chunks(rows: int, points: int) -> list:
-    """Slices covering range(rows), each of at most _STACK_POINTS // points rows (>= 1)."""
-    per_stack = max(1, _STACK_POINTS // points)
+def _row_chunks(rows: int, points: int, group: int = 1) -> list:
+    """Slices covering range(rows), each of at most _STACK_POINTS // points rows,
+    in whole groups of ``group`` rows (at least one group)."""
+    per_stack = group * max(1, _STACK_POINTS // (group * points))
     return [slice(start, start + per_stack) for start in range(0, rows, per_stack)]
 
 
@@ -508,7 +516,8 @@ def synthesize(f: SpectralField, oversample: int = 1) -> np.ndarray:
     ``oversample`` is an integer >= 1.  Returns a real array for real fields.
     """
     _integer(1).check("oversample", oversample)
-    return _values(f, oversample * f.grid.n)
+    return _refusing_overflow("the synthesis", f.coeffs,
+                              lambda: _values(f, oversample * f.grid.n))
 
 
 def _values(f: SpectralField, nbig: int) -> np.ndarray:
@@ -528,9 +537,11 @@ def analyze_values_padded(values, grid: PeriodicGrid) -> SpectralField:
     if values.size < grid.n:
         raise ValueError("padded value array must have at least grid.n points")
     if np.isrealobj(values):
-        values = values.astype(np.float64, copy=False)
-        return SpectralField(grid, _real_rows(values, grid.n))
-    return SpectralField(grid, _complex_coeffs(values.astype(np.complex128, copy=False), grid.n))
+        values, rows = values.astype(np.float64, copy=False), _real_rows
+    else:
+        values, rows = values.astype(np.complex128, copy=False), _complex_coeffs
+    return SpectralField(grid, _refusing_overflow("the analysis", values,
+                                                  lambda: rows(values, grid.n), "values"))
 
 
 @functools.cache
@@ -865,13 +876,13 @@ def _check_finite(coeffs, who: str, fields: str = "finite fields") -> None:
                          "(a coefficient is NaN or infinite)")
 
 
-def _refusing_overflow(who, coeffs, compute):
+def _refusing_overflow(who, coeffs, compute, inputs="coefficients"):
     """``compute()`` with numpy's overflow warnings silenced, refused if it overflows.
 
     A result (each item of a tuple, named by the items of a tuple ``who``;
     a field by its coefficients) that is not finite although every one of
     ``coeffs`` is overflowed a float: ``ValueError("<who> overflows a float
-    at coefficients up to <max |c|>")``.  Non-finite coefficients keep
+    at <inputs> up to <max |c|>")``.  Non-finite coefficients keep
     numpy's result (NaN in, NaN out)."""
     with np.errstate(over="ignore", invalid="ignore"):
         result = compute()
@@ -880,7 +891,7 @@ def _refusing_overflow(who, coeffs, compute):
         names = (who,) * len(items) if isinstance(who, str) else who
         for name, values in zip(names, items):
             if not np.isfinite(getattr(values, "coeffs", values)).all():
-                raise ValueError(f"{name} overflows a float at coefficients up to "
+                raise ValueError(f"{name} overflows a float at {inputs} up to "
                                  f"{np.max(np.abs(coeffs)):.3g}")
     return result
 

@@ -123,6 +123,25 @@ class TestExactProducts:
         got = Equation(grid, equation, k).nonlinear(u.coeffs[: grid.n // 2 + 1])
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("equation, k", [*(("gbo", k) for k in range(1, 5)), ("bo2", 1),
+                                             *(("renormalized_gbo", k) for k in range(1, 5))])
+    @pytest.mark.parametrize("lam", [1.0, 4.0])
+    def test_solver_flux_on_a_larger_grid(self, equation, k, lam):
+        # the premise of stepping several degrees on the largest one's grid:
+        # above its alias-free size a flux is the same on every kept mode
+        grid = PeriodicGrid(lam, 64)
+        u = full_band(grid, 5)
+        if equation == "renormalized_gbo":
+            u = SpectralField(grid, u.coeffs * (grid.modes != 0))
+        half = u.coeffs[: grid.n // 2 + 1]
+        eq = Equation(grid, equation, k)
+        flux = eq.nonlinear(half)
+        for points in (_alias_free_points(grid.n, k + 3), _alias_free_points(grid.n, k + 6),
+                       REF_PAD * grid.n):
+            assert points > eq.nbig == _alias_free_points(grid.n, k + 2)
+            got = eq._stack((k,), points).nonlinear(half)
+            assert np.max(np.abs(got - flux)) <= 1e-14 * np.max(np.abs(flux))
+
     @pytest.mark.parametrize("n, equation, k, dealias, nbig", [
         (64, "gbo", 1, "alias_free", 100), (64, "bo2", 1, "alias_free", 100),
         (64, "gbo", 7, "alias_free", 300), (128, "gbo", 1, "alias_free", 200),

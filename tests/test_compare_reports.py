@@ -40,6 +40,21 @@ def test_differences_are_named_with_their_largest_relative_and_absolute_change(t
     ]
 
 
+def test_a_dat_series_that_differs_names_its_largest_change(tmp_path):
+    # two-column series as save_report writes them, a null as nan
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "r.drift.dat").write_text("0 1e-12\n0.5 4e-12\n1 nan\n")
+    (b / "r.drift.dat").write_text("0 1e-12\n0.5 5e-12\n1 nan\n")
+    assert compare_reports.compare(a, b) == [
+        "differs: r.drift.dat (largest relative change 2.000e-01, absolute 1.000e-12, "
+        "at line 2: [1])"]
+    assert compare_reports.largest_relative_change("0 1\n", "0 1\n1 2\n",
+                                                   *compare_reports.PARSERS[".dat"]) == (
+        float("inf"), float("inf"), "line count 1 != 2")
+
+
 def test_absolute_change_is_read_at_the_largest_relative_change():
     # the ratio moves least relatively but most absolutely: the line reports
     # the drift's field, with the drift's own absolute change

@@ -708,28 +708,120 @@ class TestSolveLevels:
         for got, cfg in zip(evolve._solve_levels(u0, cfgs), cfgs):
             _assert_same_result(got, solve(u0, cfg))
 
-    @pytest.mark.parametrize("key, value", [("equation", "bo2"), ("k", 2),
-                                            ("scheme", "etd_rk4"), ("dealias", "two_thirds")])
+    @pytest.mark.parametrize("key, value", [("equation", "bo2"), ("scheme", "etd_rk4"),
+                                            ("dealias", "two_thirds")])
     def test_levels_must_share_the_equation_and_scheme(self, key, value):
         cfg = SolverConfig("gbo", dt=0.01, t_final=0.02)
         cfgs = [cfg, dataclasses.replace(cfg, **{key: value})]
-        with pytest.raises(ValueError, match="must share equation, k, scheme and dealias"):
+        with pytest.raises(ValueError, match="must share equation, scheme and dealias"):
             evolve._solve_levels(_random_data("gbo"), cfgs)
 
     def test_conservation_steps_each_order_study_as_one_stack(self, monkeypatch):
-        # per degree 8 transforms of 1000 steps: 3 levels x 250, 2 x 250, 1 x 500,
-        # where separate solves make 8 x 1750
+        # 8 transforms per step of one stack: 6 rows (3 levels x 2 degrees) x 250
+        # steps, 4 x 250, 2 x 500, on the k = 3 grid; a stack per degree made
+        # 8 x 1000 per degree, and separate solves 8 x 1750 per degree
         calls = count_transforms(monkeypatch)
         cfg = experiments.default_config("conservation")
         experiments._EXPERIMENTS["conservation"].run(cfg, np.random.default_rng(0))
         grid = PeriodicGrid(cfg.lam, cfg.n)
-        assert len(cfg.e_ks) == 2
-        for k in cfg.e_ks:
-            nbig = evolve.Equation(grid, "gbo", k).nbig
-            steps = collections.Counter(lead for _, lead, points in calls
-                                        if points == nbig and lead in ((3,), (2,), ()))
-            assert steps == {(3,): 8 * 250, (2,): 8 * 250, (): 8 * 500}
-            assert cfg.solvers[experiments._energy_level(k, 2)].n_steps() == 1000
+        assert cfg.e_ks == (2, 3)
+        nbig = evolve.Equation(grid, "gbo", 3).nbig
+        reference = evolve.Equation(grid, "gbo", 1).nbig
+        assert (nbig, reference) == (648, 400)
+        stepped = {((6,), nbig), ((4,), nbig), ((2,), nbig), ((), reference)}
+        assert collections.Counter((lead, points) for _, lead, points in calls
+                                   if (lead, points) in stepped) == {
+            ((6,), nbig): 8 * 250, ((4,), nbig): 8 * 250, ((2,), nbig): 8 * 500,
+            ((), reference): 8 * 1000}
+        assert cfg.solvers[experiments._energy_level(3, 2)].n_steps() == 1000
+
+
+def _mixed_ladders(cfg, ks, levels=3):
+    """Each degree of ks with cfg's ladder, degree-major as conservation passes them."""
+    return [level for k in ks for level in _ladder(dataclasses.replace(cfg, k=k), levels)]
+
+
+def _alone(u0, cfgs, nbig):
+    """One degree's configs, in ascending step count, stepped as its own stack on nbig points."""
+    equation = evolve.Equation(u0.grid, cfgs[0].equation, cfgs[0].k, cfgs[0].dealias)
+    return evolve._stacks([u0] * len(cfgs), cfgs, equation._stack((cfgs[0].k,), nbig))
+
+
+class TestMixedDegrees:
+    """Ladders of several degrees of one equation stepped as one stack."""
+
+    @pytest.mark.parametrize("equation,ks", [("gbo", (2, 3)), ("gbo", (1, 2, 4)),
+                                             ("renormalized_gbo", (1, 3))])
+    @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
+    def test_each_row_is_its_degree_alone_on_the_stack_grid(self, equation, ks, scheme,
+                                                            dealias):
+        u0 = _random_data(equation)
+        cfg = SolverConfig(equation, dt=4e-3, t_final=0.08, scheme=scheme, dealias=dealias,
+                           sample_stride=5)
+        cfgs = _mixed_ladders(cfg, ks)
+        nbig = evolve.Equation(u0.grid, equation, max(ks), dealias).nbig
+        got = evolve._solve_levels(u0, cfgs)
+        for d, k in enumerate(ks):
+            for row, ref in zip(got[3 * d: 3 * d + 3], _alone(u0, cfgs[3 * d: 3 * d + 3], nbig)):
+                assert row.k == k
+                _assert_same_result(row, ref)
+
+    @pytest.mark.parametrize("ks", [(2, 3), (1, 3), (3, 1, 2)])
+    @pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+    def test_rows_of_the_largest_degree_are_its_own_ladder(self, ks, scheme):
+        u0 = _random_data("gbo")
+        cfg = SolverConfig("gbo", dt=4e-3, t_final=0.08, scheme=scheme, sample_stride=5)
+        cfgs = _mixed_ladders(cfg, ks)
+        got = evolve._solve_levels(u0, cfgs)
+        top = ks.index(max(ks))
+        alone = evolve._solve_levels(u0, cfgs[3 * top: 3 * top + 3])
+        for row, ref, level in zip(got[3 * top: 3 * top + 3], alone, cfgs[3 * top:]):
+            _assert_same_result(row, ref)
+            _assert_same_result(row, solve(u0, level))
+
+    def test_a_blown_row_leaves_the_other_degrees_rows_unchanged(self):
+        # from 1.5 cos x, gbo k = 3 blows up at dt = 0.01 and 0.005; k = 1 does not
+        u0 = 1.5 * SpectralField.from_function(PeriodicGrid(1.0, 64), np.cos)
+        cfgs = _mixed_ladders(SolverConfig("gbo", dt=0.01, t_final=2.0, sample_stride=10),
+                              (1, 3))
+        got = evolve._solve_levels(u0, cfgs)
+        assert [isinstance(r, BlowUpError) for r in got] == [False] * 3 + [True, True, False]
+        nbig = evolve.Equation(u0.grid, "gbo", 3).nbig
+        for row, ref in zip(got, _alone(u0, cfgs[:3], nbig) + _alone(u0, cfgs[3:], nbig)):
+            _assert_same_result(row, ref)
+        for row, cfg in zip(got[3:], cfgs[3:]):
+            _assert_same_result(row, _solo(u0, cfg))
+
+    @pytest.mark.parametrize("k3_levels", [
+        # the second level of k = 3 (dt 2e-3, 40 steps, stride 8) changed
+        lambda c: [c[0], dataclasses.replace(c[1], dt=1e-3, t_final=0.04), c[2]],  # another dt
+        lambda c: [c[0], dataclasses.replace(c[1], t_final=0.16), c[2]],  # another step count
+        lambda c: [c[0], dataclasses.replace(c[1], sample_stride=4), c[2]],
+        lambda c: c[:2],  # a level missing
+        lambda c: c[::-1],  # another order
+    ], ids=["dt", "steps", "stride", "length", "order"])
+    def test_ladders_that_differ_are_refused(self, k3_levels):
+        cfgs = _mixed_ladders(SolverConfig("gbo", dt=4e-3, t_final=0.08, sample_stride=4),
+                              (2, 3))
+        with pytest.raises(ValueError, match="must share one ladder of dt, step count and "
+                                             "sample_stride: k = 3 steps"):
+            evolve._solve_levels(_random_data("gbo"), cfgs[:3] + k3_levels(cfgs[3:]))
+
+    @pytest.mark.parametrize("stack_points", [1, 1 << 10])
+    def test_stacks_never_split_a_level(self, monkeypatch, stack_points):
+        # a stack of fewer points than one row still takes a level's three degrees
+        monkeypatch.setattr(spectral, "_STACK_POINTS", stack_points)
+        assert spectral._row_chunks(9, 100, 3) == (
+            [slice(0, 3), slice(3, 6), slice(6, 9)] if stack_points == 1 else [slice(0, 9)])
+        u0 = _random_data("gbo")
+        cfgs = _mixed_ladders(SolverConfig("gbo", dt=4e-3, t_final=0.08, sample_stride=5),
+                              (1, 2, 3), levels=4)
+        nbig = evolve.Equation(u0.grid, "gbo", 3).nbig
+        got = evolve._solve_levels(u0, cfgs)
+        for d in range(3):
+            for row, ref in zip(got[4 * d: 4 * d + 4], _alone(u0, cfgs[4 * d: 4 * d + 4], nbig)):
+                _assert_same_result(row, ref)
 
 
 class TestDefaultDealias:

@@ -22,6 +22,7 @@ from bosp import (
     SolverConfig,
     SpectralField,
     Trajectory,
+    analyze,
     antiderivative,
     build_gauge,
     config_from_mapping,
@@ -48,6 +49,7 @@ from bosp import (
     solve_batch,
     strichartz_norm,
     strichartz_norms,
+    symmetry_defect,
     synthesize,
     xnorm,
     xnorm_series,
@@ -369,6 +371,7 @@ def _huge_traj(equation, k=1, half=HUGE_HALF):
 
 
 HUGE_TRAJ = _huge_traj("bo2")
+MAX_U = 1e108 * HUGE_U  # coefficients 1e308: the field is finite, twice it is not
 
 # Each call forms a value of finite coefficients that overflows a float, and
 # the name it is refused under.
@@ -407,8 +410,20 @@ OVERFLOWING = [
     ("pde_residual-renormalized_gbo", "the renormalized_gbo equation",
      lambda: pde_residual(_huge_traj("renormalized_gbo", 2))),
     ("renormalize_gbo", "the renormalization", lambda: renormalize_gbo(_huge_traj("gbo", 3))),
+    # coefficients 1e308 and values 1.7e308, whose sums overflow
+    ("field-add", "field arithmetic", lambda: MAX_U + MAX_U),
+    ("field-subtract", "field arithmetic", lambda: MAX_U - (-MAX_U)),
+    ("field-scale", "field arithmetic", lambda: 2.0 * MAX_U),
+    ("synthesize", "the synthesis", lambda: synthesize(MAX_U)),
+    ("analyze", "the analysis", lambda: analyze(1.7e308 * np.cos(HUGE_GRID.x), HUGE_GRID)),
+    ("symmetry_defect", "the symmetry defect",
+     lambda: symmetry_defect(MAX_U.coeffs * np.where(np.arange(16) > 8, -1, 1))),
 ]
-UP_TO = {"gauge_residual-bo-norms": "1e+100"}  # the largest coefficient, where not 1e+200
+# the inputs and their largest magnitude, where not coefficients up to 1e+200
+UP_TO = {"gauge_residual-bo-norms": "coefficients up to 1e+100",
+         **dict.fromkeys(("field-add", "field-subtract", "field-scale", "synthesize",
+                          "symmetry_defect"), "coefficients up to 1e+308"),
+         "analyze": "values up to 1.7e+308"}
 
 
 @pytest.mark.parametrize("entry, who, call", OVERFLOWING, ids=[e for e, _, _ in OVERFLOWING])
@@ -416,8 +431,8 @@ def test_overflow_is_refused_by_name_without_a_warning(entry, who, call):
     # each raised numpy's overflow RuntimeWarning, or returned inf or NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _raised(call) == (f"{who} overflows a float at coefficients up to "
-                                 f"{UP_TO.get(entry, '1e+200')}")
+        assert _raised(call) == (f"{who} overflows a float at "
+                                 f"{UP_TO.get(entry, 'coefficients up to 1e+200')}")
 
 
 def test_non_finite_coefficients_keep_their_nan():

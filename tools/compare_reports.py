@@ -8,9 +8,10 @@ first on ``PYTHONPATH`` and every other setting at its default.  Every file
 a run writes (summary, records, ``.dat`` series, ``.bosp`` checkpoint) is
 compared byte for byte with the other checkout's, and so is each run's exit
 code.  Each run of ``EXTRA_RUNS`` whose experiment is selected also runs
-at every seed, under a stem of its own.  For a JSON or JSONL file that
-differs, the largest relative change of any numeric field is printed, with
-that field's absolute change.  Exits 0 only when everything matches.
+at every seed, under a stem of its own.  For a JSON, JSONL or ``.dat``
+series file that differs, the largest relative change of any numeric field
+(of a series, any number of a row) is printed, with that field's absolute
+change.  Exits 0 only when everything matches.
 
 Standard library only; the experiment list is read from CHANGE's registry.
 """
@@ -97,15 +98,26 @@ def _changes(a: float, b: float) -> tuple:
     return abs(a - b) / max(abs(a), abs(b)), abs(a - b)
 
 
-def largest_relative_change(text_a: str, text_b: str, lines: bool) -> tuple:
+def _series_row(text: str) -> list:
+    """The numbers of one line of a ``.dat`` series (``nan`` for a null)."""
+    return [float(v) for v in text.split()]
+
+
+# how each compared kind of file parses: one document, or one per line
+PARSERS = {".json": (False, json.loads), ".jsonl": (True, json.loads),
+           ".dat": (True, _series_row)}
+
+
+def largest_relative_change(text_a: str, text_b: str, lines: bool, parse=json.loads) -> tuple:
     """(largest relative change, absolute change there, its field path) between two
-    JSON or JSONL texts.
+    texts, each one document or (``lines``) one per line, read by ``parse``:
+    JSON by default.
 
     A field that is numeric on one side only, or a structure that differs,
     counts as an infinite change.
     """
-    docs_a = [json.loads(t) for t in text_a.splitlines()] if lines else [json.loads(text_a)]
-    docs_b = [json.loads(t) for t in text_b.splitlines()] if lines else [json.loads(text_b)]
+    docs_a = [parse(t) for t in text_a.splitlines()] if lines else [parse(text_a)]
+    docs_b = [parse(t) for t in text_b.splitlines()] if lines else [parse(text_b)]
     if len(docs_a) != len(docs_b):
         return math.inf, math.inf, f"line count {len(docs_a)} != {len(docs_b)}"
     worst = (0.0, 0.0, "")
@@ -117,7 +129,8 @@ def largest_relative_change(text_a: str, text_b: str, lines: bool) -> tuple:
             else:
                 changes = _changes(nums_a[path], nums_b[path])
             if changes[0] > worst[0]:
-                worst = (*changes, f"line {i + 1}: {path[1:]}" if lines else path[1:])
+                worst = (*changes, f"line {i + 1}: {path.removeprefix('.')}" if lines
+                         else path.removeprefix("."))
     return worst
 
 
@@ -132,9 +145,9 @@ def compare(dir_a: pathlib.Path, dir_b: pathlib.Path) -> list:
         if a == b:
             continue
         line = f"differs: {name}"
-        if name.endswith((".json", ".jsonl")):
-            relative, absolute, where = largest_relative_change(a.decode(), b.decode(),
-                                                                name.endswith(".jsonl"))
+        parser = PARSERS.get(pathlib.Path(name).suffix)
+        if parser:
+            relative, absolute, where = largest_relative_change(a.decode(), b.decode(), *parser)
             line += (f" (largest relative change {relative:.3e}, absolute {absolute:.3e}, "
                      f"at {where})")
         diffs.append(line)

@@ -80,7 +80,6 @@ __all__ = [
     "EXPERIMENT_NAMES",
     "ExperimentConfig",
     "ExperimentReport",
-    "default_config",
     "config_from_mapping",
     "load_config_file",
     "run_experiment",
@@ -309,10 +308,6 @@ def _coerce(value, default):
     if isinstance(default, tuple):
         return tuple(type(default[0])(part) for part in value.replace(",", " ").split())
     return type(default)(value.strip())
-
-
-def default_config(name: str) -> ExperimentConfig:
-    return ExperimentConfig(name)
 
 
 def config_from_mapping(name: str, mapping: dict) -> ExperimentConfig:

@@ -55,13 +55,14 @@ at most 9.6e-14 at k = 1 with decay 0.95.  So the only error left is the
 spectral tail of the data and of e^{-iF}.  A private frame computes the
 gauge data of a (B, n) stack of coefficient rows of real fields on one
 grid, each piece at most once: the values of v, v_x and M(v^k) on the
-frame grid, the phase F, e^{-iF} and P_+(e^{-iF} v).  The right-hand sides
+frame grid, the phase F, e^{-iF} and P_+(e^{-iF} v).  The right-hand side
 and the residual act on the frame's arrays with the multipliers
 ``spectral._symbol`` caches per grid, and rows never mix.  The right-hand
 side is the a term plus P_+ of e^{-iF} times the pointwise factors of b, c
-and d: ``rhs_gbo_terms`` and ``rhs_bo`` project each factor on its own, and
-the one residual function projects their sum, less the e^{iF}
-d_t(e^{-iF} v) of w_t on a field, once.
+and d: ``rhs_gbo_terms`` projects each factor on its own (the bo
+right-hand side is -i times its k = 1 terms), and the one residual
+function projects their sum, less the e^{iF} d_t(e^{-iF} v) of w_t on a
+field, once.
 ``_frames`` is the one path from input to frames: it takes a list of
 fields or a trajectory's snapshots, checks them with the rules of
 ``spectral``, each said once there (fields on one grid, real fields tested
@@ -69,7 +70,7 @@ on the stack, a (variant, k) pair that names a gauge, and zero mean where
 the phase or a right-hand side needs it), builds one frame per stack of at
 most ``spectral._STACK_POINTS`` frame-grid points, and joins the rows each
 caller reads off the frames, under ``spectral._refusing_overflow``, the
-one overflow rule.  ``build_gauge``, ``rhs_bo``, ``rhs_gbo_terms``,
+one overflow rule.  ``build_gauge``, ``rhs_gbo_terms``,
 ``gauge_lipschitz_gap``, ``gauge_residual_batch`` (and through it the
 instantaneous ``gauge_residual``), the trajectory residual and the
 estimate monitor's w series all go through it.  ``reconstruct_u``
@@ -114,8 +115,6 @@ from .spectral import (
 __all__ = [
     "GaugeState",
     "build_gauge",
-    "RhsBo",
-    "rhs_bo",
     "GboTerms",
     "rhs_gbo_terms",
     "ResidualNorms",
@@ -240,8 +239,8 @@ def _frames(fields, variant: str, k, parts, zero_mean: bool = True) -> tuple:
     snapshots are the fields.  Every row is checked before any frame is
     built, by the rules of ``spectral`` in turn: one grid, real fields, a
     (variant, k) pair that names a gauge (bo with k = 1, gbo with an
-    integer k >= 1), and zero mean, which the bo gauge and both right-hand
-    sides need.  One frame is built per stack of at most
+    integer k >= 1), and zero mean, which the bo gauge and the right-hand
+    side need.  One frame is built per stack of at most
     ``spectral._STACK_POINTS`` frame-grid points; rows never mix, so each
     row of a stack equals its stack of one up to round-off.
     """
@@ -271,30 +270,6 @@ def build_gauge(v: SpectralField, variant: str = "bo", k: int = 1) -> GaugeState
     rows = _frames([v], variant, k, lambda fr: (fr.F, _plus(fr.E, fr.grid), fr.w),
                    zero_mean=False)
     return GaugeState(*(SpectralField(v.grid, row[0]) for row in rows), variant, k)
-
-
-@dataclass(frozen=True)
-class RhsBo:
-    """Right-hand side of the bo gauge equation: -i (b + c), slot n/2 kept, and -i a."""
-
-    dx_term: SpectralField
-    mean_term: SpectralField
-
-    @property
-    def total(self) -> SpectralField:
-        return self.dx_term + self.mean_term
-
-
-def rhs_bo(u: SpectralField) -> RhsBo:
-    """-2 d_x P_+(P_-(u_x) e^{-iF}) + P_0(u^2) P_+(u e^{-iF}) for zero-mean real u.
-
-    The terms are -i (b + c) and -i a of gbo at k = 1; the dx term keeps the slot n/2."""
-    def parts(fr: _Frame) -> tuple:
-        a, b, c, _ = _rhs_gbo(fr)
-        return (-1j) * (b + c), (-1j) * a
-
-    terms = _frames([u], "bo", 1, parts)
-    return RhsBo(*(SpectralField(u.grid, term[0]) for term in terms))
 
 
 @dataclass(frozen=True)

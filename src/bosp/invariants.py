@@ -24,8 +24,8 @@ max(4, k + 2))`` points, more than the integrand's top mode max(4, k+2)*n/2,
 so the quadrature is exact for every k (n = 2048 at k <= 2 takes 4320
 points).  F and E_k share that grid, and along a trajectory they are
 evaluated on the half-spectrum stack, bit-identical to each snapshot alone.
-So are the mixed space-time norms and the H^1 check: each is one per-row
-reduction of the trajectory's stack, with no field built per snapshot.
+So are the mixed space-time norms: each is one per-row reduction of the
+trajectory's stack, with no field built per snapshot.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ __all__ = [
     "drift_report",
     "xnorm",
     "xnorm_series",
-    "H1Check",
-    "h1_apriori_check",
     "dilate",
 ]
 
@@ -164,10 +162,13 @@ def xnorm_series(times, coeffs, grid: PeriodicGrid, level: int) -> float:
     ``coeffs`` is an (S, n) stack in transform order on ``grid``; the norm is
     the one of ``xnorm``, reduced over the whole stack.  Exactly conjugate-
     symmetric stacks are synthesized as real fields, any other as complex.
-    A norm that overflows a float is refused by ``_refusing_overflow``.
+    ``times`` must be finite and strictly increasing.  A norm that overflows
+    a float is refused by ``_refusing_overflow``.
     """
     _Rule(lambda v: _integer(0).test(v) and v <= 2, "0, 1 or 2").check("level", level)
     times, coeffs = np.asarray(times, dtype=float), np.asarray(coeffs, dtype=np.complex128)
+    _Rule(lambda v: np.isfinite(v).all() and (np.diff(v) > 0).all(),
+          "finite and strictly increasing").check("times", times)
     if coeffs.shape != (len(times), grid.n):
         raise ValueError(f"coefficient stack has shape {coeffs.shape}, "
                          f"expected ({len(times)}, {grid.n})")
@@ -191,22 +192,6 @@ def xnorm(traj: Trajectory, level: int) -> float:
     """
     return xnorm_series(traj.times, _full_spectrum(traj.half_coeffs, traj.grid.n),
                         traj.grid, level)
-
-
-@dataclass(frozen=True)
-class H1Check:
-    ratio: float
-    degenerate: bool
-
-
-def h1_apriori_check(traj: Trajectory) -> H1Check:
-    """max_t ||u(t)||_{H^1} / ||u(0)||_{H^1}; degenerate for zero data.  An H^1
-    norm that overflows a float is refused by ``_refusing_overflow``."""
-    h1s = _refusing_overflow("the H^1 norm", traj.half_coeffs, lambda: _parseval_norms(
-        _full_spectrum(traj.half_coeffs, traj.grid.n), traj.grid, 1.0))
-    if h1s[0] == 0.0:
-        return H1Check(float("nan"), True)
-    return H1Check(float(np.max(h1s) / h1s[0]), False)
 
 
 def dilate(f: SpectralField, lam: float, variant: str = "bo", k: int = 1) -> SpectralField:

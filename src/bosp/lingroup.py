@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, _check_finite, _check_one_grid,
-                       _check_values, _choice, _conjugate_symmetric, _refusing_overflow,
-                       _symbol)
+from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, _Rule, _check_finite,
+                       _check_one_grid, _check_values, _choice, _conjugate_symmetric, _finite,
+                       _refusing_overflow, _symbol)
 
 __all__ = ["GROUP_KINDS", "group_symbol", "propagate", "strichartz_norm", "strichartz_norms"]
 
@@ -187,7 +187,9 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     exactly by the resonance sum (module docstring) over the union of the
     fields' supports, each row with the Nyquist convention of the padded
     transforms.  A field with a NaN or infinite coefficient is refused by
-    name, and a stack whose norms overflow a float by ``_refusing_overflow``.
+    name, a grid whose lam ** 2 (the scale of the resonance keys) overflows
+    a float by the rule of ``lam``, and a stack whose norms overflow a float
+    by ``_refusing_overflow``.
     The pairs, key groups and kernel of each m-chunk are built once and
     applied to every row; ``_EXACT_ENTRIES`` bounds a chunk's kernel plus
     the planes of the rows it meets, so a large stack is cut into stacks of
@@ -199,6 +201,8 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     if not fields:
         return []
     _check_one_grid(fields, "strichartz_norms")
+    _Rule(lambda v: _finite(v * v), "such that lam ** 2 is finite").check(
+        "lam", fields[0].grid.lam)
     coeffs = [f.coeffs for f in fields]
     _check_finite(coeffs, "strichartz_norms")
     totals = _refusing_overflow("the strichartz norm", coeffs,

@@ -156,8 +156,6 @@ __all__ = [
     "mean_remove",
     "norm",
     "multiply",
-    "integrate",
-    "symmetry_defect",
 ]
 
 # Absolute tolerance on |C_0| below which a field counts as zero-mean.
@@ -218,23 +216,6 @@ class PeriodicGrid:
         q = self.modes / self.lam
         q.flags.writeable = False
         return q
-
-
-def symmetry_defect(coeffs: np.ndarray) -> float:
-    """Max deviation of a coefficient array from conjugate symmetry.
-
-    Measures max |C_{-m} - conj(C_m)| together with |Im C_{n/2}|, scaled by
-    the largest coefficient magnitude (absolute when everything is tiny).
-    A measurement: it decides nothing (``SpectralField.is_real`` does).
-    """
-    c = np.asarray(coeffs)
-    n = c.size
-    rev = np.conj(np.roll(c[::-1], 1))  # slot m -> conj(slot -m)
-    defect = float(_refusing_overflow("the symmetry defect", c,
-                                      lambda: np.max(np.abs(c - rev))))
-    defect = max(defect, abs(float(c[n // 2].imag)))
-    scale = float(np.max(np.abs(c)))
-    return defect / scale if scale > 1e-300 else defect
 
 
 class SpectralField:
@@ -591,11 +572,6 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     nbig = _alias_free_points(f.grid.n, 3)
     return _refusing_overflow("the product", (f.coeffs, g.coeffs), lambda: (
         analyze_values_padded(_values(f, nbig) * _values(g, nbig), f.grid)))
-
-
-def integrate(f: SpectralField):
-    """Integral of f over the circle, i.e. 2*pi*lam * C_0."""
-    return f.grid.circumference * f.mean
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,20 @@ def coeff_distance(f, g):
     return float(np.max(np.abs(f.coeffs - g.coeffs)))
 
 
+def symmetry_defect(coeffs):
+    """Max deviation of a coefficient array from conjugate symmetry.
+
+    max |C_{-m} - conj(C_m)| together with |Im C_{n/2}|, scaled by the
+    largest coefficient magnitude (absolute when everything is tiny): how
+    far from real a field is, where ``SpectralField.is_real`` only decides.
+    """
+    c = np.asarray(coeffs)
+    rev = np.conj(np.roll(c[::-1], 1))  # slot m -> conj(slot -m)
+    defect = max(float(np.max(np.abs(c - rev))), abs(float(c[c.size // 2].imag)))
+    scale = float(np.max(np.abs(c)))
+    return defect / scale if scale > 1e-300 else defect
+
+
 # --- dense-grid operator pipeline (oracle for the gauge right-hand sides) ---
 
 

@@ -9,6 +9,7 @@ code paths as the command line.
 import numpy as np
 
 from bosp import (
+    ExperimentConfig,
     PeriodicGrid,
     SolverConfig,
     SpectralField,
@@ -16,7 +17,6 @@ from bosp import (
     antiderivative,
     build_gauge,
     config_from_mapping,
-    default_config,
     differentiate,
     gauge_lipschitz_gap,
     hilbert,
@@ -155,7 +155,7 @@ def test_criterion_02_gauge_identity():
 
 
 def test_criterion_03_conservation():
-    rep = run_experiment(default_config("conservation"))
+    rep = run_experiment(ExperimentConfig("conservation"))
     ref = next(r for r in rep.records if r["run"] == "reference")
     detail = (
         f"I {ref['drift_I']:.1e}, M {ref['drift_M']:.1e}, "
@@ -168,14 +168,14 @@ def test_criterion_03_conservation():
 
 
 def test_criterion_04_solver_order():
-    rep = run_experiment(default_config("convergence"))
+    rep = run_experiment(ExperimentConfig("convergence"))
     detail = ", ".join(f"{r['fixture']}: order {r['order']:.2f}"
                        for r in rep.records)
     _criterion(4, "solver order", rep.passed, detail)
 
 
 def test_criterion_05_strichartz_uniformity():
-    rep = run_experiment(default_config("strichartz-scan"))
+    rep = run_experiment(ExperimentConfig("strichartz-scan"))
     per_lam = rep.summary["series"]["lambda_vs_max_ratio"]
     maxes = [m for _, m in per_lam]
     variation = max(maxes) / min(maxes)

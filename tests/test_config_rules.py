@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bosp import (ConfigError, SolverConfig, config_from_mapping, default_config,
+from bosp import (ConfigError, ExperimentConfig, SolverConfig, config_from_mapping,
                   run_experiment)
 from bosp import experiments
 from bosp.cli import build_parser, main
@@ -66,7 +66,7 @@ TIGHTER = {("gauge-residual", "n"): 16,
 
 def _defaults(name) -> dict:
     """The keys of a ``name`` config, seed included, with their defaults."""
-    return {key: val for key, val in default_config(name).as_dict().items() if key != "name"}
+    return {key: val for key, val in ExperimentConfig(name).as_dict().items() if key != "name"}
 
 
 KEYS = [(name, key) for name in EXPERIMENT_NAMES for key in _defaults(name)]
@@ -203,9 +203,9 @@ class _Solved(Exception):
 
 
 @pytest.mark.parametrize("name", [name for name in EXPERIMENT_NAMES
-                                  if default_config(name).solvers])
+                                  if ExperimentConfig(name).solvers])
 def test_a_run_solves_with_the_settings_its_config_built(name, monkeypatch):
-    cfg = default_config(name)
+    cfg = ExperimentConfig(name)
 
     def solved(u0, solver, *args):
         raise _Solved(solver)
@@ -220,10 +220,10 @@ def test_a_run_solves_with_the_settings_its_config_built(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", [name for name in EXPERIMENT_NAMES
-                                  if default_config(name).solvers])
+                                  if ExperimentConfig(name).solvers])
 def test_default_solvers_take_solver_configs_defaults(name):
     # the experiments' shared defaults read SolverConfig's, not literals of their own
-    for solver in default_config(name).solvers.values():
+    for solver in ExperimentConfig(name).solvers.values():
         assert (solver.scheme, solver.dealias) == (SolverConfig.scheme, SolverConfig.dealias)
 
 

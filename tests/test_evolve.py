@@ -22,7 +22,6 @@ from bosp import (
     random_field,
     solve,
     solve_batch,
-    symmetry_defect,
 )
 from bosp import evolve, experiments, spectral
 from bosp.evolve import _etdrk4_weights
@@ -30,7 +29,7 @@ from bosp.lingroup import group_symbol
 from bosp.spectral import _power, _real_coeffs, _real_values
 
 from conftest import (advance_reference, coeff_distance, count_transforms, dispatching_flux,
-                      nonlinear_reference, solve_batch_reference)
+                      nonlinear_reference, solve_batch_reference, symmetry_defect)
 
 
 def cos_data(grid, amp=0.1, mean=0.0):
@@ -721,7 +720,7 @@ class TestSolveLevels:
         # steps, 4 x 250, 2 x 500, on the k = 3 grid; a stack per degree made
         # 8 x 1000 per degree, and separate solves 8 x 1750 per degree
         calls = count_transforms(monkeypatch)
-        cfg = experiments.default_config("conservation")
+        cfg = experiments.ExperimentConfig("conservation")
         experiments._EXPERIMENTS["conservation"].run(cfg, np.random.default_rng(0))
         grid = PeriodicGrid(cfg.lam, cfg.n)
         assert cfg.e_ks == (2, 3)

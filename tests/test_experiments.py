@@ -18,7 +18,6 @@ from bosp import (
     SpectralField,
     build_gauge,
     config_from_mapping,
-    default_config,
     norm,
     random_field,
     recompute_passed,
@@ -86,12 +85,12 @@ GATES = [(name, key) for name, keys in {
 class TestConfig:
     def test_all_experiments_have_defaults(self):
         for name in EXPERIMENT_NAMES:
-            cfg = default_config(name)
+            cfg = ExperimentConfig(name)
             assert cfg.name == name
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
-            default_config("teleport")
+            ExperimentConfig("teleport")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -107,7 +106,7 @@ class TestConfig:
 
     def test_config_holds_exactly_the_keys_read(self):
         for name in EXPERIMENT_NAMES:
-            keys = set(default_config(name).as_dict())
+            keys = set(ExperimentConfig(name).as_dict())
             assert keys == KEYS_READ[name] | {"name", "seed"}, name
             assert set(_EXPERIMENTS[name].keys) == KEYS_READ[name], name
 
@@ -143,11 +142,11 @@ class TestConfig:
             run_experiment(config_from_mapping(name, over))
         monkeypatch.undo()
         for name in EXPERIMENT_NAMES:
-            keys = {k for n, k in read if n == name} & set(default_config(name).as_dict())
+            keys = {k for n, k in read if n == name} & set(ExperimentConfig(name).as_dict())
             assert keys == KEYS_READ[name] | {"name", "seed"}, name
 
     def test_config_is_immutable(self):
-        cfg = default_config("flowmap")
+        cfg = ExperimentConfig("flowmap")
         with pytest.raises(AttributeError):
             cfg.gamma = 1.0
         assert cfg == config_from_mapping("flowmap", {"gamma": "0"})
@@ -212,7 +211,7 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["gauge-residual", "strichartz-scan", "flowmap",
                                       "estimate-monitor", "bernstein"])
     def test_n_modes_above_band_limit_rejected(self, name, capsys):
-        n = default_config(name).n
+        n = ExperimentConfig(name).n
         config_from_mapping(name, {"n_modes": n // 2 - 1})
         with pytest.raises(ConfigError, match="n_modes"):
             config_from_mapping(name, {"n_modes": n // 2})
@@ -300,6 +299,9 @@ class TestConfig:
         (["flowmap", "--perturbation", "nan"],
          "perturbation must be finite and positive, got nan"),
         (["scaling", "--dilation", "inf"], "dilation must be finite and above 1, got inf"),
+        # a circle whose lam ** 2 overflows, in the Strichartz norms' resonance keys
+        (["strichartz-scan", "--lambdas", "1,1e160", "--n-samples", "2"],
+         "lam must be such that lam ** 2 is finite, got 1e+160"),
         # finite dt and t_final whose ratio overflows
         (["simulate", "--dt", "1e-300", "--t-final", "1e10"],
          "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),
@@ -378,7 +380,7 @@ class TestConfig:
         assert not list(tmp_path.iterdir())
 
     def test_bo_scaling_needs_k_one(self):
-        assert default_config("scaling").k == 1
+        assert ExperimentConfig("scaling").k == 1
         config_from_mapping("scaling", {"variant": "gbo", "k": 2})
         with pytest.raises(ConfigError, match="bo variant has k = 1, got k = 2"):
             config_from_mapping("scaling", {"k": 2})
@@ -444,7 +446,7 @@ class TestConfig:
         assert all(r["ratio"] > 0 for r in report.records)
 
     def test_bernstein_default_config_passes(self):
-        assert run_experiment(default_config("bernstein")).passed
+        assert run_experiment(ExperimentConfig("bernstein")).passed
 
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -505,7 +507,7 @@ class TestDeterminismAndVerdicts:
     def test_conservation_order_gate_reads_the_level_drifts(self):
         """The default report passes when recomputed; drifts falling 8x per halving,
         a third-order stepper's, fail the order gate, whatever order the record holds."""
-        rep = run_experiment(default_config("conservation"))
+        rep = run_experiment(ExperimentConfig("conservation"))
         assert recompute_passed(rep) == (True, [])
         study = [r for r in rep.records if r["run"] == "energy_k2"]
         assert len(study) == 1 and study[0]["order"] >= 4.0
@@ -894,7 +896,7 @@ class TestBatchedEnsembles:
                             lambda fields, *a, **kw: stacks.append(len(fields))
                             or stacked(fields, *a, **kw))
         monkeypatch.setattr(lingroup, "strichartz_norm", lambda *a, **kw: singles.append(a))
-        cfg = default_config("strichartz-scan")
+        cfg = ExperimentConfig("strichartz-scan")
         rep = run_experiment(cfg)
         assert stacks == [cfg.n_samples] * len(cfg.lambdas)
         assert singles == [] and not hasattr(experiments, "strichartz_norm")
@@ -934,7 +936,7 @@ class TestBatchedEnsembles:
 
         built, frame = [], gauge._Frame
         monkeypatch.setattr(gauge, "_Frame", lambda *args: built.append(args) or frame(*args))
-        cfg = default_config("estimate-monitor")
+        cfg = ExperimentConfig("estimate-monitor")
         records, _ = _run_estimate_monitor(cfg, np.random.default_rng(cfg.seed))
         # 11 snapshots of 4n = 512 padded points fit one stack
         assert [len(args[0]) for args in built] == [11] * cfg.n_samples
@@ -1184,7 +1186,7 @@ class TestCli:
     @pytest.mark.parametrize("name", sorted(FAST))
     def test_flag_and_config_file_give_the_same_report(self, tmp_path, name):
         """Every key set through its flag or through a config file, alike."""
-        values = default_config(name).as_dict()
+        values = ExperimentConfig(name).as_dict()
         values.update(FAST[name])
         del values["name"]
         spelled = {key: ",".join(map(str, val)) if isinstance(val, (list, tuple))
@@ -1234,13 +1236,13 @@ class TestCli:
         assert code == 0
 
     def test_doubling_check_applies_above_tolerance(self):
-        cfg = default_config("gauge-residual")
+        cfg = ExperimentConfig("gauge-residual")
         fails = _judge(*_EXPERIMENTS["gauge-residual"].verdict(cfg, [
             {"residual_l2": 1e-7, "residual_l2_half": 1e-6}]), cfg)
         assert "doubling n only shrank the residual 10.0x (< 100x)" in fails
 
     def test_default_run_exercises_doubling_check(self):
-        cfg = default_config("gauge-residual")
+        cfg = ExperimentConfig("gauge-residual")
         rep = run_experiment(cfg)
         coarse = [r["residual_l2_half"] for r in rep.records if "residual_l2_half" in r]
         assert max(coarse) > cfg.residual_tol

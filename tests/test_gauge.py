@@ -25,10 +25,8 @@ from bosp import (
     reconstruct_u,
     remove_mean_bo,
     renormalize_gbo,
-    rhs_bo,
     rhs_gbo_terms,
     solve,
-    symmetry_defect,
     synthesize,
 )
 from bosp.evolve import Equation
@@ -44,6 +42,7 @@ from conftest import (
     dense_points,
     dense_project,
     dense_values,
+    symmetry_defect,
 )
 
 DENSE_N = 1 << 14
@@ -122,14 +121,16 @@ class TestBuildGauge:
 
 
 class TestRhsBo:
+    """The bo right-hand side: -i times the gbo terms at k = 1."""
+
     def test_zero(self, grid):
-        out = rhs_bo(SpectralField.zero(grid))
-        assert np.max(np.abs(out.total.coeffs)) == 0.0
+        out = -1j * rhs_gbo_terms(SpectralField.zero(grid), 1).total
+        assert np.max(np.abs(out.coeffs)) == 0.0
 
     def test_matches_dense_brute_force(self):
         grid = PeriodicGrid(1.0, 64)
         u = cos_field(grid, amp=1e-3)
-        lib = rhs_bo(u)
+        lib = -1j * rhs_gbo_terms(u, 1).total
 
         xs = dense_points(grid, DENSE_N)
         uv = np.real(dense_values(u, xs))
@@ -141,23 +142,23 @@ class TestRhsBo:
             grid.lam)
         t2 = np.mean(uv**2) * dense_project(uv * E, grid.lam, "plus")
         expected = dense_analyze(t1 + t2, grid)
-        assert np.max(np.abs(lib.total.coeffs - expected)) < 1e-12
+        assert np.max(np.abs(lib.coeffs - expected)) < 1e-12
 
     def test_mean_term_relation_for_cos(self, grid):
         # P_0(u^2) = 1/2 for u = cos, so the mean term is half the projection
         u = cos_field(grid)
-        out = rhs_bo(u)
+        a = rhs_gbo_terms(u, 1).a
         st = build_gauge(u, "bo")
         proj = project(
             SpectralField(grid, np.fft.fft(
                 np.exp(-1j * synthesize(st.F, 1)) * synthesize(u, 1)) / grid.n),
             "plus")
-        assert coeff_distance(out.mean_term, 0.5 * proj) < 1e-10
+        assert coeff_distance(-1j * a, 0.5 * proj) < 1e-10
 
     def test_mean_precondition(self, grid):
         f = SpectralField.from_function(grid, lambda x: 1.0 + np.cos(x))
         with pytest.raises(ValueError, match="C_0"):
-            rhs_bo(f)
+            rhs_gbo_terms(f, 1)
 
 
 class TestRhsGbo:
@@ -411,7 +412,7 @@ class TestFrameGrid:
         for i, v in enumerate(fields):
             w = build_gauge(v, variant, k).w
             if variant == "bo":
-                wt_i, rhs = -1j * wt[i], rhs_bo(v).total
+                wt_i, rhs = -1j * wt[i], -1j * rhs_gbo_terms(v, 1).total
             else:
                 wt_i, rhs = wt[i], rhs_gbo_terms(v, k).total
             wxx = differentiate(w, "d_dx", 2)
@@ -463,9 +464,10 @@ class TestResidualBatch:
         a, b, c, d = gauge._rhs_gbo(stack)
         terms = [-1j * (b + c), -1j * a] if variant == "bo" else [a, b, c, d]
         for i, v in enumerate(fields):
-            one = rhs_bo(v) if variant == "bo" else rhs_gbo_terms(v, k)
-            one_terms = [one.dx_term, one.mean_term] if variant == "bo" else [
+            one = rhs_gbo_terms(v, k)
+            one_terms = [-1j * (one.b + one.c), -1j * one.a] if variant == "bo" else [
                 one.a, one.b, one.c, one.d]
+            # the bo right-hand side is -i times one.total: the same norms
             rhs_l2, rhs_h1 = norm(one.total, "lp", p=2), norm(one.total, "hs", s=1.0)
             assert rhs_l2 > 0.0
             tol_l2, tol_h1 = STACK_ROUNDOFF * rhs_l2, STACK_ROUNDOFF * rhs_h1
@@ -511,9 +513,6 @@ class TestBoIsGboAtKOne:
             assert np.array_equal(bo.F.coeffs, gbo.F.coeffs)
             assert np.array_equal(bo.W.coeffs, gbo.W.coeffs)
             assert np.array_equal(bo.w.coeffs, -1j * gbo.w.coeffs)
-            rhs, terms = rhs_bo(v), rhs_gbo_terms(v, 1)
-            assert np.array_equal(rhs.dx_term.coeffs, -1j * (terms.b + terms.c).coeffs)
-            assert np.array_equal(rhs.mean_term.coeffs, -1j * terms.a.coeffs)
 
     def test_trajectory(self):
         from bosp import gauge
@@ -532,7 +531,9 @@ class TestBoIsGboAtKOne:
         grid = PeriodicGrid(1.0, 64)
         fields = [h2_normalized(grid, rng, amp=0.1, decay=0.8) for _ in range(5)]
         assert max(res.l2 for res in gauge_residual_batch(fields, "bo")) < 1e-7
-        assert all(rhs_bo(v).dx_term.coeffs[grid.n // 2] != 0.0 for v in fields)
+        for v in fields:
+            terms = rhs_gbo_terms(v, 1)
+            assert (terms.b + terms.c).coeffs[grid.n // 2] != 0.0
 
 
 class TestTrajectoryResidual:

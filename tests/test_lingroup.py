@@ -244,6 +244,18 @@ class TestExactStrichartzNorm:
             trapezoid_strichartz_norm(f, 1.0, 16, kind=kind) ** 4, rel=1e-13)
 
     @pytest.mark.parametrize("kind", GROUP_KINDS)
+    @pytest.mark.parametrize("lam", [1.0, 1.3e154])
+    def test_lone_mode_pair_up_to_the_largest_circle(self, kind, lam):
+        # u = cos(x / lam) moves but keeps its modulus under both groups, so
+        # the integral is 2 pi lam T mean(cos^4); the resonance keys scale
+        # by lam ** 2, a finite float up to lam ~ 1.34e154
+        grid = PeriodicGrid(lam, 16)
+        c = np.zeros(grid.n, dtype=complex)
+        c[1] = c[-1] = 0.5
+        integral = strichartz_norm(SpectralField(grid, c), 1.0, kind=kind) ** 4
+        assert integral == pytest.approx(2 * np.pi * lam * 3 / 8, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
     def test_trapezoid_error_is_second_order(self, rng, kind):
         grid = PeriodicGrid(1.0, 64)
         f = random_field(grid, rng, n_modes=12, decay=0.8, normalize="l2")

@@ -29,10 +29,11 @@ from bosp import (
     SolverConfig,
     strichartz_norm,
     strichartz_norms,
-    symmetry_defect,
     synthesize,
 )
 from bosp.spectral import _conjugate_symmetric
+
+from conftest import symmetry_defect
 
 GRIDS = [PeriodicGrid(lam, n) for lam in (1.0, 3.7) for n in (16, 64, 256)]
 

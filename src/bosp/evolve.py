@@ -200,11 +200,11 @@ class Equation:
 
     def _work(self, lead: tuple) -> tuple:
         """Flux work arrays of a stack with leading shape ``lead``: values,
-        Nyquist-split spectrum, each degree's power slots (values and a pair),
-        the powers, padded spectrum, each degree's flux rows and every row's
-        iq (none for linear).  A degree's slots and flux rows are its rows
-        ``[d::D]`` of the stack's arrays, D = len(ks), and its power lands in
-        the powers' rows; one degree's are the whole arrays."""
+        Nyquist-split spectrum, each degree's power slots (values, powers and
+        a spare), the powers, padded spectrum, each degree's flux rows and
+        every row's iq (none for linear).  A degree's slots and flux rows are
+        its rows ``[d::D]`` of the stack's arrays, D = len(ks), and its power
+        lands in the powers' rows; one degree's are the whole arrays."""
         if self.eq == "linear":
             return ()
         ks, degrees = self.ks, len(self.ks)
@@ -215,9 +215,7 @@ class Equation:
         vals = np.empty(lead + (self.nbig,))
         powers, spare = np.empty_like(vals), np.empty_like(vals)
         spec = np.empty(lead + (self.nbig // 2 + 1,), dtype=np.complex128)
-        slots = [[rows(a, d) for a in ((vals, powers, spare) if _power_steps(k + 1)[1] == 1
-                                       else (vals, spare, powers))]
-                 for d, k in enumerate(ks)]
+        slots = [[rows(a, d) for a in (vals, powers, spare)] for d in range(degrees)]
         iqs = [self.iq / (k + 1) if self._folded(k) else self.iq for k in ks]
         return (vals, np.empty(lead + (self.n // 2 + 1,), dtype=np.complex128), slots, powers,
                 spec, [rows(spec[..., : self.n // 2 + 1], d) for d in range(degrees)],
@@ -230,11 +228,15 @@ class Equation:
 
         ``work`` comes from ``_work`` and is clobbered; ``out`` must not
         share memory with uhat or work.  One inverse and one forward
-        transform serve the whole stack; each degree's power, its ``/ (k +
-        1)`` and any renormalized mean act on its rows.  When k + 1 is a
-        power of two (k = 1, 3, 7), dividing by it only shifts exponents, so
-        gbo's ``iq * (flux / (k + 1))`` is bit for bit ``(iq / (k + 1)) *
-        flux`` unless a flux value is below 2^-1022 (k + 1), near subnormal.
+        transform serve the whole stack, and so does one squaring of the
+        values, which every degree's chain of ``_power_steps`` begins with;
+        the rest of each degree's chain, its last product into the powers,
+        its ``/ (k + 1)`` and any renormalized mean act on its rows.  Where a
+        product lands does not change its value, so the flux is bit for bit
+        the chain run alone.  When k + 1 is a power of two (k = 1, 3, 7),
+        dividing by it only shifts exponents, so gbo's ``iq * (flux / (k +
+        1))`` is bit for bit ``(iq / (k + 1)) * flux`` unless a flux value is
+        below 2^-1022 (k + 1), near subnormal.
         """
         eq, ks, cut, degrees = self.eq, self.ks, self.cut, len(self.ks)
         if eq == "linear":
@@ -243,7 +245,9 @@ class Equation:
                 return out
             return flux
         values, coeffs = _real_transforms(self.n, self.nbig)
-        chains = [_power_steps(k + 1)[0] for k in ks]
+        # each chain after its first step, (0, 0, 1), with its last product into slot 1
+        chains = [rest[:-1] + tuple((a, b, 1) for a, b, _ in rest[-1:])
+                  for rest in (_power_steps(k + 1)[0][1:] for k in ks)]
         divided = [(d, k + 1) for d, k in enumerate(ks) if eq == "gbo" and not self._folded(k)]
         renormalized = [(d, k + 1, *_power_steps(k)) for d, k in enumerate(ks)
                         if eq == "renormalized_gbo"]
@@ -252,6 +256,7 @@ class Equation:
         def flux(uhat, out, work):
             vals, split, slots, powers, spec, rows, iq = work
             values(uhat, vals, split)
+            mul(vals, vals, out=powers)
             for steps, s in zip(chains, slots):
                 for a, b, dest in steps:
                     mul(s[a], s[b], out=s[dest])

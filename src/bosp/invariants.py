@@ -22,8 +22,12 @@ run.  Quadratic pieces use Parseval exactly.  The quartic terms of F and
 the u^{k+2} term of E_k are summed on ``spectral._alias_free_points(n,
 max(4, k + 2))`` points, more than the integrand's top mode max(4, k+2)*n/2,
 so the quadrature is exact for every k (n = 2048 at k <= 2 takes 4320
-points).  F and E_k share that grid, and along a trajectory they are
-evaluated on the half-spectrum stack, bit-identical to each snapshot alone.
+points).  F and E_k share that grid.  F's pair u, H u_x, two real fields,
+comes from one padded complex inverse transform (its real and imaginary
+parts), which also gives E_1 its u when both are evaluated; E_k alone
+synthesizes u by the real transform.  Along a trajectory they are evaluated
+on the half-spectrum stack, each snapshot's values bit-identical to the same
+functionals of that snapshot alone.
 So are the mixed space-time norms: each is one per-row reduction of the
 trajectory's stack, with no field built per snapshot.
 """
@@ -37,8 +41,8 @@ import numpy as np
 from .spectral import _RULES as _SPECTRAL_RULES
 from .spectral import (PeriodicGrid, SpectralField, Trajectory, _Rule, _alias_free_points,
                        _check_gauge_variant, _check_real, _choice, _finite, _full_spectrum,
-                       _integer, _lp_norms, _parseval_norms, _power, _real_values,
-                       _refusing_overflow, _row_chunks, _symbol)
+                       _integer, _lp_norms, _parseval_norms, _power, _real_pair_synthesis,
+                       _real_values, _refusing_overflow, _row_chunks, _symbol)
 
 __all__ = [
     "invariant",
@@ -81,10 +85,17 @@ def _series(grid: PeriodicGrid, half: np.ndarray, names, k: int = 1,
             sign: float = 1.0) -> dict:
     """The named invariants of the real fields with half spectra ``half`` (S, n/2+1).
 
-    Rows go in chunks of at most ``_STACK_POINTS`` padded points.  Parseval
-    sums run over the half spectra, each mode 0 < m < n/2 weighted 2 for
-    its conjugate, and the values of u are synthesized once per chunk, for
-    both F_bo and E_gbo, on the alias-free grid of degree max(4, k + 2).
+    Parseval sums run over the half spectra, each mode 0 < m < n/2 weighted
+    2 for its conjugate, in blocks of at most ``_STACK_POINTS`` coefficients:
+    at n = 2048 and 1001 rows, |c|^2 and three sums took 5.5 ms in blocks of
+    15 rows against 8.4 ms over the whole stack or in 3-row chunks (2-core
+    Xeon VM, numpy 2.4).  The quadratures run on rows in chunks of at most
+    ``_STACK_POINTS`` padded points, on the alias-free grid of degree
+    max(4, k + 2).  With F_bo, one complex synthesis per chunk
+    (``_real_pair_synthesis``) gives u as its real part and H u_x as its
+    imaginary part, and u^2 serves u^2 H u_x, u^4 and, at k = 1, u^3; E_gbo
+    alone synthesizes u by ``_real_values``.  No sum mixes rows, so each
+    row is bit for bit the one its snapshot gives alone under the same names.
     """
     circ, h = grid.circumference, grid.n // 2 + 1
     q = np.abs(grid.freqs[:h])
@@ -94,25 +105,41 @@ def _series(grid: PeriodicGrid, half: np.ndarray, names, k: int = 1,
     nbig = _alias_free_points(grid.n, max(4, k + 2))
     hdx = _symbol(grid, "hilbert_dx")[:h]
 
+    def means() -> dict:
+        """circ times the per-row means of F_bo's u^2 H u_x and u^4 and of E_gbo's u^(k+2)."""
+        paired, energy = "F_bo" in names, "E_gbo" in names
+        parts, chunks = {}, _row_chunks(len(half), nbig)
+        if paired:
+            pair_values = _real_pair_synthesis(hdx, nbig, len(half[chunks[0]]))
+        for rows in chunks if paired or energy else ():
+            if paired:
+                pair = pair_values(half[rows])
+                u = pair.real
+                u2 = u * u
+                integrands = {"u2 hux": u2 * pair.imag, "u4": u2 * u2}
+            else:
+                u, integrands = _real_values(half[rows], nbig), {}
+            if energy:
+                integrands["power"] = u2 * u if paired and k == 1 else _power(u, k + 2)
+            for key, integrand in integrands.items():
+                parts.setdefault(key, []).append(circ * np.mean(integrand, axis=-1))
+        return {key: np.concatenate(pieces) for key, pieces in parts.items()}
+
     def series() -> tuple:
-        out = {name: [] for name in names}
-        for rows in _row_chunks(len(half), nbig):
+        parts = {name: [] for name in names}
+        for rows in _row_chunks(len(half), h):
             c = half[rows]
             abs2 = np.abs(c) ** 2
-            if "F_bo" in names or "E_gbo" in names:
-                u = _real_values(c, nbig)
             for name in names:
-                value = circ * (c[:, 0].real if name == "I"
-                                else np.sum(quadratic[name] * abs2, axis=-1))
-                if name == "F_bo":
-                    hux = _real_values(hdx * c, nbig)
-                    value = (value - sign * 0.75 * (circ * np.mean(u * u * hux, axis=-1))
-                             + 0.125 * (circ * np.mean(_power(u, 4), axis=-1)))
-                elif name == "E_gbo":
-                    power = circ * np.mean(_power(u, k + 2), axis=-1) / ((k + 1) * (k + 2))
-                    value = value - sign * power
-                out[name].append(value)
-        return tuple(np.concatenate(out[name]) for name in names)
+                parts[name].append(circ * (c[:, 0].real if name == "I"
+                                           else np.sum(quadratic[name] * abs2, axis=-1)))
+        values, nonquadratic = {name: np.concatenate(parts[name]) for name in names}, means()
+        if "F_bo" in names:
+            values["F_bo"] = (values["F_bo"] - sign * 0.75 * nonquadratic["u2 hux"]
+                              + 0.125 * nonquadratic["u4"])
+        if "E_gbo" in names:
+            values["E_gbo"] = values["E_gbo"] - sign * (nonquadratic["power"] / ((k + 1) * (k + 2)))
+        return tuple(values.values())
     return dict(zip(names, _refusing_overflow(names, half, series)))
 
 

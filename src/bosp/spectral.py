@@ -39,15 +39,18 @@ folds -n/2 back into +n/2.  Real fields: rfft half spectrum (modes
 ``_real_transforms(n, nbig)``, is built once per size and writes into
 arrays it is given, which lets the solver's flux, built once per equation,
 step with arrays it allocated once; ``_real_values`` and ``_real_coeffs``
-are its allocating calls, the same bit for bit.  This module's private
-transforms are the one place that layout lives; the solver, the
-invariants and the gauge frames call them on stacks of shape (..., n/2+1)
-or (..., n), and the exact L^4 resonance sum in ``lingroup`` places the
-slot n/2 the same way.
+are its allocating calls, the same bit for bit.  ``_real_pair_synthesis``
+synthesizes two real fields, c and a real even multiplier times c, as the
+real and imaginary parts of one padded complex transform, with the same
+split.  This module's private transforms are the one place that layout
+lives; the solver, the invariants and the gauge frames call them on stacks
+of shape (..., n/2+1) or (..., n), and the exact L^4 resonance sum in
+``lingroup`` places the slot n/2 the same way.
 
-The real pair and the kernels ``_complex_values`` and ``_complex_coeffs``
-make the library's only transforms, through the set ``_FFTS``.  It calls
-numpy's pocketfft gufuncs (``numpy.fft._pocketfft_umath``) directly, with
+The real pair, the paired synthesis and the kernels ``_complex_values`` and
+``_complex_coeffs`` make the library's only transforms, through the set
+``_FFTS``.  It calls numpy's pocketfft gufuncs
+(``numpy.fft._pocketfft_umath``) directly, with
 the factors that ``numpy.fft`` passes for ``norm="forward"`` and an
 ``out`` the kernel allocates or is given, so the results are numpy.fft's
 bit for bit.  The reason is per-call cost: the solver transforms one row
@@ -177,9 +180,9 @@ _STACK_POINTS = 1 << 14
 class PeriodicGrid:
     """Uniform collocation grid x_j = 2*pi*lam*j/n on the circle.
 
-    ``lam`` is the period parameter (circumference 2*pi*lam), finite and
-    positive, and ``n`` the number of collocation points; ``n`` must be
-    even and at least 8.
+    ``lam`` is the period parameter, finite and positive, with a finite
+    circumference 2*pi*lam; ``n`` is the number of collocation points, even
+    and at least 8.
     """
 
     lam: float
@@ -410,6 +413,34 @@ def _real_values(half: np.ndarray, nbig: int) -> np.ndarray:
     """Half spectra (..., n/2+1) -> real values (..., nbig), nbig >= n, as a new array."""
     values, _ = _real_transforms(2 * (half.shape[-1] - 1), nbig)
     return values(half, np.empty(half.shape[:-1] + (nbig,)), None)
+
+
+def _real_pair_synthesis(symbol: np.ndarray, nbig: int, rows: int) -> Callable:
+    """For half spectra c of real fields u and a real even multiplier ``symbol``
+    (n/2+1,), the synthesis ``values(half) -> (m, nbig)`` of m <= ``rows``
+    half spectra (m, n/2+1) on nbig > n points, whose real part is u and
+    imaginary part the real field v of ``symbol * c``: one complex inverse
+    transform makes both (Press et al., *Numerical Recipes*, 3rd ed.,
+    sec. 12.3).  It reads ``_FFTS`` at each call.
+
+    Mode m >= 0 of u + iv is (1 + i symbol) c_m and mode -m is
+    (1 + i symbol) conj(c_m), with the slot n/2 split half-half between
+    +n/2 and -n/2 as ``_real_values`` splits it; the modes between stay
+    zero.  The spectrum and the values are arrays allocated once, so each
+    call overwrites the values the last one returned.  Each part matches
+    the real synthesis of its field to round-off, not bit for bit.
+    """
+    nyq = len(symbol) - 1
+    pair = _nyquist_split(2 * nyq) * (1.0 + 1j * symbol)
+    spec = np.zeros((rows, nbig), dtype=np.complex128)
+    out = np.empty_like(spec)
+
+    def values(half):
+        padded = spec[: len(half)]
+        np.multiply(half, pair, out=padded[:, : nyq + 1])
+        np.multiply(np.conj(half[:, nyq:0:-1]), pair[nyq:0:-1], out=padded[:, nbig - nyq:])
+        return _FFTS.ifft(padded, out[: len(half)])
+    return values
 
 
 def _real_coeffs(values: np.ndarray, n: int) -> np.ndarray:
@@ -984,7 +1015,9 @@ class Trajectory:
 # Rules shared with config keys (module docstring).
 _RULES = {
     "n": _Rule(lambda v: _integer(8).test(v) and v % 2 == 0, "an even integer >= 8"),
-    "lam": _POSITIVE,
+    # the circle's circumference 2 pi lam, and so its dx and points, must be finite
+    "lam": _Rule(lambda v: _POSITIVE.test(v) and math.isfinite(2.0 * math.pi * float(v)),
+                 "finite and positive, with 2 * pi * lam finite"),
     "k": _integer(1),
     "equation": _choice(*Trajectory.EQUATIONS),
     "variant": _choice("bo", "gbo"),

@@ -14,7 +14,8 @@ from bosp import (BlowUpError, PeriodicGrid, SpectralField, Trajectory, differen
                   random_field, spectral)
 from bosp.evolve import _BLOWUP_GUARD, _etdrk4_weights
 from bosp.lingroup import GROUP_KINDS, group_symbol
-from bosp.spectral import _complex_values, _nyquist_split, _real_values, _row_chunks
+from bosp.spectral import (_alias_free_points, _complex_values, _nyquist_split, _real_values,
+                           _row_chunks)
 
 DENSE = 1 << 16
 
@@ -278,6 +279,43 @@ def xnorm_series_per_field(times, fields, level):
         total += float(np.max(l2s))
         total += float(np.trapezoid(l4s ** 4, times) ** 0.25)
     return total
+
+
+# --- the invariants' quadratures, u and H u_x apart (reference of the paired synthesis) ---
+
+
+def functional_reference(grid, half, name, k=1, sign=1.0):
+    """F_bo or E_gbo of the half-spectrum stack ``half`` (S, n/2+1), as
+    (values, scale).
+
+    The stacked quadrature with u and H u_x each synthesized by its own
+    padded ``numpy.fft.irfft`` on the alias-free grid of degree
+    max(4, k + 2), the slot n/2 split half-half, and u^p by repeated
+    squaring.  ``scale`` is the sum of the magnitudes of the functional's
+    terms, the size its round-off is measured against.
+    """
+    n, circ, h = grid.n, grid.circumference, grid.n // 2 + 1
+    q = np.abs(grid.freqs[:h])
+    weights = np.full(h, 2.0)
+    weights[[0, -1]] = 1.0
+    nbig = _alias_free_points(n, max(4, k + 2))
+    split = np.ones(h)
+    split[-1] = 0.5
+    u = np.fft.irfft(split * half, nbig, norm="forward")
+    abs2 = np.abs(half) ** 2
+    if name == "F_bo":
+        hux = np.fft.irfft(split * (np.where(np.arange(h) == n // 2, 0.0, q) * half), nbig,
+                           norm="forward")
+        terms = (circ * np.sum(weights * q ** 2 * abs2, axis=-1),
+                 -sign * 0.75 * (circ * np.mean(u * u * hux, axis=-1)),
+                 0.125 * (circ * np.mean(_power_reference(u, 4), axis=-1)))
+        value = terms[0] + terms[1] + terms[2]
+    else:
+        terms = (circ * np.sum(0.5 * weights * q * abs2, axis=-1),
+                 -sign * (circ * np.mean(_power_reference(u, k + 2), axis=-1)
+                          / ((k + 1) * (k + 2))))
+        value = terms[0] + terms[1]
+    return value, sum(np.abs(term) for term in terms)
 
 
 # --- random draws, one field at a time (reference of the stacked draw) ---

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import sys
 import time
 
 import numpy as np
@@ -48,6 +49,13 @@ EDGES = {
 _ROOM = {"dt": {"t_final": TINY, "sample_stride": 1}, "t_final": {"dt": TINY, "sample_stride": 1}}
 EDGES.update({key: ([0.0, -1.0, *NON_FINITE, 10 ** 400, True], [TINY], _ROOM.get(key, {}))
               for key, rule in _RULES.items() if key not in EDGES})
+# a circle's circumference 2 pi lam must be finite too: the largest such lam and the next float
+LAM_MAX = sys.float_info.max / (2.0 * math.pi)
+while not math.isfinite(2.0 * math.pi * LAM_MAX):
+    LAM_MAX = math.nextafter(LAM_MAX, 0.0)
+while math.isfinite(2.0 * math.pi * math.nextafter(LAM_MAX, math.inf)):
+    LAM_MAX = math.nextafter(LAM_MAX, math.inf)
+EDGES["lam"] = EDGES["lam"][0] + [math.nextafter(LAM_MAX, math.inf)], [TINY, LAM_MAX], {}
 # conservation's order study steps at e_dt / 4 too, which is 0 below 4 * TINY
 EDGES["e_dt"] = EDGES["e_dt"][0], [4 * TINY], {"e_t_final": 4 * TINY}
 EDGES["e_t_final"] = EDGES["e_t_final"][0], [4 * TINY], {"e_dt": 4 * TINY}
@@ -138,7 +146,11 @@ NEWLY_REFUSED = [
     ("simulate", {"t_final": "0.0505"},
      "t_final = 0.0505 is not an integer number of steps dt = 0.001"),
     ("flowmap", {"seed": "-1"}, "seed must be an integer >= 0, got -1"),
-    ("estimate-monitor", {"lam": "0"}, "lam must be finite and positive, got 0.0"),
+    ("estimate-monitor", {"lam": "0"},
+     "lam must be finite and positive, with 2 * pi * lam finite, got 0.0"),
+    # a circumference that overflows made the grid's points inf and NaN
+    ("simulate", {"lam": "1e308"},
+     "lam must be finite and positive, with 2 * pi * lam finite, got 1e+308"),
     # a solve whose steps come from other keys names those keys and the solve
     ("conservation", {"e_dt": "1.0", "e_t_final": "0.5"},
      "energy_k2 solve: e_t_final must be finite and at least e_dt, got 0.5"),

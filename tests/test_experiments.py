@@ -302,6 +302,9 @@ class TestConfig:
         # a circle whose lam ** 2 overflows, in the Strichartz norms' resonance keys
         (["strichartz-scan", "--lambdas", "1,1e160", "--n-samples", "2"],
          "lam must be such that lam ** 2 is finite, got 1e+160"),
+        # a circle whose circumference 2 pi lam overflows, which once blamed the data
+        (["simulate", "--lam", "1e308"],
+         "lam must be finite and positive, with 2 * pi * lam finite, got 1e+308"),
         # finite dt and t_final whose ratio overflows
         (["simulate", "--dt", "1e-300", "--t-final", "1e10"],
          "t_final / dt = 10000000000.0 / 1e-300 overflows a float"),

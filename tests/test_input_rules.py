@@ -229,6 +229,8 @@ SCALAR_ARGUMENTS = [
     ("PeriodicGrid", "lam", math.nan, lambda v: PeriodicGrid(v, 16)),
     ("PeriodicGrid", "lam", HUGE, lambda v: PeriodicGrid(v, 16)),
     ("PeriodicGrid", "lam", True, lambda v: PeriodicGrid(v, 16)),
+    # a circumference 2 pi lam that overflows made the grid's points inf and NaN
+    ("PeriodicGrid", "lam", 1e308, lambda v: PeriodicGrid(v, 16)),
     ("PeriodicGrid", "n", 16.0, lambda v: PeriodicGrid(1.0, v)),
     ("synthesize", "oversample", True, lambda v: synthesize(U, v)),
     ("synthesize", "oversample", 0, lambda v: synthesize(U, v)),
@@ -388,7 +390,15 @@ OVERFLOWING = [
     *[(f"invariant-{which}-{k}-{on}", which, lambda which=which, k=k, f=f: invariant(f, which, k))
       for which, k in [("M", 1), ("F_bo", 1), ("E_gbo", 1), ("E_gbo", 4)]
       for on, f in [("field", HUGE_U), ("trajectory", HUGE_TRAJ)]],
+    # coefficients 1e80 and 1e110: M stays finite, and only the u^4 of F_bo or
+    # the u^3 of E_gbo at k = 1 overflows in the quadrature
+    *[(f"invariant-{which}-1-{on}-quadrature", which, lambda which=which, f=f: invariant(f, which))
+      for which, scale in [("F_bo", 1e-120), ("E_gbo", 1e-90)]
+      for on, f in [("field", scale * HUGE_U),
+                    ("trajectory", _huge_traj("gbo", half=scale * HUGE_HALF))]],
     ("drift_report-gbo-1", "M", lambda: drift_report(_huge_traj("gbo"))),
+    ("drift_report-gbo-1-quadrature", "F_bo",
+     lambda: drift_report(_huge_traj("gbo", half=1e-120 * HUGE_HALF))),
     ("drift_report-gbo-4", "M", lambda: drift_report(_huge_traj("gbo", 4))),
     ("strichartz_norm", "the strichartz norm", lambda: strichartz_norm(HUGE_U, 1.0)),
     ("strichartz_norms", "the strichartz norm",
@@ -423,6 +433,10 @@ OVERFLOWING = [
 ]
 # the inputs and their largest magnitude, where not coefficients up to 1e+200
 UP_TO = {"gauge_residual-bo-norms": "coefficients up to 1e+100",
+         **{f"invariant-{which}-1-{on}-quadrature": f"coefficients up to {top}"
+            for which, top in [("F_bo", "1e+80"), ("E_gbo", "1e+110")]
+            for on in ("field", "trajectory")},
+         "drift_report-gbo-1-quadrature": "coefficients up to 1e+80",
          **dict.fromkeys(("field-add", "field-subtract", "field-scale", "synthesize"),
                          "coefficients up to 1e+308"),
          "analyze": "values up to 1.7e+308"}

@@ -20,10 +20,11 @@ from bosp import (
     xnorm,
     xnorm_series,
 )
-from bosp import invariants
-from bosp.spectral import _full_spectrum
+from bosp import invariants, spectral
+from bosp.spectral import _alias_free_points, _full_spectrum
 
-from conftest import dense_hilbert, dense_points, dense_values, xnorm_series_per_field
+from conftest import (count_transforms, dense_hilbert, dense_points, dense_values,
+                      functional_reference, xnorm_series_per_field)
 
 
 def cos_field(grid, amp=1.0, mean=0.0):
@@ -128,24 +129,78 @@ class TestIntegerPowers:
         assert invariant(u, "F_bo") == pytest.approx(expected, rel=1e-14)
 
     def test_weighted_functional_synthesizes_u_once(self, monkeypatch):
-        calls = []
-        real_values = invariants._real_values
-
-        def counting(half, nbig):
-            calls.append((half.shape, nbig))
-            return real_values(half, nbig)
-
-        monkeypatch.setattr(invariants, "_real_values", counting)
+        calls = count_transforms(monkeypatch)
         u = self.signed_field()
         n = u.grid.n
         nbig = 135  # the alias-free size of degree 4 at n = 64: 5-smooth and > 2n
         invariant(u, "F_bo")
-        assert calls == [((1, n // 2 + 1), nbig)] * 2  # u and H(u_x)
-        # a gbo k = 1 report synthesizes u once per chunk for both F_bo and E_gbo
+        assert calls == [("ifft", (1,), nbig)]  # u and H(u_x) from one complex synthesis
+        # a gbo k = 1 report synthesizes u and H(u_x) once per chunk for both F_bo and E_gbo
         calls.clear()
-        traj = Trajectory(u.grid, [0.0, 0.1, 0.2], [u.coeffs[: n // 2 + 1]] * 3, "gbo")
-        drift_report(traj)
-        assert calls == [((3, n // 2 + 1), nbig)] * 2
+        times = [0.0, 0.1, 0.2]
+        drift_report(Trajectory(u.grid, times, [u.coeffs[: n // 2 + 1]] * 3, "gbo"))
+        assert calls == [("ifft", (3,), nbig)]
+        # E_gbo alone synthesizes u alone, by one real transform per chunk
+        calls.clear()
+        drift_report(Trajectory(u.grid, times, [u.coeffs[: n // 2 + 1]] * 3, "gbo", 3))
+        assert calls == [("irfft", (3,), _alias_free_points(n, 5))]
+
+
+class TestPairedSynthesis:
+    """F_bo and E_gbo, whose u and H u_x come from one complex synthesis,
+    against the quadrature of two real syntheses (``functional_reference``)."""
+
+    # |value - reference| / scale, scale the sum of the terms' magnitudes: the
+    # worst seen over the cases below is 6.8e-16 (lam = 4, n = 64, sign -1,
+    # at 2u); the bound leaves a 2.9x margin
+    BOUND = 2e-15
+
+    @staticmethod
+    def half_stack(lam, n):
+        """Three signed fields of 16 modes, amplitudes 1 to 6, with a nonzero Nyquist slot."""
+        grid = PeriodicGrid(lam, n)
+        rng = np.random.default_rng(7)
+        half = np.array([random_field(grid, rng, n_modes=16, amplitude=a).coeffs[: n // 2 + 1]
+                         for a in (1.0, 3.0, 6.0)])
+        half[:, -1] = 0.05 * np.arange(1, 4) * 64 / n
+        return grid, half
+
+    @pytest.mark.parametrize("lam", [1.5, 4.0])
+    @pytest.mark.parametrize("n", [64, 2048])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])  # 2: bo2's F_bo, taken at 2u
+    def test_matches_two_real_syntheses(self, lam, n, sign, scale):
+        grid, half = self.half_stack(lam, n)
+        series = invariants._series(grid, scale * half, ("F_bo", "E_gbo"), 1, sign)
+        for name, values in series.items():
+            want, size = functional_reference(grid, scale * half, name, 1, sign)
+            assert np.all(np.abs(values - want) <= self.BOUND * size), name
+        if sign == 1.0:  # the reports take the same path
+            times = [0.0, 0.1, 0.2]
+            rep = drift_report(Trajectory(grid, times, half, "bo2" if scale == 2.0 else "gbo"))
+            assert np.array_equal(rep.values["F_bo"], series["F_bo"])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_energy_alone_is_the_real_synthesis_bit_for_bit(self, k):
+        grid, half = self.half_stack(1.5, 64)
+        for sign in (1.0, -1.0):
+            traj = Trajectory(grid, [0.0, 0.1, 0.2], half, "gbo", k)
+            want, _ = functional_reference(grid, half, "E_gbo", k, sign)
+            assert np.array_equal(invariant(traj, "E_gbo", k=k, sign=sign), want)
+
+    def test_stack_over_chunks_is_each_snapshot_alone(self, monkeypatch):
+        # quadrature chunks of 2 rows on 135 points, Parseval blocks of 8 rows
+        monkeypatch.setattr(spectral, "_STACK_POINTS", 2 * 135)
+        grid, half = self.half_stack(1.5, 64)
+        half = np.concatenate([half, 0.5 * half, -half, 0.25 * half[:2]])
+        calls = count_transforms(monkeypatch)
+        for names in (("I", "M", "F_bo", "E_gbo"), ("F_bo",), ("E_gbo",)):
+            stack = invariants._series(grid, half, names)
+            for i in range(len(half)):
+                alone = invariants._series(grid, half[i: i + 1], names)
+                for name in names:
+                    assert stack[name][i] == alone[name][0], (names, name, i)
+        assert [lead for _, lead, _ in calls[:6]] == [(2,)] * 5 + [(1,)]
 
 
 class TestDriftReport:

@@ -34,15 +34,20 @@ The flux has one implementation, the closure ``Equation._flux`` built once
 per equation (or stack of degrees, ``Equation._stack``), which writes into
 caller-owned arrays; ``nonlinear`` (so ``rhs``) is its allocating case.
 
-Solver state is the rfft half spectrum: modes m = 0, 1, ..., n/2 of a real
-field, the negative modes being their conjugates.  Values and fluxes go
-through the real-field transforms of ``spectral``, which own the
-zero-padding and the Nyquist split/fold convention.  The imaginary parts of
-the mean and Nyquist slots are zeroed once on entry; the odd symbols (iq,
-the bo group symbol) vanish on the Nyquist slot, so it is constant in time.
-The stored states are the rows of the trajectory's half-spectrum stack as
-they are; indexing the Trajectory expands a row to the full transform-order
-SpectralField, exactly conjugate symmetric.
+Solver state is the split rfft half spectrum: modes m = 0, 1, ..., n/2 of
+a real field, the negative modes being their conjugates, with the slot n/2
+halved when the flux is padded (``Equation.nbig`` > n).  The imaginary
+parts of the mean and Nyquist slots are zeroed once on entry; the odd
+symbols (iq, the bo group symbol) vanish on the Nyquist slot, so it is
+constant in time.  So ``_advance`` halves it, checks it against the
+blow-up guard and writes it into every stored state once, on entry, and
+the flux synthesizes the state as it is with the bare transform pair of
+``spectral`` (``_real_transforms``), which owns the zero-padding: the
+state is already split, and the fold of -n/2 into +n/2 after analysis is
+left out, since iq, so the flux, is zero on that slot whatever the fold
+writes there.  The stored states are the rows of the trajectory's
+half-spectrum stack, unsplit; indexing the Trajectory expands a row to the
+full transform-order SpectralField, exactly conjugate symmetric.
 
 The state is a ``(..., n/2+1)`` stack: ``solve_batch`` advances B fields
 on one grid under one SolverConfig as a ``(B, n/2+1)`` array, and ``solve``
@@ -71,8 +76,10 @@ magnitude array for the blow-up test and the flux's transform work
 arrays once; the stage arithmetic writes into them with ``out=`` in the
 operations and order of the schemes' plain expressions, so every
 intermediate, and every stored state, is bit-for-bit that of the
-allocating form.  A step makes eight transform calls on the whole stack,
-four forward and four inverse, of ``Equation.nbig`` points per row, through
+allocating form, but for the sign of the zero the flux writes on the slot
+n/2, which no stored state takes.  A step makes eight transform calls on the whole
+stack, four forward and four inverse, of ``Equation.nbig`` points per row,
+and no other stack-wide call for the Nyquist slot: the calls are those of
 ``spectral``'s transform set ``_FFTS`` as it was when the ``Equation`` was
 built.
 """
@@ -90,7 +97,8 @@ from .errors import BlowUpError
 from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, Trajectory, _Rule,
                        _alias_free_points, _check_equation, _check_one_grid, _check_real,
                        _check_values, _check_zero_mean, _choice, _finite, _full_spectrum,
-                       _integer, _power_steps, _real_transforms, _row_chunks, _symbol)
+                       _integer, _nyquist_split, _power_steps, _real_transforms, _row_chunks,
+                       _symbol)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
@@ -161,7 +169,8 @@ class Equation:
     conservative flux, both on the half spectrum (modes 0..n/2 along the
     last axis of a stack); the odd symbols zero the Nyquist slot.  ``rhs``
     expands their sum to the full transform order.  The stepper calls the
-    flux closure ``_flux`` with arrays of its own (``_work``).  ``nbig`` is
+    flux closure ``_flux`` on its split state with arrays of its own
+    (``_work``); ``nonlinear`` splits its argument first.  ``nbig`` is
     the points per row the flux is formed on: the alias-free size of degree
     k + 2 under ``alias_free``, else n (``two_thirds``).  ``dealias``
     defaults to ``SolverConfig``'s.  ``ks`` are the degrees of a stack's
@@ -200,11 +209,13 @@ class Equation:
 
     def _work(self, lead: tuple) -> tuple:
         """Flux work arrays of a stack with leading shape ``lead``: values,
-        Nyquist-split spectrum, each degree's power slots (values, powers and
-        a spare), the powers, padded spectrum, each degree's flux rows and
-        every row's iq (none for linear).  A degree's slots and flux rows are
-        its rows ``[d::D]`` of the stack's arrays, D = len(ks), and its power
-        lands in the powers' rows; one degree's are the whole arrays."""
+        each degree's power slots (values, powers and a spare), the powers,
+        padded spectrum, its half spectrum (the first n/2+1 slots, a view),
+        each degree's flux rows and every row's iq (none for linear).  A
+        degree's slots and flux rows are its rows ``[d::D]`` of the stack's
+        arrays, D = len(ks), and its power lands in the powers' rows; one
+        degree's are the whole arrays.  No array holds a split copy of the
+        state: the state comes split."""
         if self.eq == "linear":
             return ()
         ks, degrees = self.ks, len(self.ks)
@@ -215,28 +226,33 @@ class Equation:
         vals = np.empty(lead + (self.nbig,))
         powers, spare = np.empty_like(vals), np.empty_like(vals)
         spec = np.empty(lead + (self.nbig // 2 + 1,), dtype=np.complex128)
+        half = spec[..., : self.n // 2 + 1]
         slots = [[rows(a, d) for a in (vals, powers, spare)] for d in range(degrees)]
         iqs = [self.iq / (k + 1) if self._folded(k) else self.iq for k in ks]
-        return (vals, np.empty(lead + (self.n // 2 + 1,), dtype=np.complex128), slots, powers,
-                spec, [rows(spec[..., : self.n // 2 + 1], d) for d in range(degrees)],
+        return (vals, slots, powers, spec, half, [rows(half, d) for d in range(degrees)],
                 iqs[0] if degrees == 1 else np.tile(iqs, (lead[0] // degrees, 1)))
 
     def _build_flux(self):
-        """The dealiased flux ``flux(uhat, out, work) -> out`` of one row
-        (n/2+1,) or a stack (..., n/2+1), with the transforms (of ``_FFTS``
-        as it is now), powers and constants settled once.
+        """The dealiased flux ``flux(uhat, out, work) -> out`` of one split
+        row (n/2+1,) or a stack (..., n/2+1), with the transforms (the
+        ``irfft`` and sized ``rfft`` of ``_FFTS`` as it is now), powers and
+        constants settled once.
 
-        ``work`` comes from ``_work`` and is clobbered; ``out`` must not
-        share memory with uhat or work.  One inverse and one forward
-        transform serve the whole stack, and so does one squaring of the
-        values, which every degree's chain of ``_power_steps`` begins with;
-        the rest of each degree's chain, its last product into the powers,
-        its ``/ (k + 1)`` and any renormalized mean act on its rows.  Where a
-        product lands does not change its value, so the flux is bit for bit
-        the chain run alone.  When k + 1 is a power of two (k = 1, 3, 7),
-        dividing by it only shifts exponents, so gbo's ``iq * (flux / (k +
-        1))`` is bit for bit ``(iq / (k + 1)) * flux`` unless a flux value is
-        below 2^-1022 (k + 1), near subnormal.
+        ``uhat`` is the stepper's state: when nbig > n its slot n/2 is
+        already halved, and the flux synthesizes it as it is, with no split
+        multiply.  The analysis leaves -n/2 unfolded: iq (and gbo's folded
+        iq / (k + 1)) is zero on the slot n/2, so the flux there is a zero
+        whose sign alone the fold would set.  ``work`` comes from ``_work``
+        and is clobbered; ``out`` must not share memory with uhat or work.
+        One inverse and one forward transform serve the whole stack, and so
+        does one squaring of the values, which every degree's chain of
+        ``_power_steps`` begins with; the rest of each degree's chain, its
+        last product into the powers, its ``/ (k + 1)`` and any renormalized
+        mean act on its rows.  Where a product lands does not change its
+        value, so the flux is bit for bit the chain run alone.  When k + 1 is
+        a power of two (k = 1, 3, 7), dividing by it only shifts exponents, so
+        gbo's ``iq * (flux / (k + 1))`` is bit for bit ``(iq / (k + 1)) *
+        flux`` unless a flux value is below 2^-1022 (k + 1), near subnormal.
         """
         eq, ks, cut, degrees = self.eq, self.ks, self.cut, len(self.ks)
         if eq == "linear":
@@ -244,7 +260,7 @@ class Equation:
                 out.fill(0.0)
                 return out
             return flux
-        values, coeffs = _real_transforms(self.n, self.nbig)
+        values, coeffs = _real_transforms(self.nbig)
         # each chain after its first step, (0, 0, 1), with its last product into slot 1
         chains = [rest[:-1] + tuple((a, b, 1) for a, b, _ in rest[-1:])
                   for rest in (_power_steps(k + 1)[0][1:] for k in ks)]
@@ -254,13 +270,13 @@ class Equation:
         mul = np.multiply
 
         def flux(uhat, out, work):
-            vals, split, slots, powers, spec, rows, iq = work
-            values(uhat, vals, split)
+            vals, slots, powers, spec, f, rows, iq = work
+            values(uhat, vals)
             mul(vals, vals, out=powers)
             for steps, s in zip(chains, slots):
                 for a, b, dest in steps:
                     mul(s[a], s[b], out=s[dest])
-            f = coeffs(powers, spec)
+            coeffs(powers, spec)
             if cut is not None:
                 f[..., cut:] = 0.0
             for d, k1 in divided:
@@ -280,8 +296,10 @@ class Equation:
         return flux
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
-        """The dealiased flux of a half-spectrum stack (..., n/2+1), as a new array."""
-        return self._flux(uhat, np.empty(uhat.shape, dtype=np.complex128),
+        """The dealiased flux of a half-spectrum stack (..., n/2+1), as a new
+        array: ``_flux`` of its split copy (slot n/2 halved when nbig > n)."""
+        split = uhat * _nyquist_split(self.n) if self.nbig > self.n else uhat
+        return self._flux(split, np.empty(uhat.shape, dtype=np.complex128),
                           self._work(uhat.shape[:-1]))
 
     def rhs(self, uhat: np.ndarray) -> np.ndarray:
@@ -295,9 +313,10 @@ def _etdrk4_weights(z: np.ndarray, dt: float):
     zr = z[:, None] + theta[None, :]
     ez = np.exp(zr)
     q2 = (np.exp(zr / 2.0) - 1.0) / zr
-    f1 = (-4.0 - zr + ez * (4.0 - 3.0 * zr + zr * zr)) / zr**3
-    f2 = (2.0 + zr + ez * (zr - 2.0)) / zr**3
-    f3 = (-4.0 - 3.0 * zr - zr * zr + ez * (4.0 - zr)) / zr**3
+    zr2, zr3 = zr * zr, zr**3
+    f1 = (-4.0 - zr + ez * (4.0 - 3.0 * zr + zr2)) / zr3
+    f2 = (2.0 + zr + ez * (zr - 2.0)) / zr3
+    f3 = (-4.0 - 3.0 * zr - zr2 + ez * (4.0 - zr)) / zr3
     return (dt * q2.mean(axis=1), dt * f1.mean(axis=1),
             dt * f2.mean(axis=1), dt * f3.mean(axis=1))
 
@@ -424,6 +443,14 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
     of the schemes' plain expressions (kept in the comments), so every
     intermediate is bit-for-bit theirs.  The state is checked after every
     step, so numpy's overflow warnings are silenced.
+
+    The slot n/2 is constant in time (the odd symbols and the flux vanish
+    there), so it is settled on entry: a row whose slot n/2 exceeds the
+    magnitude guard blows up at time 0, as its first step would find; each
+    level's history takes the entry value of that slot at every stored
+    step, so a step writes only the modes below it; and when the flux is
+    padded (nbig > n) the state's slot n/2 is halved, the split that the
+    flux's synthesis takes as given.
     """
     grid, n = equation.grid, equation.n
     flux, group_sym = equation._flux, equation.symbol
@@ -432,20 +459,28 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
     dts = [cfg.dt for cfg in cfgs]
     constants = {dt: _step_constants(group_sym, dt, if_rk4) for dt in dict.fromkeys(dts)}
 
-    state = np.array([u0.coeffs[: n // 2 + 1] for u0 in u0s])
+    nyq = n // 2
+    state = np.array([u0.coeffs[: nyq + 1] for u0 in u0s])
     state[:, 0] = state[:, 0].real
-    state[:, n // 2] = state[:, n // 2].real
+    state[:, nyq] = state[:, nyq].real
+    results = [None] * len(u0s)
+    for row in np.flatnonzero(~(np.abs(state[:, nyq]) <= _BLOWUP_GUARD)):
+        results[row] = BlowUpError(0.0)
+        state[row] = 0.0
     levels, first = [], 0  # (cfg, first row, rows, sample times, history) per level
     for _, run in itertools.groupby(cfgs, key=lambda c: (c.dt, c.n_steps(), c.sample_stride)):
         cfg, *others = run  # the level's rows differ in k at most
         rows = 1 + len(others)
         times = cfg.dt * np.arange(0, cfg.n_steps() + 1, cfg.sample_stride)
-        history = np.empty((rows, len(times), n // 2 + 1), dtype=np.complex128)
+        history = np.empty((rows, len(times), nyq + 1), dtype=np.complex128)
         history[:, 0] = state[first: first + rows]
+        history[:, 1:, nyq] = state[first: first + rows, nyq, None]
         levels.append((cfg, first, rows, times, history))
         first += rows
+    if equation.nbig > n:
+        state[:, nyq] *= 0.5
 
-    results, done = [None] * len(u0s), 0
+    done = 0
     for phase, (cfg, lo, _, _, _) in enumerate(levels):
         if None not in results[lo:]:
             break
@@ -464,7 +499,7 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
             ehalf, efull, half_dt, sixth_dt, dt_ehalf, two_ehalf = step_constants
         else:
             ehalf, efull, q2, f1, two_f2, f3 = step_constants
-        sinks = [(level_cfg.sample_stride, history, state[row: row + rows])
+        sinks = [(level_cfg.sample_stride, history[..., :nyq], state[row: row + rows, :nyq])
                  for level_cfg, row, rows, _, history in levels[phase:]]
         k1, k2, k3, k4, s1, s2, t, w = (np.empty_like(uhat) for _ in range(8))
         mag, work = np.empty(uhat.shape), equation._work(uhat.shape[:-1])

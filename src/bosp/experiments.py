@@ -225,10 +225,16 @@ def _order_band(v) -> str:
             f"order_min must be below order_max, got {v['order_min']!r} >= {v['order_max']!r}")
 
 
+def _top_mode(n_modes: int, lam: float, n: int) -> int:
+    """The top mode bernstein draws on the lam circle, min(int(n_modes * lam), n/2 - 1),
+    capped before the int so that an ``n_modes * lam`` beyond float range is the cap."""
+    return int(min(n_modes * lam, n // 2 - 1))
+
+
 def _modes_per_circle(v) -> str:
     """bernstein draws modes m <= min(int(n_modes * lam), n/2 - 1) on the lam
     circle, of frequency m / lam; its high pass q > 1 needs the top one above lam."""
-    drawn = {lam: min(int(v["n_modes"] * lam), v["n"] // 2 - 1) for lam in v["lambdas"]}
+    drawn = {lam: _top_mode(v["n_modes"], lam, v["n"]) for lam in v["lambdas"]}
     return next((f"lambdas entry {lam!r} draws modes up to min(int(n_modes * lam), n/2 - 1)"
                  f" = {top} at n_modes = {v['n_modes']}, n = {v['n']}; the high pass q > 1 "
                  f"needs one above lam = {lam!r}"
@@ -671,7 +677,7 @@ def _run_bernstein(cfg: ExperimentConfig, rng):
         # n_modes counts modes per unit circle size; on the larger circles
         # the scaled count is capped at the band limit by design, so the
         # high-pass ratio is then measured on a full-band draw
-        n_modes = min(int(cfg.n_modes * lam), grid.n // 2 - 1)
+        n_modes = _top_mode(cfg.n_modes, lam, grid.n)
         gs = random_fields(grid, rng, cfg.n_samples, n_modes=n_modes, decay=cfg.decay,
                            amplitude=1.0, normalize="h1", physical_decay=True)
         rows = np.array([g.coeffs for g in gs])

@@ -35,11 +35,14 @@ When nbig > n, real synthesis (``_real_values``) splits the slot n/2
 half-half between +n/2 and -n/2, while complex synthesis
 (``_complex_values``) keeps the whole slot at +n/2; analysis on either path
 folds -n/2 back into +n/2.  Real fields: rfft half spectrum (modes
-0..n/2); complex: padded fft.  The real pair for n modes on nbig points,
-``_real_transforms(n, nbig)``, is built once per size and writes into
-arrays it is given, which lets the solver's flux, built once per equation,
-step with arrays it allocated once; ``_real_values`` and ``_real_coeffs``
-are its allocating calls, the same bit for bit.  ``_real_pair_synthesis``
+0..n/2); complex: padded fft.  The real pair on nbig points,
+``_real_transforms(nbig)``, is the bare transform pair: it writes into
+arrays it is given, takes split input and returns unfolded output.  Its
+allocating calls ``_real_values`` and ``_real_coeffs`` add the split and
+the fold.  The solver's flux, built once per equation, calls the bare pair
+with arrays it allocated once: its state is the split half spectrum
+(``evolve``), and the flux's iq is zero on the slot n/2, where the fold
+would only choose the sign of a zero.  ``_real_pair_synthesis``
 synthesizes two real fields, c and a real even multiplier times c, as the
 real and imaginary parts of one padded complex transform, with the same
 split.  This module's private transforms are the one place that layout
@@ -56,9 +59,9 @@ the factors that ``numpy.fft`` passes for ``norm="forward"`` and an
 bit for bit.  The reason is per-call cost: the solver transforms one row
 of a few hundred points at a time, and there numpy.fft's Python wrapper
 (argument checks, normalization, output allocation) costs more than the
-transform; one 400-point synthesis at n = 256 (``values`` of
-``_real_transforms(256, 400)``) into given arrays took 4.0 us against
-6.8 us through ``numpy.fft.irfft``, best of 7 (numpy 2.4, 2-core Xeon VM).
+transform; one 400-point synthesis at n = 256, with its Nyquist split,
+into given arrays took 4.0 us against 6.8 us through ``numpy.fft.irfft``,
+best of 7 (numpy 2.4, 2-core Xeon VM).
 The module is private to numpy, present in every numpy >= 2.0 but free
 to move: when it lacks one of the five gufuncs, ``_FFTS`` is the public
 ``numpy.fft`` set ``_NUMPY_FFTS``, which the tests also hold the gufunc
@@ -374,45 +377,28 @@ _GUFUNC_FFTS = _gufunc_transforms(getattr(np.fft, "_pocketfft_umath", None))
 _FFTS = _NUMPY_FFTS if _GUFUNC_FFTS is None else _GUFUNC_FFTS
 
 
-def _real_transforms(n: int, nbig: int) -> tuple:
-    """Real synthesis and analysis between half spectra of n modes and nbig >= n
-    points, built once per transform set (``_FFTS`` at the call) and sizes.
+def _real_transforms(nbig: int) -> tuple:
+    """The bare real pair on nbig points, of the transform set ``_FFTS`` at the call.
 
-    ``values(half, out, split)`` writes the values (..., nbig) of half
-    spectra (..., n/2+1) into ``out``, through their Nyquist split, written
-    into ``split`` (half's shape), when nbig > n.  ``coeffs(values, out)``
-    transforms into ``out`` (..., nbig/2+1) and returns the half spectra,
-    its first n/2+1 slots, with -n/2 folded into +n/2.
+    ``values(half, out)`` writes the values (..., nbig) of half spectra
+    (..., n/2+1), n <= nbig, into ``out``, taking them as given: when
+    nbig > n they must already be split (slot n/2 halved, as
+    ``_real_values`` does), since the slot stands for +n/2 alone.
+    ``coeffs(values, out)`` writes the modes 0..nbig/2 into ``out``
+    (..., nbig/2+1) and returns it; its first n/2+1 slots are the half
+    spectrum with -n/2 not folded into +n/2 (``_real_coeffs`` folds it).
     """
-    return _bound_real_transforms(n, nbig, _FFTS)
-
-
-@functools.lru_cache(maxsize=64)
-def _bound_real_transforms(n: int, nbig: int, ffts: _Transforms) -> tuple:
-    irfft, rfft, nyq = ffts.irfft, ffts.sized_rfft(nbig), n // 2
-    if nbig == n:  # no split, and ``out`` holds exactly the n/2+1 modes
-        return (lambda half, out, split: irfft(half, out)), rfft
-    split_nyquist, multiply = _nyquist_split(n), np.multiply
-
-    def values(half, out, split):
-        return irfft(multiply(half, split_nyquist, out=split), out)
-
-    def coeffs(values, out):
-        half = rfft(values, out)[..., : nyq + 1]
-        if half.ndim == 1:  # one field: Python complex beats numpy scalar ops
-            z = half.item(nyq)
-            half[nyq] = z + z.conjugate()
-        else:
-            half[..., nyq] = 2.0 * half[..., nyq].real
-        return half
-
-    return values, coeffs
+    return _FFTS.irfft, _FFTS.sized_rfft(nbig)
 
 
 def _real_values(half: np.ndarray, nbig: int) -> np.ndarray:
-    """Half spectra (..., n/2+1) -> real values (..., nbig), nbig >= n, as a new array."""
-    values, _ = _real_transforms(2 * (half.shape[-1] - 1), nbig)
-    return values(half, np.empty(half.shape[:-1] + (nbig,)), None)
+    """Half spectra (..., n/2+1) -> real values (..., nbig), nbig >= n, as a new
+    array; when nbig > n the slot n/2 is split half-half between +n/2 and -n/2."""
+    n = 2 * (half.shape[-1] - 1)
+    if nbig > n:
+        half = half * _nyquist_split(n)
+    values, _ = _real_transforms(nbig)
+    return values(half, np.empty(half.shape[:-1] + (nbig,)))
 
 
 def _real_pair_synthesis(symbol: np.ndarray, nbig: int, rows: int) -> Callable:
@@ -445,9 +431,17 @@ def _real_pair_synthesis(symbol: np.ndarray, nbig: int, rows: int) -> Callable:
 
 def _real_coeffs(values: np.ndarray, n: int) -> np.ndarray:
     """Real values (..., nbig) -> half spectra (..., n/2+1) of n modes, -n/2 folded into +n/2."""
-    _, coeffs = _real_transforms(n, values.shape[-1])
-    return coeffs(values, np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,),
-                                   dtype=np.complex128))
+    nbig, nyq = values.shape[-1], n // 2
+    _, coeffs = _real_transforms(nbig)
+    half = coeffs(values, np.empty(values.shape[:-1] + (nbig // 2 + 1,),
+                                   dtype=np.complex128))[..., : nyq + 1]
+    if nbig > n:
+        if half.ndim == 1:
+            z = half.item(nyq)
+            half[nyq] = z + z.conjugate()
+        else:
+            half[..., nyq] = 2.0 * half[..., nyq].real
+    return half
 
 
 def _complex_values(coeffs: np.ndarray, nbig: int) -> np.ndarray:

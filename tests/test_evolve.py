@@ -26,7 +26,7 @@ from bosp import (
 from bosp import evolve, experiments, spectral
 from bosp.evolve import _etdrk4_weights
 from bosp.lingroup import group_symbol
-from bosp.spectral import _power, _real_coeffs, _real_values
+from bosp.spectral import _nyquist_split, _power, _real_coeffs, _real_values
 
 from conftest import (advance_reference, coeff_distance, count_transforms, dispatching_flux,
                       nonlinear_reference, solve_batch_reference, symmetry_defect)
@@ -600,15 +600,24 @@ class TestBuiltFlux:
     @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     @pytest.mark.parametrize("equation,k", FLUX_EQUATIONS)
     def test_equals_the_dispatching_flux(self, monkeypatch, transforms, dealias, equation, k):
+        """``_flux`` takes the stepper's split state (slot n/2 halved when
+        nbig > n) and leaves -n/2 unfolded, so it is the dispatching flux of
+        the unsplit state byte for byte on every slot but n/2, and zero there:
+        iq is zero on that slot, and the fold only sets the zero's sign."""
         monkeypatch.setattr(spectral, "_FFTS", getattr(spectral, transforms))
         u0s = [_random_data(equation, seed) for seed in (7, 8, 9)]
         eq = evolve.Equation(u0s[0].grid, equation, k, dealias)
-        stack = np.array([u0.coeffs[: eq.n // 2 + 1] for u0 in u0s])
-        for uhat in (stack[0], stack):
-            out, before = np.empty_like(uhat), uhat.copy()
-            assert eq._flux(uhat, out, eq._work(uhat.shape[:-1])) is out
-            assert out.tobytes() == dispatching_flux(eq, uhat, np.empty_like(uhat)).tobytes()
-            assert np.array_equal(uhat, before)
+        nyq = eq.n // 2
+        stack = np.array([u0.coeffs[: nyq + 1] for u0 in u0s])
+        stack[:, nyq] = 0.25 + stack[:, nyq].real  # a nonzero slot n/2
+        split = stack * _nyquist_split(eq.n) if eq.nbig > eq.n else stack.copy()
+        for uhat, state in ((stack[0], split[0]), (stack, split)):
+            out, before = np.empty_like(uhat), state.copy()
+            assert eq._flux(state, out, eq._work(uhat.shape[:-1])) is out
+            expected = dispatching_flux(eq, uhat, np.empty_like(uhat))
+            assert out[..., :nyq].tobytes() == expected[..., :nyq].tobytes()
+            assert np.all(out[..., nyq] == 0.0)
+            assert np.array_equal(state, before)
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
@@ -821,6 +830,91 @@ class TestMixedDegrees:
         for d in range(3):
             for row, ref in zip(got[4 * d: 4 * d + 4], _alone(u0, cfgs[4 * d: 4 * d + 4], nbig)):
                 _assert_same_result(row, ref)
+
+
+def _nyquist_cfg(scheme, dealias, k=3, dt=4e-3):
+    return SolverConfig("gbo", dt=dt, t_final=20 * dt, k=k, scheme=scheme, dealias=dealias,
+                        sample_stride=5)
+
+
+def _runs_with_references(run, u0s, scheme, dealias, k=3, dt=4e-3):
+    """Pairs (result, ``advance_reference``'s) from u0s under ``_nyquist_cfg``:
+    ``solve`` of u0s[0] (the 1-D state), a ``stack`` of every u0 through
+    ``solve_batch``, or a ``ladder`` of u0s[0], the k = 1 and k = 3 step-halving
+    ladders as one ``_solve_levels`` stack, each row against its degree on the
+    k = 3 grid."""
+    grid, cfg = u0s[0].grid, _nyquist_cfg(scheme, dealias, k, dt)
+    equation = evolve.Equation(grid, "gbo", k, dealias)
+    if run == "solve":
+        return [(_solo(u0s[0], cfg), advance_reference(u0s[:1], cfg, equation)[0])]
+    if run == "stack":
+        return list(zip(solve_batch(u0s, cfg), advance_reference(u0s, cfg, equation)))
+    cfgs = _mixed_ladders(cfg, (1, 3))
+    nbig = evolve.Equation(grid, "gbo", 3, dealias).nbig
+    refs = [advance_reference(u0s[:1], c, evolve.Equation(grid, "gbo", c.k, dealias)._stack(
+        (c.k,), nbig))[0] for c in cfgs]
+    return list(zip(evolve._solve_levels(u0s[0], cfgs), refs))
+
+
+def _with_nyquist(u0, value):
+    coeffs = u0.coeffs.copy()
+    coeffs[u0.grid.n // 2] = value
+    return SpectralField(u0.grid, coeffs)
+
+
+NYQUIST_RUNS = pytest.mark.parametrize("run", ["solve", "stack", "ladder"])
+SCHEMES = pytest.mark.parametrize("scheme", ["if_rk4", "etd_rk4"])
+DEALIAS_RULES = pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
+
+
+@NYQUIST_RUNS
+@SCHEMES
+@DEALIAS_RULES
+class TestNyquistSlot:
+    """The slot n/2 is constant in time, so the stepper halves it (when the
+    flux is padded), guards it and stores it once, on entry."""
+
+    def test_a_nonzero_slot_steps_as_the_reference(self, run, scheme, dealias):
+        u0s = [_with_nyquist(_random_data("gbo", seed), 0.05) for seed in (7, 8, 9)]
+        pairs = _runs_with_references(run, u0s, scheme, dealias)
+        for got, ref in pairs:
+            _assert_same_result(got, ref)
+            assert np.all(got.half_coeffs[:, 16] == 0.05)
+
+    def test_a_slot_above_the_guard_blows_up_at_time_zero(self, run, scheme, dealias):
+        # halved, 1.5e8 is below the guard, and at k = 1 and dt = 1e-7 a field of
+        # that slot alone grows past it only after a few steps: the entry check
+        # finds it, where the first step's check would not
+        good = _random_data("gbo", 8)
+        u0s = [_with_nyquist(0.0 * good, 1.5e8), good]
+        pairs = _runs_with_references(run, u0s, scheme, dealias, k=1, dt=1e-7)
+        for got, ref in pairs if run == "ladder" else pairs[:1]:
+            assert isinstance(got, BlowUpError) and got.last_good_time == 0.0
+            _assert_same_result(got, ref)
+        if run == "stack":
+            _assert_same_result(pairs[1][0], pairs[1][1])
+            _assert_same_result(pairs[1][0], _solo(good, _nyquist_cfg(scheme, dealias, 1, 1e-7)))
+
+    def test_a_negative_zero_slot_stays_negative_zero(self, run, scheme, dealias):
+        u0s = [_with_nyquist(_random_data("gbo", seed), -0.0) for seed in (7, 8, 9)]
+        for got, _ in _runs_with_references(run, u0s, scheme, dealias):
+            slot = got.half_coeffs[:, 16]
+            assert np.all(slot == 0.0) and np.all(np.signbit(slot.real))
+            assert all(np.signbit(f.coeffs[16].real) for f in got)
+
+    def test_a_step_makes_eight_transforms(self, monkeypatch, run, scheme, dealias):
+        calls = count_transforms(monkeypatch)
+        u0s = [_with_nyquist(_random_data("gbo", seed), 0.05) for seed in (7, 8, 9)]
+        cfg = _nyquist_cfg(scheme, dealias)
+        if run == "solve":
+            solve(u0s[0], cfg)
+        elif run == "stack":
+            solve_batch(u0s, cfg)
+        else:  # the finest level's steps, the stack's lockstep
+            evolve._solve_levels(u0s[0], _mixed_ladders(cfg, (1, 3)))
+            cfg = _ladder(cfg)[-1]
+        assert len(calls) == 8 * cfg.n_steps()
+        assert sum(name == "rfft" for name, _, _ in calls) == 4 * cfg.n_steps()
 
 
 class TestDefaultDealias:

@@ -302,6 +302,10 @@ class TestConfig:
         # a circle whose lam ** 2 overflows, in the Strichartz norms' resonance keys
         (["strichartz-scan", "--lambdas", "1,1e160", "--n-samples", "2"],
          "lam must be such that lam ** 2 is finite, got 1e+160"),
+        # a draw count n_modes * lam that overflows, once an OverflowError traceback
+        (["bernstein", "--lambdas", "1,1e308", "--n-samples", "2"],
+         "lambdas entry 1e+308 draws modes up to min(int(n_modes * lam), n/2 - 1) = 127 at "
+         "n_modes = 8, n = 256; the high pass q > 1 needs one above lam = 1e+308"),
         # a circle whose circumference 2 pi lam overflows, which once blamed the data
         (["simulate", "--lam", "1e308"],
          "lam must be finite and positive, with 2 * pi * lam finite, got 1e+308"),

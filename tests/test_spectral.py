@@ -26,8 +26,8 @@ from bosp import (
 )
 
 from bosp.spectral import (_alias_free_points, _complex_coeffs, _complex_values, _lp_norms,
-                           _parseval_norms, _power, _power_steps, _real_coeffs,
-                           _real_transforms, _real_values, _symbol, _values)
+                           _nyquist_split, _parseval_norms, _power, _power_steps,
+                           _real_coeffs, _real_transforms, _real_values, _symbol, _values)
 
 from conftest import coeff_distance, count_transforms, dense_lp, dft_direct, symmetry_defect
 
@@ -190,23 +190,22 @@ class TestTransformSets:
         half, values = cplx(lead + (n // 2 + 1,)), rng.standard_normal(lead + (nbig,))
         cases = [  # kernel, input, size, the call into given arrays (or None: it takes none)
             (_real_values, half, nbig,
-             lambda: _real_transforms(n, nbig)[0](half, np.empty(lead + (nbig,)),
-                                                  np.empty_like(half))),
+             lambda: _real_transforms(nbig)[0](half, np.empty(lead + (nbig,)))),
             (_real_coeffs, values, n,
-             lambda: _real_transforms(n, nbig)[1](
+             lambda: _real_transforms(nbig)[1](
                  values, np.empty(lead + (nbig // 2 + 1,), dtype=complex))),
             (_complex_values, cplx(lead + (n,)), nbig, None),
             (_complex_coeffs, cplx(lead + (nbig,)), n, None),
             (_complex_coeffs, values, n, None),
         ]
         for kernel, data, size, into in cases:
-            got = []
-            for transforms in (spectral._GUFUNC_FFTS, spectral._NUMPY_FFTS):
-                monkeypatch.setattr(spectral, "_FFTS", transforms)
-                got.append(kernel(data, size))
-                if into is not None:
-                    got.append(into())
-            assert all(np.array_equal(other, got[0]) for other in got[1:]), kernel.__name__
+            calls = [lambda: kernel(data, size)] + ([into] if into is not None else [])
+            for call in calls:  # each against itself: the bare pair neither splits nor folds
+                got = []
+                for transforms in (spectral._GUFUNC_FFTS, spectral._NUMPY_FFTS):
+                    monkeypatch.setattr(spectral, "_FFTS", transforms)
+                    got.append(call())
+                assert np.array_equal(got[1], got[0]), kernel.__name__
 
 
 class TestHilbert:
@@ -667,20 +666,27 @@ class TestPaddedTransformProperties:
     @pytest.mark.parametrize("pad", [1, 4])
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_real_kernels_write_into_out_as_they_allocate(self, rng, pad, lead):
-        n = 32
+        """The bare pair takes split input and gives unfolded output; the
+        allocating kernels add the split and the fold, bit for bit."""
+        n, nyq = 32, 16
         nbig = pad * n
         half = rng.standard_normal(lead + (n // 2 + 1,)) + 1j * rng.standard_normal(
             lead + (n // 2 + 1,))
-        before = half.copy()
-        out, split = np.empty(lead + (nbig,)), np.empty_like(half)
-        values, coeffs = _real_transforms(n, nbig)
-        vals = values(half, out, split)
+        half[..., nyq] = half[..., nyq].real
+        split = half * _nyquist_split(n) if nbig > n else half
+        before = split.copy()
+        out = np.empty(lead + (nbig,))
+        values, coeffs = _real_transforms(nbig)
+        vals = values(split, out)
         assert vals is out and np.array_equal(vals, _real_values(half, nbig))
-        assert np.array_equal(half, before)
+        assert np.array_equal(split, before)
         spec = np.empty(lead + (nbig // 2 + 1,), dtype=complex)
-        half_spec = coeffs(vals * vals, spec)
-        assert np.shares_memory(half_spec, spec)
-        assert np.array_equal(half_spec, _real_coeffs(vals * vals, n))
+        unfolded = coeffs(vals * vals, spec)
+        assert unfolded is spec
+        folded = _real_coeffs(vals * vals, n)
+        assert np.array_equal(unfolded[..., :nyq], folded[..., :nyq])
+        assert np.array_equal(2.0 * unfolded[..., nyq].real if nbig > n else unfolded[..., nyq],
+                              folded[..., nyq])
 
     @PROPERTY
     @given(f=fields(), pad=PADS)

@@ -35,40 +35,41 @@ per equation (or stack of degrees, ``Equation._stack``), which writes into
 caller-owned arrays; ``nonlinear`` (so ``rhs``) is its allocating case.
 
 Solver state is the split rfft half spectrum: modes m = 0, 1, ..., n/2 of
-a real field, the negative modes being their conjugates, with the slot n/2
-halved when the flux is padded (``Equation.nbig`` > n).  The imaginary
-parts of the mean and Nyquist slots are zeroed once on entry; the odd
-symbols (iq, the bo group symbol) vanish on the Nyquist slot, so it is
-constant in time.  So ``_advance`` halves it, checks it against the
-blow-up guard and writes it into every stored state once, on entry, and
-the flux synthesizes the state as it is with the bare transform pair of
-``spectral`` (``_real_transforms``), which owns the zero-padding: the
-state is already split, and the fold of -n/2 into +n/2 after analysis is
-left out, since iq, so the flux, is zero on that slot whatever the fold
-writes there.  The stored states are the rows of the trajectory's
-half-spectrum stack, unsplit; indexing the Trajectory expands a row to the
-full transform-order SpectralField, exactly conjugate symmetric.
+a real field, the negative modes being their conjugates, split as real
+synthesis takes it (``spectral._split``: the slot n/2 halved when the flux
+is padded, ``Equation.nbig`` > n).  The imaginary parts of the mean and
+Nyquist slots are zeroed once on entry; the odd symbols (iq, the bo group
+symbol) vanish on the Nyquist slot, so it is constant in time.  So
+``_advance`` checks it against the blow-up guard, writes it into every
+stored state and splits the state once, on entry, and the flux
+synthesizes the state as it is with the bare transform pair of
+``spectral`` (``_real_transforms``), which owns the zero-padding; the fold
+of -n/2 into +n/2 after analysis is left out, since iq, so the flux, is
+zero on that slot whatever the fold writes there.  The stored states are
+the rows of the trajectory's half-spectrum stack, unsplit; indexing the
+Trajectory expands a row to the full transform-order SpectralField,
+exactly conjugate symmetric.
 
-The state is a ``(..., n/2+1)`` stack: ``solve_batch`` advances B fields
-on one grid under one SolverConfig as a ``(B, n/2+1)`` array, and ``solve``
-is its one-field case with a 1-D ``(n/2+1,)`` state.  ``_solve_levels``
-steps one field under several configs that differ in dt, step count or
-sample stride (a step-halving ladder: ``convergence_order`` and the order
-study of ``experiments``' conservation) as one stack too: the levels step
-in lockstep, each row with its own step constants, and a level leaves the
-stack once its steps are done, the last one of a single degree stepping as
-a 1-D state.  The ladders of several degrees k of one equation (the order
-study's ``e_ks``) share that stack when every degree has the same ladder:
-the rows go level-major, degree-minor, on the largest degree's alias-free
-grid, where every degree's flux is exact, and one inverse and one forward
-transform per stage serve them all.  Rows never mix (every transform and
-product acts along the last axis), so each row is bit-for-bit the
-single-field solution on the stack's grid: a one-degree stack's rows are
-``solve``'s, and a smaller degree's rows move by round-off from its own
-grid's.  A row blows up when, after a step, one of its modes is non-finite
-or exceeds the magnitude guard: that row reports ``BlowUpError`` with its
-time before the step and is set to zero, which the equations keep exactly
-zero, and the other rows go on.
+The stepper has one way in, ``_solve``, which steps row j as field j under
+config j: ``solve_batch`` is its case of one config (B fields on one grid
+as a ``(B, n/2+1)`` stack), ``solve`` that of one field, and
+``convergence_order`` and the order study of ``experiments``' conservation
+pass one field under a step-halving ladder of configs that differ in dt,
+step count or sample stride.  The rows step in lockstep, each with its own
+step constants, and a level leaves the stack once its steps are done, the
+last row stepping as a 1-D ``(n/2+1,)`` state.  The ladders of several
+degrees k of one equation (the order study's ``e_ks``) share that stack
+when every degree has the same ladder: the rows go level-major,
+degree-minor, on the largest degree's alias-free grid, where every
+degree's flux is exact, and one inverse and one forward transform per
+stage serve them all.  Rows never mix (every transform and product acts
+along the last axis), so each row is bit-for-bit the single-field solution
+on the stack's grid: a one-degree stack's rows are ``solve``'s, and a
+smaller degree's rows move by round-off from its own grid's.  A row blows
+up when, after a step, one of its modes is non-finite or exceeds the
+magnitude guard: that row reports ``BlowUpError`` with its time before the
+step and is set to zero, which the equations keep exactly zero, and the
+other rows go on.
 
 A step allocates no stack-sized array.  Each stack (each phase of a
 ladder's stack, between two levels leaving it) gets its stage arrays, a
@@ -97,8 +98,7 @@ from .errors import BlowUpError
 from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, Trajectory, _Rule,
                        _alias_free_points, _check_equation, _check_one_grid, _check_real,
                        _check_values, _check_zero_mean, _choice, _finite, _full_spectrum,
-                       _integer, _nyquist_split, _power_steps, _real_transforms, _row_chunks,
-                       _symbol)
+                       _integer, _power_steps, _real_transforms, _row_chunks, _split, _symbol)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
@@ -298,8 +298,7 @@ class Equation:
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         """The dealiased flux of a half-spectrum stack (..., n/2+1), as a new
         array: ``_flux`` of its split copy (slot n/2 halved when nbig > n)."""
-        split = uhat * _nyquist_split(self.n) if self.nbig > self.n else uhat
-        return self._flux(split, np.empty(uhat.shape, dtype=np.complex128),
+        return self._flux(_split(uhat, self.nbig), np.empty(uhat.shape, dtype=np.complex128),
                           self._work(uhat.shape[:-1]))
 
     def rhs(self, uhat: np.ndarray) -> np.ndarray:
@@ -340,34 +339,36 @@ def solve_batch(u0s, cfg: SolverConfig) -> list:
     Returns one entry per field, in order: its Trajectory, or the
     BlowUpError (carrying the last good time) of a row that blew up; the
     other rows are unaffected.  The fields must share one grid and meet
-    ``solve``'s conditions, all checked before any step.  The rows are
-    stepped in stacks of at most ``spectral._STACK_POINTS`` padded points,
-    which keeps a stack's work arrays in cache and its memory bounded.
+    ``solve``'s conditions, all checked before any step: this is
+    ``_solve`` under one config.
     """
     u0s = list(u0s)
+    return _solve(u0s, [cfg] * len(u0s))
+
+
+def _solve(u0s: list, cfgs: list) -> list:
+    """The one way into the stepper: entry j is the Trajectory or BlowUpError
+    of ``u0s[j]`` under ``cfgs[j]``, as ``solve`` gives it on the stack's grid.
+
+    The fields are checked first (one grid, real, zero mean for the
+    renormalized equation), then the configs: they share equation, scheme
+    and dealias, and each degree k has one ladder, the same dt, step count
+    and ``sample_stride`` in the same order (its configs in the order
+    given).  The stack is formed on the largest degree's ``Equation.nbig``
+    points, so the rows of the largest degree are bit for bit ``solve``'s
+    and a smaller degree's move by round-off.  The rows go level-major,
+    degree-minor (row i of degree ``ks[i % D]``, ks ascending, D of them) in
+    ascending step count, through ``_advance`` in stacks of at most
+    ``spectral._STACK_POINTS`` padded points, each of whole levels.
+    """
     if not u0s:
         return []
-    return _stacks(u0s, [cfg] * len(u0s), _checked_equation(u0s, cfg))
-
-
-def _solve_levels(u0: SpectralField, cfgs: list) -> list:
-    """Integrate u0 under each of cfgs as one stack: entry j is its Trajectory
-    or BlowUpError under ``cfgs[j]``, as ``solve`` gives it on the stack's grid.
-
-    The configs must share equation, scheme and dealias.  Their degrees k
-    may differ when each degree has one ladder: the same dt, step count and
-    ``sample_stride``, in the same order (its configs in the order given).
-    The stack is formed on the largest degree's ``Equation.nbig`` points,
-    where every degree's flux is exact, so the rows of the largest degree
-    are bit for bit ``solve``'s and a smaller degree's rows are its solve on
-    that grid, which moves them by round-off.  The rows go level-major,
-    degree-minor (row i of degree ``ks[i % D]``, ks ascending, D of them),
-    step in lockstep in ascending step count, and a level's D rows leave
-    the stack once its steps are done, so a step-halving ladder of D
-    degrees makes one transform call where separate solves make one per
-    level and degree.
-    """
+    grid = _check_one_grid(u0s, "solve")
+    coeffs = np.array([u0.coeffs for u0 in u0s])
+    _check_real(coeffs, "solve")
     first = cfgs[0]
+    if first.equation == "renormalized_gbo":
+        _check_zero_mean(coeffs, "the renormalized equation")
     for cfg in cfgs:
         if (cfg.equation, cfg.scheme, cfg.dealias) != (first.equation, first.scheme,
                                                        first.dealias):
@@ -384,29 +385,12 @@ def _solve_levels(u0: SpectralField, cfgs: list) -> list:
                              f"steps {rungs[0]}")
     levels = sorted(range(len(rungs[0])), key=lambda j: rungs[0][j][1])
     order = [ladder[j] for j in levels for ladder in ladders]
-    top = _checked_equation([u0], replace(first, k=ks[-1]))
-    stepped = dict(zip(order, _stacks([u0] * len(cfgs), [cfgs[j] for j in order],
-                                      top._stack(ks, top.nbig))))
-    return [stepped[j] for j in range(len(cfgs))]
-
-
-def _checked_equation(u0s: list, cfg: SolverConfig) -> Equation:
-    """The Equation of cfg on the fields' one grid, once every field meets
-    ``solve``'s conditions."""
-    grid = _check_one_grid(u0s, "solve")
-    coeffs = np.array([u0.coeffs for u0 in u0s])
-    _check_real(coeffs, "solve")
-    if cfg.equation == "renormalized_gbo":
-        _check_zero_mean(coeffs, "the renormalized equation")
-    return Equation(grid, cfg.equation, cfg.k, cfg.dealias)
-
-
-def _stacks(u0s: list, cfgs: list, equation: Equation) -> list:
-    """``_advance`` over stacks of at most ``spectral._STACK_POINTS`` padded
-    points, each of whole groups of ``len(equation.ks)`` rows, so no level's
-    degrees are split."""
-    return [result for rows in _row_chunks(len(u0s), equation.nbig, len(equation.ks))
-            for result in _advance(u0s[rows], cfgs[rows], equation)]
+    top = Equation(grid, first.equation, ks[-1], first.dealias)
+    equation = top if len(ks) == 1 else top._stack(ks, top.nbig)
+    stepped = [result for rows in _row_chunks(len(order), equation.nbig, len(ks))
+               for result in _advance([u0s[j] for j in order[rows]],
+                                      [cfgs[j] for j in order[rows]], equation)]
+    return [stepped[i] for i in np.argsort(order)]
 
 
 def _step_constants(group_sym: np.ndarray, dt: float, if_rk4: bool) -> tuple:
@@ -422,7 +406,8 @@ def _step_constants(group_sym: np.ndarray, dt: float, if_rk4: bool) -> tuple:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
-    """The stepping loop over one stack of checked fields, row i under ``cfgs[i]``.
+    """The stepping loop over one stack of fields that ``_solve`` checked and
+    ordered, row i under ``cfgs[i]``.
 
     The configs share ``equation``'s tag and dealias and one scheme; row i
     has degree ``equation.ks[i % D]``, D = len(ks).  They come in ascending
@@ -448,9 +433,9 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
     there), so it is settled on entry: a row whose slot n/2 exceeds the
     magnitude guard blows up at time 0, as its first step would find; each
     level's history takes the entry value of that slot at every stored
-    step, so a step writes only the modes below it; and when the flux is
-    padded (nbig > n) the state's slot n/2 is halved, the split that the
-    flux's synthesis takes as given.
+    step, so a step writes only the modes below it; and the state becomes
+    its ``spectral._split``, the split that the flux's synthesis takes as
+    given.
     """
     grid, n = equation.grid, equation.n
     flux, group_sym = equation._flux, equation.symbol
@@ -477,18 +462,18 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
         history[:, 1:, nyq] = state[first: first + rows, nyq, None]
         levels.append((cfg, first, rows, times, history))
         first += rows
-    if equation.nbig > n:
-        state[:, nyq] *= 0.5
+    state = _split(state, equation.nbig)
 
     done = 0
     for phase, (cfg, lo, _, _, _) in enumerate(levels):
         if None not in results[lo:]:
             break
-        # one field keeps a 1-D state: the kernels' fast path for a single row.
-        # Kept apart on purpose: on a 2-core Xeon VM, a one-row (1, n/2+1) stack
-        # made a 10^4-step n = 256 gbo solve (400-point flux rows; the
-        # conservation reference run when it stepped at dt = 1e-4) slower in 9 of
-        # 10 alternating in-process pairs (median 1.06 s -> 1.46 s).
+        # one field keeps a 1-D state: a 1-D constant (ehalf, efull, ..., the
+        # flux's iq) times a (1, n/2+1) row takes numpy's broadcasting loop, at
+        # n = 256 0.84 us a product against 0.44 us for two 1-D rows (numpy 2.4,
+        # 2-core Xeon VM).  A one-row stack made the 1000-step n = 256
+        # conservation reference solve slower in 10 of 12 alternating pairs
+        # (best of 9 each, median 44.2 -> 49.5 ms).
         uhat = state[lo] if lo == len(u0s) - 1 else state[lo:]
         if len(set(dts[lo:])) == 1:
             step_constants = constants[dts[lo]]
@@ -597,7 +582,7 @@ def convergence_order(u0: SpectralField, cfg: SolverConfig, n_levels: int = 4) -
     cfgs = [replace(cfg, dt=cfg.dt / (2 ** lvl), sample_stride=base_steps * 2 ** lvl)
             for lvl in range(n_levels)]
     finals = []
-    for result in _solve_levels(u0, cfgs):
+    for result in _solve([u0] * n_levels, cfgs):
         if isinstance(result, BlowUpError):
             raise result
         finals.append(result[-1])

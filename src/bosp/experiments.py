@@ -67,7 +67,7 @@ import numpy as np
 from . import ensembles, evolve, lingroup, spectral
 from .errors import BlowUpError, ConfigError
 from .ensembles import _fields_from_normals, random_fields
-from .evolve import SolverConfig, _solve_levels, convergence_order, solve, solve_batch
+from .evolve import SolverConfig, _solve, convergence_order, solve, solve_batch
 from .gauge import _frames, gauge_residual_batch
 from .invariants import dilate, drift_report, invariant, xnorm, xnorm_series
 from .lingroup import strichartz_norms
@@ -508,8 +508,8 @@ def _run_conservation(cfg: ExperimentConfig, rng):
             rec["degenerate"] = True  # zero data: every relative drift is 0/0
         return records, {}
     # every level of every degree steps as one stack
-    results = _solve_levels(profile, [cfg.solvers[_energy_level(k, j)]
-                                      for k in cfg.e_ks for j in range(_ORDER_LEVELS)])
+    solvers = [cfg.solvers[_energy_level(k, j)] for k in cfg.e_ks for j in range(_ORDER_LEVELS)]
+    results = _solve([profile] * len(solvers), solvers)
     for i, rec in enumerate(studies):
         levels = results[i * _ORDER_LEVELS: (i + 1) * _ORDER_LEVELS]
         blown = [r for r in levels if isinstance(r, BlowUpError)]
@@ -546,18 +546,21 @@ def _run_gauge_residual(cfg: ExperimentConfig, rng):
     return records, {}
 
 
+def _per_lambda(cfg: ExperimentConfig, draw) -> tuple:
+    """The records {lam, sample_index, inputs_hash, ratio} of each lam of
+    ``cfg.lambdas`` in turn, ``draw(grid)`` giving the fields it drew on that
+    lam's grid and their ratios."""
+    return [{"lam": float(lam), "sample_index": i, "inputs_hash": _hash_field(f), "ratio": r}
+            for lam in cfg.lambdas
+            for i, (f, r) in enumerate(zip(*draw(PeriodicGrid(lam, cfg.n))))], {}
+
+
 def _run_strichartz(cfg: ExperimentConfig, rng):
-    records = []
-    for lam in cfg.lambdas:
-        grid = PeriodicGrid(lam, cfg.n)
+    def draw(grid):
         phis = random_fields(grid, rng, cfg.n_samples, n_modes=cfg.n_modes, decay=cfg.decay,
                              amplitude=1.0, normalize="l2")
-        for i, (phi, val) in enumerate(zip(phis, strichartz_norms(phis, cfg.horizon))):
-            records.append({
-                "lam": float(lam), "sample_index": i,
-                "inputs_hash": _hash_field(phi), "ratio": val,
-            })
-    return records, {}
+        return phis, strichartz_norms(phis, cfg.horizon)
+    return _per_lambda(cfg, draw)
 
 
 def _run_flowmap(cfg: ExperimentConfig, rng):
@@ -671,25 +674,19 @@ def _run_estimate_monitor(cfg: ExperimentConfig, rng):
 
 
 def _run_bernstein(cfg: ExperimentConfig, rng):
-    records = []
-    for lam in cfg.lambdas:
-        grid = PeriodicGrid(lam, cfg.n)
+    def draw(grid):
         # n_modes counts modes per unit circle size; on the larger circles
         # the scaled count is capped at the band limit by design, so the
         # high-pass ratio is then measured on a full-band draw
-        n_modes = _top_mode(cfg.n_modes, lam, grid.n)
+        n_modes = _top_mode(cfg.n_modes, grid.lam, grid.n)
         gs = random_fields(grid, rng, cfg.n_samples, n_modes=n_modes, decay=cfg.decay,
                            amplitude=1.0, normalize="h1", physical_decay=True)
         rows = np.array([g.coeffs for g in gs])
         # sup norms of the one-sided high pass P_{q > 1} (complex) and of d_x (real)
         nums = _lp_norms(np.where(grid.freqs > 1.0, rows, 0.0), grid, np.inf)
         dens = _lp_norms(_symbol(grid, "d_dx") * rows, grid, np.inf)
-        for i, (g, num, den) in enumerate(zip(gs, nums, dens)):
-            records.append({
-                "lam": float(lam), "sample_index": i,
-                "inputs_hash": _hash_field(g), "ratio": float(num / den),
-            })
-    return records, {}
+        return gs, [float(num / den) for num, den in zip(nums, dens)]
+    return _per_lambda(cfg, draw)
 
 
 # ---------------------------------------------------------------------------

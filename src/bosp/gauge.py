@@ -191,10 +191,11 @@ class _Frame:
     ``_frame_points(n, k)`` of the frame grid; the frame holds the gbo data
     of degree k, bo as k = 1.  ``v_vals``, ``vx_vals``, ``vk_vals`` and
     ``mvk_vals`` are the (B, points) values of v, v_x, v^k and M(v^k),
-    ``F`` the rows of the primitive of M(v^k) (at k = 1 of v's own rows, no
-    transform), ``E`` the values of e^{-iF}, ``plus_Ev`` the rows of
-    P_+(e^{-iF} v) and ``w`` those of the filtered variable.  All but ``F``
-    and ``E`` are computed on first use: ``gauge_lipschitz_gap`` reads ``E``.
+    ``p0_m2`` the (B, 1) column P_0(M(v^k)^2), ``F`` the rows of the
+    primitive of M(v^k) (at k = 1 of v's own rows, no transform), ``E`` the
+    values of e^{-iF}, ``plus_Ev`` the rows of P_+(e^{-iF} v) and ``w``
+    those of the filtered variable.  All but ``F`` and ``E`` are computed on
+    first use: ``gauge_lipschitz_gap`` reads ``E``.
     """
 
     def __init__(self, coeffs: np.ndarray, grid: PeriodicGrid, variant: str, k: int):
@@ -218,6 +219,10 @@ class _Frame:
     @functools.cached_property
     def mvk_vals(self) -> np.ndarray:
         return self.vk_vals - np.mean(self.vk_vals, axis=-1, keepdims=True)
+
+    @functools.cached_property
+    def p0_m2(self) -> np.ndarray:
+        return np.mean(self.mvk_vals ** 2, axis=-1, keepdims=True)
 
     @functools.cached_property
     def plus_Ev(self) -> np.ndarray:
@@ -294,22 +299,20 @@ def rhs_gbo_terms(v: SpectralField, k: int) -> GboTerms:
 
 def _rhs_gbo(fr: _Frame) -> tuple:
     """The rows of the a, b, c and d terms, each factor projected on its own."""
-    p0_m2, factors = _gbo_factors(fr)
-    a = 1j * p0_m2 * fr.plus_Ev
+    a, factors = _gbo_factors(fr)
     b, c, *d = (_plus(fr.E * factor, fr.grid) for factor in factors)
     return a, b, c, d[0] if d else np.zeros_like(a)
 
 
 def _gbo_factors(fr: _Frame) -> tuple:
-    """p0_m2 = P_0(M(v^k)^2) as a (B, 1) column, and the factors of the b, c and d terms.
+    """The rows of the a term i p0_m2 P_+(e^{-iF} v), and the factors of the b,
+    c and d terms.
 
-    The a term is i p0_m2 P_+(e^{-iF} v).  Each factor X is a (B, points)
-    array of values on the frame grid whose P_+(e^{-iF} X) is its term; d
-    has none at k = 1.
+    Each factor X is a (B, points) array of values on the frame grid whose
+    P_+(e^{-iF} X) is its term; d has none at k = 1.
     """
     k, grid, points, v_vals = fr.k, fr.grid, fr.points, fr.v_vals
     vx = _symbol(grid, "d_dx") * fr.coeffs
-    p0_m2 = np.mean(fr.mvk_vals ** 2, axis=-1, keepdims=True)
     factors = [-2j * _minus_vals(_symbol(grid, "d_dx", 2) * fr.coeffs, grid, points)]
     g = _power(v_vals, k - 1) * _minus_vals(vx, grid, points)
     factors.append((-2.0 * k) * v_vals * (g - np.mean(g, axis=-1, keepdims=True)))
@@ -318,7 +321,7 @@ def _gbo_factors(fr: _Frame) -> tuple:
         base = _power(v_vals, k - 2) * fr.vx_vals * hvx_vals
         h = _primitive(_real_rows(base, grid.n), grid)
         factors.append((-1j * k * (k - 1)) * v_vals * _real_vals(h, points))
-    return p0_m2, factors
+    return 1j * fr.p0_m2 * fr.plus_Ev, factors
 
 
 def _residual(fr: _Frame, Ev_t=0.0) -> np.ndarray:
@@ -328,13 +331,13 @@ def _residual(fr: _Frame, Ev_t=0.0) -> np.ndarray:
     ``Ev_t`` is the values of e^{iF} d_t(e^{-iF} v) (the gbo w_t is P_+ of
     e^{-iF} times them): the trajectory residual passes none, and adds the
     rows to its stencil's w_t."""
-    p0_m2, factors = _gbo_factors(fr)
+    a, factors = _gbo_factors(fr)
     for factor in factors:
         Ev_t -= factor
     # Ev_t is named, not inline: numpy would multiply E into a large temporary
     # in place, with the complex operands swapped, which rounds differently.
     iwxx = 1j * (_symbol(fr.grid, "d_dx", 2) * fr.plus_Ev)
-    return fr.of_variant(_plus(fr.E * Ev_t, fr.grid) - iwxx - 1j * p0_m2 * fr.plus_Ev)
+    return fr.of_variant(_plus(fr.E * Ev_t, fr.grid) - iwxx - a)
 
 
 @dataclass(frozen=True)

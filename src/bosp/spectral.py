@@ -31,8 +31,9 @@ are formed from the frequencies where they are used.
 
 Products and quadratures are formed on a zero-padded grid of nbig >= n
 points (Boyd, *Chebyshev and Fourier Spectral Methods*, 2001, ch. 11).
-When nbig > n, real synthesis (``_real_values``) splits the slot n/2
-half-half between +n/2 and -n/2, while complex synthesis
+When nbig > n, real synthesis splits the slot n/2 half-half between +n/2
+and -n/2, by one rule, ``_split``, which ``_real_values``, the solver's
+state and its allocating flux apply; complex synthesis
 (``_complex_values``) keeps the whole slot at +n/2; analysis on either path
 folds -n/2 back into +n/2.  Real fields: rfft half spectrum (modes
 0..n/2); complex: padded fft.  The real pair on nbig points,
@@ -40,15 +41,15 @@ folds -n/2 back into +n/2.  Real fields: rfft half spectrum (modes
 arrays it is given, takes split input and returns unfolded output.  Its
 allocating calls ``_real_values`` and ``_real_coeffs`` add the split and
 the fold.  The solver's flux, built once per equation, calls the bare pair
-with arrays it allocated once: its state is the split half spectrum
+with arrays it allocated once: its state is split once, on entry
 (``evolve``), and the flux's iq is zero on the slot n/2, where the fold
 would only choose the sign of a zero.  ``_real_pair_synthesis``
 synthesizes two real fields, c and a real even multiplier times c, as the
 real and imaginary parts of one padded complex transform, with the same
-split.  This module's private transforms are the one place that layout
-lives; the solver, the invariants and the gauge frames call them on stacks
-of shape (..., n/2+1) or (..., n), and the exact L^4 resonance sum in
-``lingroup`` places the slot n/2 the same way.
+split.  This module's private transforms and ``_split`` are the one place
+that layout lives; the solver, the invariants and the gauge frames call
+them on stacks of shape (..., n/2+1) or (..., n), and the exact L^4
+resonance sum in ``lingroup`` places the slot n/2 the same way.
 
 The real pair, the paired synthesis and the kernels ``_complex_values`` and
 ``_complex_coeffs`` make the library's only transforms, through the set
@@ -382,8 +383,8 @@ def _real_transforms(nbig: int) -> tuple:
 
     ``values(half, out)`` writes the values (..., nbig) of half spectra
     (..., n/2+1), n <= nbig, into ``out``, taking them as given: when
-    nbig > n they must already be split (slot n/2 halved, as
-    ``_real_values`` does), since the slot stands for +n/2 alone.
+    nbig > n they must already be split (their ``_split``), since the slot
+    stands for +n/2 alone.
     ``coeffs(values, out)`` writes the modes 0..nbig/2 into ``out``
     (..., nbig/2+1) and returns it; its first n/2+1 slots are the half
     spectrum with -n/2 not folded into +n/2 (``_real_coeffs`` folds it).
@@ -391,14 +392,19 @@ def _real_transforms(nbig: int) -> tuple:
     return _FFTS.irfft, _FFTS.sized_rfft(nbig)
 
 
+def _split(half: np.ndarray, nbig: int) -> np.ndarray:
+    """Half spectra (..., n/2+1) as real synthesis on nbig >= n points takes
+    them: when nbig > n, a new array whose slot n/2 is halved, its two halves
+    standing for +n/2 and -n/2; else ``half`` itself."""
+    n = 2 * (half.shape[-1] - 1)
+    return half * _nyquist_split(n) if nbig > n else half
+
+
 def _real_values(half: np.ndarray, nbig: int) -> np.ndarray:
     """Half spectra (..., n/2+1) -> real values (..., nbig), nbig >= n, as a new
-    array; when nbig > n the slot n/2 is split half-half between +n/2 and -n/2."""
-    n = 2 * (half.shape[-1] - 1)
-    if nbig > n:
-        half = half * _nyquist_split(n)
+    array, synthesized from their ``_split``."""
     values, _ = _real_transforms(nbig)
-    return values(half, np.empty(half.shape[:-1] + (nbig,)))
+    return values(_split(half, nbig), np.empty(half.shape[:-1] + (nbig,)))
 
 
 def _real_pair_synthesis(symbol: np.ndarray, nbig: int, rows: int) -> Callable:
@@ -411,7 +417,7 @@ def _real_pair_synthesis(symbol: np.ndarray, nbig: int, rows: int) -> Callable:
 
     Mode m >= 0 of u + iv is (1 + i symbol) c_m and mode -m is
     (1 + i symbol) conj(c_m), with the slot n/2 split half-half between
-    +n/2 and -n/2 as ``_real_values`` splits it; the modes between stay
+    +n/2 and -n/2 as ``_split`` splits it; the modes between stay
     zero.  The spectrum and the values are arrays allocated once, so each
     call overwrites the values the last one returned.  Each part matches
     the real synthesis of its field to round-off, not bit for bit.
@@ -436,11 +442,7 @@ def _real_coeffs(values: np.ndarray, n: int) -> np.ndarray:
     half = coeffs(values, np.empty(values.shape[:-1] + (nbig // 2 + 1,),
                                    dtype=np.complex128))[..., : nyq + 1]
     if nbig > n:
-        if half.ndim == 1:
-            z = half.item(nyq)
-            half[nyq] = z + z.conjugate()
-        else:
-            half[..., nyq] = 2.0 * half[..., nyq].real
+        half[..., nyq] = 2.0 * half[..., nyq].real
     return half
 
 

@@ -222,7 +222,7 @@ def test_a_run_solves_with_the_settings_its_config_built(name, monkeypatch):
     def solved(u0, solver, *args):
         raise _Solved(solver)
 
-    for fn in ("solve", "solve_batch", "_solve_levels", "convergence_order"):
+    for fn in ("solve", "solve_batch", "_solve", "convergence_order"):
         monkeypatch.setattr(experiments, fn, solved)
     monkeypatch.setattr(experiments, "SolverConfig",
                         lambda *a, **kw: pytest.fail("solver settings built at run time"))

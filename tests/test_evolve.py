@@ -661,6 +661,11 @@ def _solo(u0, cfg):
         return exc
 
 
+def _one_field(u0, cfgs):
+    """u0 under each of cfgs, stepped through the stepper's one entry."""
+    return evolve._solve([u0] * len(cfgs), cfgs)
+
+
 def _assert_same_result(got, ref):
     if isinstance(ref, BlowUpError):
         assert isinstance(got, BlowUpError) and got.last_good_time == ref.last_good_time
@@ -683,15 +688,30 @@ class TestSolveLevels:
         # longer level that steps alone (the one-row state) at the end
         cfgs = _ladder(cfg)[::-1] + [dataclasses.replace(cfg, sample_stride=10),
                                      dataclasses.replace(cfg, dt=1e-3, t_final=0.12)]
-        for got, level in zip(evolve._solve_levels(u0, cfgs), cfgs):
+        for got, level in zip(_one_field(u0, cfgs), cfgs):
             _assert_same_result(got, solve(u0, level))
+
+    def test_each_row_is_its_field_under_its_config(self):
+        # three fields under a ladder's three levels, given out of step order
+        u0s = [_random_data("gbo", seed) for seed in (7, 8, 9)]
+        cfgs = _ladder(SolverConfig("gbo", dt=4e-3, t_final=0.08, sample_stride=5))[::-1]
+        for got, u0, cfg in zip(evolve._solve(u0s, cfgs), u0s, cfgs):
+            _assert_same_result(got, solve(u0, cfg))
+
+    def test_fields_are_checked_before_configs(self):
+        # as solve_batch checks them: a complex field's error, not the scheme's
+        u0 = _random_data("gbo")
+        cfg = SolverConfig("gbo", dt=0.01, t_final=0.02)
+        with pytest.raises(ValueError, match="solve needs real fields: field 1 is complex"):
+            evolve._solve([u0, SpectralField(u0.grid, 1j * u0.coeffs)],
+                          [cfg, dataclasses.replace(cfg, scheme="etd_rk4")])
 
     @pytest.mark.parametrize("dt, blown", [(0.005, [0]), (0.01, [0, 1]), (0.02, [0, 1, 2])])
     def test_a_blown_level_reports_its_own_last_good_time(self, dt, blown):
         # gbo k = 3 from 1.5 cos x blows up at coarse steps and not at fine ones
         u0 = 1.5 * SpectralField.from_function(PeriodicGrid(1.0, 64), np.cos)
         cfgs = _ladder(SolverConfig("gbo", k=3, dt=dt, t_final=2.0, sample_stride=10))
-        results = evolve._solve_levels(u0, cfgs)
+        results = _one_field(u0, cfgs)
         assert [isinstance(r, BlowUpError) for r in results] == [j in blown for j in range(3)]
         for got, cfg in zip(results, cfgs):
             _assert_same_result(got, _solo(u0, cfg))
@@ -701,7 +721,7 @@ class TestSolveLevels:
         u0 = 1.5 * SpectralField.from_function(PeriodicGrid(1.0, 64), np.cos)
         cfg = SolverConfig("gbo", k=3, dt=0.005, t_final=1.0, sample_stride=10)
         cfgs = [cfg, dataclasses.replace(cfg, t_final=0.4)]
-        results = evolve._solve_levels(u0, cfgs)
+        results = _one_field(u0, cfgs)
         assert isinstance(results[0], BlowUpError) and 0.5 < results[0].last_good_time < 0.6
         for got, level in zip(results, cfgs):
             _assert_same_result(got, _solo(u0, level))
@@ -713,7 +733,7 @@ class TestSolveLevels:
         u0 = _random_data("gbo")
         cfgs = _ladder(SolverConfig("gbo", dt=4e-3, t_final=0.08, dealias="two_thirds",
                                     sample_stride=5), levels=4)
-        for got, cfg in zip(evolve._solve_levels(u0, cfgs), cfgs):
+        for got, cfg in zip(_one_field(u0, cfgs), cfgs):
             _assert_same_result(got, solve(u0, cfg))
 
     @pytest.mark.parametrize("key, value", [("equation", "bo2"), ("scheme", "etd_rk4"),
@@ -722,7 +742,7 @@ class TestSolveLevels:
         cfg = SolverConfig("gbo", dt=0.01, t_final=0.02)
         cfgs = [cfg, dataclasses.replace(cfg, **{key: value})]
         with pytest.raises(ValueError, match="must share equation, scheme and dealias"):
-            evolve._solve_levels(_random_data("gbo"), cfgs)
+            _one_field(_random_data("gbo"), cfgs)
 
     def test_conservation_steps_each_order_study_as_one_stack(self, monkeypatch):
         # 8 transforms per step of one stack: 6 rows (3 levels x 2 degrees) x 250
@@ -752,7 +772,7 @@ def _mixed_ladders(cfg, ks, levels=3):
 def _alone(u0, cfgs, nbig):
     """One degree's configs, in ascending step count, stepped as its own stack on nbig points."""
     equation = evolve.Equation(u0.grid, cfgs[0].equation, cfgs[0].k, cfgs[0].dealias)
-    return evolve._stacks([u0] * len(cfgs), cfgs, equation._stack((cfgs[0].k,), nbig))
+    return evolve._advance([u0] * len(cfgs), cfgs, equation._stack((cfgs[0].k,), nbig))
 
 
 class TestMixedDegrees:
@@ -769,7 +789,7 @@ class TestMixedDegrees:
                            sample_stride=5)
         cfgs = _mixed_ladders(cfg, ks)
         nbig = evolve.Equation(u0.grid, equation, max(ks), dealias).nbig
-        got = evolve._solve_levels(u0, cfgs)
+        got = _one_field(u0, cfgs)
         for d, k in enumerate(ks):
             for row, ref in zip(got[3 * d: 3 * d + 3], _alone(u0, cfgs[3 * d: 3 * d + 3], nbig)):
                 assert row.k == k
@@ -781,9 +801,9 @@ class TestMixedDegrees:
         u0 = _random_data("gbo")
         cfg = SolverConfig("gbo", dt=4e-3, t_final=0.08, scheme=scheme, sample_stride=5)
         cfgs = _mixed_ladders(cfg, ks)
-        got = evolve._solve_levels(u0, cfgs)
+        got = _one_field(u0, cfgs)
         top = ks.index(max(ks))
-        alone = evolve._solve_levels(u0, cfgs[3 * top: 3 * top + 3])
+        alone = _one_field(u0, cfgs[3 * top: 3 * top + 3])
         for row, ref, level in zip(got[3 * top: 3 * top + 3], alone, cfgs[3 * top:]):
             _assert_same_result(row, ref)
             _assert_same_result(row, solve(u0, level))
@@ -793,7 +813,7 @@ class TestMixedDegrees:
         u0 = 1.5 * SpectralField.from_function(PeriodicGrid(1.0, 64), np.cos)
         cfgs = _mixed_ladders(SolverConfig("gbo", dt=0.01, t_final=2.0, sample_stride=10),
                               (1, 3))
-        got = evolve._solve_levels(u0, cfgs)
+        got = _one_field(u0, cfgs)
         assert [isinstance(r, BlowUpError) for r in got] == [False] * 3 + [True, True, False]
         nbig = evolve.Equation(u0.grid, "gbo", 3).nbig
         for row, ref in zip(got, _alone(u0, cfgs[:3], nbig) + _alone(u0, cfgs[3:], nbig)):
@@ -814,7 +834,7 @@ class TestMixedDegrees:
                               (2, 3))
         with pytest.raises(ValueError, match="must share one ladder of dt, step count and "
                                              "sample_stride: k = 3 steps"):
-            evolve._solve_levels(_random_data("gbo"), cfgs[:3] + k3_levels(cfgs[3:]))
+            _one_field(_random_data("gbo"), cfgs[:3] + k3_levels(cfgs[3:]))
 
     @pytest.mark.parametrize("stack_points", [1, 1 << 10])
     def test_stacks_never_split_a_level(self, monkeypatch, stack_points):
@@ -826,7 +846,7 @@ class TestMixedDegrees:
         cfgs = _mixed_ladders(SolverConfig("gbo", dt=4e-3, t_final=0.08, sample_stride=5),
                               (1, 2, 3), levels=4)
         nbig = evolve.Equation(u0.grid, "gbo", 3).nbig
-        got = evolve._solve_levels(u0, cfgs)
+        got = _one_field(u0, cfgs)
         for d in range(3):
             for row, ref in zip(got[4 * d: 4 * d + 4], _alone(u0, cfgs[4 * d: 4 * d + 4], nbig)):
                 _assert_same_result(row, ref)
@@ -841,7 +861,7 @@ def _runs_with_references(run, u0s, scheme, dealias, k=3, dt=4e-3):
     """Pairs (result, ``advance_reference``'s) from u0s under ``_nyquist_cfg``:
     ``solve`` of u0s[0] (the 1-D state), a ``stack`` of every u0 through
     ``solve_batch``, or a ``ladder`` of u0s[0], the k = 1 and k = 3 step-halving
-    ladders as one ``_solve_levels`` stack, each row against its degree on the
+    ladders as one ``_solve`` stack, each row against its degree on the
     k = 3 grid."""
     grid, cfg = u0s[0].grid, _nyquist_cfg(scheme, dealias, k, dt)
     equation = evolve.Equation(grid, "gbo", k, dealias)
@@ -853,7 +873,7 @@ def _runs_with_references(run, u0s, scheme, dealias, k=3, dt=4e-3):
     nbig = evolve.Equation(grid, "gbo", 3, dealias).nbig
     refs = [advance_reference(u0s[:1], c, evolve.Equation(grid, "gbo", c.k, dealias)._stack(
         (c.k,), nbig))[0] for c in cfgs]
-    return list(zip(evolve._solve_levels(u0s[0], cfgs), refs))
+    return list(zip(_one_field(u0s[0], cfgs), refs))
 
 
 def _with_nyquist(u0, value):
@@ -911,7 +931,7 @@ class TestNyquistSlot:
         elif run == "stack":
             solve_batch(u0s, cfg)
         else:  # the finest level's steps, the stack's lockstep
-            evolve._solve_levels(u0s[0], _mixed_ladders(cfg, (1, 3)))
+            _one_field(u0s[0], _mixed_ladders(cfg, (1, 3)))
             cfg = _ladder(cfg)[-1]
         assert len(calls) == 8 * cfg.n_steps()
         assert sum(name == "rfft" for name, _, _ in calls) == 4 * cfg.n_steps()

@@ -172,7 +172,7 @@ class TestConfig:
         # each of these once ran solves first: to records of a negative gap,
         # to a FAIL with no usable pair, or to a late usage error
         solved = []
-        for fn in ("solve", "solve_batch", "_solve_levels"):
+        for fn in ("solve", "solve_batch", "_solve"):
             monkeypatch.setattr(experiments, fn, lambda *a, _fn=fn, **kw: solved.append(_fn))
         assert main([name, *args, "--out", str(tmp_path)]) == 2
         assert solved == []

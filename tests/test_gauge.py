@@ -391,7 +391,7 @@ class TestFrameGrid:
 
         grid = PeriodicGrid(1.0, 64)
         v = random_field(grid, np.random.default_rng(k), decay=0.95, amplitude=0.5)
-        p0_m2, _ = gauge._gbo_factors(gauge._Frame(v.coeffs[None], grid, "gbo", k))
+        p0_m2 = gauge._Frame(v.coeffs[None], grid, "gbo", k).p0_m2
         vk = _real_values(v.coeffs[: grid.n // 2 + 1], 16 * grid.n) ** k
         reference = np.mean((vk - np.mean(vk)) ** 2)
         assert p0_m2.shape == (1, 1)

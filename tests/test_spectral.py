@@ -27,7 +27,8 @@ from bosp import (
 
 from bosp.spectral import (_alias_free_points, _complex_coeffs, _complex_values, _lp_norms,
                            _nyquist_split, _parseval_norms, _power, _power_steps,
-                           _real_coeffs, _real_transforms, _real_values, _symbol, _values)
+                           _real_coeffs, _real_transforms, _real_values, _split, _symbol,
+                           _values)
 
 from conftest import coeff_distance, count_transforms, dense_lp, dft_direct, symmetry_defect
 
@@ -687,6 +688,20 @@ class TestPaddedTransformProperties:
         assert np.array_equal(unfolded[..., :nyq], folded[..., :nyq])
         assert np.array_equal(2.0 * unfolded[..., nyq].real if nbig > n else unfolded[..., nyq],
                               folded[..., nyq])
+
+    @pytest.mark.parametrize("pad", [1, 4])
+    def test_split_halves_the_slot_n_over_2_alone(self, rng, pad):
+        """The one rule of padded real synthesis: a new array with the slot
+        n/2 halved when nbig > n, else the input itself."""
+        n = 32
+        half = rng.standard_normal((3, n // 2 + 1)) + 1j * rng.standard_normal((3, n // 2 + 1))
+        split = _split(half, pad * n)
+        if pad == 1:
+            assert split is half
+        else:
+            assert not np.shares_memory(split, half)
+            assert np.array_equal(split[:, :-1], half[:, :-1])
+            assert np.array_equal(split[:, -1], 0.5 * half[:, -1])
 
     @PROPERTY
     @given(f=fields(), pad=PADS)

@@ -21,16 +21,23 @@ elsewhere (the counting behind Bourgain's periodic L^4 estimate, GAFA 3
 (1993) 107-156).  Resonances are classified on integer keys lam^2 * phi_a,
 so Omega = 0 is detected exactly.
 
-``strichartz_norms`` evaluates a stack of fields on one grid at once.  The
-pairs, key groups and lam^2/Omega kernel depend on the modes only, so each
-chunk of m builds them once, over the union of the rows' supports, and every
-row costs only its products C_a C_b, group sums and one kernel product.  The
-chunk bound counts the kernel and the rows it is applied to; a stack whose
-rows would overflow it on a single m is evaluated in smaller stacks.
+``strichartz_norms`` evaluates a stack of fields on one grid at once, over
+the union of the rows' supports.  The pairs a <= b, sorted by (m, key), and
+their key groups depend on the support and the integer keys only, not on
+lam: ``_pair_table`` builds them once per support (cached, so the circles
+of a scan share one table), and each chunk of m is a slice of it.  The
+lam^2/Omega kernel, which grows as the square of the pairs, is formed per
+chunk and call.  Every row then costs only its products C_a C_b, group
+sums and one kernel product.  The chunk bound counts the kernel and every
+array the rows' sums hold at once, and a chunk spans at least a few m; a
+stack that a chunk of that width cannot hold is evaluated in smaller
+stacks (the comment at ``_EXACT_ENTRIES``).
 ``strichartz_norm`` is the one-row case.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -65,14 +72,29 @@ def propagate(f: SpectralField, t: float, kind: str = "bo_group") -> SpectralFie
     return SpectralField(f.grid, np.exp(group_symbol(f.grid, kind) * t) * f.coeffs)
 
 
-# bounds one chunk's padded (m, psi, psi') kernel plus the (m, psi) planes
-# of the rows it is applied to at once
+# Chunk sizing.  A chunk of w values of m, each with at most `pairs` key
+# groups (no m has more unordered pairs), and a stack of s rows holds at
+# once w * pairs * (pairs + _ROW_ENTRIES * s) float entries:
+# - the lam^2/Omega kernel, pairs^2 per m;
+# - per row and padded slot, 16 at the peak of `_chunk_sums`: d and z
+#   (complex, 2 each), dz (two complex columns, 4), the Re and Im planes
+#   (2 each), the kernel product and its product with Im (2 each).  The
+#   pair products before the reduceat are freed before that peak.
+# _EXACT_ENTRIES bounds that count: 2 MiB of float64, which a core's L2
+# cache holds.  A chunk is at least _MIN_WIDTH values of m wide.  Its fixed
+# set-up is about 70 us (two dozen numpy calls), and where the floor binds
+# each m holds over _EXACT_ENTRIES / 4 entries, about 60 us of arithmetic
+# (Xeon, numpy 2.4, n = 128 and 256): the set-up is half of a one-m chunk
+# and about a fifth of a four-m one.  Rows are cut into smaller stacks only
+# where a chunk of the floor's width cannot hold them all.
 _EXACT_ENTRIES = 1 << 18
+_ROW_ENTRIES = 16
+_MIN_WIDTH = 4
 
 
-def _wave_stack(fields, kind: str):
-    """Ascending modes a, coefficients C_a (one column per row), keys lam^2*phi_a
-    and whether every row is a real bo row.
+def _wave_stack(grid: PeriodicGrid, rows: np.ndarray, kind: str):
+    """Ascending modes a, coefficients C_a (one column per row of ``rows``),
+    keys lam^2*phi_a and whether every row is a real bo row.
 
     Follows the padded transforms' Nyquist convention row by row: real bo
     rows split the slot n/2 into +-n/2 halves (as ``_real_values``), other
@@ -81,9 +103,7 @@ def _wave_stack(fields, kind: str):
     supports: a mode is dropped only where every row is zero, and a row that
     is zero at a kept mode adds exact zeros.
     """
-    grid = fields[0].grid
     n = grid.n
-    rows = np.array([f.coeffs for f in fields])
     split = _conjugate_symmetric(rows) & (kind == "bo_group")
     coeffs = np.zeros((n + 1, len(rows)), dtype=np.complex128)  # one column per row
     coeffs[1:] = rows.T[np.argsort(grid.modes)]
@@ -99,29 +119,45 @@ def _wave_stack(fields, kind: str):
     return modes[support], coeffs[support], keys[support], bool(split.all())
 
 
-def _chunk_structure(modes, keys, m_lo, m_hi, lam2):
-    """The pairs, key groups and lam^2/Omega kernel of m_lo <= m < m_hi.
+@functools.lru_cache(maxsize=8)
+def _pair_table(modes: bytes, keys: bytes):
+    """Every unordered pair i <= j of a support, sorted by (m, psi), and its key groups.
 
-    Depends on the modes only, so one structure serves every row.  Returns
-    None when no pair falls in the chunk.
+    ``modes`` and ``keys`` are the bytes of the support's ascending int64
+    modes a and keys lam^2*phi_a; the table is free of lam, so the circles
+    of one support share it.  Returns read-only arrays: per pair its mode
+    indices i, j and weight (1 on the diagonal, 2 for a <-> b); the start
+    of each (m, psi) group, closed by the pair count; per group its m and
+    key psi = lam^2 (phi_a + phi_b).  Sorted stably, so a group keeps its
+    pairs in (i, j) order and an m-chunk is a contiguous slice.
     """
-    idx = np.arange(modes.size)
-    # unordered pairs i <= j with m_lo <= a_i + a_j < m_hi (modes ascending)
-    lo = np.maximum(np.searchsorted(modes, m_lo - modes), idx)
-    hi = np.maximum(np.searchsorted(modes, m_hi - modes), lo)
-    counts = hi - lo
-    if not counts.any():
-        return None
-    i = np.repeat(idx, counts)
-    j = np.arange(i.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    m = modes[i] + modes[j]
-    psi = keys[i] + keys[j]
+    a, key = np.frombuffer(modes, dtype=np.int64), np.frombuffer(keys, dtype=np.int64)
+    i, j = np.triu_indices(a.size)
+    m, psi = a[i] + a[j], key[i] + key[j]
     # S_m(t) = sum_k D_k exp(-i psi_k t / lam^2) over the distinct keys psi_k
     order = np.lexsort((psi, m))
     i, j, m, psi = i[order], j[order], m[order], psi[order]
-    weight = np.where(i == j, 1.0, 2.0)  # a <-> b
     first = np.flatnonzero(np.r_[True, (m[1:] != m[:-1]) | (psi[1:] != psi[:-1])])
-    m, psi = m[first], psi[first]
+    table = (i, j, np.where(i == j, 1.0, 2.0), np.r_[first, i.size], m[first], psi[first])
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def _chunk_structure(table, m_lo, m_hi, lam2):
+    """The pairs, key groups and lam^2/Omega kernel of m_lo <= m < m_hi.
+
+    A slice of the support's pair table, so one structure serves every row;
+    only the padded keys and the kernel, which grows as pairs^2, are formed
+    here, per call.  Returns None when no pair falls in the chunk.
+    """
+    i, j, weight, edges, group_m, group_psi = table
+    g_lo, g_hi = np.searchsorted(group_m, (m_lo, m_hi))
+    if g_lo == g_hi:
+        return None
+    p_lo, p_hi = edges[g_lo], edges[g_hi]
+    first = edges[g_lo:g_hi] - p_lo
+    m, psi = group_m[g_lo:g_hi], group_psi[g_lo:g_hi]
     # one zero-padded row of keys per m
     starts = np.flatnonzero(np.r_[True, m[1:] != m[:-1]])
     sizes = np.diff(np.r_[starts, m.size])
@@ -131,7 +167,8 @@ def _chunk_structure(modes, keys, m_lo, m_hi, lam2):
     psi_rows[row, col] = psi
     omega = psi_rows[:, :, None] - psi_rows[:, None, :]
     inv = np.divide(lam2, omega, out=np.zeros(omega.shape), where=omega != 0)
-    return i, j, weight, first, psi, row, col, inv, m[starts] > 0
+    return (i[p_lo:p_hi], j[p_lo:p_hi], weight[p_lo:p_hi], first, psi, row, col, inv,
+            m[starts] > 0)
 
 
 def _chunk_sums(chunk, coeffs, horizon, lam2, real_rows) -> np.ndarray:
@@ -157,27 +194,30 @@ def _chunk_sums(chunk, coeffs, horizon, lam2, real_rows) -> np.ndarray:
     return np.ascontiguousarray(per_m.T).sum(axis=1)
 
 
-def _resonance_integrals(fields, horizon: float, kind: str) -> np.ndarray:
-    """integral_0^T ||V(t) f||_{L^4}^4 dt of each field, chunked over m and rows."""
-    modes, coeffs, keys, real_rows = _wave_stack(fields, kind)
-    totals = np.zeros(len(fields))
+def _resonance_integrals(grid: PeriodicGrid, rows: np.ndarray, horizon: float,
+                         kind: str) -> np.ndarray:
+    """integral_0^T ||V(t) f||_{L^4}^4 dt of each coefficient row, chunked over m and rows."""
+    modes, coeffs, keys, real_rows = _wave_stack(grid, rows, kind)
+    totals = np.zeros(len(rows))
     if modes.size == 0:
         return totals
-    lam2 = fields[0].grid.lam ** 2
-    # no m has more than (size + 1) // 2 unordered pairs, so one m costs at
-    # most pairs^2 kernel entries plus 4 * pairs per row (Re, Im of D and z)
+    lam2 = grid.lam ** 2
+    table = _pair_table(modes.tobytes(), keys.tobytes())
+    # sizes by the comment at _EXACT_ENTRIES: the widest stack that a chunk
+    # of _MIN_WIDTH values of m holds, then the widest chunk for that stack
     pairs = (modes.size + 1) // 2
-    stack = min(len(fields), max(1, (_EXACT_ENTRIES // pairs - pairs) // 4))
-    width = max(1, _EXACT_ENTRIES // (pairs * (pairs + 4 * stack)))
+    stack = min(len(rows), max(1, (_EXACT_ENTRIES // (_MIN_WIDTH * pairs) - pairs)
+                               // _ROW_ENTRIES))
+    width = max(_MIN_WIDTH, _EXACT_ENTRIES // (pairs * (pairs + _ROW_ENTRIES * stack)))
     m_first = 0 if real_rows else 2 * int(modes[0])
     for m_lo in range(m_first, 2 * int(modes[-1]) + 1, width):
-        chunk = _chunk_structure(modes, keys, m_lo, m_lo + width, lam2)
+        chunk = _chunk_structure(table, m_lo, m_lo + width, lam2)
         if chunk is None:
             continue
-        for r in range(0, len(fields), stack):
+        for r in range(0, len(rows), stack):
             totals[r: r + stack] += _chunk_sums(chunk, coeffs[:, r: r + stack], horizon,
                                                 lam2, real_rows)
-    return fields[0].grid.circumference * totals
+    return grid.circumference * totals
 
 
 def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[float]:
@@ -190,23 +230,25 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     name, a grid whose lam ** 2 (the scale of the resonance keys) overflows
     a float by the rule of ``lam``, and a stack whose norms overflow a float
     by ``_refusing_overflow``.
-    The pairs, key groups and kernel of each m-chunk are built once and
-    applied to every row; ``_EXACT_ENTRIES`` bounds a chunk's kernel plus
-    the planes of the rows it meets, so a large stack is cut into stacks of
-    fewer rows.  No fields give [].
+    The rows are stacked once, and every check and the sum read that
+    stack.  The pairs and key groups of the union support come from one
+    cached pair table, each m-chunk's kernel is built once and applied to
+    every row; ``_EXACT_ENTRIES`` bounds a chunk's kernel plus every array
+    its rows' sums hold at once, with a floor of ``_MIN_WIDTH`` values of m
+    per chunk, so a large stack is cut into stacks of fewer rows.  No
+    fields give [].
     """
     _check_values(_RULES, horizon=horizon)
     _KIND.check("kind", kind)
     fields = list(fields)
     if not fields:
         return []
-    _check_one_grid(fields, "strichartz_norms")
-    _Rule(lambda v: _finite(v * v), "such that lam ** 2 is finite").check(
-        "lam", fields[0].grid.lam)
-    coeffs = [f.coeffs for f in fields]
-    _check_finite(coeffs, "strichartz_norms")
-    totals = _refusing_overflow("the strichartz norm", coeffs,
-                                lambda: _resonance_integrals(fields, horizon, kind))
+    grid = _check_one_grid(fields, "strichartz_norms")
+    _Rule(lambda v: _finite(v * v), "such that lam ** 2 is finite").check("lam", grid.lam)
+    rows = np.array([f.coeffs for f in fields])
+    _check_finite(rows, "strichartz_norms")
+    totals = _refusing_overflow("the strichartz norm", rows,
+                                lambda: _resonance_integrals(grid, rows, horizon, kind))
     return [float(total) ** 0.25 for total in totals.tolist()]
 
 

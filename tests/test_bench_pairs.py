@@ -4,6 +4,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bench_pairs.py"
 
@@ -24,16 +26,48 @@ def test_summary_gives_each_side_median_and_quartiles_and_the_pairs_won():
              _pair(0.23, 0.23)]
     assert bench_pairs.summarize(pairs, METRICS) == [
         "wall_s (s, lower is better): parent 0.25 [0.24, 0.25]  change 0.23 [0.22, 0.23]  "
-        "change better in 3 of 5 pairs",
+        "change better in 3 of 5 pairs: unresolved",
         "ok_ratio (ratio, higher is better): parent 1 [1, 1]  change 1 [1, 1]  "
-        "change better in 0 of 5 pairs",
+        "change better in 0 of 5 pairs: unresolved",
     ]
 
 
 def test_one_pair_is_its_own_quartiles():
     assert bench_pairs.summarize([_pair(0.3, 0.2)], METRICS[:1]) == [
         "wall_s (s, lower is better): parent 0.3 [0.3, 0.3]  change 0.2 [0.2, 0.2]  "
-        "change better in 1 of 1 pairs"]
+        "change better in 1 of 1 pairs: unresolved"]
+
+
+PARENT_WALL = [0.30, 0.31, 0.32, 0.33, 0.34, 0.35, 0.36, 0.37, 0.38, 0.39]  # IQR 0.045
+
+
+@pytest.mark.parametrize("change, want", [
+    # better in 10 of 10, medians 0.1 apart
+    ([w - 0.1 for w in PARENT_WALL], "gain"),
+    # better in 9 of 10 still counts
+    ([w - 0.1 for w in PARENT_WALL[:9]] + [0.40], "gain"),
+    # better in 8 of 10 does not
+    ([w - 0.1 for w in PARENT_WALL[:8]] + [0.40, 0.40], "unresolved"),
+    # better in 10 of 10, but the medians 0.04 apart are within the parent's IQR
+    ([w - 0.04 for w in PARENT_WALL], "unresolved"),
+    ([w + 0.1 for w in PARENT_WALL], "regression"),
+    ([w + 0.1 for w in PARENT_WALL[1:]] + [0.29], "regression"),
+    ([w + 0.04 for w in PARENT_WALL], "unresolved"),
+])
+def test_verdict_by_pairs_won_and_median_gap_past_the_parents_iqr(change, want):
+    pairs = [_pair(p, c) for p, c in zip(PARENT_WALL, change)]
+    line = bench_pairs.summarize(pairs, METRICS[:1])[0]
+    assert line.endswith(f"pairs: {want}")
+    assert bench_pairs.verdict(PARENT_WALL, change, -1.0) == want
+
+
+def test_verdict_follows_the_better_direction_and_needs_ten_pairs():
+    # ok_ratio: higher is better, so a drop in every pair is a regression
+    assert bench_pairs.verdict([1.0, 1.0] * 5, [0.5] * 10, 1.0) == "regression"
+    assert bench_pairs.verdict([0.5] * 10, [1.0] * 10, 1.0) == "gain"
+    assert bench_pairs.verdict([1.0] * 10, [1.0] * 10, 1.0) == "unresolved"
+    # nine pairs, every one better by far: too few to tell
+    assert bench_pairs.verdict(PARENT_WALL[:9], [0.1] * 9, -1.0) == "unresolved"
 
 
 def test_end_to_end_metrics_are_read_from_the_benchmark():
@@ -64,7 +98,7 @@ def test_runs_alternate_and_the_summary_is_printed(tmp_path, capsys):
                                        "change"]
     out = capsys.readouterr().out.splitlines()
     assert out[-2] == ("wall_s (s, lower is better): parent 0.25 [0.25, 0.25]  "
-                       "change 0.2 [0.2, 0.2]  change better in 3 of 3 pairs")
+                       "change 0.2 [0.2, 0.2]  change better in 3 of 3 pairs: unresolved")
 
 
 def test_a_run_without_a_result_fails(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosp import (
+    ExperimentConfig,
     PeriodicGrid,
     SpectralField,
     differentiate,
@@ -12,6 +13,8 @@ from bosp import (
     norm,
     propagate,
     random_field,
+    random_fields,
+    run_experiment,
     strichartz_norm,
     strichartz_norms,
     synthesize,
@@ -310,6 +313,24 @@ def _stack_rows(grid, rng, real):
     return rows
 
 
+def _count_chunks_and_stacks(monkeypatch):
+    """Record the m-chunks built and the row count of each stack summed."""
+    calls = {"chunks": 0, "stacks": []}
+    structure, sums = lingroup._chunk_structure, lingroup._chunk_sums
+
+    def count_chunk(*args):
+        calls["chunks"] += 1
+        return structure(*args)
+
+    def count_stack(chunk, coeffs, *args):
+        calls["stacks"].append(coeffs.shape[1])
+        return sums(chunk, coeffs, *args)
+
+    monkeypatch.setattr(lingroup, "_chunk_structure", count_chunk)
+    monkeypatch.setattr(lingroup, "_chunk_sums", count_stack)
+    return calls
+
+
 class TestStackedStrichartzNorms:
     """One resonance structure per m-chunk against the per-field sum."""
 
@@ -319,19 +340,7 @@ class TestStackedStrichartzNorms:
     @pytest.mark.parametrize("lam", [1.0, 16.0])
     @pytest.mark.parametrize("entries", [None, 150])
     def test_matches_per_field_reference(self, monkeypatch, rng, real, kind, lam, entries):
-        calls = {"chunks": 0, "stacks": []}
-        structure, sums = lingroup._chunk_structure, lingroup._chunk_sums
-
-        def count_chunk(*args):
-            calls["chunks"] += 1
-            return structure(*args)
-
-        def count_stack(chunk, coeffs, *args):
-            calls["stacks"].append(coeffs.shape[1])
-            return sums(chunk, coeffs, *args)
-
-        monkeypatch.setattr(lingroup, "_chunk_structure", count_chunk)
-        monkeypatch.setattr(lingroup, "_chunk_sums", count_stack)
+        calls = _count_chunks_and_stacks(monkeypatch)
         if entries is not None:
             monkeypatch.setattr(lingroup, "_EXACT_ENTRIES", entries)
         grid = PeriodicGrid(lam, 32)
@@ -409,3 +418,60 @@ class TestStackedStrichartzNorms:
             strichartz_norms(fields, 1.0)
         assert str(exc.value) == ("strichartz_norms needs finite fields: field 1 is non-finite "
                                   "(a coefficient is NaN or infinite)")
+
+
+class TestPairTable:
+    """The lam-free pairs and key groups, built once per support."""
+
+    def test_the_scan_builds_one_table_for_its_circles(self):
+        lingroup._pair_table.cache_clear()
+        cfg = ExperimentConfig("strichartz-scan")
+        rep = run_experiment(cfg)
+        info = lingroup._pair_table.cache_info()
+        assert len({r["lam"] for r in rep.records}) == len(cfg.lambdas) == 5
+        assert (info.misses, info.hits) == (1, len(cfg.lambdas) - 1)
+
+    @pytest.mark.parametrize("real, kind", TestStackedStrichartzNorms.CASES)
+    def test_a_cache_hit_is_bit_identical_to_a_cold_build(self, rng, real, kind):
+        stacks = [_stack_rows(PeriodicGrid(lam, 32), rng, real) for lam in (1.0, 16.0)]
+        lingroup._pair_table.cache_clear()
+        warm = [strichartz_norms(rows, 0.7, kind=kind) for rows in stacks]
+        assert lingroup._pair_table.cache_info().hits >= 1
+        for rows, got in zip(stacks, warm):
+            lingroup._pair_table.cache_clear()
+            assert strichartz_norms(rows, 0.7, kind=kind) == got
+            assert lingroup._pair_table.cache_info().misses == 1
+
+    def test_the_cached_arrays_are_read_only(self, rng):
+        grid = PeriodicGrid(1.0, 32)
+        rows = np.array([f.coeffs for f in _stack_rows(grid, rng, True)])
+        modes, _, keys, _ = lingroup._wave_stack(grid, rows, "bo_group")
+        for array in lingroup._pair_table(modes.tobytes(), keys.tobytes()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+class TestDefaultSizeStack:
+    """strichartz-scan's size, n = 128, 24 modes and 50 rows, against the per-field sum."""
+
+    # a chunk of _MIN_WIDTH m holds 8 of these rows (24 pairs, 16 entries a row)
+    SPLIT_ENTRIES = lingroup._MIN_WIDTH * 24 * (24 + lingroup._ROW_ENTRIES * 8)
+
+    @pytest.mark.parametrize("lam", [1.0, 16.0])
+    @pytest.mark.parametrize("entries", [None, SPLIT_ENTRIES])
+    def test_chunks_and_stacks_match_the_per_field_sum(self, monkeypatch, rng, lam, entries):
+        rows = random_fields(PeriodicGrid(lam, 128), rng, 50, n_modes=24, decay=0.8,
+                             normalize="l2")
+        calls = _count_chunks_and_stacks(monkeypatch)
+        if entries is not None:
+            monkeypatch.setattr(lingroup, "_EXACT_ENTRIES", entries)
+        got = strichartz_norms(rows, 1.0)
+        want = [strichartz_norm_reference(f, 1.0) for f in rows]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert calls["chunks"] > 1
+        if entries is None:  # the rows ride along in one stack
+            assert set(calls["stacks"]) == {50}
+        else:  # each chunk is the floor's width, its rows cut into stacks of 8
+            assert calls["chunks"] == -(-49 // lingroup._MIN_WIDTH)
+            assert calls["stacks"][:7] == [8] * 6 + [2]

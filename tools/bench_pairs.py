@@ -9,9 +9,13 @@ the other, from the checkout's root; the order alternates from pair to pair
 of the machine's speed falls on both sides alike.  Each run's last stdout
 line is its result object.  For each end-to-end metric that CHANGE's
 ``BENCHMARK.json`` declares, it prints the median [q1, q3] over the pairs
-of each side and in how many pairs CHANGE was better (in the metric's
-``better`` direction; a tie counts for neither side).  Exits 0 when every
-run gave a result, 1 when one did not (its output is printed).
+of each side, in how many pairs CHANGE was better (in the metric's
+``better`` direction; a tie counts for neither side) and a verdict:
+``gain`` (or ``regression``) when over at least 10 pairs CHANGE is better
+(worse) in at least 9 of every 10 and its median is better (worse) than
+PARENT's by more than PARENT's interquartile range, ``unresolved``
+otherwise.  Exits 0 when every run gave a result, 1 when one did not (its
+output is printed).
 
 Standard library only.
 """
@@ -26,6 +30,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # the fewest pairs a verdict other than unresolved rests on
 
 
 def end_to_end(checkout: pathlib.Path) -> list:
@@ -54,6 +59,20 @@ def quartiles(values: list) -> tuple:
     return q1, med, q3
 
 
+def verdict(parent: list, change: list, sign: float) -> str:
+    """``gain``, ``regression`` or ``unresolved`` for paired values of one
+    metric, ``sign`` 1 where higher is better and -1 where lower is."""
+    gaps = [sign * (c - p) for p, c in zip(parent, change)]
+    q1, med, q3 = quartiles(parent)
+    gap = sign * (quartiles(change)[1] - med)
+    if len(gaps) >= MIN_PAIRS and abs(gap) > q3 - q1:
+        if gap > 0 and 10 * sum(g > 0 for g in gaps) >= 9 * len(gaps):
+            return "gain"
+        if gap < 0 and 10 * sum(g < 0 for g in gaps) >= 9 * len(gaps):
+            return "regression"
+    return "unresolved"
+
+
 def summarize(pairs: list, metrics: list) -> list:
     """One line per metric of ``metrics`` ((name, unit, better) each) over
     ``pairs``, a list of {"parent": metrics, "change": metrics} dicts."""
@@ -67,7 +86,8 @@ def summarize(pairs: list, metrics: list) -> list:
             q1, med, q3 = quartiles(sides[side])
             stats.append(f"{side} {med:.6g} [{q1:.6g}, {q3:.6g}]")
         lines.append(f"{name} ({unit}, {better} is better): {'  '.join(stats)}  "
-                     f"change better in {won} of {len(pairs)} pairs")
+                     f"change better in {won} of {len(pairs)} pairs: "
+                     f"{verdict(sides['parent'], sides['change'], sign)}")
     return lines
 
 

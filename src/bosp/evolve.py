@@ -30,9 +30,11 @@ k + 2, where the flux and the renormalized mean of v^k are exact at every
 k; ``two_thirds`` zeroes the flux modes |q| > n/3.
 ``SolverConfig``'s fields are the one place the solver's ``scheme`` and
 ``dealias`` defaults are written; ``Equation`` reads its default there.
-The flux has one implementation, the closure ``Equation._flux`` built once
-per equation (or stack of degrees, ``Equation._stack``), which writes into
-caller-owned arrays; ``nonlinear`` (so ``rhs``) is its allocating case.
+The flux has one implementation, the closure ``Equation._flux``, built once
+per equation and flux grid (``Equation._stack`` builds it on another
+``nbig``), which takes each row's degree with its work arrays
+(``Equation._work``) and writes into caller-owned arrays; ``nonlinear``
+(so ``rhs``) is its allocating case.
 
 Solver state is the split rfft half spectrum: modes m = 0, 1, ..., n/2 of
 a real field, the negative modes being their conjugates, split as real
@@ -53,16 +55,16 @@ exactly conjugate symmetric.
 The stepper has one way in, ``_solve``, which steps row j as field j under
 config j: ``solve_batch`` is its case of one config (B fields on one grid
 as a ``(B, n/2+1)`` stack), ``solve`` that of one field, and
-``convergence_order`` and the order study of ``experiments``' conservation
-pass one field under a step-halving ladder of configs that differ in dt,
-step count or sample stride.  The rows step in lockstep, each with its own
-step constants, and a level leaves the stack once its steps are done, the
-last row stepping as a 1-D ``(n/2+1,)`` state.  The ladders of several
-degrees k of one equation (the order study's ``e_ks``) share that stack
-when every degree has the same ladder: the rows go level-major,
-degree-minor, on the largest degree's alias-free grid, where every
-degree's flux is exact, and one inverse and one forward transform per
-stage serve them all.  Rows never mix (every transform and product acts
+``convergence_order`` passes one field under a step-halving ladder of
+configs that differ in dt, step count or sample stride.  The configs share
+equation, scheme and dealias; each row has its own degree k, dt, step count
+and stride, so ``experiments``' conservation steps its k = 1 reference run
+beside the step-halving ladders of its order study's degrees ``e_ks`` as
+one stack.  The rows step in lockstep, each with its own step constants,
+on the largest degree's alias-free grid, where every degree's flux is
+exact, and one inverse and one forward transform per stage serve them all.
+A row leaves the stack once its steps are done, the last row stepping as a
+1-D ``(n/2+1,)`` state.  Rows never mix (every transform and product acts
 along the last axis), so each row is bit-for-bit the single-field solution
 on the stack's grid: a one-degree stack's rows are ``solve``'s, and a
 smaller degree's rows move by round-off from its own grid's.  A row blows
@@ -71,18 +73,20 @@ magnitude guard: that row reports ``BlowUpError`` with its time before the
 step and is set to zero, which the equations keep exactly zero, and the
 other rows go on.
 
-A step allocates no stack-sized array.  Each stack (each phase of a
-ladder's stack, between two levels leaving it) gets its stage arrays, a
-magnitude array for the blow-up test and the flux's transform work
-arrays once; the stage arithmetic writes into them with ``out=`` in the
-operations and order of the schemes' plain expressions, so every
-intermediate, and every stored state, is bit-for-bit that of the
+A step allocates no stack-sized array.  The state is degree-major, and
+when rows leave, the rows still stepping are copied into a fresh one, so
+each degree's rows are a contiguous slice.  Each phase of a stack (between
+two sets of rows leaving it) gets its step constants, stage arrays, a
+magnitude array for the blow-up test and the flux's transform work arrays,
+with each row's iq, once; the stage arithmetic writes into them with
+``out=`` in the operations and order of the schemes' plain expressions, so
+every intermediate, and every stored state, is bit-for-bit that of the
 allocating form, but for the sign of the zero the flux writes on the slot
-n/2, which no stored state takes.  A step makes eight transform calls on the whole
-stack, four forward and four inverse, of ``Equation.nbig`` points per row,
-and no other stack-wide call for the Nyquist slot: the calls are those of
-``spectral``'s transform set ``_FFTS`` as it was when the ``Equation`` was
-built.
+n/2, which no stored state takes.  A step makes eight transform calls on
+the whole stack, four forward and four inverse, of ``Equation.nbig``
+points per row, and no other stack-wide call for the Nyquist slot: the
+calls are those of ``spectral``'s transform set ``_FFTS`` as it was when
+the ``Equation`` was built.
 """
 
 from __future__ import annotations
@@ -170,12 +174,10 @@ class Equation:
     last axis of a stack); the odd symbols zero the Nyquist slot.  ``rhs``
     expands their sum to the full transform order.  The stepper calls the
     flux closure ``_flux`` on its split state with arrays of its own
-    (``_work``); ``nonlinear`` splits its argument first.  ``nbig`` is
-    the points per row the flux is formed on: the alias-free size of degree
-    k + 2 under ``alias_free``, else n (``two_thirds``).  ``dealias``
-    defaults to ``SolverConfig``'s.  ``ks`` are the degrees of a stack's
-    rows, row i of degree ``ks[i % len(ks)]``: ``(k,)``, or several from
-    ``_stack``.
+    (``_work``), which also carry each row's degree; ``nonlinear`` splits
+    its argument first.  ``nbig`` is the points per row the flux is formed
+    on: the alias-free size of degree k + 2 under ``alias_free``, else n
+    (``two_thirds``).  ``dealias`` defaults to ``SolverConfig``'s.
     """
 
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1,
@@ -183,23 +185,23 @@ class Equation:
         _check_equation(equation, k)
         _check_values(_RULES, dealias=dealias)
         half = grid.n // 2
-        self.grid, self.eq, self.k, self.n, self.ks = grid, equation, k, grid.n, (k,)
+        self.grid, self.eq, self.k, self.n = grid, equation, k, grid.n
         self.symbol = _symbol(grid, "bo_group")[: half + 1]
         self.iq = _symbol(grid, "d_dx")[: half + 1]
         self.nbig = _alias_free_points(grid.n, k + 2) if dealias == "alias_free" else grid.n
         self.cut = grid.n // 3 + 1 if dealias == "two_thirds" else None
         self._flux = self._build_flux()
 
-    def _stack(self, ks, nbig: int) -> Equation:
-        """This equation for stacks whose row i has degree ``ks[i % len(ks)]``,
-        its flux formed on ``nbig`` points.
+    def _stack(self, nbig: int) -> Equation:
+        """This equation with its flux formed on ``nbig`` points.
 
         A flux is exact on any grid at or above its alias-free size (Orszag
-        1971; Boyd 2001, sec. 11.5), so degrees stack on the largest one's
-        ``nbig``; a smaller ``nbig`` aliases the larger degrees' fluxes.
+        1971; Boyd 2001, sec. 11.5), so rows of every degree up to ``k`` step
+        exactly on the ``nbig`` of ``k``; a smaller ``nbig`` aliases the
+        larger degrees' fluxes.
         """
         stack = copy.copy(self)
-        stack.ks, stack.nbig = tuple(ks), nbig
+        stack.nbig = nbig
         stack._flux = stack._build_flux()
         return stack
 
@@ -207,89 +209,93 @@ class Equation:
         """Whether gbo's ``/ (k + 1)`` is folded into iq: k + 1 is a power of two."""
         return self.eq == "gbo" and not k & (k + 1)
 
-    def _work(self, lead: tuple) -> tuple:
-        """Flux work arrays of a stack with leading shape ``lead``: values,
-        each degree's power slots (values, powers and a spare), the powers,
-        padded spectrum, its half spectrum (the first n/2+1 slots, a view),
-        each degree's flux rows and every row's iq (none for linear).  A
-        degree's slots and flux rows are its rows ``[d::D]`` of the stack's
-        arrays, D = len(ks), and its power lands in the powers' rows; one
-        degree's are the whole arrays.  No array holds a split copy of the
-        state: the state comes split."""
+    def _work(self, lead: tuple, ks=None) -> tuple:
+        """Flux work arrays of a stack with leading shape ``lead`` whose rows
+        along the first axis have the degrees ``ks``, each degree's rows
+        adjacent (every row of degree ``k`` when ks is None): values, the
+        powers, padded spectrum, its half spectrum (the first n/2+1 slots, a
+        view), every row's iq, and per degree its chain of power steps on
+        its slots (values, powers and a spare), its flux rows and ``/ (k +
+        1)``, and for the renormalized equation its mean's chain (none for
+        linear).  A degree's slots and flux rows are its contiguous rows of
+        the stack's arrays, the whole arrays when there is one degree, and
+        its power lands in the powers' rows.  No array holds a split copy
+        of the state: the state comes split."""
         if self.eq == "linear":
             return ()
-        ks, degrees = self.ks, len(self.ks)
-
-        def rows(a, d):
-            return a if degrees == 1 else a[d::degrees]
-
+        runs = [(k, len(list(rows))) for k, rows in itertools.groupby(ks or (self.k,))]
         vals = np.empty(lead + (self.nbig,))
         powers, spare = np.empty_like(vals), np.empty_like(vals)
         spec = np.empty(lead + (self.nbig // 2 + 1,), dtype=np.complex128)
         half = spec[..., : self.n // 2 + 1]
-        slots = [[rows(a, d) for a in (vals, powers, spare)] for d in range(degrees)]
-        iqs = [self.iq / (k + 1) if self._folded(k) else self.iq for k in ks]
-        return (vals, slots, powers, spec, half, [rows(half, d) for d in range(degrees)],
-                iqs[0] if degrees == 1 else np.tile(iqs, (lead[0] // degrees, 1)))
+        chains, divided, renormalized, iqs, first = [], [], [], [], 0
+        for k, count in runs:
+            rows = None if len(runs) == 1 else slice(first, first + count)
+            first += count
+            slots = [a if rows is None else a[rows] for a in (vals, powers, spare)]
+            f = half if rows is None else half[rows]
+            # the chain after its first step, (0, 0, 1), with its last product into slot 1
+            rest = _power_steps(k + 1)[0][1:]
+            chains.append((slots, rest[:-1] + tuple((a, b, 1) for a, b, _ in rest[-1:])))
+            if self.eq == "gbo" and not self._folded(k):
+                divided.append((f, k + 1))
+            if self.eq == "renormalized_gbo":
+                renormalized.append((rows, slots, f, k + 1, *_power_steps(k)))
+            iqs.append(self.iq / (k + 1) if self._folded(k) else self.iq)
+        iq = iqs[0] if len(runs) == 1 else np.repeat(iqs, [count for _, count in runs], axis=0)
+        return vals, powers, spec, half, iq, chains, divided, renormalized
 
     def _build_flux(self):
         """The dealiased flux ``flux(uhat, out, work) -> out`` of one split
         row (n/2+1,) or a stack (..., n/2+1), with the transforms (the
-        ``irfft`` and sized ``rfft`` of ``_FFTS`` as it is now), powers and
-        constants settled once.
+        ``irfft`` and sized ``rfft`` of ``_FFTS`` as it is now) settled once.
 
         ``uhat`` is the stepper's state: when nbig > n its slot n/2 is
         already halved, and the flux synthesizes it as it is, with no split
         multiply.  The analysis leaves -n/2 unfolded: iq (and gbo's folded
         iq / (k + 1)) is zero on the slot n/2, so the flux there is a zero
-        whose sign alone the fold would set.  ``work`` comes from ``_work``
-        and is clobbered; ``out`` must not share memory with uhat or work.
-        One inverse and one forward transform serve the whole stack, and so
-        does one squaring of the values, which every degree's chain of
-        ``_power_steps`` begins with; the rest of each degree's chain, its
-        last product into the powers, its ``/ (k + 1)`` and any renormalized
-        mean act on its rows.  Where a product lands does not change its
-        value, so the flux is bit for bit the chain run alone.  When k + 1 is
-        a power of two (k = 1, 3, 7), dividing by it only shifts exponents, so
-        gbo's ``iq * (flux / (k + 1))`` is bit for bit ``(iq / (k + 1)) *
-        flux`` unless a flux value is below 2^-1022 (k + 1), near subnormal.
+        whose sign alone the fold would set.  ``work`` comes from ``_work``,
+        which sets each row's degree, and is clobbered; ``out`` must not
+        share memory with uhat or work.  One inverse and one forward
+        transform serve the whole stack, and so does one squaring of the
+        values, which every degree's chain of ``_power_steps`` begins with;
+        the rest of each degree's chain, its last product into the powers,
+        its ``/ (k + 1)`` and any renormalized mean act on its rows.  Where a
+        product lands does not change its value, so the flux is bit for bit
+        the chain run alone.  When k + 1 is a power of two (k = 1, 3, 7),
+        dividing by it only shifts exponents, so gbo's ``iq * (flux / (k +
+        1))`` is bit for bit ``(iq / (k + 1)) * flux`` unless a flux value is
+        below 2^-1022 (k + 1), near subnormal.
         """
-        eq, ks, cut, degrees = self.eq, self.ks, self.cut, len(self.ks)
-        if eq == "linear":
+        cut = self.cut
+        if self.eq == "linear":
             def flux(uhat, out, work):
                 out.fill(0.0)
                 return out
             return flux
         values, coeffs = _real_transforms(self.nbig)
-        # each chain after its first step, (0, 0, 1), with its last product into slot 1
-        chains = [rest[:-1] + tuple((a, b, 1) for a, b, _ in rest[-1:])
-                  for rest in (_power_steps(k + 1)[0][1:] for k in ks)]
-        divided = [(d, k + 1) for d, k in enumerate(ks) if eq == "gbo" and not self._folded(k)]
-        renormalized = [(d, k + 1, *_power_steps(k)) for d, k in enumerate(ks)
-                        if eq == "renormalized_gbo"]
         mul = np.multiply
 
         def flux(uhat, out, work):
-            vals, slots, powers, spec, f, rows, iq = work
+            vals, powers, spec, f, iq, chains, divided, renormalized = work
             values(uhat, vals)
             mul(vals, vals, out=powers)
-            for steps, s in zip(chains, slots):
+            for s, steps in chains:
                 for a, b, dest in steps:
                     mul(s[a], s[b], out=s[dest])
             coeffs(powers, spec)
             if cut is not None:
                 f[..., cut:] = 0.0
-            for d, k1 in divided:
-                np.divide(rows[d], k1, out=rows[d])
-            for d, k1, mean_steps, mean_last in renormalized:
+            for f_d, k1 in divided:
+                np.divide(f_d, k1, out=f_d)
+            for rows, s, f_d, k1, mean_steps, mean_last in renormalized:
                 # 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
-                s, f_d = slots[d], rows[d]
                 for a, b, dest in mean_steps:
                     mul(s[a], s[b], out=s[dest])
                 mean = np.mean(s[mean_last], axis=-1, keepdims=True)
                 mul(2.0, f_d, out=f_d)
                 np.divide(f_d, k1, out=f_d)
-                u_d, out_d = (uhat, out) if degrees == 1 else (uhat[d::degrees], out[d::degrees])
+                u_d, out_d = (uhat, out) if rows is None else (uhat[rows], out[rows])
                 np.subtract(f_d, mul(2.0 * mean, u_d, out=out_d), out=f_d)
             return mul(iq, f, out=out)
 
@@ -352,14 +358,13 @@ def _solve(u0s: list, cfgs: list) -> list:
 
     The fields are checked first (one grid, real, zero mean for the
     renormalized equation), then the configs: they share equation, scheme
-    and dealias, and each degree k has one ladder, the same dt, step count
-    and ``sample_stride`` in the same order (its configs in the order
-    given).  The stack is formed on the largest degree's ``Equation.nbig``
-    points, so the rows of the largest degree are bit for bit ``solve``'s
-    and a smaller degree's move by round-off.  The rows go level-major,
-    degree-minor (row i of degree ``ks[i % D]``, ks ascending, D of them) in
-    ascending step count, through ``_advance`` in stacks of at most
-    ``spectral._STACK_POINTS`` padded points, each of whole levels.
+    and dealias, and each has a whole step count (``n_steps``); their
+    degrees, dts, step counts and strides may differ.  The stack is formed
+    on the largest degree's ``Equation.nbig`` points, so the rows of the
+    largest degree are bit for bit ``solve``'s and a smaller degree's move
+    by round-off.  The rows go in ascending step count through
+    ``_advance``, in stacks of at most ``spectral._STACK_POINTS`` padded
+    points.
     """
     if not u0s:
         return []
@@ -374,20 +379,10 @@ def _solve(u0s: list, cfgs: list) -> list:
                                                        first.dealias):
             raise ValueError(f"levels stepped as one stack must share equation, scheme and "
                              f"dealias: {cfg} and {first} differ")
-    ks = sorted({cfg.k for cfg in cfgs})
-    ladders = [[j for j, cfg in enumerate(cfgs) if cfg.k == k] for k in ks]
-    rungs = [[(cfgs[j].dt, cfgs[j].n_steps(), cfgs[j].sample_stride) for j in ladder]
-             for ladder in ladders]
-    for k, rung in zip(ks, rungs):
-        if rung != rungs[0]:
-            raise ValueError(f"degrees stepped as one stack must share one ladder of dt, step "
-                             f"count and sample_stride: k = {k} steps {rung}, k = {ks[0]} "
-                             f"steps {rungs[0]}")
-    levels = sorted(range(len(rungs[0])), key=lambda j: rungs[0][j][1])
-    order = [ladder[j] for j in levels for ladder in ladders]
-    top = Equation(grid, first.equation, ks[-1], first.dealias)
-    equation = top if len(ks) == 1 else top._stack(ks, top.nbig)
-    stepped = [result for rows in _row_chunks(len(order), equation.nbig, len(ks))
+    steps = [cfg.n_steps() for cfg in cfgs]
+    order = sorted(range(len(cfgs)), key=steps.__getitem__)
+    equation = Equation(grid, first.equation, max(cfg.k for cfg in cfgs), first.dealias)
+    stepped = [result for rows in _row_chunks(len(order), equation.nbig)
                for result in _advance([u0s[j] for j in order[rows]],
                                       [cfgs[j] for j in order[rows]], equation)]
     return [stepped[i] for i in np.argsort(order)]
@@ -406,24 +401,26 @@ def _step_constants(group_sym: np.ndarray, dt: float, if_rk4: bool) -> tuple:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
-    """The stepping loop over one stack of fields that ``_solve`` checked and
-    ordered, row i under ``cfgs[i]``.
+    """The stepping loop over one stack of fields that ``_solve`` checked,
+    row i under ``cfgs[i]``, with ``equation``'s flux formed on points
+    exact for every row's degree.
 
-    The configs share ``equation``'s tag and dealias and one scheme; row i
-    has degree ``equation.ks[i % D]``, D = len(ks).  They come in ascending
-    step count, with the rows of one dt, step count and stride adjacent:
-    each run of them is a level (D rows per level of a ladder) with one
-    preallocated ``(rows, S, n/2+1)`` history, written at every stored
+    The configs share ``equation``'s tag and dealias and one scheme; their
+    degrees, dts, step counts and strides are free.  The rows go
+    degree-major, and within a degree by step count, dt and stride: each
+    run of rows of one degree, dt, step count and stride is a block with
+    one preallocated ``(rows, S, n/2+1)`` history, written at every stored
     step, whose rows become its trajectories.  The rows step in lockstep,
-    in phases: a phase ends when a level's steps are done, and the level
-    leaves the stack, whose state is then the suffix view of the rows still
-    stepping, so row i keeps its degree.  Rows that share one dt share the
-    step's constants, formed once as ``_step_constants``; rows of several
-    dts each get theirs, formed alike and stacked, so each row is
-    bit-for-bit its own solve.  Each phase owns its arrays: four flux and
-    four stage arrays, a magnitude array for the blow-up test and the flux's
-    transform work arrays are allocated once.  A blown-up row stays in the
-    stack as zeros until its level leaves, so row i is always input i.  Each
+    in phases: a phase ends when a block's steps are done, and the block
+    leaves the stack.  The state is degree-major, and once a block leaves
+    the rows still stepping are copied into a fresh one, so each degree's
+    rows and each block's are a contiguous slice of it.  Each phase builds
+    its arrays once: the per-row step constants (``_step_constants``,
+    shared by the rows when they share one dt, else formed per dt and
+    stacked, so each row is bit-for-bit its own solve), the flux's work
+    arrays with each degree's iq and slots (``Equation._work``), four flux
+    and four stage arrays and a magnitude array for the blow-up test.  A
+    blown-up row stays in the stack as zeros until its block leaves.  Each
     step writes into the arrays with ``out=``, in the operations and order
     of the schemes' plain expressions (kept in the comments), so every
     intermediate is bit-for-bit theirs.  The state is checked after every
@@ -432,7 +429,7 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
     The slot n/2 is constant in time (the odd symbols and the flux vanish
     there), so it is settled on entry: a row whose slot n/2 exceeds the
     magnitude guard blows up at time 0, as its first step would find; each
-    level's history takes the entry value of that slot at every stored
+    block's history takes the entry value of that slot at every stored
     step, so a step writes only the modes below it; and the state becomes
     its ``spectral._split``, the split that the flux's synthesis takes as
     given.
@@ -441,54 +438,64 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
     flux, group_sym = equation._flux, equation.symbol
     mul, add, absolute, peak = np.multiply, np.add, np.abs, np.maximum.reduce
     if_rk4 = cfgs[0].scheme == "if_rk4"
-    dts = [cfg.dt for cfg in cfgs]
-    constants = {dt: _step_constants(group_sym, dt, if_rk4) for dt in dict.fromkeys(dts)}
 
+    block_keys = [(cfg.k, cfg.n_steps(), cfg.dt, cfg.sample_stride) for cfg in cfgs]
+    # position p in the stack holds row order[p]
+    order = sorted(range(len(cfgs)), key=block_keys.__getitem__)
+    ks, dts = [cfgs[i].k for i in order], [cfgs[i].dt for i in order]
+    constants = {dt: _step_constants(group_sym, dt, if_rk4) for dt in dict.fromkeys(dts)}
     nyq = n // 2
-    state = np.array([u0.coeffs[: nyq + 1] for u0 in u0s])
+    state = np.array([u0s[i].coeffs[: nyq + 1] for i in order])
     state[:, 0] = state[:, 0].real
     state[:, nyq] = state[:, nyq].real
-    results = [None] * len(u0s)
-    for row in np.flatnonzero(~(np.abs(state[:, nyq]) <= _BLOWUP_GUARD)):
-        results[row] = BlowUpError(0.0)
-        state[row] = 0.0
-    levels, first = [], 0  # (cfg, first row, rows, sample times, history) per level
-    for _, run in itertools.groupby(cfgs, key=lambda c: (c.dt, c.n_steps(), c.sample_stride)):
-        cfg, *others = run  # the level's rows differ in k at most
-        rows = 1 + len(others)
-        times = cfg.dt * np.arange(0, cfg.n_steps() + 1, cfg.sample_stride)
+    results = [None] * len(order)
+    for p in np.flatnonzero(~(np.abs(state[:, nyq]) <= _BLOWUP_GUARD)):
+        results[p] = BlowUpError(0.0)
+        state[p] = 0.0
+    blocks, first = [], 0  # (cfg, steps, first position, sample times, history) per block
+    for (_, steps, dt, stride), run in itertools.groupby(order, key=block_keys.__getitem__):
+        rows = len(list(run))
+        times = dt * np.arange(0, steps + 1, stride)
         history = np.empty((rows, len(times), nyq + 1), dtype=np.complex128)
         history[:, 0] = state[first: first + rows]
         history[:, 1:, nyq] = state[first: first + rows, nyq, None]
-        levels.append((cfg, first, rows, times, history))
+        blocks.append((cfgs[order[first]], steps, first, times, history))
         first += rows
     state = _split(state, equation.nbig)
 
-    done = 0
-    for phase, (cfg, lo, _, _, _) in enumerate(levels):
-        if None not in results[lo:]:
+    live, done = np.arange(len(order)), 0  # live: the positions of the state's rows
+    for steps in sorted({block[1] for block in blocks}):
+        stepping = [block for block in blocks if block[1] >= steps]
+        kept = np.concatenate([first + np.arange(len(history))
+                               for _, _, first, _, history in stepping])
+        if all(results[p] is not None for p in kept):
             break
+        if len(kept) < len(live):
+            state, live = state[np.searchsorted(live, kept)], kept
         # one field keeps a 1-D state: a 1-D constant (ehalf, efull, ..., the
         # flux's iq) times a (1, n/2+1) row takes numpy's broadcasting loop, at
         # n = 256 0.84 us a product against 0.44 us for two 1-D rows (numpy 2.4,
         # 2-core Xeon VM).  A one-row stack made the 1000-step n = 256
         # conservation reference solve slower in 10 of 12 alternating pairs
         # (best of 9 each, median 44.2 -> 49.5 ms).
-        uhat = state[lo] if lo == len(u0s) - 1 else state[lo:]
-        if len(set(dts[lo:])) == 1:
-            step_constants = constants[dts[lo]]
+        uhat = state[0] if len(live) == 1 else state
+        phase_dts = [dts[p] for p in live]
+        if len(set(phase_dts)) == 1:
+            step_constants = constants[phase_dts[0]]
         else:
             step_constants = tuple(np.array(c)[:, None] if np.ndim(c[0]) == 0 else np.stack(c)
-                                   for c in zip(*(constants[dt] for dt in dts[lo:])))
+                                   for c in zip(*(constants[dt] for dt in phase_dts)))
         if if_rk4:
             ehalf, efull, half_dt, sixth_dt, dt_ehalf, two_ehalf = step_constants
         else:
             ehalf, efull, q2, f1, two_f2, f3 = step_constants
-        sinks = [(level_cfg.sample_stride, history[..., :nyq], state[row: row + rows, :nyq])
-                 for level_cfg, row, rows, _, history in levels[phase:]]
+        sinks, row = [], 0
+        for cfg, _, _, _, history in stepping:
+            sinks.append((cfg.sample_stride, history[..., :nyq],
+                          state[row: row + len(history), :nyq]))
+            row += len(history)
         k1, k2, k3, k4, s1, s2, t, w = (np.empty_like(uhat) for _ in range(8))
-        mag, work = np.empty(uhat.shape), equation._work(uhat.shape[:-1])
-        steps = cfg.n_steps()
+        mag, work = np.empty(uhat.shape), equation._work(uhat.shape[:-1], [ks[p] for p in live])
         for step in range(done + 1, steps + 1):
             if if_rk4:
                 flux(uhat, k1, work)                       # a = N(uhat)
@@ -536,10 +543,10 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
                 add(t, s1, out=uhat)
             # NaN propagates and fails; .max() would add numpy's Python wrapper per step
             if not peak(absolute(uhat, out=mag), axis=None) <= _BLOWUP_GUARD:
-                blown = lo + np.flatnonzero(np.atleast_1d(~(mag.max(axis=-1) <= _BLOWUP_GUARD)))
+                blown = np.flatnonzero(np.atleast_1d(~(mag.max(axis=-1) <= _BLOWUP_GUARD)))
                 for row in blown:
-                    results[row] = BlowUpError((step - 1) * dts[row])
-                if None not in results[lo:]:
+                    results[live[row]] = BlowUpError((step - 1) * dts[live[row]])
+                if all(results[p] is not None for p in live):
                     break
                 state[blown] = 0.0
             for stride, history, rows in sinks:
@@ -547,9 +554,12 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
                     history[:, step // stride] = rows
         done = steps
 
-    return [results[i] if results[i] is not None
-            else Trajectory(grid, times, history[i - row], cfgs[i].equation, cfgs[i].k)
-            for _, row, rows, times, history in levels for i in range(row, row + rows)]
+    stepped = [None] * len(order)
+    for cfg, _, first, times, history in blocks:
+        for row, p in enumerate(range(first, first + len(history))):
+            stepped[order[p]] = (results[p] if results[p] is not None
+                                 else Trajectory(grid, times, history[row], cfg.equation, cfg.k))
+    return stepped
 
 
 @dataclass(frozen=True)

@@ -462,22 +462,31 @@ def _drift_orders(rec: dict, steps: int) -> np.ndarray:
 
 
 def _run_conservation(cfg: ExperimentConfig, rng):
-    """The reference run of the cosine data, then an order study per degree of e_ks.
+    """The reference run of the cosine data and an order study per degree of e_ks.
 
-    The alias-free Galerkin truncation conserves M and E exactly, so the
-    study's drifts are the time stepper's error and fall at its order.  Its
-    profile is one fixed draw that reads no seed, scaled to the L^2 norm of
-    amplitude * cos x, with mean gamma.  A pair of levels whose finer drift is
-    round-off is resolved and gives no order; a study with no other pair is
-    exact, as convergence's is, and its order is not gated."""
+    Both step as one stack on the alias-free grid of the largest degree,
+    where the reference's k = 1 flux is exact too.  The alias-free Galerkin
+    truncation conserves M and E exactly, so the study's drifts are the time
+    stepper's error and fall at its order.  Its profile is one fixed draw
+    that reads no seed, scaled to the L^2 norm of amplitude * cos x, with
+    mean gamma.  A pair of levels whose finer drift is round-off is resolved
+    and gives no order; a study with no other pair is exact, as
+    convergence's is, and its order is not gated."""
     grid = PeriodicGrid(cfg.lam, cfg.n)
     u0 = _cosine_data(cfg, grid)
+    l2 = norm(cfg.amplitude * SpectralField.from_function(grid, np.cos), "lp", p=2)
+    (profile,) = random_fields(grid, np.random.default_rng(0), 1, n_modes=20, decay=0.9,
+                               amplitude=l2, normalize="l2", mean=cfg.gamma)
     rec = {"run": "reference", "sample_index": 0, "inputs_hash": _hash_field(u0)}
-    records = [rec]
-    try:
-        traj = solve(u0, cfg.solvers["reference"])
-    except BlowUpError as exc:
-        _blow_up_record(rec, exc)
+    studies = [{"run": _energy_level(k, 0), "sample_index": idx,
+                "inputs_hash": _hash_field(profile)} for idx, k in enumerate(cfg.e_ks, start=1)]
+    records = [rec] + studies
+    # the reference and every level of every degree step as one stack
+    solvers = [cfg.solvers["reference"]] + [cfg.solvers[_energy_level(k, j)]
+                                            for k in cfg.e_ks for j in range(_ORDER_LEVELS)]
+    traj, *results = _solve([u0] + [profile] * (len(solvers) - 1), solvers)
+    if isinstance(traj, BlowUpError):
+        _blow_up_record(rec, traj)
     else:
         rep = drift_report(traj)
         rec.update({"drift_I": rep.drifts["I"], "drift_M": rep.drifts["M"],
@@ -497,19 +506,10 @@ def _run_conservation(cfg: ExperimentConfig, rng):
                 [float(t), float(abs(v - f_series[0]) / abs(f_series[0]))]
                 for t, v in zip(rep.times, f_series)
             ]
-    l2 = norm(cfg.amplitude * SpectralField.from_function(grid, np.cos), "lp", p=2)
-    (profile,) = random_fields(grid, np.random.default_rng(0), 1, n_modes=20, decay=0.9,
-                               amplitude=l2, normalize="l2", mean=cfg.gamma)
-    studies = [{"run": _energy_level(k, 0), "sample_index": idx,
-                "inputs_hash": _hash_field(profile)} for idx, k in enumerate(cfg.e_ks, start=1)]
-    records += studies
     if not profile.coeffs.any():
         for rec in studies:
             rec["degenerate"] = True  # zero data: every relative drift is 0/0
         return records, {}
-    # every level of every degree steps as one stack
-    solvers = [cfg.solvers[_energy_level(k, j)] for k in cfg.e_ks for j in range(_ORDER_LEVELS)]
-    results = _solve([profile] * len(solvers), solvers)
     for i, rec in enumerate(studies):
         levels = results[i * _ORDER_LEVELS: (i + 1) * _ORDER_LEVELS]
         blown = [r for r in levels if isinstance(r, BlowUpError)]

@@ -467,10 +467,10 @@ def _complex_coeffs(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _row_chunks(rows: int, points: int, group: int = 1) -> list:
-    """Slices covering range(rows), each of at most _STACK_POINTS // points rows,
-    in whole groups of ``group`` rows (at least one group)."""
-    per_stack = group * max(1, _STACK_POINTS // (group * points))
+def _row_chunks(rows: int, points: int) -> list:
+    """Slices covering range(rows), each of at most _STACK_POINTS // points rows
+    (at least one)."""
+    per_stack = max(1, _STACK_POINTS // points)
     return [slice(start, start + per_stack) for start in range(0, rows, per_stack)]
 
 

@@ -139,7 +139,7 @@ class TestExactProducts:
         for points in (_alias_free_points(grid.n, k + 3), _alias_free_points(grid.n, k + 6),
                        REF_PAD * grid.n):
             assert points > eq.nbig == _alias_free_points(grid.n, k + 2)
-            got = eq._stack((k,), points).nonlinear(half)
+            got = eq._stack(points).nonlinear(half)
             assert np.max(np.abs(got - flux)) <= 1e-14 * np.max(np.abs(flux))
 
     @pytest.mark.parametrize("n, equation, k, dealias, nbig", [

@@ -26,16 +26,16 @@ def test_summary_gives_each_side_median_and_quartiles_and_the_pairs_won():
              _pair(0.23, 0.23)]
     assert bench_pairs.summarize(pairs, METRICS) == [
         "wall_s (s, lower is better): parent 0.25 [0.24, 0.25]  change 0.23 [0.22, 0.23]  "
-        "change better in 3 of 5 pairs: unresolved",
+        "parent IQR 4% of median  change better in 3 of 5 pairs: unresolved",
         "ok_ratio (ratio, higher is better): parent 1 [1, 1]  change 1 [1, 1]  "
-        "change better in 0 of 5 pairs: unresolved",
+        "parent IQR 0% of median  change better in 0 of 5 pairs: unresolved",
     ]
 
 
 def test_one_pair_is_its_own_quartiles():
     assert bench_pairs.summarize([_pair(0.3, 0.2)], METRICS[:1]) == [
         "wall_s (s, lower is better): parent 0.3 [0.3, 0.3]  change 0.2 [0.2, 0.2]  "
-        "change better in 1 of 1 pairs: unresolved"]
+        "parent IQR 0% of median  change better in 1 of 1 pairs: unresolved"]
 
 
 PARENT_WALL = [0.30, 0.31, 0.32, 0.33, 0.34, 0.35, 0.36, 0.37, 0.38, 0.39]  # IQR 0.045
@@ -59,6 +59,14 @@ def test_verdict_by_pairs_won_and_median_gap_past_the_parents_iqr(change, want):
     line = bench_pairs.summarize(pairs, METRICS[:1])[0]
     assert line.endswith(f"pairs: {want}")
     assert bench_pairs.verdict(PARENT_WALL, change, -1.0) == want
+
+
+def test_the_parents_iqr_is_printed_as_a_share_of_its_median():
+    # IQR 0.045 of a median 0.345: the verdict calls no median move under 13%
+    pairs = [_pair(p, p - 0.04) for p in PARENT_WALL]
+    assert "parent IQR 13% of median" in bench_pairs.summarize(pairs, METRICS[:1])[0]
+    zero = [{side: {"wall_s": 0.0} for side in bench_pairs.SIDES}] * 3
+    assert "parent IQR n/a of median" in bench_pairs.summarize(zero, METRICS[:1])[0]
 
 
 def test_verdict_follows_the_better_direction_and_needs_ten_pairs():
@@ -98,7 +106,8 @@ def test_runs_alternate_and_the_summary_is_printed(tmp_path, capsys):
                                        "change"]
     out = capsys.readouterr().out.splitlines()
     assert out[-2] == ("wall_s (s, lower is better): parent 0.25 [0.25, 0.25]  "
-                       "change 0.2 [0.2, 0.2]  change better in 3 of 3 pairs: unresolved")
+                       "change 0.2 [0.2, 0.2]  parent IQR 0% of median  "
+                       "change better in 3 of 3 pairs: unresolved")
 
 
 def test_a_run_without_a_result_fails(tmp_path, capsys):

@@ -228,7 +228,10 @@ def test_a_run_solves_with_the_settings_its_config_built(name, monkeypatch):
                         lambda *a, **kw: pytest.fail("solver settings built at run time"))
     with pytest.raises(_Solved) as exc:
         _EXPERIMENTS[name].run(cfg, np.random.default_rng(0))
-    assert any(exc.value.args[0] is solver for solver in cfg.solvers.values())
+    # ``_solve`` takes a list of configs, one per row
+    got = exc.value.args[0]
+    for solver in got if isinstance(got, list) else [got]:
+        assert any(solver is built for built in cfg.solvers.values())
 
 
 @pytest.mark.parametrize("name", [name for name in EXPERIMENT_NAMES

@@ -566,7 +566,7 @@ class TestInPlaceStepper:
         built = []
         work = evolve.Equation._work
         monkeypatch.setattr(evolve.Equation, "_work",
-                            lambda self, lead: built.append(lead) or work(self, lead))
+                            lambda self, lead, ks: built.append(lead) or work(self, lead, ks))
         grid = PeriodicGrid(1.0, 64)
         cos = SpectralField.from_function(grid, np.cos)
         cfg = SolverConfig("gbo", k=3, dt=0.01, t_final=5.0, sample_stride=10)
@@ -745,9 +745,9 @@ class TestSolveLevels:
             _one_field(_random_data("gbo"), cfgs)
 
     def test_conservation_steps_each_order_study_as_one_stack(self, monkeypatch):
-        # 8 transforms per step of one stack: 6 rows (3 levels x 2 degrees) x 250
-        # steps, 4 x 250, 2 x 500, on the k = 3 grid; a stack per degree made
-        # 8 x 1000 per degree, and separate solves 8 x 1750 per degree
+        # 8 transforms per step of one stack, on the k = 3 grid: 7 rows (the
+        # reference and 3 levels x 2 degrees) x 250 steps, 5 x 250, 3 x 500; the
+        # reference stepped alone on its own 400 points made 8 x 1000 more
         calls = count_transforms(monkeypatch)
         cfg = experiments.ExperimentConfig("conservation")
         experiments._EXPERIMENTS["conservation"].run(cfg, np.random.default_rng(0))
@@ -756,11 +756,12 @@ class TestSolveLevels:
         nbig = evolve.Equation(grid, "gbo", 3).nbig
         reference = evolve.Equation(grid, "gbo", 1).nbig
         assert (nbig, reference) == (648, 400)
-        stepped = {((6,), nbig), ((4,), nbig), ((2,), nbig), ((), reference)}
+        assert not any(points == reference for _, _, points in calls)
+        stepped = {((7,), nbig), ((5,), nbig), ((3,), nbig)}
         assert collections.Counter((lead, points) for _, lead, points in calls
                                    if (lead, points) in stepped) == {
-            ((6,), nbig): 8 * 250, ((4,), nbig): 8 * 250, ((2,), nbig): 8 * 500,
-            ((), reference): 8 * 1000}
+            ((7,), nbig): 8 * 250, ((5,), nbig): 8 * 250, ((3,), nbig): 8 * 500}
+        assert cfg.solvers["reference"].n_steps() == 1000
         assert cfg.solvers[experiments._energy_level(3, 2)].n_steps() == 1000
 
 
@@ -772,7 +773,7 @@ def _mixed_ladders(cfg, ks, levels=3):
 def _alone(u0, cfgs, nbig):
     """One degree's configs, in ascending step count, stepped as its own stack on nbig points."""
     equation = evolve.Equation(u0.grid, cfgs[0].equation, cfgs[0].k, cfgs[0].dealias)
-    return evolve._advance([u0] * len(cfgs), cfgs, equation._stack((cfgs[0].k,), nbig))
+    return evolve._advance([u0] * len(cfgs), cfgs, equation._stack(nbig))
 
 
 class TestMixedDegrees:
@@ -829,19 +830,39 @@ class TestMixedDegrees:
         lambda c: c[:2],  # a level missing
         lambda c: c[::-1],  # another order
     ], ids=["dt", "steps", "stride", "length", "order"])
-    def test_ladders_that_differ_are_refused(self, k3_levels):
+    def test_ladders_that_differ_step_as_one_stack(self, k3_levels):
+        u0 = _random_data("gbo")
         cfgs = _mixed_ladders(SolverConfig("gbo", dt=4e-3, t_final=0.08, sample_stride=4),
                               (2, 3))
-        with pytest.raises(ValueError, match="must share one ladder of dt, step count and "
-                                             "sample_stride: k = 3 steps"):
-            _one_field(_random_data("gbo"), cfgs[:3] + k3_levels(cfgs[3:]))
+        cfgs = cfgs[:3] + k3_levels(cfgs[3:])
+        nbig = evolve.Equation(u0.grid, "gbo", 3).nbig
+        for row, cfg in zip(_one_field(u0, cfgs), cfgs):
+            assert row.k == cfg.k
+            _assert_same_result(row, _alone(u0, [cfg], nbig)[0])
+
+    def test_a_one_level_ladder_beside_two_ladders_with_a_blow_up(self):
+        # as conservation stacks its reference: k = 1 alone, then the k = 2 and
+        # k = 3 ladders at another dt; from 1.5 cos x only k = 3 at dt = 0.005
+        # blows up, before the k = 1 row is done
+        u0 = 1.5 * SpectralField.from_function(PeriodicGrid(1.0, 64), np.cos)
+        reference = SolverConfig("gbo", dt=4e-3, t_final=2.0, sample_stride=25)
+        cfgs = [reference] + _mixed_ladders(SolverConfig("gbo", dt=5e-3, t_final=1.0,
+                                                         sample_stride=10), (2, 3))
+        got = _one_field(u0, cfgs)
+        assert [isinstance(r, BlowUpError) for r in got] == [False] * 4 + [True, False, False]
+        assert got[4].last_good_time < 1.0
+        nbig = evolve.Equation(u0.grid, "gbo", 3).nbig
+        for row, cfg in zip(got, cfgs):
+            _assert_same_result(row, _alone(u0, [cfg], nbig)[0])
+        for row, cfg in zip(got[4:], cfgs[4:]):
+            _assert_same_result(row, _solo(u0, cfg))
 
     @pytest.mark.parametrize("stack_points", [1, 1 << 10])
-    def test_stacks_never_split_a_level(self, monkeypatch, stack_points):
-        # a stack of fewer points than one row still takes a level's three degrees
+    def test_rows_split_across_stacks_are_their_own_solves(self, monkeypatch, stack_points):
+        # a stack of fewer points than one row takes one row, whatever its level
         monkeypatch.setattr(spectral, "_STACK_POINTS", stack_points)
-        assert spectral._row_chunks(9, 100, 3) == (
-            [slice(0, 3), slice(3, 6), slice(6, 9)] if stack_points == 1 else [slice(0, 9)])
+        assert spectral._row_chunks(9, 100) == (
+            [slice(j, j + 1) for j in range(9)] if stack_points == 1 else [slice(0, 10)])
         u0 = _random_data("gbo")
         cfgs = _mixed_ladders(SolverConfig("gbo", dt=4e-3, t_final=0.08, sample_stride=5),
                               (1, 2, 3), levels=4)
@@ -872,7 +893,7 @@ def _runs_with_references(run, u0s, scheme, dealias, k=3, dt=4e-3):
     cfgs = _mixed_ladders(cfg, (1, 3))
     nbig = evolve.Equation(grid, "gbo", 3, dealias).nbig
     refs = [advance_reference(u0s[:1], c, evolve.Equation(grid, "gbo", c.k, dealias)._stack(
-        (c.k,), nbig))[0] for c in cfgs]
+        nbig))[0] for c in cfgs]
     return list(zip(_one_field(u0s[0], cfgs), refs))
 
 

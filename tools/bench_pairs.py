@@ -9,8 +9,10 @@ the other, from the checkout's root; the order alternates from pair to pair
 of the machine's speed falls on both sides alike.  Each run's last stdout
 line is its result object.  For each end-to-end metric that CHANGE's
 ``BENCHMARK.json`` declares, it prints the median [q1, q3] over the pairs
-of each side, in how many pairs CHANGE was better (in the metric's
-``better`` direction; a tie counts for neither side) and a verdict:
+of each side, PARENT's interquartile range as a percentage of its median
+(the smallest move of the median that the verdict can call), in how many
+pairs CHANGE was better (in the metric's ``better`` direction; a tie
+counts for neither side) and a verdict:
 ``gain`` (or ``regression``) when over at least 10 pairs CHANGE is better
 (worse) in at least 9 of every 10 and its median is better (worse) than
 PARENT's by more than PARENT's interquartile range, ``unresolved``
@@ -85,7 +87,10 @@ def summarize(pairs: list, metrics: list) -> list:
         for side in SIDES:
             q1, med, q3 = quartiles(sides[side])
             stats.append(f"{side} {med:.6g} [{q1:.6g}, {q3:.6g}]")
+        q1, med, q3 = quartiles(sides["parent"])
+        spread = f"{100 * (q3 - q1) / abs(med):.3g}%" if med else "n/a"
         lines.append(f"{name} ({unit}, {better} is better): {'  '.join(stats)}  "
+                     f"parent IQR {spread} of median  "
                      f"change better in {won} of {len(pairs)} pairs: "
                      f"{verdict(sides['parent'], sides['change'], sign)}")
     return lines

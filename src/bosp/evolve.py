@@ -25,9 +25,11 @@ t_final >= dt.  The linear phase and iq of ``Equation`` are read from
 ``lingroup.group_symbol`` serves too.  Its nonlinear
 terms are in conservative form d_x(u^{k+1})/(k+1) so the mean mode is
 conserved to round-off, and products are dealiased by one of two rules.
-The default, ``alias_free``, forms them on the alias-free grid of degree
-k + 2, where the flux and the renormalized mean of v^k are exact at every
-k; ``two_thirds`` zeroes the flux modes |q| > n/3.
+The default, ``alias_free``, forms them on the smallest 5-smooth grid of
+N >= (k + 2) n/2 points, where the flux and the renormalized mean of v^k
+are exact at every k (``Equation``: the flux keeps no slot n/2, so it needs
+one point fewer than ``spectral``'s strict rule of degree k + 2);
+``two_thirds`` zeroes the flux modes |q| > n/3.
 ``SolverConfig``'s fields are the one place the solver's ``scheme`` and
 ``dealias`` defaults are written; ``Equation`` reads its default there.
 The flux has one implementation, the closure ``Equation._flux``, built once
@@ -100,9 +102,10 @@ import numpy as np
 
 from .errors import BlowUpError
 from .spectral import (_POSITIVE, PeriodicGrid, SpectralField, Trajectory, _Rule,
-                       _alias_free_points, _check_equation, _check_one_grid, _check_real,
-                       _check_values, _check_zero_mean, _choice, _finite, _full_spectrum,
-                       _integer, _power_steps, _real_transforms, _row_chunks, _split, _symbol)
+                       _check_equation, _check_one_grid, _check_real, _check_values,
+                       _check_zero_mean, _choice, _finite, _full_spectrum, _integer,
+                       _power_steps, _real_transforms, _row_chunks, _smooth_points, _split,
+                       _symbol)
 
 __all__ = ["Equation", "SolverConfig", "solve", "solve_batch", "convergence_order",
            "ConvergenceResult"]
@@ -127,9 +130,9 @@ class SolverConfig:
     ``sample_stride`` steps, and the step count t_final/dt must be an exact
     multiple of it so sample times stay uniform.  ``dealias`` is
     ``alias_free`` (the default: products on the smallest zero-padded grid
-    where the flux is exact, ``spectral._alias_free_points(n, k + 2)``
-    points) or ``two_thirds`` (flux modes |q| > n/3 zeroed).  These fields
-    are the one place the solver's defaults are written.
+    where the flux is exact, ``Equation.nbig``, the smallest 5-smooth size
+    >= (k + 2) n/2) or ``two_thirds`` (flux modes |q| > n/3 zeroed).  These
+    fields are the one place the solver's defaults are written.
     """
 
     equation: str
@@ -176,8 +179,14 @@ class Equation:
     flux closure ``_flux`` on its split state with arrays of its own
     (``_work``), which also carry each row's degree; ``nonlinear`` splits
     its argument first.  ``nbig`` is the points per row the flux is formed
-    on: the alias-free size of degree k + 2 under ``alias_free``, else n
-    (``two_thirds``).  ``dealias`` defaults to ``SolverConfig``'s.
+    on: under ``alias_free`` the smallest 5-smooth size >= (k + 2) n/2,
+    else n (``two_thirds``).  That is the least size where the flux is
+    exact: u^{k+1} reaches mode (k + 1) n/2, and on N points the kept slots
+    m <= n/2 - 1 take the aliases of modes m - N, below -(k + 1) n/2 once N
+    >= (k + 2) n/2.  The slot n/2 does take an alias, but iq, and gbo's
+    folded iq / (k + 1), is zero there.  ``multiply`` and the gauge keep
+    that slot, so they need ``spectral._alias_free_points``' one point more.
+    ``dealias`` defaults to ``SolverConfig``'s.
     """
 
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1,
@@ -188,7 +197,7 @@ class Equation:
         self.grid, self.eq, self.k, self.n = grid, equation, k, grid.n
         self.symbol = _symbol(grid, "bo_group")[: half + 1]
         self.iq = _symbol(grid, "d_dx")[: half + 1]
-        self.nbig = _alias_free_points(grid.n, k + 2) if dealias == "alias_free" else grid.n
+        self.nbig = _smooth_points((k + 2) * grid.n // 2) if dealias == "alias_free" else grid.n
         self.cut = grid.n // 3 + 1 if dealias == "two_thirds" else None
         self._flux = self._build_flux()
 

@@ -719,7 +719,9 @@ class _Gate(NamedTuple):
 
     ``bound`` is a config key, or the (low, high) keys of a band for sense
     "in"; without one only finiteness is checked.  ``text`` formats the
-    failure from ``name``, ``value`` and the bound's value.
+    failure from ``name``, ``value`` and the bound's value.  Within one
+    verdict, gates of different (sense, bound) have different names, since
+    ``_judge`` reports a non-finite value once per name.
     """
 
     name: str
@@ -799,7 +801,7 @@ def _pass_gauge_residual(cfg, records):
     # shrink; a NaN coarse maximum keeps the gate, and the judge fails it.
     if coarse.size and not np.max(coarse) <= cfg.residual_tol:
         ratio = np.max(coarse) / np.maximum(np.max(_floats(halves, "residual_l2")), 1e-300)
-        gates.append(_Gate("residual", ratio, ">=", "shrink_min",
+        gates.append(_Gate("shrink", ratio, ">=", "shrink_min",
                            "doubling n only shrank the residual {value:.1f}x (< {bound:.0f}x)"))
     return fails, gates
 
@@ -809,7 +811,7 @@ def _pass_strichartz(cfg, records):
     slope = np.polyfit(np.log(lams), np.log(maxes), 1)[0]
     return [], [_Gate("ratio", maxes.max() / maxes.min(), "<", "variation_max",
                       "max ratio varies {value:.2f}x across lambda (>= {bound}x)"),
-                _Gate("ratio", slope, "<", "slope_max", "log-log slope {value:.3f} >= {bound}")]
+                _Gate("slope", slope, "<", "slope_max", "log-log slope {value:.3f} >= {bound}")]
 
 
 def _pass_flowmap(cfg, records):
@@ -823,7 +825,7 @@ def _pass_flowmap(cfg, records):
     maxes = np.array([mx for _, mx in _max_by(usable, "scale", "ratio")])
     gates = [_Gate("ratio", maxes.max(), "<=", "ratio_bound", "max ratio {value:.2f} > {bound}")]
     if len(maxes) >= 2:
-        gates.append(_Gate("ratio", maxes.max() / np.maximum(maxes.min(), 1e-300), "<",
+        gates.append(_Gate("insensitivity", maxes.max() / np.maximum(maxes.min(), 1e-300), "<",
                            "insensitivity_max",
                            "max ratio changed {value:.2f}x across perturbation scales"))
     return fails, gates

@@ -3,10 +3,12 @@
 A degree-d product of fields with modes up to n/2 has its top mode at
 d * n/2, so its rectangle-rule mean is exact on N > d * n/2 points.  A
 product truncated to n modes is exact on the same rule with one degree more
-(each kept coefficient is the mean of the product times one mode): the
-solver's gbo flux u^{k+1} with degree k + 2, ``multiply`` with degree 3.
-The references below sum on 16n points, exact for every degree tested; the
-full-band fields carry the slot n/2, so a grid one size too small shows.
+(each kept coefficient is the mean of the product times one mode):
+``multiply`` with degree 3.  The solver's flux u^{k+1} keeps the modes
+0..n/2-1 only (iq is zero on the slot n/2), so it is exact one point
+sooner, on N >= (k + 2) n/2.  The references below sum on 16n points, exact
+for every degree tested; the full-band fields carry the slot n/2, so a grid
+one size too small shows.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from bosp import (PeriodicGrid, SpectralField, Trajectory, analyze_values_padded, invariant,
                   multiply, norm, renormalize_gbo, synthesize)
 from bosp.evolve import Equation
-from bosp.spectral import _alias_free_points
+from bosp.spectral import _alias_free_points, _smooth_points
 
 REF_PAD = 16
 
@@ -138,19 +140,41 @@ class TestExactProducts:
         flux = eq.nonlinear(half)
         for points in (_alias_free_points(grid.n, k + 3), _alias_free_points(grid.n, k + 6),
                        REF_PAD * grid.n):
-            assert points > eq.nbig == _alias_free_points(grid.n, k + 2)
+            assert points > eq.nbig == _smooth_points((k + 2) * grid.n // 2)
             got = eq._stack(points).nonlinear(half)
             assert np.max(np.abs(got - flux)) <= 1e-14 * np.max(np.abs(flux))
 
     @pytest.mark.parametrize("n, equation, k, dealias, nbig", [
-        (64, "gbo", 1, "alias_free", 100), (64, "bo2", 1, "alias_free", 100),
-        (64, "gbo", 7, "alias_free", 300), (128, "gbo", 1, "alias_free", 200),
-        (256, "gbo", 1, "alias_free", 400), (256, "gbo", 3, "alias_free", 648),
-        (256, "renormalized_gbo", 2, "alias_free", 540),
+        (64, "gbo", 1, "alias_free", 96), (64, "bo2", 1, "alias_free", 96),
+        (64, "gbo", 7, "alias_free", 288), (128, "gbo", 1, "alias_free", 192),
+        (256, "gbo", 1, "alias_free", 384), (256, "gbo", 3, "alias_free", 640),
+        (256, "renormalized_gbo", 2, "alias_free", 512),
         (64, "gbo", 1, "two_thirds", 64),
     ])
     def test_solver_grid_size(self, n, equation, k, dealias, nbig):
         assert Equation(PeriodicGrid(1.0, n), equation, k, dealias).nbig == nbig
+
+    @pytest.mark.parametrize("equation", ["gbo", "renormalized_gbo"])
+    def test_solver_grid_is_the_least_smooth_size(self, equation):
+        for n in range(8, 97, 2):
+            for k in range(1, 7):
+                nbig = Equation(PeriodicGrid(1.0, n), equation, k).nbig
+                bound = (k + 2) * n // 2
+                assert nbig >= bound and _five_smooth(nbig), (n, k)
+                assert not any(_five_smooth(m) for m in range(bound, nbig)), (n, k)
+
+    @pytest.mark.parametrize("equation, k", [("gbo", 1), ("gbo", 2), ("gbo", 3), ("bo2", 1),
+                                             ("renormalized_gbo", 2)])
+    def test_solver_flux_aliases_one_point_below(self, grid, equation, k):
+        # the negative control of test_solver_flux: on (k + 2) n/2 - 1 points
+        # the top mode of u^{k+1} folds onto the slot n/2 - 1, which the flux keeps
+        u = full_band(grid, 5)
+        if equation == "renormalized_gbo":
+            u = SpectralField(grid, u.coeffs * (grid.modes != 0))
+        ref = reference_flux(u, equation, k)
+        below = Equation(grid, equation, k)._stack((k + 2) * grid.n // 2 - 1)
+        got = below.nonlinear(u.coeffs[: grid.n // 2 + 1])
+        assert np.max(np.abs(got - ref)) > 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("real", [True, False])
     def test_multiply(self, grid, real):

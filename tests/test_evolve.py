@@ -747,7 +747,7 @@ class TestSolveLevels:
     def test_conservation_steps_each_order_study_as_one_stack(self, monkeypatch):
         # 8 transforms per step of one stack, on the k = 3 grid: 7 rows (the
         # reference and 3 levels x 2 degrees) x 250 steps, 5 x 250, 3 x 500; the
-        # reference stepped alone on its own 400 points made 8 x 1000 more
+        # reference stepped alone on its own 384 points made 8 x 1000 more
         calls = count_transforms(monkeypatch)
         cfg = experiments.ExperimentConfig("conservation")
         experiments._EXPERIMENTS["conservation"].run(cfg, np.random.default_rng(0))
@@ -755,7 +755,7 @@ class TestSolveLevels:
         assert cfg.e_ks == (2, 3)
         nbig = evolve.Equation(grid, "gbo", 3).nbig
         reference = evolve.Equation(grid, "gbo", 1).nbig
-        assert (nbig, reference) == (648, 400)
+        assert (nbig, reference) == (640, 384)
         assert not any(points == reference for _, _, points in calls)
         stepped = {((7,), nbig), ((5,), nbig), ((3,), nbig)}
         assert collections.Counter((lead, points) for _, lead, points in calls

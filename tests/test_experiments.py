@@ -664,6 +664,12 @@ class TestDeterminismAndVerdicts:
         cfg = config_from_mapping(name, FAST[name])
         fails, gates = _EXPERIMENTS[name].verdict(cfg, run_experiment(cfg).records)
         assert gates and not _judge(fails, gates, cfg)
+        # a non-finite gate reports once per name, so gates of different
+        # bounds need different names to report apart
+        keyed = {}
+        for gate in gates:
+            keyed.setdefault(gate.name, set()).add((gate.sense, gate.bound))
+        assert all(len(keys) == 1 for keys in keyed.values()), keyed
         bound_keys = set()
         for i, gate in enumerate(gates):
             keys = (gate.bound if isinstance(gate.bound, tuple)

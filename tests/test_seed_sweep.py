@@ -23,7 +23,7 @@ def test_seeds_are_listed_and_ranges_inclusive():
 def test_a_bound_one_seed_breaks_is_reported_at_that_seed(capsys):
     gates, structural = seed_sweep.sweep("strichartz-scan", SEEDS, TINY)
     assert structural == []
-    assert set(gates) == {VARIATION, ("ratio", "<", "slope_max")}
+    assert set(gates) == {VARIATION, ("slope", "<", "slope_max")}
     bound, rows = gates[VARIATION]
     assert bound == 2.0 and [seed for seed, *_ in rows] == SEEDS
     assert not any(failed for *_, failed in rows)

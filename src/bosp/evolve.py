@@ -22,8 +22,9 @@ this module's rule table ``_RULES`` (see ``spectral``), which the config
 keys of the same names share; ``SolverConfig`` adds the cross-key rule
 t_final >= dt.  The linear phase and iq of ``Equation`` are read from
 ``spectral._symbol`` (kinds ``bo_group`` and ``d_dx``), the table that
-``lingroup.group_symbol`` serves too.  Its nonlinear
-terms are in conservative form d_x(u^{k+1})/(k+1) so the mean mode is
+``lingroup.group_symbol`` serves too.  Its nonlinear terms are in
+conservative form mu/(k+1) d_x(u^{k+1} - (k+1) mean(u^k) u), mu from
+``_MU`` and the mean term the renormalized equation's, so the mean mode is
 conserved to round-off, and products are dealiased by one of two rules.
 The default, ``alias_free``, forms them on the smallest 5-smooth grid of
 N >= (k + 2) n/2 points, where the flux and the renormalized mean of v^k
@@ -169,6 +170,10 @@ class SolverConfig:
         return steps
 
 
+# mu of each equation's flux d_x(mu u^{k+1} / (k + 1)); linear has none
+_MU = {"gbo": 1.0, "bo2": 2.0, "renormalized_gbo": 2.0}
+
+
 class Equation:
     """Right-hand side u_t = symbol * u_hat + N(u_hat) of one tagged equation.
 
@@ -183,8 +188,8 @@ class Equation:
     else n (``two_thirds``).  That is the least size where the flux is
     exact: u^{k+1} reaches mode (k + 1) n/2, and on N points the kept slots
     m <= n/2 - 1 take the aliases of modes m - N, below -(k + 1) n/2 once N
-    >= (k + 2) n/2.  The slot n/2 does take an alias, but iq, and gbo's
-    folded iq / (k + 1), is zero there.  ``multiply`` and the gauge keep
+    >= (k + 2) n/2.  The slot n/2 does take an alias, but iq, so each row's
+    constant iq mu / (k + 1), is zero there.  ``multiply`` and the gauge keep
     that slot, so they need ``spectral._alias_free_points``' one point more.
     ``dealias`` defaults to ``SolverConfig``'s.
     """
@@ -214,22 +219,19 @@ class Equation:
         stack._flux = stack._build_flux()
         return stack
 
-    def _folded(self, k: int) -> bool:
-        """Whether gbo's ``/ (k + 1)`` is folded into iq: k + 1 is a power of two."""
-        return self.eq == "gbo" and not k & (k + 1)
-
     def _work(self, lead: tuple, ks=None) -> tuple:
         """Flux work arrays of a stack with leading shape ``lead`` whose rows
         along the first axis have the degrees ``ks``, each degree's rows
         adjacent (every row of degree ``k`` when ks is None): values, the
         powers, padded spectrum, its half spectrum (the first n/2+1 slots, a
-        view), every row's iq, and per degree its chain of power steps on
-        its slots (values, powers and a spare), its flux rows and ``/ (k +
-        1)``, and for the renormalized equation its mean's chain (none for
-        linear).  A degree's slots and flux rows are its contiguous rows of
-        the stack's arrays, the whole arrays when there is one degree, and
-        its power lands in the powers' rows.  No array holds a split copy
-        of the state: the state comes split."""
+        view), every row's flux constant ``iq * mu / (k + 1)`` (mu from
+        ``_MU``), and per degree its chain of power steps on its slots
+        (values, powers and a spare), and for the renormalized equation its
+        flux rows, k + 1 and its mean's chain (none for linear).  A degree's
+        slots and flux rows are its contiguous rows of the stack's arrays,
+        the whole arrays when there is one degree, and its power lands in
+        the powers' rows.  No array holds a split copy of the state: the
+        state comes split."""
         if self.eq == "linear":
             return ()
         runs = [(k, len(list(rows))) for k, rows in itertools.groupby(ks or (self.k,))]
@@ -237,22 +239,20 @@ class Equation:
         powers, spare = np.empty_like(vals), np.empty_like(vals)
         spec = np.empty(lead + (self.nbig // 2 + 1,), dtype=np.complex128)
         half = spec[..., : self.n // 2 + 1]
-        chains, divided, renormalized, iqs, first = [], [], [], [], 0
+        chains, renormalized, iqs, first = [], [], [], 0
         for k, count in runs:
             rows = None if len(runs) == 1 else slice(first, first + count)
             first += count
             slots = [a if rows is None else a[rows] for a in (vals, powers, spare)]
-            f = half if rows is None else half[rows]
             # the chain after its first step, (0, 0, 1), with its last product into slot 1
             rest = _power_steps(k + 1)[0][1:]
             chains.append((slots, rest[:-1] + tuple((a, b, 1) for a, b, _ in rest[-1:])))
-            if self.eq == "gbo" and not self._folded(k):
-                divided.append((f, k + 1))
             if self.eq == "renormalized_gbo":
+                f = half if rows is None else half[rows]
                 renormalized.append((rows, slots, f, k + 1, *_power_steps(k)))
-            iqs.append(self.iq / (k + 1) if self._folded(k) else self.iq)
+            iqs.append(self.iq * _MU[self.eq] / (k + 1))
         iq = iqs[0] if len(runs) == 1 else np.repeat(iqs, [count for _, count in runs], axis=0)
-        return vals, powers, spec, half, iq, chains, divided, renormalized
+        return vals, powers, spec, half, iq, chains, renormalized
 
     def _build_flux(self):
         """The dealiased flux ``flux(uhat, out, work) -> out`` of one split
@@ -261,20 +261,19 @@ class Equation:
 
         ``uhat`` is the stepper's state: when nbig > n its slot n/2 is
         already halved, and the flux synthesizes it as it is, with no split
-        multiply.  The analysis leaves -n/2 unfolded: iq (and gbo's folded
-        iq / (k + 1)) is zero on the slot n/2, so the flux there is a zero
+        multiply.  The analysis leaves -n/2 unfolded: each row's constant iq
+        mu / (k + 1) is zero on the slot n/2, so the flux there is a zero
         whose sign alone the fold would set.  ``work`` comes from ``_work``,
         which sets each row's degree, and is clobbered; ``out`` must not
         share memory with uhat or work.  One inverse and one forward
         transform serve the whole stack, and so does one squaring of the
         values, which every degree's chain of ``_power_steps`` begins with;
-        the rest of each degree's chain, its last product into the powers,
-        its ``/ (k + 1)`` and any renormalized mean act on its rows.  Where a
-        product lands does not change its value, so the flux is bit for bit
-        the chain run alone.  When k + 1 is a power of two (k = 1, 3, 7),
-        dividing by it only shifts exponents, so gbo's ``iq * (flux / (k +
-        1))`` is bit for bit ``(iq / (k + 1)) * flux`` unless a flux value is
-        below 2^-1022 (k + 1), near subnormal.
+        the rest of each degree's chain, its last product into the powers
+        and any renormalized mean act on its rows.  Where a product lands
+        does not change its value, so the flux is bit for bit the chain run
+        alone.  Every row then takes one multiply by its constant from
+        ``_work``: ``iq mu / (k + 1) (v^{k+1} - (k + 1) mean(v^k) v)``, the
+        mean term for the renormalized equation only.
         """
         cut = self.cut
         if self.eq == "linear":
@@ -286,7 +285,7 @@ class Equation:
         mul = np.multiply
 
         def flux(uhat, out, work):
-            vals, powers, spec, f, iq, chains, divided, renormalized = work
+            vals, powers, spec, f, iq, chains, renormalized = work
             values(uhat, vals)
             mul(vals, vals, out=powers)
             for s, steps in chains:
@@ -295,17 +294,13 @@ class Equation:
             coeffs(powers, spec)
             if cut is not None:
                 f[..., cut:] = 0.0
-            for f_d, k1 in divided:
-                np.divide(f_d, k1, out=f_d)
             for rows, s, f_d, k1, mean_steps, mean_last in renormalized:
-                # 2 M(v^k) v_x = d_x(2 v^{k+1}/(k+1) - 2 mean(v^k) v)
+                # 2 M(v^k) v_x = d_x(2/(k+1) (v^{k+1} - (k+1) mean(v^k) v))
                 for a, b, dest in mean_steps:
                     mul(s[a], s[b], out=s[dest])
                 mean = np.mean(s[mean_last], axis=-1, keepdims=True)
-                mul(2.0, f_d, out=f_d)
-                np.divide(f_d, k1, out=f_d)
                 u_d, out_d = (uhat, out) if rows is None else (uhat[rows], out[rows])
-                np.subtract(f_d, mul(2.0 * mean, u_d, out=out_d), out=f_d)
+                np.subtract(f_d, mul(k1 * mean, u_d, out=out_d), out=f_d)
             return mul(iq, f, out=out)
 
         return flux

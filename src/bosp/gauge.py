@@ -36,10 +36,10 @@ k, bo as k = 1, and multiplies them by -i for bo.
 substitutes the evolution equation for the time derivative (no time
 stepping at all), on a trajectory it uses fourth-order centered differences
 on uniformly sampled snapshots.  The instantaneous residual takes the
-linear part of v_t from ``evolve.Equation`` and keeps the nonlinear term in
-the non-conservative form 2 M(v^k) v_x, which keeps the folded n/2 value
-the solver's conservative flux zeroes, because the identity needs that
-slot at finite n.  ``pde_residual`` substitutes ``Equation`` unchanged.
+linear part of v_t from the bo group symbol of ``spectral._symbol`` and
+keeps the nonlinear term in the non-conservative form 2 M(v^k) v_x, which
+keeps the folded n/2 value the solver's conservative flux zeroes, because
+the identity needs that slot at finite n.  ``pde_residual`` substitutes ``Equation`` unchanged.
 
 Every product is formed pointwise on the frame grid of ``_frame_points(n,
 k)`` points, ``spectral._alias_free_points`` of degree max(k + 3, 2k) (bo
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import Equation
+from .evolve import _MU, Equation
 from .spectral import (
     PeriodicGrid,
     SpectralField,
@@ -353,7 +353,7 @@ def _instantaneous_Ev_t(fr: _Frame) -> np.ndarray:
     substituted for v_t: the gbo w_t is P_+ of e^{-iF} times them."""
     k, grid, points = fr.k, fr.grid, fr.points
     # non-conservative: keeps the folded n/2 value, which the identity needs
-    vt = (Equation(grid, "linear").rhs(fr.coeffs[:, : grid.n // 2 + 1])
+    vt = (_symbol(grid, "bo_group") * fr.coeffs
           + _real_rows(2.0 * fr.mvk_vals * fr.vx_vals, grid.n))
     vt_vals = _real_vals(vt, points)
     # F_t is the primitive of k v^{k-1} v_t; at k = 1 that is v_t, whose rows are at hand
@@ -487,14 +487,15 @@ def remove_mean_bo(traj: Trajectory) -> Trajectory:
     """Shift a constant-mean solution to the zero-mean sector.
 
     v(t, x) = u(t, x - c*gamma*t) - gamma with gamma the conserved mean and
-    c the coefficient of the nonlinearity (1 for ``gbo`` k=1, 2 for
-    ``bo2``); v solves the same equation with zero mean.  Realized as the
-    phase multiplier exp(-i*q*c*gamma*t) plus a mean subtraction.
+    c the coefficient of the nonlinearity, ``evolve._MU`` (1 for ``gbo``
+    k=1, 2 for ``bo2``); v solves the same equation with zero mean.
+    Realized as the phase multiplier exp(-i*q*c*gamma*t) plus a mean
+    subtraction.
     """
     if not (traj.equation == "bo2" or (traj.equation == "gbo" and traj.k == 1)):
         raise ValueError("mean removal applies to the k = 1 equations only")
     gamma = float(traj.half_coeffs[0, 0].real)
-    rate = (2.0 if traj.equation == "bo2" else 1.0) * gamma
+    rate = _MU[traj.equation] * gamma
     iq = _symbol(traj.grid, "d_dx")[: traj.grid.n // 2 + 1]
     shifted = traj.half_coeffs * np.exp(-iq * rate * traj.times[:, None])
     shifted[:, 0] -= gamma

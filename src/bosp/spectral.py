@@ -548,11 +548,13 @@ def analyze_values_padded(values, grid: PeriodicGrid) -> SpectralField:
     """Values on nbig >= grid.n points -> field truncated to grid.n modes.
 
     Real values give an exactly conjugate-symmetric field.  Values of any
-    dtype are transformed in float64 (complex128).
+    dtype are transformed in float64 (complex128).  Anything but a 1-D
+    array of at least grid.n points is refused by name.
     """
     values = np.asarray(values)
-    if values.size < grid.n:
-        raise ValueError("padded value array must have at least grid.n points")
+    if values.ndim != 1 or len(values) < grid.n:
+        raise ValueError(f"padded values must be a 1-D array of at least grid.n = {grid.n} "
+                         f"points, got shape {values.shape}")
     if np.isrealobj(values):
         values, rows = values.astype(np.float64, copy=False), _real_rows
     else:

@@ -376,7 +376,10 @@ def nonlinear_reference(equation, uhat):
     """The dealiased flux of ``equation`` on the half-spectrum stack uhat, allocating.
 
     The padded transforms are spelled out: the slot n/2 is split half-half
-    before synthesis and -n/2 folded back into +n/2 after analysis.
+    before synthesis and -n/2 folded back into +n/2 after analysis.  The
+    flux is ``(iq mu / (k + 1)) (u^{k+1} - (k + 1) mean(u^k) u)``, mu 1 for
+    gbo and 2 for bo2 and the renormalized equation, whose mean term alone
+    it has.
     """
     eq, k, n, nbig = equation.eq, equation.k, equation.n, equation.nbig
     if eq == "linear":
@@ -397,12 +400,11 @@ def nonlinear_reference(equation, uhat):
             flux[..., n // 2] = 2.0 * flux[..., n // 2].real
     if equation.cut is not None:
         flux[..., equation.cut:] = 0.0
-    if eq == "gbo":
-        flux = flux / (k + 1)
-    elif eq == "renormalized_gbo":
+    if eq == "renormalized_gbo":
         mean = np.mean(_power_reference(vals, k), axis=-1, keepdims=True)
-        flux = 2.0 * flux / (k + 1) - 2.0 * mean * uhat
-    return equation.iq * flux
+        flux = flux - (k + 1) * mean * uhat
+    mu = 1.0 if eq == "gbo" else 2.0
+    return (equation.iq * mu / (k + 1)) * flux
 
 
 def _dispatching_power(values, p, work):
@@ -432,8 +434,9 @@ def dispatching_flux(equation, uhat, out):
     """The in-place flux as it was before ``Equation`` built it once: every call
     dispatches on the equation and goes through the generic real kernels,
     the Nyquist split and fold spelled out, with the transforms of the set
-    ``spectral._FFTS`` of the moment.  ``Equation._flux`` must equal it bit
-    for bit."""
+    ``spectral._FFTS`` of the moment, and the flux constant of
+    ``nonlinear_reference`` formed per call.  ``Equation._flux`` must equal
+    it bit for bit."""
     eq, k, n, nbig = equation.eq, equation.k, equation.n, equation.nbig
     if eq == "linear":
         out.fill(0.0)
@@ -454,14 +457,11 @@ def dispatching_flux(equation, uhat, out):
             flux[..., n // 2] = 2.0 * flux[..., n // 2].real
     if equation.cut is not None:
         flux[..., equation.cut:] = 0.0
-    if eq == "gbo":
-        np.divide(flux, k + 1, out=flux)
-    elif eq == "renormalized_gbo":
+    if eq == "renormalized_gbo":
         mean = np.mean(_dispatching_power(vals, k, pair), axis=-1, keepdims=True)
-        np.multiply(2.0, flux, out=flux)
-        np.divide(flux, k + 1, out=flux)
-        np.subtract(flux, np.multiply(2.0 * mean, uhat, out=out), out=flux)
-    return np.multiply(equation.iq, flux, out=out)
+        np.subtract(flux, np.multiply((k + 1) * mean, uhat, out=out), out=flux)
+    mu = 1.0 if eq == "gbo" else 2.0
+    return np.multiply(equation.iq * mu / (k + 1), flux, out=out)
 
 
 @np.errstate(over="ignore", invalid="ignore")

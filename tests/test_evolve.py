@@ -591,6 +591,26 @@ class TestInPlaceStepper:
 
 FLUX_EQUATIONS = ([("linear", 1), ("bo2", 1)]
                   + [(eq, k) for eq in ("gbo", "renormalized_gbo") for k in range(1, 9)])
+POWER_OF_TWO_DEGREES = [("bo2", 1)] + [(eq, k) for eq in ("gbo", "renormalized_gbo")
+                                        for k in (1, 3, 7)]
+
+
+def _divide_then_multiply(eq, uhat):
+    """The flux of ``eq`` on the half-spectrum stack uhat with the equation's
+    constant applied to the flux, then iq: ``iq * (flux / (k + 1))`` for
+    gbo, ``iq * flux`` for bo2 and ``iq * (2 flux / (k + 1) - 2 mean(u^k)
+    u)`` for the renormalized equation."""
+    k = eq.k
+    vals = _real_values(uhat, eq.nbig)
+    flux = _real_coeffs(_power(vals, 2 if eq.eq == "bo2" else k + 1), eq.n)
+    if eq.cut is not None:
+        flux[..., eq.cut:] = 0.0
+    if eq.eq == "gbo":
+        flux = flux / (k + 1)
+    elif eq.eq == "renormalized_gbo":
+        mean = np.mean(_power(vals, k), axis=-1, keepdims=True)
+        flux = 2.0 * flux / (k + 1) - 2.0 * mean * uhat
+    return eq.iq * flux
 
 
 class TestBuiltFlux:
@@ -619,23 +639,37 @@ class TestBuiltFlux:
             assert np.all(out[..., nyq] == 0.0)
             assert np.array_equal(state, before)
 
-    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("equation,k", POWER_OF_TWO_DEGREES)
     @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
     @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
-    def test_folded_factor_equals_divide_then_multiply(self, k, dealias, scale):
-        # k + 1 a power of two: iq / (k + 1) times the flux is exact, away
+    def test_folded_factor_equals_divide_then_multiply(self, equation, k, dealias, scale):
+        # k + 1 a power of two: iq mu / (k + 1) times the flux is exact, away
         # from the subnormal range that these scales stay out of
-        eq = evolve.Equation(PeriodicGrid(1.0, 32), "gbo", k, dealias)
-        uhat = np.array([scale * _random_data("gbo", seed).coeffs[: eq.n // 2 + 1]
+        eq = evolve.Equation(PeriodicGrid(1.0, 32), equation, k, dealias)
+        uhat = np.array([scale * _random_data(equation, seed).coeffs[: eq.n // 2 + 1]
                          for seed in (7, 8)])
-        vals = _real_values(uhat, eq.nbig)
-        flux = _real_coeffs(_power(vals, k + 1), eq.n)
-        if eq.cut is not None:
-            flux[..., eq.cut:] = 0.0
-        expected = eq.iq * (flux / (k + 1))
+        expected = _divide_then_multiply(eq, uhat)
         assert np.abs(expected).max() > 0
-        assert eq.nonlinear(uhat).tobytes() == expected.tobytes()
-        assert eq.nonlinear(uhat[0]).tobytes() == expected[0].tobytes()
+        # the renormalized mean term reads the split state on the slot n/2,
+        # which iq zeroes: there the two forms agree but for the zero's sign
+        nyq = eq.n // 2
+        upto = nyq if equation == "renormalized_gbo" else nyq + 1
+        for got, want in ((eq.nonlinear(uhat), expected), (eq.nonlinear(uhat[0]), expected[0])):
+            assert got[..., :upto].tobytes() == want[..., :upto].tobytes()
+            assert np.all(got[..., nyq] == want[..., nyq])
+
+    @pytest.mark.parametrize("equation", ["gbo", "renormalized_gbo"])
+    @pytest.mark.parametrize("k", [2, 4, 5, 6, 8])
+    @pytest.mark.parametrize("dealias", ["alias_free", "two_thirds"])
+    def test_folded_factor_is_divide_then_multiply_to_round_off(self, equation, k, dealias):
+        # other degrees round iq mu / (k + 1) once per slot instead of the
+        # flux once per call: the two differ by a few ulps of the largest mode
+        eq = evolve.Equation(PeriodicGrid(1.0, 32), equation, k, dealias)
+        uhat = np.array([_random_data(equation, seed).coeffs[: eq.n // 2 + 1]
+                         for seed in (7, 8)])
+        expected = _divide_then_multiply(eq, uhat)
+        tol = 4 * np.finfo(float).eps * np.abs(expected).max()
+        assert np.abs(eq.nonlinear(uhat) - expected).max() <= tol
 
     def test_transform_set_is_read_when_the_equation_is_built(self, monkeypatch):
         grid = PeriodicGrid(1.0, 32)

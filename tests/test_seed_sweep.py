@@ -13,7 +13,6 @@ _spec.loader.exec_module(seed_sweep)
 # strichartz-scan on a tiny config: 4 draws of 6 modes on 3 circles of n = 32
 TINY = {"n": "32", "n_samples": "4", "n_modes": "6", "lambdas": "1.0,2.0,4.0"}
 SEEDS = [0, 1, 2, 3]
-VARIATION = ("ratio", "<", "variation_max")
 
 
 def test_seeds_are_listed_and_ranges_inclusive():
@@ -23,9 +22,10 @@ def test_seeds_are_listed_and_ranges_inclusive():
 def test_a_bound_one_seed_breaks_is_reported_at_that_seed(capsys):
     gates, structural = seed_sweep.sweep("strichartz-scan", SEEDS, TINY)
     assert structural == []
-    assert set(gates) == {VARIATION, ("slope", "<", "slope_max")}
-    bound, rows = gates[VARIATION]
-    assert bound == 2.0 and [seed for seed, *_ in rows] == SEEDS
+    assert set(gates) == {"ratio", "slope"}
+    sense, bound_key, bound, rows = gates["ratio"]
+    assert (sense, bound_key, bound) == ("<", "variation_max", 2.0)
+    assert [seed for seed, *_ in rows] == SEEDS
     assert not any(failed for *_, failed in rows)
     # a bound between the two largest variations fails the largest one's seed alone
     (second, _), (top, chosen) = sorted((value, seed) for seed, value, _, _ in rows)[-2:]

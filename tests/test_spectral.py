@@ -1,6 +1,7 @@
 """Operator calculus: transforms, multipliers, projections, norms."""
 
 from types import SimpleNamespace
+import re
 import warnings
 
 import numpy as np
@@ -144,6 +145,15 @@ class TestTransforms:
 
         with pytest.raises(ValueError, match="at least grid.n"):
             analyze_values_padded(np.zeros(grid.n - 3), grid)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (16, 1), (1, 16), (2, 16), ()])
+    def test_padded_analysis_refuses_all_but_one_row(self, shape):
+        # a 2-D array of grid.n values or more once met numpy's broadcast error
+        from bosp import analyze_values_padded
+
+        with pytest.raises(ValueError, match=r"1-D array of at least grid.n = 16 points, "
+                                             rf"got shape {re.escape(str(shape))}"):
+            analyze_values_padded(np.zeros(shape), PeriodicGrid(1.0, 16))
 
     @pytest.mark.parametrize("oversample", [0, -1, 1.5])
     @pytest.mark.parametrize("real", [True, False])

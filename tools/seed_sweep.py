@@ -6,13 +6,13 @@ For each experiment (by default the seeded ones, ``SEEDED``) and each seed,
 it builds the experiment's config at that seed (every other key at its
 default, or as ``--set`` gives it), runs it in process through the
 registry's ``run`` and reads the ``_Gate`` rows of its ``verdict``.  Gates
-are told apart by (name, sense, bound key); where one verdict has several
-rows of a gate, the worst counts for that seed: the value nearest to
-failing its bound, a non-finite value first, or for a gate without a
-bound the largest in magnitude.  Per gate it prints the bound, the worst
-value over the seeds and its seed, the quantiles (min, q1, median, q3,
-max) of the per-seed values, and the seeds at which the gate fails, as
-the verdict judges it.  ``--seeds`` takes seeds and inclusive ranges,
+are told apart by name, which within one verdict fixes the sense and bound
+key; where one verdict has several rows of a gate, the worst counts for
+that seed: the value nearest to failing its bound, a non-finite value
+first, or for a gate without a bound the largest in magnitude.  Per gate it
+prints its name, the bound, the worst value over the seeds and its seed,
+the quantiles (min, q1, median, q3, max) of the per-seed values, and the
+seeds at which the gate fails, as the verdict judges it.  ``--seeds`` takes seeds and inclusive ranges,
 comma-separated (``0-499``, ``0,1,7``); ``--set`` applies to every
 experiment run.  Exits 0 when every gate passes at every seed, 1 when one
 fails.
@@ -58,7 +58,7 @@ def _margin(value, sense: str, bound) -> float:
 
 
 def sweep(name: str, seeds: list, overrides: dict) -> tuple:
-    """The experiment over ``seeds``: per gate (name, sense, bound key) its
+    """The experiment over ``seeds``: per gate name its sense, bound key,
     bound's value and a list of (seed, worst value, its margin, failed), and
     the (seed, message) of each structural failure."""
     from bosp import experiments
@@ -75,11 +75,11 @@ def sweep(name: str, seeds: list, overrides: dict) -> tuple:
                      else getattr(cfg, gate.bound))
             value = None if gate.value is None else float(gate.value)
             failed = bool(experiments._judge([], [gate], cfg))
-            at_seed.setdefault((gate.name, gate.sense, gate.bound), (bound, []))[1].append(
+            at_seed.setdefault(gate.name, (gate.sense, gate.bound, bound, []))[3].append(
                 (_margin(value, gate.sense, bound), value, failed))
-        for key, (bound, found) in at_seed.items():
+        for gate, (sense, bound_key, bound, found) in at_seed.items():
             margin, value, _ = min(found, key=lambda row: row[0])
-            gates.setdefault(key, (bound, []))[1].append(
+            gates.setdefault(gate, (sense, bound_key, bound, []))[3].append(
                 (seed, value, margin, any(failed for _, _, failed in found)))
     return gates, structural
 
@@ -99,7 +99,7 @@ def _bound_text(sense: str, bound_key, bound) -> str:
 def summarize(name: str, gates: dict, structural: list) -> list:
     """One line per gate of ``sweep``'s result, then one per structural failure."""
     lines = []
-    for (gate, sense, bound_key), (bound, rows) in gates.items():
+    for gate, (sense, bound_key, bound, rows) in gates.items():
         seed, value, _, _ = min(rows, key=lambda row: row[2])
         finite = sorted(v for _, v, _, _ in rows if v is not None and math.isfinite(v))
         quantiles = ([finite[0], *statistics.quantiles(finite, n=4, method="inclusive"),
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     for name in args.experiments.split(","):
         gates, structural = sweep(name, parse_seeds(args.seeds), overrides)
         failed = failed or bool(structural) or any(
-            row[3] for _, rows in gates.values() for row in rows)
+            row[3] for *_, rows in gates.values() for row in rows)
         print("\n".join(summarize(name, gates, structural)), flush=True)
     return 1 if failed else 0
 

@@ -66,26 +66,27 @@ beside the step-halving ladders of its order study's degrees ``e_ks`` as
 one stack.  The rows step in lockstep, each with its own step constants,
 on the largest degree's alias-free grid, where every degree's flux is
 exact, and one inverse and one forward transform per stage serve them all.
-A row leaves the stack once its steps are done, the last row stepping as a
-1-D ``(n/2+1,)`` state.  Rows never mix (every transform and product acts
-along the last axis), so each row is bit-for-bit the single-field solution
-on the stack's grid: a one-degree stack's rows are ``solve``'s, and a
-smaller degree's rows move by round-off from its own grid's.  A row blows
-up when, after a step, one of its modes is non-finite or exceeds the
-magnitude guard: that row reports ``BlowUpError`` with its time before the
-step and is set to zero, which the equations keep exactly zero, and the
-other rows go on.
+A row leaves the stack once its steps are done; a lone field, like the
+last row left, steps as a one-row ``(1, n/2+1)`` stack.  Rows never mix
+(every transform and product acts along the last axis), so each row is
+bit-for-bit the single-field solution on the stack's grid: a one-degree
+stack's rows are ``solve``'s, and a smaller degree's rows move by
+round-off from its own grid's.  A row blows up when, after a step, one of
+its modes is non-finite or exceeds the magnitude guard: that row reports
+``BlowUpError`` with its time before the step and is set to zero, which
+the equations keep exactly zero, and the other rows go on.
 
 A step allocates no stack-sized array.  The state is degree-major, and
 when rows leave, the rows still stepping are copied into a fresh one, so
 each degree's rows are a contiguous slice.  Each phase of a stack (between
 two sets of rows leaving it) gets its step constants, stage arrays, a
 magnitude array for the blow-up test and the flux's transform work arrays,
-with each row's iq, once; the stage arithmetic writes into them with
-``out=`` in the operations and order of the schemes' plain expressions, so
-every intermediate, and every stored state, is bit-for-bit that of the
-allocating form, but for the sign of the zero the flux writes on the slot
-n/2, which no stored state takes.  A step makes eight transform calls on
+with each row's iq, once; every step and flux constant is a per-row
+``(rows, n/2+1)`` array, the state's shape.  The stage arithmetic writes
+into them with ``out=`` in the operations and order of the schemes' plain
+expressions, so every intermediate, and every stored state, is
+bit-for-bit that of the allocating form, but for the sign of the zero the
+flux writes on the slot n/2, which no stored state takes.  A step makes eight transform calls on
 the whole stack, four forward and four inverse, of ``Equation.nbig``
 points per row, and no other stack-wide call for the Nyquist slot: the
 calls are those of ``spectral``'s transform set ``_FFTS`` as it was when
@@ -191,7 +192,9 @@ class Equation:
     >= (k + 2) n/2.  The slot n/2 does take an alias, but iq, so each row's
     constant iq mu / (k + 1), is zero there.  ``multiply`` and the gauge keep
     that slot, so they need ``spectral._alias_free_points``' one point more.
-    ``dealias`` defaults to ``SolverConfig``'s.
+    ``dealias`` defaults to ``SolverConfig``'s.  A grid whose lam is so small
+    that the bo group symbol overflows a float is refused by the rule of
+    ``lam``.
     """
 
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1,
@@ -199,6 +202,9 @@ class Equation:
         _check_equation(equation, k)
         _check_values(_RULES, dealias=dealias)
         half = grid.n // 2
+        top = float(grid.freqs[half])  # the largest |q|, whose q|q| a small lam overflows
+        _Rule(lambda lam: _finite(top * top),
+              "such that the bo group symbol q|q| is finite on this grid").check("lam", grid.lam)
         self.grid, self.eq, self.k, self.n = grid, equation, k, grid.n
         self.symbol = _symbol(grid, "bo_group")[: half + 1]
         self.iq = _symbol(grid, "d_dx")[: half + 1]
@@ -219,45 +225,42 @@ class Equation:
         stack._flux = stack._build_flux()
         return stack
 
-    def _work(self, lead: tuple, ks=None) -> tuple:
-        """Flux work arrays of a stack with leading shape ``lead`` whose rows
-        along the first axis have the degrees ``ks``, each degree's rows
-        adjacent (every row of degree ``k`` when ks is None): values, the
+    def _work(self, ks) -> tuple:
+        """Flux work arrays of a ``(len(ks), ...)`` stack whose rows have the
+        degrees ``ks``, one per row, each degree's rows adjacent: values, the
         powers, padded spectrum, its half spectrum (the first n/2+1 slots, a
         view), every row's flux constant ``iq * mu / (k + 1)`` (mu from
         ``_MU``), and per degree its chain of power steps on its slots
         (values, powers and a spare), and for the renormalized equation its
-        flux rows, k + 1 and its mean's chain (none for linear).  A degree's
-        slots and flux rows are its contiguous rows of the stack's arrays,
-        the whole arrays when there is one degree, and its power lands in
-        the powers' rows.  No array holds a split copy of the state: the
-        state comes split."""
+        rows, flux rows, k + 1 and its mean's chain (none for linear).  A
+        degree's slots and flux rows are its contiguous row slice of the
+        stack's arrays, and its power lands in the powers' rows.  No array
+        holds a split copy of the state: the state comes split."""
         if self.eq == "linear":
             return ()
-        runs = [(k, len(list(rows))) for k, rows in itertools.groupby(ks or (self.k,))]
-        vals = np.empty(lead + (self.nbig,))
+        vals = np.empty((len(ks), self.nbig))
         powers, spare = np.empty_like(vals), np.empty_like(vals)
-        spec = np.empty(lead + (self.nbig // 2 + 1,), dtype=np.complex128)
-        half = spec[..., : self.n // 2 + 1]
-        chains, renormalized, iqs, first = [], [], [], 0
-        for k, count in runs:
-            rows = None if len(runs) == 1 else slice(first, first + count)
-            first += count
-            slots = [a if rows is None else a[rows] for a in (vals, powers, spare)]
+        spec = np.empty((len(ks), self.nbig // 2 + 1), dtype=np.complex128)
+        half = spec[:, : self.n // 2 + 1]
+        iq = np.empty(half.shape, dtype=np.complex128)
+        chains, renormalized, first = [], [], 0
+        for k, run in itertools.groupby(ks):
+            rows = slice(first, first + len(list(run)))
+            first = rows.stop
+            slots = [a[rows] for a in (vals, powers, spare)]
             # the chain after its first step, (0, 0, 1), with its last product into slot 1
             rest = _power_steps(k + 1)[0][1:]
             chains.append((slots, rest[:-1] + tuple((a, b, 1) for a, b, _ in rest[-1:])))
             if self.eq == "renormalized_gbo":
-                f = half if rows is None else half[rows]
-                renormalized.append((rows, slots, f, k + 1, *_power_steps(k)))
-            iqs.append(self.iq * _MU[self.eq] / (k + 1))
-        iq = iqs[0] if len(runs) == 1 else np.repeat(iqs, [count for _, count in runs], axis=0)
+                renormalized.append((rows, slots, half[rows], k + 1, *_power_steps(k)))
+            iq[rows] = self.iq * _MU[self.eq] / (k + 1)
         return vals, powers, spec, half, iq, chains, renormalized
 
     def _build_flux(self):
-        """The dealiased flux ``flux(uhat, out, work) -> out`` of one split
-        row (n/2+1,) or a stack (..., n/2+1), with the transforms (the
-        ``irfft`` and sized ``rfft`` of ``_FFTS`` as it is now) settled once.
+        """The dealiased flux ``flux(uhat, out, work) -> out`` of a split
+        stack (rows, n/2+1), one field a one-row stack, with the transforms
+        (the ``irfft`` and sized ``rfft`` of ``_FFTS`` as it is now) settled
+        once.
 
         ``uhat`` is the stepper's state: when nbig > n its slot n/2 is
         already halved, and the flux synthesizes it as it is, with no split
@@ -299,17 +302,19 @@ class Equation:
                 for a, b, dest in mean_steps:
                     mul(s[a], s[b], out=s[dest])
                 mean = np.mean(s[mean_last], axis=-1, keepdims=True)
-                u_d, out_d = (uhat, out) if rows is None else (uhat[rows], out[rows])
-                np.subtract(f_d, mul(k1 * mean, u_d, out=out_d), out=f_d)
+                np.subtract(f_d, mul(k1 * mean, uhat[rows], out=out[rows]), out=f_d)
             return mul(iq, f, out=out)
 
         return flux
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         """The dealiased flux of a half-spectrum stack (..., n/2+1), as a new
-        array: ``_flux`` of its split copy (slot n/2 halved when nbig > n)."""
-        return self._flux(_split(uhat, self.nbig), np.empty(uhat.shape, dtype=np.complex128),
-                          self._work(uhat.shape[:-1]))
+        array: ``_flux`` of its split copy (slot n/2 halved when nbig > n) as
+        rows of degree k, one field a one-row stack, reshaped back."""
+        rows = uhat.reshape(-1, uhat.shape[-1])
+        out = self._flux(_split(rows, self.nbig), np.empty(rows.shape, dtype=np.complex128),
+                         self._work([self.k] * len(rows)))
+        return out.reshape(uhat.shape)
 
     def rhs(self, uhat: np.ndarray) -> np.ndarray:
         """u_t of a half-spectrum stack (..., n/2+1), in full transform order (..., n)."""
@@ -392,15 +397,20 @@ def _solve(u0s: list, cfgs: list) -> list:
     return [stepped[i] for i in np.argsort(order)]
 
 
-def _step_constants(group_sym: np.ndarray, dt: float, if_rk4: bool) -> tuple:
-    """The constants of a step of dt: ehalf, efull, then dt/2, dt/6, dt * ehalf
-    and 2 ehalf (``if_rk4``) or the ETDRK4 weights q2, f1, 2 f2 and f3."""
+def _step_constants(group_sym: np.ndarray, dt: float, if_rk4: bool) -> np.ndarray:
+    """The constants of a step of dt as the rows of one complex (6, n/2+1)
+    array: ehalf, efull, then dt/2, dt/6, dt * ehalf and 2 ehalf (``if_rk4``)
+    or the ETDRK4 weights q2, f1, 2 f2 and f3.  numpy multiplies a float dt/2
+    or dt/6 into a complex array by casting it to complex, so as complex
+    rows they give bit for bit the same products."""
     ehalf = np.exp(group_sym * (dt / 2.0))
     efull = ehalf * ehalf
     if if_rk4:
-        return ehalf, efull, dt / 2.0, dt / 6.0, dt * ehalf, 2.0 * ehalf
-    q2, f1, f2, f3 = _etdrk4_weights(group_sym * dt, dt)
-    return ehalf, efull, q2, f1, 2.0 * f2, f3
+        constants = ehalf, efull, dt / 2.0, dt / 6.0, dt * ehalf, 2.0 * ehalf
+    else:
+        q2, f1, f2, f3 = _etdrk4_weights(group_sym * dt, dt)
+        constants = ehalf, efull, q2, f1, 2.0 * f2, f3
+    return np.array(np.broadcast_arrays(*constants), dtype=np.complex128)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -419,12 +429,13 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
     leaves the stack.  The state is degree-major, and once a block leaves
     the rows still stepping are copied into a fresh one, so each degree's
     rows and each block's are a contiguous slice of it.  Each phase builds
-    its arrays once: the per-row step constants (``_step_constants``,
-    shared by the rows when they share one dt, else formed per dt and
-    stacked, so each row is bit-for-bit its own solve), the flux's work
-    arrays with each degree's iq and slots (``Equation._work``), four flux
-    and four stage arrays and a magnitude array for the blow-up test.  A
-    blown-up row stays in the stack as zeros until its block leaves.  Each
+    its arrays once: the step constants as complex ``(rows, n/2+1)``
+    arrays, each row its own dt's ``_step_constants`` (so each row is
+    bit-for-bit its own solve, and no constant broadcasts against the
+    state), the flux's work arrays with each row's iq and each degree's
+    slots (``Equation._work``), four flux and four stage arrays and a
+    magnitude array for the blow-up test.  A blown-up row stays in the
+    stack as zeros until its block leaves.  Each
     step writes into the arrays with ``out=``, in the operations and order
     of the schemes' plain expressions (kept in the comments), so every
     intermediate is bit-for-bit theirs.  The state is checked after every
@@ -465,7 +476,7 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
         history[:, 1:, nyq] = state[first: first + rows, nyq, None]
         blocks.append((cfgs[order[first]], steps, first, times, history))
         first += rows
-    state = _split(state, equation.nbig)
+    uhat = _split(state, equation.nbig)
 
     live, done = np.arange(len(order)), 0  # live: the positions of the state's rows
     for steps in sorted({block[1] for block in blocks}):
@@ -475,20 +486,12 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
         if all(results[p] is not None for p in kept):
             break
         if len(kept) < len(live):
-            state, live = state[np.searchsorted(live, kept)], kept
-        # one field keeps a 1-D state: a 1-D constant (ehalf, efull, ..., the
-        # flux's iq) times a (1, n/2+1) row takes numpy's broadcasting loop, at
-        # n = 256 0.84 us a product against 0.44 us for two 1-D rows (numpy 2.4,
-        # 2-core Xeon VM).  A one-row stack made the 1000-step n = 256
-        # conservation reference solve slower in 10 of 12 alternating pairs
-        # (best of 9 each, median 44.2 -> 49.5 ms).
-        uhat = state[0] if len(live) == 1 else state
-        phase_dts = [dts[p] for p in live]
-        if len(set(phase_dts)) == 1:
-            step_constants = constants[phase_dts[0]]
-        else:
-            step_constants = tuple(np.array(c)[:, None] if np.ndim(c[0]) == 0 else np.stack(c)
-                                   for c in zip(*(constants[dt] for dt in phase_dts)))
+            uhat, live = uhat[np.searchsorted(live, kept)], kept
+        # every constant has the state's shape: a (n/2+1,) constant times a
+        # (rows, n/2+1) stack takes numpy's broadcasting loop, 0.97 us a product
+        # against 0.50 us same-shape for one row of 129 modes, 6.0 against
+        # 3.1 us for 75 rows of 65 (numpy 2.4, best of 15, 2-core Xeon VM)
+        step_constants = np.stack([constants[dts[p]] for p in live], axis=1)
         if if_rk4:
             ehalf, efull, half_dt, sixth_dt, dt_ehalf, two_ehalf = step_constants
         else:
@@ -496,10 +499,10 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
         sinks, row = [], 0
         for cfg, _, _, _, history in stepping:
             sinks.append((cfg.sample_stride, history[..., :nyq],
-                          state[row: row + len(history), :nyq]))
+                          uhat[row: row + len(history), :nyq]))
             row += len(history)
         k1, k2, k3, k4, s1, s2, t, w = (np.empty_like(uhat) for _ in range(8))
-        mag, work = np.empty(uhat.shape), equation._work(uhat.shape[:-1], [ks[p] for p in live])
+        mag, work = np.empty(uhat.shape), equation._work([ks[p] for p in live])
         for step in range(done + 1, steps + 1):
             if if_rk4:
                 flux(uhat, k1, work)                       # a = N(uhat)
@@ -547,12 +550,12 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
                 add(t, s1, out=uhat)
             # NaN propagates and fails; .max() would add numpy's Python wrapper per step
             if not peak(absolute(uhat, out=mag), axis=None) <= _BLOWUP_GUARD:
-                blown = np.flatnonzero(np.atleast_1d(~(mag.max(axis=-1) <= _BLOWUP_GUARD)))
+                blown = np.flatnonzero(~(mag.max(axis=-1) <= _BLOWUP_GUARD))
                 for row in blown:
                     results[live[row]] = BlowUpError((step - 1) * dts[live[row]])
                 if all(results[p] is not None for p in live):
                     break
-                state[blown] = 0.0
+                uhat[blown] = 0.0
             for stride, history, rows in sinks:
                 if step % stride == 0:
                     history[:, step // stride] = rows

@@ -228,8 +228,8 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     fields' supports, each row with the Nyquist convention of the padded
     transforms.  A field with a NaN or infinite coefficient is refused by
     name, a grid whose lam ** 2 (the scale of the resonance keys) overflows
-    a float by the rule of ``lam``, and a stack whose norms overflow a float
-    by ``_refusing_overflow``.
+    a float or underflows to zero by the rule of ``lam``, and a stack whose
+    norms overflow a float by ``_refusing_overflow``.
     The rows are stacked once, and every check and the sum read that
     stack.  The pairs and key groups of the union support come from one
     cached pair table, each m-chunk's kernel is built once and applied to
@@ -244,7 +244,8 @@ def strichartz_norms(fields, horizon: float, kind: str = "bo_group") -> list[flo
     if not fields:
         return []
     grid = _check_one_grid(fields, "strichartz_norms")
-    _Rule(lambda v: _finite(v * v), "such that lam ** 2 is finite").check("lam", grid.lam)
+    _Rule(lambda v: _finite(v * v) and v * v != 0,
+          "such that lam ** 2 is finite and nonzero").check("lam", grid.lam)
     rows = np.array([f.coeffs for f in fields])
     _check_finite(rows, "strichartz_norms")
     totals = _refusing_overflow("the strichartz norm", rows,

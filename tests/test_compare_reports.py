@@ -92,3 +92,10 @@ def test_extra_runs_have_stems_of_their_own():
         ("conservation", ("--scheme", "etd_rk4"), "conservation-scheme-etd_rk4"),
         ("convergence", ("--scheme", "etd_rk4"), "convergence-scheme-etd_rk4"),
     ]
+    # the benchmark's single-row n = 2048 ETDRK4 two-thirds solve
+    assert compare_reports.runs(["simulate"]) == [
+        ("simulate", (), "simulate"),
+        ("simulate", ("--n", "2048", "--scheme", "etd_rk4", "--dealias", "two_thirds",
+                      "--sample-stride", "1"),
+         "simulate-n-2048-scheme-etd_rk4-dealias-two_thirds-sample-stride-1"),
+    ]

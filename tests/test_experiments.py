@@ -299,9 +299,17 @@ class TestConfig:
         (["flowmap", "--perturbation", "nan"],
          "perturbation must be finite and positive, got nan"),
         (["scaling", "--dilation", "inf"], "dilation must be finite and above 1, got inf"),
-        # a circle whose lam ** 2 overflows, in the Strichartz norms' resonance keys
+        # a circle whose lam ** 2 overflows, or underflows to zero (once a
+        # ZeroDivisionError traceback), in the Strichartz norms' resonance keys
         (["strichartz-scan", "--lambdas", "1,1e160", "--n-samples", "2"],
-         "lam must be such that lam ** 2 is finite, got 1e+160"),
+         "lam must be such that lam ** 2 is finite and nonzero, got 1e+160"),
+        (["strichartz-scan", "--lambdas", "1e-200,1", "--n-samples", "2"],
+         "lam must be such that lam ** 2 is finite and nonzero, got 1e-200"),
+        # a circle whose bo group symbol overflows, once a numpy warning and a
+        # blow-up at t = 0
+        *[([name, "--lam", "1e-200"],
+           "lam must be such that the bo group symbol q|q| is finite on this grid, got 1e-200")
+          for name in ("simulate", "conservation", "scaling", "convergence")],
         # a draw count n_modes * lam that overflows, once an OverflowError traceback
         (["bernstein", "--lambdas", "1,1e308", "--n-samples", "2"],
          "lambdas entry 1e+308 draws modes up to min(int(n_modes * lam), n/2 - 1) = 127 at "

@@ -280,6 +280,8 @@ SCALAR_ARGUMENTS = [
     ("SolverConfig", "k", True, lambda v: replace(GBO, k=v)),
     ("SolverConfig", "sample_stride", True, lambda v: replace(GBO, sample_stride=v)),
     ("Equation", "dealias", "pad4", lambda v: Equation(GRID, "gbo", 1, v)),
+    # the bo group symbol -iq|q| overflows a float at q = 8e200
+    ("Equation", "lam", 1e-200, lambda v: Equation(PeriodicGrid(v, 16), "gbo")),
     ("convergence_order", "n_levels", 3.0, lambda v: convergence_order(U, GBO, v)),
     ("build_gauge", "k", True, lambda v: build_gauge(U, "gbo", v)),
     ("rhs_gbo_terms", "k", 1.5, lambda v: rhs_gbo_terms(U, v)),

@@ -259,6 +259,16 @@ class TestExactStrichartzNorm:
         assert integral == pytest.approx(2 * np.pi * lam * 3 / 8, rel=1e-13)
 
     @pytest.mark.parametrize("kind", GROUP_KINDS)
+    def test_circle_whose_lam_squared_underflows_is_refused_by_name(self, kind):
+        # lam ** 2 = 0.0 once divided the horizon in the resonance phases
+        grid = PeriodicGrid(1e-200, 16)
+        c = np.zeros(grid.n, dtype=complex)
+        c[1] = c[-1] = 0.5
+        with pytest.raises(ValueError, match=r"^lam must be such that lam \*\* 2 is finite "
+                                             r"and nonzero, got 1e-200$"):
+            strichartz_norm(SpectralField(grid, c), 1.0, kind=kind)
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
     def test_trapezoid_error_is_second_order(self, rng, kind):
         grid = PeriodicGrid(1.0, 64)
         f = random_field(grid, rng, n_modes=12, decay=0.8, normalize="l2")

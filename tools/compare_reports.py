@@ -29,13 +29,18 @@ import tempfile
 
 
 # Non-default runs besides each experiment's defaults: the bo gauge residual,
-# the gauge-residual config the benchmark runs, and the step-halving ladders
-# of conservation and convergence under the ETDRK4 scheme.
+# the gauge-residual config the benchmark runs, the step-halving ladders of
+# conservation and convergence under the ETDRK4 scheme, and the benchmark's
+# n = 2048 ETDRK4 two-thirds simulate (perfbench/simulate_fields.ini, whose dt
+# and t_final are simulate's defaults), the one single-row solve of that
+# scheme and rule, with its 16.4 MB checkpoint.
 EXTRA_RUNS = [
     ("gauge-residual", ("--variant", "bo")),
     ("gauge-residual", ("--k", "3", "--n-samples", "1000")),
     ("conservation", ("--scheme", "etd_rk4")),
     ("convergence", ("--scheme", "etd_rk4")),
+    ("simulate", ("--n", "2048", "--scheme", "etd_rk4", "--dealias", "two_thirds",
+                  "--sample-stride", "1")),
 ]
 
 

@@ -21,7 +21,8 @@ one-row case; both check ``count``, ``n_modes``, ``normalize``, ``decay``,
 ``amplitude`` and ``mean`` before drawing.  A caller that draws several
 fields per sample takes one block of shape (count, roles, 2, n_modes) and
 turns each role's slice into fields with ``_fields_from_normals``, which
-keeps that order too.
+keeps that order too.  That is the one draw path, and it checks ``lam``
+against the normalization's H^s weight.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import (PeriodicGrid, SpectralField, _Rule, _check_values, _choice, _finite,
-                       _integer, _parseval_norms)
+                       _finite_symbol, _integer, _parseval_norms)
 
 __all__ = ["random_field", "random_fields"]
 
@@ -48,8 +49,14 @@ def _fields_from_normals(grid: PeriodicGrid, normals: np.ndarray, decay: float,
     Row i's pair holds the real and imaginary parts of its g_m.  The
     fluctuation (mean excluded) of each field is rescaled to ``amplitude``
     in ``h1``, ``l2`` or ``h2``; ``mean`` is written into C_0 after that.
+    A grid whose lam is so small that the H^s weight (1 + q^2)^s of the
+    normalization overflows a float is refused by the rule of ``lam``.
     """
     s = _NORM_ORDERS[normalize]
+    if s is not None:
+        _Rule(lambda lam: _finite_symbol(grid, "bessel", 2).test(s),
+              f"such that the {normalize} weight (1 + q^2)^{s:g} is finite on this grid"
+              ).check("lam", grid.lam)
     count, _, n_modes = normals.shape
     m = np.arange(1, n_modes + 1)
     envelope = decay ** (m / grid.lam) if physical_decay else decay ** m

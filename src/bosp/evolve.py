@@ -34,10 +34,9 @@ one point fewer than ``spectral``'s strict rule of degree k + 2);
 ``SolverConfig``'s fields are the one place the solver's ``scheme`` and
 ``dealias`` defaults are written; ``Equation`` reads its default there.
 The flux has one implementation, the closure ``Equation._flux``, built once
-per equation and flux grid (``Equation._stack`` builds it on another
-``nbig``), which takes each row's degree with its work arrays
-(``Equation._work``) and writes into caller-owned arrays; ``nonlinear``
-(so ``rhs``) is its allocating case.
+per equation on its ``nbig`` points, which takes each row's degree with its
+work arrays (``Equation._work``) and writes into caller-owned arrays;
+``nonlinear`` (so ``rhs``) is its allocating case.
 
 Solver state is the split rfft half spectrum: modes m = 0, 1, ..., n/2 of
 a real field, the negative modes being their conjugates, split as real
@@ -95,7 +94,6 @@ the ``Equation`` was built.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -211,19 +209,6 @@ class Equation:
         self.nbig = _smooth_points((k + 2) * grid.n // 2) if dealias == "alias_free" else grid.n
         self.cut = grid.n // 3 + 1 if dealias == "two_thirds" else None
         self._flux = self._build_flux()
-
-    def _stack(self, nbig: int) -> Equation:
-        """This equation with its flux formed on ``nbig`` points.
-
-        A flux is exact on any grid at or above its alias-free size (Orszag
-        1971; Boyd 2001, sec. 11.5), so rows of every degree up to ``k`` step
-        exactly on the ``nbig`` of ``k``; a smaller ``nbig`` aliases the
-        larger degrees' fluxes.
-        """
-        stack = copy.copy(self)
-        stack.nbig = nbig
-        stack._flux = stack._build_flux()
-        return stack
 
     def _work(self, ks) -> tuple:
         """Flux work arrays of a ``(len(ks), ...)`` stack whose rows have the

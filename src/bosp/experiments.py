@@ -3,7 +3,8 @@
 One registry holds every experiment.  Its entry declares the config keys the
 experiment reads, each with its default, the ``run`` that turns a config and
 a seeded generator into records, the ``verdict`` that returns the structural
-failures and the gate rows of config and records, for one judge to decide,
+failures and the gate rows of config and records, for one judge to decide
+(``_judge``; ``_assess`` reads each gate's bound and words its failure),
 and the ``summarize`` that derives the summary from the records.  An
 :class:`ExperimentConfig` holds ``name``, ``seed`` and exactly its entry's
 keys: any other key is a :class:`ConfigError`, so a report's config echo
@@ -706,53 +707,74 @@ def _max_by(records, group: str, key: str) -> list:
 
 
 def _blown(records) -> list:
+    """One line per blown run or sample, naming its last good time; a line
+    that two records give alike (a flowmap sample's two pairs) is given once."""
     fails = []
     for r in records:
         if r.get("blew_up"):
             label = r["run"] if "run" in r else f"sample {r['sample_index']}"
             fails.append(f"{label} blew up at t = {r['last_good_time']}")
-    return fails
+    return list(dict.fromkeys(fails))
 
 
 class _Gate(NamedTuple):
     """One checked value: it passes when finite and ``value <sense> bound``.
 
     ``bound`` is a config key, or the (low, high) keys of a band for sense
-    "in"; without one only finiteness is checked.  ``text`` formats the
-    failure from ``name``, ``value`` and the bound's value.  Within one
-    verdict, gates of different (sense, bound) have different names, since
-    ``_judge`` reports a non-finite value once per name.
+    "in"; without one only finiteness is checked.  A gate is data alone:
+    ``_assess`` reads its bound from the config and words its failure.
+    Within one verdict, gates of different (sense, bound) have different
+    names, since ``_judge`` reports a non-finite value once per name.
     """
 
     name: str
     value: float | None
     sense: str = ""
     bound: str | tuple = ""
-    text: str = ""
 
 
 _SENSES = {"<": operator.lt, "<=": operator.le, ">=": operator.ge,
            "in": lambda value, band: band[0] <= value <= band[1]}
 
 
-def _judge(fails: list, gates: list, cfg: ExperimentConfig) -> list:
-    """The structural ``fails``, then a message per failing gate.
+def _assess(gate: _Gate, cfg: ExperimentConfig) -> tuple:
+    """``(bound, wording, failure)`` of ``gate`` at ``cfg``: the one place a
+    gate's bound is read and its failure worded.
 
-    The one finiteness check, so a verdict never passes on NaN: a value that
-    is not finite, or ``None`` as a plain record holds one, fails as
-    ``non-finite <name>``, once per name.  A finite value fails its bound.
+    ``bound`` is the float the config holds for the gate's key, a (low, high)
+    pair for a band, or None without one; ``wording`` says it with its keys,
+    as ``>= order_min = 4.0``, ``in [order_min = 3.8, order_max = 4.2]`` or
+    ``finite``.  ``failure`` is "" when the gate passes, ``non-finite
+    <name>`` when its value is not finite (``None``, as a plain record holds
+    one, counts as NaN), and else ``<name> = <value> is not <wording>``.
+    Value and bound print with ``repr``, exactly, so the text never
+    contradicts the comparison.
+    """
+    keys = gate.bound if gate.sense == "in" else (gate.bound,) if gate.sense else ()
+    bounds = tuple(float(getattr(cfg, key)) for key in keys)
+    said = ", ".join(f"{key} = {bound!r}" for key, bound in zip(keys, bounds))
+    wording = (f"in [{said}]" if gate.sense == "in" else f"{gate.sense} {said}" if said
+               else "finite")
+    bound = bounds if gate.sense == "in" else bounds[0] if bounds else None
+    value = math.nan if gate.value is None else float(gate.value)
+    if not math.isfinite(value):
+        return bound, wording, f"non-finite {gate.name}"
+    passed = not gate.sense or _SENSES[gate.sense](value, bound)
+    return bound, wording, "" if passed else f"{gate.name} = {value!r} is not {wording}"
+
+
+def _judge(fails: list, gates: list, cfg: ExperimentConfig) -> list:
+    """The structural ``fails``, then each failing gate's message from ``_assess``.
+
+    The one finiteness check, so a verdict never passes on NaN; a message
+    already listed is not repeated, so a non-finite value fails once per
+    gate name.
     """
     fails = list(fails)
     for gate in gates:
-        value = math.nan if gate.value is None else float(gate.value)
-        if not math.isfinite(value):
-            if f"non-finite {gate.name}" not in fails:
-                fails.append(f"non-finite {gate.name}")
-        elif gate.sense:
-            bound = (tuple(getattr(cfg, key) for key in gate.bound) if gate.sense == "in"
-                     else getattr(cfg, gate.bound))
-            if not _SENSES[gate.sense](value, bound):
-                fails.append(gate.text.format(name=gate.name, value=value, bound=bound))
+        failure = _assess(gate, cfg)[2]
+        if failure and failure not in fails:
+            fails.append(failure)
     return fails
 
 
@@ -771,19 +793,15 @@ def _pass_conservation(cfg, records):
         if r.get("degenerate"):
             fails.append(f"{r['run']}: zero initial data, relative drifts undefined")
         elif r["run"] == "reference":
-            gates += [_Gate(f"{key} drift", r[f"drift_{key}"], "<", tol,
-                            "{name} {value:.3e} >= {bound:.0e}")
+            gates += [_Gate(f"{key} drift", r[f"drift_{key}"], "<", tol)
                       for key, tol in (("I", "im_tol"), ("M", "im_tol"), ("F", "f_tol"))]
             gates.append(_Gate("opposite-sign F drift", r["drift_F_opposite"], ">=",
-                               "separation_min",
-                               "{name} {value:.3e} < separation floor {bound:.0e}"))
+                               "separation_min"))
         else:  # the orders are read from the level drifts, not from the record's copy
             orders = _drift_orders(r, cfg.solvers[r["run"]].n_steps())
             if orders.size:  # else every finer drift is round-off, the study exact
-                gates.append(_Gate(f"{r['run']}: drift order", orders.min(), ">=", "order_min",
-                                   "{name} {value:.2f} < {bound}"))
-            gates.append(_Gate(f"{r['run']}: finest E drift", r["drifts_E"][-1], "<", "e_tol",
-                               "{name} {value:.3e} >= {bound:.0e}"))
+                gates.append(_Gate(f"{r['run']}: drift order", orders.min(), ">=", "order_min"))
+            gates.append(_Gate(f"{r['run']}: finest E drift", r["drifts_E"][-1], "<", "e_tol"))
     return fails, gates
 
 
@@ -794,73 +812,59 @@ def _pass_gauge_residual(cfg, records):
     coarse = _floats(halves, "residual_l2_half")
     if not np.any(residuals) and not np.any(coarse):
         fails.append("every residual is exactly 0: the data are zero and test nothing")
-    gates = [_Gate("residual", np.max(residuals), "<=", "residual_tol",
-                   "max residual {value:.3e} > {bound:.0e}")]
+    gates = [_Gate("residual", np.max(residuals), "<=", "residual_tol")]
     gates += [_Gate("H1 residual", r["residual_h1"]) for r in records if "residual_h1" in r]
     # A coarse grid already within tolerance leaves nothing for doubling to
     # shrink; a NaN coarse maximum keeps the gate, and the judge fails it.
     if coarse.size and not np.max(coarse) <= cfg.residual_tol:
         ratio = np.max(coarse) / np.maximum(np.max(_floats(halves, "residual_l2")), 1e-300)
-        gates.append(_Gate("shrink", ratio, ">=", "shrink_min",
-                           "doubling n only shrank the residual {value:.1f}x (< {bound:.0f}x)"))
+        gates.append(_Gate("shrink", ratio, ">=", "shrink_min"))
     return fails, gates
 
 
 def _pass_strichartz(cfg, records):
     lams, maxes = np.array(_max_by(records, "lam", "ratio")).T
     slope = np.polyfit(np.log(lams), np.log(maxes), 1)[0]
-    return [], [_Gate("ratio", maxes.max() / maxes.min(), "<", "variation_max",
-                      "max ratio varies {value:.2f}x across lambda (>= {bound}x)"),
-                _Gate("slope", slope, "<", "slope_max", "log-log slope {value:.3f} >= {bound}")]
+    return [], [_Gate("ratio", maxes.max() / maxes.min(), "<", "variation_max"),
+                _Gate("slope", slope, "<", "slope_max")]
 
 
 def _pass_flowmap(cfg, records):
-    fails = []
-    blown = {r["sample_index"] for r in records if r.get("blew_up")}
-    if blown:
-        fails.append(f"{len(blown)} samples blew up")
+    fails = _blown(records)
     usable = [r for r in records if not r.get("degenerate") and not r.get("blew_up")]
     if not usable:
         return fails + ["no usable pair: every pair had a zero gap or blew up"], []
     maxes = np.array([mx for _, mx in _max_by(usable, "scale", "ratio")])
-    gates = [_Gate("ratio", maxes.max(), "<=", "ratio_bound", "max ratio {value:.2f} > {bound}")]
+    gates = [_Gate("ratio", maxes.max(), "<=", "ratio_bound")]
     if len(maxes) >= 2:
         gates.append(_Gate("insensitivity", maxes.max() / np.maximum(maxes.min(), 1e-300), "<",
-                           "insensitivity_max",
-                           "max ratio changed {value:.2f}x across perturbation scales"))
+                           "insensitivity_max"))
     return fails, gates
 
 
 def _pass_scaling(cfg, records):
-    return _blown(records), [_Gate("H1 discrepancy", r["h1_discrepancy"], "<=", "scaling_tol",
-                                   "{name} {value:.3e} > {bound:.0e}")
+    return _blown(records), [_Gate("H1 discrepancy", r["h1_discrepancy"], "<=", "scaling_tol")
                              for r in records if "h1_discrepancy" in r]
 
 
 def _pass_convergence(cfg, records):
     return _blown(records), [
-        _Gate(f"{r['fixture']}: order", r["order"], "in", ("order_min", "order_max"),
-              "{name} {value:.3f} outside [{bound[0]}, {bound[1]}]")
+        _Gate(f"{r['fixture']}: order", r["order"], "in", ("order_min", "order_max"))
         for r in records if not r.get("blew_up") and not r["exact"]]
 
 
 def _pass_estimate_monitor(cfg, records):
-    fails = []
-    blown = [r for r in records if r.get("blew_up")]
-    if blown:
-        fails.append(f"{len(blown)} samples blew up")
+    fails = _blown(records)
     zero = [r for r in records if r.get("degenerate")]
     if zero:
         fails.append(f"{len(zero)} samples have zero initial data, ratio undefined")
     ratios = _floats(records, "ratio")
-    return fails, [_Gate("ratio", np.max(ratios), "<=", "monitor_bound",
-                         "max ratio {value:.2f} > {bound}")] if ratios.size else []
+    return fails, [_Gate("ratio", np.max(ratios), "<=", "monitor_bound")] if ratios.size else []
 
 
 def _pass_bernstein(cfg, records):
     maxes = np.array([mx for _, mx in _max_by(records, "lam", "ratio")])
-    return [], [_Gate("ratio", maxes.max() / maxes.min(), "<", "stability_max",
-                      "per-lambda maxima vary {value:.2f}x (>= {bound}x)")]
+    return [], [_Gate("ratio", maxes.max() / maxes.min(), "<", "stability_max")]
 
 
 def _no_series(records):

@@ -7,6 +7,8 @@ explicit exponential sums, and integrals from dense rectangle rules at
 tautology.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -462,6 +464,20 @@ def dispatching_flux(equation, uhat, out):
         np.subtract(flux, np.multiply((k + 1) * mean, uhat, out=out), out=flux)
     mu = 1.0 if eq == "gbo" else 2.0
     return np.multiply(equation.iq * mu / (k + 1), flux, out=out)
+
+
+def flux_on(equation, nbig):
+    """A copy of ``equation`` whose flux is formed on ``nbig`` points.
+
+    A flux is exact on any grid at or above its alias-free size (Orszag
+    1971; Boyd 2001, sec. 11.5), so rows of every degree up to ``k`` step
+    exactly on the ``nbig`` of ``k``; a smaller ``nbig`` aliases the larger
+    degrees' fluxes.
+    """
+    moved = copy.copy(equation)
+    moved.nbig = nbig
+    moved._flux = moved._build_flux()
+    return moved
 
 
 @np.errstate(over="ignore", invalid="ignore")

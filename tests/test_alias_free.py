@@ -19,6 +19,8 @@ from bosp import (PeriodicGrid, SpectralField, Trajectory, analyze_values_padded
 from bosp.evolve import Equation
 from bosp.spectral import _alias_free_points, _smooth_points
 
+from conftest import flux_on
+
 REF_PAD = 16
 
 
@@ -141,7 +143,7 @@ class TestExactProducts:
         for points in (_alias_free_points(grid.n, k + 3), _alias_free_points(grid.n, k + 6),
                        REF_PAD * grid.n):
             assert points > eq.nbig == _smooth_points((k + 2) * grid.n // 2)
-            got = eq._stack(points).nonlinear(half)
+            got = flux_on(eq, points).nonlinear(half)
             assert np.max(np.abs(got - flux)) <= 1e-14 * np.max(np.abs(flux))
 
     @pytest.mark.parametrize("n, equation, k, dealias, nbig", [
@@ -172,7 +174,7 @@ class TestExactProducts:
         if equation == "renormalized_gbo":
             u = SpectralField(grid, u.coeffs * (grid.modes != 0))
         ref = reference_flux(u, equation, k)
-        below = Equation(grid, equation, k)._stack((k + 2) * grid.n // 2 - 1)
+        below = flux_on(Equation(grid, equation, k), (k + 2) * grid.n // 2 - 1)
         got = below.nonlinear(u.coeffs[: grid.n // 2 + 1])
         assert np.max(np.abs(got - ref)) > 1e-12 * np.max(np.abs(ref))
 

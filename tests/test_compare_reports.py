@@ -99,3 +99,29 @@ def test_extra_runs_have_stems_of_their_own():
                       "--sample-stride", "1"),
          "simulate-n-2048-scheme-etd_rk4-dealias-two_thirds-sample-stride-1"),
     ]
+
+
+def test_a_change_in_strings_or_bools_alone_names_the_first_such_field(tmp_path):
+    # no numeric field differs: the first differing string or bool is named
+    # with both values, and a change of layout alone says every field is equal
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    summary = {"passed": False, "failures": ["ratio = 2.5 is not < variation_max = 2.0"],
+               "n_records": 3}
+    (a / "s.summary.json").write_text(json.dumps(summary, indent=2))
+    (b / "s.summary.json").write_text(json.dumps(dict(summary, failures=["other"]), indent=2))
+    (a / "t.summary.json").write_text(json.dumps(summary))
+    (b / "t.summary.json").write_text(json.dumps(summary, indent=2))
+    (a / "r.records.jsonl").write_text('{"ratio": 1.0, "blew_up": false}\n{"ratio": 2.0}\n')
+    (b / "r.records.jsonl").write_text('{"ratio": 1.0, "blew_up": true}\n{"ratio": 2.0}\n')
+    assert compare_reports.compare(a, b) == [
+        "differs: r.records.jsonl (no numeric change; line 1: blew_up False != True)",
+        "differs: s.summary.json (no numeric change; failures[0] "
+        "'ratio = 2.5 is not < variation_max = 2.0' != 'other')",
+        "differs: t.summary.json (every field parses equal)",
+    ]
+    # a field one side lacks, and a numeric change, which is reported as before
+    assert compare_reports.first_other_change('{"x": 1}', '{"x": 1, "degenerate": true}',
+                                              False) == ("degenerate", "<absent>", True)
+    assert compare_reports.first_other_change('{"x": 1}', '{"x": 1}', False) is None

@@ -63,6 +63,23 @@ def test_degenerate_draw_is_refused():
         random_fields(PeriodicGrid(1.0, 16), np.random.default_rng(0), 4, decay=1e-200)
 
 
+@pytest.mark.parametrize("normalize, weight", [("h1", "(1 + q^2)^1"), ("h2", "(1 + q^2)^2")])
+def test_circle_whose_norm_weight_overflows_is_refused_by_lam(normalize, weight):
+    # at lam = 1e-200 the top |q| is 8e200, whose H^s weight overflows: once two
+    # numpy warnings and a message that blamed the data or s
+    grid, rng = PeriodicGrid(1e-200, 16), np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            random_fields(grid, rng, 1, normalize=normalize)
+        # the L^2 normalization has no weight: the same circle draws
+        (field,) = random_fields(grid, rng, 1, normalize="l2")
+    assert str(exc.value) == (f"lam must be such that the {normalize} weight {weight} is "
+                              "finite on this grid, got 1e-200")
+    assert np.isfinite(field.coeffs).all()
+    assert np.sqrt(grid.circumference * np.sum(np.abs(field.coeffs) ** 2)) == pytest.approx(1.0)
+
+
 NON_FINITE = [np.nan, np.inf, -np.inf]
 REFUSED_SCALARS = ([("decay", value, "in (0, 1]") for value in [*NON_FINITE, 0.0, -1.0, 2.0]]
                    + [(key, value, "finite") for key in ("amplitude", "mean")

@@ -29,7 +29,7 @@ from bosp.lingroup import group_symbol
 from bosp.spectral import _nyquist_split, _power, _real_coeffs, _real_values
 
 from conftest import (advance_reference, coeff_distance, count_transforms, dispatching_flux,
-                      nonlinear_reference, solve_batch_reference, symmetry_defect)
+                      flux_on, nonlinear_reference, solve_batch_reference, symmetry_defect)
 
 
 def cos_data(grid, amp=0.1, mean=0.0):
@@ -805,7 +805,7 @@ def _mixed_ladders(cfg, ks, levels=3):
 def _alone(u0, cfgs, nbig):
     """One degree's configs, in ascending step count, stepped as its own stack on nbig points."""
     equation = evolve.Equation(u0.grid, cfgs[0].equation, cfgs[0].k, cfgs[0].dealias)
-    return evolve._advance([u0] * len(cfgs), cfgs, equation._stack(nbig))
+    return evolve._advance([u0] * len(cfgs), cfgs, flux_on(equation, nbig))
 
 
 class TestMixedDegrees:
@@ -924,8 +924,8 @@ def _runs_with_references(run, u0s, scheme, dealias, k=3, dt=4e-3):
         return list(zip(solve_batch(u0s, cfg), advance_reference(u0s, cfg, equation)))
     cfgs = _mixed_ladders(cfg, (1, 3))
     nbig = evolve.Equation(grid, "gbo", 3, dealias).nbig
-    refs = [advance_reference(u0s[:1], c, evolve.Equation(grid, "gbo", c.k, dealias)._stack(
-        nbig))[0] for c in cfgs]
+    refs = [advance_reference(u0s[:1], c, flux_on(evolve.Equation(grid, "gbo", c.k, dealias),
+                                                  nbig))[0] for c in cfgs]
     return list(zip(_one_field(u0s[0], cfgs), refs))
 
 

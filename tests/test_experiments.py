@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import runpy
 import struct
 import sys
@@ -29,7 +30,7 @@ from bosp import (
 from bosp import experiments
 from bosp.cli import build_parser, main
 from bosp.experiments import (_EXPERIMENTS, _FINITE, _POSITIVE, _RULES, EXPERIMENT_NAMES,
-                              _build_report, _hash_field, _judge, _max_by,
+                              _build_report, _Gate, _hash_field, _judge, _max_by,
                               _run_estimate_monitor, _run_flowmap, load_config_file)
 
 from conftest import strichartz_norm_reference, xnorm_series_per_field
@@ -310,6 +311,13 @@ class TestConfig:
         *[([name, "--lam", "1e-200"],
            "lam must be such that the bo group symbol q|q| is finite on this grid, got 1e-200")
           for name in ("simulate", "conservation", "scaling", "convergence")],
+        # an ensemble whose H^s normalization weight overflows, once two numpy
+        # warnings and a message that blamed the data or s
+        (["gauge-residual", "--lam", "1e-200"],
+         "lam must be such that the h2 weight (1 + q^2)^2 is finite on this grid, got 1e-200"),
+        *[([name, "--lam", "1e-200"],
+           "lam must be such that the h1 weight (1 + q^2)^1 is finite on this grid, got 1e-200")
+          for name in ("flowmap", "estimate-monitor")],
         # a draw count n_modes * lam that overflows, once an OverflowError traceback
         (["bernstein", "--lambdas", "1,1e308", "--n-samples", "2"],
          "lambdas entry 1e+308 draws modes up to min(int(n_modes * lam), n/2 - 1) = 127 at "
@@ -530,13 +538,14 @@ class TestDeterminismAndVerdicts:
         records = [dict(r, drifts_M=third, drifts_E=third) if r is study[0] else r
                    for r in rep.records]
         assert recompute_passed(dataclasses.replace(rep, records=records)) == (
-            False, ["energy_k2: drift order 3.00 < 4.0"])
+            False, ["energy_k2: drift order = 3.0 is not >= order_min = 4.0"])
         # a finer drift below 4 ulp per step (4.4e-13 at dt/2's 500 steps, 8.9e-13
         # at dt/4's 1000) is round-off: its pair is resolved, and with no pair
         # left the study is exact; a drift above that which rises still fails
         for drifts, verdict in (([1e-11, 2e-13, 5e-13], (True, [])),
                                 ([1e-11, 2e-13, 5e-12],
-                                 (False, ["energy_k2: drift order -4.64 < 4.0"]))):
+                                 (False, ["energy_k2: drift order = -4.643856189774724 "
+                                          "is not >= order_min = 4.0"]))):
             records = [dict(r, drifts_M=drifts, drifts_E=drifts) if r is study[0] else r
                        for r in rep.records]
             assert recompute_passed(dataclasses.replace(rep, records=records)) == verdict
@@ -691,6 +700,32 @@ class TestDeterminismAndVerdicts:
                 assert _judge(fails, poisoned, cfg) == [f"non-finite {gate.name}"]
         # every threshold the experiment declares bounds a gate of its run
         assert bound_keys - {"slope_max"} == {key for n, key in GATES if n == name}
+
+    @pytest.mark.parametrize("sense, name, bound, past, inside, message", [
+        ("<", "strichartz-scan", "variation_max", math.nextafter(2.0, math.inf),
+         math.nextafter(2.0, -math.inf),
+         "g = 2.0000000000000004 is not < variation_max = 2.0"),
+        ("<=", "flowmap", "ratio_bound", math.nextafter(10.0, math.inf), 10.0,
+         "g = 10.000000000000002 is not <= ratio_bound = 10.0"),
+        (">=", "conservation", "order_min", 3.9999999, 4.0,
+         "g = 3.9999999 is not >= order_min = 4.0"),
+        (">=", "conservation", "order_min", math.nextafter(4.0, -math.inf), 4.0,
+         "g = 3.9999999999999996 is not >= order_min = 4.0"),
+        ("in", "convergence", ("order_min", "order_max"), math.nextafter(3.8, -math.inf), 3.8,
+         "g = 3.7999999999999994 is not in [order_min = 3.8, order_max = 4.2]"),
+        ("in", "convergence", ("order_min", "order_max"), math.nextafter(4.2, math.inf), 4.2,
+         "g = 4.200000000000001 is not in [order_min = 3.8, order_max = 4.2]"),
+    ])
+    def test_failure_prints_value_and_bound_exactly(self, sense, name, bound, past, inside,
+                                                    message):
+        """A value one float past its bound fails with both numbers exact, so the
+        text never reads as if it passed (once "drift order 4.00 < 4.0"), and
+        the value on the bound's own side passes."""
+        cfg = ExperimentConfig(name)
+        gate = _Gate("g", past, sense, bound)
+        assert _judge([], [gate], cfg) == [message]
+        assert float(message.split(" = ")[1].split(" is not ")[0]) == past
+        assert _judge([], [gate._replace(value=inside)], cfg) == []
 
     @pytest.mark.parametrize("name, key, gate", [("simulate", "final_h1", "final H1"),
                                                  ("gauge-residual", "residual_h1",
@@ -983,11 +1018,14 @@ class TestBatchedEnsembles:
         assert [(r["blew_up"], r["last_good_time"]) for r in pair0] == [(True, 0.8)] * 2
         assert not any(r["blew_up"] for r in records if r["sample_index"] == 1)
 
-    def test_blow_up_failure_counts_samples_not_pairs(self):
+    def test_blow_up_failure_names_samples_not_pairs(self):
+        # a blown phi1 blows both its pairs up at one time: one line per sample
         rep = run_experiment(config_from_mapping("flowmap", BLOWING["flowmap"]))
         blown = [r["sample_index"] for r in rep.records if r["blew_up"]]
         assert len(blown) == 6 and sorted(set(blown)) == [0, 2, 3]
-        assert rep.failures[0] == "3 samples blew up"
+        assert rep.failures[:3] == ["sample 0 blew up at t = 0.8",
+                                    "sample 2 blew up at t = 0.65",
+                                    "sample 3 blew up at t = 0.8"]
 
     def test_blown_phi2_keeps_phi1_and_the_other_pairs(self, monkeypatch):
         cfg = config_from_mapping("flowmap", FAST["flowmap"])
@@ -1006,16 +1044,17 @@ class TestBatchedEnsembles:
         assert (blown["sample_index"], blown["scale"]) == (0, cfg.perturbation / cfg.shrink_factor)
         assert blown["last_good_time"] == 0.3 and blown["degenerate"] is False
         assert "ratio" not in blown
-        assert rep.failures == ["1 samples blew up"]
+        assert rep.failures == ["sample 0 blew up at t = 0.3"]
         assert [r for r in rep.records if r is not blown] == \
             [r for r in clean.records if r["sample_index"] != 0 or r["scale"] != blown["scale"]]
 
-    def test_estimate_monitor_blow_up_fails_with_its_count(self):
+    def test_estimate_monitor_blow_up_fails_per_sample(self):
         rep = run_experiment(config_from_mapping("estimate-monitor",
                                                  BLOWING["estimate-monitor"]))
         blown = [r for r in rep.records if r.get("blew_up")]
-        assert blown and not rep.passed
-        assert rep.failures[0] == f"{len(blown)} samples blew up"
+        assert [r["sample_index"] for r in blown] == [2, 3] and not rep.passed
+        assert rep.failures == ["sample 2 blew up at t = 0.7000000000000001",
+                                "sample 3 blew up at t = 0.5"]
 
 
 class TestCli:
@@ -1260,7 +1299,18 @@ class TestCli:
         cfg = ExperimentConfig("gauge-residual")
         fails = _judge(*_EXPERIMENTS["gauge-residual"].verdict(cfg, [
             {"residual_l2": 1e-7, "residual_l2_half": 1e-6}]), cfg)
-        assert "doubling n only shrank the residual 10.0x (< 100x)" in fails
+        assert "shrink = 10.0 is not >= shrink_min = 100.0" in fails
+
+    def test_conservation_failure_prints_an_order_below_its_bound(self, tmp_path, capsys):
+        # once "energy_k2: drift order 4.00 < 4.0": the order was rounded to its bound
+        assert main(["conservation", "--n", "16", "--amplitude", "1.0",
+                     "--out", str(tmp_path), "--stem", "c"]) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines() if "drift order" in line]
+        assert [line.split(":")[0] for line in lines] == ["  - energy_k2", "  - energy_k3"]
+        for line in lines:
+            _, tail = line.split(": drift order = ")
+            value, wording = tail.split(" is not ")
+            assert wording == ">= order_min = 4.0" and float(value) < 4.0
 
     def test_default_run_exercises_doubling_check(self):
         cfg = ExperimentConfig("gauge-residual")

@@ -307,6 +307,8 @@ SCALAR_ARGUMENTS = [
       for times in ([0.0, math.nan], [0.0, math.inf], [1.0, 0.0])],
     ("dilate", "lam", 0.5, lambda v: dilate(U, v)),
     ("dilate", "lam", math.nan, lambda v: dilate(U, v)),
+    # the H^1 weight (1 + q^2) of the normalization overflows a float at q = 8e200
+    ("random_fields", "lam", 1e-200, lambda v: random_fields(PeriodicGrid(v, 16), _rng(), 1)),
     ("random_fields", "count", -1, lambda v: random_fields(GRID, _rng(), v)),
     ("random_fields", "count", True, lambda v: random_fields(GRID, _rng(), v)),
     ("random_fields", "n_modes", 2.7, lambda v: random_fields(GRID, _rng(), 2, n_modes=v)),

@@ -1,7 +1,11 @@
 """tools/seed_sweep.py: each gate's per-seed values, worst seed and failing seeds."""
 
 import importlib.util
+import math
 import pathlib
+import re
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "seed_sweep.py"
@@ -23,8 +27,8 @@ def test_a_bound_one_seed_breaks_is_reported_at_that_seed(capsys):
     gates, structural = seed_sweep.sweep("strichartz-scan", SEEDS, TINY)
     assert structural == []
     assert set(gates) == {"ratio", "slope"}
-    sense, bound_key, bound, rows = gates["ratio"]
-    assert (sense, bound_key, bound) == ("<", "variation_max", 2.0)
+    wording, rows = gates["ratio"]
+    assert wording == "< variation_max = 2.0"
     assert [seed for seed, *_ in rows] == SEEDS
     assert not any(failed for *_, failed in rows)
     # a bound between the two largest variations fails the largest one's seed alone
@@ -36,7 +40,8 @@ def test_a_bound_one_seed_breaks_is_reported_at_that_seed(capsys):
     assert seed_sweep.main(flags) == 1
     lines = capsys.readouterr().out.splitlines()
     line = next(line for line in lines if "variation_max" in line)
-    assert f"worst {top:.6g} at seed {chosen};" in line
+    assert line.startswith(f"strichartz-scan: ratio < variation_max = {(second + top) / 2!r}: "
+                           f"worst {top!r} at seed {chosen};")
     assert line.endswith(f"fails at 1 of 4 seeds: {chosen}")
     slope = next(line for line in lines if "slope_max" in line)
     assert slope.endswith("fails at 0 of 4 seeds")
@@ -48,3 +53,40 @@ def test_every_gate_passing_exits_zero(capsys):
     assert seed_sweep.main(flags) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all(line.endswith("fails at 0 of 2 seeds") for line in lines)
+
+
+# one gate of each sense on a small config: experiment, gate, the bound key
+# moved, and the settings
+SENSES = [
+    ("strichartz-scan", "ratio", "variation_max", "<", TINY),
+    ("flowmap", "ratio", "ratio_bound", "<=", {"n_samples": "2"}),
+    ("gauge-residual", "shrink", "shrink_min", ">=", {"n_samples": "2", "shrink_samples": "1"}),
+    ("convergence", "gbo1_cos: order", "order_min", "in", {}),
+]
+
+
+@pytest.mark.parametrize("name, gate, key, sense, settings", SENSES,
+                         ids=[sense for *_, sense, _ in SENSES])
+def test_a_bound_one_float_past_the_value_prints_as_the_verdict_words_it(
+        capsys, name, gate, key, sense, settings):
+    """The sweep's bound and worst value print exactly, and a bound one float
+    past the value fails the sweep and the verdict alike, in the same words."""
+    from bosp.experiments import config_from_mapping, run_experiment
+
+    _, [(_, value, _, failed)] = seed_sweep.sweep(name, [0], settings)[0][gate]
+    assert not failed
+    # < fails at the bound itself; the others one float past it
+    past = {"<": value, "<=": math.nextafter(value, -math.inf),
+            ">=": math.nextafter(value, math.inf), "in": math.nextafter(value, math.inf)}[sense]
+    said = f"{key} = {past!r}"
+    bound = f"in [{said}, order_max = 4.2]" if sense == "in" else f"{sense} {said}"
+    flags = ["--experiments", name, "--seeds", "0", "--set", f"{key}={past!r}",
+             *(arg for k, v in settings.items() for arg in ("--set", f"{k}={v}"))]
+    assert seed_sweep.main(flags) == 1
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith(f"{name}: {gate} ")]
+    assert line.startswith(f"{name}: {gate} {bound}: worst {value!r} at seed 0;")
+    assert line.endswith("fails at 1 of 1 seeds: 0")
+    assert float(re.search(rf"{key} = ([^,:\]]+)", line).group(1)) == past
+    report = run_experiment(config_from_mapping(name, dict(settings, **{key: past})))
+    assert f"{gate} = {value!r} is not {bound}" in report.failures

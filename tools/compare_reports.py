@@ -11,7 +11,10 @@ code.  Each run of ``EXTRA_RUNS`` whose experiment is selected also runs
 at every seed, under a stem of its own.  For a JSON, JSONL or ``.dat``
 series file that differs, the largest relative change of any numeric field
 (of a series, any number of a row) is printed, with that field's absolute
-change.  Exits 0 only when everything matches.
+change; where no numeric field differs, the first differing string or bool
+(a ``failures`` text, a ``passed`` flag) is printed with both values, and
+where no field differs at all, that every field parses equal.
+Exits 0 only when everything matches.
 
 Standard library only; the experiment list is read from CHANGE's registry.
 """
@@ -82,16 +85,27 @@ def run_reports(checkout: pathlib.Path, names, seeds, out: pathlib.Path) -> dict
     return codes
 
 
-def _numbers(obj, path=""):
-    """(path, value) of every numeric leaf of a parsed JSON value; None counts as NaN."""
+def _leaves(obj, path=""):
+    """(path, value) of every leaf of a parsed JSON value, keys in sorted order."""
     if isinstance(obj, dict):
         for key in sorted(obj):
-            yield from _numbers(obj[key], f"{path}.{key}")
+            yield from _leaves(obj[key], f"{path}.{key}")
     elif isinstance(obj, list):
         for i, item in enumerate(obj):
-            yield from _numbers(item, f"{path}[{i}]")
-    elif obj is None or (isinstance(obj, (int, float)) and not isinstance(obj, bool)):
-        yield path, math.nan if obj is None else float(obj)
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def _numeric(value) -> bool:
+    """A number or null (a non-finite number), not a bool."""
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool))
+
+
+def _numbers(obj) -> dict:
+    """{path: value} of every numeric leaf of a parsed JSON value; None counts as NaN."""
+    return {path: math.nan if value is None else float(value)
+            for path, value in _leaves(obj) if _numeric(value)}
 
 
 def _changes(a: float, b: float) -> tuple:
@@ -113,6 +127,17 @@ PARSERS = {".json": (False, json.loads), ".jsonl": (True, json.loads),
            ".dat": (True, _series_row)}
 
 
+def _documents(text_a: str, text_b: str, lines: bool, parse) -> tuple:
+    """The parsed documents of two texts, each one document or (``lines``) one per line."""
+    if lines:
+        return [parse(t) for t in text_a.splitlines()], [parse(t) for t in text_b.splitlines()]
+    return [parse(text_a)], [parse(text_b)]
+
+
+def _where(lines: bool, i: int, path: str) -> str:
+    return f"line {i + 1}: {path.removeprefix('.')}" if lines else path.removeprefix(".")
+
+
 def largest_relative_change(text_a: str, text_b: str, lines: bool, parse=json.loads) -> tuple:
     """(largest relative change, absolute change there, its field path) between two
     texts, each one document or (``lines``) one per line, read by ``parse``:
@@ -121,22 +146,34 @@ def largest_relative_change(text_a: str, text_b: str, lines: bool, parse=json.lo
     A field that is numeric on one side only, or a structure that differs,
     counts as an infinite change.
     """
-    docs_a = [parse(t) for t in text_a.splitlines()] if lines else [parse(text_a)]
-    docs_b = [parse(t) for t in text_b.splitlines()] if lines else [parse(text_b)]
+    docs_a, docs_b = _documents(text_a, text_b, lines, parse)
     if len(docs_a) != len(docs_b):
         return math.inf, math.inf, f"line count {len(docs_a)} != {len(docs_b)}"
     worst = (0.0, 0.0, "")
     for i, (a, b) in enumerate(zip(docs_a, docs_b)):
-        nums_a, nums_b = dict(_numbers(a)), dict(_numbers(b))
+        nums_a, nums_b = _numbers(a), _numbers(b)
         for path in sorted(nums_a.keys() | nums_b.keys()):
             if path not in nums_a or path not in nums_b:
                 changes = math.inf, math.inf
             else:
                 changes = _changes(nums_a[path], nums_b[path])
             if changes[0] > worst[0]:
-                worst = (*changes, f"line {i + 1}: {path.removeprefix('.')}" if lines
-                         else path.removeprefix("."))
+                worst = (*changes, _where(lines, i, path))
     return worst
+
+
+def first_other_change(text_a: str, text_b: str, lines: bool, parse=json.loads):
+    """(field path, value in a, value in b) of the first non-numeric field, a string
+    or a bool, whose values differ between two texts of as many documents, or
+    None when none does.  A field one side lacks reads ``<absent>`` there."""
+    for i, (a, b) in enumerate(zip(*_documents(text_a, text_b, lines, parse))):
+        leaves_a, leaves_b = dict(_leaves(a)), dict(_leaves(b))
+        for path in sorted(leaves_a.keys() | leaves_b.keys()):
+            value_a = leaves_a.get(path, "<absent>")
+            value_b = leaves_b.get(path, "<absent>")
+            if value_a != value_b and not (_numeric(value_a) and _numeric(value_b)):
+                return _where(lines, i, path), value_a, value_b
+    return None
 
 
 def compare(dir_a: pathlib.Path, dir_b: pathlib.Path) -> list:
@@ -153,8 +190,14 @@ def compare(dir_a: pathlib.Path, dir_b: pathlib.Path) -> list:
         parser = PARSERS.get(pathlib.Path(name).suffix)
         if parser:
             relative, absolute, where = largest_relative_change(a.decode(), b.decode(), *parser)
-            line += (f" (largest relative change {relative:.3e}, absolute {absolute:.3e}, "
-                     f"at {where})")
+            other = None if relative else first_other_change(a.decode(), b.decode(), *parser)
+            if relative:
+                line += (f" (largest relative change {relative:.3e}, absolute {absolute:.3e}, "
+                         f"at {where})")
+            elif other:
+                line += " (no numeric change; {} {!r} != {!r})".format(*other)
+            else:
+                line += " (every field parses equal)"
         diffs.append(line)
     return diffs
 

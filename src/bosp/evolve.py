@@ -2,7 +2,7 @@
 
 Equations (all on the 2*pi*lam circle, H the Hilbert transform):
 
-    linear            u_t + H u_xx = 0
+    linear            u_t + H u_xx = 0        (the free group: mu = 0 below)
     gbo (k >= 1)      u_t + H u_xx = u^k u_x
     bo2               u_t + H u_xx = 2 u u_x
     renormalized_gbo  v_t + H v_xx = 2 (v^k - mean v^k) v_x
@@ -26,6 +26,11 @@ t_final >= dt.  The linear phase and iq of ``Equation`` are read from
 conservative form mu/(k+1) d_x(u^{k+1} - (k+1) mean(u^k) u), mu from
 ``_MU`` and the mean term the renormalized equation's, so the mean mode is
 conserved to round-off, and products are dealiased by one of two rules.
+Every tag takes this one flux: the linear equation is its mu = 0 member,
+whose flux is formed like any other and multiplied by zero, so every
+stored state has the values a zero flux gives, though a mode that stays
+zero may store a zero of either sign (``lingroup.propagate`` is the free
+group without stepping).
 The default, ``alias_free``, forms them on the smallest 5-smooth grid of
 N >= (k + 2) n/2 points, where the flux and the renormalized mean of v^k
 are exact at every k (``Equation``: the flux keeps no slot n/2, so it needs
@@ -169,8 +174,8 @@ class SolverConfig:
         return steps
 
 
-# mu of each equation's flux d_x(mu u^{k+1} / (k + 1)); linear has none
-_MU = {"gbo": 1.0, "bo2": 2.0, "renormalized_gbo": 2.0}
+# mu of each equation's flux d_x(mu u^{k+1} / (k + 1)); the free equation is mu = 0
+_MU = {"linear": 0.0, "gbo": 1.0, "bo2": 2.0, "renormalized_gbo": 2.0}
 
 
 class Equation:
@@ -190,9 +195,10 @@ class Equation:
     >= (k + 2) n/2.  The slot n/2 does take an alias, but iq, so each row's
     constant iq mu / (k + 1), is zero there.  ``multiply`` and the gauge keep
     that slot, so they need ``spectral._alias_free_points``' one point more.
-    ``dealias`` defaults to ``SolverConfig``'s.  A grid whose lam is so small
-    that the bo group symbol overflows a float is refused by the rule of
-    ``lam``.
+    ``dealias`` defaults to ``SolverConfig``'s.  Every tag takes this flux;
+    linear's mu is 0, so its flux is zero, each zero of either sign.  A
+    grid whose lam is so small that the bo group symbol overflows a float
+    is refused by the rule of ``lam``.
     """
 
     def __init__(self, grid: PeriodicGrid, equation: str, k: int = 1,
@@ -217,12 +223,10 @@ class Equation:
         view), every row's flux constant ``iq * mu / (k + 1)`` (mu from
         ``_MU``), and per degree its chain of power steps on its slots
         (values, powers and a spare), and for the renormalized equation its
-        rows, flux rows, k + 1 and its mean's chain (none for linear).  A
-        degree's slots and flux rows are its contiguous row slice of the
-        stack's arrays, and its power lands in the powers' rows.  No array
+        rows, flux rows, k + 1 and its mean's chain.  A degree's slots and
+        flux rows are its contiguous row slice of the stack's arrays, and
+        its power lands in the powers' rows.  No array
         holds a split copy of the state: the state comes split."""
-        if self.eq == "linear":
-            return ()
         vals = np.empty((len(ks), self.nbig))
         powers, spare = np.empty_like(vals), np.empty_like(vals)
         spec = np.empty((len(ks), self.nbig // 2 + 1), dtype=np.complex128)
@@ -264,11 +268,6 @@ class Equation:
         mean term for the renormalized equation only.
         """
         cut = self.cut
-        if self.eq == "linear":
-            def flux(uhat, out, work):
-                out.fill(0.0)
-                return out
-            return flux
         values, coeffs = _real_transforms(self.nbig)
         mul = np.multiply
 
@@ -356,9 +355,11 @@ def _solve(u0s: list, cfgs: list) -> list:
     degrees, dts, step counts and strides may differ.  The stack is formed
     on the largest degree's ``Equation.nbig`` points, so the rows of the
     largest degree are bit for bit ``solve``'s and a smaller degree's move
-    by round-off.  The rows go in ascending step count through
-    ``_advance``, in stacks of at most ``spectral._STACK_POINTS`` padded
-    points.
+    by round-off.  This is the one place the rows are ordered and stacked:
+    the coefficient stack that the checks read is sorted once by
+    ``_block_key``, so degree-major, and its slices of at most
+    ``spectral._STACK_POINTS`` padded points go through ``_advance``, whose
+    results come back in stack order.
     """
     if not u0s:
         return []
@@ -373,13 +374,17 @@ def _solve(u0s: list, cfgs: list) -> list:
                                                        first.dealias):
             raise ValueError(f"levels stepped as one stack must share equation, scheme and "
                              f"dealias: {cfg} and {first} differ")
-    steps = [cfg.n_steps() for cfg in cfgs]
-    order = sorted(range(len(cfgs)), key=steps.__getitem__)
+    order = sorted(range(len(cfgs)), key=lambda j: _block_key(cfgs[j]))
+    stack, cfgs = coeffs[order], [cfgs[j] for j in order]
     equation = Equation(grid, first.equation, max(cfg.k for cfg in cfgs), first.dealias)
-    stepped = [result for rows in _row_chunks(len(order), equation.nbig)
-               for result in _advance([u0s[j] for j in order[rows]],
-                                      [cfgs[j] for j in order[rows]], equation)]
+    stepped = [result for rows in _row_chunks(len(cfgs), equation.nbig)
+               for result in _advance(stack[rows], cfgs[rows], equation)]
     return [stepped[i] for i in np.argsort(order)]
+
+
+def _block_key(cfg: SolverConfig) -> tuple:
+    """What the rows of one ``_advance`` block share: degree, step count, dt and stride."""
+    return cfg.k, cfg.n_steps(), cfg.dt, cfg.sample_stride
 
 
 def _step_constants(group_sym: np.ndarray, dt: float, if_rk4: bool) -> np.ndarray:
@@ -399,16 +404,17 @@ def _step_constants(group_sym: np.ndarray, dt: float, if_rk4: bool) -> np.ndarra
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
-    """The stepping loop over one stack of fields that ``_solve`` checked,
-    row i under ``cfgs[i]``, with ``equation``'s flux formed on points
-    exact for every row's degree.
+def _advance(coeffs: np.ndarray, cfgs: list, equation: Equation) -> list:
+    """The stepping loop over one coefficient stack ``(rows, n)`` that
+    ``_solve`` checked and ordered, row i under ``cfgs[i]``, with
+    ``equation``'s flux formed on points exact for every row's degree;
+    entry i of the result is row i's Trajectory or BlowUpError.
 
     The configs share ``equation``'s tag and dealias and one scheme; their
-    degrees, dts, step counts and strides are free.  The rows go
-    degree-major, and within a degree by step count, dt and stride: each
-    run of rows of one degree, dt, step count and stride is a block with
-    one preallocated ``(rows, S, n/2+1)`` history, written at every stored
+    degrees, dts, step counts and strides are free.  The rows come sorted
+    by ``_block_key``: degree-major, and within a degree by step count, dt
+    and stride.  Each run of rows of one key is a block with one
+    preallocated ``(rows, S, n/2+1)`` history, written at every stored
     step, whose rows become its trajectories.  The rows step in lockstep,
     in phases: a phase ends when a block's steps are done, and the block
     leaves the stack.  The state is degree-major, and once a block leaves
@@ -439,31 +445,28 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
     mul, add, absolute, peak = np.multiply, np.add, np.abs, np.maximum.reduce
     if_rk4 = cfgs[0].scheme == "if_rk4"
 
-    block_keys = [(cfg.k, cfg.n_steps(), cfg.dt, cfg.sample_stride) for cfg in cfgs]
-    # position p in the stack holds row order[p]
-    order = sorted(range(len(cfgs)), key=block_keys.__getitem__)
-    ks, dts = [cfgs[i].k for i in order], [cfgs[i].dt for i in order]
+    ks, dts = [cfg.k for cfg in cfgs], [cfg.dt for cfg in cfgs]
     constants = {dt: _step_constants(group_sym, dt, if_rk4) for dt in dict.fromkeys(dts)}
     nyq = n // 2
-    state = np.array([u0s[i].coeffs[: nyq + 1] for i in order])
+    state = np.array(coeffs[:, : nyq + 1])
     state[:, 0] = state[:, 0].real
     state[:, nyq] = state[:, nyq].real
-    results = [None] * len(order)
+    results = [None] * len(cfgs)
     for p in np.flatnonzero(~(np.abs(state[:, nyq]) <= _BLOWUP_GUARD)):
         results[p] = BlowUpError(0.0)
         state[p] = 0.0
-    blocks, first = [], 0  # (cfg, steps, first position, sample times, history) per block
-    for (_, steps, dt, stride), run in itertools.groupby(order, key=block_keys.__getitem__):
+    blocks, first = [], 0  # (cfg, steps, first row, sample times, history) per block
+    for (_, steps, dt, stride), run in itertools.groupby(cfgs, key=_block_key):
         rows = len(list(run))
         times = dt * np.arange(0, steps + 1, stride)
         history = np.empty((rows, len(times), nyq + 1), dtype=np.complex128)
         history[:, 0] = state[first: first + rows]
         history[:, 1:, nyq] = state[first: first + rows, nyq, None]
-        blocks.append((cfgs[order[first]], steps, first, times, history))
+        blocks.append((cfgs[first], steps, first, times, history))
         first += rows
     uhat = _split(state, equation.nbig)
 
-    live, done = np.arange(len(order)), 0  # live: the positions of the state's rows
+    live, done = np.arange(len(cfgs)), 0  # live: the stack rows the state holds
     for steps in sorted({block[1] for block in blocks}):
         stepping = [block for block in blocks if block[1] >= steps]
         kept = np.concatenate([first + np.arange(len(history))
@@ -546,12 +549,11 @@ def _advance(u0s: list, cfgs: list, equation: Equation) -> list:
                     history[:, step // stride] = rows
         done = steps
 
-    stepped = [None] * len(order)
     for cfg, _, first, times, history in blocks:
         for row, p in enumerate(range(first, first + len(history))):
-            stepped[order[p]] = (results[p] if results[p] is not None
-                                 else Trajectory(grid, times, history[row], cfg.equation, cfg.k))
-    return stepped
+            if results[p] is None:
+                results[p] = Trajectory(grid, times, history[row], cfg.equation, cfg.k)
+    return results
 
 
 @dataclass(frozen=True)

@@ -706,15 +706,16 @@ def _max_by(records, group: str, key: str) -> list:
             for value in sorted({r[group] for r in records})]
 
 
+def _label(r) -> str:
+    """How a failure line names its record: by its run, else by its sample."""
+    return r["run"] if "run" in r else f"sample {r['sample_index']}"
+
+
 def _blown(records) -> list:
     """One line per blown run or sample, naming its last good time; a line
     that two records give alike (a flowmap sample's two pairs) is given once."""
-    fails = []
-    for r in records:
-        if r.get("blew_up"):
-            label = r["run"] if "run" in r else f"sample {r['sample_index']}"
-            fails.append(f"{label} blew up at t = {r['last_good_time']}")
-    return list(dict.fromkeys(fails))
+    return list(dict.fromkeys(f"{_label(r)} blew up at t = {r['last_good_time']}"
+                              for r in records if r.get("blew_up")))
 
 
 class _Gate(NamedTuple):
@@ -791,7 +792,7 @@ def _pass_conservation(cfg, records):
         if r.get("blew_up"):
             continue
         if r.get("degenerate"):
-            fails.append(f"{r['run']}: zero initial data, relative drifts undefined")
+            fails.append(f"{_label(r)}: zero initial data, relative drifts undefined")
         elif r["run"] == "reference":
             gates += [_Gate(f"{key} drift", r[f"drift_{key}"], "<", tol)
                       for key, tol in (("I", "im_tol"), ("M", "im_tol"), ("F", "f_tol"))]
@@ -854,10 +855,8 @@ def _pass_convergence(cfg, records):
 
 
 def _pass_estimate_monitor(cfg, records):
-    fails = _blown(records)
-    zero = [r for r in records if r.get("degenerate")]
-    if zero:
-        fails.append(f"{len(zero)} samples have zero initial data, ratio undefined")
+    fails = _blown(records) + [f"{_label(r)}: zero initial data, ratio undefined"
+                               for r in records if r.get("degenerate")]
     ratios = _floats(records, "ratio")
     return fails, [_Gate("ratio", np.max(ratios), "<=", "monitor_bound")] if ratios.size else []
 

@@ -374,18 +374,20 @@ def _power_reference(values, p):
         base = base * base
 
 
+# mu of each equation's flux; the linear equation is the mu = 0 member
+FLUX_MU = {"linear": 0.0, "gbo": 1.0, "bo2": 2.0, "renormalized_gbo": 2.0}
+
+
 def nonlinear_reference(equation, uhat):
     """The dealiased flux of ``equation`` on the half-spectrum stack uhat, allocating.
 
     The padded transforms are spelled out: the slot n/2 is split half-half
     before synthesis and -n/2 folded back into +n/2 after analysis.  The
-    flux is ``(iq mu / (k + 1)) (u^{k+1} - (k + 1) mean(u^k) u)``, mu 1 for
-    gbo and 2 for bo2 and the renormalized equation, whose mean term alone
-    it has.
+    flux is ``(iq mu / (k + 1)) (u^{k+1} - (k + 1) mean(u^k) u)``, mu 0 for
+    the linear equation, 1 for gbo and 2 for bo2 and the renormalized
+    equation, whose mean term alone it has.
     """
     eq, k, n, nbig = equation.eq, equation.k, equation.n, equation.nbig
-    if eq == "linear":
-        return np.zeros_like(uhat)
     half = uhat
     if nbig > n:
         split = np.ones(n // 2 + 1)
@@ -405,8 +407,7 @@ def nonlinear_reference(equation, uhat):
     if eq == "renormalized_gbo":
         mean = np.mean(_power_reference(vals, k), axis=-1, keepdims=True)
         flux = flux - (k + 1) * mean * uhat
-    mu = 1.0 if eq == "gbo" else 2.0
-    return (equation.iq * mu / (k + 1)) * flux
+    return (equation.iq * FLUX_MU[eq] / (k + 1)) * flux
 
 
 def _dispatching_power(values, p, work):
@@ -440,9 +441,6 @@ def dispatching_flux(equation, uhat, out):
     ``nonlinear_reference`` formed per call.  ``Equation._flux`` must equal
     it bit for bit."""
     eq, k, n, nbig = equation.eq, equation.k, equation.n, equation.nbig
-    if eq == "linear":
-        out.fill(0.0)
-        return out
     lead = uhat.shape[:-1]
     vals, split = np.empty(lead + (nbig,)), np.empty(lead + (n // 2 + 1,), dtype=complex)
     pair = (np.empty(lead + (nbig,)), np.empty(lead + (nbig,)))
@@ -462,8 +460,7 @@ def dispatching_flux(equation, uhat, out):
     if eq == "renormalized_gbo":
         mean = np.mean(_dispatching_power(vals, k, pair), axis=-1, keepdims=True)
         np.subtract(flux, np.multiply((k + 1) * mean, uhat, out=out), out=flux)
-    mu = 1.0 if eq == "gbo" else 2.0
-    return np.multiply(equation.iq * mu / (k + 1), flux, out=out)
+    return np.multiply(equation.iq * FLUX_MU[eq] / (k + 1), flux, out=out)
 
 
 def flux_on(equation, nbig):

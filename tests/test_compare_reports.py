@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_reports.py"
 
@@ -20,6 +22,23 @@ def test_checkout_matches_itself():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "1 runs per checkout, 2 files compared: identical"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds="], "--seeds '' lists no seed"),
+    (["--seeds", "0,x"], "--seeds must be comma-separated integers, got '0,x'"),
+    (["--experiments", "scaling,nope"], "--experiments: unknown experiment 'nope' in CHANGE's "
+                                        "registry"),
+])
+def test_an_empty_or_unknown_selection_is_a_usage_error_before_any_run(
+        capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(compare_reports, "run_reports",
+                        lambda *args: pytest.fail("an experiment ran"))
+    with pytest.raises(SystemExit) as exc:
+        compare_reports.main([str(ROOT), str(ROOT), *flags])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {message}" in err
 
 
 def test_differences_are_named_with_their_largest_relative_and_absolute_change(tmp_path):

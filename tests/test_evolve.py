@@ -32,6 +32,11 @@ from conftest import (advance_reference, coeff_distance, count_transforms, dispa
                       flux_on, nonlinear_reference, solve_batch_reference, symmetry_defect)
 
 
+def _stack(u0s):
+    """The coefficient stack ``(rows, n)`` of fields, as ``_solve`` passes ``_advance``."""
+    return np.array([u0.coeffs for u0 in u0s])
+
+
 def cos_data(grid, amp=0.1, mean=0.0):
     c = np.zeros(grid.n, dtype=complex)
     c[0] = mean
@@ -506,7 +511,8 @@ class TestInPlaceStepper:
         cfg = SolverConfig(equation, dt=5e-3, t_final=0.1, k=k, scheme=scheme,
                            dealias=dealias, sample_stride=5)
         eq = evolve.Equation(u0s[0].grid, equation, k, dealias)
-        got_refs = zip(evolve._advance(u0s, [cfg] * len(u0s), eq), advance_reference(u0s, cfg, eq))
+        got_refs = zip(evolve._advance(_stack(u0s), [cfg] * len(u0s), eq),
+                       advance_reference(u0s, cfg, eq))
         for got, ref in got_refs:
             assert np.array_equal(got.times, ref.times)
             assert np.array_equal(got.half_coeffs, ref.half_coeffs)
@@ -557,7 +563,7 @@ class TestInPlaceStepper:
             return out
 
         eq._flux = poisoned
-        *good, blown = evolve._advance(u0s, [cfg] * len(u0s), eq)
+        *good, blown = evolve._advance(_stack(u0s), [cfg] * len(u0s), eq)
         assert isinstance(blown, BlowUpError) and blown.last_good_time == 3 * cfg.dt
         for got, ref in zip(good, solve_batch(u0s[:-1], cfg)):
             assert np.array_equal(got.half_coeffs, ref.half_coeffs)
@@ -805,7 +811,7 @@ def _mixed_ladders(cfg, ks, levels=3):
 def _alone(u0, cfgs, nbig):
     """One degree's configs, in ascending step count, stepped as its own stack on nbig points."""
     equation = evolve.Equation(u0.grid, cfgs[0].equation, cfgs[0].k, cfgs[0].dealias)
-    return evolve._advance([u0] * len(cfgs), cfgs, flux_on(equation, nbig))
+    return evolve._advance(_stack([u0] * len(cfgs)), cfgs, flux_on(equation, nbig))
 
 
 class TestMixedDegrees:

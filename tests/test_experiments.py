@@ -1056,6 +1056,13 @@ class TestBatchedEnsembles:
         assert rep.failures == ["sample 2 blew up at t = 0.7000000000000001",
                                 "sample 3 blew up at t = 0.5"]
 
+    def test_estimate_monitor_zero_data_fails_per_sample(self):
+        rep = run_experiment(config_from_mapping("estimate-monitor",
+                                                 dict(n_samples=2, amplitude=0.0)))
+        assert [r["degenerate"] for r in rep.records] == [True, True]
+        assert rep.failures == ["sample 0: zero initial data, ratio undefined",
+                                "sample 1: zero initial data, ratio undefined"]
+
 
 class TestCli:
     def test_module_entry_point_runs_main(self, monkeypatch, capsys):
@@ -1109,7 +1116,7 @@ class TestCli:
                      "--out", str(tmp_path), "--stem", "z"])
         assert code == 1
         out, err = capsys.readouterr()
-        assert "2 samples have zero initial data, ratio undefined" in out
+        assert "sample 1: zero initial data, ratio undefined" in out
         assert err == ""
         records = [json.loads(line)
                    for line in (tmp_path / "z.records.jsonl").read_text().splitlines()]

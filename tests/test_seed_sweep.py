@@ -90,3 +90,32 @@ def test_a_bound_one_float_past_the_value_prints_as_the_verdict_words_it(
     assert float(re.search(rf"{key} = ([^,:\]]+)", line).group(1)) == past
     report = run_experiment(config_from_mapping(name, dict(settings, **{key: past})))
     assert f"{gate} = {value!r} is not {bound}" in report.failures
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", "39-0"], "--seeds 39-0 selects no seed"),
+    (["--seeds", "x"], "--seeds must be seeds and ranges a-b, comma-separated, got 'x'"),
+    (["--experiments", "strichartz-scan,nope"], "--experiments: unknown experiment 'nope'"),
+])
+def test_an_empty_or_unknown_selection_is_a_usage_error_before_any_run(
+        capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(seed_sweep, "sweep", lambda *args: pytest.fail("an experiment ran"))
+    with pytest.raises(SystemExit) as exc:
+        seed_sweep.main(flags)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {message}" in err
+
+
+def test_seeded_names_the_experiments_whose_records_the_seed_moves():
+    """``SEEDED`` copies a fact the experiments hold: at their defaults, seeds
+    0 and 1 give different records for exactly these experiments."""
+    from bosp import experiments
+
+    def records(name, seed):
+        cfg = experiments.config_from_mapping(name, {"seed": seed})
+        return experiments.run_experiment(cfg).records
+
+    moved = [name for name in experiments.EXPERIMENT_NAMES
+             if records(name, 0) != records(name, 1)]
+    assert sorted(moved) == sorted(seed_sweep.SEEDED)

@@ -14,7 +14,9 @@ series file that differs, the largest relative change of any numeric field
 change; where no numeric field differs, the first differing string or bool
 (a ``failures`` text, a ``passed`` flag) is printed with both values, and
 where no field differs at all, that every field parses equal.
-Exits 0 only when everything matches.
+Exits 0 only when everything matches, and 2, before any run, when
+``--seeds`` lists no seed or ``--experiments`` names an experiment that
+CHANGE's registry does not hold.
 
 Standard library only; the experiment list is read from CHANGE's registry.
 """
@@ -210,9 +212,18 @@ def main(argv=None) -> int:
     parser.add_argument("--experiments", default="",
                         help="comma-separated experiment names (default: all)")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    names = ([n for n in args.experiments.split(",") if n]
-             or experiment_names(args.change))
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+    except ValueError:
+        parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
+    if not seeds:
+        parser.error(f"--seeds {args.seeds!r} lists no seed")
+    known = experiment_names(args.change)
+    names = [n for n in args.experiments.split(",") if n] or known
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        parser.error(f"--experiments: unknown experiment {', '.join(map(repr, unknown))} "
+                     f"in CHANGE's registry; known: {', '.join(known)}")
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
         dirs = {side: pathlib.Path(tmp) / side for side in ("parent", "change")}
         codes = {}

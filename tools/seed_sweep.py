@@ -18,7 +18,9 @@ value over the seeds, exactly (``repr``), and its seed, the quantiles (min,
 q1, median, q3, max) of the per-seed values, and the seeds at which the
 gate fails.  ``--seeds`` takes seeds and inclusive ranges, comma-separated
 (``0-499``, ``0,1,7``); ``--set`` applies to every experiment run.  Exits 0
-when every gate passes at every seed, 1 when one fails.
+when every gate passes at every seed, 1 when one fails, and 2, before any
+run, when ``--seeds`` selects no seed or ``--experiments`` names an
+experiment the registry does not hold.
 
 Standard library and bosp only (this checkout's ``src`` first on
 ``sys.path``); it changes no gate.
@@ -110,10 +112,23 @@ def main(argv=None) -> int:
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     args = p.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
+    from bosp.experiments import EXPERIMENT_NAMES
+
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError:
+        p.error(f"--seeds must be seeds and ranges a-b, comma-separated, got {args.seeds!r}")
+    if not seeds:
+        p.error(f"--seeds {args.seeds} selects no seed")
+    names = args.experiments.split(",")
+    unknown = [name for name in names if name not in EXPERIMENT_NAMES]
+    if unknown:
+        p.error(f"--experiments: unknown experiment {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(EXPERIMENT_NAMES)}")
     overrides = dict(item.split("=", 1) for item in args.set)
     failed = False
-    for name in args.experiments.split(","):
-        gates, structural = sweep(name, parse_seeds(args.seeds), overrides)
+    for name in names:
+        gates, structural = sweep(name, seeds, overrides)
         failed = failed or bool(structural) or any(
             row[3] for _, rows in gates.values() for row in rows)
         print("\n".join(summarize(name, gates, structural)), flush=True)
